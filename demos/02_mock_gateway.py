@@ -32,4 +32,4 @@ print(f"  counters: {gateway.counters.snapshot()}")
 
 print()
 vector = gateway.embed("jobs grew")
-print(f"embed('jobs grew') -> {vector.vector} from model {vector.model_id!r}")
+print(f"embed('jobs grew') -> {vector.vector.tolist()} from model {vector.model_id!r}")

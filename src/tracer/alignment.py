@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
 import requests
 
 from .config import Thresholds
@@ -45,6 +46,20 @@ class AlignedEvidence:
     error: str | None = None
 
 
+def _sequential_sum(values: np.ndarray) -> float:
+    """Strictly left-to-right float64 sum, starting from +0.0.
+
+    This is the sum Python 3.11's builtin ``sum`` computes over floats,
+    bit for bit. ``np.sum`` sums pairwise and Python 3.12+'s ``sum``
+    compensates rounding, so either would move serialized similarities
+    in the last bits. The trailing ``+ 0.0`` is the start value: it turns
+    an all-negative-zero sum into +0.0 and changes nothing else.
+    """
+    if values.size == 0:
+        return 0.0
+    return float(np.add.accumulate(values)[-1]) + 0.0
+
+
 def cosine_similarity(u: Embedding, v: Embedding) -> float:
     if u.model_id != v.model_id:
         raise DimensionMismatch(
@@ -54,11 +69,11 @@ def cosine_similarity(u: Embedding, v: Embedding) -> float:
         raise DimensionMismatch(
             f"embedding lengths differ: {len(u.vector)} vs {len(v.vector)}"
         )
-    norm_u = math.sqrt(sum(x * x for x in u.vector))
-    norm_v = math.sqrt(sum(x * x for x in v.vector))
+    norm_u = math.sqrt(_sequential_sum(u.vector * u.vector))
+    norm_v = math.sqrt(_sequential_sum(v.vector * v.vector))
     if norm_u == 0.0 or norm_v == 0.0:
         raise ZeroVector("cosine similarity undefined for zero-norm vector")
-    dot = sum(x * y for x, y in zip(u.vector, v.vector))
+    dot = _sequential_sum(u.vector * v.vector)
     value = dot / (norm_u * norm_v)
     # guard rounding drift out of [-1, 1]
     return max(-1.0, min(1.0, value))

@@ -12,9 +12,11 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from ..errors import BackendError, EmptyInput
 from .backends import API_KEY_ENV, LiveBackend, api_key_from_env
-from .cache import ResponseCache, completion_key, embedding_key
+from .cache import ResponseCache, completion_key, embedding_key, frozen_vector
 from .mock import MockCall, MockScript
 from .parsing import parse_binary_digit, parse_bracketed, parse_letter_choice
 from .templates import PromptTemplate, TemplateCatalog, render_template
@@ -38,8 +40,23 @@ class CompletionRequest:
 
 @dataclass(frozen=True)
 class Embedding:
-    vector: tuple[float, ...]
+    """An embedding vector and the model that produced it.
+
+    ``vector`` is a read-only float64 array; a list or tuple given to the
+    constructor is converted. Arrays from the Gateway are shared with its
+    cache, so they are never copied and never written to.
+    """
+
+    vector: np.ndarray
     model_id: str
+
+    def __post_init__(self):
+        object.__setattr__(self, "vector", frozen_vector(self.vector))
+
+    def __eq__(self, other):
+        if not isinstance(other, Embedding):
+            return NotImplemented
+        return self.model_id == other.model_id and np.array_equal(self.vector, other.vector)
 
 
 @dataclass
@@ -153,13 +170,13 @@ class Gateway:
             if cached is not None:
                 self.counters.embedding_cache_hits += 1
         if cached is not None:
-            return Embedding(vector=tuple(cached), model_id=self.embedding_model_id)
+            return Embedding(vector=cached, model_id=self.embedding_model_id)
         with self._semaphore:
-            vector = self.backend.embed(text)
+            vector = frozen_vector(self.backend.embed(text))
         with self._counter_lock:
             self.counters.backend_calls += 1
-        self.cache.put(key, list(vector))
-        return Embedding(vector=tuple(vector), model_id=self.embedding_model_id)
+        self.cache.put(key, vector)
+        return Embedding(vector=vector, model_id=self.embedding_model_id)
 
 
 __all__ = [

@@ -5,6 +5,11 @@ digest and the cached value (completion text or embedding vector). The
 whole file is read once at open; later appends win on duplicate keys, so
 an interrupted run can simply be re-run. Reads are lock-free; writes are
 serialized.
+
+Embedding vectors are held in memory as read-only float64 arrays (see
+``frozen_vector``) and written back as JSON lists, so the file format is
+the same as for plain lists. Every caller that gets a vector shares the
+one cached array, which is why it cannot be written to.
 """
 
 from __future__ import annotations
@@ -13,6 +18,8 @@ import hashlib
 import json
 import threading
 from pathlib import Path
+
+import numpy as np
 
 from ..errors import CacheCorruption
 
@@ -49,6 +56,20 @@ def embedding_key(model_id: str, text: str) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
+def frozen_vector(values) -> np.ndarray:
+    """Read-only float64 array of ``values``.
+
+    A read-only float64 array is returned as is; anything else (a list,
+    a tuple, a writable array) is copied, so freezing never changes an
+    array the caller still holds.
+    """
+    if isinstance(values, np.ndarray) and values.dtype == np.float64 and not values.flags.writeable:
+        return values
+    array = np.array(values, dtype=np.float64)
+    array.flags.writeable = False
+    return array
+
+
 class ResponseCache:
     """Deterministic response cache, optionally persisted to a file.
 
@@ -74,7 +95,10 @@ class ResponseCache:
                     record = json.loads(line)
                     key = record["key"]
                     value = record["value"]
-                except (json.JSONDecodeError, TypeError, KeyError):
+                    if isinstance(value, list):
+                        value = frozen_vector(value)
+                # ValueError covers both undecodable JSON and a non-numeric vector
+                except (ValueError, TypeError, KeyError):
                     raise CacheCorruption(
                         f"{self.path}: undecodable cache record at line {line_number}"
                     ) from None
@@ -91,11 +115,15 @@ class ResponseCache:
         return value
 
     def put(self, key: str, value) -> None:
+        """Store a completion text, or an embedding vector given as any sequence."""
+        if not isinstance(value, str):
+            value = frozen_vector(value)
         with self._lock:
             self._entries[key] = value
             if self.path is not None:
+                record = value if isinstance(value, str) else value.tolist()
                 with self.path.open("a", encoding="utf-8") as handle:
-                    handle.write(json.dumps({"key": key, "value": value}, ensure_ascii=False))
+                    handle.write(json.dumps({"key": key, "value": record}, ensure_ascii=False))
                     handle.write("\n")
 
     def clear(self) -> None:

@@ -1,6 +1,7 @@
 """Evidence alignment: cosine geometry, prompt pipeline, refinement."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -53,6 +54,44 @@ def test_cosine_model_mismatch():
 def test_cosine_zero_vector():
     with pytest.raises(ZeroVector):
         cosine_similarity(emb(0, 0), emb(1, 0))
+    with pytest.raises(ZeroVector):
+        cosine_similarity(emb(), emb())
+
+
+def _loop_cosine(u, v):
+    """Reference cosine with explicit left-to-right accumulation.
+
+    Not the builtin ``sum``: Python 3.12+ compensates its rounding, so it
+    would not pin down one result across interpreter versions.
+    """
+
+    def total(values):
+        acc = 0
+        for x in values:
+            acc += x
+        return acc
+
+    norm_u = math.sqrt(total(x * x for x in u))
+    norm_v = math.sqrt(total(x * x for x in v))
+    dot = total(x * y for x, y in zip(u, v))
+    return max(-1.0, min(1.0, dot / (norm_u * norm_v)))
+
+
+@pytest.mark.parametrize("dim", [*range(2, 17), 1536])
+def test_cosine_equals_sequential_loop_exactly(dim):
+    rng = random.Random(dim)
+    for _ in range(25):
+        u = [rng.gauss(0.0, 1.0) for _ in range(dim)]
+        v = [rng.gauss(0.0, 1.0) for _ in range(dim)]
+        result = cosine_similarity(emb(*u), emb(*v))
+        assert type(result) is float
+        assert result == _loop_cosine(u, v)
+
+
+def test_cosine_of_negative_zero_products_is_positive_zero():
+    result = cosine_similarity(emb(1, 0), emb(-0.0, -1))
+    assert result == 0.0
+    assert math.copysign(1.0, result) == 1.0
 
 
 _coords = st.lists(

@@ -4,6 +4,7 @@ import json
 import string
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from tracer.errors import (
 )
 from tracer.gateway import (
     CompletionRequest,
+    Embedding,
     Gateway,
     LiveBackend,
     MockScript,
@@ -116,8 +118,11 @@ def test_cache_persists_and_reloads(tmp_path):
     cache.put("k2", [1.0, 2.0])
     reloaded = ResponseCache(path)
     assert reloaded.get("k1") == "v1"
-    assert reloaded.get("k2") == [1.0, 2.0]
+    assert reloaded.get("k2").tolist() == [1.0, 2.0]
     assert len(reloaded) == 2
+    assert path.read_text(encoding="utf-8") == (
+        '{"key": "k1", "value": "v1"}\n{"key": "k2", "value": [1.0, 2.0]}\n'
+    )
 
 
 def test_cache_later_appends_win(tmp_path):
@@ -131,6 +136,14 @@ def test_cache_later_appends_win(tmp_path):
 def test_cache_corruption_names_the_line(tmp_path):
     path = tmp_path / "cache.jsonl"
     path.write_text('{"key": "a", "value": "b"}\ngarbage\n', encoding="utf-8")
+    with pytest.raises(CacheCorruption) as excinfo:
+        ResponseCache(path)
+    assert "line 2" in str(excinfo.value)
+
+
+def test_cache_non_numeric_vector_is_corruption(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_text('{"key": "a", "value": "b"}\n{"key": "v", "value": ["x", 1.0]}\n', encoding="utf-8")
     with pytest.raises(CacheCorruption) as excinfo:
         ResponseCache(path)
     assert "line 2" in str(excinfo.value)
@@ -266,10 +279,28 @@ def test_gateway_embed_returns_cached_embedding():
     gateway, script = make_gateway(embeddings=[{"text": "e", "vector": [1.0, 0.0]}])
     first = gateway.embed("e")
     second = gateway.embed("e")
-    assert first.vector == (1.0, 0.0)
+    assert first.vector.tolist() == [1.0, 0.0]
     assert first == second
     assert len(script.call_log) == 1
     assert gateway.counters.embedding_cache_hits == 1
+
+
+def test_gateway_embed_vector_is_the_read_only_cache_entry():
+    gateway, _ = make_gateway(embeddings=[{"text": "e", "vector": [1.0, 0.0]}])
+    vector = gateway.embed("e").vector
+    with pytest.raises(ValueError):
+        vector[0] = 5.0
+    assert gateway.embed("e").vector.tolist() == [1.0, 0.0]
+
+
+def test_embedding_freezes_a_copy_of_its_input():
+    values = np.array([1.0, 2.0])
+    embedding = Embedding(vector=values, model_id="m")
+    assert values.flags.writeable
+    assert not embedding.vector.flags.writeable
+    assert embedding == Embedding(vector=(1.0, 2.0), model_id="m")
+    assert embedding != Embedding(vector=(1.0, 2.0), model_id="other")
+    assert embedding != Embedding(vector=(1.0, 2.5), model_id="m")
 
 
 def test_gateway_embed_rejects_empty_text():
