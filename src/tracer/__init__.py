@@ -66,8 +66,6 @@ from .gateway import (
 from .intent import (
     IntentRecord,
     QualityScores,
-    enhance_ruling,
-    extract_intent,
     generate_intent,
     score_quality,
 )
@@ -85,7 +83,6 @@ from .verdict import (
     FinalVerdict,
     VerdictReport,
     cot_verify,
-    reassess,
     run_pipeline,
 )
 
@@ -133,10 +130,8 @@ __all__ = [
     "consolidate_label",
     "cosine_similarity",
     "cot_verify",
-    "enhance_ruling",
     "evaluate_all",
     "evaluate_counterfactual",
-    "extract_intent",
     "generate_implicit_questions",
     "generate_intent",
     "infer_assumptions",
@@ -144,7 +139,6 @@ __all__ = [
     "load_corpus",
     "nli_check",
     "per_class_prf",
-    "reassess",
     "retrieve_che",
     "run_ablation",
     "run_pipeline",

@@ -85,7 +85,6 @@ class BackendSettings:
     base_url: str = "https://api.openai.com/v1"
     model_id: str = "gpt-4o-mini"
     embedding_model_id: str | None = None
-    key_env: str = "TRACER_API_KEY"
     concurrency: int = 4
     mock_script: str | None = None
 
@@ -106,7 +105,6 @@ class RunConfig:
     reassess_true_only: bool = False
     corpus_path: str | None = None
     cache_path: str | None = None
-    templates_dir: str | None = None
     output_path: str | None = None
 
     def validate(self) -> None:
@@ -114,7 +112,6 @@ class RunConfig:
         self.thresholds.validate()
         for label, path in (
             ("corpus", self.corpus_path),
-            ("templates directory", self.templates_dir),
             ("mock script", self.backend.mock_script),
         ):
             if path is not None and not Path(path).exists():
@@ -127,7 +124,6 @@ _BACKEND_KEYS = (
     "base_url",
     "model_id",
     "embedding_model_id",
-    "key_env",
     "concurrency",
     "mock_script",
 )
@@ -170,7 +166,7 @@ def config_from_dict(data: dict) -> RunConfig:
         )
 
     paths = _section(data, "paths")
-    bad = set(paths) - {"corpus", "cache", "templates", "output"}
+    bad = set(paths) - {"corpus", "cache", "output"}
     if bad:
         raise ConfigError(f"unknown path keys: {', '.join(sorted(bad))}")
 
@@ -181,7 +177,6 @@ def config_from_dict(data: dict) -> RunConfig:
         reassess_true_only=bool(data.get("reassess_true_only", False)),
         corpus_path=paths.get("corpus"),
         cache_path=paths.get("cache"),
-        templates_dir=paths.get("templates"),
         output_path=paths.get("output"),
     )
 

@@ -135,14 +135,6 @@ class UnparseableDigit(TracerError):
 # Intent / causality / verdict stages
 
 
-class EmptyCompletion(TracerError):
-    """A completion that must carry content came back blank."""
-
-
-class IntentUnavailable(TracerError):
-    """No intent for a claim survived quality filtering."""
-
-
 class EmptyAssumptions(TracerError):
     """A causal argument cannot be built without assumptions."""
 

@@ -15,19 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import BackendError, EmptyInput
-from .backends import API_KEY_ENV, LiveBackend, api_key_from_env
+from .backends import API_KEY_ENV, Decoding, LiveBackend, api_key_from_env
 from .cache import ResponseCache, completion_key, embedding_key, frozen_vector
 from .mock import MockCall, MockScript
 from .parsing import parse_binary_digit, parse_bracketed, parse_letter_choice
 from .templates import PromptTemplate, TemplateCatalog, render_template
-
-DEFAULT_MAX_TOKENS = 1024
-
-
-@dataclass(frozen=True)
-class Decoding:
-    temperature: float = 0.0
-    max_tokens: int = DEFAULT_MAX_TOKENS
 
 
 @dataclass(frozen=True)
@@ -83,9 +75,10 @@ class GatewayCounters:
 class Gateway:
     """Template rendering + cache + backend, behind one interface.
 
-    The backend is either a MockScript or a LiveBackend; both expose
-    completion and embedding calls. A bounded semaphore caps in-flight
-    backend requests when callers fan out across threads.
+    The backend is either a MockScript or a LiveBackend; both answer
+    ``complete(template_id, prompt, decoding)`` and ``embed(text)``. A
+    bounded semaphore caps in-flight backend requests when callers fan
+    out across threads.
     """
 
     def __init__(
@@ -131,7 +124,7 @@ class Gateway:
         if cached is not None:
             return cached
         with self._semaphore:
-            text = self._backend_complete(request, prompt)
+            text = self.backend.complete(request.template_id, prompt, request.decoding)
         with self._counter_lock:
             self.counters.backend_calls += 1
             self.counters.by_template[request.template_id] = (
@@ -139,13 +132,6 @@ class Gateway:
             )
         self.cache.put(key, text)
         return text
-
-    def _backend_complete(self, request: CompletionRequest, prompt: str) -> str:
-        if isinstance(self.backend, MockScript):
-            return self.backend.complete(request.template_id, prompt)
-        return self.backend.complete(
-            prompt, request.decoding.temperature, request.decoding.max_tokens
-        )
 
     def run(self, template_id: str, **bindings) -> str:
         """Render-and-complete with the gateway's default decoding."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 import time
+from dataclasses import dataclass
 
 import requests
 
@@ -19,6 +20,13 @@ from ..errors import BackendError, ConfigError
 API_KEY_ENV = "TRACER_API_KEY"
 DEFAULT_BASE_URL = "https://api.openai.com/v1"
 RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
+DEFAULT_MAX_TOKENS = 1024
+
+
+@dataclass(frozen=True)
+class Decoding:
+    temperature: float = 0.0
+    max_tokens: int = DEFAULT_MAX_TOKENS
 
 
 def api_key_from_env() -> str:
@@ -97,12 +105,13 @@ class LiveBackend:
                     f"POST {endpoint} returned undecodable body", retries=attempts - 1
                 ) from exc
 
-    def complete(self, prompt: str, temperature: float, max_tokens: int) -> str:
+    def complete(self, template_id: str, prompt: str, decoding: Decoding) -> str:
+        """One chat completion; the template id is not sent."""
         payload = {
             "model": self.model_id,
             "messages": [{"role": "user", "content": prompt}],
-            "temperature": temperature,
-            "max_tokens": max_tokens,
+            "temperature": decoding.temperature,
+            "max_tokens": decoding.max_tokens,
         }
         data = self._post("chat/completions", payload)
         try:

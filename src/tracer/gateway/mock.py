@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import MockScriptMiss
+from .backends import Decoding
 
 
 @dataclass
@@ -122,7 +123,8 @@ class MockScript:
         with Path(path).open("r", encoding="utf-8") as handle:
             return cls.from_dict(json.load(handle))
 
-    def complete(self, template_id: str, prompt: str) -> str:
+    def complete(self, template_id: str, prompt: str, decoding: Decoding) -> str:
+        """The first matching rule's next response; decoding is ignored."""
         for rule in self.rules:
             if rule.matches(template_id, prompt):
                 response = rule.next_response()

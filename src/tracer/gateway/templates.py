@@ -1,10 +1,9 @@
-"""Prompt templates and the on-disk template catalog.
+"""Prompt templates and the bundled template catalog.
 
 Template bodies are plain text files with ``{name}`` placeholders
-(``{{`` and ``}}`` escape literal braces). The catalog directory holds
-one file per template, named ``<template_id>.txt``; the package ships a
-default catalog which an operator can override with a directory of the
-same layout.
+(``{{`` and ``}}`` escape literal braces). The package ships one file
+per template, named ``<template_id>.txt``, in its ``templates``
+directory.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass, field
 from importlib import resources
-from pathlib import Path
 from typing import Mapping
 
 from ..errors import MissingBinding, UnknownBinding, UnknownTemplate
@@ -56,23 +54,10 @@ def render_template(template: PromptTemplate, bindings: Mapping[str, str]) -> st
 
 
 class TemplateCatalog:
-    """All templates for a run, loaded once from a catalog directory."""
+    """All templates for a run, loaded once."""
 
     def __init__(self, templates: Mapping[str, PromptTemplate]):
         self._templates = dict(templates)
-
-    @classmethod
-    def from_directory(cls, directory: str | Path) -> "TemplateCatalog":
-        directory = Path(directory)
-        templates = {}
-        for path in sorted(directory.glob("*.txt")):
-            template_id = path.stem
-            templates[template_id] = PromptTemplate.from_body(
-                template_id, path.read_text(encoding="utf-8")
-            )
-        if not templates:
-            raise ValueError(f"no *.txt templates found in {directory}")
-        return cls(templates)
 
     @classmethod
     def bundled(cls) -> "TemplateCatalog":
@@ -95,6 +80,3 @@ class TemplateCatalog:
 
     def ids(self) -> list[str]:
         return sorted(self._templates)
-
-    def render(self, template_id: str, bindings: Mapping[str, str]) -> str:
-        return render_template(self.get(template_id), bindings)

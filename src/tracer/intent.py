@@ -1,33 +1,23 @@
 """Intent recovery: what a claim wants its audience to conclude.
 
-Two routes produce an intent statement. At annotation time the
-fact-checker's ruling is enhanced for clarity and the intent extracted
-from it. At inference time no ruling exists, so the intent is generated
-from the claim and its evidence instead. Either way the candidate then
-faces four independent yes/no quality checks (plausibility, implicity,
+The intent is generated from the claim and its evidence; the
+fact-checker's ruling is not consulted. The candidate then faces four
+independent yes/no quality checks (plausibility, implicity,
 sufficiency, readability) and is accepted only on a clean sweep.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
-from .errors import EmptyCompletion, UnparseableDigit
+from .errors import UnparseableDigit
 from .gateway import Gateway, parse_binary_digit, parse_bracketed
 
-# Exemplar slots for the few-shot templates. The shipped defaults are
+# Exemplar slot for the few-shot template. The shipped default is
 # deliberately small and synthetic; operators running live models should
 # substitute exemplars drawn from their own annotation pass.
-DEFAULT_EXTRACTION_EXAMPLES = (
-    "Claim: The city doubled its park budget this year.\n"
-    "Ruling: The budget did double, but from a historic low after years of cuts.\n"
-    "Output: The increase looks less generous against the cuts that preceded it. "
-    "<The city is investing heavily in parks.>"
-)
 DEFAULT_GENERATION_EXAMPLES = (
     "Claim: Our factory passed every safety inspection this quarter.\n"
     "Evidence: Inspectors visited twice and found no violations.\n"
@@ -37,7 +27,6 @@ DEFAULT_GENERATION_EXAMPLES = (
 
 
 class IntentSource(str, Enum):
-    RULING_EXTRACTION = "RulingExtraction"
     EVIDENCE_GENERATION = "EvidenceGeneration"
 
 
@@ -74,20 +63,6 @@ class QualityScores:
         }
 
 
-def enhance_ruling(gateway: Gateway, ruling: str, evidence: list[str]) -> str:
-    """Rewrite a ruling for clarity before intent extraction.
-
-    The prompt instructs the model to output only the rewritten ruling,
-    so the completion is taken verbatim.
-    """
-    if not ruling.strip():
-        raise ValueError("enhance_ruling requires a non-empty ruling")
-    completion = gateway.run("ruling_enhancement", ruling=ruling, evidence="\n".join(evidence))
-    if not completion.strip():
-        raise EmptyCompletion("ruling enhancement returned blank output")
-    return completion
-
-
 _LAST_BRACKETED = re.compile(r"<([^<>]*)>(?!.*<[^<>]*>)", re.DOTALL)
 
 
@@ -101,27 +76,13 @@ def _split_intent(completion: str) -> tuple[str, str]:
     return intent, rationale
 
 
-def extract_intent(
-    gateway: Gateway,
-    claim: str,
-    enhanced_ruling: str,
-    examples: str = DEFAULT_EXTRACTION_EXAMPLES,
-) -> IntentRecord:
-    """Annotation-time intent, read off the enhanced ruling."""
-    completion = gateway.run(
-        "intent_extraction", claim=claim, ruling=enhanced_ruling, examples=examples
-    )
-    text, rationale = _split_intent(completion)
-    return IntentRecord(text=text, rationale=rationale, source=IntentSource.RULING_EXTRACTION)
-
-
 def generate_intent(
     gateway: Gateway,
     claim: str,
     evidence: list[str],
     examples: str = DEFAULT_GENERATION_EXAMPLES,
 ) -> IntentRecord:
-    """Inference-time intent, generated from claim plus evidence.
+    """The claim's intent, generated from the claim plus its evidence.
 
     Works with an empty evidence list (the claim alone still implies
     something) but flags the result so consumers know how little context
@@ -168,38 +129,11 @@ def score_quality(gateway: Gateway, claim: str, intent: str) -> QualityScores:
     return QualityScores(**scores)
 
 
-def save_intents(path: str | Path, records: dict) -> None:
-    """Persist intent artifacts keyed by claim id, one JSON record per line."""
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for claim_id in sorted(records):
-            entry = records[claim_id]
-            row = {"id": claim_id, **entry}
-            handle.write(json.dumps(row, ensure_ascii=False))
-            handle.write("\n")
-
-
-def load_intents(path: str | Path) -> dict:
-    records = {}
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line in handle:
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            claim_id = row.pop("id")
-            records[claim_id] = row
-    return records
-
-
 __all__ = [
-    "DEFAULT_EXTRACTION_EXAMPLES",
     "DEFAULT_GENERATION_EXAMPLES",
     "IntentRecord",
     "IntentSource",
     "QualityScores",
-    "enhance_ruling",
-    "extract_intent",
     "generate_intent",
-    "load_intents",
-    "save_intents",
     "score_quality",
 ]

@@ -31,6 +31,7 @@ from .causality import (
     Assumption,
     CausalArgument,
     CausalEffect,
+    ImplicitQuestion,
     build_causal_graph,
     evaluate_all,
     generate_implicit_questions,
@@ -196,19 +197,119 @@ def reassess_with_argument(
     return FinalVerdict(label=VERDICT_LETTERS[letter], reassessed=True, raw_choice=letter)
 
 
-def reassess(
-    gateway: Gateway, base: BaseVerdict, che: list[CheCandidate], graph: CausalArgument
-) -> FinalVerdict:
-    return reassess_with_argument(gateway, base, che, serialize_argument(graph))
-
-
-def _intent_only_argument(claim: str, intent: str) -> str:
-    # Ablated argument when no assumptions exist: the intent rests on
-    # the claim alone.
-    return json.dumps({"Z": intent, "linked_by": {"X": claim}}, indent=2, ensure_ascii=False)
-
-
 # -- pipeline ------------------------------------------------------------
+
+
+@dataclass
+class _ClaimRun:
+    """What the stages of one claim read and write besides its report."""
+
+    gateway: Gateway
+    record: ClaimRecord
+    thresholds: Thresholds
+    ablation: AblationConfig
+    reassess_true_only: bool
+    nli_classifier: ExternalNliClassifier | None
+    report: VerdictReport
+    relevant: list[str]
+    hidden: list[str]
+    questions: list[ImplicitQuestion] = field(default_factory=list)
+    # Retrieval queries: the intent stage sets the intent itself, and the
+    # assumptions and causality stages replace it when they run.
+    queries: list[Assumption] = field(default_factory=list)
+    # Truncation notes, written as extra rows after the current stage's.
+    notes: list[str] = field(default_factory=list)
+
+
+def _intent_stage(run: _ClaimRun) -> tuple[str, str]:
+    report, claim = run.report, run.record.claim
+    report.intent = generate_intent(run.gateway, claim, run.relevant)
+    report.intent_quality = score_quality(run.gateway, claim, report.intent.text)
+    if not report.intent_quality.accepted:
+        return "failed", "quality filter rejected the intent: " + json.dumps(
+            report.intent_quality.as_dict()
+        )
+    run.queries = [Assumption(text=report.intent.text)]
+    return "ok", f"low_context={report.intent.low_context}"
+
+
+def _questions_stage(run: _ClaimRun) -> tuple[str, str]:
+    run.questions = generate_implicit_questions(
+        run.gateway,
+        run.record.claim,
+        run.report.intent.text,
+        run.hidden,
+        max_questions=run.thresholds.max_questions,
+        diagnostics=run.notes,
+    )
+    return "ok", f"n={len(run.questions)}"
+
+
+def _assumptions_stage(run: _ClaimRun) -> tuple[str, str]:
+    report, claim = run.report, run.record.claim
+    assumptions = infer_assumptions(
+        run.gateway,
+        claim,
+        report.intent.text,
+        run.questions,
+        max_n=run.thresholds.assumption_max_number,
+        diagnostics=run.notes,
+    )
+    report.causal_argument = build_causal_graph(claim, report.intent.text, assumptions)
+    run.queries = list(report.causal_argument.assumptions)
+    return "ok", f"n={len(assumptions)}"
+
+
+def _causality_stage(run: _ClaimRun) -> tuple[str, str]:
+    if not run.ablation.causality:
+        return "skipped", "ablation: all assumptions treated critical"
+    report = run.report
+    report.causal_argument = evaluate_all(run.gateway, report.causal_argument)
+    run.queries = select_critical_assumptions(report.causal_argument)
+    return "ok", f"critical={len(run.queries)}/{len(report.causal_argument.assumptions)}"
+
+
+def _che_stage(run: _ClaimRun) -> tuple[str, str]:
+    report = run.report
+    report.che = collect_che(
+        run.gateway, run.queries, run.hidden, run.thresholds, run.nli_classifier
+    )
+    query = " (intent query)" if report.causal_argument is None else ""
+    return "ok", f"selected={len(report.che)}{query}"
+
+
+def _reassessment_stage(run: _ClaimRun) -> tuple[str, str]:
+    report = run.report
+    if run.reassess_true_only and report.base_verdict.label is not Label.TRUE:
+        return "skipped", "restricted to True base verdicts"
+    # Without assumptions the argument is the intent resting on the claim alone.
+    argument = report.causal_argument or CausalArgument(
+        intent=report.intent.text, claim=run.record.claim, assumptions=()
+    )
+    report.final_verdict = reassess_with_argument(
+        run.gateway, report.base_verdict, report.che, serialize_argument(argument)
+    )
+    if not report.che:
+        return "skipped", "no critical hidden evidence"
+    detail = f"choice={report.final_verdict.raw_choice}"
+    if report.final_verdict.fallback_reason:
+        detail += f" fallback={report.final_verdict.fallback_reason}"
+    return "ok", detail
+
+
+# The TRACER stages in their fixed order. Each entry names the stage, the
+# AblationConfig switch that turns it on, the function that runs it and
+# the reason every later stage is skipped with if it fails. Causality is
+# switched on with the assumptions and reads its own switch, because
+# without counterfactuals every assumption counts as critical.
+_STAGE_ORDER = (
+    ("intent", "intent", _intent_stage, "intent unavailable"),
+    ("questions", "assumptions", _questions_stage, "questions unavailable"),
+    ("assumptions", "assumptions", _assumptions_stage, "assumptions unavailable"),
+    ("causality", "assumptions", _causality_stage, "causality unavailable"),
+    ("che", "intent", _che_stage, "hidden evidence unavailable"),
+    ("reassessment", "intent", _reassessment_stage, None),
+)
 
 
 def run_pipeline(
@@ -282,128 +383,35 @@ def run_pipeline(
         except TracerError as exc:
             return _fail_claim(report, "base_verdict", f"{type(exc).__name__}: {exc}")
         stages.append(StageTrace("base_verdict", "ok", "CoT"))
-
-    if not ablation.intent:
-        _skip_rest(stages, "intent", "ablation")
-        return _finish_with_base(report)
-
-    try:
-        report.intent = generate_intent(gateway, record.claim, relevant)
-        report.intent_quality = score_quality(gateway, record.claim, report.intent.text)
-    except TracerError as exc:
-        stages.append(StageTrace("intent", "failed", f"{type(exc).__name__}: {exc}"))
-        _skip_rest(stages, "questions", "intent unavailable")
-        return _finish_with_base(report)
-    if not report.intent_quality.accepted:
-        stages.append(
-            StageTrace(
-                "intent",
-                "failed",
-                "quality filter rejected the intent: "
-                + json.dumps(report.intent_quality.as_dict()),
-            )
-        )
-        _skip_rest(stages, "questions", "intent unavailable")
-        return _finish_with_base(report)
-    stages.append(StageTrace("intent", "ok", f"low_context={report.intent.low_context}"))
-
-    if not ablation.assumptions:
-        # Retrieval falls back to the intent itself as the query.
-        _skip_rest(stages, "questions", "ablation", upto="causality")
-        intent_query = Assumption(text=report.intent.text)
-        try:
-            report.che = collect_che(
-                gateway, [intent_query], hidden, thresholds, nli_classifier
-            )
-        except TracerError as exc:
-            stages.append(StageTrace("che", "failed", f"{type(exc).__name__}: {exc}"))
-            _skip_rest(stages, "reassessment", "hidden evidence unavailable")
-            return _finish_with_base(report)
-        stages.append(StageTrace("che", "ok", f"selected={len(report.che)} (intent query)"))
-        return _finish_reassessed(
-            gateway,
-            report,
-            stages,
-            reassess_true_only,
-            _intent_only_argument(record.claim, report.intent.text),
-        )
-
-    diagnostics: list[str] = []
-    try:
-        questions = generate_implicit_questions(
-            gateway,
-            record.claim,
-            report.intent.text,
-            hidden,
-            max_questions=thresholds.max_questions,
-            diagnostics=diagnostics,
-        )
-        stages.append(StageTrace("questions", "ok", f"n={len(questions)}"))
-        assumptions = infer_assumptions(
-            gateway,
-            record.claim,
-            report.intent.text,
-            questions,
-            max_n=thresholds.assumption_max_number,
-            diagnostics=diagnostics,
-        )
-        stages.append(StageTrace("assumptions", "ok", f"n={len(assumptions)}"))
-        graph = build_causal_graph(record.claim, report.intent.text, assumptions)
-    except TracerError as exc:
-        stages.append(StageTrace("assumptions", "failed", f"{type(exc).__name__}: {exc}"))
-        _skip_rest(stages, "causality", "assumptions unavailable")
-        return _finish_with_base(report)
-    for note in diagnostics:
-        stages.append(StageTrace("assumptions", "ok", note))
-
-    if ablation.causality:
-        try:
-            graph = evaluate_all(gateway, graph)
-            critical = select_critical_assumptions(graph)
-        except TracerError as exc:
-            report.causal_argument = graph
-            stages.append(StageTrace("causality", "failed", f"{type(exc).__name__}: {exc}"))
-            _skip_rest(stages, "che", "causality unavailable")
-            return _finish_with_base(report)
-        stages.append(
-            StageTrace("causality", "ok", f"critical={len(critical)}/{len(graph.assumptions)}")
-        )
-    else:
-        critical = list(graph.assumptions)
-        stages.append(
-            StageTrace("causality", "skipped", "ablation: all assumptions treated critical")
-        )
-    report.causal_argument = graph
-
-    try:
-        report.che = collect_che(gateway, critical, hidden, thresholds, nli_classifier)
-    except TracerError as exc:
-        stages.append(StageTrace("che", "failed", f"{type(exc).__name__}: {exc}"))
-        _skip_rest(stages, "reassessment", "hidden evidence unavailable")
-        return _finish_with_base(report)
-    stages.append(StageTrace("che", "ok", f"selected={len(report.che)}"))
-
-    return _finish_reassessed(
-        gateway, report, stages, reassess_true_only, serialize_argument(graph)
-    )
-
-
-_STAGE_ORDER = ("intent", "questions", "assumptions", "causality", "che", "reassessment")
-
-
-def _skip_rest(stages: list[StageTrace], first: str, reason: str, upto: str | None = None):
-    started = False
-    for stage in _STAGE_ORDER:
-        if stage == first:
-            started = True
-        if started:
-            stages.append(StageTrace(stage, "skipped", reason))
-        if upto is not None and stage == upto:
-            return
-
-
-def _finish_with_base(report: VerdictReport) -> VerdictReport:
     report.final_verdict = FinalVerdict(label=report.base_verdict.label, reassessed=False)
+
+    run = _ClaimRun(
+        gateway=gateway,
+        record=record,
+        thresholds=thresholds,
+        ablation=ablation,
+        reassess_true_only=reassess_true_only,
+        nli_classifier=nli_classifier,
+        report=report,
+        relevant=relevant,
+        hidden=hidden,
+    )
+    unavailable = None
+    for stage, switch, run_stage, reason in _STAGE_ORDER:
+        if unavailable is not None:
+            status, detail = "skipped", unavailable
+        elif not getattr(ablation, switch):
+            status, detail = "skipped", "ablation"
+        else:
+            try:
+                status, detail = run_stage(run)
+            except TracerError as exc:
+                status, detail = "failed", f"{type(exc).__name__}: {exc}"
+            if status == "failed":
+                unavailable = reason
+        stages.append(StageTrace(stage, status, detail))
+        stages.extend(StageTrace(stage, "ok", note) for note in run.notes)
+        run.notes.clear()
     return report
 
 
@@ -415,32 +423,6 @@ def _fail_claim(report: VerdictReport, stage: str, detail: str) -> VerdictReport
     report.final_verdict = FinalVerdict(
         label=Label.FALSE, reassessed=False, fallback_reason=detail
     )
-    return report
-
-
-def _finish_reassessed(
-    gateway: Gateway,
-    report: VerdictReport,
-    stages: list[StageTrace],
-    reassess_true_only: bool,
-    argument_text: str,
-) -> VerdictReport:
-    base = report.base_verdict
-    if reassess_true_only and base.label is not Label.TRUE:
-        stages.append(StageTrace("reassessment", "skipped", "restricted to True base verdicts"))
-        return _finish_with_base(report)
-    try:
-        report.final_verdict = reassess_with_argument(gateway, base, report.che, argument_text)
-    except TracerError as exc:
-        stages.append(StageTrace("reassessment", "failed", f"{type(exc).__name__}: {exc}"))
-        return _finish_with_base(report)
-    if not report.che:
-        stages.append(StageTrace("reassessment", "skipped", "no critical hidden evidence"))
-    else:
-        detail = f"choice={report.final_verdict.raw_choice}"
-        if report.final_verdict.fallback_reason:
-            detail += f" fallback={report.final_verdict.fallback_reason}"
-        stages.append(StageTrace("reassessment", "ok", detail))
     return report
 
 
@@ -612,7 +594,7 @@ def load_reports(path: str | Path) -> list[VerdictReport]:
                 continue
             try:
                 reports.append(report_from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError) as exc:
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise ParseError(line_number, f"bad report record: {exc}") from exc
     return reports
 
@@ -628,7 +610,6 @@ __all__ = [
     "cot_verify",
     "load_base_verdicts",
     "load_reports",
-    "reassess",
     "reassess_with_argument",
     "report_from_dict",
     "report_to_dict",

@@ -195,6 +195,33 @@ def test_run_missing_mock_script_exits_one(capsys, tmp_path):
     assert "mock script" in err
 
 
+@pytest.mark.parametrize(
+    "config_text,message",
+    [
+        ("backend:\n  key_env: OTHER_KEY\n", "unknown backend keys: key_env"),
+        ("paths:\n  templates: prompts\n", "unknown path keys: templates"),
+    ],
+    ids=["backend.key_env", "paths.templates"],
+)
+def test_run_config_rejects_keys_that_would_be_ignored(capsys, tmp_path, config_text, message):
+    config = tmp_path / "run.yaml"
+    config.write_text(config_text, encoding="utf-8")
+    code, _, err = run_cli(
+        capsys,
+        "run",
+        "--config",
+        str(config),
+        "--corpus",
+        SCENARIO_CORPUS,
+        "--mock",
+        SCENARIO_SCRIPT,
+        "--output",
+        str(tmp_path / "r.jsonl"),
+    )
+    assert code == 1
+    assert message in err
+
+
 # -- eval ---------------------------------------------------------------------
 
 
@@ -244,6 +271,25 @@ def test_eval_unlabeled_gold_exits_two(capsys, tmp_path):
     code, _, err = run_cli(capsys, "eval", "--report", str(report_path), "--gold", str(gold))
     assert code == 2
     assert "no labeled records" in err
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda record: {**record, "final_verdict": {**record["final_verdict"], "label": "Maybe"}},
+        lambda record: {**record, "stages": None},
+        lambda record: None,
+    ],
+    ids=["unknown-label", "null-stages", "null-record"],
+)
+def test_eval_bad_report_record_exits_one_naming_the_line(capsys, tmp_path, corrupt):
+    code, _, _, report_path = _run_scenario(capsys, tmp_path)
+    assert code == 0
+    record = corrupt(json.loads(report_path.read_text(encoding="utf-8")))
+    report_path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "eval", "--report", str(report_path), "--gold", SCENARIO_CORPUS)
+    assert code == 1
+    assert "error: line 1: bad report record" in err
 
 
 # -- ablate ----------------------------------------------------------------------

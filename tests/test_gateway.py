@@ -21,6 +21,7 @@ from tracer.errors import (
 )
 from tracer.gateway import (
     CompletionRequest,
+    Decoding,
     Embedding,
     Gateway,
     LiveBackend,
@@ -71,8 +72,6 @@ def test_bundled_catalog_covers_every_pipeline_template():
     expected = {
         "relevance",
         "presentation",
-        "ruling_enhancement",
-        "intent_extraction",
         "intent_generation",
         "plausibility",
         "implicity",
@@ -86,14 +85,6 @@ def test_bundled_catalog_covers_every_pipeline_template():
         "cot_verdict",
     }
     assert expected <= set(catalog.ids())
-
-
-def test_catalog_from_directory_and_unknown_template(tmp_path):
-    (tmp_path / "greet.txt").write_text("Hello {name}", encoding="utf-8")
-    catalog = TemplateCatalog.from_directory(tmp_path)
-    assert catalog.render("greet", {"name": "x"}) == "Hello x"
-    with pytest.raises(UnknownTemplate):
-        catalog.get("absent")
 
 
 # every placeholder occurring in a body is required, and vice versa
@@ -188,24 +179,24 @@ def test_mock_first_matching_rule_wins():
             ]
         }
     )
-    assert script.complete("t", "a special prompt") == "S"
-    assert script.complete("t", "a plain prompt") == "D"
+    assert script.complete("t", "a special prompt", Decoding()) == "S"
+    assert script.complete("t", "a plain prompt", Decoding()) == "D"
 
 
 def test_mock_response_lists_are_consumed_in_order():
     script = MockScript.from_dict(
         {"rules": [{"template": "t", "responses": ["one", "two"]}]}
     )
-    assert script.complete("t", "p") == "one"
-    assert script.complete("t", "p") == "two"
+    assert script.complete("t", "p", Decoding()) == "one"
+    assert script.complete("t", "p", Decoding()) == "two"
     with pytest.raises(MockScriptMiss):
-        script.complete("t", "p")
+        script.complete("t", "p", Decoding())
 
 
 def test_mock_miss_raises_rather_than_inventing_output():
     script = MockScript.from_dict({"rules": []})
     with pytest.raises(MockScriptMiss):
-        script.complete("relevance", "prompt")
+        script.complete("relevance", "prompt", Decoding())
     with pytest.raises(MockScriptMiss):
         script.embed("text nobody scripted")
 
@@ -217,9 +208,9 @@ def test_mock_call_log_is_complete_and_ordered():
             "embeddings": [{"text": "e", "vector": [1.0]}],
         }
     )
-    script.complete("t", "p1")
+    script.complete("t", "p1", Decoding())
     script.embed("e")
-    script.complete("t", "p2")
+    script.complete("t", "p2", Decoding())
     assert [c.kind for c in script.call_log] == ["completion", "embedding", "completion"]
     assert [c.prompt for c in script.call_log] == ["p1", "e", "p2"]
 
@@ -332,9 +323,11 @@ class _FakeSession:
     def __init__(self, responses):
         self.responses = list(responses)
         self.calls = 0
+        self.payloads = []
 
     def post(self, url, json=None, headers=None, timeout=None):
         self.calls += 1
+        self.payloads.append(json)
         item = self.responses.pop(0)
         if isinstance(item, Exception):
             raise item
@@ -358,7 +351,7 @@ def test_live_backend_retries_transient_errors_then_succeeds():
     backend = LiveBackend(
         model_id="m", api_key="k", session=session, sleep=lambda s: None
     )
-    assert backend.complete("p", 0.0, 16) == "ok"
+    assert backend.complete("t", "p", Decoding(0.0, 16)) == "ok"
     assert session.calls == 3
 
 
@@ -370,16 +363,30 @@ def test_live_backend_gives_up_after_max_retries():
         model_id="m", api_key="k", max_retries=3, session=session, sleep=lambda s: None
     )
     with pytest.raises(BackendError) as excinfo:
-        backend.complete("p", 0.0, 16)
+        backend.complete("t", "p", Decoding(0.0, 16))
     assert excinfo.value.retries == 3
     assert session.calls == 4  # initial attempt + 3 retries
+
+
+def test_live_backend_sends_decoding_but_not_template_id():
+    session = _FakeSession([_FakeResponse(200, _completion_payload("ok"))])
+    backend = LiveBackend(model_id="m", api_key="k", session=session)
+    backend.complete("relevance", "the prompt", Decoding(temperature=0.7, max_tokens=32))
+    assert session.payloads == [
+        {
+            "model": "m",
+            "messages": [{"role": "user", "content": "the prompt"}],
+            "temperature": 0.7,
+            "max_tokens": 32,
+        }
+    ]
 
 
 def test_live_backend_client_errors_fail_immediately():
     session = _FakeSession([_FakeResponse(401, {"error": "no"})])
     backend = LiveBackend(model_id="m", api_key="k", session=session, sleep=lambda s: None)
     with pytest.raises(BackendError):
-        backend.complete("p", 0.0, 16)
+        backend.complete("t", "p", Decoding(0.0, 16))
     assert session.calls == 1
 
 

@@ -4,74 +4,35 @@ import itertools
 
 import pytest
 
-from tracer.errors import EmptyCompletion, NoItemsFound, UnparseableDigit
-from tracer.intent import (
-    IntentSource,
-    QualityScores,
-    enhance_ruling,
-    extract_intent,
-    generate_intent,
-    load_intents,
-    save_intents,
-    score_quality,
-)
+from tracer.errors import NoItemsFound, UnparseableDigit
+from tracer.intent import IntentSource, QualityScores, generate_intent, score_quality
 
 from conftest import make_gateway
 
 
-# -- ruling enhancement ---------------------------------------------------
+# -- generation -------------------------------------------------------------
 
 
-def test_enhance_ruling_returns_completion_verbatim():
-    gateway, script = make_gateway(
-        rules=[{"template": "ruling_enhancement", "response": "A clearer ruling."}]
-    )
-    out = enhance_ruling(gateway, "original ruling", ["e1", "e2"])
-    assert out == "A clearer ruling."
-    assert "original ruling" in script.call_log[0].prompt
-    assert "e1\ne2" in script.call_log[0].prompt
-
-
-def test_enhance_ruling_rejects_empty_ruling():
-    gateway, script = make_gateway()
-    with pytest.raises(ValueError):
-        enhance_ruling(gateway, "   ", ["e"])
-    assert script.call_log == []
-
-
-def test_enhance_ruling_rejects_blank_completion():
-    gateway, _ = make_gateway(
-        rules=[{"template": "ruling_enhancement", "response": "  \n "}]
-    )
-    with pytest.raises(EmptyCompletion):
-        enhance_ruling(gateway, "ruling", [])
-
-
-# -- extraction and generation --------------------------------------------
-
-
-def test_extract_intent_takes_last_bracketed_item():
+def test_generate_intent_takes_last_bracketed_item():
     completion = (
-        "The ruling undercuts the number. It mentions <a caveat> in passing.\n"
+        "The evidence undercuts the number. It mentions <a caveat> in passing.\n"
         "<Taxes went down for everyone.>"
     )
     gateway, _ = make_gateway(
-        rules=[{"template": "intent_extraction", "response": completion}]
+        rules=[{"template": "intent_generation", "response": completion}]
     )
-    record = extract_intent(gateway, "claim", "enhanced ruling")
+    record = generate_intent(gateway, "claim", ["evidence"])
     assert record.text == "Taxes went down for everyone."
     assert record.rationale.endswith("in passing.")
     assert "<" not in record.text and ">" not in record.text
-    assert record.source is IntentSource.RULING_EXTRACTION
-    assert record.low_context is False
 
 
-def test_extract_intent_without_brackets_fails():
+def test_generate_intent_without_brackets_fails():
     gateway, _ = make_gateway(
-        rules=[{"template": "intent_extraction", "response": "no markers at all"}]
+        rules=[{"template": "intent_generation", "response": "no markers at all"}]
     )
     with pytest.raises(NoItemsFound):
-        extract_intent(gateway, "claim", "ruling")
+        generate_intent(gateway, "claim", ["evidence"])
 
 
 def test_generate_intent_with_evidence():
@@ -166,19 +127,3 @@ def test_quality_scores_as_dict_round_trip():
         "readability": 1,
     }
     assert QualityScores(**scores.as_dict()) == scores
-
-
-# -- persistence ----------------------------------------------------------
-
-
-def test_save_and_load_intents_round_trip(tmp_path):
-    path = tmp_path / "intents.jsonl"
-    records = {
-        "b-claim": {"intent": "i2", "accepted": False},
-        "a-claim": {"intent": "i1", "accepted": True},
-    }
-    save_intents(path, records)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == 2
-    assert '"a-claim"' in lines[0]  # sorted by id for stable diffs
-    assert load_intents(path) == records

@@ -201,7 +201,15 @@ def _record():
     )
 
 
-def _pipeline_rules(cot="Base reasoning.\nAnswer: A", reassess="B", nli="B", counterfactual="C"):
+def _pipeline_rules(
+    cot="Base reasoning.\nAnswer: A",
+    reassess="B",
+    nli="B",
+    counterfactual="C",
+    readability="1",
+    questions="<Q1?>",
+    assumptions="Thinking. <A1.>",
+):
     return [
         {"template": "relevance", "response": "A"},
         {"template": "presentation", "contains": "E1", "response": "A"},
@@ -211,9 +219,9 @@ def _pipeline_rules(cot="Base reasoning.\nAnswer: A", reassess="B", nli="B", cou
         {"template": "plausibility", "response": "1"},
         {"template": "implicity", "response": "1"},
         {"template": "sufficiency", "response": "1"},
-        {"template": "readability", "response": "1"},
-        {"template": "implicit_questions", "response": "<Q1?>"},
-        {"template": "assumptions", "response": "Thinking. <A1.>"},
+        {"template": "readability", "response": readability},
+        {"template": "implicit_questions", "response": questions},
+        {"template": "assumptions", "response": assumptions},
         {"template": "counterfactual", "response": counterfactual},
         {"template": "nli", "response": nli},
         {"template": "reassessment", "response": reassess},
@@ -395,6 +403,190 @@ def test_pipeline_unparseable_reassessment_downgrades_gracefully():
     trace = {t.stage: t for t in report.stages}
     assert trace["reassessment"].status == "ok"
     assert "fallback=" in trace["reassessment"].detail
+
+
+# -- exact stage traces ----------------------------------------------------------
+
+_ALIGNED = ("alignment", "ok", "presented=1 hidden=1 irrelevant=0")
+_COT = ("base_verdict", "ok", "CoT")
+_INTENT = ("intent", "ok", "low_context=False")
+_QUESTIONS = ("questions", "ok", "n=1")
+_ASSUMPTIONS = ("assumptions", "ok", "n=1")
+_CRITICAL = ("causality", "ok", "critical=1/1")
+_ALL_CRITICAL = ("causality", "skipped", "ablation: all assumptions treated critical")
+_REVISED = ("reassessment", "ok", "choice=B")
+_GARBAGE = "UnparseableChoice: no letter from ['A', 'B', 'C'] in completion 'garbage'"
+_NO_ITEMS = "NoItemsFound: no bracketed items in completion 'no brackets'"
+
+
+def _skipped(reason, *stages):
+    return [(stage, "skipped", reason) for stage in stages]
+
+
+def _che(detail):
+    return ("che", "ok", detail)
+
+
+_BASE_ONLY = [
+    _ALIGNED,
+    _COT,
+    *_skipped("ablation", "intent", "questions", "assumptions", "causality", "che", "reassessment"),
+]
+_INTENT_QUERY = [
+    _ALIGNED,
+    _COT,
+    _INTENT,
+    *_skipped("ablation", "questions", "assumptions", "causality"),
+]
+_ALL_ASSUMED = [_ALIGNED, _COT, _INTENT, _QUESTIONS, _ASSUMPTIONS, _ALL_CRITICAL]
+_FULL = [_ALIGNED, _COT, _INTENT, _QUESTIONS, _ASSUMPTIONS, _CRITICAL]
+_COT_FAILED = [
+    _ALIGNED,
+    ("base_verdict", "failed", "EmptyJustification: chain-of-thought completion contains no reasoning steps"),
+]
+_NO_EXTERNAL = [_ALIGNED, ("base_verdict", "failed", "no external verdict for this claim")]
+_UNPARSEABLE_QUALITY = [
+    _ALIGNED,
+    _COT,
+    ("intent", "failed", "UnparseableDigit: criterion 'readability': expected 0 or 1, got 'maybe'"),
+    *_skipped("intent unavailable", "questions", "assumptions", "causality", "che", "reassessment"),
+]
+_REJECTED_INTENT = [
+    _ALIGNED,
+    _COT,
+    (
+        "intent",
+        "failed",
+        'quality filter rejected the intent: {"plausibility": 1, "implicity": 1, '
+        '"sufficiency": 1, "readability": 0}',
+    ),
+    *_skipped("intent unavailable", "questions", "assumptions", "causality", "che", "reassessment"),
+]
+_QUESTIONS_FAILED = [
+    _ALIGNED,
+    _COT,
+    _INTENT,
+    ("questions", "failed", _NO_ITEMS),
+    *_skipped("questions unavailable", "assumptions", "causality", "che", "reassessment"),
+]
+_ASSUMPTIONS_FAILED = [
+    _ALIGNED,
+    _COT,
+    _INTENT,
+    _QUESTIONS,
+    ("assumptions", "failed", _NO_ITEMS),
+    *_skipped("assumptions unavailable", "causality", "che", "reassessment"),
+]
+_TRUNCATED = [
+    _ALIGNED,
+    _COT,
+    _INTENT,
+    ("questions", "ok", "n=3"),
+    ("questions", "ok", "implicit questions: 4 returned, keeping first 3"),
+    _ASSUMPTIONS,
+]
+_UNPARSEABLE_REASSESSMENT = (
+    "reassessment", "ok", "choice=None fallback=UnparseableChoice: 'no single letter here'"
+)
+_TRUE_ONLY = ("reassessment", "skipped", "restricted to True base verdicts")
+_NOTHING_HIDDEN = ("reassessment", "skipped", "no critical hidden evidence")
+_HIDDEN_UNAVAILABLE = ("reassessment", "skipped", "hidden evidence unavailable")
+
+# case: (_pipeline_rules overrides, run_pipeline keywords, {config: (final label, trace)})
+_TRACES = {
+    "every_stage_ok": ({}, {}, {
+        "cfg1": ("True", _BASE_ONLY),
+        "cfg2": ("Half-True", [*_INTENT_QUERY, _che("selected=1 (intent query)"), _REVISED]),
+        "cfg3": ("Half-True", [*_ALL_ASSUMED, _che("selected=1"), _REVISED]),
+        "cfg4": ("Half-True", [*_FULL, _che("selected=1"), _REVISED]),
+    }),
+    "cot_failure": ({"cot": "A"}, {}, {
+        cfg: ("False", _COT_FAILED) for cfg in ("cfg1", "cfg2", "cfg3", "cfg4")
+    }),
+    "missing_external_verdict": ({}, {"base_verdicts": {}}, {
+        cfg: ("False", _NO_EXTERNAL) for cfg in ("cfg1", "cfg2", "cfg3", "cfg4")
+    }),
+    "unparseable_quality_digit": ({"readability": "maybe"}, {}, {
+        "cfg1": ("True", _BASE_ONLY),
+        **{cfg: ("True", _UNPARSEABLE_QUALITY) for cfg in ("cfg2", "cfg3", "cfg4")},
+    }),
+    "rejected_intent": ({"readability": "0"}, {}, {
+        "cfg1": ("True", _BASE_ONLY),
+        **{cfg: ("True", _REJECTED_INTENT) for cfg in ("cfg2", "cfg3", "cfg4")},
+    }),
+    "questions_failure": ({"questions": "no brackets"}, {}, {
+        "cfg1": ("True", _BASE_ONLY),
+        "cfg2": ("Half-True", [*_INTENT_QUERY, _che("selected=1 (intent query)"), _REVISED]),
+        "cfg3": ("True", _QUESTIONS_FAILED),
+        "cfg4": ("True", _QUESTIONS_FAILED),
+    }),
+    "questions_truncated": ({"questions": "<Q1?> <Q2?> <Q3?> <Q4?>"}, {}, {
+        "cfg1": ("True", _BASE_ONLY),
+        "cfg2": ("Half-True", [*_INTENT_QUERY, _che("selected=1 (intent query)"), _REVISED]),
+        "cfg3": ("Half-True", [*_TRUNCATED, _ALL_CRITICAL, _che("selected=1"), _REVISED]),
+        "cfg4": ("Half-True", [*_TRUNCATED, _CRITICAL, _che("selected=1"), _REVISED]),
+    }),
+    "assumptions_failure": ({"assumptions": "no brackets"}, {}, {
+        "cfg1": ("True", _BASE_ONLY),
+        "cfg2": ("Half-True", [*_INTENT_QUERY, _che("selected=1 (intent query)"), _REVISED]),
+        "cfg3": ("True", _ASSUMPTIONS_FAILED),
+        "cfg4": ("True", _ASSUMPTIONS_FAILED),
+    }),
+    "counterfactual_failure": ({"counterfactual": "garbage"}, {}, {
+        "cfg1": ("True", _BASE_ONLY),
+        "cfg2": ("Half-True", [*_INTENT_QUERY, _che("selected=1 (intent query)"), _REVISED]),
+        "cfg3": ("Half-True", [*_ALL_ASSUMED, _che("selected=1"), _REVISED]),
+        "cfg4": ("True", [
+            _ALIGNED,
+            _COT,
+            _INTENT,
+            _QUESTIONS,
+            _ASSUMPTIONS,
+            ("causality", "failed", _GARBAGE),
+            *_skipped("causality unavailable", "che", "reassessment"),
+        ]),
+    }),
+    "nli_failure": ({"nli": "garbage"}, {}, {
+        "cfg1": ("True", _BASE_ONLY),
+        "cfg2": ("True", [*_INTENT_QUERY, ("che", "failed", _GARBAGE), _HIDDEN_UNAVAILABLE]),
+        "cfg3": ("True", [*_ALL_ASSUMED, ("che", "failed", _GARBAGE), _HIDDEN_UNAVAILABLE]),
+        "cfg4": ("True", [*_FULL, ("che", "failed", _GARBAGE), _HIDDEN_UNAVAILABLE]),
+    }),
+    "unparseable_reassessment": ({"reassess": "no single letter here"}, {}, {
+        "cfg1": ("True", _BASE_ONLY),
+        "cfg2": ("True", [
+            *_INTENT_QUERY, _che("selected=1 (intent query)"), _UNPARSEABLE_REASSESSMENT
+        ]),
+        "cfg3": ("True", [*_ALL_ASSUMED, _che("selected=1"), _UNPARSEABLE_REASSESSMENT]),
+        "cfg4": ("True", [*_FULL, _che("selected=1"), _UNPARSEABLE_REASSESSMENT]),
+    }),
+    "reassess_true_only_skip": (
+        {"cot": "Reasoning.\nAnswer: B"},
+        {"reassess_true_only": True},
+        {
+            "cfg1": ("Half-True", _BASE_ONLY),
+            "cfg2": ("Half-True", [*_INTENT_QUERY, _che("selected=1 (intent query)"), _TRUE_ONLY]),
+            "cfg3": ("Half-True", [*_ALL_ASSUMED, _che("selected=1"), _TRUE_ONLY]),
+            "cfg4": ("Half-True", [*_FULL, _che("selected=1"), _TRUE_ONLY]),
+        },
+    ),
+    "empty_che": ({"nli": "C"}, {}, {
+        "cfg1": ("True", _BASE_ONLY),
+        "cfg2": ("True", [*_INTENT_QUERY, _che("selected=0 (intent query)"), _NOTHING_HIDDEN]),
+        "cfg3": ("True", [*_ALL_ASSUMED, _che("selected=0"), _NOTHING_HIDDEN]),
+        "cfg4": ("True", [*_FULL, _che("selected=0"), _NOTHING_HIDDEN]),
+    }),
+}
+
+
+@pytest.mark.parametrize("cfg", ["cfg1", "cfg2", "cfg3", "cfg4"])
+@pytest.mark.parametrize("case", list(_TRACES))
+def test_pipeline_stage_trace_is_exact(case, cfg):
+    overrides, keywords, expected = _TRACES[case]
+    gateway, _ = _pipeline_gateway(**overrides)
+    report = run_pipeline(gateway, _record(), ablation=ABLATION_CONFIGS[cfg], **keywords)
+    rows = [(t.stage, t.status, t.detail) for t in report.stages]
+    assert (report.final_verdict.label.value, rows) == expected[cfg]
 
 
 # -- shipped scenario -----------------------------------------------------------
