@@ -1,19 +1,30 @@
 """Persistent response cache.
 
 An append-only file of JSON records, one per line, each holding a key
-digest and the cached value (completion text or embedding vector). The
-whole file is read once at open; later appends win on duplicate keys, so
-an interrupted run can simply be re-run. Reads are lock-free; writes are
-serialized.
+digest and the cached value. A completion is ``{"key": k, "value":
+"text"}``; an embedding is ``{"key": k, "vector": "<base64>"}``, the
+base64 of the vector's little-endian float64 bytes, which round-trips
+every bit and encodes and decodes far faster than a list of floats.
+Records of the older form ``{"key": k, "value": [floats]}`` are still
+read, so existing caches replay, but never written.
+
+The whole file is read once at open; later appends win on duplicate
+keys, so an interrupted run can simply be re-run. A last line with no
+newline that does not decode is an append torn by a dying writer: it is
+skipped, and the first append cuts it off, unless another writer has
+appended since the load (the line may then have been an append still in
+progress, now whole). Any other undecodable line is ``CacheCorruption``.
+Reads are lock-free; writes are serialized through one append handle,
+flushed after every record.
 
 Embedding vectors are held in memory as read-only float64 arrays (see
-``frozen_vector``) and written back as JSON lists, so the file format is
-the same as for plain lists. Every caller that gets a vector shares the
-one cached array, which is why it cannot be written to.
+``frozen_vector``). Every caller that gets a vector shares the one
+cached array, which is why it cannot be written to.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import threading
@@ -70,6 +81,28 @@ def frozen_vector(values) -> np.ndarray:
     return array
 
 
+def _decode(line: bytes):
+    """(key, value) of one cache line; raises ValueError, TypeError or KeyError."""
+    record = json.loads(line)
+    key = record["key"]
+    if "vector" in record:
+        raw = base64.b64decode(record["vector"], validate=True)
+        return key, frozen_vector(np.frombuffer(raw, dtype="<f8"))
+    value = record["value"]
+    if isinstance(value, list):
+        value = frozen_vector(value)
+    return key, value
+
+
+def _encode(key: str, value) -> bytes:
+    if isinstance(value, str):
+        record = {"key": key, "value": value}
+    else:
+        vector = base64.b64encode(value.astype("<f8", copy=False).tobytes()).decode("ascii")
+        record = {"key": key, "vector": vector}
+    return (json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8")
+
+
 class ResponseCache:
     """Deterministic response cache, optionally persisted to a file.
 
@@ -81,28 +114,56 @@ class ResponseCache:
         self.path = Path(path) if path is not None else None
         self._entries: dict[str, object] = {}
         self._lock = threading.Lock()
+        self._handle = None
+        # the last line when it lacks its newline, as (offset, bytes,
+        # whether it decoded): a torn append, or a whole record whose
+        # writer died before the newline (older writers wrote them apart)
+        self._open_tail: tuple[int, bytes, bool] | None = None
         self.hits = 0
         self.misses = 0
         if self.path is not None and self.path.exists():
             self._load()
 
     def _load(self) -> None:
-        with self.path.open("r", encoding="utf-8") as handle:
+        offset = 0
+        with self.path.open("rb") as handle:
             for line_number, line in enumerate(handle, start=1):
+                start = offset
+                offset += len(line)
                 if not line.strip():
                     continue
                 try:
-                    record = json.loads(line)
-                    key = record["key"]
-                    value = record["value"]
-                    if isinstance(value, list):
-                        value = frozen_vector(value)
-                # ValueError covers both undecodable JSON and a non-numeric vector
+                    key, value = _decode(line)
+                # ValueError covers undecodable JSON, bad base64 and a non-numeric vector
                 except (ValueError, TypeError, KeyError):
-                    raise CacheCorruption(
-                        f"{self.path}: undecodable cache record at line {line_number}"
-                    ) from None
+                    if line.endswith(b"\n"):
+                        raise CacheCorruption(
+                            f"{self.path}: undecodable cache record at line {line_number}"
+                        ) from None
+                    self._open_tail = (start, line, False)
+                    continue
                 self._entries[key] = value
+                if not line.endswith(b"\n"):
+                    self._open_tail = (start, line, True)
+
+    def _file_ends_with_open_tail(self) -> bool:
+        """Whether no other writer has appended to the file since the load."""
+        offset, line, _ = self._open_tail
+        with self.path.open("rb") as handle:
+            handle.seek(offset)
+            return handle.read(len(line) + 1) == line
+
+    def _append_handle(self):
+        if self._handle is None:
+            self._handle = self.path.open("ab")
+            if self._open_tail is not None and self._file_ends_with_open_tail():
+                offset, _, whole = self._open_tail
+                if whole:
+                    self._handle.write(b"\n")
+                else:
+                    self._handle.truncate(offset)
+            self._open_tail = None
+        return self._handle
 
     def get(self, key: str):
         """Cached value for key, or None. Updates hit/miss counters."""
@@ -121,16 +182,19 @@ class ResponseCache:
         with self._lock:
             self._entries[key] = value
             if self.path is not None:
-                record = value if isinstance(value, str) else value.tolist()
-                with self.path.open("a", encoding="utf-8") as handle:
-                    handle.write(json.dumps({"key": key, "value": record}, ensure_ascii=False))
-                    handle.write("\n")
+                handle = self._append_handle()
+                handle.write(_encode(key, value))
+                handle.flush()
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
             self.hits = 0
             self.misses = 0
+            if self._handle is not None:
+                self._handle.close()
+                self._handle = None
+            self._open_tail = None
             if self.path is not None and self.path.exists():
                 self.path.unlink()
 

@@ -152,7 +152,7 @@ def load_base_verdicts(path: str | Path) -> dict[str, BaseVerdict]:
                     justification=row["justification"],
                     source=VerdictSource.EXTERNAL,
                 )
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise ParseError(line_number, f"bad external verdict record: {exc}") from exc
     return verdicts
 
@@ -594,6 +594,8 @@ def load_reports(path: str | Path) -> list[VerdictReport]:
                 continue
             try:
                 reports.append(report_from_dict(json.loads(line)))
+            except ParseError as exc:
+                raise ParseError(line_number, exc.reason) from exc
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 raise ParseError(line_number, f"bad report record: {exc}") from exc
     return reports

@@ -157,6 +157,19 @@ def test_run_base_only_ablation_keeps_base_label(capsys, tmp_path):
     assert "reassessment" not in manifest["counters"]["by_template"]
 
 
+
+@pytest.mark.parametrize("bad_line", ["[]", "null"])
+def test_run_bad_base_verdict_record_exits_one_naming_the_line(capsys, tmp_path, bad_line):
+    verdicts = tmp_path / "verdicts.jsonl"
+    verdicts.write_text(
+        '{"id": "scenario-001", "label": "True", "justification": "j"}\n' + bad_line + "\n",
+        encoding="utf-8",
+    )
+    code, _, err, _ = _run_scenario(capsys, tmp_path, "--base-verdicts", str(verdicts))
+    assert code == 1
+    assert "error: line 2: bad external verdict record" in err
+
+
 def test_run_without_corpus_exits_one(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "run", "--mock", SCENARIO_SCRIPT, "--output", str(tmp_path / "r.jsonl")
@@ -290,6 +303,15 @@ def test_eval_bad_report_record_exits_one_naming_the_line(capsys, tmp_path, corr
     code, _, err = run_cli(capsys, "eval", "--report", str(report_path), "--gold", SCENARIO_CORPUS)
     assert code == 1
     assert "error: line 1: bad report record" in err
+
+
+
+def test_eval_unsupported_schema_version_names_the_line(capsys, tmp_path):
+    report_path = tmp_path / "reports.jsonl"
+    report_path.write_text('\n{"schema_version": 2}\n', encoding="utf-8")
+    code, _, err = run_cli(capsys, "eval", "--report", str(report_path), "--gold", SCENARIO_CORPUS)
+    assert code == 1
+    assert "error: line 2: unsupported report schema version: 2" in err
 
 
 # -- ablate ----------------------------------------------------------------------

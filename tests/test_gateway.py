@@ -6,7 +6,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tracer.errors import (
@@ -112,8 +112,148 @@ def test_cache_persists_and_reloads(tmp_path):
     assert reloaded.get("k2").tolist() == [1.0, 2.0]
     assert len(reloaded) == 2
     assert path.read_text(encoding="utf-8") == (
-        '{"key": "k1", "value": "v1"}\n{"key": "k2", "value": [1.0, 2.0]}\n'
+        '{"key": "k1", "value": "v1"}\n{"key": "k2", "vector": "AAAAAAAA8D8AAAAAAAAAQA=="}\n'
     )
+
+
+_SPECIAL_FLOATS = [-0.0, 5e-324, -2.2250738585072e-308, float("inf"), float("-inf"), float("nan")]
+
+
+@given(
+    dim=st.integers(min_value=0, max_value=2048),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    specials=st.lists(st.sampled_from(_SPECIAL_FLOATS), max_size=8),
+)
+@example(dim=1536, seed=0, specials=_SPECIAL_FLOATS)
+@example(dim=2048, seed=1, specials=[])
+def test_cache_vector_round_trip_is_bit_exact(tmp_path_factory, dim, seed, specials):
+    # random bytes reach every float64 bit pattern, NaN payloads included
+    raw = np.random.default_rng(seed).bytes(8 * dim)
+    vector = np.concatenate([np.frombuffer(raw), specials])
+    path = tmp_path_factory.mktemp("cache") / "cache.jsonl"
+    ResponseCache(path).put("v", vector)
+    loaded = ResponseCache(path).get("v")
+    assert loaded.dtype == np.float64
+    assert loaded.tobytes() == vector.tobytes()
+
+
+def test_cache_loaded_vector_is_read_only(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    ResponseCache(path).put("v", [1.0, 2.0])
+    loaded = ResponseCache(path).get("v")
+    assert not loaded.flags.writeable
+    with pytest.raises(ValueError):
+        loaded[0] = 3.0
+
+
+def test_cache_reads_list_form_vectors(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_text('{"key": "v", "value": [1.0, -0.0, 2.5]}\n', encoding="utf-8")
+    loaded = ResponseCache(path).get("v")
+    assert loaded.tolist() == [1.0, -0.0, 2.5]
+    assert not loaded.flags.writeable
+
+
+def test_cache_later_vector_record_wins_over_list_record(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(
+        '{"key": "v", "value": [9.0]}\n'
+        '{"key": "w", "value": [4.0]}\n'
+        '{"key": "v", "vector": "AAAAAAAA8D8AAAAAAAAAQA=="}\n',
+        encoding="utf-8",
+    )
+    cache = ResponseCache(path)
+    assert cache.get("v").tolist() == [1.0, 2.0]
+    assert cache.get("w").tolist() == [4.0]
+
+
+@pytest.mark.parametrize(
+    "vector",
+    ['"AAAAAAAA8D8=!"', '"AAAAAAAA8D8AAAA="', "[1.0]"],
+    ids=["bad-base64", "length-not-multiple-of-8", "not-a-string"],
+)
+def test_cache_bad_vector_record_is_corruption(tmp_path, vector):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(
+        f'{{"key": "a", "value": "b"}}\n{{"key": "v", "vector": {vector}}}\n', encoding="utf-8"
+    )
+    with pytest.raises(CacheCorruption) as excinfo:
+        ResponseCache(path)
+    assert "line 2" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("torn_value", ["text", [1.0, 2.0, 3.0]], ids=["text", "vector"])
+def test_cache_skips_and_cuts_a_torn_last_record(tmp_path, torn_value):
+    path = tmp_path / "cache.jsonl"
+    cache = ResponseCache(path)
+    cache.put("a", "first")
+    cache.put("b", [0.5, -1.5])
+    cache.put("torn", torn_value)
+    whole = path.read_bytes()
+    last_line = whole[whole.rindex(b"\n", 0, -1) + 1 :]
+    path.write_bytes(whole[: -len(last_line) // 2])  # the writer died mid-append
+
+    reopened = ResponseCache(path)
+    assert reopened.get("a") == "first"
+    assert reopened.get("b").tolist() == [0.5, -1.5]
+    assert reopened.get("torn") is None
+    reopened.put("c", "after")
+
+    reloaded = ResponseCache(path)
+    assert len(reloaded) == 3
+    assert reloaded.get("a") == "first"
+    assert reloaded.get("b").tolist() == [0.5, -1.5]
+    assert reloaded.get("c") == "after"
+    assert path.read_bytes() == whole[: -len(last_line)] + b'{"key": "c", "value": "after"}\n'
+
+
+def test_cache_keeps_records_appended_after_the_torn_tail_it_loaded(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    ResponseCache(path).put("a", "first")
+    line = b'{"key": "b", "value": "in flight"}\n'
+    path.write_bytes(path.read_bytes() + line[:10])  # another writer is mid-append
+    cache = ResponseCache(path)
+    assert cache.get("b") is None
+    with path.open("ab") as other:  # that writer finishes, then appends more
+        other.write(line[10:] + b'{"key": "c", "value": "later"}\n')
+    cache.put("d", "mine")
+
+    reloaded = ResponseCache(path)
+    assert [reloaded.get(k) for k in "abcd"] == ["first", "in flight", "later", "mine"]
+
+
+def test_cache_keeps_a_record_another_cache_wrote_over_the_same_torn_tail(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    ResponseCache(path).put("a", "first")
+    theirs = b'{"key": "p", "value": "q"}\n'
+    torn = b'{"key": "t", "value": "'.ljust(len(theirs), b"x")  # as long as their record
+    path.write_bytes(path.read_bytes() + torn)
+    mine, other = ResponseCache(path), ResponseCache(path)
+    other.put("p", "q")  # cuts the torn tail and appends where it was
+    assert path.stat().st_size == len(b'{"key": "a", "value": "first"}\n') + len(torn)
+    mine.put("m", "n")
+
+    reloaded = ResponseCache(path)
+    assert [reloaded.get(k) for k in "apm"] == ["first", "q", "n"]
+
+
+def test_cache_appends_after_a_whole_record_missing_its_newline(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_text('{"key": "a", "value": "b"}', encoding="utf-8")
+    cache = ResponseCache(path)
+    assert cache.get("a") == "b"
+    cache.put("c", "d")
+    reloaded = ResponseCache(path)
+    assert reloaded.get("a") == "b"
+    assert reloaded.get("c") == "d"
+
+
+def test_cache_undecodable_middle_line_without_torn_tail_is_still_corruption(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_text('{"key": "a", "val\n{"key": "b", "value": "c"}', encoding="utf-8")
+    with pytest.raises(CacheCorruption) as excinfo:
+        ResponseCache(path)
+    assert "line 1" in str(excinfo.value)
 
 
 def test_cache_later_appends_win(tmp_path):
@@ -147,6 +287,15 @@ def test_cache_clear_removes_file(tmp_path):
     cache.clear()
     assert not path.exists()
     assert len(cache) == 0
+
+
+def test_cache_put_after_clear_starts_a_fresh_file(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    cache = ResponseCache(path)
+    cache.put("k", "v")
+    cache.clear()
+    cache.put("k2", "v2")
+    assert path.read_text(encoding="utf-8") == '{"key": "k2", "value": "v2"}\n'
 
 
 def test_cache_concurrent_writers(tmp_path):
