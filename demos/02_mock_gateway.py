@@ -1,5 +1,7 @@
 """The model gateway: templates, a scripted backend, response caching."""
 
+from dataclasses import asdict
+
 from tracer.gateway import Gateway, MockScript, ResponseCache, TemplateCatalog
 
 catalog = TemplateCatalog.bundled()
@@ -19,16 +21,16 @@ script = MockScript.from_dict(
 )
 gateway = Gateway(backend=script, cache=ResponseCache())
 
-first = gateway.run("nli", premise="Most new roles were part-time.", hypothesis="Jobs grew.")
-second = gateway.run("nli", premise="The sun rose.", hypothesis="Jobs grew.")
+first = gateway.complete("nli", premise="Most new roles were part-time.", hypothesis="Jobs grew.")
+second = gateway.complete("nli", premise="The sun rose.", hypothesis="Jobs grew.")
 print(f"  part-time premise -> {first}")
 print(f"  unrelated premise -> {second}")
 
 print()
 print("Identical requests are served from the cache, not the backend:")
-gateway.run("nli", premise="Most new roles were part-time.", hypothesis="Jobs grew.")
+gateway.complete("nli", premise="Most new roles were part-time.", hypothesis="Jobs grew.")
 print(f"  backend completions: {len([c for c in script.call_log if c.kind == 'completion'])}")
-print(f"  counters: {gateway.counters.snapshot()}")
+print(f"  counters: {asdict(gateway.counters)}")
 
 print()
 vector = gateway.embed("jobs grew")

@@ -53,7 +53,6 @@ from .corpus import (
 )
 from .errors import TracerError
 from .gateway import (
-    CompletionRequest,
     Decoding,
     Embedding,
     Gateway,
@@ -100,7 +99,6 @@ __all__ = [
     "CausalEffect",
     "CheCandidate",
     "ClaimRecord",
-    "CompletionRequest",
     "ConfusionMatrix",
     "Corpus",
     "Decoding",

@@ -19,11 +19,11 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import requests
 
 from .config import Thresholds
-from .errors import DimensionMismatch, TracerError, ZeroVector
+from .errors import BackendError, DimensionMismatch, TracerError, ZeroVector
 from .gateway import Embedding, Gateway, parse_letter_choice
+from .gateway.backends import post_json
 
 
 class AlignmentLabel(str, Enum):
@@ -81,13 +81,13 @@ def cosine_similarity(u: Embedding, v: Embedding) -> float:
 
 def check_relevance(gateway: Gateway, claim: str, ruling: str, sentence: str) -> bool:
     """True when the sentence bears on the claim at all."""
-    text = gateway.run("relevance", claim=claim, ruling=ruling, evidence=sentence)
+    text = gateway.complete("relevance", claim=claim, ruling=ruling, evidence=sentence)
     return parse_letter_choice(text, {"A", "B"}) == "A"
 
 
 def check_presentation(gateway: Gateway, claim: str, sentence: str) -> bool:
     """True when the claim itself states the sentence's content."""
-    text = gateway.run("presentation", claim=claim, evidence=sentence)
+    text = gateway.complete("presentation", claim=claim, evidence=sentence)
     return parse_letter_choice(text, {"A", "B"}) == "A"
 
 
@@ -121,22 +121,29 @@ class ExternalAlignmentClassifier:
 
     Request: POST {"claim": ..., "sentence": ...}
     Response: {"label": "Presented" | "Hidden", "confidence": number}
+
+    Requests go through ``post_json`` (retried, no API key sent); any
+    failure, including an answer of another shape, is a ``BackendError``.
     """
 
     def __init__(self, endpoint: str, timeout: float = 30.0, post=None):
         self.endpoint = endpoint
         self.timeout = timeout
         # injectable for tests; default goes over the network
-        self._post = post or (
-            lambda url, payload: requests.post(url, json=payload, timeout=self.timeout).json()
-        )
+        self._post = post or (lambda url, payload: post_json(url, payload, timeout=self.timeout))
 
     def classify(self, claim: str, sentence: str) -> tuple[AlignmentLabel, float]:
         data = self._post(self.endpoint, {"claim": claim, "sentence": sentence})
-        label = AlignmentLabel(data["label"])
+        try:
+            label = AlignmentLabel(data["label"])
+            confidence = float(data.get("confidence", 1.0))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise BackendError(
+                f"{self.endpoint} returned a malformed answer: {data!r:.200}"
+            ) from exc
         if label is AlignmentLabel.IRRELEVANT:
-            raise ValueError("external classifier must answer Presented or Hidden")
-        return label, float(data.get("confidence", 1.0))
+            raise BackendError(f"{self.endpoint} answered Irrelevant, not Presented or Hidden")
+        return label, confidence
 
 
 def align_evidence(

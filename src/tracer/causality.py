@@ -49,7 +49,6 @@ LETTER_TO_EFFECT = {
     "B": CausalEffect.INCREASE,
     "C": CausalEffect.DECREASE,
 }
-EFFECT_TO_LETTER = {effect: letter for letter, effect in LETTER_TO_EFFECT.items()}
 
 
 @dataclass(frozen=True)
@@ -91,38 +90,21 @@ def serialize_argument(graph: CausalArgument) -> str:
     return json.dumps({"Z": graph.intent, "linked_by": linked_by}, indent=2, ensure_ascii=False)
 
 
-def parse_argument(text: str) -> CausalArgument:
-    """Inverse of serialize_argument (causal effects are not on the wire)."""
-    data = json.loads(text)
-    linked_by = data["linked_by"]
-    assumptions = []
-    i = 1
-    while f"Y_{i}" in linked_by:
-        assumptions.append(Assumption(text=linked_by[f"Y_{i}"]))
-        i += 1
-    if not assumptions:
-        raise EmptyAssumptions("serialized argument names no assumptions")
-    return CausalArgument(
-        intent=data["Z"], claim=linked_by["X"], assumptions=tuple(assumptions)
-    )
-
-
 def generate_implicit_questions(
     gateway: Gateway,
     claim: str,
     intent: str,
     hidden_evidence: list[str],
     max_questions: int = 3,
-    examples: str = DEFAULT_QUESTION_EXAMPLES,
     diagnostics: list[str] | None = None,
 ) -> list[ImplicitQuestion]:
     """Yes/no questions whose answers the intent quietly presumes."""
-    completion = gateway.run(
+    completion = gateway.complete(
         "implicit_questions",
         claim=claim,
         intent=intent,
         evidence="\n".join(hidden_evidence) if hidden_evidence else "(none)",
-        examples=examples,
+        examples=DEFAULT_QUESTION_EXAMPLES,
     )
     items = parse_bracketed(completion)
     if len(items) > max_questions:
@@ -140,20 +122,18 @@ def infer_assumptions(
     intent: str,
     questions: list[ImplicitQuestion],
     max_n: int = 3,
-    vague_references: tuple[str, ...] = DEFAULT_VAGUE_REFERENCES,
-    examples: str = DEFAULT_ASSUMPTION_EXAMPLES,
     diagnostics: list[str] | None = None,
 ) -> list[Assumption]:
     """Turn implicit questions into self-contained assumption statements."""
     if not questions:
         raise ValueError("infer_assumptions requires at least one question")
-    completion = gateway.run(
+    completion = gateway.complete(
         "assumptions",
         claim=claim,
         intention=intent,
         questions="\n".join(q.text for q in questions),
         assumption_max_number=str(max_n),
-        examples=examples,
+        examples=DEFAULT_ASSUMPTION_EXAMPLES,
     )
     items = parse_bracketed(completion, separator="||")
     if len(items) > max_n:
@@ -163,7 +143,7 @@ def infer_assumptions(
     assumptions = []
     for item in items:
         lowered = item.lower()
-        vague = any(phrase in lowered for phrase in vague_references)
+        vague = any(phrase in lowered for phrase in DEFAULT_VAGUE_REFERENCES)
         assumptions.append(
             Assumption(text=item, flags=(VAGUE_REFERENCE_FLAG,) if vague else ())
         )
@@ -183,7 +163,7 @@ def evaluate_counterfactual(
 ) -> CausalEffect:
     """Effect on the intent of negating one assumption (do-operation)."""
     letter = graph.target_symbol(target)
-    completion = gateway.run(
+    completion = gateway.complete(
         "counterfactual", argument=serialize_argument(graph), letter=letter
     )
     choice = parse_letter_choice(completion, set(LETTER_TO_EFFECT))
@@ -216,7 +196,6 @@ __all__ = [
     "DEFAULT_ASSUMPTION_EXAMPLES",
     "DEFAULT_QUESTION_EXAMPLES",
     "DEFAULT_VAGUE_REFERENCES",
-    "EFFECT_TO_LETTER",
     "ImplicitQuestion",
     "LETTER_TO_EFFECT",
     "VAGUE_REFERENCE_FLAG",
@@ -225,7 +204,6 @@ __all__ = [
     "evaluate_counterfactual",
     "generate_implicit_questions",
     "infer_assumptions",
-    "parse_argument",
     "select_critical_assumptions",
     "serialize_argument",
 ]

@@ -13,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 
-import requests
-
 from .alignment import cosine_similarity
 from .causality import Assumption
 from .config import Thresholds
+from .errors import BackendError
 from .gateway import Gateway, parse_letter_choice
+from .gateway.backends import post_json
 
 
 class NliVerdict(str, Enum):
@@ -49,18 +49,25 @@ class ExternalNliClassifier:
 
     Request: POST {"premise": ..., "hypothesis": ...}
     Response: {"verdict": "Entail" | "Contradict" | "Neutral"}
+
+    Requests go through ``post_json`` (retried, no API key sent); any
+    failure, including an answer of another shape, is a ``BackendError``.
     """
 
     def __init__(self, endpoint: str, timeout: float = 30.0, post=None):
         self.endpoint = endpoint
         self.timeout = timeout
-        self._post = post or (
-            lambda url, payload: requests.post(url, json=payload, timeout=self.timeout).json()
-        )
+        # injectable for tests; default goes over the network
+        self._post = post or (lambda url, payload: post_json(url, payload, timeout=self.timeout))
 
     def check(self, premise: str, hypothesis: str) -> NliVerdict:
         data = self._post(self.endpoint, {"premise": premise, "hypothesis": hypothesis})
-        return NliVerdict(data["verdict"])
+        try:
+            return NliVerdict(data["verdict"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise BackendError(
+                f"{self.endpoint} returned a malformed answer: {data!r:.200}"
+            ) from exc
 
 
 def nli_check(
@@ -72,7 +79,7 @@ def nli_check(
     """Does the premise entail, contradict, or say nothing about the hypothesis?"""
     if classifier is not None:
         return classifier.check(premise, hypothesis)
-    completion = gateway.run("nli", premise=premise, hypothesis=hypothesis)
+    completion = gateway.complete("nli", premise=premise, hypothesis=hypothesis)
     return LETTER_TO_NLI[parse_letter_choice(completion, set(LETTER_TO_NLI))]
 
 

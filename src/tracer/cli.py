@@ -4,7 +4,7 @@
     tracer run         run the pipeline end to end over a corpus
     tracer eval        score a verdict report against gold labels
     tracer ablate      run every stage-gating configuration and compare
-    tracer cache-stats show persistent cache counters
+    tracer cache-stats show persistent cache entries and file size
     tracer cache-clear drop the persistent cache
 
 Exit codes: 0 success; 1 usage, configuration, or unreadable input;
@@ -19,7 +19,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .alignment import ExternalAlignmentClassifier
@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ablate.add_argument("--output", help="write per-config results as JSON here")
 
-    stats = sub.add_parser("cache-stats", help="show cache counters")
+    stats = sub.add_parser("cache-stats", help="show cache entries and file size")
     stats.add_argument("--cache", required=True)
 
     clear = sub.add_parser("cache-clear", help="drop the cache file")
@@ -243,7 +243,7 @@ def cmd_run(args) -> int:
         "backend_mode": config.backend.mode,
         "n_claims": len(reports),
         "report_digest": digest,
-        "counters": gateway.counters.snapshot(),
+        "counters": asdict(gateway.counters),
         "cache": gateway.cache.stats(),
     }
     with open(manifest_path, "w", encoding="utf-8") as handle:

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import EmptyTestDates, ParseError, UnknownRating, ValidationError
 
@@ -213,6 +213,10 @@ def _record_from_dict(payload: dict, line_number: int) -> ClaimRecord:
     record_id = payload["id"]
     if not isinstance(record_id, str) or not record_id:
         raise ParseError(line_number, "id must be a non-empty string")
+    if not isinstance(payload["claim"], str):
+        raise ParseError(line_number, "claim must be a string")
+    if payload.get("raw_rating") is not None and not isinstance(payload["raw_rating"], str):
+        raise ParseError(line_number, "raw_rating must be a string")
 
     date = None
     if payload.get("date") is not None:
@@ -303,13 +307,3 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
         for record in corpus.records:
             handle.write(json.dumps(_record_to_dict(record), ensure_ascii=False))
             handle.write("\n")
-
-
-def iter_labels(records: Iterable[ClaimRecord]) -> list[Label]:
-    """Gold labels of the given records, in order; raises if any is missing."""
-    labels = []
-    for record in records:
-        if record.gold_label is None:
-            raise ValidationError(record.id, "record has no gold label")
-        labels.append(record.gold_label)
-    return labels

@@ -14,20 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import BackendError, EmptyInput
+from ..errors import EmptyInput
 from .backends import API_KEY_ENV, Decoding, LiveBackend, api_key_from_env
 from .cache import ResponseCache, completion_key, embedding_key, frozen_vector
 from .mock import MockCall, MockScript
 from .parsing import parse_binary_digit, parse_bracketed, parse_letter_choice
 from .templates import PromptTemplate, TemplateCatalog, render_template
-
-
-@dataclass(frozen=True)
-class CompletionRequest:
-    template_id: str
-    bindings: dict
-    decoding: Decoding = Decoding()
-    model_id: str = "mock"
 
 
 @dataclass(frozen=True)
@@ -61,60 +53,43 @@ class GatewayCounters:
     # per-template backend call counts, for ablation gating checks
     by_template: dict = field(default_factory=dict)
 
-    def snapshot(self) -> dict:
-        return {
-            "completion_requests": self.completion_requests,
-            "completion_cache_hits": self.completion_cache_hits,
-            "embedding_requests": self.embedding_requests,
-            "embedding_cache_hits": self.embedding_cache_hits,
-            "backend_calls": self.backend_calls,
-            "by_template": dict(sorted(self.by_template.items())),
-        }
-
 
 class Gateway:
     """Template rendering + cache + backend, behind one interface.
 
-    The backend is either a MockScript or a LiveBackend; both answer
-    ``complete(template_id, prompt, decoding)`` and ``embed(text)``. A
-    bounded semaphore caps in-flight backend requests when callers fan
-    out across threads.
+    ``complete(template_id, **bindings)`` and ``embed(text)`` are the only
+    two requests. The backend is either a MockScript or a LiveBackend;
+    both answer ``complete(template_id, prompt, decoding)`` and
+    ``embed(text)``. Every completion uses the bundled template catalog
+    and the default ``Decoding``; model ids come from the backend
+    (``"mock"`` when it names none). ``counters`` counts every request,
+    cache hit and backend call. A bounded semaphore caps in-flight
+    backend requests when callers fan out across threads.
     """
 
-    def __init__(
-        self,
-        backend,
-        catalog: TemplateCatalog | None = None,
-        cache: ResponseCache | None = None,
-        model_id: str | None = None,
-        embedding_model_id: str | None = None,
-        decoding: Decoding = Decoding(),
-        max_in_flight: int = 4,
-    ):
+    def __init__(self, backend, cache: ResponseCache | None = None, max_in_flight: int = 4):
         self.backend = backend
-        self.catalog = catalog if catalog is not None else TemplateCatalog.bundled()
+        self.catalog = TemplateCatalog.bundled()
         # explicit None check: an empty cache is falsy but still the caller's cache
         self.cache = cache if cache is not None else ResponseCache()
-        self.model_id = model_id or getattr(backend, "model_id", "mock")
-        self.embedding_model_id = embedding_model_id or getattr(
-            backend, "embedding_model_id", self.model_id
-        )
-        self.decoding = decoding
+        self.model_id = getattr(backend, "model_id", "mock")
+        self.embedding_model_id = getattr(backend, "embedding_model_id", self.model_id)
+        self.decoding = Decoding()
         self.counters = GatewayCounters()
         self._semaphore = threading.BoundedSemaphore(max_in_flight)
         self._counter_lock = threading.Lock()
 
     # -- completions ---------------------------------------------------
 
-    def complete(self, request: CompletionRequest) -> str:
-        template = self.catalog.get(request.template_id)
-        prompt = render_template(template, request.bindings)
+    def complete(self, template_id: str, **bindings) -> str:
+        """Render the catalog template with the bindings and complete it."""
+        prompt = render_template(self.catalog.get(template_id), bindings)
         key = completion_key(
-            request.model_id,
-            request.template_id,
+            self.model_id,
+            template_id,
             prompt,
-            request.decoding.temperature,
-            request.decoding.max_tokens,
+            self.decoding.temperature,
+            self.decoding.max_tokens,
         )
         cached = self.cache.get(key)
         with self._counter_lock:
@@ -124,25 +99,14 @@ class Gateway:
         if cached is not None:
             return cached
         with self._semaphore:
-            text = self.backend.complete(request.template_id, prompt, request.decoding)
+            text = self.backend.complete(template_id, prompt, self.decoding)
         with self._counter_lock:
             self.counters.backend_calls += 1
-            self.counters.by_template[request.template_id] = (
-                self.counters.by_template.get(request.template_id, 0) + 1
+            self.counters.by_template[template_id] = (
+                self.counters.by_template.get(template_id, 0) + 1
             )
         self.cache.put(key, text)
         return text
-
-    def run(self, template_id: str, **bindings) -> str:
-        """Render-and-complete with the gateway's default decoding."""
-        return self.complete(
-            CompletionRequest(
-                template_id=template_id,
-                bindings=bindings,
-                decoding=self.decoding,
-                model_id=self.model_id,
-            )
-        )
 
     # -- embeddings ----------------------------------------------------
 
@@ -167,7 +131,6 @@ class Gateway:
 
 __all__ = [
     "API_KEY_ENV",
-    "CompletionRequest",
     "Decoding",
     "Embedding",
     "Gateway",

@@ -1,10 +1,17 @@
-"""Live model backend speaking the OpenAI-compatible wire format.
+"""HTTP transport and the live model backend.
 
-Covers the two endpoints the pipeline needs: chat completions and
-embeddings. Transport failures and 5xx/429 statuses are retried with
-exponential backoff; any other non-2xx status fails immediately, since
-repeating a rejected request cannot change the outcome. Parse failures
-downstream are never retried here.
+``post_json`` is the one HTTP POST of the package: the live backend and
+the external classifiers all send their requests through it. Transport
+failures and 5xx/429 statuses are retried with exponential backoff; any
+other non-2xx status fails immediately, since repeating a rejected
+request cannot change the outcome. Every failure is a ``BackendError``.
+Parse failures downstream are never retried here.
+
+``LiveBackend`` speaks the OpenAI-compatible wire format for the two
+endpoints the pipeline needs: chat completions and embeddings.
+
+``requests`` is imported only when a session is made or a request is
+sent, so offline runs never pay for importing it.
 """
 
 from __future__ import annotations
@@ -12,8 +19,6 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-
-import requests
 
 from ..errors import BackendError, ConfigError
 
@@ -36,6 +41,55 @@ def api_key_from_env() -> str:
     return key
 
 
+def post_json(
+    url: str,
+    payload: dict,
+    *,
+    headers: dict | None = None,
+    session=None,
+    timeout: float = 60.0,
+    max_retries: int = 3,
+    backoff_base: float = 1.0,
+    sleep=time.sleep,
+):
+    """POST ``payload`` as JSON to ``url`` and return the decoded JSON body.
+
+    ``session`` is anything with a ``requests.Session``-style ``post``;
+    without one each request goes through ``requests.post``.
+    """
+    import requests
+
+    send = session.post if session is not None else requests.post
+    attempts = 0
+    while True:
+        attempts += 1
+        try:
+            response = send(url, json=payload, headers=headers, timeout=timeout)
+        except requests.RequestException as exc:
+            if attempts > max_retries:
+                raise BackendError(f"POST {url} failed: {exc}", retries=attempts - 1) from exc
+            sleep(backoff_base * 2 ** (attempts - 1))
+            continue
+        if response.status_code in RETRYABLE_STATUSES:
+            if attempts > max_retries:
+                raise BackendError(
+                    f"POST {url} returned {response.status_code}", retries=attempts - 1
+                )
+            sleep(backoff_base * 2 ** (attempts - 1))
+            continue
+        if response.status_code != 200:
+            raise BackendError(
+                f"POST {url} returned {response.status_code}: {response.text[:200]}",
+                retries=attempts - 1,
+            )
+        try:
+            return response.json()
+        except ValueError as exc:
+            raise BackendError(
+                f"POST {url} returned undecodable body", retries=attempts - 1
+            ) from exc
+
+
 class LiveBackend:
     """HTTP client for chat-completions and embeddings endpoints."""
 
@@ -48,7 +102,7 @@ class LiveBackend:
         max_retries: int = 3,
         backoff_base: float = 1.0,
         timeout: float = 60.0,
-        session: requests.Session | None = None,
+        session=None,
         sleep=time.sleep,
     ):
         self.model_id = model_id
@@ -58,52 +112,27 @@ class LiveBackend:
         self.max_retries = max_retries
         self.backoff_base = backoff_base
         self.timeout = timeout
-        self.session = session or requests.Session()
+        if session is None:
+            import requests
+
+            session = requests.Session()
+        self.session = session
         self._sleep = sleep
 
-    def _headers(self) -> dict:
-        return {
-            "Authorization": f"Bearer {self.api_key}",
-            "Content-Type": "application/json",
-        }
-
     def _post(self, endpoint: str, payload: dict) -> dict:
-        url = f"{self.base_url}/{endpoint}"
-        attempts = 0
-        while True:
-            attempts += 1
-            try:
-                response = self.session.post(
-                    url, json=payload, headers=self._headers(), timeout=self.timeout
-                )
-            except requests.RequestException as exc:
-                if attempts > self.max_retries:
-                    raise BackendError(
-                        f"POST {endpoint} failed after {attempts} attempts: {exc}",
-                        retries=attempts - 1,
-                    ) from exc
-                self._sleep(self.backoff_base * 2 ** (attempts - 1))
-                continue
-            if response.status_code in RETRYABLE_STATUSES:
-                if attempts > self.max_retries:
-                    raise BackendError(
-                        f"POST {endpoint} returned {response.status_code} "
-                        f"after {attempts} attempts",
-                        retries=attempts - 1,
-                    )
-                self._sleep(self.backoff_base * 2 ** (attempts - 1))
-                continue
-            if response.status_code != 200:
-                raise BackendError(
-                    f"POST {endpoint} returned {response.status_code}: {response.text[:200]}",
-                    retries=attempts - 1,
-                )
-            try:
-                return response.json()
-            except ValueError as exc:
-                raise BackendError(
-                    f"POST {endpoint} returned undecodable body", retries=attempts - 1
-                ) from exc
+        return post_json(
+            f"{self.base_url}/{endpoint}",
+            payload,
+            headers={
+                "Authorization": f"Bearer {self.api_key}",
+                "Content-Type": "application/json",
+            },
+            session=self.session,
+            timeout=self.timeout,
+            max_retries=self.max_retries,
+            backoff_base=self.backoff_base,
+            sleep=self._sleep,
+        )
 
     def complete(self, template_id: str, prompt: str, decoding: Decoding) -> str:
         """One chat completion; the template id is not sent."""

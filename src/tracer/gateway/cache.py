@@ -107,7 +107,8 @@ class ResponseCache:
     """Deterministic response cache, optionally persisted to a file.
 
     With ``path=None`` the cache is purely in-memory (useful for tests
-    and one-shot runs).
+    and one-shot runs). It counts nothing: requests and hits are counted
+    once, by ``Gateway.counters``.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -119,8 +120,6 @@ class ResponseCache:
         # whether it decoded): a torn append, or a whole record whose
         # writer died before the newline (older writers wrote them apart)
         self._open_tail: tuple[int, bytes, bool] | None = None
-        self.hits = 0
-        self.misses = 0
         if self.path is not None and self.path.exists():
             self._load()
 
@@ -166,14 +165,8 @@ class ResponseCache:
         return self._handle
 
     def get(self, key: str):
-        """Cached value for key, or None. Updates hit/miss counters."""
-        value = self._entries.get(key)
-        with self._lock:
-            if value is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-        return value
+        """Cached value for key, or None."""
+        return self._entries.get(key)
 
     def put(self, key: str, value) -> None:
         """Store a completion text, or an embedding vector given as any sequence."""
@@ -189,8 +182,6 @@ class ResponseCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self.hits = 0
-            self.misses = 0
             if self._handle is not None:
                 self._handle.close()
                 self._handle = None
@@ -202,8 +193,6 @@ class ResponseCache:
         size = self.path.stat().st_size if self.path is not None and self.path.exists() else 0
         return {
             "entries": len(self._entries),
-            "hits": self.hits,
-            "misses": self.misses,
             "path": str(self.path) if self.path is not None else None,
             "file_bytes": size,
         }

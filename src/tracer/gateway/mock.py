@@ -72,7 +72,6 @@ class MockCall:
     kind: str
     template: str | None
     prompt: str
-    response: object
 
 
 def _hashed_unit_vector(text: str, dim: int) -> list[float]:
@@ -128,9 +127,7 @@ class MockScript:
         for rule in self.rules:
             if rule.matches(template_id, prompt):
                 response = rule.next_response()
-                self.call_log.append(
-                    MockCall(kind="completion", template=template_id, prompt=prompt, response=response)
-                )
+                self.call_log.append(MockCall(kind="completion", template=template_id, prompt=prompt))
                 return response
         raise MockScriptMiss(
             f"no mock rule matches template {template_id!r}; prompt starts: {prompt[:80]!r}"
@@ -149,7 +146,7 @@ class MockScript:
             if self.default_embedding_dim is None:
                 raise MockScriptMiss(f"no mock embedding matches text: {text[:80]!r}")
             vector = _hashed_unit_vector(text, self.default_embedding_dim)
-        self.call_log.append(MockCall(kind="embedding", template=None, prompt=text, response=vector))
+        self.call_log.append(MockCall(kind="embedding", template=None, prompt=text))
         return vector
 
     def calls_for(self, template_id: str) -> list[MockCall]:

@@ -76,12 +76,7 @@ def _split_intent(completion: str) -> tuple[str, str]:
     return intent, rationale
 
 
-def generate_intent(
-    gateway: Gateway,
-    claim: str,
-    evidence: list[str],
-    examples: str = DEFAULT_GENERATION_EXAMPLES,
-) -> IntentRecord:
+def generate_intent(gateway: Gateway, claim: str, evidence: list[str]) -> IntentRecord:
     """The claim's intent, generated from the claim plus its evidence.
 
     Works with an empty evidence list (the claim alone still implies
@@ -89,8 +84,11 @@ def generate_intent(
     it rests on.
     """
     evidence_block = "\n".join(evidence) if evidence else "(no evidence available)"
-    completion = gateway.run(
-        "intent_generation", claim=claim, evidence=evidence_block, examples=examples
+    completion = gateway.complete(
+        "intent_generation",
+        claim=claim,
+        evidence=evidence_block,
+        examples=DEFAULT_GENERATION_EXAMPLES,
     )
     text, rationale = _split_intent(completion)
     return IntentRecord(
@@ -112,10 +110,10 @@ def score_quality(gateway: Gateway, claim: str, intent: str) -> QualityScores:
     unparseable criterion is then reported.
     """
     completions = {
-        "plausibility": gateway.run("plausibility", claim=claim, intent=intent),
-        "implicity": gateway.run("implicity", claim=claim, intent=intent),
-        "sufficiency": gateway.run("sufficiency", intent=intent),
-        "readability": gateway.run("readability", intent=intent),
+        "plausibility": gateway.complete("plausibility", claim=claim, intent=intent),
+        "implicity": gateway.complete("implicity", claim=claim, intent=intent),
+        "sufficiency": gateway.complete("sufficiency", intent=intent),
+        "readability": gateway.complete("readability", intent=intent),
     }
     scores: dict[str, int] = {}
     failures: list[UnparseableDigit] = []

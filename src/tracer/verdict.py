@@ -121,7 +121,7 @@ def cot_verify(gateway: Gateway, claim: str, evidence: list[str]) -> BaseVerdict
     the verdict letter. Reasoning must be present; a bare letter with no
     steps cannot feed re-assessment.
     """
-    completion = gateway.run("cot_verdict", claim=claim, evidence="\n".join(evidence))
+    completion = gateway.complete("cot_verdict", claim=claim, evidence="\n".join(evidence))
     markers = list(_ANSWER_MARKER.finditer(completion))
     if markers:
         last = markers[-1]
@@ -173,7 +173,7 @@ def reassess_with_argument(
     if not che:
         return FinalVerdict(label=base.label, reassessed=False)
     evidence_block = "\n".join(c.sentence for c in che)
-    completion = gateway.run(
+    completion = gateway.complete(
         "reassessment",
         evidence=evidence_block,
         argument=argument_text,

@@ -21,7 +21,7 @@ from tracer.alignment import (
     refine_by_similarity,
 )
 from tracer.config import Thresholds
-from tracer.errors import DimensionMismatch, UnparseableChoice, ZeroVector
+from tracer.errors import BackendError, DimensionMismatch, UnparseableChoice, ZeroVector
 from tracer.gateway import Embedding
 
 from conftest import make_gateway
@@ -305,7 +305,7 @@ def test_external_classifier_rejects_irrelevant_answer():
     classifier = ExternalAlignmentClassifier(
         "http://host/align", post=lambda url, payload: {"label": "Irrelevant"}
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(BackendError, match="http://host/align"):
         classifier.classify("c", "s")
 
 

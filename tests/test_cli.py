@@ -64,6 +64,30 @@ def test_ingest_malformed_line_exits_one_naming_the_line(capsys, tmp_path):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ('"claim": 5', "claim must be a string"),
+        ('"claim": "c", "raw_rating": 3, "gold_label": "True"', "raw_rating must be a string"),
+        ('"claim": "c", "raw_rating": ["True"]', "raw_rating must be a string"),
+    ],
+)
+@pytest.mark.parametrize("command", ["ingest", "run"])
+def test_non_string_claim_or_rating_exits_one_naming_the_line(
+    capsys, tmp_path, command, fields, message
+):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"id": "a", "claim": "fine"}\n{"id": "b", ' + fields + "}\n", encoding="utf-8")
+    if command == "ingest":
+        argv = ["ingest", "--input", str(path)]
+    else:
+        output = str(tmp_path / "r.jsonl")
+        argv = ["run", "--corpus", str(path), "--mock", SCENARIO_SCRIPT, "--output", output]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert f"error: line 2: {message}" in err
+
+
 def test_ingest_missing_file_exits_one(capsys, tmp_path):
     code, _, err = run_cli(capsys, "ingest", "--input", str(tmp_path / "absent.jsonl"))
     assert code == 1
@@ -369,7 +393,7 @@ def test_cache_stats_and_clear(capsys, tmp_path):
     stats = json.loads(out)
     assert stats["entries"] > 0
     assert stats["path"] == str(cache)
-    assert set(stats) >= {"entries", "hits", "misses", "file_bytes"}
+    assert set(stats) == {"entries", "path", "file_bytes"}
 
     entries = stats["entries"]
     code, out, _ = run_cli(capsys, "cache-clear", "--cache", str(cache))
@@ -426,3 +450,16 @@ def test_module_entry_point_runs():
     )
     assert result.returncode == 0
     assert "usage: tracer" in result.stdout
+
+
+def test_importing_the_cli_does_not_import_requests():
+    # requests is most of the import time of an offline run; only the live
+    # backend and the external classifiers need it, and they import it late
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, tracer.cli; print('requests' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -13,7 +13,6 @@ from tracer.corpus import (
     Label,
     Split,
     consolidate_label,
-    iter_labels,
     load_corpus,
     normalize_rating,
     record_from_article,
@@ -188,8 +187,3 @@ def test_load_counts_labels_in_diagnostics(tmp_path):
     loaded = load_corpus(path)
     # the rating cycle hits each of the six ratings twice over 12 records
     assert loaded.diagnostics["label_counts"] == {"True": 2, "Half-True": 4, "False": 6}
-
-
-def test_iter_labels_requires_gold():
-    with pytest.raises(ValidationError):
-        iter_labels([ClaimRecord(id="a", claim="x")])

@@ -45,7 +45,7 @@ def test_scenario_script_is_fresh_per_load():
 def test_scenario_gateways_are_independent():
     a = make_scenario_gateway()
     b = make_scenario_gateway()
-    a.run("relevance", claim="c", ruling="r", evidence="e")
+    a.complete("relevance", claim="c", ruling="r", evidence="e")
     assert a.counters.backend_calls == 1
     assert b.counters.backend_calls == 0
 

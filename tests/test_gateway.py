@@ -20,7 +20,6 @@ from tracer.errors import (
     UnparseableChoice,
 )
 from tracer.gateway import (
-    CompletionRequest,
     Decoding,
     Embedding,
     Gateway,
@@ -379,7 +378,7 @@ def test_mock_default_embedding_is_deterministic_unit_norm():
 
 def test_gateway_complete_renders_and_dispatches():
     gateway, script = make_gateway(rules=[{"template": "relevance", "response": "A"}])
-    text = gateway.run("relevance", claim="c", ruling="r", evidence="e")
+    text = gateway.complete("relevance", claim="c", ruling="r", evidence="e")
     assert text == "A"
     assert len(script.call_log) == 1
     assert "c" in script.call_log[0].prompt
@@ -387,8 +386,8 @@ def test_gateway_complete_renders_and_dispatches():
 
 def test_gateway_cache_hit_skips_backend():
     gateway, script = make_gateway(rules=[{"template": "relevance", "response": "A"}])
-    first = gateway.run("relevance", claim="c", ruling="r", evidence="e")
-    second = gateway.run("relevance", claim="c", ruling="r", evidence="e")
+    first = gateway.complete("relevance", claim="c", ruling="r", evidence="e")
+    second = gateway.complete("relevance", claim="c", ruling="r", evidence="e")
     assert first == second == "A"
     assert len(script.call_log) == 1  # second answer came from cache
     assert gateway.counters.completion_cache_hits == 1
@@ -397,8 +396,8 @@ def test_gateway_cache_hit_skips_backend():
 
 def test_gateway_distinct_bindings_are_distinct_requests():
     gateway, script = make_gateway(rules=[{"template": "relevance", "response": "A"}])
-    gateway.run("relevance", claim="c1", ruling="r", evidence="e")
-    gateway.run("relevance", claim="c2", ruling="r", evidence="e")
+    gateway.complete("relevance", claim="c1", ruling="r", evidence="e")
+    gateway.complete("relevance", claim="c2", ruling="r", evidence="e")
     assert len(script.call_log) == 2
 
 
@@ -407,11 +406,11 @@ def test_gateway_persistent_cache_across_instances(tmp_path):
     gateway, script = make_gateway(
         rules=[{"template": "relevance", "response": "A"}], cache_path=path
     )
-    gateway.run("relevance", claim="c", ruling="r", evidence="e")
+    gateway.complete("relevance", claim="c", ruling="r", evidence="e")
     assert len(script.call_log) == 1
 
     gateway2, script2 = make_gateway(rules=[], cache_path=path)  # no rules needed
-    assert gateway2.run("relevance", claim="c", ruling="r", evidence="e") == "A"
+    assert gateway2.complete("relevance", claim="c", ruling="r", evidence="e") == "A"
     assert script2.call_log == []
 
 
@@ -452,7 +451,7 @@ def test_gateway_embed_rejects_empty_text():
 def test_unknown_template_raises():
     gateway, _ = make_gateway()
     with pytest.raises(UnknownTemplate):
-        gateway.run("never_heard_of_it")
+        gateway.complete("never_heard_of_it")
 
 
 # -- live backend (stubbed transport) -------------------------------------
@@ -590,9 +589,9 @@ def test_same_request_sequence_replays_identically(tmp_path):
     def run(cache_path):
         gateway, script = make_gateway(rules=rules, cache_path=cache_path)
         out = [
-            gateway.run("relevance", claim="c", ruling="r", evidence="e"),
-            gateway.run("presentation", claim="c", evidence="e"),
-            gateway.run("relevance", claim="c", ruling="r", evidence="e"),
+            gateway.complete("relevance", claim="c", ruling="r", evidence="e"),
+            gateway.complete("presentation", claim="c", evidence="e"),
+            gateway.complete("relevance", claim="c", ruling="r", evidence="e"),
         ]
         return out, len(script.call_log)
 

@@ -3,14 +3,16 @@
 import json
 
 import pytest
+import requests
 
-from tracer.alignment import AlignmentLabel
+from tracer.alignment import AlignmentLabel, ExternalAlignmentClassifier
 from tracer.causality import Assumption, CausalEffect
-from tracer.che import CheCandidate, NliVerdict
+from tracer.che import CheCandidate, ExternalNliClassifier, NliVerdict
 from tracer.config import ABLATION_CONFIGS, Thresholds
 from tracer.corpus import ClaimRecord, Label
 from tracer.errors import EmptyJustification, ParseError, UnparseableChoice
 from tracer.fixtures import load_expected_report, load_scenario_record, make_scenario_gateway
+from tracer.gateway.backends import post_json
 from tracer.verdict import (
     BaseVerdict,
     FinalVerdict,
@@ -347,6 +349,57 @@ def test_pipeline_missing_external_verdict_fails_the_claim():
     assert report.final_verdict.label is Label.FALSE
     assert report.final_verdict.fallback_reason == "no external verdict for this claim"
     assert report.stages[-1].status == "failed"
+
+
+class _RefusingSession:
+    def post(self, url, json=None, headers=None, timeout=None):
+        raise requests.ConnectionError("connection refused")
+
+
+def _answering(body):
+    return lambda url, payload: body
+
+
+# What an external classifier can send back that is not an answer: a
+# misnamed key, an unknown or out-of-range label, a body that is not an
+# object, and a transport that keeps failing through every retry.
+_CLASSIFIER_FAILURES = {
+    "misnamed_key": _answering({"lbl": 1}),
+    "unknown_verdict": _answering({"verdict": "maybe"}),
+    "irrelevant_label": _answering({"label": "Irrelevant"}),
+    "list_body": _answering([1]),
+    "string_body": _answering("Hidden"),
+    "null_body": _answering(None),
+    "transport_error": lambda url, payload: post_json(
+        url, payload, session=_RefusingSession(), sleep=lambda s: None
+    ),
+}
+
+
+@pytest.mark.parametrize("failure", sorted(_CLASSIFIER_FAILURES))
+def test_pipeline_records_alignment_classifier_failures(failure):
+    classifier = ExternalAlignmentClassifier(
+        "http://host/align", post=_CLASSIFIER_FAILURES[failure]
+    )
+    gateway, _ = _pipeline_gateway()
+    report = run_pipeline(gateway, _record(), alignment_classifier=classifier)
+    assert (report.stages[0].stage, report.stages[0].status) == ("alignment", "failed")
+    assert report.stages[0].detail.endswith(" errors=2")
+    for aligned in report.aligned_evidence:
+        assert aligned.error.startswith("BackendError: ")
+        assert "http://host/align" in aligned.error
+
+
+@pytest.mark.parametrize("failure", sorted(_CLASSIFIER_FAILURES))
+def test_pipeline_records_nli_classifier_failures(failure):
+    classifier = ExternalNliClassifier("http://host/nli", post=_CLASSIFIER_FAILURES[failure])
+    gateway, _ = _pipeline_gateway()
+    report = run_pipeline(gateway, _record(), nli_classifier=classifier)
+    che = next(row for row in report.stages if row.stage == "che")
+    assert che.status == "failed"
+    assert che.detail.startswith("BackendError: ")
+    assert "http://host/nli" in che.detail
+    assert report.final_verdict == FinalVerdict(label=Label.TRUE, reassessed=False)
 
 
 def test_pipeline_cot_failure_downgrades_to_false_with_trace():
