@@ -24,7 +24,6 @@ from .causality import (
     CausalEffect,
     build_causal_graph,
     evaluate_all,
-    evaluate_counterfactual,
     generate_implicit_questions,
     infer_assumptions,
     select_critical_assumptions,
@@ -129,7 +128,6 @@ __all__ = [
     "cosine_similarity",
     "cot_verify",
     "evaluate_all",
-    "evaluate_counterfactual",
     "generate_implicit_questions",
     "generate_intent",
     "infer_assumptions",

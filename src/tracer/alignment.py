@@ -14,7 +14,6 @@ label.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -46,37 +45,41 @@ class AlignedEvidence:
     error: str | None = None
 
 
-def _sequential_sum(values: np.ndarray) -> float:
-    """Strictly left-to-right float64 sum, starting from +0.0.
+def cosine_similarities(query: Embedding, rows: list[Embedding]) -> list[float]:
+    """Cosine similarity of the query to each row, in row order.
 
-    This is the sum Python 3.11's builtin ``sum`` computes over floats,
-    bit for bit. ``np.sum`` sums pairwise and Python 3.12+'s ``sum``
-    compensates rounding, so either would move serialized similarities
-    in the last bits. The trailing ``+ 0.0`` is the start value: it turns
-    an all-negative-zero sum into +0.0 and changes nothing else.
+    Each row is checked as ``cosine_similarity`` checks a pair, in order,
+    so a bad row raises what the pairwise call would. The dot products
+    are one matrix step, but each row is still summed strictly left to
+    right (``np.add.accumulate`` along the row, then ``+ 0.0`` as the
+    start value), so every value has the bits of an explicit ``acc += x``
+    loop. ``np.dot``, ``np.sum`` and BLAS sum in other orders and would
+    not.
     """
-    if values.size == 0:
-        return 0.0
-    return float(np.add.accumulate(values)[-1]) + 0.0
+    for row in rows:
+        if query.model_id != row.model_id:
+            raise DimensionMismatch(
+                f"embeddings from different models: {query.model_id!r} vs {row.model_id!r}"
+            )
+        if len(query.vector) != len(row.vector):
+            raise DimensionMismatch(
+                f"embedding lengths differ: {len(query.vector)} vs {len(row.vector)}"
+            )
+        if query.norm == 0.0 or row.norm == 0.0:
+            raise ZeroVector("cosine similarity undefined for zero-norm vector")
+    if not rows:
+        return []
+    products = np.array([row.vector for row in rows])  # a fresh copy, safe to write
+    products *= query.vector
+    dots = (np.add.accumulate(products, axis=1)[:, -1] + 0.0).tolist()
+    # the max/min pair guards rounding drift out of [-1, 1]
+    return [
+        max(-1.0, min(1.0, dot / (query.norm * row.norm))) for dot, row in zip(dots, rows)
+    ]
 
 
 def cosine_similarity(u: Embedding, v: Embedding) -> float:
-    if u.model_id != v.model_id:
-        raise DimensionMismatch(
-            f"embeddings from different models: {u.model_id!r} vs {v.model_id!r}"
-        )
-    if len(u.vector) != len(v.vector):
-        raise DimensionMismatch(
-            f"embedding lengths differ: {len(u.vector)} vs {len(v.vector)}"
-        )
-    norm_u = math.sqrt(_sequential_sum(u.vector * u.vector))
-    norm_v = math.sqrt(_sequential_sum(v.vector * v.vector))
-    if norm_u == 0.0 or norm_v == 0.0:
-        raise ZeroVector("cosine similarity undefined for zero-norm vector")
-    dot = _sequential_sum(u.vector * v.vector)
-    value = dot / (norm_u * norm_v)
-    # guard rounding drift out of [-1, 1]
-    return max(-1.0, min(1.0, value))
+    return cosine_similarities(u, [v])[0]
 
 
 def check_relevance(gateway: Gateway, claim: str, ruling: str, sentence: str) -> bool:
@@ -162,6 +165,9 @@ def align_evidence(
     ruling text; without one (inference time) every sentence is treated
     as relevant.
     """
+    provenance = (
+        Provenance.PROMPT_PIPELINE if classifier is None else Provenance.EXTERNAL_CLASSIFIER
+    )
     aligned: list[AlignedEvidence] = []
     for sentence in evidence:
         try:
@@ -173,6 +179,7 @@ def align_evidence(
                 AlignedEvidence(
                     sentence=sentence,
                     label=AlignmentLabel.IRRELEVANT,
+                    provenance=provenance,
                     error=f"{type(exc).__name__}: {exc}",
                 )
             )
@@ -218,6 +225,7 @@ __all__ = [
     "align_evidence",
     "check_presentation",
     "check_relevance",
+    "cosine_similarities",
     "cosine_similarity",
     "hidden_pool",
     "presented_pool",

@@ -158,25 +158,21 @@ def build_causal_graph(
     return CausalArgument(intent=intent, claim=claim, assumptions=tuple(assumptions))
 
 
-def evaluate_counterfactual(
-    gateway: Gateway, graph: CausalArgument, target: int
-) -> CausalEffect:
-    """Effect on the intent of negating one assumption (do-operation)."""
-    letter = graph.target_symbol(target)
-    completion = gateway.complete(
-        "counterfactual", argument=serialize_argument(graph), letter=letter
-    )
-    choice = parse_letter_choice(completion, set(LETTER_TO_EFFECT))
-    return LETTER_TO_EFFECT[choice]
-
-
 def evaluate_all(gateway: Gateway, graph: CausalArgument) -> CausalArgument:
-    """Evaluate every assumption, returning a fresh graph with effects set."""
-    evaluated = tuple(
-        replace(assumption, causal_effect=evaluate_counterfactual(gateway, graph, i))
-        for i, assumption in enumerate(graph.assumptions)
-    )
-    return replace(graph, assumptions=evaluated)
+    """Effect on the intent of negating each assumption (do-operation).
+
+    One counterfactual call per assumption, all with the same serialized
+    argument; returns a fresh graph with the effects set.
+    """
+    argument = serialize_argument(graph)
+    evaluated = []
+    for i, assumption in enumerate(graph.assumptions):
+        completion = gateway.complete(
+            "counterfactual", argument=argument, letter=graph.target_symbol(i)
+        )
+        effect = LETTER_TO_EFFECT[parse_letter_choice(completion, set(LETTER_TO_EFFECT))]
+        evaluated.append(replace(assumption, causal_effect=effect))
+    return replace(graph, assumptions=tuple(evaluated))
 
 
 def select_critical_assumptions(graph: CausalArgument) -> list[Assumption]:
@@ -201,7 +197,6 @@ __all__ = [
     "VAGUE_REFERENCE_FLAG",
     "build_causal_graph",
     "evaluate_all",
-    "evaluate_counterfactual",
     "generate_implicit_questions",
     "infer_assumptions",
     "select_critical_assumptions",

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .alignment import cosine_similarity
+# cosine_similarity stays importable from here: the benchmark's tracer patches this name
+from .alignment import cosine_similarities, cosine_similarity  # noqa: F401
 from .causality import Assumption
 from .config import Thresholds
 from .errors import BackendError
@@ -100,13 +101,11 @@ def retrieve_che(
     if not hidden_pool:
         return []
     query = gateway.embed(assumption)
-    scored = [
-        (cosine_similarity(query, gateway.embed(sentence)), position, sentence)
-        for position, sentence in enumerate(hidden_pool)
-    ]
-    scored.sort(key=lambda item: (-item[0], item[1]))
+    similarities = cosine_similarities(query, [gateway.embed(s) for s in hidden_pool])
+    # a stable sort: ties keep pool order
+    ranked = sorted(zip(similarities, hidden_pool), key=lambda item: -item[0])
     selected = []
-    for similarity, _, sentence in scored[:k]:
+    for similarity, sentence in ranked[:k]:
         if similarity < tau_che:
             break  # ranked order: everything after is weaker still
         verdict = nli_check(gateway, sentence, assumption, classifier)

@@ -9,8 +9,10 @@ every answer back without a single backend call.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -22,13 +24,29 @@ from .parsing import parse_binary_digit, parse_bracketed, parse_letter_choice
 from .templates import PromptTemplate, TemplateCatalog, render_template
 
 
+def _sequential_sum(values: np.ndarray) -> float:
+    """Strictly left-to-right float64 sum, starting from +0.0.
+
+    This is the sum Python 3.11's builtin ``sum`` computes over floats,
+    bit for bit. ``np.sum`` sums pairwise and Python 3.12+'s ``sum``
+    compensates rounding, so either would move serialized similarities
+    in the last bits. The trailing ``+ 0.0`` is the start value: it turns
+    an all-negative-zero sum into +0.0 and changes nothing else.
+    """
+    if values.size == 0:
+        return 0.0
+    return float(np.add.accumulate(values)[-1]) + 0.0
+
+
 @dataclass(frozen=True)
 class Embedding:
     """An embedding vector and the model that produced it.
 
     ``vector`` is a read-only float64 array; a list or tuple given to the
     constructor is converted. Arrays from the Gateway are shared with its
-    cache, so they are never copied and never written to.
+    cache, so they are never copied and never written to. ``norm`` is the
+    vector's Euclidean length, summed strictly left to right, computed on
+    first use and kept.
     """
 
     vector: np.ndarray
@@ -36,6 +54,10 @@ class Embedding:
 
     def __post_init__(self):
         object.__setattr__(self, "vector", frozen_vector(self.vector))
+
+    @cached_property
+    def norm(self) -> float:
+        return math.sqrt(_sequential_sum(self.vector * self.vector))
 
     def __eq__(self, other):
         if not isinstance(other, Embedding):
@@ -76,6 +98,8 @@ class Gateway:
         self.embedding_model_id = getattr(backend, "embedding_model_id", self.model_id)
         self.decoding = Decoding()
         self.counters = GatewayCounters()
+        # text -> (cache key, the Embedding last returned for it)
+        self._embedded: dict[str, tuple[str, Embedding]] = {}
         self._semaphore = threading.BoundedSemaphore(max_in_flight)
         self._counter_lock = threading.Lock()
 
@@ -111,22 +135,40 @@ class Gateway:
     # -- embeddings ----------------------------------------------------
 
     def embed(self, text: str) -> Embedding:
+        """Embedding of the text, from the cache or else the backend.
+
+        Every call counts one request, and one cache hit when the cache
+        holds the key. A text asked for again gets the same ``Embedding``
+        object without recomputing its key, but only while the cache
+        still holds that very vector: after ``cache.clear()`` the next
+        request goes to the backend again. A failed backend call leaves
+        nothing behind, so the next request retries it.
+        """
         if not text or not text.strip():
             raise EmptyInput("cannot embed empty text")
-        key = embedding_key(self.embedding_model_id, text)
+        remembered = self._embedded.get(text)
+        if remembered is not None:
+            key = remembered[0]
+        else:
+            key = embedding_key(self.embedding_model_id, text)
         cached = self.cache.get(key)
         with self._counter_lock:
             self.counters.embedding_requests += 1
             if cached is not None:
                 self.counters.embedding_cache_hits += 1
         if cached is not None:
-            return Embedding(vector=cached, model_id=self.embedding_model_id)
-        with self._semaphore:
-            vector = frozen_vector(self.backend.embed(text))
-        with self._counter_lock:
-            self.counters.backend_calls += 1
-        self.cache.put(key, vector)
-        return Embedding(vector=vector, model_id=self.embedding_model_id)
+            if remembered is not None and cached is remembered[1].vector:
+                return remembered[1]
+            vector = cached
+        else:
+            with self._semaphore:
+                vector = frozen_vector(self.backend.embed(text))
+            with self._counter_lock:
+                self.counters.backend_calls += 1
+            self.cache.put(key, vector)
+        embedding = Embedding(vector=vector, model_id=self.embedding_model_id)
+        self._embedded[text] = (key, embedding)
+        return embedding
 
 
 __all__ = [

@@ -3,8 +3,9 @@
 import math
 import random
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tracer.alignment import (
@@ -15,6 +16,7 @@ from tracer.alignment import (
     align_evidence,
     check_presentation,
     check_relevance,
+    cosine_similarities,
     cosine_similarity,
     hidden_pool,
     presented_pool,
@@ -92,6 +94,86 @@ def test_cosine_of_negative_zero_products_is_positive_zero():
     result = cosine_similarity(emb(1, 0), emb(-0.0, -1))
     assert result == 0.0
     assert math.copysign(1.0, result) == 1.0
+
+
+def _rows_with_specials(dim, n_rows, seed):
+    """A query and n_rows rows of Gaussian entries with -0.0 and subnormals mixed in."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.normal(size=(n_rows + 1, dim))
+    specials = np.array([-0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 0.0])
+    mask = rng.random(matrix.shape) < 0.2
+    matrix[mask] = rng.choice(specials, size=int(mask.sum()))
+    vectors = [emb(*row) for row in matrix.tolist()]
+    return vectors[0], vectors[1:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dim=st.integers(min_value=1, max_value=2048),
+    n_rows=st.integers(min_value=1, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(dim=1536, n_rows=6, seed=0)
+@example(dim=2048, n_rows=12, seed=1)
+@example(dim=1, n_rows=1, seed=2)
+def test_cosine_similarities_equal_pairwise_and_loop_bit_for_bit(dim, n_rows, seed):
+    query, rows = _rows_with_specials(dim, n_rows, seed)
+    try:
+        pairwise = [cosine_similarity(query, row) for row in rows]
+    except ZeroVector:
+        with pytest.raises(ZeroVector):
+            cosine_similarities(query, rows)
+        return
+    batched = cosine_similarities(query, rows)
+    assert all(type(value) is float for value in batched)
+    assert batched == pairwise
+    looped = [_loop_cosine(query.vector.tolist(), row.vector.tolist()) for row in rows]
+    assert batched == looped
+    # == treats -0.0 and 0.0 alike; the signs must agree too
+    assert [math.copysign(1.0, v) for v in batched] == [math.copysign(1.0, v) for v in looped]
+
+
+@pytest.mark.parametrize(
+    "bad,error",
+    [
+        (emb(1, 0, model="other"), DimensionMismatch),
+        (emb(1, 0, 0), DimensionMismatch),
+        (emb(0, 0), ZeroVector),
+        (emb(-0.0, 5e-324), ZeroVector),
+    ],
+)
+def test_cosine_similarities_bad_row_raises_like_the_pair(bad, error):
+    query = emb(1, 2)
+    with pytest.raises(error):
+        cosine_similarity(query, bad)
+    with pytest.raises(error):
+        cosine_similarities(query, [emb(2, 1), bad, emb(1, 1)])
+
+
+def test_cosine_similarities_first_bad_row_decides_the_error():
+    query = emb(1, 2)
+    with pytest.raises(DimensionMismatch):
+        cosine_similarities(query, [emb(1, 0, 0), emb(0, 0)])
+    with pytest.raises(ZeroVector):
+        cosine_similarities(query, [emb(0, 0), emb(1, 0, 0)])
+    with pytest.raises(ZeroVector):
+        cosine_similarities(emb(0, 0), [emb(1, 0)])
+
+
+def test_cosine_similarities_of_negative_zero_products_are_positive_zero():
+    values = cosine_similarities(emb(1, 0), [emb(-0.0, -1), emb(1, 1), emb(-0.0, 1)])
+    assert values[0] == values[2] == 0.0
+    assert math.copysign(1.0, values[0]) == math.copysign(1.0, values[2]) == 1.0
+
+
+def test_cosine_similarities_of_no_rows_is_empty():
+    assert cosine_similarities(emb(1, 0), []) == []
+
+
+def test_embedding_norm_is_the_sequential_length_and_kept():
+    embedding = emb(3, 4)
+    assert embedding.norm == 5.0
+    assert embedding.norm is embedding.norm
 
 
 _coords = st.lists(
@@ -274,6 +356,7 @@ def test_align_evidence_captures_per_sentence_errors():
     assert aligned[0].error is None
     assert aligned[1].label is AlignmentLabel.IRRELEVANT
     assert "MockScriptMiss" in aligned[1].error
+    assert aligned[1].provenance is Provenance.PROMPT_PIPELINE
 
 
 def test_align_evidence_empty_input():

@@ -15,7 +15,6 @@ from tracer.causality import (
     ImplicitQuestion,
     build_causal_graph,
     evaluate_all,
-    evaluate_counterfactual,
     generate_implicit_questions,
     infer_assumptions,
     select_critical_assumptions,
@@ -27,6 +26,7 @@ from tracer.errors import (
     UnevaluatedAssumption,
     UnparseableChoice,
 )
+from tracer.gateway import TemplateCatalog, render_template
 
 from conftest import make_gateway
 
@@ -216,8 +216,9 @@ def test_counterfactual_letter_mapping(letter, effect):
         rules=[{"template": "counterfactual", "response": letter}]
     )
     graph = graph_of("a1", "a2")
-    assert evaluate_counterfactual(gateway, graph, 1) is effect
-    prompt = script.call_log[0].prompt
+    evaluated = evaluate_all(gateway, graph)
+    assert [a.causal_effect for a in evaluated.assumptions] == [effect, effect]
+    prompt = script.call_log[1].prompt
     assert "Y_2" in prompt  # the do-target rides in the prompt
     assert '"Y_1": "a1"' in prompt  # full argument serialized inline
 
@@ -225,7 +226,7 @@ def test_counterfactual_letter_mapping(letter, effect):
 def test_counterfactual_rejects_out_of_range_letter():
     gateway, _ = make_gateway(rules=[{"template": "counterfactual", "response": "E"}])
     with pytest.raises(UnparseableChoice):
-        evaluate_counterfactual(gateway, graph_of("a"), 0)
+        evaluate_all(gateway, graph_of("a"))
 
 
 def test_evaluate_all_one_call_per_assumption():
@@ -242,6 +243,17 @@ def test_evaluate_all_one_call_per_assumption():
     ]
     # original graph is untouched
     assert all(a.causal_effect is None for a in graph.assumptions)
+
+
+def test_evaluate_all_prompts_carry_the_whole_argument_and_each_target():
+    gateway, script = make_gateway(rules=[{"template": "counterfactual", "response": "A"}])
+    graph = graph_of("a1", "a2", "a3")
+    evaluate_all(gateway, graph)
+    template = TemplateCatalog.bundled().get("counterfactual")
+    assert [call.prompt for call in script.call_log] == [
+        render_template(template, {"argument": serialize_argument(graph), "letter": f"Y_{i}"})
+        for i in (1, 2, 3)
+    ]
 
 
 def test_evaluate_all_preserves_text_and_flags():

@@ -172,6 +172,49 @@ def test_run_is_deterministic_and_cached(capsys, tmp_path):
     assert second_manifest["counters"]["backend_calls"] == 0  # pure cache replay
 
 
+_SCENARIO_COLD_COUNTERS = {
+    "backend_calls": 28,
+    "by_template": {
+        "assumptions": 1,
+        "cot_verdict": 1,
+        "counterfactual": 2,
+        "implicit_questions": 1,
+        "implicity": 1,
+        "intent_generation": 1,
+        "nli": 2,
+        "plausibility": 1,
+        "presentation": 4,
+        "readability": 1,
+        "reassessment": 1,
+        "relevance": 4,
+        "sufficiency": 1,
+    },
+    "completion_cache_hits": 0,
+    "completion_requests": 21,
+    "embedding_cache_hits": 9,
+    "embedding_requests": 16,
+}
+_SCENARIO_WARM_COUNTERS = {
+    "backend_calls": 0,
+    "by_template": {},
+    "completion_cache_hits": 21,
+    "completion_requests": 21,
+    "embedding_cache_hits": 16,
+    "embedding_requests": 16,
+}
+
+
+def test_run_manifest_counters_are_exact(capsys, tmp_path):
+    cache = str(tmp_path / "cache.jsonl")
+    for tag, expected in (("cold", _SCENARIO_COLD_COUNTERS), ("warm", _SCENARIO_WARM_COUNTERS)):
+        manifest_path = tmp_path / f"manifest-{tag}.json"
+        code, _, _, _ = _run_scenario(
+            capsys, tmp_path, "--cache", cache, "--manifest", str(manifest_path)
+        )
+        assert code == 0
+        assert json.loads(manifest_path.read_text())["counters"] == expected, tag
+
+
 def test_run_base_only_ablation_keeps_base_label(capsys, tmp_path):
     code, out, _, _ = _run_scenario(capsys, tmp_path, "--ablation", "cfg1")
     assert code == 0

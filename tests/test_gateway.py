@@ -28,6 +28,7 @@ from tracer.gateway import (
     PromptTemplate,
     ResponseCache,
     TemplateCatalog,
+    embedding_key,
     parse_letter_choice,
     render_template,
 )
@@ -421,6 +422,70 @@ def test_gateway_embed_returns_cached_embedding():
     assert first.vector.tolist() == [1.0, 0.0]
     assert first == second
     assert len(script.call_log) == 1
+    assert gateway.counters.embedding_cache_hits == 1
+
+
+def test_gateway_embed_repeats_return_one_object_and_count_every_request():
+    gateway, script = make_gateway(embeddings=[{"text": "e", "vector": [1.0, 0.0]}])
+    first = gateway.embed("e")
+    for repeat in range(1, 4):
+        assert gateway.embed("e") is first
+        assert gateway.counters.embedding_requests == repeat + 1
+        assert gateway.counters.embedding_cache_hits == repeat
+    assert gateway.counters.backend_calls == 1
+    assert len(script.call_log) == 1
+
+
+def test_gateway_embed_after_cache_clear_reaches_the_backend():
+    gateway, script = make_gateway(embeddings=[{"text": "e", "vector": [1.0, 0.0]}])
+    gateway.embed("e")
+    gateway.embed("e")
+    gateway.cache.clear()
+    assert gateway.embed("e").vector.tolist() == [1.0, 0.0]
+    assert gateway.counters.backend_calls == 2
+    assert len(script.call_log) == 2
+    assert gateway.counters.embedding_requests == 3
+    assert gateway.counters.embedding_cache_hits == 1
+
+
+def test_gateway_embed_answers_what_the_cache_now_holds():
+    gateway, _ = make_gateway(embeddings=[{"text": "e", "vector": [1.0, 0.0]}])
+    gateway.embed("e")
+    gateway.cache.put(embedding_key(gateway.embedding_model_id, "e"), [0.0, 1.0])
+    assert gateway.embed("e").vector.tolist() == [0.0, 1.0]
+    assert gateway.counters.embedding_cache_hits == 1
+
+
+class _FlakyEmbedder:
+    """Backend whose first embed call fails."""
+
+    model_id = "flaky"
+
+    def __init__(self):
+        self.embed_calls = 0
+
+    def complete(self, template_id, prompt, decoding):
+        raise BackendError("no completions here")
+
+    def embed(self, text):
+        self.embed_calls += 1
+        if self.embed_calls == 1:
+            raise BackendError("transient")
+        return [1.0, 0.0]
+
+
+def test_gateway_embed_failure_is_retried_on_the_next_call():
+    backend = _FlakyEmbedder()
+    gateway = Gateway(backend=backend, cache=ResponseCache())
+    with pytest.raises(BackendError):
+        gateway.embed("e")
+    embedding = gateway.embed("e")
+    assert embedding.vector.tolist() == [1.0, 0.0]
+    assert backend.embed_calls == 2
+    assert gateway.counters.backend_calls == 1
+    assert gateway.embed("e") == embedding
+    assert backend.embed_calls == 2
+    assert gateway.counters.embedding_requests == 3
     assert gateway.counters.embedding_cache_hits == 1
 
 

@@ -5,7 +5,7 @@ import json
 import pytest
 import requests
 
-from tracer.alignment import AlignmentLabel, ExternalAlignmentClassifier
+from tracer.alignment import AlignmentLabel, ExternalAlignmentClassifier, Provenance
 from tracer.causality import Assumption, CausalEffect
 from tracer.che import CheCandidate, ExternalNliClassifier, NliVerdict
 from tracer.config import ABLATION_CONFIGS, Thresholds
@@ -388,6 +388,7 @@ def test_pipeline_records_alignment_classifier_failures(failure):
     for aligned in report.aligned_evidence:
         assert aligned.error.startswith("BackendError: ")
         assert "http://host/align" in aligned.error
+        assert aligned.provenance is Provenance.EXTERNAL_CLASSIFIER
 
 
 @pytest.mark.parametrize("failure", sorted(_CLASSIFIER_FAILURES))
