@@ -22,7 +22,7 @@ import numpy as np
 from .config import Thresholds
 from .errors import BackendError, DimensionMismatch, TracerError, ZeroVector
 from .gateway import Embedding, Gateway, parse_letter_choice
-from .gateway.backends import post_json
+from .gateway.backends import CircuitBreaker, post_json
 
 
 class AlignmentLabel(str, Enum):
@@ -125,15 +125,18 @@ class ExternalAlignmentClassifier:
     Request: POST {"claim": ..., "sentence": ...}
     Response: {"label": "Presented" | "Hidden", "confidence": number}
 
-    Requests go through ``post_json`` (retried, no API key sent); any
-    failure, including an answer of another shape, is a ``BackendError``.
+    Requests go through ``post_json`` (retried, no API key sent) behind a
+    ``CircuitBreaker``; any failure, including an answer of another shape,
+    is a ``BackendError``.
     """
 
     def __init__(self, endpoint: str, timeout: float = 30.0, post=None):
         self.endpoint = endpoint
         self.timeout = timeout
         # injectable for tests; default goes over the network
-        self._post = post or (lambda url, payload: post_json(url, payload, timeout=self.timeout))
+        self._post = CircuitBreaker(
+            post or (lambda url, payload: post_json(url, payload, timeout=self.timeout))
+        )
 
     def classify(self, claim: str, sentence: str) -> tuple[AlignmentLabel, float]:
         data = self._post(self.endpoint, {"claim": claim, "sentence": sentence})

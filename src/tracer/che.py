@@ -19,7 +19,7 @@ from .causality import Assumption
 from .config import Thresholds
 from .errors import BackendError
 from .gateway import Gateway, parse_letter_choice
-from .gateway.backends import post_json
+from .gateway.backends import CircuitBreaker, post_json
 
 
 class NliVerdict(str, Enum):
@@ -51,15 +51,18 @@ class ExternalNliClassifier:
     Request: POST {"premise": ..., "hypothesis": ...}
     Response: {"verdict": "Entail" | "Contradict" | "Neutral"}
 
-    Requests go through ``post_json`` (retried, no API key sent); any
-    failure, including an answer of another shape, is a ``BackendError``.
+    Requests go through ``post_json`` (retried, no API key sent) behind a
+    ``CircuitBreaker``; any failure, including an answer of another shape,
+    is a ``BackendError``.
     """
 
     def __init__(self, endpoint: str, timeout: float = 30.0, post=None):
         self.endpoint = endpoint
         self.timeout = timeout
         # injectable for tests; default goes over the network
-        self._post = post or (lambda url, payload: post_json(url, payload, timeout=self.timeout))
+        self._post = CircuitBreaker(
+            post or (lambda url, payload: post_json(url, payload, timeout=self.timeout))
+        )
 
     def check(self, premise: str, hypothesis: str) -> NliVerdict:
         data = self._post(self.endpoint, {"premise": premise, "hypothesis": hypothesis})

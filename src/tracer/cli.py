@@ -4,8 +4,8 @@
     tracer run         run the pipeline end to end over a corpus
     tracer eval        score a verdict report against gold labels
     tracer ablate      run every stage-gating configuration and compare
-    tracer cache-stats show persistent cache entries and file size
-    tracer cache-clear drop the persistent cache
+    tracer cache-stats show persistent cache entries and the size of its files
+    tracer cache-clear drop the persistent cache and its vector file
 
 Exit codes: 0 success; 1 usage, configuration, or unreadable input;
 2 inconsistent data (duplicate ids, missing predictions, empty scoring
@@ -91,10 +91,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ablate.add_argument("--output", help="write per-config results as JSON here")
 
-    stats = sub.add_parser("cache-stats", help="show cache entries and file size")
+    stats = sub.add_parser("cache-stats", help="show cache entries and the size of its files")
     stats.add_argument("--cache", required=True)
 
-    clear = sub.add_parser("cache-clear", help="drop the cache file")
+    clear = sub.add_parser("cache-clear", help="drop the cache file and its vector file")
     clear.add_argument("--cache", required=True)
 
     return parser

@@ -81,7 +81,7 @@ class MockScriptMiss(BackendError):
 
 
 class CacheCorruption(TracerError):
-    """The persistent response cache contains an undecodable record."""
+    """An undecodable cache record, or one past the end of the vector file."""
 
 
 # ---------------------------------------------------------------------------

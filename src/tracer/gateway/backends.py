@@ -10,6 +10,9 @@ Parse failures downstream are never retried here.
 ``LiveBackend`` speaks the OpenAI-compatible wire format for the two
 endpoints the pipeline needs: chat completions and embeddings.
 
+``CircuitBreaker`` stops the external classifiers from POSTing to an
+endpoint that keeps failing.
+
 ``requests`` is imported only when a session is made or a request is
 sent, so offline runs never pay for importing it.
 """
@@ -26,6 +29,8 @@ API_KEY_ENV = "TRACER_API_KEY"
 DEFAULT_BASE_URL = "https://api.openai.com/v1"
 RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
 DEFAULT_MAX_TOKENS = 1024
+# consecutive failed POSTs after which a circuit breaker stops sending
+CIRCUIT_BREAKER_FAILURES = 3
 
 
 @dataclass(frozen=True)
@@ -88,6 +93,39 @@ def post_json(
             raise BackendError(
                 f"POST {url} returned undecodable body", retries=attempts - 1
             ) from exc
+
+
+class CircuitBreaker:
+    """A ``post(url, payload)`` that gives up on an endpoint that keeps failing.
+
+    Every ``BackendError`` from the wrapped post (raised only after
+    ``post_json``'s own retries) counts as one failed POST, and a success
+    resets the count. After ``CIRCUIT_BREAKER_FAILURES`` failures in a
+    row the circuit stays open: every later call raises ``BackendError``
+    at once, naming the open circuit and the last error, and sends
+    nothing. A dead endpoint then costs a run that many failed POSTs,
+    not a full backoff for every request.
+    """
+
+    def __init__(self, post):
+        self._post = post
+        self._failures = 0
+        self._last_error: BackendError | None = None
+
+    def __call__(self, url: str, payload: dict):
+        if self._failures >= CIRCUIT_BREAKER_FAILURES:
+            raise BackendError(
+                f"circuit open for {url} after {self._failures} consecutive failed POSTs; "
+                f"last error: {self._last_error}"
+            )
+        try:
+            data = self._post(url, payload)
+        except BackendError as exc:
+            self._failures += 1
+            self._last_error = exc
+            raise
+        self._failures = 0
+        return data
 
 
 class LiveBackend:

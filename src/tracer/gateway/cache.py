@@ -1,21 +1,37 @@
 """Persistent response cache.
 
-An append-only file of JSON records, one per line, each holding a key
-digest and the cached value. A completion is ``{"key": k, "value":
-"text"}``; an embedding is ``{"key": k, "vector": "<base64>"}``, the
-base64 of the vector's little-endian float64 bytes, which round-trips
-every bit and encodes and decodes far faster than a list of floats.
-Records of the older form ``{"key": k, "value": [floats]}`` are still
-read, so existing caches replay, but never written.
+Two append-only files. The cache file holds JSON records, one per line,
+each under a key digest. A completion is ``{"key": k, "value": "text"}``.
+An embedding is an index record ``{"key": k, "at": offset, "dim": n}``
+for ``n`` little-endian float64 values that start ``offset`` bytes into
+the vector file, which sits beside the cache file under its name plus
+``.vectors``. Raw float64 bytes round-trip every bit and load without
+any decoding.
 
-The whole file is read once at open; later appends win on duplicate
-keys, so an interrupted run can simply be re-run. A last line with no
-newline that does not decode is an append torn by a dying writer: it is
-skipped, and the first append cuts it off, unless another writer has
+Write order: ``put`` appends a vector's bytes to the vector file and
+flushes them, and only then appends the index record to the cache file.
+The offset is the vector handle's position after that write, not a
+running count, so it stays right when another writer appends too.
+
+Read order: the whole cache file is read once at open, then the whole
+vector file in one read, and every vector is a read-only view into that
+one buffer. An index record is written after its bytes, so every record
+read has its bytes on disk; one that points past the end of the vector
+file is ``CacheCorruption``. Later records win on duplicate keys, so an
+interrupted run can simply be re-run.
+
+What a crash leaves: a writer that dies between its two writes leaves
+vector bytes no record points at; they are never read, and the next
+vector lands after them. A writer that dies inside an append to the
+cache file leaves a last line with no newline. If it does not decode it
+is skipped, and the first append cuts it off, unless another writer has
 appended since the load (the line may then have been an append still in
 progress, now whole). Any other undecodable line is ``CacheCorruption``.
-Reads are lock-free; writes are serialized through one append handle,
-flushed after every record.
+
+Embeddings written by earlier versions, ``{"key": k, "vector":
+"<base64>"}`` and ``{"key": k, "value": [floats]}``, still load but are
+never written. Reads are lock-free; writes are serialized through one
+append handle per file, flushed after every record.
 
 Embedding vectors are held in memory as read-only float64 arrays (see
 ``frozen_vector``). Every caller that gets a vector shares the one
@@ -29,6 +45,7 @@ import hashlib
 import json
 import threading
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,10 +98,26 @@ def frozen_vector(values) -> np.ndarray:
     return array
 
 
+class _VectorRef(NamedTuple):
+    """Where an index record says a vector lies in the vector file."""
+
+    at: int
+    dim: int
+
+
 def _decode(line: bytes):
-    """(key, value) of one cache line; raises ValueError, TypeError or KeyError."""
+    """(key, value) of one cache line; raises ValueError, TypeError or KeyError.
+
+    The value of an index record is a ``_VectorRef``, resolved once the
+    vector file is read.
+    """
     record = json.loads(line)
     key = record["key"]
+    if "at" in record:
+        at, dim = record["at"], record["dim"]
+        if type(at) is not int or type(dim) is not int or at < 0 or dim < 0:
+            raise ValueError(f"bad vector index: at={at!r} dim={dim!r}")
+        return key, _VectorRef(at, dim)
     if "vector" in record:
         raw = base64.b64decode(record["vector"], validate=True)
         return key, frozen_vector(np.frombuffer(raw, dtype="<f8"))
@@ -92,15 +125,6 @@ def _decode(line: bytes):
     if isinstance(value, list):
         value = frozen_vector(value)
     return key, value
-
-
-def _encode(key: str, value) -> bytes:
-    if isinstance(value, str):
-        record = {"key": key, "value": value}
-    else:
-        vector = base64.b64encode(value.astype("<f8", copy=False).tobytes()).decode("ascii")
-        record = {"key": key, "vector": vector}
-    return (json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8")
 
 
 class ResponseCache:
@@ -113,9 +137,15 @@ class ResponseCache:
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
+        # its name begins with the cache file's, so tools that copy or
+        # remove a cache by name prefix take both files
+        self._vector_path = (
+            self.path.with_name(self.path.name + ".vectors") if self.path is not None else None
+        )
         self._entries: dict[str, object] = {}
         self._lock = threading.Lock()
         self._handle = None
+        self._vector_handle = None
         # the last line when it lacks its newline, as (offset, bytes,
         # whether it decoded): a torn append, or a whole record whose
         # writer died before the newline (older writers wrote them apart)
@@ -124,6 +154,7 @@ class ResponseCache:
             self._load()
 
     def _load(self) -> None:
+        refs: list[tuple[int, str, _VectorRef]] = []
         offset = 0
         with self.path.open("rb") as handle:
             for line_number, line in enumerate(handle, start=1):
@@ -133,7 +164,8 @@ class ResponseCache:
                     continue
                 try:
                     key, value = _decode(line)
-                # ValueError covers undecodable JSON, bad base64 and a non-numeric vector
+                # ValueError covers undecodable JSON, bad base64, a bad
+                # index and a non-numeric vector
                 except (ValueError, TypeError, KeyError):
                     if line.endswith(b"\n"):
                         raise CacheCorruption(
@@ -142,8 +174,34 @@ class ResponseCache:
                     self._open_tail = (start, line, False)
                     continue
                 self._entries[key] = value
+                if isinstance(value, _VectorRef):
+                    refs.append((line_number, key, value))
                 if not line.endswith(b"\n"):
                     self._open_tail = (start, line, True)
+        if refs:
+            self._resolve(refs)
+
+    def _resolve(self, refs: list[tuple[int, str, _VectorRef]]) -> None:
+        """Replace each index record's placeholder by its vector.
+
+        Read after the cache file, so the bytes of every record read are
+        already in the vector file; bytes appended since are not needed.
+        """
+        try:
+            data = self._vector_path.read_bytes()
+        except FileNotFoundError:
+            data = b""
+        for line_number, key, ref in refs:
+            if ref.at + 8 * ref.dim > len(data):
+                raise CacheCorruption(
+                    f"{self.path}: the vector record at line {line_number} points past "
+                    f"the end of {self._vector_path} ({len(data)} bytes)"
+                )
+            # unless a later record for the key replaced this one
+            if self._entries[key] is ref:
+                self._entries[key] = frozen_vector(
+                    np.frombuffer(data, dtype="<f8", count=ref.dim, offset=ref.at)
+                )
 
     def _file_ends_with_open_tail(self) -> bool:
         """Whether no other writer has appended to the file since the load."""
@@ -164,6 +222,17 @@ class ResponseCache:
             self._open_tail = None
         return self._handle
 
+    def _append_vector(self, vector: np.ndarray) -> int:
+        """Append the vector's bytes to the vector file; returns their offset."""
+        if self._vector_handle is None:
+            self._vector_handle = self._vector_path.open("ab")
+        raw = vector.astype("<f8", copy=False).tobytes()
+        self._vector_handle.write(raw)
+        self._vector_handle.flush()
+        # the position after the write, not a running count: in append
+        # mode the bytes land at the end, after any other writer's
+        return self._vector_handle.tell() - len(raw)
+
     def get(self, key: str):
         """Cached value for key, or None."""
         return self._entries.get(key)
@@ -174,23 +243,34 @@ class ResponseCache:
             value = frozen_vector(value)
         with self._lock:
             self._entries[key] = value
-            if self.path is not None:
-                handle = self._append_handle()
-                handle.write(_encode(key, value))
-                handle.flush()
+            if self.path is None:
+                return
+            if isinstance(value, str):
+                record = {"key": key, "value": value}
+            else:
+                # the bytes are flushed before the record that points at them
+                record = {"key": key, "at": self._append_vector(value), "dim": value.size}
+            handle = self._append_handle()
+            handle.write((json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8"))
+            handle.flush()
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
+            for handle in (self._handle, self._vector_handle):
+                if handle is not None:
+                    handle.close()
+            self._handle = self._vector_handle = None
             self._open_tail = None
-            if self.path is not None and self.path.exists():
-                self.path.unlink()
+            if self.path is not None:
+                self.path.unlink(missing_ok=True)
+                self._vector_path.unlink(missing_ok=True)
 
     def stats(self) -> dict:
-        size = self.path.stat().st_size if self.path is not None and self.path.exists() else 0
+        """Entry count, cache file path, and the bytes of both files."""
+        size = 0
+        if self.path is not None:
+            size = sum(p.stat().st_size for p in (self.path, self._vector_path) if p.exists())
         return {
             "entries": len(self._entries),
             "path": str(self.path) if self.path is not None else None,

@@ -326,10 +326,11 @@ def run_pipeline(
 
     Never raises for a single claim's sake: a hard failure in any
     TRACER stage downgrades the claim to its base verdict and the trace
-    says which stage failed and why. Only the two foundation stages
-    (alignment input handling and base verification) can fail the claim
-    outright, and base verification failures surface as a report with an
-    error trace rather than an exception.
+    says which stage failed and why. Only the two foundation stages can
+    fail the claim outright: alignment, when the claim has evidence and
+    every sentence failed, and base verification. Either surfaces as a
+    report with an error trace rather than an exception, and no later
+    stage runs.
     """
     stages: list[StageTrace] = []
     report = VerdictReport(
@@ -357,16 +358,16 @@ def run_pipeline(
     report.aligned_evidence = aligned
     errors = sum(1 for a in aligned if a.error)
     hidden = hidden_pool(aligned)
-    stages.append(
-        StageTrace(
-            "alignment",
-            "ok" if not errors else "failed",
-            f"presented={sum(1 for a in aligned if a.label is AlignmentLabel.PRESENTED)} "
-            f"hidden={len(hidden)} "
-            f"irrelevant={sum(1 for a in aligned if a.label is AlignmentLabel.IRRELEVANT)}"
-            + (f" errors={errors}" if errors else ""),
-        )
+    detail = (
+        f"presented={sum(1 for a in aligned if a.label is AlignmentLabel.PRESENTED)} "
+        f"hidden={len(hidden)} "
+        f"irrelevant={sum(1 for a in aligned if a.label is AlignmentLabel.IRRELEVANT)}"
+        + (f" errors={errors}" if errors else "")
     )
+    if aligned and errors == len(aligned):
+        # a verdict on no aligned evidence would be scored as a real prediction
+        return _fail_claim(report, "alignment", f"every evidence sentence failed: {detail}")
+    stages.append(StageTrace("alignment", "ok" if not errors else "failed", detail))
 
     relevant = [
         a.sentence for a in aligned if a.label is not AlignmentLabel.IRRELEVANT

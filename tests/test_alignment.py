@@ -392,6 +392,28 @@ def test_external_classifier_rejects_irrelevant_answer():
         classifier.classify("c", "s")
 
 
+def test_external_classifier_stops_posting_to_a_dead_endpoint():
+    posts = []
+
+    def dead_post(url, payload):
+        posts.append(payload["sentence"])
+        raise BackendError(f"POST {url} failed: connection refused", retries=3)
+
+    classifier = ExternalAlignmentClassifier("http://host/align", post=dead_post)
+    gateway, script = _pipeline_gateway()
+    sentences = [f"sentence {i}" for i in range(10)]
+    aligned = align_evidence(gateway, "claim", "our ruling", sentences, classifier=classifier)
+    assert posts == sentences[:3]
+    assert [a.sentence for a in aligned] == sentences
+    for a in aligned:
+        assert a.error.startswith("BackendError: ")
+        assert a.provenance is Provenance.EXTERNAL_CLASSIFIER
+    for a in aligned[3:]:
+        assert "circuit open for http://host/align after 3 consecutive failed POSTs" in a.error
+        assert "last error: POST http://host/align failed: connection refused" in a.error
+    assert script.call_log == []
+
+
 # -- pools ----------------------------------------------------------------
 
 

@@ -14,6 +14,7 @@ from tracer.che import (
     retrieve_che,
 )
 from tracer.config import Thresholds
+from tracer.errors import BackendError
 from tracer.fixtures import make_retrieval_fixture
 from tracer.gateway import Gateway, ResponseCache
 
@@ -56,6 +57,32 @@ def test_nli_check_external_classifier_bypasses_gateway():
     assert verdict is NliVerdict.CONTRADICT
     assert script.call_log == []
     assert posts == [{"premise": "p", "hypothesis": "h"}]
+
+
+def test_external_nli_classifier_circuit_resets_on_success_and_opens_after_three_failures():
+    answers = iter([False, False, True, False, False, True, False, False, False])
+    posts = []
+
+    def flaky_post(url, payload):
+        posts.append(payload)
+        if not next(answers):
+            raise BackendError(f"POST {url} returned 503", retries=3)
+        return {"verdict": "Neutral"}
+
+    classifier = ExternalNliClassifier("http://host/nli", post=flaky_post)
+    outcomes = []
+    for _ in range(11):
+        try:
+            outcomes.append(classifier.check("p", "h"))
+        except BackendError as exc:
+            outcomes.append(str(exc))
+    assert len(posts) == 9  # the last two calls send nothing
+    assert outcomes[2] is NliVerdict.NEUTRAL and outcomes[5] is NliVerdict.NEUTRAL
+    assert outcomes[8] == "POST http://host/nli returned 503 (after 3 retries)"
+    assert outcomes[9:] == [
+        "circuit open for http://host/nli after 3 consecutive failed POSTs; "
+        "last error: POST http://host/nli returned 503 (after 3 retries)"
+    ] * 2
 
 
 # -- single-assumption retrieval -------------------------------------------

@@ -2,15 +2,20 @@
 
 import hashlib
 import json
+import shutil
+import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from tracer.cli import main
 from tracer.corpus import save_corpus
+from tracer.gateway import ResponseCache
 from tracer.fixtures import (
     SCENARIO_CLAIM,
+    SCENARIO_EXPECTED,
     SCENARIO_MOCK,
     data_path,
     generate_synthetic_corpus,
@@ -447,6 +452,65 @@ def test_cache_stats_and_clear(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "cache-stats", "--cache", str(cache))
     assert code == 0
     assert json.loads(out)["entries"] == 0
+
+
+def test_cache_stats_and_manifest_count_the_vector_file(capsys, tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    vectors = tmp_path / "cache.jsonl.vectors"
+    code, _, _, out_path = _run_scenario(capsys, tmp_path, "--cache", str(cache))
+    assert code == 0
+    assert vectors.stat().st_size > 0
+
+    code, out, _ = run_cli(capsys, "cache-stats", "--cache", str(cache))
+    assert code == 0
+    stats = json.loads(out)
+    assert stats["file_bytes"] == cache.stat().st_size + vectors.stat().st_size
+    manifest = json.loads((tmp_path / "reports.jsonl.manifest.json").read_text())
+    assert manifest["cache"] == stats
+
+
+@pytest.mark.parametrize("cache_file_too", [True, False], ids=["both", "orphan-vectors"])
+def test_cache_clear_removes_the_vector_file(capsys, tmp_path, cache_file_too):
+    cache = tmp_path / "cache.jsonl"
+    vectors = tmp_path / "cache.jsonl.vectors"
+    _run_scenario(capsys, tmp_path, "--cache", str(cache))
+    if not cache_file_too:  # a crash before the first index record was written
+        cache.unlink()
+    code, _, _ = run_cli(capsys, "cache-clear", "--cache", str(cache))
+    assert code == 0
+    assert not cache.exists()
+    assert not vectors.exists()
+
+
+# A cache the previous format wrote for the scenario: six base64 vector
+# records and one list-of-floats record, with no vector file.
+_BASE64_SCENARIO_CACHE = Path(__file__).parent / "data" / "scenario_cache_base64.jsonl"
+
+
+def test_run_replays_a_base64_cache_and_writes_new_vectors_beside_it(capsys, tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    vectors = tmp_path / "cache.jsonl.vectors"
+    shutil.copyfile(_BASE64_SCENARIO_CACHE, cache)
+    expected_digest = hashlib.sha256(data_path(SCENARIO_EXPECTED).read_bytes()).hexdigest()
+
+    code, _, _, _ = _run_scenario(capsys, tmp_path, "--cache", str(cache))
+    assert code == 0
+    manifest = json.loads((tmp_path / "reports.jsonl.manifest.json").read_text())
+    assert manifest["counters"]["backend_calls"] == 0
+    assert manifest["report_digest"] == expected_digest
+    assert cache.read_bytes() == _BASE64_SCENARIO_CACHE.read_bytes()
+    assert not vectors.exists()
+
+    ResponseCache(cache).put("new", [0.25, -0.0])
+    assert json.loads(cache.read_text().splitlines()[-1]) == {"key": "new", "at": 0, "dim": 2}
+    assert vectors.read_bytes() == struct.pack("<2d", 0.25, -0.0)
+
+    code, _, _, _ = _run_scenario(capsys, tmp_path, "--cache", str(cache))
+    assert code == 0
+    manifest = json.loads((tmp_path / "reports.jsonl.manifest.json").read_text())
+    assert manifest["counters"]["backend_calls"] == 0
+    assert manifest["report_digest"] == expected_digest
+    assert manifest["cache"]["entries"] == 29  # 28 loaded plus the new vector
 
 
 # -- parser behavior ------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import string
+import struct
 import threading
 
 import numpy as np
@@ -112,11 +113,21 @@ def test_cache_persists_and_reloads(tmp_path):
     assert reloaded.get("k2").tolist() == [1.0, 2.0]
     assert len(reloaded) == 2
     assert path.read_text(encoding="utf-8") == (
-        '{"key": "k1", "value": "v1"}\n{"key": "k2", "vector": "AAAAAAAA8D8AAAAAAAAAQA=="}\n'
+        '{"key": "k1", "value": "v1"}\n{"key": "k2", "at": 0, "dim": 2}\n'
     )
+    assert (tmp_path / "cache.jsonl.vectors").read_bytes() == struct.pack("<2d", 1.0, 2.0)
 
 
-_SPECIAL_FLOATS = [-0.0, 5e-324, -2.2250738585072e-308, float("inf"), float("-inf"), float("nan")]
+_SPECIAL_FLOATS = [
+    -0.0,
+    5e-324,
+    -2.2250738585072e-308,
+    float("inf"),
+    float("-inf"),
+    float("nan"),
+    # quiet NaNs with a payload, one of them with the sign bit set
+    *struct.unpack("<2d", bytes.fromhex("010000000000f87f" "00000000addef8ff")),
+]
 
 
 @given(
@@ -135,6 +146,9 @@ def test_cache_vector_round_trip_is_bit_exact(tmp_path_factory, dim, seed, speci
     loaded = ResponseCache(path).get("v")
     assert loaded.dtype == np.float64
     assert loaded.tobytes() == vector.tobytes()
+    # the raw bytes sit in the vector file, not in the JSON record
+    assert json.loads(path.read_bytes()) == {"key": "v", "at": 0, "dim": len(vector)}
+    assert (path.parent / "cache.jsonl.vectors").read_bytes() == vector.astype("<f8").tobytes()
 
 
 def test_cache_loaded_vector_is_read_only(tmp_path):
@@ -261,7 +275,14 @@ def test_cache_later_appends_win(tmp_path):
     cache = ResponseCache(path)
     cache.put("k", "old")
     cache.put("k", "new")
-    assert ResponseCache(path).get("k") == "new"
+    cache.put("v", [1.0])
+    cache.put("v", "text after a vector")
+    cache.put("t", "text")
+    cache.put("t", [2.0])
+    reloaded = ResponseCache(path)
+    assert reloaded.get("k") == "new"
+    assert reloaded.get("v") == "text after a vector"
+    assert reloaded.get("t").tolist() == [2.0]
 
 
 def test_cache_corruption_names_the_line(tmp_path):
@@ -305,15 +326,105 @@ def test_cache_concurrent_writers(tmp_path):
     def writer(start):
         for i in range(start, start + 50):
             cache.put(f"k{i}", f"v{i}")
+            cache.put(f"e{i}", [float(i)] * (i % 7 + 1))
 
     threads = [threading.Thread(target=writer, args=(n * 50,)) for n in range(4)]
     for t in threads:
         t.start()
     for t in threads:
-        t.join()
+        t.join(timeout=30)
+        assert not t.is_alive()
     reloaded = ResponseCache(path)
-    assert len(reloaded) == 200
+    assert len(reloaded) == 400
     assert reloaded.get("k123") == "v123"
+    for i in range(200):
+        assert reloaded.get(f"e{i}").tolist() == [float(i)] * (i % 7 + 1)
+
+
+def _vector_file(path):
+    return path.with_name(path.name + ".vectors")
+
+
+@pytest.mark.parametrize("orphan_bytes", [24, 5], ids=["whole-vector", "torn-vector"])
+def test_cache_vector_bytes_orphaned_by_a_crash_are_never_read(tmp_path, orphan_bytes):
+    path = tmp_path / "cache.jsonl"
+    ResponseCache(path).put("a", [1.0, 2.0])
+    # a writer that died after (or while) writing a vector, before its index record
+    with _vector_file(path).open("ab") as dying:
+        dying.write(struct.pack("<3d", 3.0, 4.0, 5.0)[:orphan_bytes])
+
+    reopened = ResponseCache(path)
+    assert len(reopened) == 1
+    assert reopened.get("a").tolist() == [1.0, 2.0]
+    reopened.put("c", [-0.0, 6.0])
+    last = json.loads(path.read_text(encoding="utf-8").splitlines()[-1])
+    assert last == {"key": "c", "at": 16 + orphan_bytes, "dim": 2}
+
+    reloaded = ResponseCache(path)
+    assert len(reloaded) == 2
+    assert reloaded.get("a").tolist() == [1.0, 2.0]
+    assert reloaded.get("c").tobytes() == struct.pack("<2d", -0.0, 6.0)
+
+
+@pytest.mark.parametrize(
+    "vector_bytes, line", [(23, 3), (8, 2), (None, 2)], ids=["last", "first", "no-file"]
+)
+def test_cache_index_record_past_the_vector_file_end_is_corruption(tmp_path, vector_bytes, line):
+    path = tmp_path / "cache.jsonl"
+    cache = ResponseCache(path)
+    cache.put("a", "text")
+    cache.put("v", [1.0, 2.0])
+    cache.put("w", [3.0])
+    vectors = _vector_file(path)
+    if vector_bytes is None:
+        vectors.unlink()
+    else:
+        vectors.write_bytes(vectors.read_bytes()[:vector_bytes])
+    with pytest.raises(CacheCorruption) as excinfo:
+        ResponseCache(path)
+    assert f"line {line} points past the end" in str(excinfo.value)
+
+
+@pytest.mark.parametrize(
+    "index",
+    ['"at": -8, "dim": 1', '"at": "0", "dim": 1', '"at": 0, "dim": 1.0', '"at": true, "dim": 1', '"at": 0'],
+    ids=["negative", "string", "float", "bool", "no-dim"],
+)
+def test_cache_malformed_index_record_is_corruption(tmp_path, index):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(f'{{"key": "a", "value": "b"}}\n{{"key": "v", {index}}}\n', encoding="utf-8")
+    _vector_file(path).write_bytes(bytes(64))
+    with pytest.raises(CacheCorruption) as excinfo:
+        ResponseCache(path)
+    assert "line 2" in str(excinfo.value)
+
+
+def test_cache_two_writers_appending_in_turn_keep_every_vector(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    writers = [ResponseCache(path), ResponseCache(path)]
+    written = {}
+    for i in range(8):
+        vector = np.random.default_rng(i).standard_normal(i + 1)
+        writers[i % 2].put(f"k{i}", vector)
+        written[f"k{i}"] = vector
+    writers[0].put("k0", [7.0])  # a later record wins
+    written["k0"] = np.array([7.0])
+
+    reloaded = ResponseCache(path)
+    assert len(reloaded) == len(written)
+    for key, vector in written.items():
+        assert reloaded.get(key).tobytes() == vector.tobytes()
+
+
+def test_cache_loaded_vectors_share_one_buffer(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    cache = ResponseCache(path)
+    cache.put("a", [1.0, 2.0])
+    cache.put("b", [3.0])
+    reloaded = ResponseCache(path)
+    a, b = reloaded.get("a"), reloaded.get("b")
+    assert a.base is not None and a.base is b.base
+    assert not a.flags.writeable and not b.flags.writeable
 
 
 # -- mock backend --------------------------------------------------------

@@ -10,12 +10,13 @@ from tracer.causality import Assumption, CausalEffect
 from tracer.che import CheCandidate, ExternalNliClassifier, NliVerdict
 from tracer.config import ABLATION_CONFIGS, Thresholds
 from tracer.corpus import ClaimRecord, Label
-from tracer.errors import EmptyJustification, ParseError, UnparseableChoice
+from tracer.errors import BackendError, EmptyJustification, ParseError, UnparseableChoice
 from tracer.fixtures import load_expected_report, load_scenario_record, make_scenario_gateway
 from tracer.gateway.backends import post_json
 from tracer.verdict import (
     BaseVerdict,
     FinalVerdict,
+    StageTrace,
     VerdictSource,
     cot_verify,
     load_base_verdicts,
@@ -381,14 +382,45 @@ def test_pipeline_records_alignment_classifier_failures(failure):
     classifier = ExternalAlignmentClassifier(
         "http://host/align", post=_CLASSIFIER_FAILURES[failure]
     )
-    gateway, _ = _pipeline_gateway()
+    gateway, script = _pipeline_gateway()
     report = run_pipeline(gateway, _record(), alignment_classifier=classifier)
-    assert (report.stages[0].stage, report.stages[0].status) == ("alignment", "failed")
+    assert [(row.stage, row.status) for row in report.stages] == [("alignment", "failed")]
+    assert report.stages[0].detail.startswith("every evidence sentence failed: ")
     assert report.stages[0].detail.endswith(" errors=2")
+    # every sentence failed, so the claim fails instead of being verified on no evidence
+    assert script.calls_for("cot_verdict") == []
+    assert report.final_verdict.label is Label.FALSE
+    assert report.final_verdict.fallback_reason == report.stages[0].detail
     for aligned in report.aligned_evidence:
         assert aligned.error.startswith("BackendError: ")
         assert "http://host/align" in aligned.error
         assert aligned.provenance is Provenance.EXTERNAL_CLASSIFIER
+
+
+def test_pipeline_goes_on_when_only_some_sentences_fail_alignment():
+    def post(url, payload):
+        if payload["sentence"] == "E2 hidden.":
+            raise BackendError(f"POST {url} failed: connection refused")
+        return {"label": "Presented"}
+
+    classifier = ExternalAlignmentClassifier("http://host/align", post=post)
+    gateway, script = _pipeline_gateway()
+    report = run_pipeline(gateway, _record(), alignment_classifier=classifier)
+    assert report.stages[0] == StageTrace(
+        "alignment", "failed", "presented=1 hidden=0 irrelevant=1 errors=1"
+    )
+    assert report.stages[1] == StageTrace("base_verdict", "ok", "CoT")
+    assert len(script.calls_for("cot_verdict")) == 1
+
+
+def test_pipeline_claim_without_evidence_is_still_verified():
+    record = _record()
+    record.evidence = []
+    gateway, script = _pipeline_gateway()
+    report = run_pipeline(gateway, record)
+    assert report.stages[0] == StageTrace("alignment", "ok", "presented=0 hidden=0 irrelevant=0")
+    assert report.stages[1] == StageTrace("base_verdict", "ok", "CoT")
+    assert len(script.calls_for("cot_verdict")) == 1
 
 
 @pytest.mark.parametrize("failure", sorted(_CLASSIFIER_FAILURES))
