@@ -12,7 +12,6 @@ import pytest
 
 from tracer.cli import main
 from tracer.corpus import save_corpus
-from tracer.gateway import ResponseCache
 from tracer.fixtures import (
     SCENARIO_CLAIM,
     SCENARIO_EXPECTED,
@@ -20,6 +19,7 @@ from tracer.fixtures import (
     data_path,
     generate_synthetic_corpus,
 )
+from tracer.gateway import ResponseCache
 
 SCENARIO_CORPUS = str(data_path(SCENARIO_CLAIM))
 SCENARIO_SCRIPT = str(data_path(SCENARIO_MOCK))
@@ -457,7 +457,7 @@ def test_cache_stats_and_clear(capsys, tmp_path):
 def test_cache_stats_and_manifest_count_the_vector_file(capsys, tmp_path):
     cache = tmp_path / "cache.jsonl"
     vectors = tmp_path / "cache.jsonl.vectors"
-    code, _, _, out_path = _run_scenario(capsys, tmp_path, "--cache", str(cache))
+    code, _, _, _ = _run_scenario(capsys, tmp_path, "--cache", str(cache))
     assert code == 0
     assert vectors.stat().st_size > 0
 
@@ -482,8 +482,8 @@ def test_cache_clear_removes_the_vector_file(capsys, tmp_path, cache_file_too):
     assert not vectors.exists()
 
 
-# A cache the previous format wrote for the scenario: six base64 vector
-# records and one list-of-floats record, with no vector file.
+# The scenario's cache in the format written before the vector file: six
+# base64 vector records, one list-of-floats record, and no vector file.
 _BASE64_SCENARIO_CACHE = Path(__file__).parent / "data" / "scenario_cache_base64.jsonl"
 
 
