@@ -1,5 +1,6 @@
 """Scoring and stage ablation: what each pipeline stage buys."""
 
+from tracer.cli import run_ablation
 from tracer.corpus import Label
 from tracer.fixtures import (
     SCENARIO_MOCK,
@@ -7,7 +8,7 @@ from tracer.fixtures import (
     load_scenario_record,
 )
 from tracer.gateway import Gateway, MockScript, ResponseCache
-from tracer.metrics import format_table, run_ablation, score_labels
+from tracer.metrics import format_table, score_labels
 
 T, H, F = Label.TRUE, Label.HALF_TRUE, Label.FALSE
 

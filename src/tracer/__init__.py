@@ -72,8 +72,8 @@ from .metrics import (
     MetricsReport,
     confusion_matrix,
     per_class_prf,
-    run_ablation,
     score_labels,
+    score_reports,
     summarize,
 )
 from .verdict import (
@@ -85,6 +85,16 @@ from .verdict import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # run_ablation lives in tracer.cli, imported on first use: importing it
+    # here would load it twice under ``python -m tracer.cli``
+    if name == "run_ablation":
+        from .cli import run_ablation
+        return run_ablation
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ABLATION_CONFIGS",
@@ -141,6 +151,7 @@ __all__ = [
     "save_corpus",
     "score_labels",
     "score_quality",
+    "score_reports",
     "select_critical_assumptions",
     "serialize_argument",
     "split_article",

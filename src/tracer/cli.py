@@ -19,17 +19,19 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .alignment import ExternalAlignmentClassifier
 from .che import ExternalNliClassifier
-from .config import ABLATION_CONFIGS, BackendSettings, RunConfig, Thresholds, load_config
-from .corpus import Label, load_corpus, save_corpus
-from .errors import ConfigError, EmptyInput, MissingPrediction, ParseError, TracerError
+from .config import ABLATION_CONFIGS, AblationConfig, BackendSettings, RunConfig, load_config
+from .corpus import ClaimRecord, Label, load_corpus, save_corpus
+from .errors import ConfigError, EmptyInput, ParseError, TracerError
 from .gateway import Gateway, LiveBackend, MockScript, ResponseCache, api_key_from_env
-from .metrics import format_table, run_ablation, score_labels
-from .verdict import load_base_verdicts, run_pipeline, save_reports
+from .gateway.cache import remove_cache_files
+from .metrics import MetricsReport, format_table, score_reports
+from .verdict import VerdictReport, load_base_verdicts, load_reports, run_pipeline, save_reports
 
 
 class _Parser(argparse.ArgumentParser):
@@ -155,22 +157,65 @@ def _build_gateway(settings: BackendSettings, cache_path: str | None) -> Gateway
     cache = ResponseCache(cache_path)
     if settings.mode == "mock":
         backend = _load_mock_script(settings.mock_script)
-        return Gateway(
-            backend=backend, cache=cache, max_in_flight=settings.concurrency
+    else:
+        backend = LiveBackend(
+            model_id=settings.model_id,
+            embedding_model_id=settings.embedding_model_id,
+            base_url=settings.base_url,
+            # fail before any work when the key is missing
+            api_key=api_key_from_env(),
         )
-    # fail before any work when the key is missing
-    key = api_key_from_env()
-    backend = LiveBackend(
-        model_id=settings.model_id,
-        embedding_model_id=settings.embedding_model_id,
-        base_url=settings.base_url,
-        api_key=key,
-    )
     return Gateway(backend=backend, cache=cache, max_in_flight=settings.concurrency)
 
 
-def _file_digest(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+# -- running a corpus ----------------------------------------------------
+
+
+def run_corpus(
+    gateway: Gateway, records: Iterable[ClaimRecord], **options
+) -> Iterator[VerdictReport]:
+    """Yield one report per record, in corpus order.
+
+    ``options`` go to ``run_pipeline``, looked up as this module's global
+    so that a wrapper put in its place sees every claim.
+    """
+    for record in records:
+        yield run_pipeline(gateway, record, **options)
+
+
+@dataclass
+class AblationResult:
+    config: AblationConfig
+    reports: list[VerdictReport]
+    metrics: MetricsReport | None
+    call_counts: dict  # per-template backend completion calls
+
+
+def run_ablation(
+    records: Sequence[ClaimRecord],
+    configs: Sequence[AblationConfig] | None = None,
+    *,
+    gateway_factory: Callable[[], Gateway],
+) -> dict[str, AblationResult]:
+    """Run the pipeline once per ablation configuration (all by default).
+
+    Each configuration gets a fresh gateway (and therefore fresh call
+    counters and cache) from the factory, so per-template call counts
+    attribute cleanly to that configuration's gating.
+    """
+    if configs is None:
+        configs = [ABLATION_CONFIGS[name] for name in sorted(ABLATION_CONFIGS)]
+    results: dict[str, AblationResult] = {}
+    for config in configs:
+        gateway = gateway_factory()
+        reports = list(run_corpus(gateway, records, ablation=config))
+        results[config.name] = AblationResult(
+            config=config,
+            reports=reports,
+            metrics=score_reports(records, reports),
+            call_counts=dict(sorted(gateway.counters.by_template.items())),
+        )
+    return results
 
 
 # -- command handlers ----------------------------------------------------
@@ -210,31 +255,25 @@ def cmd_run(args) -> int:
     nli_classifier = ExternalNliClassifier(args.nli_endpoint) if args.nli_endpoint else None
 
     reports = []
-    for record in corpus.records:
-        report = run_pipeline(
-            gateway,
-            record,
-            thresholds=config.thresholds,
-            ablation=config.ablation,
-            reassess_true_only=config.reassess_true_only,
-            base_verdicts=base_verdicts,
-            alignment_classifier=alignment_classifier,
-            nli_classifier=nli_classifier,
-        )
+    for report in run_corpus(
+        gateway,
+        corpus.records,
+        thresholds=config.thresholds,
+        ablation=config.ablation,
+        reassess_true_only=config.reassess_true_only,
+        base_verdicts=base_verdicts,
+        alignment_classifier=alignment_classifier,
+        nli_classifier=nli_classifier,
+    ):
         reports.append(report)
-        print(f"{record.id}: {report.final_verdict.label.value}")
+        print(f"{report.id}: {report.final_verdict.label.value}")
 
     save_reports(config.output_path, reports)
-    digest = _file_digest(config.output_path)
+    digest = hashlib.sha256(Path(config.output_path).read_bytes()).hexdigest()
     print(f"report digest: {digest}")
 
-    scored = [
-        (record.gold_label, report.final_verdict.label)
-        for record, report in zip(corpus.records, reports)
-        if record.gold_label is not None
-    ]
-    if scored:
-        metrics = score_labels([g for g, _ in scored], [p for _, p in scored])
+    metrics = score_reports(corpus.records, reports)
+    if metrics is not None:
         print(format_table(metrics))
 
     manifest_path = args.manifest or f"{config.output_path}.manifest.json"
@@ -254,21 +293,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    from .verdict import load_reports
-
     reports = load_reports(args.report)
-    corpus = load_corpus(args.gold)
-    predictions = {report.id: report.final_verdict.label for report in reports}
-    gold_records = [r for r in corpus.records if r.gold_label is not None]
-    if not gold_records:
+    metrics = score_reports(load_corpus(args.gold).records, reports)
+    if metrics is None:
         raise EmptyInput("gold corpus contains no labeled records")
-    gold, pred = [], []
-    for record in gold_records:
-        if record.id not in predictions:
-            raise MissingPrediction(record.id)
-        gold.append(record.gold_label)
-        pred.append(predictions[record.id])
-    metrics = score_labels(gold, pred)
     print(format_table(metrics))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -283,16 +311,10 @@ def cmd_ablate(args) -> int:
     unknown = [name for name in names if name not in ABLATION_CONFIGS]
     if unknown:
         raise ConfigError(f"unknown ablation configs: {', '.join(unknown)}")
-    corpus = load_corpus(args.corpus)
-    script_path = args.mock
-
-    def gateway_factory() -> Gateway:
-        return Gateway(backend=_load_mock_script(script_path), cache=ResponseCache())
-
     results = run_ablation(
-        corpus.records,
+        load_corpus(args.corpus).records,
         configs=[ABLATION_CONFIGS[name] for name in names],
-        gateway_factory=gateway_factory,
+        gateway_factory=lambda: Gateway(backend=_load_mock_script(args.mock), cache=ResponseCache()),
     )
     payload = {}
     for name in names:
@@ -321,10 +343,9 @@ def cmd_cache_stats(args) -> int:
 
 
 def cmd_cache_clear(args) -> int:
-    cache = ResponseCache(args.cache)
-    entries = len(cache)
-    cache.clear()
-    print(f"cleared {entries} entries from {args.cache}")
+    # reads neither file, so a cache too damaged to load can still be dropped
+    remove_cache_files(args.cache)
+    print(f"cleared {args.cache}")
     return 0
 
 
@@ -346,10 +367,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code or 0
     try:
         return _HANDLERS[args.command](args)
-    except (ConfigError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ConfigError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except TracerError as exc:

@@ -98,6 +98,19 @@ def frozen_vector(values) -> np.ndarray:
     return array
 
 
+def _vector_path(path: Path) -> Path:
+    # its name begins with the cache file's, so tools that copy or remove
+    # a cache by name prefix take both files
+    return path.with_name(path.name + ".vectors")
+
+
+def remove_cache_files(path: str | Path) -> None:
+    """Delete a cache file and its vector file without reading either."""
+    path = Path(path)
+    path.unlink(missing_ok=True)
+    _vector_path(path).unlink(missing_ok=True)
+
+
 class _VectorRef(NamedTuple):
     """Where an index record says a vector lies in the vector file."""
 
@@ -137,11 +150,7 @@ class ResponseCache:
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
-        # its name begins with the cache file's, so tools that copy or
-        # remove a cache by name prefix take both files
-        self._vector_path = (
-            self.path.with_name(self.path.name + ".vectors") if self.path is not None else None
-        )
+        self._vector_path = _vector_path(self.path) if self.path is not None else None
         self._entries: dict[str, object] = {}
         self._lock = threading.Lock()
         self._handle = None
@@ -263,8 +272,7 @@ class ResponseCache:
             self._handle = self._vector_handle = None
             self._open_tail = None
             if self.path is not None:
-                self.path.unlink(missing_ok=True)
-                self._vector_path.unlink(missing_ok=True)
+                remove_cache_files(self.path)
 
     def stats(self) -> dict:
         """Entry count, cache file path, and the bytes of both files."""

@@ -1,25 +1,19 @@
-"""Scoring and ablation harness.
-
-Three-way confusion matrix, per-class precision/recall/F1, accuracy,
-macro-F1, and the dedicated Half-True F1 the half-truth task is judged
-on. The ablation runner executes the pipeline under each stage gating
-and reports metrics together with per-template call counts, so the
-effect of switching a stage off is visible both in scores and in the
-calls the stage no longer makes.
+"""Scoring: three-way confusion matrix, per-class precision/recall/F1,
+accuracy, macro-F1, and the dedicated Half-True F1 the half-truth task
+is judged on, from label lists or from a corpus and its verdict reports.
+Ablations run the pipeline, so they live in ``tracer.cli``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import ABLATION_CONFIGS, AblationConfig, Thresholds
 from .corpus import LABELS, ClaimRecord, Label
-from .errors import EmptyInput, LengthMismatch
-from .gateway import Gateway
-from .verdict import VerdictReport, run_pipeline
+from .errors import EmptyInput, LengthMismatch, MissingPrediction
+from .verdict import VerdictReport
 
 _INDEX = {label: i for i, label in enumerate(LABELS)}
 
@@ -108,6 +102,27 @@ def score_labels(gold: Sequence[Label], pred: Sequence[Label]) -> MetricsReport:
     return summarize(confusion_matrix(gold, pred))
 
 
+def score_reports(
+    records: Sequence[ClaimRecord], reports: Iterable[VerdictReport]
+) -> MetricsReport | None:
+    """Score each gold-labelled record against the report with its id.
+
+    Reports of other ids are ignored. None when no record has a gold
+    label; a gold record with no report is MissingPrediction, naming the
+    first such id in corpus order.
+    """
+    predictions = {report.id: report.final_verdict.label for report in reports}
+    gold, pred = [], []
+    for record in records:
+        if record.gold_label is None:
+            continue
+        if record.id not in predictions:
+            raise MissingPrediction(record.id)
+        gold.append(record.gold_label)
+        pred.append(predictions[record.id])
+    return score_labels(gold, pred) if gold else None
+
+
 def format_table(report: MetricsReport) -> str:
     """Aligned plain-text rendering of a MetricsReport."""
     width = max(len(label.value) for label in LABELS)
@@ -126,69 +141,13 @@ def format_table(report: MetricsReport) -> str:
     return "\n".join(lines)
 
 
-@dataclass
-class AblationResult:
-    config: AblationConfig
-    reports: list[VerdictReport]
-    metrics: MetricsReport | None
-    call_counts: dict  # per-template backend completion calls
-
-
-def run_ablation(
-    records: Sequence[ClaimRecord],
-    configs: Sequence[AblationConfig] | None = None,
-    gateway_factory: Callable[[], Gateway] | None = None,
-    thresholds: Thresholds = Thresholds(),
-    reassess_true_only: bool = False,
-) -> dict[str, AblationResult]:
-    """Run the pipeline once per ablation configuration.
-
-    Each configuration gets a fresh gateway (and therefore fresh call
-    counters and cache) from the factory, so per-template call counts
-    attribute cleanly to that configuration's gating.
-    """
-    if gateway_factory is None:
-        raise ValueError("run_ablation needs a gateway factory")
-    if configs is None:
-        configs = [ABLATION_CONFIGS[name] for name in sorted(ABLATION_CONFIGS)]
-    results: dict[str, AblationResult] = {}
-    for config in configs:
-        gateway = gateway_factory()
-        reports = [
-            run_pipeline(
-                gateway,
-                record,
-                thresholds=thresholds,
-                ablation=config,
-                reassess_true_only=reassess_true_only,
-            )
-            for record in records
-        ]
-        scored = [
-            (record.gold_label, report.final_verdict.label)
-            for record, report in zip(records, reports)
-            if record.gold_label is not None
-        ]
-        metrics = None
-        if scored:
-            metrics = score_labels([g for g, _ in scored], [p for _, p in scored])
-        results[config.name] = AblationResult(
-            config=config,
-            reports=reports,
-            metrics=metrics,
-            call_counts=dict(sorted(gateway.counters.by_template.items())),
-        )
-    return results
-
-
 __all__ = [
-    "AblationResult",
     "ConfusionMatrix",
     "MetricsReport",
     "confusion_matrix",
     "format_table",
     "per_class_prf",
-    "run_ablation",
     "score_labels",
+    "score_reports",
     "summarize",
 ]

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from tracer.alignment import cosine_similarity
-from tracer.cli import main as cli_main
+from tracer.cli import main as cli_main, run_ablation
 from tracer.che import retrieve_che
 from tracer.config import Thresholds
 from tracer.corpus import (
@@ -41,7 +41,7 @@ from tracer.fixtures import (
     make_scenario_gateway,
 )
 from tracer.gateway import Embedding, Gateway, MockScript, ResponseCache
-from tracer.metrics import run_ablation, score_labels
+from tracer.metrics import score_labels
 from tracer.verdict import run_pipeline, save_reports
 
 from test_parser_robustness import _RUNNERS, _expected_error

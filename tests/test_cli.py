@@ -1,5 +1,6 @@
 """Command line: subcommands, output shapes, exit codes, manifests."""
 
+import dataclasses
 import hashlib
 import json
 import shutil
@@ -10,14 +11,17 @@ from pathlib import Path
 
 import pytest
 
+import tracer.cli
 from tracer.cli import main
-from tracer.corpus import save_corpus
+from tracer.config import ABLATION_CONFIGS
+from tracer.corpus import Corpus, Split, save_corpus
 from tracer.fixtures import (
     SCENARIO_CLAIM,
     SCENARIO_EXPECTED,
     SCENARIO_MOCK,
     data_path,
     generate_synthetic_corpus,
+    load_scenario_record,
 )
 from tracer.gateway import ResponseCache
 
@@ -175,6 +179,67 @@ def test_run_is_deterministic_and_cached(capsys, tmp_path):
     assert first_manifest["report_digest"] == second_manifest["report_digest"]
     assert first_manifest["counters"]["backend_calls"] > 0
     assert second_manifest["counters"]["backend_calls"] == 0  # pure cache replay
+
+
+def _record_pipeline_calls(monkeypatch) -> list:
+    """Wrap ``tracer.cli.run_pipeline``; returns the list its calls land in."""
+    calls = []
+    run_pipeline = tracer.cli.run_pipeline
+
+    def recording_run_pipeline(*args, **kwargs):
+        calls.append(args)
+        return run_pipeline(*args, **kwargs)
+
+    monkeypatch.setattr(tracer.cli, "run_pipeline", recording_run_pipeline)
+    return calls
+
+
+def _scenario_copies(tmp_path, ids) -> str:
+    """A corpus of scenario claims under the given ids, in that order."""
+    record = load_scenario_record()
+    path = tmp_path / "copies.jsonl"
+    records = [dataclasses.replace(record, id=record_id) for record_id in ids]
+    save_corpus(Corpus(split=Split.TEST, records=records), path)
+    return str(path)
+
+
+# the benchmark times each claim by wrapping tracer.cli.run_pipeline, so
+# every claim of a run must reach it there, as a positional (gateway, record)
+def test_run_calls_cli_run_pipeline_once_per_record_in_corpus_order(
+    capsys, monkeypatch, tmp_path
+):
+    ids = ["c-3", "c-1", "c-2"]
+    calls = _record_pipeline_calls(monkeypatch)
+    code, out, _ = run_cli(
+        capsys,
+        "run",
+        "--corpus",
+        _scenario_copies(tmp_path, ids),
+        "--mock",
+        SCENARIO_SCRIPT,
+        "--output",
+        str(tmp_path / "reports.jsonl"),
+    )
+    assert code == 0
+    assert [record.id for _, record in calls] == ids
+    assert len({id(gateway) for gateway, _ in calls}) == 1
+    assert [line.split(":")[0] for line in out.splitlines()[:3]] == ids
+
+
+def test_ablate_calls_cli_run_pipeline_once_per_record_per_config(
+    capsys, monkeypatch, tmp_path
+):
+    ids = ["c-3", "c-1"]
+    calls = _record_pipeline_calls(monkeypatch)
+    code, _, _ = run_cli(
+        capsys, "ablate", "--corpus", _scenario_copies(tmp_path, ids), "--mock", SCENARIO_SCRIPT
+    )
+    assert code == 0
+    assert [record.id for _, record in calls] == ids * len(ABLATION_CONFIGS)
+    # one fresh gateway per config, shared by that config's records
+    gateways = [gateway for gateway, _ in calls]
+    assert len(set(map(id, gateways))) == len(ABLATION_CONFIGS)
+    assert all(a is b for a, b in zip(gateways[::2], gateways[1::2]))
 
 
 _SCENARIO_COLD_COUNTERS = {
@@ -414,6 +479,29 @@ def test_ablate_reports_gating_per_config(capsys, tmp_path):
     assert payload["cfg1"]["metrics"]["accuracy"] == 0.0
 
 
+# tracer ablate's stdout, less its last line, and its --output bytes on
+# the scenario corpus and script
+_ABLATE_STDOUT = Path(__file__).parent / "data" / "scenario_ablate_stdout.txt"
+_ABLATE_OUTPUT = Path(__file__).parent / "data" / "scenario_ablate.json"
+
+
+def test_ablate_stdout_and_output_bytes_are_pinned(capsys, tmp_path):
+    out_path = tmp_path / "ablation.json"
+    code, out, _ = run_cli(
+        capsys,
+        "ablate",
+        "--corpus",
+        SCENARIO_CORPUS,
+        "--mock",
+        SCENARIO_SCRIPT,
+        "--output",
+        str(out_path),
+    )
+    assert code == 0
+    assert out == _ABLATE_STDOUT.read_text(encoding="utf-8") + f"wrote {out_path}\n"
+    assert out_path.read_bytes() == _ABLATE_OUTPUT.read_bytes()
+
+
 def test_ablate_unknown_config_exits_one(capsys):
     code, _, err = run_cli(
         capsys,
@@ -443,10 +531,9 @@ def test_cache_stats_and_clear(capsys, tmp_path):
     assert stats["path"] == str(cache)
     assert set(stats) == {"entries", "path", "file_bytes"}
 
-    entries = stats["entries"]
     code, out, _ = run_cli(capsys, "cache-clear", "--cache", str(cache))
     assert code == 0
-    assert f"cleared {entries} entries" in out
+    assert f"cleared {cache}" in out
     assert not cache.exists()
 
     code, out, _ = run_cli(capsys, "cache-stats", "--cache", str(cache))
@@ -476,6 +563,31 @@ def test_cache_clear_removes_the_vector_file(capsys, tmp_path, cache_file_too):
     _run_scenario(capsys, tmp_path, "--cache", str(cache))
     if not cache_file_too:  # a crash before the first index record was written
         cache.unlink()
+    code, _, _ = run_cli(capsys, "cache-clear", "--cache", str(cache))
+    assert code == 0
+    assert not cache.exists()
+    assert not vectors.exists()
+
+
+def _corrupt_middle_line(cache, vectors):
+    lines = cache.read_bytes().splitlines(keepends=True)
+    lines[1] = b"garbage\n"
+    cache.write_bytes(b"".join(lines))
+
+
+def _cut_vector_file_short(cache, vectors):
+    vectors.write_bytes(vectors.read_bytes()[:-8])
+
+
+@pytest.mark.parametrize("damage", [_corrupt_middle_line, _cut_vector_file_short])
+def test_cache_clear_removes_a_cache_that_does_not_load(capsys, tmp_path, damage):
+    cache = tmp_path / "cache.jsonl"
+    vectors = tmp_path / "cache.jsonl.vectors"
+    _run_scenario(capsys, tmp_path, "--cache", str(cache))
+    damage(cache, vectors)
+    code, _, err = run_cli(capsys, "cache-stats", "--cache", str(cache))
+    assert code == 2, err  # the damage is real: the cache no longer loads
+
     code, _, _ = run_cli(capsys, "cache-clear", "--cache", str(cache))
     assert code == 0
     assert not cache.exists()
@@ -570,3 +682,14 @@ def test_importing_the_cli_does_not_import_requests():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_package_exports_run_ablation_without_importing_the_cli():
+    # ``python -m tracer.cli`` would warn and run a second copy of the
+    # module if importing the package had already imported it
+    code = "import sys, tracer; print('tracer.cli' in sys.modules, tracer.run_ablation.__module__)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "tracer.cli"]

@@ -6,19 +6,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tracer.cli import run_ablation
 from tracer.config import ABLATION_CONFIGS
 from tracer.corpus import LABELS, ClaimRecord, Label
-from tracer.errors import EmptyInput, LengthMismatch
+from tracer.errors import EmptyInput, LengthMismatch, MissingPrediction
 from tracer.fixtures import generate_random_fixture
 from tracer.gateway import Gateway, MockScript, ResponseCache
 from tracer.metrics import (
     confusion_matrix,
     format_table,
     per_class_prf,
-    run_ablation,
     score_labels,
+    score_reports,
     summarize,
 )
+from tracer.verdict import BaseVerdict, FinalVerdict, VerdictReport, VerdictSource
 
 T, H, F = Label.TRUE, Label.HALF_TRUE, Label.FALSE
 
@@ -187,6 +189,51 @@ def test_format_table_contains_every_figure():
     assert "n             4" in table
 
 
+# -- scoring reports against gold ------------------------------------------------
+
+
+def _gold(record_id, label):
+    return ClaimRecord(id=record_id, claim="c", gold_label=label)
+
+
+def _report(record_id, label):
+    return VerdictReport(
+        id=record_id,
+        aligned_evidence=[],
+        intent=None,
+        intent_quality=None,
+        causal_argument=None,
+        che=[],
+        base_verdict=BaseVerdict(label, "j", VerdictSource.COT),
+        final_verdict=FinalVerdict(label=label, reassessed=False),
+    )
+
+
+def test_score_reports_pairs_by_id_whatever_the_report_order():
+    records = [_gold("a", T), _gold("b", H), _gold("c", F)]
+    reports = [_report("c", H), _report("a", T), _report("b", H)]
+    assert score_reports(records, reports) == score_labels([T, H, F], [T, H, H])
+
+
+def test_score_reports_ignores_reports_of_other_ids_and_unlabeled_records():
+    records = [_gold("a", T), ClaimRecord(id="u", claim="c"), _gold("b", H)]
+    reports = [_report("x", F), _report("a", T), _report("u", F), _report("b", H)]
+    assert score_reports(records, reports) == score_labels([T, H], [T, H])
+
+
+def test_score_reports_names_the_first_gold_id_without_a_report():
+    records = [_gold("a", T), _gold("b", H), _gold("c", F)]
+    with pytest.raises(MissingPrediction) as raised:
+        score_reports(records, [_report("a", T)])
+    assert raised.value.record_id == "b"
+
+
+def test_score_reports_without_gold_is_none():
+    records = [ClaimRecord(id="u", claim="c")]
+    assert score_reports(records, [_report("u", T)]) is None
+    assert score_reports([], []) is None
+
+
 # -- ablation harness ------------------------------------------------------------
 
 _ABLATION_SCRIPT = {
@@ -236,7 +283,7 @@ def _factory():
 
 
 def test_run_ablation_requires_factory():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         run_ablation(_records())
 
 
