@@ -311,6 +311,9 @@ def cmd_ablate(args) -> int:
     unknown = [name for name in names if name not in ABLATION_CONFIGS]
     if unknown:
         raise ConfigError(f"unknown ablation configs: {', '.join(unknown)}")
+    repeated = [name for name in dict.fromkeys(names) if names.count(name) > 1]
+    if repeated:
+        raise ConfigError(f"repeated ablation configs: {', '.join(repeated)}")
     results = run_ablation(
         load_corpus(args.corpus).records,
         configs=[ABLATION_CONFIGS[name] for name in names],

@@ -18,7 +18,14 @@ import numpy as np
 
 from ..errors import EmptyInput
 from .backends import API_KEY_ENV, Decoding, LiveBackend, api_key_from_env
-from .cache import ResponseCache, completion_key, embedding_key, frozen_vector
+from .cache import (
+    ResponseCache,
+    _legacy_completion_key,
+    _legacy_embedding_key,
+    completion_key,
+    embedding_key,
+    frozen_vector,
+)
 from .mock import MockCall, MockScript
 from .parsing import parse_binary_digit, parse_bracketed, parse_letter_choice
 from .templates import PromptTemplate, TemplateCatalog, render_template
@@ -87,6 +94,11 @@ class Gateway:
     (``"mock"`` when it names none). ``counters`` counts every request,
     cache hit and backend call. A bounded semaphore caps in-flight
     backend requests when callers fan out across threads.
+
+    A request that misses a cache holding keys in the form earlier
+    versions wrote (``cache.has_legacy_keys``) is looked up under its
+    legacy key too, and a hit there counts as a hit. Every new record is
+    written under the new key.
     """
 
     def __init__(self, backend, cache: ResponseCache | None = None, max_in_flight: int = 4):
@@ -108,14 +120,17 @@ class Gateway:
     def complete(self, template_id: str, **bindings) -> str:
         """Render the catalog template with the bindings and complete it."""
         prompt = render_template(self.catalog.get(template_id), bindings)
-        key = completion_key(
+        request = (
             self.model_id,
             template_id,
             prompt,
             self.decoding.temperature,
             self.decoding.max_tokens,
         )
+        key = completion_key(*request)
         cached = self.cache.get(key)
+        if cached is None and self.cache.has_legacy_keys:
+            cached = self.cache.get(_legacy_completion_key(*request))
         with self._counter_lock:
             self.counters.completion_requests += 1
             if cached is not None:
@@ -142,16 +157,26 @@ class Gateway:
         object without recomputing its key, but only while the cache
         still holds that very vector: after ``cache.clear()`` the next
         request goes to the backend again. A failed backend call leaves
-        nothing behind, so the next request retries it.
+        nothing behind, so the next request retries it. A text found
+        under its legacy key is remembered with that key, so its legacy
+        key is computed only once.
         """
         if not text or not text.strip():
             raise EmptyInput("cannot embed empty text")
         remembered = self._embedded.get(text)
-        if remembered is not None:
+        cached = self.cache.get(remembered[0]) if remembered is not None else None
+        if cached is not None:
             key = remembered[0]
         else:
+            # a remembered key that misses may be a legacy one, and a
+            # miss is written under the new key
             key = embedding_key(self.embedding_model_id, text)
-        cached = self.cache.get(key)
+            cached = self.cache.get(key)
+            if cached is None and self.cache.has_legacy_keys:
+                legacy_key = _legacy_embedding_key(self.embedding_model_id, text)
+                cached = self.cache.get(legacy_key)
+                if cached is not None:
+                    key = legacy_key
         with self._counter_lock:
             self.counters.embedding_requests += 1
             if cached is not None:

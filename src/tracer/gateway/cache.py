@@ -28,6 +28,15 @@ is skipped, and the first append cuts it off, unless another writer has
 appended since the load (the line may then have been an append still in
 progress, now whole). Any other undecodable line is ``CacheCorruption``.
 
+A key is the sha256 of a short header (kind, model, and for a
+completion its template and decoding) followed by the prompt or text as
+raw UTF-8, written as 43 unpadded base64url characters; see
+``completion_key``. Earlier versions keyed on the 64 hex characters of
+the sha256 of a JSON encoding of the request. A cache that loads any key
+of that length is marked ``has_legacy_keys``, and the Gateway then looks
+a missed request up under its legacy key too; records are always written
+under new keys, and legacy records are never rewritten.
+
 Embeddings written by earlier versions, ``{"key": k, "vector":
 "<base64>"}`` and ``{"key": k, "value": [floats]}``, still load but are
 never written. Reads are lock-free; writes are serialized through one
@@ -52,14 +61,44 @@ import numpy as np
 from ..errors import CacheCorruption
 
 
+def _digest(header: str, text: str) -> str:
+    """sha256 of the header then the text, as 43 unpadded base64url characters."""
+    digest = hashlib.sha256((header + text).encode("utf-8")).digest()
+    return base64.urlsafe_b64encode(digest)[:43].decode("ascii")
+
+
 def completion_key(
     model_id: str, template_id: str, prompt: str, temperature: float, max_tokens: int
 ) -> str:
     """Digest for a completion request.
 
     Keyed on the rendered prompt rather than the bindings, so editing a
-    template invalidates its cached responses.
+    template invalidates its cached responses. The hashed bytes are a
+    one-line header, then the prompt as raw UTF-8. The header names the
+    kind and gives each string with its length in characters, so no
+    field can run into the next and no character needs escaping: the
+    same request hashes to the same bytes on every interpreter.
     """
+    return _digest(
+        f"completion {len(model_id)}:{model_id} {len(template_id)}:{template_id} "
+        f"{float(temperature)!r} {int(max_tokens)}\n",
+        prompt,
+    )
+
+
+def embedding_key(model_id: str, text: str) -> str:
+    """Digest for an embedding request, hashed as ``completion_key`` is."""
+    return _digest(f"embedding {len(model_id)}:{model_id}\n", text)
+
+
+# Keys written by earlier versions: the hex sha256 of a JSON encoding of
+# the request. A cache that loaded any is still answered through them.
+_LEGACY_KEY_LENGTH = 64
+
+
+def _legacy_completion_key(
+    model_id: str, template_id: str, prompt: str, temperature: float, max_tokens: int
+) -> str:
     payload = json.dumps(
         {
             "kind": "completion",
@@ -75,7 +114,7 @@ def completion_key(
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def embedding_key(model_id: str, text: str) -> str:
+def _legacy_embedding_key(model_id: str, text: str) -> str:
     payload = json.dumps(
         {"kind": "embedding", "model": model_id, "text": text},
         sort_keys=True,
@@ -126,6 +165,8 @@ def _decode(line: bytes):
     """
     record = json.loads(line)
     key = record["key"]
+    if type(key) is not str:
+        raise TypeError(f"cache key is not a string: {key!r}")
     if "at" in record:
         at, dim = record["at"], record["dim"]
         if type(at) is not int or type(dim) is not int or at < 0 or dim < 0:
@@ -145,13 +186,15 @@ class ResponseCache:
 
     With ``path=None`` the cache is purely in-memory (useful for tests
     and one-shot runs). It counts nothing: requests and hits are counted
-    once, by ``Gateway.counters``.
+    once, by ``Gateway.counters``. ``has_legacy_keys`` tells whether the
+    file held any key in the form earlier versions wrote.
     """
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
         self._vector_path = _vector_path(self.path) if self.path is not None else None
         self._entries: dict[str, object] = {}
+        self.has_legacy_keys = False
         self._lock = threading.Lock()
         self._handle = None
         self._vector_handle = None
@@ -183,6 +226,8 @@ class ResponseCache:
                     self._open_tail = (start, line, False)
                     continue
                 self._entries[key] = value
+                if len(key) == _LEGACY_KEY_LENGTH:
+                    self.has_legacy_keys = True
                 if isinstance(value, _VectorRef):
                     refs.append((line_number, key, value))
                 if not line.endswith(b"\n"):
@@ -266,6 +311,7 @@ class ResponseCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
+            self.has_legacy_keys = False
             for handle in (self._handle, self._vector_handle):
                 if handle is not None:
                     handle.close()

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import tracer.cli
+import tracer.gateway.cache
 from tracer.cli import main
 from tracer.config import ABLATION_CONFIGS
 from tracer.corpus import Corpus, Split, save_corpus
@@ -517,6 +518,24 @@ def test_ablate_unknown_config_exits_one(capsys):
     assert "cfg9" in err
 
 
+def test_ablate_repeated_config_exits_one_naming_it(capsys, monkeypatch):
+    calls = _record_pipeline_calls(monkeypatch)
+    code, out, err = run_cli(
+        capsys,
+        "ablate",
+        "--corpus",
+        SCENARIO_CORPUS,
+        "--mock",
+        SCENARIO_SCRIPT,
+        "--configs",
+        "cfg1,cfg3,cfg1,cfg2,cfg3",
+    )
+    assert code == 1
+    assert "repeated ablation configs: cfg1, cfg3" in err
+    assert out == ""
+    assert calls == []
+
+
 # -- cache utilities ---------------------------------------------------------------
 
 
@@ -623,6 +642,55 @@ def test_run_replays_a_base64_cache_and_writes_new_vectors_beside_it(capsys, tmp
     assert manifest["counters"]["backend_calls"] == 0
     assert manifest["report_digest"] == expected_digest
     assert manifest["cache"]["entries"] == 29  # 28 loaded plus the new vector
+
+
+def _forbid_legacy_keys(monkeypatch):
+    def legacy_key(*args):
+        raise AssertionError("a cache started by this version computed a legacy key")
+
+    for module in (tracer.gateway, tracer.gateway.cache):
+        monkeypatch.setattr(module, "_legacy_completion_key", legacy_key)
+        monkeypatch.setattr(module, "_legacy_embedding_key", legacy_key)
+
+
+def test_run_on_a_fresh_cache_never_computes_a_legacy_key(capsys, monkeypatch, tmp_path):
+    _forbid_legacy_keys(monkeypatch)
+    cache = str(tmp_path / "cache.jsonl")
+    expected_digest = hashlib.sha256(data_path(SCENARIO_EXPECTED).read_bytes()).hexdigest()
+    for expected in (_SCENARIO_COLD_COUNTERS, _SCENARIO_WARM_COUNTERS):
+        code, _, err, _ = _run_scenario(capsys, tmp_path, "--cache", cache)
+        assert code == 0, err
+        manifest = json.loads((tmp_path / "reports.jsonl.manifest.json").read_text())
+        assert manifest["counters"] == expected
+        assert manifest["report_digest"] == expected_digest
+    assert all(len(json.loads(line)["key"]) == 43 for line in Path(cache).read_text().splitlines())
+
+
+def test_run_replays_legacy_records_and_the_new_records_written_beside_them(capsys, tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    legacy_lines = _BASE64_SCENARIO_CACHE.read_text(encoding="utf-8").splitlines(keepends=True)
+    # every other legacy record: the run misses the rest and writes them anew
+    kept = "".join(legacy_lines[::2])
+    cache.write_text(kept, encoding="utf-8")
+    expected_digest = hashlib.sha256(data_path(SCENARIO_EXPECTED).read_bytes()).hexdigest()
+
+    code, _, _, _ = _run_scenario(capsys, tmp_path, "--cache", str(cache))
+    assert code == 0
+    counters = json.loads((tmp_path / "reports.jsonl.manifest.json").read_text())["counters"]
+    assert counters["backend_calls"] > 0
+    assert counters["completion_cache_hits"] > 0
+    text = cache.read_text(encoding="utf-8")
+    assert text.startswith(kept)
+    appended = [json.loads(line)["key"] for line in text[len(kept) :].splitlines()]
+    assert len(appended) == counters["backend_calls"]
+    assert all(len(key) == 43 for key in appended)
+
+    code, _, _, _ = _run_scenario(capsys, tmp_path, "--cache", str(cache))
+    assert code == 0
+    manifest = json.loads((tmp_path / "reports.jsonl.manifest.json").read_text())
+    assert manifest["counters"] == _SCENARIO_WARM_COUNTERS
+    assert manifest["report_digest"] == expected_digest
+    assert cache.read_text(encoding="utf-8") == text
 
 
 # -- parser behavior ------------------------------------------------------------------

@@ -29,10 +29,14 @@ from tracer.gateway import (
     PromptTemplate,
     ResponseCache,
     TemplateCatalog,
+    GatewayCounters,
+    completion_key,
     embedding_key,
     parse_letter_choice,
     render_template,
 )
+
+from tracer.gateway.cache import _legacy_completion_key, _legacy_embedding_key
 
 from conftest import make_gateway
 
@@ -293,6 +297,15 @@ def test_cache_corruption_names_the_line(tmp_path):
     assert "line 2" in str(excinfo.value)
 
 
+@pytest.mark.parametrize("key", ["5", '["k"]', "null"])
+def test_cache_record_whose_key_is_not_a_string_is_corruption(tmp_path, key):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(f'{{"key": "a", "value": "b"}}\n{{"key": {key}, "value": "c"}}\n', encoding="utf-8")
+    with pytest.raises(CacheCorruption) as excinfo:
+        ResponseCache(path)
+    assert "line 2" in str(excinfo.value)
+
+
 def test_cache_non_numeric_vector_is_corruption(tmp_path):
     path = tmp_path / "cache.jsonl"
     path.write_text('{"key": "a", "value": "b"}\n{"key": "v", "value": ["x", 1.0]}\n', encoding="utf-8")
@@ -425,6 +438,169 @@ def test_cache_loaded_vectors_share_one_buffer(tmp_path):
     a, b = reloaded.get("a"), reloaded.get("b")
     assert a.base is not None and a.base is b.base
     assert not a.flags.writeable and not b.flags.writeable
+
+
+# -- cache keys ----------------------------------------------------------
+
+# Two fixed requests: one plain, one with non-ASCII text, quotes, a
+# backslash and a newline. Each legacy digest below is what the key
+# functions returned before keys hashed the raw text; each new key is
+# pinned so that a CI job on another interpreter proves the header does
+# not depend on it.
+_PLAIN_TEXT = "Claim: the sky is blue."
+_AWKWARD_TEXT = 'Claim: "Café" costs 5€ \\ naïve\nEvidence: 東京 \U0001f600'
+_BASE64URL = set(string.ascii_letters + string.digits + "-_")
+
+
+def test_legacy_keys_are_the_digests_earlier_versions_wrote():
+    keys = [
+        _legacy_completion_key("mock", "cot_verdict", _PLAIN_TEXT, 0.0, 512),
+        _legacy_completion_key("gpt-4o-mini", "reassessment", _AWKWARD_TEXT, 0.0, 512),
+        _legacy_embedding_key("mock", _PLAIN_TEXT),
+        _legacy_embedding_key("text-embedding-3-small", _AWKWARD_TEXT),
+    ]
+    assert keys == [
+        "4ecc20dd44c6a1422aa320e00bf56bc14c5981331b232bda66094ba436a5711c",
+        "d281e524517b1565b736eb40defa1f2dca85fd220679cbc5236b43e69748252d",
+        "9cf9d44ba7ace57831aaab7f78c4cc3684313e23e95f9a51abffc0dd723c534d",
+        "2977f79ce154f9f2662692a554bf1b0105a842e1ac6cdb9223c986c6e71b129e",
+    ]
+
+
+def test_keys_are_pinned_43_character_base64url_digests():
+    keys = [
+        completion_key("gpt-4o-mini", "reassessment", _AWKWARD_TEXT, 0.0, 512),
+        embedding_key("text-embedding-3-small", _AWKWARD_TEXT),
+    ]
+    assert keys == [
+        "BQmOTF8AjCGNbo_3RobNEMlq88_XwEe66s9lwtW5-Ug",
+        "MRpoacSNAbxa1XRjGXve0vGRsEGnv-t5JfrMODrkZRc",
+    ]
+    for key in keys:
+        assert len(key) == 43 and set(key) <= _BASE64URL
+
+
+# arbitrary text, control characters included, with the header's own
+# separators and digits drawn often
+_key_char = st.one_of(st.sampled_from(" :\n0123456789"), st.characters(codec="utf-8"))
+_key_text = st.text(_key_char)
+# model id, template id, prompt, temperature, max_tokens
+_completion_fields = [
+    _key_text,
+    _key_text,
+    _key_text,
+    st.floats(allow_nan=False),
+    st.integers(min_value=0, max_value=2**31),
+]
+_completion_request = st.tuples(*_completion_fields)
+
+
+@given(request=_completion_request, field=st.integers(0, 4), data=st.data())
+def test_completion_key_changes_with_every_field(request, field, data):
+    changed = list(request)
+    changed[field] = data.draw(
+        _completion_fields[field].filter(lambda value: value != request[field])
+    )
+    assert completion_key(*changed) != completion_key(*request)
+
+
+@given(request=_completion_request, boundary=st.integers(0, 1), char=_key_char)
+def test_completion_key_changes_when_a_character_crosses_a_field_boundary(
+    request, boundary, char
+):
+    left, right = request[boundary], request[boundary + 1]
+    moved = list(request)
+    moved[boundary], moved[boundary + 1] = left + char, right
+    shifted = list(request)
+    shifted[boundary], shifted[boundary + 1] = left, char + right
+    assert completion_key(*moved) != completion_key(*shifted)
+
+
+@given(model=_key_text, text=_key_text, other=_key_text)
+def test_embedding_key_separates_fields_and_kinds(model, text, other):
+    key = embedding_key(model, text)
+    if other != text:
+        assert embedding_key(model, other) != key
+    if other != model:
+        assert embedding_key(other, text) != key
+    for char in (" ", ":", "\n", "0"):
+        assert embedding_key(model + char, text) != embedding_key(model, char + text)
+    assert completion_key(model, model, text, 0.0, 512) != key
+    assert completion_key(model, "", text, 0.0, 512) != key
+
+
+def test_cache_notes_keys_in_the_legacy_form_only_on_load(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    cache = ResponseCache(path)
+    cache.put(embedding_key("mock", "e"), [1.0])
+    cache.put("0" * 64, "written, not loaded")
+    assert not cache.has_legacy_keys
+    assert not ResponseCache(tmp_path / "new.jsonl").has_legacy_keys
+    reloaded = ResponseCache(path)
+    assert reloaded.has_legacy_keys
+    reloaded.clear()
+    assert not reloaded.has_legacy_keys
+
+
+def _legacy_gateway(tmp_path):
+    """Gateway over a cache file holding the completion of "Claim: c"
+    and the vector of "e" under their legacy keys, with a script that
+    answers both differently."""
+    path = tmp_path / "legacy.jsonl"
+    decoding = Decoding()
+    legacy_completion = _legacy_completion_key(
+        "mock", "t", "Claim: c", decoding.temperature, decoding.max_tokens
+    )
+    lines = [
+        {"key": legacy_completion, "value": "old"},
+        {"key": _legacy_embedding_key("mock", "e"), "value": [1.0, 0.0]},
+    ]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    gateway, script = make_gateway(
+        rules=[{"template": "t", "response": "new"}],
+        embeddings=[{"text": "e", "vector": [0.0, 1.0]}],
+        cache_path=path,
+    )
+    gateway.catalog = TemplateCatalog({"t": PromptTemplate.from_body("t", "Claim: {claim}")})
+    return gateway, script, path
+
+
+def test_gateway_answers_from_legacy_keys_as_hits_and_never_rewrites_them(tmp_path):
+    gateway, script, path = _legacy_gateway(tmp_path)
+    before = path.read_bytes()
+    assert gateway.complete("t", claim="c") == "old"
+    first = gateway.embed("e")
+    assert first.vector.tolist() == [1.0, 0.0]
+    assert gateway.embed("e") is first
+    assert script.call_log == []
+    assert gateway.counters == GatewayCounters(
+        completion_requests=1,
+        completion_cache_hits=1,
+        embedding_requests=2,
+        embedding_cache_hits=2,
+    )
+    assert path.read_bytes() == before
+
+
+def _keys(path) -> list[str]:
+    return [json.loads(line)["key"] for line in path.read_text().splitlines()]
+
+
+def test_gateway_writes_misses_under_new_keys_beside_legacy_records(tmp_path):
+    gateway, script, path = _legacy_gateway(tmp_path)
+    legacy_keys = _keys(path)
+    decoding = Decoding()
+    assert gateway.complete("t", claim="d") == "new"
+    assert gateway.embed("e").vector.tolist() == [1.0, 0.0]
+    assert _keys(path) == legacy_keys + [
+        completion_key("mock", "t", "Claim: d", decoding.temperature, decoding.max_tokens)
+    ]
+    # the text is remembered under its legacy key; a miss after a clear
+    # is still written under the new one
+    gateway.cache.clear()
+    assert gateway.embed("e").vector.tolist() == [0.0, 1.0]
+    assert len(script.call_log) == 2
+    assert _keys(path) == [embedding_key("mock", "e")]
 
 
 # -- mock backend --------------------------------------------------------
