@@ -88,8 +88,9 @@ class Gateway:
 
     ``complete(template_id, **bindings)`` and ``embed(text)`` are the only
     two requests. The backend is either a MockScript or a LiveBackend;
-    both answer ``complete(template_id, prompt, decoding)`` and
-    ``embed(text)``. Every completion uses the bundled template catalog
+    both answer ``complete(template_id, prompt, decoding)`` with a string
+    and ``embed(text)`` with a read-only float64 array, which is cached
+    and wrapped without a copy. Every completion uses the bundled template catalog
     and the default ``Decoding``; model ids come from the backend
     (``"mock"`` when it names none). ``counters`` counts every request,
     cache hit and backend call. A bounded semaphore caps in-flight

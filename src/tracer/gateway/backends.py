@@ -8,7 +8,8 @@ request cannot change the outcome. Every failure is a ``BackendError``.
 Parse failures downstream are never retried here.
 
 ``LiveBackend`` speaks the OpenAI-compatible wire format for the two
-endpoints the pipeline needs: chat completions and embeddings.
+endpoints the pipeline needs: chat completions and embeddings. Like
+the mock, its ``embed`` returns a read-only float64 array.
 
 ``CircuitBreaker`` stops the external classifiers from POSTing to an
 endpoint that keeps failing.
@@ -23,7 +24,10 @@ import os
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..errors import BackendError, ConfigError
+from .cache import frozen_vector
 
 API_KEY_ENV = "TRACER_API_KEY"
 DEFAULT_BASE_URL = "https://api.openai.com/v1"
@@ -186,10 +190,10 @@ class LiveBackend:
         except (KeyError, IndexError, TypeError) as exc:
             raise BackendError(f"malformed chat completion response: {data!r:.200}") from exc
 
-    def embed(self, text: str) -> list[float]:
+    def embed(self, text: str) -> np.ndarray:
         payload = {"model": self.embedding_model_id, "input": text}
         data = self._post("embeddings", payload)
         try:
-            return [float(x) for x in data["data"][0]["embedding"]]
+            return frozen_vector([float(x) for x in data["data"][0]["embedding"]])
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise BackendError(f"malformed embedding response: {data!r:.200}") from exc

@@ -3,9 +3,14 @@
 A mock script is a JSON document describing canned completions and
 embeddings. Completion rules are matched in order against the template
 id and, optionally, a substring of the rendered prompt; the first match
-wins. A rule may carry a single response (returned every time) or a
-response list consumed one call at a time. Every served call is appended
-to ``call_log`` so tests can assert exact call counts and ordering.
+wins; a request scans only its own template's rules, grouped at load.
+A rule may carry a single response (returned every time) or a response
+list consumed one call at a time. Every served call is appended to
+``call_log`` so tests can assert exact call counts and ordering.
+
+Each vector is parsed and checked once, at load (``float()`` on every
+element, so a bad one is ``ValueError`` or ``TypeError`` there), into
+one read-only float64 array that every text its entry matches shares.
 
 Script format::
 
@@ -37,8 +42,11 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from ..errors import MockScriptMiss
 from .backends import Decoding
+from .cache import frozen_vector
 
 
 @dataclass
@@ -49,9 +57,8 @@ class MockRule:
     repeat: bool
     served: int = 0
 
-    def matches(self, template_id: str, prompt: str) -> bool:
-        if self.template != template_id:
-            return False
+    def matches(self, prompt: str) -> bool:
+        """Whether this rule answers the prompt; the template is matched by the caller."""
         if self.contains is not None and self.contains not in prompt:
             return False
         return self.repeat or self.served < len(self.responses)
@@ -74,13 +81,14 @@ class MockCall:
     prompt: str
 
 
-def _hashed_unit_vector(text: str, dim: int) -> list[float]:
+def _hashed_unit_vector(text: str, dim: int) -> np.ndarray:
     # Deterministic pseudo-embedding: bytes of the digest, recentred and
-    # normalized. Distinct texts land on distinct directions.
+    # normalized. Distinct texts land on distinct directions. The raw
+    # values are half-integers, so the sum of squares is exact.
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     raw = [digest[i % len(digest)] - 127.5 for i in range(dim)]
     norm = math.sqrt(sum(x * x for x in raw))
-    return [x / norm for x in raw]
+    return frozen_vector([x / norm for x in raw])
 
 
 @dataclass
@@ -91,6 +99,17 @@ class MockScript:
     embeddings: list[dict] = field(default_factory=list)
     default_embedding_dim: int | None = None
     call_log: list[MockCall] = field(default_factory=list)
+    # template id -> its rules, in script order
+    _rules_by_template: dict[str, list[MockRule]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.embeddings = [
+            {**entry, "vector": frozen_vector([float(x) for x in entry["vector"]])}
+            for entry in self.embeddings
+        ]
+        self._rules_by_template = {}
+        for rule in self.rules:
+            self._rules_by_template.setdefault(rule.template, []).append(rule)
 
     @classmethod
     def from_dict(cls, data: dict) -> "MockScript":
@@ -124,8 +143,8 @@ class MockScript:
 
     def complete(self, template_id: str, prompt: str, decoding: Decoding) -> str:
         """The first matching rule's next response; decoding is ignored."""
-        for rule in self.rules:
-            if rule.matches(template_id, prompt):
+        for rule in self._rules_by_template.get(template_id, ()):
+            if rule.matches(prompt):
                 response = rule.next_response()
                 self.call_log.append(MockCall(kind="completion", template=template_id, prompt=prompt))
                 return response
@@ -133,16 +152,15 @@ class MockScript:
             f"no mock rule matches template {template_id!r}; prompt starts: {prompt[:80]!r}"
         )
 
-    def embed(self, text: str) -> list[float]:
-        vector = None
+    def embed(self, text: str) -> np.ndarray:
+        """The first matching entry's array, shared, or the hashed default."""
         for entry in self.embeddings:
-            if "text" in entry and entry["text"] == text:
-                vector = [float(x) for x in entry["vector"]]
+            if ("text" in entry and entry["text"] == text) or (
+                "contains" in entry and entry["contains"] in text
+            ):
+                vector = entry["vector"]
                 break
-            if "contains" in entry and entry["contains"] in text:
-                vector = [float(x) for x in entry["vector"]]
-                break
-        if vector is None:
+        else:
             if self.default_embedding_dim is None:
                 raise MockScriptMiss(f"no mock embedding matches text: {text[:80]!r}")
             vector = _hashed_unit_vector(text, self.default_embedding_dim)

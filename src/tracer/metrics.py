@@ -6,7 +6,7 @@ Ablations run the pipeline, so they live in ``tracer.cli``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,11 +38,18 @@ class ConfusionMatrix:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    accuracy: float
+    """Scores over ``n`` predictions; ``n_failed`` claims had none.
+
+    With no prediction to score (``n`` 0) the scores are None and
+    ``per_class`` is empty.
+    """
+
+    accuracy: float | None
     per_class: dict
-    macro_f1: float
-    f1_half_true: float
+    macro_f1: float | None
+    f1_half_true: float | None
     n: int
+    n_failed: int = 0
 
     def as_dict(self) -> dict:
         return {
@@ -53,6 +60,7 @@ class MetricsReport:
             "macro_f1": self.macro_f1,
             "f1_half_true": self.f1_half_true,
             "n": self.n,
+            "n_failed": self.n_failed,
         }
 
 
@@ -109,22 +117,36 @@ def score_reports(
 
     Reports of other ids are ignored. None when no record has a gold
     label; a gold record with no report is MissingPrediction, naming the
-    first such id in corpus order.
+    first such id in corpus order. A claim that failed, one whose report
+    has no base verdict stage with status ``ok``, has no prediction: its
+    fallback label is not scored, and it counts in ``n_failed``.
     """
-    predictions = {report.id: report.final_verdict.label for report in reports}
+    by_id = {report.id: report for report in reports}
     gold, pred = [], []
+    n_failed = 0
     for record in records:
         if record.gold_label is None:
             continue
-        if record.id not in predictions:
+        if record.id not in by_id:
             raise MissingPrediction(record.id)
+        report = by_id[record.id]
+        if not any(t.stage == "base_verdict" and t.status == "ok" for t in report.stages):
+            n_failed += 1
+            continue
         gold.append(record.gold_label)
-        pred.append(predictions[record.id])
-    return score_labels(gold, pred) if gold else None
+        pred.append(report.final_verdict.label)
+    if gold:
+        return replace(score_labels(gold, pred), n_failed=n_failed)
+    if n_failed:
+        return MetricsReport(None, {}, None, None, n=0, n_failed=n_failed)
+    return None
 
 
 def format_table(report: MetricsReport) -> str:
-    """Aligned plain-text rendering of a MetricsReport."""
+    """Aligned plain-text rendering of a MetricsReport; only the counts when n is 0."""
+    counts = [f"n             {report.n}", f"n_failed      {report.n_failed}"]
+    if not report.n:
+        return "\n".join(counts)
     width = max(len(label.value) for label in LABELS)
     lines = [f"{'label':<{width}}  precision  recall  f1"]
     for label in LABELS:
@@ -137,8 +159,7 @@ def format_table(report: MetricsReport) -> str:
     lines.append(f"accuracy      {report.accuracy:.3f}")
     lines.append(f"macro_f1      {report.macro_f1:.3f}")
     lines.append(f"f1_half_true  {report.f1_half_true:.3f}")
-    lines.append(f"n             {report.n}")
-    return "\n".join(lines)
+    return "\n".join(lines + counts)
 
 
 __all__ = [

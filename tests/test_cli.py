@@ -373,6 +373,80 @@ def test_run_config_rejects_keys_that_would_be_ignored(capsys, tmp_path, config_
     assert message in err
 
 
+@pytest.mark.parametrize("bad", ['"x"', "null", "[1.0]"], ids=["string", "null", "nested"])
+def test_run_malformed_mock_vector_exits_one_before_any_claim(capsys, tmp_path, bad):
+    script = json.loads(Path(SCENARIO_SCRIPT).read_text(encoding="utf-8"))
+    script["embeddings"].insert(0, {"contains": "a", "vector": "__BAD__"})
+    bad_script = tmp_path / "bad.json"
+    bad_script.write_text(
+        json.dumps(script).replace('"__BAD__"', f"[1.0, {bad}]"), encoding="utf-8"
+    )
+    out_path = tmp_path / "r.jsonl"
+    code, out, err = run_cli(
+        capsys,
+        "run",
+        "--corpus",
+        SCENARIO_CORPUS,
+        "--mock",
+        str(bad_script),
+        "--output",
+        str(out_path),
+    )
+    assert code == 1
+    assert f"mock script {bad_script} is malformed" in err
+    assert out == ""
+    assert not out_path.exists()
+
+
+def _scenario_script_without(tmp_path, template):
+    script = json.loads(Path(SCENARIO_SCRIPT).read_text(encoding="utf-8"))
+    script["rules"] = [rule for rule in script["rules"] if rule["template"] != template]
+    path = tmp_path / f"without-{template}.json"
+    path.write_text(json.dumps(script), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "missing, stage", [("relevance", "alignment"), ("cot_verdict", "base_verdict")]
+)
+def test_run_and_eval_count_a_failed_claim_instead_of_scoring_it(
+    capsys, tmp_path, missing, stage
+):
+    out_path = tmp_path / "r.jsonl"
+    code, out, _ = run_cli(
+        capsys,
+        "run",
+        "--corpus",
+        SCENARIO_CORPUS,
+        "--mock",
+        _scenario_script_without(tmp_path, missing),
+        "--output",
+        str(out_path),
+    )
+    assert code == 0
+    report = json.loads(out_path.read_text(encoding="utf-8"))
+    assert report["stages"][-1]["stage"] == stage
+    assert report["stages"][-1]["status"] == "failed"
+    assert "n             0\nn_failed      1\n" in out
+    assert "accuracy" not in out
+
+    metrics_path = tmp_path / "metrics.json"
+    code, out, _ = run_cli(
+        capsys,
+        "eval",
+        "--report",
+        str(out_path),
+        "--gold",
+        SCENARIO_CORPUS,
+        "--output",
+        str(metrics_path),
+    )
+    assert code == 0
+    assert out == f"n             0\nn_failed      1\nwrote {metrics_path}\n"
+    written = json.loads(metrics_path.read_text(encoding="utf-8"))
+    assert (written["n"], written["n_failed"], written["accuracy"]) == (0, 1, None)
+
+
 # -- eval ---------------------------------------------------------------------
 
 
@@ -395,6 +469,7 @@ def test_eval_perfect_report(capsys, tmp_path):
     written = json.loads(metrics_path.read_text())
     assert written["accuracy"] == 1.0
     assert written["n"] == 1
+    assert written["n_failed"] == 0
     assert written["per_class"]["Half-True"]["f1"] == 1.0
 
 

@@ -130,7 +130,7 @@ def test_synthetic_corpus_cycles_all_three_labels():
 def test_retrieval_fixture_shape():
     script, query, pool = make_retrieval_fixture(seed=3, pool_size=7)
     assert len(pool) == 7
-    assert script.embed(query) == [1.0, 0.0]
+    assert script.embed(query).tolist() == [1.0, 0.0]
     for sentence in pool:
         vector = script.embed(sentence)
         assert len(vector) == 2

@@ -1,5 +1,6 @@
 """Gateway: templates, parsing, cache, mock backend, call accounting."""
 
+import hashlib
 import json
 import string
 import struct
@@ -37,6 +38,7 @@ from tracer.gateway import (
 )
 
 from tracer.gateway.cache import _legacy_completion_key, _legacy_embedding_key
+from tracer.gateway.mock import MockRule, _hashed_unit_vector
 
 from conftest import make_gateway
 
@@ -656,9 +658,158 @@ def test_mock_default_embedding_is_deterministic_unit_norm():
     v1 = script.embed("some text")
     v2 = script.embed("some text")
     v3 = script.embed("other text")
-    assert v1 == v2
-    assert v1 != v3
+    assert v1.tolist() == v2.tolist()
+    assert v1.tolist() != v3.tolist()
     assert abs(sum(x * x for x in v1) - 1.0) < 1e-9
+
+
+def test_mock_texts_matching_one_entry_share_one_read_only_array():
+    # parsed from JSON text, so the floats are the ones a script file gives
+    script = MockScript.from_dict(
+        json.loads(
+            '{"embeddings": [{"text": "exact", "vector": [0.1, -2.5e-300, 0.3333333333333333]},'
+            ' {"contains": "[x]", "vector": [1, 0.30000000000000004, -0.0]}]}'
+        )
+    )
+    exact = script.embed("exact")
+    first = script.embed("[x] one")
+    second = script.embed("two [x]")
+    assert first is second
+    assert script.embed("exact") is exact
+    for vector in (exact, first):
+        assert vector.dtype == np.float64
+        assert not vector.flags.writeable
+        with pytest.raises(ValueError):
+            vector[0] = 9.0
+    assert exact.tobytes() == struct.pack("<3d", 0.1, -2.5e-300, 0.3333333333333333)
+    assert first.tobytes() == struct.pack("<3d", 1.0, 0.30000000000000004, -0.0)
+    assert [c.prompt for c in script.call_log] == ["exact", "[x] one", "two [x]", "exact"]
+
+
+@pytest.mark.parametrize(
+    "vector, error",
+    [([1.0, "x"], ValueError), ([1.0, None], TypeError), ([[1.0], 0.0], TypeError)],
+    ids=["string", "null", "nested"],
+)
+def test_mock_malformed_vector_fails_at_load(vector, error):
+    with pytest.raises(error):
+        MockScript.from_dict({"embeddings": [{"contains": "a", "vector": vector}]})
+
+
+def test_gateway_embed_over_texts_sharing_an_array_cold_then_warm(tmp_path):
+    gateway, script = make_gateway(
+        embeddings=[
+            {"contains": "[x]", "vector": [1.0, 0.0]},
+            {"contains": "[y]", "vector": [0.0, 1.0]},
+        ],
+        cache_path=tmp_path / "cache.jsonl",
+    )
+    texts = ["[x] one", "[x] two", "[y] three", "[x] four"]
+    expected = {"[x] one": [1.0, 0.0], "[x] two": [1.0, 0.0], "[y] three": [0.0, 1.0], "[x] four": [1.0, 0.0]}
+    cold = [gateway.embed(text) for text in texts]
+    warm = [gateway.embed(text) for text in texts]
+    for text, first, again in zip(texts, cold, warm):
+        assert first.vector.tolist() == expected[text]
+        assert again is first
+    assert gateway.counters.backend_calls == 4
+    assert gateway.counters.embedding_cache_hits == 4
+    assert len(script.call_log) == 4
+
+    gateway.cache.clear()
+    assert gateway.embed("[x] two").vector.tolist() == [1.0, 0.0]
+    assert gateway.embed("[y] three").vector.tolist() == [0.0, 1.0]
+    assert [c.prompt for c in script.call_log[4:]] == ["[x] two", "[y] three"]
+    assert gateway.counters.backend_calls == 6
+
+    # a fresh gateway over the same file reads each text's own vector back
+    reloaded, script2 = make_gateway(cache_path=tmp_path / "cache.jsonl")
+    assert reloaded.embed("[x] two").vector.tolist() == [1.0, 0.0]
+    assert reloaded.embed("[y] three").vector.tolist() == [0.0, 1.0]
+    assert script2.call_log == []
+
+
+def test_gateway_embedding_wraps_the_scripted_array_without_a_copy():
+    gateway, script = make_gateway(embeddings=[{"contains": "[x]", "vector": [1.0, 0.0]}])
+    shared = script.embed("[x] probe")
+    one = gateway.embed("[x] one")
+    two = gateway.embed("[x] two")
+    assert one is not two
+    assert one.vector is two.vector is shared
+
+
+def test_mock_rules_are_consulted_for_the_requested_template_only(monkeypatch):
+    consulted = []
+    matches = MockRule.matches
+
+    def spy(self, *args):
+        consulted.append(self.template)
+        return matches(self, *args)
+
+    monkeypatch.setattr(MockRule, "matches", spy)
+    script = MockScript.from_dict(
+        {
+            "rules": [
+                {"template": "other", "response": "O"},
+                {"template": "t", "contains": "special", "response": "S"},
+                {"template": "t", "response": "D"},
+            ]
+        }
+    )
+    assert script.complete("t", "a special prompt", Decoding()) == "S"
+    assert script.complete("t", "a plain prompt", Decoding()) == "D"
+    assert "other" not in consulted
+    assert script.complete("other", "a special prompt", Decoding()) == "O"
+
+
+def test_mock_ordered_responses_run_out_then_the_next_rule_matches():
+    script = MockScript.from_dict(
+        {
+            "rules": [
+                {"template": "u", "response": "U"},
+                {"template": "t", "responses": ["one", "two"]},
+                {"template": "t", "contains": "p", "response": "P"},
+                {"template": "t", "responses": ["three"]},
+            ]
+        }
+    )
+    answers = [script.complete("t", prompt, Decoding()) for prompt in ["p", "q", "p", "q"]]
+    assert answers == ["one", "two", "P", "three"]
+    with pytest.raises(MockScriptMiss):
+        script.complete("t", "q", Decoding())
+    assert [c.template for c in script.call_log] == ["t"] * 4
+
+
+def test_mock_miss_message_for_an_unknown_template():
+    script = MockScript.from_dict({"rules": [{"template": "t", "response": "R"}]})
+    with pytest.raises(MockScriptMiss) as excinfo:
+        script.complete("zzz", "p" * 100, Decoding())
+    assert str(excinfo.value) == (
+        f"no mock rule matches template 'zzz'; prompt starts: {'p' * 80!r}"
+    )
+    assert script.call_log == []
+
+
+def test_hashed_default_embedding_keeps_its_values():
+    assert list(_hashed_unit_vector("the claim", 6)) == [
+        0.582438492479936,
+        -0.021932830260750727,
+        0.13403396270458778,
+        0.5142030205576004,
+        -0.35823622759226187,
+        -0.4995811337170999,
+    ]
+    assert list(_hashed_unit_vector('Ünïcode "text"', 6)) == [
+        -0.2850452139465037,
+        0.5313805840237291,
+        -0.15132029876172418,
+        -0.6932581129316201,
+        -0.038709843869278275,
+        -0.36246490168506024,
+    ]
+    wide = _hashed_unit_vector("the claim", 1536)
+    assert hashlib.sha256(struct.pack("<1536d", *wide)).hexdigest() == (
+        "8ae6922d4d763e297f37caf411309da9a18c5723bf897deb7518555af05c2df9"
+    )
 
 
 # -- gateway -------------------------------------------------------------
@@ -895,7 +1046,9 @@ def test_live_backend_embeddings_endpoint():
         [_FakeResponse(200, {"data": [{"embedding": [0.1, 0.2]}]})]
     )
     backend = LiveBackend(model_id="m", api_key="k", session=session)
-    assert backend.embed("t") == [0.1, 0.2]
+    vector = backend.embed("t")
+    assert vector.tolist() == [0.1, 0.2]
+    assert vector.dtype == np.float64 and not vector.flags.writeable
 
 
 # -- letter parsing property ---------------------------------------------

@@ -20,7 +20,7 @@ from tracer.metrics import (
     score_reports,
     summarize,
 )
-from tracer.verdict import BaseVerdict, FinalVerdict, VerdictReport, VerdictSource
+from tracer.verdict import BaseVerdict, FinalVerdict, StageTrace, VerdictReport, VerdictSource
 
 T, H, F = Label.TRUE, Label.HALF_TRUE, Label.FALSE
 
@@ -187,6 +187,7 @@ def test_format_table_contains_every_figure():
     assert "macro_f1      0.500" in table
     assert "f1_half_true  0.500" in table
     assert "n             4" in table
+    assert table.endswith("n_failed      0")
 
 
 # -- scoring reports against gold ------------------------------------------------
@@ -196,7 +197,7 @@ def _gold(record_id, label):
     return ClaimRecord(id=record_id, claim="c", gold_label=label)
 
 
-def _report(record_id, label):
+def _report(record_id, label, stages=(("alignment", "ok"), ("base_verdict", "ok"))):
     return VerdictReport(
         id=record_id,
         aligned_evidence=[],
@@ -206,6 +207,7 @@ def _report(record_id, label):
         che=[],
         base_verdict=BaseVerdict(label, "j", VerdictSource.COT),
         final_verdict=FinalVerdict(label=label, reassessed=False),
+        stages=[StageTrace(stage, status) for stage, status in stages],
     )
 
 
@@ -226,6 +228,49 @@ def test_score_reports_names_the_first_gold_id_without_a_report():
     with pytest.raises(MissingPrediction) as raised:
         score_reports(records, [_report("a", T)])
     assert raised.value.record_id == "b"
+
+
+# the stages _fail_claim leaves: a failure at alignment, and at base_verdict
+_FAILED_AT_ALIGNMENT = (("alignment", "failed"),)
+_FAILED_AT_BASE_VERDICT = (("alignment", "ok"), ("base_verdict", "failed"))
+
+
+def test_score_reports_leaves_failed_claims_out_and_counts_them():
+    records = [_gold("a", F), _gold("b", H), _gold("c", F), _gold("d", T)]
+    reports = [
+        _report("a", F, _FAILED_AT_ALIGNMENT),
+        _report("b", H),
+        _report("c", F, _FAILED_AT_BASE_VERDICT),
+        # an alignment stage that failed for some sentences only
+        _report("d", T, (("alignment", "failed"), ("base_verdict", "ok"))),
+    ]
+    metrics = score_reports(records, reports)
+    assert metrics.n == 2
+    assert metrics.n_failed == 2
+    assert metrics.accuracy == 1.0
+    assert metrics.as_dict()["n_failed"] == 2
+    assert format_table(metrics).endswith("n             2\nn_failed      2")
+
+
+def test_score_reports_when_every_gold_claim_failed_has_only_counts():
+    records = [_gold("a", F), ClaimRecord(id="u", claim="c"), _gold("b", H)]
+    reports = [
+        _report("a", F, _FAILED_AT_ALIGNMENT),
+        _report("u", F),
+        _report("b", F, _FAILED_AT_BASE_VERDICT),
+    ]
+    metrics = score_reports(records, reports)
+    assert metrics.n == 0
+    assert metrics.n_failed == 2
+    assert metrics.as_dict() == {
+        "accuracy": None,
+        "per_class": {},
+        "macro_f1": None,
+        "f1_half_true": None,
+        "n": 0,
+        "n_failed": 2,
+    }
+    assert format_table(metrics) == "n             0\nn_failed      2"
 
 
 def test_score_reports_without_gold_is_none():
