@@ -30,7 +30,7 @@ from .corpus import ClaimRecord, Label, load_corpus, save_corpus
 from .errors import ConfigError, EmptyInput, ParseError, TracerError
 from .gateway import Gateway, LiveBackend, MockScript, ResponseCache, api_key_from_env
 from .gateway.cache import remove_cache_files
-from .metrics import MetricsReport, format_table, score_reports
+from .metrics import MetricsReport, failed_stage, format_table, score_reports
 from .verdict import VerdictReport, load_base_verdicts, load_reports, run_pipeline, save_reports
 
 
@@ -266,7 +266,9 @@ def cmd_run(args) -> int:
         nli_classifier=nli_classifier,
     ):
         reports.append(report)
-        print(f"{report.id}: {report.final_verdict.label.value}")
+        stage = failed_stage(report)
+        verdict = f"failed at {stage}" if stage else report.final_verdict.label.value
+        print(f"{report.id}: {verdict}")
 
     save_reports(config.output_path, reports)
     digest = hashlib.sha256(Path(config.output_path).read_bytes()).hexdigest()

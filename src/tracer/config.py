@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-import yaml
-
 from .errors import ConfigError
 
 
@@ -183,6 +181,9 @@ def config_from_dict(data: dict) -> RunConfig:
 
 def load_config(path: str | Path) -> RunConfig:
     """Read a YAML run configuration file."""
+    # imported here, so that a run without a config file never pays for it
+    import yaml
+
     try:
         with Path(path).open("r", encoding="utf-8") as handle:
             data = yaml.safe_load(handle)

@@ -8,10 +8,15 @@ the vector file, which sits beside the cache file under its name plus
 ``.vectors``. Raw float64 bytes round-trip every bit and load without
 any decoding.
 
-Write order: ``put`` appends a vector's bytes to the vector file and
-flushes them, and only then appends the index record to the cache file.
-The offset is the vector handle's position after that write, not a
-running count, so it stays right when another writer appends too.
+Write order: records are written in batches, one append per file. A
+batch is everything put inside a ``batched()`` block, written when the
+block exits (``run_pipeline`` wraps each claim in one), or a single put
+made outside any block, written at once. The batch's vector bytes go to
+the vector file in one write and are flushed, and only then do its
+lines go to the cache file, in put order, in one write and one flush.
+Each offset is taken from the vector handle's position after that
+write, not from a running count, so it stays right when another writer
+appends too.
 
 Read order: the whole cache file is read once at open, then the whole
 vector file in one read, and every vector is a read-only view into that
@@ -20,13 +25,16 @@ read has its bytes on disk; one that points past the end of the vector
 file is ``CacheCorruption``. Later records win on duplicate keys, so an
 interrupted run can simply be re-run.
 
-What a crash leaves: a writer that dies between its two writes leaves
-vector bytes no record points at; they are never read, and the next
-vector lands after them. A writer that dies inside an append to the
-cache file leaves a last line with no newline. If it does not decode it
-is skipped, and the first append cuts it off, unless another writer has
-appended since the load (the line may then have been an append still in
-progress, now whole). Any other undecodable line is ``CacheCorruption``.
+What a crash leaves: records put inside a block that has not exited
+are only in memory, so a run killed inside a claim loses that claim's
+records and keeps every finished claim's. A writer that dies between
+its two writes leaves vector bytes no record points at; they are never
+read, and the next vector lands after them. A writer that dies inside
+an append to the cache file leaves a last line with no newline. If it
+does not decode it is skipped, and the first append cuts it off, unless
+another writer has appended since the load (the line may then have been
+an append still in progress, now whole). Any other undecodable line is
+``CacheCorruption``.
 
 A key is the sha256 of a short header (kind, model, and for a
 completion its template and decoding) followed by the prompt or text as
@@ -40,7 +48,7 @@ under new keys, and legacy records are never rewritten.
 Embeddings written by earlier versions, ``{"key": k, "vector":
 "<base64>"}`` and ``{"key": k, "value": [floats]}``, still load but are
 never written. Reads are lock-free; writes are serialized through one
-append handle per file, flushed after every record.
+append handle per file, flushed after every batch.
 
 Embedding vectors are held in memory as read-only float64 arrays (see
 ``frozen_vector``). Every caller that gets a vector shares the one
@@ -53,6 +61,8 @@ import base64
 import hashlib
 import json
 import threading
+from contextlib import contextmanager
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import NamedTuple
 
@@ -198,6 +208,9 @@ class ResponseCache:
         self._lock = threading.Lock()
         self._handle = None
         self._vector_handle = None
+        # (key, value) put but not yet written, and the open batched() blocks
+        self._pending: list[tuple[str, object]] = []
+        self._open_batches = 0
         # the last line when it lacks its newline, as (offset, bytes,
         # whether it decoded): a torn append, or a whole record whose
         # writer died before the newline (older writers wrote them apart)
@@ -276,37 +289,76 @@ class ResponseCache:
             self._open_tail = None
         return self._handle
 
-    def _append_vector(self, vector: np.ndarray) -> int:
-        """Append the vector's bytes to the vector file; returns their offset."""
-        if self._vector_handle is None:
-            self._vector_handle = self._vector_path.open("ab")
-        raw = vector.astype("<f8", copy=False).tobytes()
-        self._vector_handle.write(raw)
-        self._vector_handle.flush()
-        # the position after the write, not a running count: in append
-        # mode the bytes land at the end, after any other writer's
-        return self._vector_handle.tell() - len(raw)
+    def _write_pending(self) -> None:
+        """Append every pending record: its vector bytes first, then its line.
+
+        One write and one flush per file. The lines are those of
+        ``json.dumps(record, ensure_ascii=False)``, formatted directly.
+        """
+        pending, self._pending = self._pending, []
+        vectors = [
+            value.astype("<f8", copy=False).tobytes()
+            for _, value in pending
+            if not isinstance(value, str)
+        ]
+        if vectors:
+            if self._vector_handle is None:
+                self._vector_handle = self._vector_path.open("ab")
+            raw = b"".join(vectors)
+            self._vector_handle.write(raw)
+            self._vector_handle.flush()
+            # the position after the write, not a running count: in append
+            # mode the bytes land at the end, after any other writer's
+            at = self._vector_handle.tell() - len(raw)
+        lines = []
+        for key, value in pending:
+            key = encode_basestring(key)
+            if isinstance(value, str):
+                lines.append(f'{{"key": {key}, "value": {encode_basestring(value)}}}\n')
+            else:
+                lines.append(f'{{"key": {key}, "at": {at}, "dim": {value.size}}}\n')
+                at += 8 * value.size
+        handle = self._append_handle()
+        handle.write("".join(lines).encode("utf-8"))
+        handle.flush()
 
     def get(self, key: str):
         """Cached value for key, or None."""
         return self._entries.get(key)
 
     def put(self, key: str, value) -> None:
-        """Store a completion text, or an embedding vector given as any sequence."""
+        """Store a completion text, or an embedding vector given as any sequence.
+
+        The value is served at once. Its record is written at once too,
+        unless a ``batched()`` block is open; then it is written when the
+        block exits.
+        """
         if not isinstance(value, str):
             value = frozen_vector(value)
         with self._lock:
             self._entries[key] = value
             if self.path is None:
                 return
-            if isinstance(value, str):
-                record = {"key": key, "value": value}
-            else:
-                # the bytes are flushed before the record that points at them
-                record = {"key": key, "at": self._append_vector(value), "dim": value.size}
-            handle = self._append_handle()
-            handle.write((json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8"))
-            handle.flush()
+            self._pending.append((key, value))
+            if not self._open_batches:
+                self._write_pending()
+
+    @contextmanager
+    def batched(self):
+        """Hold the records put inside the block, and write them when it exits.
+
+        Every exit writes everything pending, an exit by exception too,
+        and also while another thread's block is still open.
+        """
+        with self._lock:
+            self._open_batches += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._open_batches -= 1
+                if self._pending:
+                    self._write_pending()
 
     def clear(self) -> None:
         with self._lock:
@@ -317,6 +369,7 @@ class ResponseCache:
                     handle.close()
             self._handle = self._vector_handle = None
             self._open_tail = None
+            self._pending.clear()
             if self.path is not None:
                 remove_cache_files(self.path)
 

@@ -11,6 +11,9 @@ list consumed one call at a time. Every served call is appended to
 Each vector is parsed and checked once, at load (``float()`` on every
 element, so a bad one is ``ValueError`` or ``TypeError`` there), into
 one read-only float64 array that every text its entry matches shares.
+The other fields are checked at load too: a template, a ``contains``,
+a response or an embedding's ``text`` that is not a string, or an
+empty ``responses`` list, is ``TypeError``.
 
 Script format::
 
@@ -81,6 +84,11 @@ class MockCall:
     prompt: str
 
 
+def _require_str(value, what: str) -> None:
+    if not isinstance(value, str):
+        raise TypeError(f"{what} must be a string, not {value!r}")
+
+
 def _hashed_unit_vector(text: str, dim: int) -> np.ndarray:
     # Deterministic pseudo-embedding: bytes of the digest, recentred and
     # normalized. Distinct texts land on distinct directions. The raw
@@ -103,6 +111,18 @@ class MockScript:
     _rules_by_template: dict[str, list[MockRule]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for rule in self.rules:
+            _require_str(rule.template, "a rule's template")
+            if rule.contains is not None:
+                _require_str(rule.contains, "a rule's contains")
+            if not rule.responses:
+                raise TypeError(f"the {rule.template!r} rule has no response")
+            for response in rule.responses:
+                _require_str(response, f"a {rule.template!r} response")
+        for entry in self.embeddings:
+            for name in ("text", "contains"):
+                if name in entry:
+                    _require_str(entry[name], f"an embedding's {name}")
         self.embeddings = [
             {**entry, "vector": frozen_vector([float(x) for x in entry["vector"]])}
             for entry in self.embeddings
@@ -116,7 +136,9 @@ class MockScript:
         rules = []
         for entry in data.get("rules", []):
             if "responses" in entry:
-                responses = list(entry["responses"])
+                responses = entry["responses"]
+                if not isinstance(responses, list):
+                    raise TypeError(f"a rule's responses must be a list, not {responses!r}")
                 repeat = False
             else:
                 responses = [entry["response"]]

@@ -110,6 +110,25 @@ def score_labels(gold: Sequence[Label], pred: Sequence[Label]) -> MetricsReport:
     return summarize(confusion_matrix(gold, pred))
 
 
+# the stages a claim cannot go on without; see ``run_pipeline``
+_FOUNDATION_STAGES = ("alignment", "base_verdict")
+
+
+def failed_stage(report: VerdictReport) -> str | None:
+    """The stage a failed claim failed at, or None for a claim that has a prediction.
+
+    A claim failed when its report has no base verdict stage with status
+    ``ok``. The stage named is its last failed foundation stage, or the
+    base verdict when the report records none.
+    """
+    if any(t.stage == "base_verdict" and t.status == "ok" for t in report.stages):
+        return None
+    failed = [
+        t.stage for t in report.stages if t.stage in _FOUNDATION_STAGES and t.status == "failed"
+    ]
+    return failed[-1] if failed else "base_verdict"
+
+
 def score_reports(
     records: Sequence[ClaimRecord], reports: Iterable[VerdictReport]
 ) -> MetricsReport | None:
@@ -117,9 +136,9 @@ def score_reports(
 
     Reports of other ids are ignored. None when no record has a gold
     label; a gold record with no report is MissingPrediction, naming the
-    first such id in corpus order. A claim that failed, one whose report
-    has no base verdict stage with status ``ok``, has no prediction: its
-    fallback label is not scored, and it counts in ``n_failed``.
+    first such id in corpus order. A claim that failed (``failed_stage``)
+    has no prediction: its fallback label is not scored, and it counts in
+    ``n_failed``.
     """
     by_id = {report.id: report for report in reports}
     gold, pred = [], []
@@ -130,7 +149,7 @@ def score_reports(
         if record.id not in by_id:
             raise MissingPrediction(record.id)
         report = by_id[record.id]
-        if not any(t.stage == "base_verdict" and t.status == "ok" for t in report.stages):
+        if failed_stage(report) is not None:
             n_failed += 1
             continue
         gold.append(record.gold_label)
@@ -166,6 +185,7 @@ __all__ = [
     "ConfusionMatrix",
     "MetricsReport",
     "confusion_matrix",
+    "failed_stage",
     "format_table",
     "per_class_prf",
     "score_labels",

@@ -331,7 +331,34 @@ def run_pipeline(
     every sentence failed, and base verification. Either surfaces as a
     report with an error trace rather than an exception, and no later
     stage runs.
+
+    The cache records of the claim's new answers are written together
+    when it ends (``ResponseCache.batched``): when this returns, or
+    raises, they are on disk.
     """
+    with gateway.cache.batched():
+        return _run_claim(
+            gateway,
+            record,
+            thresholds,
+            ablation,
+            reassess_true_only,
+            base_verdicts,
+            alignment_classifier,
+            nli_classifier,
+        )
+
+
+def _run_claim(
+    gateway: Gateway,
+    record: ClaimRecord,
+    thresholds: Thresholds,
+    ablation: AblationConfig,
+    reassess_true_only: bool,
+    base_verdicts: dict[str, BaseVerdict] | None,
+    alignment_classifier: ExternalAlignmentClassifier | None,
+    nli_classifier: ExternalNliClassifier | None,
+) -> VerdictReport:
     stages: list[StageTrace] = []
     report = VerdictReport(
         id=record.id,

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from tracer.fixtures import SCENARIO_MOCK, data_path
 from tracer.gateway import Gateway, MockScript, ResponseCache
 
 
@@ -19,6 +22,19 @@ def make_gateway(
         }
     )
     return Gateway(backend=script, cache=ResponseCache(cache_path)), script
+
+
+def synthetic_script(dim: int) -> dict:
+    """The scenario's mock rules, able to answer any ``generate_synthetic_corpus`` claim.
+
+    Every text embeds to its hashed ``dim``-wide default vector, and an NLI
+    check the scenario does not name answers A.
+    """
+    script = json.loads(data_path(SCENARIO_MOCK).read_text(encoding="utf-8"))
+    script["embeddings"] = []
+    script["default_embedding"] = {"dim": dim}
+    script["rules"].append({"template": "nli", "response": "A"})
+    return script
 
 
 @pytest.fixture

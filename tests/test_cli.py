@@ -26,6 +26,8 @@ from tracer.fixtures import (
 )
 from tracer.gateway import ResponseCache
 
+from conftest import synthetic_script
+
 SCENARIO_CORPUS = str(data_path(SCENARIO_CLAIM))
 SCENARIO_SCRIPT = str(data_path(SCENARIO_MOCK))
 
@@ -180,6 +182,75 @@ def test_run_is_deterministic_and_cached(capsys, tmp_path):
     assert first_manifest["report_digest"] == second_manifest["report_digest"]
     assert first_manifest["counters"]["backend_calls"] > 0
     assert second_manifest["counters"]["backend_calls"] == 0  # pure cache replay
+
+
+# `tracer run` that dies, as a SIGKILL would, when its third claim starts
+_RUN_KILLED_AT_CLAIM_3 = """
+import os, sys
+import tracer.cli
+
+run_pipeline = tracer.cli.run_pipeline
+started = 0
+
+def dying_run_pipeline(*args, **kwargs):
+    global started
+    started += 1
+    if started == 3:
+        os._exit(9)
+    return run_pipeline(*args, **kwargs)
+
+tracer.cli.run_pipeline = dying_run_pipeline
+sys.exit(tracer.cli.main(sys.argv[1:]))
+"""
+
+
+def test_run_killed_at_a_claim_keeps_exactly_the_finished_claims_records(capsys, tmp_path):
+    script = tmp_path / "synthetic.json"
+    script.write_text(json.dumps(synthetic_script(8)), encoding="utf-8")
+    records = generate_synthetic_corpus(seed=31, n=5).records
+    first_two, whole = tmp_path / "first-two.jsonl", tmp_path / "whole.jsonl"
+    save_corpus(Corpus(split=Split.TEST, records=records[:2]), first_two)
+    save_corpus(Corpus(split=Split.TEST, records=records), whole)
+
+    def run_args(corpus, cache, tag):
+        return [
+            "run",
+            "--corpus",
+            str(corpus),
+            "--mock",
+            str(script),
+            "--output",
+            str(tmp_path / f"{tag}-reports.jsonl"),
+            "--cache",
+            str(cache),
+            "--manifest",
+            str(tmp_path / f"{tag}.manifest.json"),
+        ]
+
+    def run(corpus, cache, tag):
+        code, _, _ = run_cli(capsys, *run_args(corpus, cache, tag))
+        assert code == 0
+        return json.loads((tmp_path / f"{tag}.manifest.json").read_text())["report_digest"]
+
+    first_two_cache, whole_cache = tmp_path / "first-two-cache", tmp_path / "whole-cache"
+    run(first_two, first_two_cache, "first-two")
+    digest = run(whole, whole_cache, "whole")
+
+    killed_cache = tmp_path / "killed-cache"
+    result = subprocess.run(
+        [sys.executable, "-c", _RUN_KILLED_AT_CLAIM_3, *run_args(whole, killed_cache, "killed")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 9, result.stderr
+    for suffix in ("", ".vectors"):
+        left = Path(f"{killed_cache}{suffix}").read_bytes()
+        assert left == Path(f"{first_two_cache}{suffix}").read_bytes(), suffix
+        assert Path(f"{whole_cache}{suffix}").read_bytes().startswith(left), suffix
+    assert len(ResponseCache(killed_cache)) == len(ResponseCache(first_two_cache)) > 0
+    # the rerun answers claims 1-2 from the cache and finishes the rest
+    assert run(whole, killed_cache, "rerun") == digest
 
 
 def _record_pipeline_calls(monkeypatch) -> list:
@@ -373,6 +444,17 @@ def test_run_config_rejects_keys_that_would_be_ignored(capsys, tmp_path, config_
     assert message in err
 
 
+def test_run_config_that_is_not_yaml_exits_one(capsys, tmp_path):
+    config = tmp_path / "run.yaml"
+    config.write_text("backend: [unclosed\n", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "run", "--config", str(config), "--output", str(tmp_path / "r.jsonl")
+    )
+    assert code == 1
+    assert f"config file {config} is not valid YAML" in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("bad", ['"x"', "null", "[1.0]"], ids=["string", "null", "nested"])
 def test_run_malformed_mock_vector_exits_one_before_any_claim(capsys, tmp_path, bad):
     script = json.loads(Path(SCENARIO_SCRIPT).read_text(encoding="utf-8"))
@@ -381,6 +463,53 @@ def test_run_malformed_mock_vector_exits_one_before_any_claim(capsys, tmp_path, 
     bad_script.write_text(
         json.dumps(script).replace('"__BAD__"', f"[1.0, {bad}]"), encoding="utf-8"
     )
+    out_path = tmp_path / "r.jsonl"
+    code, out, err = run_cli(
+        capsys,
+        "run",
+        "--corpus",
+        SCENARIO_CORPUS,
+        "--mock",
+        str(bad_script),
+        "--output",
+        str(out_path),
+    )
+    assert code == 1
+    assert f"mock script {bad_script} is malformed" in err
+    assert out == ""
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "section, entry",
+    [
+        ("rules", {"template": 5, "response": "A"}),
+        ("rules", {"template": "relevance", "contains": 5, "response": "A"}),
+        ("rules", {"template": "relevance", "response": 5}),
+        ("rules", {"template": "relevance", "responses": ["A", None]}),
+        ("rules", {"template": "relevance", "responses": []}),
+        ("rules", {"template": "relevance", "responses": "AB"}),
+        ("embeddings", {"contains": 5, "vector": [1.0]}),
+        ("embeddings", {"text": ["a"], "vector": [1.0]}),
+    ],
+    ids=[
+        "template",
+        "contains",
+        "response",
+        "responses-item",
+        "responses-empty",
+        "responses-string",
+        "embedding-contains",
+        "embedding-text",
+    ],
+)
+def test_run_malformed_mock_rule_or_embedding_exits_one_before_any_claim(
+    capsys, tmp_path, section, entry
+):
+    script = json.loads(Path(SCENARIO_SCRIPT).read_text(encoding="utf-8"))
+    script[section].insert(0, entry)
+    bad_script = tmp_path / "bad.json"
+    bad_script.write_text(json.dumps(script), encoding="utf-8")
     out_path = tmp_path / "r.jsonl"
     code, out, err = run_cli(
         capsys,
@@ -427,6 +556,7 @@ def test_run_and_eval_count_a_failed_claim_instead_of_scoring_it(
     report = json.loads(out_path.read_text(encoding="utf-8"))
     assert report["stages"][-1]["stage"] == stage
     assert report["stages"][-1]["status"] == "failed"
+    assert out.startswith(f"scenario-001: failed at {stage}\nreport digest: ")
     assert "n             0\nn_failed      1\n" in out
     assert "accuracy" not in out
 
@@ -814,17 +944,16 @@ def test_module_entry_point_runs():
     assert "usage: tracer" in result.stdout
 
 
-def test_importing_the_cli_does_not_import_requests():
+def test_importing_the_cli_imports_neither_requests_nor_yaml():
     # requests is most of the import time of an offline run; only the live
-    # backend and the external classifiers need it, and they import it late
+    # backend and the external classifiers need it, and they import it late.
+    # yaml is needed only to read a config file.
+    code = "import sys, tracer.cli; print('requests' in sys.modules, 'yaml' in sys.modules)"
     result = subprocess.run(
-        [sys.executable, "-c", "import sys, tracer.cli; print('requests' in sys.modules)"],
-        capture_output=True,
-        text=True,
-        timeout=60,
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert result.stdout.split() == ["False", "False"]
 
 
 def test_package_exports_run_ablation_without_importing_the_cli():

@@ -5,6 +5,7 @@ import json
 import string
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -356,6 +357,92 @@ def test_cache_concurrent_writers(tmp_path):
         assert reloaded.get(f"e{i}").tolist() == [float(i)] * (i % 7 + 1)
 
 
+def test_cache_batches_on_two_threads_each_write_everything_pending_on_exit(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    cache = ResponseCache(path)
+    first_put, second_put, first_done = threading.Event(), threading.Event(), threading.Event()
+    held_when_first_exited = []
+
+    def first():
+        with cache.batched():
+            cache.put("a", "text a")
+            cache.put("av", [1.0, 2.0])
+            first_put.set()
+            assert second_put.wait(10)
+        first_done.set()
+
+    def second():
+        assert first_put.wait(10)
+        with cache.batched():
+            cache.put("b", "text b")
+            cache.put("bv", [3.0])
+            second_put.set()
+            assert first_done.wait(10)
+            held_when_first_exited.append(len(ResponseCache(path)))
+            cache.put("c", "text c")
+
+    threads = [threading.Thread(target=first), threading.Thread(target=second)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+        assert not t.is_alive()
+    # the first exit wrote the second block's records too
+    assert held_when_first_exited == [4]
+    reloaded = ResponseCache(path)
+    assert len(reloaded) == 5
+    assert [reloaded.get(k) for k in ("a", "b", "c")] == ["text a", "text b", "text c"]
+    assert reloaded.get("av").tolist() == [1.0, 2.0]
+    assert reloaded.get("bv").tolist() == [3.0]
+
+
+def test_cache_writes_nothing_inside_a_batch_and_everything_at_its_exit(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    cache = ResponseCache(path)
+    cache.put("k0", "v0")
+    with cache.batched():
+        cache.put("k1", "v1")
+        cache.put("e1", [1.0, 2.0])
+        # every put is answered at once, and nothing new is on disk yet
+        assert cache.get("k1") == "v1" and cache.get("e1").tolist() == [1.0, 2.0]
+        assert len(ResponseCache(path)) == 1
+    assert path.read_text(encoding="utf-8") == (
+        '{"key": "k0", "value": "v0"}\n'
+        '{"key": "k1", "value": "v1"}\n'
+        '{"key": "e1", "at": 0, "dim": 2}\n'
+    )
+
+
+def test_cache_clear_drops_what_a_batch_has_not_written(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    cache = ResponseCache(path)
+    with cache.batched():
+        cache.put("k1", "v1")
+        cache.clear()
+        cache.put("k2", "v2")
+    assert path.read_text(encoding="utf-8") == '{"key": "k2", "value": "v2"}\n'
+
+
+@given(
+    text=st.text(),
+    key=st.text(min_size=1),
+    dim=st.integers(min_value=0, max_value=4),
+)
+def test_cache_lines_are_the_json_encoding_of_their_record(tmp_path_factory, text, key, dim):
+    path = tmp_path_factory.mktemp("cache") / "cache.jsonl"
+    cache = ResponseCache(path)
+    with cache.batched():
+        cache.put(key + "t", text)
+        cache.put(key + "v", [0.5] * dim)
+    expected = [
+        {"key": key + "t", "value": text},
+        {"key": key + "v", "at": 0, "dim": dim},
+    ]
+    assert path.read_bytes() == b"".join(
+        (json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8") for record in expected
+    )
+
+
 def _vector_file(path):
     return path.with_name(path.name + ".vectors")
 
@@ -696,6 +783,12 @@ def test_mock_malformed_vector_fails_at_load(vector, error):
         MockScript.from_dict({"embeddings": [{"contains": "a", "vector": vector}]})
 
 
+def test_mock_built_directly_checks_its_rules():
+    rule = MockRule(template="relevance", contains=None, responses=[5], repeat=True)
+    with pytest.raises(TypeError):
+        MockScript(rules=[rule])
+
+
 def test_gateway_embed_over_texts_sharing_an_array_cold_then_warm(tmp_path):
     gateway, script = make_gateway(
         embeddings=[
@@ -851,6 +944,49 @@ def test_gateway_persistent_cache_across_instances(tmp_path):
     gateway2, script2 = make_gateway(rules=[], cache_path=path)  # no rules needed
     assert gateway2.complete("relevance", claim="c", ruling="r", evidence="e") == "A"
     assert script2.call_log == []
+
+
+class _CountingBackend:
+    """Answers A, and keeps the most calls it was ever inside at once."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.inside = self.peak = 0
+        # the first two calls wait for each other, so a cap of two is reached
+        self.pair = threading.Barrier(2, timeout=10)
+
+    def complete(self, template_id, prompt, decoding):
+        with self.lock:
+            self.inside += 1
+            self.peak = max(self.peak, self.inside)
+        try:
+            self.pair.wait()
+        except threading.BrokenBarrierError:
+            pass
+        time.sleep(0.05)
+        with self.lock:
+            self.inside -= 1
+        return "A"
+
+
+def test_gateway_caps_backend_calls_in_flight():
+    backend = _CountingBackend()
+    gateway = Gateway(backend=backend, max_in_flight=2)
+    threads = [
+        threading.Thread(
+            target=gateway.complete,
+            args=("relevance",),
+            kwargs=dict(claim=f"c{i}", ruling="r", evidence="e"),
+        )
+        for i in range(4)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+        assert not t.is_alive()
+    assert backend.peak == 2
+    assert gateway.counters.backend_calls == 4
 
 
 def test_gateway_embed_returns_cached_embedding():

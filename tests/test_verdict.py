@@ -1,5 +1,6 @@
 """Base verification, re-assessment, and the end-to-end pipeline."""
 
+import contextlib
 import json
 
 import pytest
@@ -10,8 +11,21 @@ from tracer.causality import Assumption, CausalEffect
 from tracer.che import CheCandidate, ExternalNliClassifier, NliVerdict
 from tracer.config import ABLATION_CONFIGS, Thresholds
 from tracer.corpus import ClaimRecord, Label
-from tracer.errors import BackendError, EmptyJustification, ParseError, UnparseableChoice
-from tracer.fixtures import load_expected_report, load_scenario_record, make_scenario_gateway
+from tracer.errors import (
+    BackendError,
+    EmptyJustification,
+    ParseError,
+    TracerError,
+    UnparseableChoice,
+)
+from tracer.fixtures import (
+    generate_synthetic_corpus,
+    load_expected_report,
+    load_scenario_record,
+    load_scenario_script,
+    make_scenario_gateway,
+)
+from tracer.gateway import Gateway, MockScript, ResponseCache
 from tracer.gateway.backends import post_json
 from tracer.verdict import (
     BaseVerdict,
@@ -28,7 +42,7 @@ from tracer.verdict import (
     load_reports,
 )
 
-from conftest import make_gateway
+from conftest import make_gateway, synthetic_script
 
 
 # -- chain-of-thought base verdict -----------------------------------------
@@ -702,6 +716,132 @@ def test_scenario_runs_are_byte_identical():
         report = run_pipeline(gateway, load_scenario_record())
         runs.append(json.dumps(report_to_dict(report), ensure_ascii=False, sort_keys=False))
     assert runs[0] == runs[1]
+
+
+# -- cache writes ----------------------------------------------------------------
+
+
+def _vector_file(path):
+    return path.with_name(path.name + ".vectors")
+
+
+def _record_requests(gateway):
+    """Wrap the gateway's two requests so that every call is logged in order."""
+    calls = []
+    for name in ("complete", "embed"):
+        method = getattr(gateway, name)
+
+        def logged(*args, _method=method, _name=name, **kwargs):
+            calls.append((_name, args, kwargs))
+            return _method(*args, **kwargs)
+
+        setattr(gateway, name, logged)
+    return calls
+
+
+def _scenario_run():
+    return load_scenario_script(), [load_scenario_record()]
+
+
+def _synthetic_run(dim):
+    def run():
+        script = MockScript.from_dict(synthetic_script(dim))
+        return script, generate_synthetic_corpus(seed=23, n=5).records
+
+    return run
+
+
+@pytest.mark.parametrize(
+    "make_run",
+    [_scenario_run, _synthetic_run(8), _synthetic_run(1536)],
+    ids=["scenario", "synthetic-8", "synthetic-1536"],
+)
+def test_pipeline_cache_files_equal_those_of_the_same_requests_written_through(
+    tmp_path, make_run
+):
+    script, records = make_run()
+    path = tmp_path / "claims.jsonl"
+    gateway = Gateway(backend=script, cache=ResponseCache(path))
+    calls = _record_requests(gateway)
+    for record in records:
+        run_pipeline(gateway, record)
+
+    # the same requests, one at a time, outside any claim
+    script, _ = make_run()
+    through = tmp_path / "through.jsonl"
+    replay = Gateway(backend=script, cache=ResponseCache(through))
+    for name, args, kwargs in calls:
+        with contextlib.suppress(TracerError):
+            getattr(replay, name)(*args, **kwargs)
+    assert replay.counters == gateway.counters
+    assert path.read_bytes() == through.read_bytes()
+    assert _vector_file(path).read_bytes() == _vector_file(through).read_bytes()
+    assert _vector_file(path).stat().st_size > 0
+
+
+class _InterruptedBackend:
+    """The scenario script, interrupted at the first request for one template."""
+
+    def __init__(self, template_id):
+        self.script = load_scenario_script()
+        self.template_id = template_id
+
+    def complete(self, template_id, prompt, decoding):
+        if template_id == self.template_id:
+            raise KeyboardInterrupt
+        return self.script.complete(template_id, prompt, decoding)
+
+    def embed(self, text):
+        return self.script.embed(text)
+
+
+def test_pipeline_interrupted_inside_a_claim_keeps_its_earlier_records(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    gateway = Gateway(backend=_InterruptedBackend("cot_verdict"), cache=ResponseCache(path))
+    with pytest.raises(KeyboardInterrupt):
+        run_pipeline(gateway, load_scenario_record())
+
+    # alignment's completions and embeddings came before the interrupt
+    held = gateway.cache._entries
+    assert gateway.counters.backend_calls == len(held) > 0
+    reloaded = ResponseCache(path)
+    assert len(reloaded) == len(held)
+    for key, value in held.items():
+        if isinstance(value, str):
+            assert reloaded.get(key) == value
+        else:
+            assert reloaded.get(key).tobytes() == value.tobytes()
+
+
+def test_pipeline_never_leaves_an_index_record_past_the_vector_file(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    gateway = Gateway(
+        backend=MockScript.from_dict(synthetic_script(8)), cache=ResponseCache(path)
+    )
+    n_records = 0
+    for record in generate_synthetic_corpus(seed=29, n=4).records:
+        run_pipeline(gateway, record)
+        size = _vector_file(path).stat().st_size
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) > n_records
+        n_records = len(lines)
+        for line in lines:
+            index = json.loads(line)
+            if "at" in index:
+                assert index["at"] + 8 * index["dim"] <= size
+        assert len(ResponseCache(path)) == n_records
+
+
+def test_pipeline_cache_that_cannot_write_vectors_writes_no_index_record(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    _vector_file(path).mkdir()
+    gateway = Gateway(
+        backend=MockScript.from_dict(synthetic_script(8)), cache=ResponseCache(path)
+    )
+    with pytest.raises(OSError):
+        run_pipeline(gateway, generate_synthetic_corpus(seed=29, n=1).records[0])
+    written = path.read_text(encoding="utf-8") if path.exists() else ""
+    assert '"at": ' not in written
 
 
 # -- report serialization ---------------------------------------------------------
