@@ -7,6 +7,10 @@ content. Finally an embedding-similarity pass refines the provisional
 answer, demoting presented sentences the claim barely resembles and
 promoting unpresented ones that are near-paraphrases of it.
 
+The two prompts run for every sentence first, in evidence order; the
+claim and all the sentences to refine are then embedded in one request,
+so a claim pays one embedding round trip, not one per sentence.
+
 When a fine-tuned external classifier is available over HTTP it replaces
 the whole prompt pipeline; provenance records which path produced each
 label.
@@ -109,7 +113,15 @@ def refine_by_similarity(
     promoted. Either direction is disabled by setting its threshold to
     None.
     """
-    similarity = cosine_similarity(gateway.embed(claim), gateway.embed(sentence))
+    return _refine(
+        gateway.embed(claim), gateway.embed(sentence), provisional_presented, thresholds
+    )
+
+
+def _refine(
+    claim: Embedding, sentence: Embedding, provisional_presented: bool, thresholds: Thresholds
+) -> tuple[AlignmentLabel, float]:
+    similarity = cosine_similarity(claim, sentence)
     if provisional_presented:
         if thresholds.tau_low is not None and similarity < thresholds.tau_low:
             return AlignmentLabel.HIDDEN, similarity
@@ -167,49 +179,70 @@ def align_evidence(
     decide what to do with flagged entries. The relevance step needs the
     ruling text; without one (inference time) every sentence is treated
     as relevant.
+
+    The prompts run first, sentence by sentence in evidence order. Then
+    the claim and every sentence still to refine are embedded in one
+    ``embed_many`` call. If that call fails, each sentence is refined on
+    its own, so an embedding that cannot be had fails only its sentence.
     """
-    provenance = (
-        Provenance.PROMPT_PIPELINE if classifier is None else Provenance.EXTERNAL_CLASSIFIER
-    )
-    aligned: list[AlignedEvidence] = []
+    if classifier is not None:
+        return [_classify(classifier, claim, sentence) for sentence in evidence]
+    aligned: list[AlignedEvidence | None] = []
+    presented: dict[int, bool] = {}  # position -> answer, for the sentences to refine
     for sentence in evidence:
         try:
-            aligned.append(
-                _align_one(gateway, claim, ruling, sentence, thresholds, classifier)
-            )
+            if ruling.strip() and not check_relevance(gateway, claim, ruling, sentence):
+                irrelevant = AlignedEvidence(sentence=sentence, label=AlignmentLabel.IRRELEVANT)
+                aligned.append(irrelevant)
+                continue
+            presented[len(aligned)] = check_presentation(gateway, claim, sentence)
+            aligned.append(None)
         except TracerError as exc:
-            aligned.append(
-                AlignedEvidence(
-                    sentence=sentence,
-                    label=AlignmentLabel.IRRELEVANT,
-                    provenance=provenance,
-                    error=f"{type(exc).__name__}: {exc}",
+            aligned.append(_failed(sentence, Provenance.PROMPT_PIPELINE, exc))
+    embeddings = None
+    if presented:
+        try:
+            embeddings = gateway.embed_many([claim, *(evidence[i] for i in presented)])
+        except TracerError:
+            pass  # refined one by one below, so the failure stays on its sentence
+    for n, (position, answer) in enumerate(presented.items(), start=1):
+        sentence = evidence[position]
+        try:
+            if embeddings is None:
+                label, similarity = refine_by_similarity(
+                    gateway, claim, sentence, answer, thresholds
                 )
-            )
+            else:
+                label, similarity = _refine(embeddings[0], embeddings[n], answer, thresholds)
+        except TracerError as exc:
+            aligned[position] = _failed(sentence, Provenance.PROMPT_PIPELINE, exc)
+            continue
+        aligned[position] = AlignedEvidence(sentence=sentence, label=label, similarity=similarity)
     return aligned
 
 
-def _align_one(
-    gateway: Gateway,
-    claim: str,
-    ruling: str,
-    sentence: str,
-    thresholds: Thresholds,
-    classifier: ExternalAlignmentClassifier | None,
+def _classify(
+    classifier: ExternalAlignmentClassifier, claim: str, sentence: str
 ) -> AlignedEvidence:
-    if classifier is not None:
+    try:
         label, confidence = classifier.classify(claim, sentence)
-        return AlignedEvidence(
-            sentence=sentence,
-            label=label,
-            similarity=confidence,
-            provenance=Provenance.EXTERNAL_CLASSIFIER,
-        )
-    if ruling.strip() and not check_relevance(gateway, claim, ruling, sentence):
-        return AlignedEvidence(sentence=sentence, label=AlignmentLabel.IRRELEVANT)
-    presented = check_presentation(gateway, claim, sentence)
-    label, similarity = refine_by_similarity(gateway, claim, sentence, presented, thresholds)
-    return AlignedEvidence(sentence=sentence, label=label, similarity=similarity)
+    except TracerError as exc:
+        return _failed(sentence, Provenance.EXTERNAL_CLASSIFIER, exc)
+    return AlignedEvidence(
+        sentence=sentence,
+        label=label,
+        similarity=confidence,
+        provenance=Provenance.EXTERNAL_CLASSIFIER,
+    )
+
+
+def _failed(sentence: str, provenance: Provenance, exc: TracerError) -> AlignedEvidence:
+    return AlignedEvidence(
+        sentence=sentence,
+        label=AlignmentLabel.IRRELEVANT,
+        provenance=provenance,
+        error=f"{type(exc).__name__}: {exc}",
+    )
 
 
 def hidden_pool(aligned: list[AlignedEvidence]) -> list[str]:

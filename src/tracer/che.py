@@ -18,7 +18,7 @@ from .alignment import cosine_similarities, cosine_similarity  # noqa: F401
 from .causality import Assumption
 from .config import Thresholds
 from .errors import BackendError
-from .gateway import Gateway, parse_letter_choice
+from .gateway import Embedding, Gateway, parse_letter_choice
 from .gateway.backends import CircuitBreaker, post_json
 
 
@@ -94,16 +94,19 @@ def retrieve_che(
     k: int = 5,
     tau_che: float = 0.5,
     classifier: ExternalNliClassifier | None = None,
+    query: Embedding | None = None,
 ) -> list[CheCandidate]:
     """Hidden sentences that support or contradict one assumption.
 
     The pool is ranked by cosine similarity to the assumption; only the
     top k at or above tau_che reach the entailment gate. Ties rank by
-    pool position so retrieval is deterministic.
+    pool position so retrieval is deterministic. ``query`` is the
+    assumption's embedding when the caller already has it.
     """
     if not hidden_pool:
         return []
-    query = gateway.embed(assumption)
+    if query is None:
+        query = gateway.embed(assumption)
     similarities = cosine_similarities(query, [gateway.embed(s) for s in hidden_pool])
     # a stable sort: ties keep pool order
     ranked = sorted(zip(similarities, hidden_pool), key=lambda item: -item[0])
@@ -139,9 +142,13 @@ def collect_che(
     A sentence selected for several assumptions appears once, linked to
     all of them, with its primary link being the highest-similarity one.
     Output order is first-selection order, which is deterministic.
+    Every assumption is embedded in one ``embed_many`` call first.
     """
+    if not hidden_pool:
+        return []
+    queries = gateway.embed_many([assumption.text for assumption in critical_assumptions])
     by_sentence: dict[str, CheCandidate] = {}
-    for assumption in critical_assumptions:
+    for assumption, query in zip(critical_assumptions, queries):
         candidates = retrieve_che(
             gateway,
             assumption.text,
@@ -149,6 +156,7 @@ def collect_che(
             k=thresholds.top_k,
             tau_che=thresholds.tau_che,
             classifier=classifier,
+            query=query,
         )
         for candidate in candidates:
             existing = by_sentence.get(candidate.sentence)

@@ -208,7 +208,10 @@ def run_ablation(
     results: dict[str, AblationResult] = {}
     for config in configs:
         gateway = gateway_factory()
-        reports = list(run_corpus(gateway, records, ablation=config))
+        try:
+            reports = list(run_corpus(gateway, records, ablation=config))
+        finally:
+            gateway.cache.close()
         results[config.name] = AblationResult(
             config=config,
             reports=reports,
@@ -245,53 +248,56 @@ def cmd_run(args) -> int:
         raise ConfigError("no output path given (use --output or a config file)")
 
     gateway = _build_gateway(config.backend, config.cache_path)
-    corpus = load_corpus(config.corpus_path)
-    base_verdicts = load_base_verdicts(args.base_verdicts) if args.base_verdicts else None
-    alignment_classifier = (
-        ExternalAlignmentClassifier(args.alignment_endpoint)
-        if args.alignment_endpoint
-        else None
-    )
-    nli_classifier = ExternalNliClassifier(args.nli_endpoint) if args.nli_endpoint else None
+    try:
+        corpus = load_corpus(config.corpus_path)
+        base_verdicts = load_base_verdicts(args.base_verdicts) if args.base_verdicts else None
+        alignment_classifier = (
+            ExternalAlignmentClassifier(args.alignment_endpoint)
+            if args.alignment_endpoint
+            else None
+        )
+        nli_classifier = ExternalNliClassifier(args.nli_endpoint) if args.nli_endpoint else None
 
-    reports = []
-    for report in run_corpus(
-        gateway,
-        corpus.records,
-        thresholds=config.thresholds,
-        ablation=config.ablation,
-        reassess_true_only=config.reassess_true_only,
-        base_verdicts=base_verdicts,
-        alignment_classifier=alignment_classifier,
-        nli_classifier=nli_classifier,
-    ):
-        reports.append(report)
-        stage = failed_stage(report)
-        verdict = f"failed at {stage}" if stage else report.final_verdict.label.value
-        print(f"{report.id}: {verdict}")
+        reports = []
+        for report in run_corpus(
+            gateway,
+            corpus.records,
+            thresholds=config.thresholds,
+            ablation=config.ablation,
+            reassess_true_only=config.reassess_true_only,
+            base_verdicts=base_verdicts,
+            alignment_classifier=alignment_classifier,
+            nli_classifier=nli_classifier,
+        ):
+            reports.append(report)
+            stage = failed_stage(report)
+            verdict = f"failed at {stage}" if stage else report.final_verdict.label.value
+            print(f"{report.id}: {verdict}")
 
-    save_reports(config.output_path, reports)
-    digest = hashlib.sha256(Path(config.output_path).read_bytes()).hexdigest()
-    print(f"report digest: {digest}")
+        save_reports(config.output_path, reports)
+        digest = hashlib.sha256(Path(config.output_path).read_bytes()).hexdigest()
+        print(f"report digest: {digest}")
 
-    metrics = score_reports(corpus.records, reports)
-    if metrics is not None:
-        print(format_table(metrics))
+        metrics = score_reports(corpus.records, reports)
+        if metrics is not None:
+            print(format_table(metrics))
 
-    manifest_path = args.manifest or f"{config.output_path}.manifest.json"
-    manifest = {
-        "ablation": config.ablation.name,
-        "backend_mode": config.backend.mode,
-        "n_claims": len(reports),
-        "report_digest": digest,
-        "counters": asdict(gateway.counters),
-        "cache": gateway.cache.stats(),
-    }
-    with open(manifest_path, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"manifest: {manifest_path}")
-    return 0
+        manifest_path = args.manifest or f"{config.output_path}.manifest.json"
+        manifest = {
+            "ablation": config.ablation.name,
+            "backend_mode": config.backend.mode,
+            "n_claims": len(reports),
+            "report_digest": digest,
+            "counters": asdict(gateway.counters),
+            "cache": gateway.cache.stats(),
+        }
+        with open(manifest_path, "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        print(f"manifest: {manifest_path}")
+        return 0
+    finally:
+        gateway.cache.close()
 
 
 def cmd_eval(args) -> int:

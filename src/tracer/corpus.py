@@ -268,8 +268,9 @@ def load_corpus(path: str | Path, split: Split | str = Split.TEST) -> Corpus:
     """Load and validate a line-delimited corpus file.
 
     Raises ParseError (with the offending line number) for undecodable
-    lines and ValidationError (naming the record id) for duplicate ids or
-    inconsistent labels. Per-label counts land in corpus.diagnostics.
+    lines, a lone surrogate among them, and ValidationError (naming the
+    record id) for duplicate ids or inconsistent labels. Per-label
+    counts land in corpus.diagnostics.
     """
     split = Split(split)
     path = Path(path)
@@ -283,6 +284,13 @@ def load_corpus(path: str | Path, split: Split | str = Split.TEST) -> Corpus:
                 payload = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(line_number, f"bad JSON: {exc.msg}") from None
+            # a \u escape can decode to a lone surrogate, which no UTF-8 file,
+            # cache key or report can hold
+            if "\\u" in line:
+                try:
+                    json.dumps(payload, ensure_ascii=False).encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ParseError(line_number, "text is not valid Unicode") from None
             record = _record_from_dict(payload, line_number)
             if record.id in seen_ids:
                 raise ValidationError(record.id, "duplicate record id")

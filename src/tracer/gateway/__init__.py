@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..errors import EmptyInput
+from ..errors import BackendError, EmptyInput
 from .backends import API_KEY_ENV, Decoding, LiveBackend, api_key_from_env
 from .cache import (
     ResponseCache,
@@ -87,17 +87,22 @@ class GatewayCounters:
 class Gateway:
     """Template rendering + cache + backend, behind one interface.
 
-    ``complete(template_id, **bindings)`` and ``embed(text)`` are the only
-    two requests. The backend is either a MockScript or a LiveBackend;
-    both answer ``complete(template_id, prompt, decoding)`` with a string
-    and ``embed(text)`` with a read-only float64 array, which is cached
-    and wrapped without a copy. Every completion uses the bundled template catalog
-    and the default ``Decoding``; model ids come from the backend
-    (``"mock"`` when it names none). ``counters`` counts every request,
-    cache hit and backend call. At most ``max_in_flight`` backend
-    requests run at once when callers fan out across threads: a request
-    takes one of that many tokens from a queue before it calls the
-    backend and puts it back after.
+    ``complete(template_id, **bindings)`` and ``embed(text)`` are the two
+    requests, and ``embed_many(texts)`` asks for several embeddings at
+    once. The backend is either a MockScript or a LiveBackend; both
+    answer ``complete(template_id, prompt, decoding)`` with a string and
+    ``embed(texts)`` with one read-only float64 array per text, in order,
+    each cached and wrapped without a copy. Every embedding request that
+    misses the cache reaches the backend through ``embed(texts)``, one
+    call for all the misses of one ``embed_many``. Every completion uses
+    the bundled template catalog and the default ``Decoding``; model ids
+    come from the backend (``"mock"`` when it names none). A completion
+    that is not valid Unicode (a lone surrogate) is a ``BackendError``
+    and is not cached. ``counters`` counts every request, cache hit and
+    backend call. At most ``max_in_flight`` backend requests run at once
+    when callers fan out across threads: a request takes one of that
+    many tokens from a queue before it calls the backend and puts it
+    back after.
 
     A request that misses a cache holding keys in the form earlier
     versions wrote (``cache.has_legacy_keys``) is looked up under its
@@ -159,6 +164,13 @@ class Gateway:
             self.counters.by_template[template_id] = (
                 self.counters.by_template.get(template_id, 0) + 1
             )
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            # a lone surrogate: valid in JSON, but no cache line can hold it
+            raise BackendError(
+                f"the {template_id!r} answer is not valid Unicode: {exc}"
+            ) from None
         self.cache.put(key, text)
         return text
 
@@ -176,38 +188,75 @@ class Gateway:
         under its legacy key is remembered with that key, so its legacy
         key is computed only once.
         """
-        if not text or not text.strip():
-            raise EmptyInput("cannot embed empty text")
         remembered = self._embedded.get(text)
-        cached = self.cache.get(remembered[0]) if remembered is not None else None
-        if cached is not None:
-            key = remembered[0]
-        else:
-            # a remembered key that misses may be a legacy one, and a
-            # miss is written under the new key
-            key = embedding_key(self.embedding_model_id, text)
-            cached = self.cache.get(key)
-            if cached is None and self.cache.has_legacy_keys:
-                legacy_key = _legacy_embedding_key(self.embedding_model_id, text)
-                cached = self.cache.get(legacy_key)
-                if cached is not None:
-                    key = legacy_key
-        with self._counter_lock:
-            self.counters.embedding_requests += 1
-            if cached is not None:
+        if remembered is not None and self.cache.get(remembered[0]) is remembered[1].vector:
+            with self._counter_lock:
+                self.counters.embedding_requests += 1
                 self.counters.embedding_cache_hits += 1
-        if cached is not None:
-            if remembered is not None and cached is remembered[1].vector:
-                return remembered[1]
-            vector = cached
-        else:
-            vector = frozen_vector(self._call_backend(self.backend.embed, text))
+            return remembered[1]
+        return self._embed_all([text])[0]
+
+    def embed_many(self, texts) -> list[Embedding]:
+        """Embeddings of the texts, in order, with at most one backend call.
+
+        Requests, hits and cache records are those of the same texts
+        asked of ``embed`` one at a time, and so are the ``Embedding``
+        objects returned: a text asked for earlier in the list is a hit.
+        Every text the cache lacks goes to the backend in one call, each
+        text once, in the order first asked. If that call fails, nothing
+        is cached.
+        """
+        return self._embed_all(list(texts))
+
+    def _embed_all(self, texts: list[str]) -> list[Embedding]:
+        if not all(text and text.strip() for text in texts):
+            raise EmptyInput("cannot embed empty text")
+        found: dict[str, Embedding] = {}
+        missed: dict[str, str] = {}  # text -> the key it is written under
+        hits = 0
+        for text in texts:
+            if text in found or text in missed:
+                hits += 1
+                continue
+            remembered = self._embedded.get(text)
+            cached = self.cache.get(remembered[0]) if remembered is not None else None
+            if cached is not None:
+                key = remembered[0]
+            else:
+                # a remembered key that misses may be a legacy one, and a
+                # miss is written under the new key
+                key = embedding_key(self.embedding_model_id, text)
+                cached = self.cache.get(key)
+                if cached is None and self.cache.has_legacy_keys:
+                    legacy_key = _legacy_embedding_key(self.embedding_model_id, text)
+                    cached = self.cache.get(legacy_key)
+                    if cached is not None:
+                        key = legacy_key
+            if cached is None:
+                missed[text] = key
+                continue
+            hits += 1
+            if remembered is None or cached is not remembered[1].vector:
+                remembered = (key, Embedding(vector=cached, model_id=self.embedding_model_id))
+                self._embedded[text] = remembered
+            found[text] = remembered[1]
+        with self._counter_lock:
+            self.counters.embedding_requests += len(texts)
+            self.counters.embedding_cache_hits += hits
+        if missed:
+            vectors = self._call_backend(self.backend.embed, list(missed))
+            if len(vectors) != len(missed):
+                raise BackendError(
+                    f"the backend returned {len(vectors)} vectors for {len(missed)} texts"
+                )
             with self._counter_lock:
                 self.counters.backend_calls += 1
-            self.cache.put(key, vector)
-        embedding = Embedding(vector=vector, model_id=self.embedding_model_id)
-        self._embedded[text] = (key, embedding)
-        return embedding
+            for (text, key), vector in zip(missed.items(), vectors):
+                vector = frozen_vector(vector)
+                self.cache.put(key, vector)
+                found[text] = Embedding(vector=vector, model_id=self.embedding_model_id)
+                self._embedded[text] = (key, found[text])
+        return [found[text] for text in texts]
 
 
 __all__ = [

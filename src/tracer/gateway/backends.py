@@ -9,7 +9,8 @@ Parse failures downstream are never retried here.
 
 ``LiveBackend`` speaks the OpenAI-compatible wire format for the two
 endpoints the pipeline needs: chat completions and embeddings. Like
-the mock, its ``embed`` returns a read-only float64 array.
+the mock, its ``embed`` takes a list of texts and returns one read-only
+float64 array per text, all from one request.
 
 ``CircuitBreaker`` stops the external classifiers from POSTing to an
 endpoint that keeps failing.
@@ -190,10 +191,22 @@ class LiveBackend:
         except (KeyError, IndexError, TypeError) as exc:
             raise BackendError(f"malformed chat completion response: {data!r:.200}") from exc
 
-    def embed(self, text: str) -> np.ndarray:
-        payload = {"model": self.embedding_model_id, "input": text}
+    def embed(self, texts: list[str]) -> list[np.ndarray]:
+        """One request for all the texts; one vector per text, in their order.
+
+        The answer's rows are put back in order by their ``index``, which
+        must run over exactly the texts' positions.
+        """
+        payload = {"model": self.embedding_model_id, "input": list(texts)}
         data = self._post("embeddings", payload)
         try:
-            return frozen_vector([float(x) for x in data["data"][0]["embedding"]])
+            rows = sorted(data["data"], key=lambda row: row["index"])
+            indices = [row["index"] for row in rows]
+            vectors = [frozen_vector([float(x) for x in row["embedding"]]) for row in rows]
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise BackendError(f"malformed embedding response: {data!r:.200}") from exc
+        if indices != list(range(len(texts))):
+            raise BackendError(
+                f"embedding response indices {indices} do not match {len(texts)} texts"
+            )
+        return vectors

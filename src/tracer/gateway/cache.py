@@ -360,14 +360,22 @@ class ResponseCache:
                 if self._pending:
                     self._write_pending()
 
+    def close(self) -> None:
+        """Close the append handles; the cache still serves, and a later write reopens them."""
+        with self._lock:
+            self._close_handles()
+
+    def _close_handles(self) -> None:
+        for handle in (self._handle, self._vector_handle):
+            if handle is not None:
+                handle.close()
+        self._handle = self._vector_handle = None
+
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
             self.has_legacy_keys = False
-            for handle in (self._handle, self._vector_handle):
-                if handle is not None:
-                    handle.close()
-            self._handle = self._vector_handle = None
+            self._close_handles()
             self._open_tail = None
             self._pending.clear()
             if self.path is not None:

@@ -5,8 +5,9 @@ embeddings. Completion rules are matched in order against the template
 id and, optionally, a substring of the rendered prompt; the first match
 wins; a request scans only its own template's rules, grouped at load.
 A rule may carry a single response (returned every time) or a response
-list consumed one call at a time. Every served call is appended to
-``call_log`` so tests can assert exact call counts and ordering.
+list consumed one call at a time. Every served completion, and every
+text of a served ``embed`` call, is appended to ``call_log`` so tests
+can assert exact call counts and ordering.
 
 Each vector is parsed and checked once, at load (``float()`` on every
 element, so a bad one is ``ValueError`` or ``TypeError`` there), into
@@ -174,20 +175,27 @@ class MockScript:
             f"no mock rule matches template {template_id!r}; prompt starts: {prompt[:80]!r}"
         )
 
-    def embed(self, text: str) -> np.ndarray:
-        """The first matching entry's array, shared, or the hashed default."""
+    def embed(self, texts: list[str]) -> list[np.ndarray]:
+        """For each text, the first matching entry's array, shared, or the hashed default.
+
+        A text nothing matches raises ``MockScriptMiss`` before any text
+        is logged.
+        """
+        vectors = [self._vector_for(text) for text in texts]
+        self.call_log.extend(
+            MockCall(kind="embedding", template=None, prompt=text) for text in texts
+        )
+        return vectors
+
+    def _vector_for(self, text: str) -> np.ndarray:
         for entry in self.embeddings:
             if ("text" in entry and entry["text"] == text) or (
                 "contains" in entry and entry["contains"] in text
             ):
-                vector = entry["vector"]
-                break
-        else:
-            if self.default_embedding_dim is None:
-                raise MockScriptMiss(f"no mock embedding matches text: {text[:80]!r}")
-            vector = _hashed_unit_vector(text, self.default_embedding_dim)
-        self.call_log.append(MockCall(kind="embedding", template=None, prompt=text))
-        return vector
+                return entry["vector"]
+        if self.default_embedding_dim is None:
+            raise MockScriptMiss(f"no mock embedding matches text: {text[:80]!r}")
+        return _hashed_unit_vector(text, self.default_embedding_dim)
 
     def calls_for(self, template_id: str) -> list[MockCall]:
         return [c for c in self.call_log if c.template == template_id]

@@ -359,6 +359,71 @@ def test_align_evidence_captures_per_sentence_errors():
     assert aligned[1].provenance is Provenance.PROMPT_PIPELINE
 
 
+def test_align_evidence_embeds_the_claim_and_every_refined_sentence_in_one_call():
+    gateway, script = _pipeline_gateway()
+    evidence = ["the claim says X", "hidden fact Y", "off-topic Z", "hidden fact W"]
+    aligned = align_evidence(gateway, "claim", "our ruling", evidence)
+    assert [a.label for a in aligned] == [
+        AlignmentLabel.PRESENTED,
+        AlignmentLabel.HIDDEN,
+        AlignmentLabel.IRRELEVANT,
+        AlignmentLabel.HIDDEN,
+    ]
+    # every prompt first, in evidence order, then one embedding call
+    assert [(c.template, c.prompt.count("hidden fact W")) for c in script.call_log[:7]] == [
+        ("relevance", 0),
+        ("presentation", 0),
+        ("relevance", 0),
+        ("presentation", 0),
+        ("relevance", 0),
+        ("relevance", 1),
+        ("presentation", 1),
+    ]
+    assert [c.prompt for c in script.call_log[7:]] == [
+        "claim",
+        "the claim says X",
+        "hidden fact Y",
+        "hidden fact W",
+    ]
+    assert gateway.counters.backend_calls == 7 + 1
+    assert gateway.counters.embedding_requests == 4
+    assert gateway.counters.embedding_cache_hits == 0
+
+
+def test_align_evidence_sentence_without_an_embedding_fails_alone():
+    evidence = ["the claim says X", "never scripted", "hidden fact Y"]
+    gateway, _ = _pipeline_gateway()
+    aligned = align_evidence(gateway, "claim", "our ruling", evidence)
+
+    # each other sentence refined on its own, as alignment did one sentence at a time
+    for position, presented in ((0, True), (2, False)):
+        alone, _ = _pipeline_gateway()
+        label, similarity = refine_by_similarity(
+            alone, "claim", evidence[position], presented, Thresholds()
+        )
+        assert aligned[position] == AlignedEvidence(
+            sentence=evidence[position], label=label, similarity=similarity
+        )
+    assert [a.label for a in aligned] == [
+        AlignmentLabel.PRESENTED,
+        AlignmentLabel.IRRELEVANT,
+        AlignmentLabel.HIDDEN,
+    ]
+    assert aligned[1].error == "MockScriptMiss: no mock embedding matches text: 'never scripted'"
+    assert aligned[1].similarity is None
+    # the failed batch cached nothing; the fallback cached the claim and two sentences
+    assert gateway.counters.embedding_requests == 4 + 2 * 3
+    assert len(gateway.cache) == 6 + 3
+
+
+def test_align_evidence_claim_without_an_embedding_fails_every_refined_sentence():
+    gateway, _ = _pipeline_gateway()
+    aligned = align_evidence(gateway, "unscripted claim", "", ["hidden fact Y", "hidden fact W"])
+    for a in aligned:
+        assert a.label is AlignmentLabel.IRRELEVANT
+        assert a.error == "MockScriptMiss: no mock embedding matches text: 'unscripted claim'"
+
+
 def test_align_evidence_empty_input():
     gateway, script = _pipeline_gateway()
     assert align_evidence(gateway, "claim", "r", []) == []

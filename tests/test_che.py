@@ -239,6 +239,31 @@ def test_collect_keeps_stronger_primary_regardless_of_assumption_order():
     assert che[0].linked_assumptions == ("second assumption", "first assumption")
 
 
+def test_collect_embeds_every_assumption_in_one_backend_call():
+    gateway, script = _two_assumption_gateway()
+    pool = ["shared sentence", "first only sentence"]
+    for sentence in pool:  # alignment embedded the pool before retrieval
+        gateway.embed(sentence)
+    calls_before = gateway.counters.backend_calls
+    collect_che(gateway, [critical("first assumption"), critical("second assumption")], pool)
+    assert [(c.kind, c.prompt) for c in script.call_log[2:4]] == [
+        ("embedding", "first assumption"),
+        ("embedding", "second assumption"),
+    ]
+    # the NLI checks keep their order: the first assumption's ranking, then the second's
+    assert [c.prompt.count("first assumption") for c in script.call_log[4:]] == [1, 1, 0]
+    # one embedding call, three NLI checks; every pool lookup was a hit
+    assert gateway.counters.backend_calls - calls_before == 4
+    assert gateway.counters.embedding_requests == 2 + 2 + 2 * 2
+    assert gateway.counters.embedding_cache_hits == 2 * 2
+
+
+def test_collect_with_an_empty_pool_embeds_nothing():
+    gateway, script = _two_assumption_gateway()
+    assert collect_che(gateway, [critical("first assumption")], []) == []
+    assert script.call_log == []
+
+
 def test_collect_no_critical_assumptions_is_empty():
     gateway, script = make_gateway()
     assert collect_che(gateway, [], ["s1", "s2"]) == []

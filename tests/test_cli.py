@@ -1,12 +1,14 @@
 """Command line: subcommands, output shapes, exit codes, manifests."""
 
 import dataclasses
+import gc
 import hashlib
 import json
 import shutil
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -315,7 +317,7 @@ def test_ablate_calls_cli_run_pipeline_once_per_record_per_config(
 
 
 _SCENARIO_COLD_COUNTERS = {
-    "backend_calls": 28,
+    "backend_calls": 23,
     "by_template": {
         "assumptions": 1,
         "cot_verdict": 1,
@@ -333,16 +335,16 @@ _SCENARIO_COLD_COUNTERS = {
     },
     "completion_cache_hits": 0,
     "completion_requests": 21,
-    "embedding_cache_hits": 9,
-    "embedding_requests": 16,
+    "embedding_cache_hits": 6,
+    "embedding_requests": 13,
 }
 _SCENARIO_WARM_COUNTERS = {
     "backend_calls": 0,
     "by_template": {},
     "completion_cache_hits": 21,
     "completion_requests": 21,
-    "embedding_cache_hits": 16,
-    "embedding_requests": 16,
+    "embedding_cache_hits": 13,
+    "embedding_requests": 13,
 }
 
 
@@ -377,6 +379,30 @@ def test_run_bad_base_verdict_record_exits_one_naming_the_line(capsys, tmp_path,
     code, _, err, _ = _run_scenario(capsys, tmp_path, "--base-verdicts", str(verdicts))
     assert code == 1
     assert "error: line 2: bad external verdict record" in err
+
+
+def test_run_corpus_with_a_lone_surrogate_exits_one_naming_the_line(capsys, tmp_path):
+    record = json.loads(Path(SCENARIO_CORPUS).read_text(encoding="utf-8").splitlines()[0])
+    record["claim"] = "CLAIM"
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps(record).replace("CLAIM", "jobs \\ud800") + "\n", encoding="utf-8")
+    code, _, err = run_cli(
+        capsys, "run", "--corpus", str(corpus), "--mock", SCENARIO_SCRIPT,
+        "--output", str(tmp_path / "r.jsonl"),
+    )
+    assert code == 1
+    assert "error: line 1: text is not valid Unicode" in err
+
+
+@pytest.mark.filterwarnings("error::ResourceWarning")
+def test_run_closes_its_cache_files(capsys, tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        code, _, err, _ = _run_scenario(capsys, tmp_path, "--cache", str(cache))
+        gc.collect()
+    assert code == 0, err
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_run_without_corpus_exits_one(capsys, tmp_path):
@@ -837,7 +863,9 @@ def test_run_replays_a_base64_cache_and_writes_new_vectors_beside_it(capsys, tmp
     assert cache.read_bytes() == _BASE64_SCENARIO_CACHE.read_bytes()
     assert not vectors.exists()
 
-    ResponseCache(cache).put("new", [0.25, -0.0])
+    writer = ResponseCache(cache)
+    writer.put("new", [0.25, -0.0])
+    writer.close()
     assert json.loads(cache.read_text().splitlines()[-1]) == {"key": "new", "at": 0, "dim": 2}
     assert vectors.read_bytes() == struct.pack("<2d", 0.25, -0.0)
 
@@ -887,7 +915,11 @@ def test_run_replays_legacy_records_and_the_new_records_written_beside_them(caps
     text = cache.read_text(encoding="utf-8")
     assert text.startswith(kept)
     appended = [json.loads(line)["key"] for line in text[len(kept) :].splitlines()]
-    assert len(appended) == counters["backend_calls"]
+    # one record per request that missed
+    assert len(appended) == (
+        counters["completion_requests"] - counters["completion_cache_hits"]
+        + counters["embedding_requests"] - counters["embedding_cache_hits"]
+    )
     assert all(len(key) == 43 for key in appended)
 
     code, _, _, _ = _run_scenario(capsys, tmp_path, "--cache", str(cache))

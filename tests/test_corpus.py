@@ -1,6 +1,7 @@
 """Corpus loading, label consolidation, article splitting, temporal filter."""
 
 import datetime
+import json
 
 import pytest
 
@@ -187,3 +188,27 @@ def test_load_counts_labels_in_diagnostics(tmp_path):
     loaded = load_corpus(path)
     # the rating cycle hits each of the six ratings twice over 12 records
     assert loaded.diagnostics["label_counts"] == {"True": 2, "Half-True": 4, "False": 6}
+
+
+def _corpus_with_claim_escape(tmp_path, escape):
+    """A two-record corpus whose second claim holds the JSON escape as written."""
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(generate_synthetic_corpus(seed=1, n=2), path)
+    first, second = path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(second)
+    record["claim"] = "CLAIM"
+    second = json.dumps(record).replace("CLAIM", f"jobs {escape} grew")
+    path.write_text(f"{first}\n{second}\n", encoding="utf-8")
+    return path
+
+
+def test_load_rejects_a_lone_surrogate_naming_its_line(tmp_path):
+    with pytest.raises(ParseError) as excinfo:
+        load_corpus(_corpus_with_claim_escape(tmp_path, "\\ud800"))
+    assert excinfo.value.line_number == 2
+    assert excinfo.value.reason == "text is not valid Unicode"
+
+
+def test_load_accepts_an_escaped_surrogate_pair(tmp_path):
+    corpus = load_corpus(_corpus_with_claim_escape(tmp_path, "\\ud83d\\ude00"))
+    assert corpus.records[1].claim == "jobs \U0001f600 grew"

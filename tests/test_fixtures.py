@@ -130,9 +130,8 @@ def test_synthetic_corpus_cycles_all_three_labels():
 def test_retrieval_fixture_shape():
     script, query, pool = make_retrieval_fixture(seed=3, pool_size=7)
     assert len(pool) == 7
-    assert script.embed(query).tolist() == [1.0, 0.0]
-    for sentence in pool:
-        vector = script.embed(sentence)
+    assert script.embed([query])[0].tolist() == [1.0, 0.0]
+    for vector in script.embed(pool):
         assert len(vector) == 2
         assert sum(x * x for x in vector) == pytest.approx(1.0)
 

@@ -1,5 +1,6 @@
 """Gateway: templates, parsing, cache, mock backend, call accounting."""
 
+import dataclasses
 import hashlib
 import json
 import string
@@ -42,6 +43,26 @@ from tracer.gateway.cache import _legacy_completion_key, _legacy_embedding_key
 from tracer.gateway.mock import MockRule, _hashed_unit_vector
 
 from conftest import make_gateway
+
+
+@pytest.fixture(autouse=True)
+def _close_test_caches(monkeypatch):
+    """Close every cache a test here opened once the test ends.
+
+    Tests write through caches they never close; closing them here keeps
+    a run under ``-W error::ResourceWarning`` about the program's handles.
+    """
+    opened = []
+    init = ResponseCache.__init__
+
+    def tracked(self, *args, **kwargs):
+        opened.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ResponseCache, "__init__", tracked)
+    yield
+    for cache in opened:
+        cache.close()
 
 
 # -- templates -----------------------------------------------------------
@@ -723,7 +744,7 @@ def test_mock_miss_raises_rather_than_inventing_output():
     with pytest.raises(MockScriptMiss):
         script.complete("relevance", "prompt", Decoding())
     with pytest.raises(MockScriptMiss):
-        script.embed("text nobody scripted")
+        script.embed(["text nobody scripted"])
 
 
 def test_mock_call_log_is_complete_and_ordered():
@@ -734,17 +755,15 @@ def test_mock_call_log_is_complete_and_ordered():
         }
     )
     script.complete("t", "p1", Decoding())
-    script.embed("e")
+    script.embed(["e", "e"])
     script.complete("t", "p2", Decoding())
-    assert [c.kind for c in script.call_log] == ["completion", "embedding", "completion"]
-    assert [c.prompt for c in script.call_log] == ["p1", "e", "p2"]
+    assert [c.kind for c in script.call_log] == ["completion", "embedding", "embedding", "completion"]
+    assert [c.prompt for c in script.call_log] == ["p1", "e", "e", "p2"]
 
 
 def test_mock_default_embedding_is_deterministic_unit_norm():
     script = MockScript.from_dict({"default_embedding": {"dim": 12}})
-    v1 = script.embed("some text")
-    v2 = script.embed("some text")
-    v3 = script.embed("other text")
+    v1, v2, v3 = script.embed(["some text", "some text", "other text"])
     assert v1.tolist() == v2.tolist()
     assert v1.tolist() != v3.tolist()
     assert abs(sum(x * x for x in v1) - 1.0) < 1e-9
@@ -758,11 +777,9 @@ def test_mock_texts_matching_one_entry_share_one_read_only_array():
             ' {"contains": "[x]", "vector": [1, 0.30000000000000004, -0.0]}]}'
         )
     )
-    exact = script.embed("exact")
-    first = script.embed("[x] one")
-    second = script.embed("two [x]")
+    exact, first, second = script.embed(["exact", "[x] one", "two [x]"])
     assert first is second
-    assert script.embed("exact") is exact
+    assert script.embed(["exact"])[0] is exact
     for vector in (exact, first):
         assert vector.dtype == np.float64
         assert not vector.flags.writeable
@@ -823,7 +840,7 @@ def test_gateway_embed_over_texts_sharing_an_array_cold_then_warm(tmp_path):
 
 def test_gateway_embedding_wraps_the_scripted_array_without_a_copy():
     gateway, script = make_gateway(embeddings=[{"contains": "[x]", "vector": [1.0, 0.0]}])
-    shared = script.embed("[x] probe")
+    shared = script.embed(["[x] probe"])[0]
     one = gateway.embed("[x] one")
     two = gateway.embed("[x] two")
     assert one is not two
@@ -1041,11 +1058,11 @@ class _FlakyEmbedder:
     def complete(self, template_id, prompt, decoding):
         raise BackendError("no completions here")
 
-    def embed(self, text):
+    def embed(self, texts):
         self.embed_calls += 1
         if self.embed_calls == 1:
             raise BackendError("transient")
-        return [1.0, 0.0]
+        return [[1.0, 0.0] for _ in texts]
 
 
 def test_gateway_embed_failure_is_retried_on_the_next_call():
@@ -1061,6 +1078,129 @@ def test_gateway_embed_failure_is_retried_on_the_next_call():
     assert backend.embed_calls == 2
     assert gateway.counters.embedding_requests == 3
     assert gateway.counters.embedding_cache_hits == 1
+
+
+_WORDS = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]
+
+
+def _seeded_cache(path, kind):
+    """A cache file holding half the words: none, under new keys, or under legacy keys."""
+    cache = ResponseCache(path)
+    key = {"half": embedding_key, "legacy": _legacy_embedding_key}.get(kind)
+    if key is not None:
+        for i, word in enumerate(_WORDS[::2]):
+            cache.put(key("mock", word), [float(i), 1.0, 0.0, 2.0])
+    cache.close()
+    return ResponseCache(path)
+
+
+def _embed_run(path, kind, asks):
+    """Embeddings, counters, backend calls per ask and the cache files' bytes.
+
+    An ask is a text, sent to ``embed``, or a list of texts, sent to ``embed_many``.
+    """
+    cache = _seeded_cache(path, kind)
+    gateway = Gateway(backend=MockScript.from_dict({"default_embedding": {"dim": 4}}), cache=cache)
+    got, calls = [], []
+    for ask in asks:
+        before = gateway.counters.backend_calls
+        if isinstance(ask, list):
+            got.extend(gateway.embed_many(ask))
+        else:
+            got.append(gateway.embed(ask))
+        calls.append(gateway.counters.backend_calls - before)
+    # a text asked for again afterwards gets the object it got before
+    assert all(gateway.embed(text) is embedding for text, embedding in zip(_flat(asks), got))
+    cache.close()
+    vectors = path.with_name(path.name + ".vectors")
+    files = [p.read_bytes() if p.exists() else None for p in (path, vectors)]
+    return got, gateway.counters, calls, files
+
+
+def _flat(asks):
+    return [text for ask in asks for text in (ask if isinstance(ask, list) else [ask])]
+
+
+@given(
+    batches=st.lists(st.lists(st.sampled_from(_WORDS), max_size=6), min_size=1, max_size=3),
+    kind=st.sampled_from(["empty", "half", "legacy"]),
+)
+@example(batches=[["alpha", "beta", "alpha", "beta"], ["beta", "gamma"]], kind="legacy")
+def test_embed_many_equals_the_same_texts_embedded_one_at_a_time(tmp_path_factory, batches, kind):
+    directory = tmp_path_factory.mktemp("embed")
+    texts = _flat(batches)
+    many, many_counters, many_calls, many_files = _embed_run(directory / "m.jsonl", kind, batches)
+    one, one_counters, one_calls, one_files = _embed_run(directory / "o.jsonl", kind, texts)
+    assert many == one
+    # the same text gets the same object, a different text a different one
+    for i, first in enumerate(many):
+        for j, second in enumerate(many):
+            assert (first is second) == (texts[i] == texts[j]) == (one[i] is one[j])
+    # the same requests and hits; a batch makes one backend call if any of it missed
+    assert dataclasses.replace(many_counters, backend_calls=0) == dataclasses.replace(
+        one_counters, backend_calls=0
+    )
+    ends = [sum(len(batch) for batch in batches[: k + 1]) for k in range(len(batches))]
+    starts = [0] + ends[:-1]
+    assert many_calls == [int(sum(one_calls[a:b]) > 0) for a, b in zip(starts, ends)]
+    assert many_files == one_files
+
+
+def test_embed_many_sends_each_missed_text_once_in_one_call():
+    gateway, script = make_gateway(default_dim=4)
+    gateway.embed("beta")
+    embeddings = gateway.embed_many(["alpha", "beta", "alpha", "gamma"])
+    assert embeddings[0] is embeddings[2]
+    assert [c.prompt for c in script.call_log] == ["beta", "alpha", "gamma"]
+    assert gateway.counters == GatewayCounters(
+        embedding_requests=5, embedding_cache_hits=2, backend_calls=2
+    )
+    assert gateway.embed_many([]) == []
+    assert gateway.counters.backend_calls == 2
+
+
+def test_embed_many_failure_caches_nothing_and_is_retried(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    gateway, script = make_gateway(
+        embeddings=[{"text": "a", "vector": [1.0]}, {"text": "b", "vector": [2.0]}],
+        cache_path=path,
+    )
+    with pytest.raises(MockScriptMiss):
+        gateway.embed_many(["a", "c", "b"])
+    assert len(gateway.cache) == 0 and not path.exists()
+    assert gateway.counters.backend_calls == 0
+    assert [e.vector.tolist() for e in gateway.embed_many(["a", "b"])] == [[1.0], [2.0]]
+    assert gateway.counters.backend_calls == 1
+    gateway.cache.close()
+
+
+def test_embed_many_rejects_an_empty_text_before_any_request():
+    gateway, script = make_gateway(default_dim=4)
+    with pytest.raises(EmptyInput):
+        gateway.embed_many(["alpha", " "])
+    assert script.call_log == [] and gateway.counters == GatewayCounters()
+
+
+def test_gateway_completion_that_is_not_unicode_is_a_backend_error_and_not_cached(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    gateway, _ = make_gateway(
+        rules=[{"template": "relevance", "response": "A\ud800"}], cache_path=path
+    )
+    with pytest.raises(BackendError, match="'relevance' answer is not valid Unicode"):
+        gateway.complete("relevance", claim="c", ruling="r", evidence="e")
+    assert gateway.counters.backend_calls == 1
+    assert len(gateway.cache) == 0 and not path.exists()
+
+
+def test_gateway_rejects_a_backend_answering_the_wrong_number_of_vectors():
+    class Short:
+        def embed(self, texts):
+            return [[1.0]]
+
+    gateway = Gateway(backend=Short())
+    with pytest.raises(BackendError, match="1 vectors for 2 texts"):
+        gateway.embed_many(["a", "b"])
+    assert len(gateway.cache) == 0
 
 
 def test_gateway_embed_vector_is_the_read_only_cache_entry():
@@ -1179,12 +1319,35 @@ def test_live_backend_client_errors_fail_immediately():
 
 def test_live_backend_embeddings_endpoint():
     session = _FakeSession(
-        [_FakeResponse(200, {"data": [{"embedding": [0.1, 0.2]}]})]
+        [_FakeResponse(200, {"data": [{"index": 0, "embedding": [0.1, 0.2]}]})]
     )
     backend = LiveBackend(model_id="m", api_key="k", session=session)
-    vector = backend.embed("t")
+    [vector] = backend.embed(["t"])
     assert vector.tolist() == [0.1, 0.2]
     assert vector.dtype == np.float64 and not vector.flags.writeable
+    assert session.payloads == [{"model": "m", "input": ["t"]}]
+
+
+def test_live_backend_embeds_a_batch_in_one_post_and_orders_it_by_index():
+    rows = [{"index": 2, "embedding": [2.0]}, {"index": 0, "embedding": [0.0]}, {"index": 1, "embedding": [1.0]}]
+    session = _FakeSession([_FakeResponse(200, {"data": rows})])
+    backend = LiveBackend(model_id="m", embedding_model_id="e", api_key="k", session=session)
+    vectors = backend.embed(["a", "b", "c"])
+    assert [v.tolist() for v in vectors] == [[0.0], [1.0], [2.0]]
+    assert session.payloads == [{"model": "e", "input": ["a", "b", "c"]}]
+
+
+@pytest.mark.parametrize(
+    "indices",
+    [[0], [0, 1, 2], [0, 0], [1, 2]],
+    ids=["too-few", "too-many", "repeated", "shifted"],
+)
+def test_live_backend_embedding_rows_that_do_not_match_the_texts_are_a_backend_error(indices):
+    rows = [{"index": i, "embedding": [float(i)]} for i in indices]
+    session = _FakeSession([_FakeResponse(200, {"data": rows})])
+    backend = LiveBackend(model_id="m", api_key="k", session=session)
+    with pytest.raises(BackendError, match="indices"):
+        backend.embed(["a", "b"])
 
 
 # -- letter parsing property ---------------------------------------------

@@ -726,9 +726,9 @@ def _vector_file(path):
 
 
 def _record_requests(gateway):
-    """Wrap the gateway's two requests so that every call is logged in order."""
+    """Wrap the gateway's requests so that every call is logged in order."""
     calls = []
-    for name in ("complete", "embed"):
+    for name in ("complete", "embed", "embed_many"):
         method = getattr(gateway, name)
 
         def logged(*args, _method=method, _name=name, **kwargs):
@@ -791,8 +791,8 @@ class _InterruptedBackend:
             raise KeyboardInterrupt
         return self.script.complete(template_id, prompt, decoding)
 
-    def embed(self, text):
-        return self.script.embed(text)
+    def embed(self, texts):
+        return self.script.embed(texts)
 
 
 def test_pipeline_interrupted_inside_a_claim_keeps_its_earlier_records(tmp_path):
@@ -803,7 +803,10 @@ def test_pipeline_interrupted_inside_a_claim_keeps_its_earlier_records(tmp_path)
 
     # alignment's completions and embeddings came before the interrupt
     held = gateway.cache._entries
-    assert gateway.counters.backend_calls == len(held) > 0
+    counters = gateway.counters
+    # one record per completion call and one per embedded text
+    assert counters.by_template == {"relevance": 4, "presentation": 4}
+    assert len(held) == 8 + counters.embedding_requests - counters.embedding_cache_hits > 8
     reloaded = ResponseCache(path)
     assert len(reloaded) == len(held)
     for key, value in held.items():
@@ -830,6 +833,29 @@ def test_pipeline_never_leaves_an_index_record_past_the_vector_file(tmp_path):
             if "at" in index:
                 assert index["at"] + 8 * index["dim"] <= size
         assert len(ResponseCache(path)) == n_records
+
+
+def test_pipeline_answer_with_a_lone_surrogate_fails_only_its_stage(tmp_path):
+    script = synthetic_script(8)
+    script["rules"] = [
+        {"template": "intent_generation", "response": "intent \ud800"}
+        if rule["template"] == "intent_generation"
+        else rule
+        for rule in script["rules"]
+    ]
+    path = tmp_path / "cache.jsonl"
+    gateway = Gateway(backend=MockScript.from_dict(script), cache=ResponseCache(path))
+    records = generate_synthetic_corpus(seed=29, n=2).records
+    reports = [run_pipeline(gateway, record) for record in records]
+    for report in reports:
+        status = {trace.stage: trace for trace in report.stages}
+        assert status["base_verdict"].status == "ok"
+        assert status["intent"].status == "failed"
+        assert "BackendError" in status["intent"].detail
+        assert "not valid Unicode" in status["intent"].detail
+    save_reports(tmp_path / "reports.jsonl", reports)
+    gateway.cache.close()
+    assert len(ResponseCache(path)) == len(gateway.cache)
 
 
 def test_pipeline_cache_that_cannot_write_vectors_writes_no_index_record(tmp_path):
