@@ -154,7 +154,7 @@ def _load_mock_script(path: str) -> MockScript:
 
 
 def _build_gateway(settings: BackendSettings, cache_path: str | None) -> Gateway:
-    cache = ResponseCache(cache_path)
+    # the backend first: a configuration error outranks a cache that does not load
     if settings.mode == "mock":
         backend = _load_mock_script(settings.mock_script)
     else:
@@ -165,7 +165,9 @@ def _build_gateway(settings: BackendSettings, cache_path: str | None) -> Gateway
             # fail before any work when the key is missing
             api_key=api_key_from_env(),
         )
-    return Gateway(backend=backend, cache=cache, max_in_flight=settings.concurrency)
+    return Gateway(
+        backend=backend, cache=ResponseCache(cache_path), max_in_flight=settings.concurrency
+    )
 
 
 # -- running a corpus ----------------------------------------------------

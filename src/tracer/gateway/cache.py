@@ -18,12 +18,17 @@ Each offset is taken from the vector handle's position after that
 write, not from a running count, so it stays right when another writer
 appends too.
 
-Read order: the whole cache file is read once at open, then the whole
-vector file in one read, and every vector is a read-only view into that
-one buffer. An index record is written after its bytes, so every record
+Read order: the whole cache file is read once at open, one line at a
+time, each line decoded by the C JSON scanner (a line it cannot settle
+goes through ``json.loads``). Then the vector file is mapped read-only,
+not copied, and every vector is a read-only view into that one mapping.
+The mapping stays valid on POSIX because the vector file is only ever
+appended to or unlinked (``clear()``, ``tracer cache-clear``), never
+truncated. An index record is written after its bytes, so every record
 read has its bytes on disk; one that points past the end of the vector
-file is ``CacheCorruption``. Later records win on duplicate keys, so an
-interrupted run can simply be re-run.
+file is ``CacheCorruption``. A record's value is a string or a flat list
+of numbers; any other value is ``CacheCorruption`` too. Later records
+win on duplicate keys, so an interrupted run can simply be re-run.
 
 What a crash leaves: records put inside a block that has not exited
 are only in memory, so a run killed inside a claim loses that claim's
@@ -60,9 +65,11 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import os
 import threading
 from contextlib import contextmanager
 from json.encoder import encode_basestring
+from json.scanner import make_scanner
 from pathlib import Path
 from typing import NamedTuple
 
@@ -167,13 +174,44 @@ class _VectorRef(NamedTuple):
     dim: int
 
 
-def _decode(line: bytes):
-    """(key, value) of one cache line; raises ValueError, TypeError or KeyError.
+# The scanner json.loads runs, without the Python around it: encoding
+# detection, dispatch and the trailing-whitespace match. Shared as
+# json's own default decoder is; it keeps no state between calls.
+_scan_once = make_scanner(json.JSONDecoder())
 
-    The value of an index record is a ``_VectorRef``, resolved once the
-    vector file is read.
+
+def _parse(line: bytes):
+    """``json.loads(line)``, by the C scanner alone when the line allows it.
+
+    That is a UTF-8 line starting with ``{`` whose value ends at its
+    newline or at its end: ``json.loads`` would then decode it as UTF-8
+    and parse the same text with the same scanner. Any other line (a
+    torn record, other whitespace, a byte order mark, text that is not
+    UTF-8) goes through ``json.loads`` itself.
     """
-    record = json.loads(line)
+    try:
+        text = line.decode("utf-8")
+        if text.startswith("{"):
+            record, end = _scan_once(text, 0)
+            if text[end:] in ("", "\n"):
+                return record
+    # UnicodeDecodeError and JSONDecodeError are ValueErrors; the scanner
+    # raises StopIteration where no value starts
+    except (ValueError, StopIteration):
+        pass
+    return json.loads(line)
+
+
+def _decode(line: bytes):
+    """(key, value) of one cache line.
+
+    Raises ValueError, TypeError, KeyError or OverflowError on a line
+    that is not a valid record. The value of an index record is a
+    ``_VectorRef``, resolved once the vector file is mapped. A ``value``
+    must be a string or a flat list of numbers (an embedding earlier
+    versions wrote).
+    """
+    record = _parse(line)
     key = record["key"]
     if type(key) is not str:
         raise TypeError(f"cache key is not a string: {key!r}")
@@ -186,9 +224,31 @@ def _decode(line: bytes):
         raw = base64.b64decode(record["vector"], validate=True)
         return key, frozen_vector(np.frombuffer(raw, dtype="<f8"))
     value = record["value"]
-    if isinstance(value, list):
-        value = frozen_vector(value)
-    return key, value
+    if type(value) is str:
+        return key, value
+    if type(value) is not list or not all(type(item) in (int, float) for item in value):
+        raise TypeError("cache value is neither a string nor a flat list of numbers")
+    return key, frozen_vector(value)
+
+
+def _map_read_only(path: Path) -> np.ndarray:
+    """The file's bytes as a read-only uint8 array over a read-only mapping.
+
+    An empty or missing file has no mapping (``mmap`` refuses length 0)
+    and gives an empty array. The handle is closed once the mapping
+    exists; the mapping lives as long as the array or a view into it.
+    """
+    # imported here, so that a run that maps no vector file never loads it
+    import mmap
+
+    try:
+        with path.open("rb") as handle:
+            if os.fstat(handle.fileno()).st_size:
+                mapping = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+                return np.frombuffer(mapping, dtype=np.uint8)
+    except FileNotFoundError:
+        pass
+    return np.frombuffer(b"", dtype=np.uint8)
 
 
 class ResponseCache:
@@ -229,9 +289,10 @@ class ResponseCache:
                     continue
                 try:
                     key, value = _decode(line)
-                # ValueError covers undecodable JSON, bad base64, a bad
-                # index and a non-numeric vector
-                except (ValueError, TypeError, KeyError):
+                # ValueError covers undecodable JSON, bad base64 and a bad
+                # index; TypeError a value of the wrong type; OverflowError
+                # an integer too large for a float64
+                except (ValueError, TypeError, KeyError, OverflowError):
                     if line.endswith(b"\n"):
                         raise CacheCorruption(
                             f"{self.path}: undecodable cache record at line {line_number}"
@@ -251,24 +312,21 @@ class ResponseCache:
     def _resolve(self, refs: list[tuple[int, str, _VectorRef]]) -> None:
         """Replace each index record's placeholder by its vector.
 
-        Read after the cache file, so the bytes of every record read are
-        already in the vector file; bytes appended since are not needed.
+        Mapped after the cache file is read, so the bytes of every record
+        read are already in the vector file; bytes appended since are not
+        needed. Each vector is a read-only float64 view into the mapping.
         """
-        try:
-            data = self._vector_path.read_bytes()
-        except FileNotFoundError:
-            data = b""
+        data = _map_read_only(self._vector_path)
         for line_number, key, ref in refs:
-            if ref.at + 8 * ref.dim > len(data):
+            end = ref.at + 8 * ref.dim
+            if end > data.size:
                 raise CacheCorruption(
                     f"{self.path}: the vector record at line {line_number} points past "
-                    f"the end of {self._vector_path} ({len(data)} bytes)"
+                    f"the end of {self._vector_path} ({data.size} bytes)"
                 )
             # unless a later record for the key replaced this one
             if self._entries[key] is ref:
-                self._entries[key] = frozen_vector(
-                    np.frombuffer(data, dtype="<f8", count=ref.dim, offset=ref.at)
-                )
+                self._entries[key] = frozen_vector(data[ref.at : end].view("<f8"))
 
     def _file_ends_with_open_tail(self) -> bool:
         """Whether no other writer has appended to the file since the load."""

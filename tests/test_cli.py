@@ -443,6 +443,35 @@ def test_run_missing_mock_script_exits_one(capsys, tmp_path):
     assert "mock script" in err
 
 
+@pytest.mark.parametrize("backend", ["live-without-key", "malformed-mock"])
+def test_run_reports_a_backend_error_before_a_cache_that_does_not_load(
+    capsys, tmp_path, monkeypatch, backend
+):
+    cache = tmp_path / "cache.jsonl"
+    cache.write_text("garbage\n", encoding="utf-8")
+    if backend == "live-without-key":
+        monkeypatch.delenv("TRACER_API_KEY", raising=False)
+        flags, message = ["--live"], "TRACER_API_KEY"
+    else:
+        script = tmp_path / "bad.json"
+        script.write_text('{"rules": 5}', encoding="utf-8")
+        flags, message = ["--mock", str(script)], f"mock script {script} is malformed"
+    code, _, err = run_cli(
+        capsys,
+        "run",
+        *flags,
+        "--corpus",
+        SCENARIO_CORPUS,
+        "--cache",
+        str(cache),
+        "--output",
+        str(tmp_path / "r.jsonl"),
+    )
+    assert code == 1, err
+    assert message in err
+    assert "cache record" not in err
+
+
 @pytest.mark.parametrize(
     "config_text,message",
     [

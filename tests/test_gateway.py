@@ -1,5 +1,6 @@
 """Gateway: templates, parsing, cache, mock backend, call accounting."""
 
+import base64
 import dataclasses
 import hashlib
 import json
@@ -338,6 +339,25 @@ def test_cache_non_numeric_vector_is_corruption(tmp_path):
     assert "line 2" in str(excinfo.value)
 
 
+@pytest.mark.parametrize(
+    "value",
+    ["5", "1.5", "true", "null", '{"x": 1}', "[[1.0, 2.0], [3.0, 4.0]]", "[true, 1.0]", "[1" + "0" * 400 + "]"],
+    ids=["int", "float", "bool", "null", "object", "nested-list", "bool-in-list", "int-past-float64"],
+)
+def test_cache_value_neither_text_nor_a_flat_list_of_numbers_is_corruption(tmp_path, value):
+    path = tmp_path / "cache.jsonl"
+    line = f'{{"key": "v", "value": {value}}}'
+    path.write_text(f'{{"key": "a", "value": "b"}}\n{line}\n', encoding="utf-8")
+    with pytest.raises(CacheCorruption) as excinfo:
+        ResponseCache(path)
+    assert "line 2" in str(excinfo.value)
+    # as a last line without its newline it is a torn append: skipped
+    path.write_text(f'{{"key": "a", "value": "b"}}\n{line}', encoding="utf-8")
+    cache = ResponseCache(path)
+    assert cache.get("a") == "b"
+    assert cache.get("v") is None
+
+
 def test_cache_clear_removes_file(tmp_path):
     path = tmp_path / "cache.jsonl"
     cache = ResponseCache(path)
@@ -548,6 +568,174 @@ def test_cache_loaded_vectors_share_one_buffer(tmp_path):
     a, b = reloaded.get("a"), reloaded.get("b")
     assert a.base is not None and a.base is b.base
     assert not a.flags.writeable and not b.flags.writeable
+
+
+def test_cache_clear_keeps_loaded_vectors_readable_and_starts_fresh_files(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    writer = ResponseCache(path)
+    writer.put("a", [1.0, 2.0])
+    writer.put("b", [3.0])
+    writer.close()
+    cache = ResponseCache(path)
+    a, b = cache.get("a"), cache.get("b")
+    cache.clear()
+    assert not path.exists() and not _vector_file(path).exists()
+    cache.put("c", [4.0])
+    cache.put("t", "text")
+    assert path.read_text(encoding="utf-8") == (
+        '{"key": "c", "at": 0, "dim": 1}\n{"key": "t", "value": "text"}\n'
+    )
+    assert _vector_file(path).read_bytes() == struct.pack("<d", 4.0)
+    # the views still read the unlinked file's bytes, and still refuse writes
+    assert a.tolist() == [1.0, 2.0] and b.tolist() == [3.0]
+    for view in (a, b):
+        with pytest.raises(ValueError):
+            view[0] = 0.0
+
+
+def _reference_load(path):
+    """The loader the C scanner and the mapped vector file replaced.
+
+    ``json.loads`` per line, then one read of the whole vector file;
+    kept as the reference the cache's own load must equal. Returns the
+    entries, ``has_legacy_keys`` and the open tail, or raises the same
+    ``CacheCorruption``.
+    """
+    entries, refs, legacy, open_tail = {}, [], False, None
+    offset = 0
+    with path.open("rb") as handle:
+        for number, line in enumerate(handle, start=1):
+            start, offset = offset, offset + len(line)
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+                key = record["key"]
+                if type(key) is not str:
+                    raise TypeError(key)
+                if "at" in record:
+                    at, dim = record["at"], record["dim"]
+                    if type(at) is not int or type(dim) is not int or at < 0 or dim < 0:
+                        raise ValueError(at, dim)
+                    value = (at, dim)
+                    refs.append((number, key, value))
+                elif "vector" in record:
+                    value = np.frombuffer(base64.b64decode(record["vector"], validate=True), "<f8")
+                else:
+                    value = record["value"]
+                    if isinstance(value, list):
+                        value = np.array(value, dtype=np.float64)
+            except (ValueError, TypeError, KeyError):
+                if line.endswith(b"\n"):
+                    raise CacheCorruption(f"{path}: undecodable cache record at line {number}") from None
+                open_tail = (start, line, False)
+                continue
+            entries[key] = value
+            legacy = legacy or len(key) == 64
+            if not line.endswith(b"\n"):
+                open_tail = (start, line, True)
+    vectors = _vector_file(path)
+    data = vectors.read_bytes() if vectors.exists() else b""
+    for number, key, ref in refs:
+        at, dim = ref
+        if at + 8 * dim > len(data):
+            raise CacheCorruption(
+                f"{path}: the vector record at line {number} points past "
+                f"the end of {vectors} ({len(data)} bytes)"
+            )
+        if entries[key] is ref:
+            entries[key] = np.frombuffer(data, "<f8", count=dim, offset=at)
+    return entries, legacy, open_tail
+
+
+def _cache_load(path):
+    cache = ResponseCache(path)
+    for value in cache._entries.values():
+        assert isinstance(value, str) or not value.flags.writeable
+    return cache._entries, cache.has_legacy_keys, cache._open_tail
+
+
+def _load_outcome(load, path):
+    try:
+        entries, legacy, open_tail = load(path)
+    except CacheCorruption as error:
+        return str(error)
+    values = {
+        key: value if isinstance(value, str) else (value.dtype == np.float64, value.tobytes())
+        for key, value in entries.items()
+    }
+    return values, legacy, open_tail
+
+
+_KEYS = st.sampled_from(["a", "b", 'q"\\', "\u00e9\u2028", "0" * 64, "f" * 64])
+# quotes, backslashes, separators JSON leaves raw, an astral character
+# (an escaped surrogate pair once ASCII-escaped) and lone surrogates
+_TEXT = st.text(st.sampled_from('"\\/\n\t\u2028\u00e9\U0001f600\ud800\udfff') | st.characters())
+
+
+@st.composite
+def _cache_line(draw):
+    """One cache line of any kind earlier or current versions wrote, without its end."""
+    key = draw(_KEYS)
+    kind = draw(st.sampled_from(["text", "index", "base64", "list", "blank"]))
+    if kind == "blank":
+        return draw(st.sampled_from([b"", b" ", b"\t "]))
+    if kind == "text":
+        record = {"key": key, "value": draw(_TEXT)}
+    elif kind == "index":
+        record = {"key": key, "at": draw(st.integers(0, 40)), "dim": draw(st.integers(0, 4))}
+    elif kind == "base64":
+        raw = draw(st.binary(max_size=24))
+        record = {"key": key, "vector": base64.b64encode(raw[: len(raw) // 8 * 8]).decode()}
+    else:
+        numbers = st.floats() | st.integers(-(2**53), 2**53)
+        record = {"key": key, "value": draw(st.lists(numbers, max_size=4))}
+    text = json.dumps(record, ensure_ascii=draw(st.booleans()))
+    prefix = draw(st.sampled_from(["", "", " ", "\t", "\ufeff"]))
+    suffix = draw(st.sampled_from(["", "", " ", "\t"]))
+    # a lone surrogate written raw is not UTF-8, but json.loads reads it
+    return (prefix + text + suffix).encode("utf-8", "surrogatepass")
+
+
+@st.composite
+def _cache_file(draw):
+    """Cache file bytes, and the vector file's bytes (None: no vector file)."""
+    lines = [
+        draw(_cache_line()) + draw(st.sampled_from([b"\n", b"\n", b"\r\n"]))
+        for _ in range(draw(st.integers(0, 10)))
+    ]
+    if draw(st.booleans()):
+        undecodable = draw(
+            st.sampled_from(
+                [
+                    b"garbage",
+                    b'{"key": "a", "val',
+                    b'{"key": "a", "value": "\xff"}',  # not UTF-8
+                    b'{"key": "a", "value": "b"} x',  # extra data
+                    b'{"key": "a", "value": "b"}\x0c',  # not JSON whitespace
+                ]
+            )
+        )
+        lines.insert(draw(st.integers(0, len(lines))), undecodable + b"\n")
+    tail = draw(st.sampled_from(["none", "unterminated", "torn"]))
+    if tail != "none":
+        last = draw(_cache_line())
+        if tail == "torn":
+            last = last[: draw(st.integers(0, len(last)))]
+        lines.append(last)
+    return b"".join(lines), draw(st.none() | st.binary(max_size=48))
+
+
+@given(files=_cache_file())
+@example(files=(b'{"key": "a", "at": 0, "dim": 0}\n', b""))
+@example(files=(b'{"key": "a", "value": "\xed\xa0\x80"}\n{"key": "b", "value": "c"} \r', None))
+def test_cache_loads_what_the_json_loads_loader_loaded(tmp_path_factory, files):
+    data, vector_bytes = files
+    path = tmp_path_factory.mktemp("cache") / "cache.jsonl"
+    path.write_bytes(data)
+    if vector_bytes is not None:
+        _vector_file(path).write_bytes(vector_bytes)
+    assert _load_outcome(_cache_load, path) == _load_outcome(_reference_load, path)
 
 
 # -- cache keys ----------------------------------------------------------

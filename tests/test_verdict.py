@@ -773,6 +773,8 @@ def test_pipeline_cache_files_equal_those_of_the_same_requests_written_through(
     for name, args, kwargs in calls:
         with contextlib.suppress(TracerError):
             getattr(replay, name)(*args, **kwargs)
+    gateway.cache.close()
+    replay.cache.close()
     assert replay.counters == gateway.counters
     assert path.read_bytes() == through.read_bytes()
     assert _vector_file(path).read_bytes() == _vector_file(through).read_bytes()
@@ -800,6 +802,7 @@ def test_pipeline_interrupted_inside_a_claim_keeps_its_earlier_records(tmp_path)
     gateway = Gateway(backend=_InterruptedBackend("cot_verdict"), cache=ResponseCache(path))
     with pytest.raises(KeyboardInterrupt):
         run_pipeline(gateway, load_scenario_record())
+    gateway.cache.close()
 
     # alignment's completions and embeddings came before the interrupt
     held = gateway.cache._entries
@@ -833,6 +836,7 @@ def test_pipeline_never_leaves_an_index_record_past_the_vector_file(tmp_path):
             if "at" in index:
                 assert index["at"] + 8 * index["dim"] <= size
         assert len(ResponseCache(path)) == n_records
+    gateway.cache.close()
 
 
 def test_pipeline_answer_with_a_lone_surrogate_fails_only_its_stage(tmp_path):
