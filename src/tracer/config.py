@@ -13,6 +13,12 @@ from pathlib import Path
 from .errors import ConfigError
 
 
+def _require(name: str, value, kinds: tuple, what: str) -> None:
+    """ConfigError naming the key unless the value is one of the kinds; a bool never is."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Thresholds:
     """Every tunable cutoff in one place.
@@ -33,16 +39,16 @@ class Thresholds:
     def validate(self) -> None:
         for name in ("tau_low", "tau_high", "tau_che"):
             value = getattr(self, name)
-            if value is not None and not -1.0 <= value <= 1.0:
+            if value is None and name != "tau_che":
+                continue
+            _require(name, value, (int, float), "a number")
+            if not -1.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must lie in [-1, 1], got {value}")
-        if self.top_k < 1:
-            raise ConfigError(f"top_k must be positive, got {self.top_k}")
-        if self.assumption_max_number < 1:
-            raise ConfigError(
-                f"assumption_max_number must be positive, got {self.assumption_max_number}"
-            )
-        if self.max_questions < 1:
-            raise ConfigError(f"max_questions must be positive, got {self.max_questions}")
+        for name in ("top_k", "assumption_max_number", "max_questions"):
+            value = getattr(self, name)
+            _require(name, value, (int,), "an integer")
+            if value < 1:
+                raise ConfigError(f"{name} must be positive, got {value}")
 
 
 @dataclass(frozen=True)
@@ -87,6 +93,11 @@ class BackendSettings:
     mock_script: str | None = None
 
     def validate(self) -> None:
+        for name in ("mode", "base_url", "model_id"):
+            _require(name, getattr(self, name), (str,), "a string")
+        for name in ("embedding_model_id", "mock_script"):
+            _require(name, getattr(self, name), (str, type(None)), "a string")
+        _require("concurrency", self.concurrency, (int,), "an integer")
         if self.mode not in ("mock", "live"):
             raise ConfigError(f"backend mode must be 'mock' or 'live', got {self.mode!r}")
         if self.mode == "mock" and not self.mock_script:
@@ -108,6 +119,12 @@ class RunConfig:
     def validate(self) -> None:
         self.backend.validate()
         self.thresholds.validate()
+        for name in ("corpus_path", "cache_path", "output_path"):
+            _require(name, getattr(self, name), (str, type(None)), "a string")
+        if not isinstance(self.reassess_true_only, bool):
+            raise ConfigError(
+                f"reassess_true_only must be true or false, got {self.reassess_true_only!r}"
+            )
         for label, path in (
             ("corpus", self.corpus_path),
             ("mock script", self.backend.mock_script),
@@ -172,7 +189,7 @@ def config_from_dict(data: dict) -> RunConfig:
         backend=backend,
         thresholds=thresholds,
         ablation=ABLATION_CONFIGS[ablation_name],
-        reassess_true_only=bool(data.get("reassess_true_only", False)),
+        reassess_true_only=data.get("reassess_true_only", False),
         corpus_path=paths.get("corpus"),
         cache_path=paths.get("cache"),
         output_path=paths.get("output"),

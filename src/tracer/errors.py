@@ -81,7 +81,8 @@ class MockScriptMiss(BackendError):
 
 
 class CacheCorruption(TracerError):
-    """An undecodable cache record, or one past the end of the vector file."""
+    """A cache line this version does not read, a record past the end of the
+    vector file, or a cache hit of the wrong kind."""
 
 
 # ---------------------------------------------------------------------------

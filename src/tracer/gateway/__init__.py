@@ -17,16 +17,9 @@ from functools import cached_property
 
 import numpy as np
 
-from ..errors import BackendError, EmptyInput
+from ..errors import BackendError, CacheCorruption, EmptyInput
 from .backends import API_KEY_ENV, Decoding, LiveBackend, api_key_from_env
-from .cache import (
-    ResponseCache,
-    _legacy_completion_key,
-    _legacy_embedding_key,
-    completion_key,
-    embedding_key,
-    frozen_vector,
-)
+from .cache import ResponseCache, completion_key, embedding_key, frozen_vector
 from .mock import MockCall, MockScript
 from .parsing import parse_binary_digit, parse_bracketed, parse_letter_choice
 from .templates import PromptTemplate, TemplateCatalog, render_template
@@ -102,15 +95,16 @@ class Gateway:
     backend call. At most ``max_in_flight`` backend requests run at once
     when callers fan out across threads: a request takes one of that
     many tokens from a queue before it calls the backend and puts it
-    back after.
+    back after. A ``max_in_flight`` below 1 is a ``ValueError``.
 
-    A request that misses a cache holding keys in the form earlier
-    versions wrote (``cache.has_legacy_keys``) is looked up under its
-    legacy key too, and a hit there counts as a hit. Every new record is
-    written under the new key.
+    A cache hit of the wrong kind, a vector under a completion key or a
+    text under an embedding key, is ``CacheCorruption``.
     """
 
     def __init__(self, backend, cache: ResponseCache | None = None, max_in_flight: int = 4):
+        if max_in_flight < 1:
+            # no token would ever be free: the first backend call would wait forever
+            raise ValueError(f"max_in_flight must be at least 1, got {max_in_flight}")
         self.backend = backend
         self.catalog = TemplateCatalog.bundled()
         # explicit None check: an empty cache is falsy but still the caller's cache
@@ -141,17 +135,16 @@ class Gateway:
     def complete(self, template_id: str, **bindings) -> str:
         """Render the catalog template with the bindings and complete it."""
         prompt = render_template(self.catalog.get(template_id), bindings)
-        request = (
+        key = completion_key(
             self.model_id,
             template_id,
             prompt,
             self.decoding.temperature,
             self.decoding.max_tokens,
         )
-        key = completion_key(*request)
         cached = self.cache.get(key)
-        if cached is None and self.cache.has_legacy_keys:
-            cached = self.cache.get(_legacy_completion_key(*request))
+        if cached is not None and not isinstance(cached, str):
+            raise CacheCorruption(f"the cache holds a vector under the completion key {key}")
         with self._counter_lock:
             self.counters.completion_requests += 1
             if cached is not None:
@@ -184,9 +177,7 @@ class Gateway:
         object without recomputing its key, but only while the cache
         still holds that very vector: after ``cache.clear()`` the next
         request goes to the backend again. A failed backend call leaves
-        nothing behind, so the next request retries it. A text found
-        under its legacy key is remembered with that key, so its legacy
-        key is computed only once.
+        nothing behind, so the next request retries it.
         """
         remembered = self._embedded.get(text)
         if remembered is not None and self.cache.get(remembered[0]) is remembered[1].vector:
@@ -219,22 +210,16 @@ class Gateway:
                 hits += 1
                 continue
             remembered = self._embedded.get(text)
-            cached = self.cache.get(remembered[0]) if remembered is not None else None
-            if cached is not None:
+            if remembered is not None:
                 key = remembered[0]
             else:
-                # a remembered key that misses may be a legacy one, and a
-                # miss is written under the new key
                 key = embedding_key(self.embedding_model_id, text)
-                cached = self.cache.get(key)
-                if cached is None and self.cache.has_legacy_keys:
-                    legacy_key = _legacy_embedding_key(self.embedding_model_id, text)
-                    cached = self.cache.get(legacy_key)
-                    if cached is not None:
-                        key = legacy_key
+            cached = self.cache.get(key)
             if cached is None:
                 missed[text] = key
                 continue
+            if not isinstance(cached, np.ndarray):
+                raise CacheCorruption(f"the cache holds a text under the embedding key {key}")
             hits += 1
             if remembered is None or cached is not remembered[1].vector:
                 remembered = (key, Embedding(vector=cached, model_id=self.embedding_model_id))

@@ -187,9 +187,13 @@ class LiveBackend:
         }
         data = self._post("chat/completions", payload)
         try:
-            return data["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise BackendError(f"malformed chat completion response: {data!r:.200}") from exc
+            content = data["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError):
+            content = None
+        # a null, number or list content is as malformed as a missing one
+        if not isinstance(content, str):
+            raise BackendError(f"malformed chat completion response: {data!r:.200}")
+        return content
 
     def embed(self, texts: list[str]) -> list[np.ndarray]:
         """One request for all the texts; one vector per text, in their order.

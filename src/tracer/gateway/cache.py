@@ -26,9 +26,15 @@ The mapping stays valid on POSIX because the vector file is only ever
 appended to or unlinked (``clear()``, ``tracer cache-clear``), never
 truncated. An index record is written after its bytes, so every record
 read has its bytes on disk; one that points past the end of the vector
-file is ``CacheCorruption``. A record's value is a string or a flat list
-of numbers; any other value is ``CacheCorruption`` too. Later records
-win on duplicate keys, so an interrupted run can simply be re-run.
+file is ``CacheCorruption``. Later records win on duplicate keys, so an
+interrupted run can simply be re-run.
+
+A line is exactly one of the two records above, with a string key and a
+string ``value``. Any other line is ``CacheCorruption`` that names it,
+lines in the formats earlier versions wrote included: embeddings as
+``{"key": k, "vector": "<base64>"}`` or ``{"key": k, "value":
+[floats]}``, and keys of 64 hex characters. Such a cache is not served;
+``tracer cache-clear`` removes it.
 
 What a crash leaves: records put inside a block that has not exited
 are only in memory, so a run killed inside a claim loses that claim's
@@ -38,22 +44,13 @@ read, and the next vector lands after them. A writer that dies inside
 an append to the cache file leaves a last line with no newline. If it
 does not decode it is skipped, and the first append cuts it off, unless
 another writer has appended since the load (the line may then have been
-an append still in progress, now whole). Any other undecodable line is
-``CacheCorruption``.
+an append still in progress, now whole).
 
 A key is the sha256 of a short header (kind, model, and for a
 completion its template and decoding) followed by the prompt or text as
 raw UTF-8, written as 43 unpadded base64url characters; see
-``completion_key``. Earlier versions keyed on the 64 hex characters of
-the sha256 of a JSON encoding of the request. A cache that loads any key
-of that length is marked ``has_legacy_keys``, and the Gateway then looks
-a missed request up under its legacy key too; records are always written
-under new keys, and legacy records are never rewritten.
-
-Embeddings written by earlier versions, ``{"key": k, "vector":
-"<base64>"}`` and ``{"key": k, "value": [floats]}``, still load but are
-never written. Reads are lock-free; writes are serialized through one
-append handle per file, flushed after every batch.
+``completion_key``. Reads are lock-free; writes are serialized through
+one append handle per file, flushed after every batch.
 
 Embedding vectors are held in memory as read-only float64 arrays (see
 ``frozen_vector``). Every caller that gets a vector shares the one
@@ -106,38 +103,6 @@ def completion_key(
 def embedding_key(model_id: str, text: str) -> str:
     """Digest for an embedding request, hashed as ``completion_key`` is."""
     return _digest(f"embedding {len(model_id)}:{model_id}\n", text)
-
-
-# Keys written by earlier versions: the hex sha256 of a JSON encoding of
-# the request. A cache that loaded any is still answered through them.
-_LEGACY_KEY_LENGTH = 64
-
-
-def _legacy_completion_key(
-    model_id: str, template_id: str, prompt: str, temperature: float, max_tokens: int
-) -> str:
-    payload = json.dumps(
-        {
-            "kind": "completion",
-            "model": model_id,
-            "template": template_id,
-            "prompt": prompt,
-            "temperature": temperature,
-            "max_tokens": max_tokens,
-        },
-        sort_keys=True,
-        ensure_ascii=False,
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def _legacy_embedding_key(model_id: str, text: str) -> str:
-    payload = json.dumps(
-        {"kind": "embedding", "model": model_id, "text": text},
-        sort_keys=True,
-        ensure_ascii=False,
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def frozen_vector(values) -> np.ndarray:
@@ -205,30 +170,25 @@ def _parse(line: bytes):
 def _decode(line: bytes):
     """(key, value) of one cache line.
 
-    Raises ValueError, TypeError, KeyError or OverflowError on a line
-    that is not a valid record. The value of an index record is a
-    ``_VectorRef``, resolved once the vector file is mapped. A ``value``
-    must be a string or a flat list of numbers (an embedding earlier
-    versions wrote).
+    Raises ValueError, TypeError or KeyError on a line that is not a
+    valid record. The value of an index record is a ``_VectorRef``,
+    resolved once the vector file is mapped.
     """
     record = _parse(line)
     key = record["key"]
-    if type(key) is not str:
-        raise TypeError(f"cache key is not a string: {key!r}")
+    # 64 characters: the hex digests earlier versions wrote, which no
+    # request of this version looks up
+    if type(key) is not str or len(key) == 64:
+        raise TypeError(f"not a cache key: {key!r}")
     if "at" in record:
         at, dim = record["at"], record["dim"]
         if type(at) is not int or type(dim) is not int or at < 0 or dim < 0:
             raise ValueError(f"bad vector index: at={at!r} dim={dim!r}")
         return key, _VectorRef(at, dim)
-    if "vector" in record:
-        raw = base64.b64decode(record["vector"], validate=True)
-        return key, frozen_vector(np.frombuffer(raw, dtype="<f8"))
     value = record["value"]
-    if type(value) is str:
-        return key, value
-    if type(value) is not list or not all(type(item) in (int, float) for item in value):
-        raise TypeError("cache value is neither a string nor a flat list of numbers")
-    return key, frozen_vector(value)
+    if type(value) is not str:
+        raise TypeError("cache value is not a string")
+    return key, value
 
 
 def _map_read_only(path: Path) -> np.ndarray:
@@ -256,15 +216,13 @@ class ResponseCache:
 
     With ``path=None`` the cache is purely in-memory (useful for tests
     and one-shot runs). It counts nothing: requests and hits are counted
-    once, by ``Gateway.counters``. ``has_legacy_keys`` tells whether the
-    file held any key in the form earlier versions wrote.
+    once, by ``Gateway.counters``.
     """
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
         self._vector_path = _vector_path(self.path) if self.path is not None else None
         self._entries: dict[str, object] = {}
-        self.has_legacy_keys = False
         self._lock = threading.Lock()
         self._handle = None
         self._vector_handle = None
@@ -289,19 +247,17 @@ class ResponseCache:
                     continue
                 try:
                     key, value = _decode(line)
-                # ValueError covers undecodable JSON, bad base64 and a bad
-                # index; TypeError a value of the wrong type; OverflowError
-                # an integer too large for a float64
-                except (ValueError, TypeError, KeyError, OverflowError):
+                # ValueError covers undecodable JSON and a bad index,
+                # TypeError a key or value of the wrong type
+                except (ValueError, TypeError, KeyError):
                     if line.endswith(b"\n"):
                         raise CacheCorruption(
-                            f"{self.path}: undecodable cache record at line {line_number}"
+                            f"{self.path}: line {line_number} is not a cache record of "
+                            "this version; run `tracer cache-clear` to start a new cache"
                         ) from None
                     self._open_tail = (start, line, False)
                     continue
                 self._entries[key] = value
-                if len(key) == _LEGACY_KEY_LENGTH:
-                    self.has_legacy_keys = True
                 if isinstance(value, _VectorRef):
                     refs.append((line_number, key, value))
                 if not line.endswith(b"\n"):
@@ -432,7 +388,6 @@ class ResponseCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self.has_legacy_keys = False
             self._close_handles()
             self._open_tail = None
             self._pending.clear()

@@ -5,7 +5,6 @@ import gc
 import hashlib
 import json
 import shutil
-import struct
 import subprocess
 import sys
 import warnings
@@ -14,7 +13,6 @@ from pathlib import Path
 import pytest
 
 import tracer.cli
-import tracer.gateway.cache
 from tracer.cli import main
 from tracer.config import ABLATION_CONFIGS
 from tracer.corpus import Corpus, Split, save_corpus
@@ -499,6 +497,50 @@ def test_run_config_rejects_keys_that_would_be_ignored(capsys, tmp_path, config_
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "config_text,key",
+    [
+        ("thresholds:\n  top_k: 2.5\n", "top_k"),
+        ("thresholds:\n  max_questions: 1.5\n", "max_questions"),
+        ("thresholds:\n  assumption_max_number: true\n", "assumption_max_number"),
+        ("thresholds:\n  tau_low: x\n", "tau_low"),
+        ("thresholds:\n  tau_high: false\n", "tau_high"),
+        ("thresholds:\n  tau_che: null\n", "tau_che"),
+        ("backend:\n  concurrency: '2'\n", "concurrency"),
+        ("backend:\n  concurrency: true\n", "concurrency"),
+        ("backend:\n  model_id: 5\n", "model_id"),
+        ("backend:\n  base_url: [x]\n", "base_url"),
+        ("backend:\n  embedding_model_id: 5\n", "embedding_model_id"),
+        ("paths:\n  cache: 5\n", "cache_path"),
+        ("reassess_true_only: 'false'\n", "reassess_true_only"),
+    ],
+    ids=[
+        "top_k-float",
+        "max_questions-float",
+        "assumption_max_number-bool",
+        "tau_low-string",
+        "tau_high-bool",
+        "tau_che-null",
+        "concurrency-string",
+        "concurrency-bool",
+        "model_id-int",
+        "base_url-list",
+        "embedding_model_id-int",
+        "cache-int",
+        "reassess_true_only-string",
+    ],
+)
+def test_run_config_value_of_the_wrong_type_exits_one_before_any_claim(
+    capsys, tmp_path, config_text, key
+):
+    config = tmp_path / "run.yaml"
+    config.write_text(config_text, encoding="utf-8")
+    code, out, err, out_path = _run_scenario(capsys, tmp_path, "--config", str(config))
+    assert code == 1, err
+    assert f"error: {key} must be " in err
+    assert out == "" and not out_path.exists()
+
+
 def test_run_config_that_is_not_yaml_exits_one(capsys, tmp_path):
     config = tmp_path / "run.yaml"
     config.write_text("backend: [unclosed\n", encoding="utf-8")
@@ -873,90 +915,53 @@ def test_cache_clear_removes_a_cache_that_does_not_load(capsys, tmp_path, damage
     assert not vectors.exists()
 
 
-# The scenario's cache in the format written before the vector file: six
-# base64 vector records, one list-of-floats record, and no vector file.
+# The scenario's cache in the format written before the vector file:
+# 64-hex-character keys, base64 and list-of-floats vector records.
 _BASE64_SCENARIO_CACHE = Path(__file__).parent / "data" / "scenario_cache_base64.jsonl"
 
 
-def test_run_replays_a_base64_cache_and_writes_new_vectors_beside_it(capsys, tmp_path):
+def test_run_refuses_a_cache_in_an_earlier_format_until_it_is_cleared(capsys, tmp_path):
     cache = tmp_path / "cache.jsonl"
-    vectors = tmp_path / "cache.jsonl.vectors"
     shutil.copyfile(_BASE64_SCENARIO_CACHE, cache)
-    expected_digest = hashlib.sha256(data_path(SCENARIO_EXPECTED).read_bytes()).hexdigest()
 
-    code, _, _, _ = _run_scenario(capsys, tmp_path, "--cache", str(cache))
-    assert code == 0
-    manifest = json.loads((tmp_path / "reports.jsonl.manifest.json").read_text())
-    assert manifest["counters"]["backend_calls"] == 0
-    assert manifest["report_digest"] == expected_digest
+    code, out, err, out_path = _run_scenario(capsys, tmp_path, "--cache", str(cache))
+    assert code == 2
+    assert "line 1" in err and "tracer cache-clear" in err
+    assert out == "" and not out_path.exists()
     assert cache.read_bytes() == _BASE64_SCENARIO_CACHE.read_bytes()
-    assert not vectors.exists()
+    assert not (tmp_path / "cache.jsonl.vectors").exists()
 
-    writer = ResponseCache(cache)
-    writer.put("new", [0.25, -0.0])
-    writer.close()
-    assert json.loads(cache.read_text().splitlines()[-1]) == {"key": "new", "at": 0, "dim": 2}
-    assert vectors.read_bytes() == struct.pack("<2d", 0.25, -0.0)
-
-    code, _, _, _ = _run_scenario(capsys, tmp_path, "--cache", str(cache))
+    code, _, _ = run_cli(capsys, "cache-clear", "--cache", str(cache))
     assert code == 0
-    manifest = json.loads((tmp_path / "reports.jsonl.manifest.json").read_text())
-    assert manifest["counters"]["backend_calls"] == 0
-    assert manifest["report_digest"] == expected_digest
-    assert manifest["cache"]["entries"] == 29  # 28 loaded plus the new vector
+    assert not cache.exists()
 
 
-def _forbid_legacy_keys(monkeypatch):
-    def legacy_key(*args):
-        raise AssertionError("a cache started by this version computed a legacy key")
-
-    for module in (tracer.gateway, tracer.gateway.cache):
-        monkeypatch.setattr(module, "_legacy_completion_key", legacy_key)
-        monkeypatch.setattr(module, "_legacy_embedding_key", legacy_key)
+def _vector_under_a_completion_key(records):
+    text = next(r for r in records if "value" in r)
+    vector = next(r for r in records if "at" in r)
+    records[records.index(text)] = {**vector, "key": text["key"]}
+    return "the cache holds a vector under the completion key"
 
 
-def test_run_on_a_fresh_cache_never_computes_a_legacy_key(capsys, monkeypatch, tmp_path):
-    _forbid_legacy_keys(monkeypatch)
-    cache = str(tmp_path / "cache.jsonl")
-    expected_digest = hashlib.sha256(data_path(SCENARIO_EXPECTED).read_bytes()).hexdigest()
-    for expected in (_SCENARIO_COLD_COUNTERS, _SCENARIO_WARM_COUNTERS):
-        code, _, err, _ = _run_scenario(capsys, tmp_path, "--cache", cache)
-        assert code == 0, err
-        manifest = json.loads((tmp_path / "reports.jsonl.manifest.json").read_text())
-        assert manifest["counters"] == expected
-        assert manifest["report_digest"] == expected_digest
-    assert all(len(json.loads(line)["key"]) == 43 for line in Path(cache).read_text().splitlines())
+def _text_under_an_embedding_key(records):
+    vector = next(r for r in records if "at" in r)
+    records[records.index(vector)] = {"key": vector["key"], "value": "x"}
+    return "the cache holds a text under the embedding key"
 
 
-def test_run_replays_legacy_records_and_the_new_records_written_beside_them(capsys, tmp_path):
+@pytest.mark.parametrize("swap", [_vector_under_a_completion_key, _text_under_an_embedding_key])
+def test_run_records_a_cache_hit_of_the_wrong_kind_on_the_claim(capsys, tmp_path, swap):
     cache = tmp_path / "cache.jsonl"
-    legacy_lines = _BASE64_SCENARIO_CACHE.read_text(encoding="utf-8").splitlines(keepends=True)
-    # every other legacy record: the run misses the rest and writes them anew
-    kept = "".join(legacy_lines[::2])
-    cache.write_text(kept, encoding="utf-8")
-    expected_digest = hashlib.sha256(data_path(SCENARIO_EXPECTED).read_bytes()).hexdigest()
+    _run_scenario(capsys, tmp_path, "--cache", str(cache))
+    records = [json.loads(line) for line in cache.read_text(encoding="utf-8").splitlines()]
+    message = swap(records)
+    cache.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
 
-    code, _, _, _ = _run_scenario(capsys, tmp_path, "--cache", str(cache))
-    assert code == 0
-    counters = json.loads((tmp_path / "reports.jsonl.manifest.json").read_text())["counters"]
-    assert counters["backend_calls"] > 0
-    assert counters["completion_cache_hits"] > 0
-    text = cache.read_text(encoding="utf-8")
-    assert text.startswith(kept)
-    appended = [json.loads(line)["key"] for line in text[len(kept) :].splitlines()]
-    # one record per request that missed
-    assert len(appended) == (
-        counters["completion_requests"] - counters["completion_cache_hits"]
-        + counters["embedding_requests"] - counters["embedding_cache_hits"]
-    )
-    assert all(len(key) == 43 for key in appended)
-
-    code, _, _, _ = _run_scenario(capsys, tmp_path, "--cache", str(cache))
-    assert code == 0
-    manifest = json.loads((tmp_path / "reports.jsonl.manifest.json").read_text())
-    assert manifest["counters"] == _SCENARIO_WARM_COUNTERS
-    assert manifest["report_digest"] == expected_digest
-    assert cache.read_text(encoding="utf-8") == text
+    code, out, err, out_path = _run_scenario(capsys, tmp_path, "--cache", str(cache))
+    # the error is recorded where it struck, and the run goes on to its end
+    assert code == 0, err
+    assert "report digest: " in out
+    assert message in out_path.read_text(encoding="utf-8")
 
 
 # -- parser behavior ------------------------------------------------------------------

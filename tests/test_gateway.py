@@ -40,7 +40,6 @@ from tracer.gateway import (
     render_template,
 )
 
-from tracer.gateway.cache import _legacy_completion_key, _legacy_embedding_key
 from tracer.gateway.mock import MockRule, _hashed_unit_vector
 
 from conftest import make_gateway
@@ -189,25 +188,26 @@ def test_cache_loaded_vector_is_read_only(tmp_path):
         loaded[0] = 3.0
 
 
-def test_cache_reads_list_form_vectors(tmp_path):
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"key": "v", "vector": "AAAAAAAA8D8AAAAAAAAAQA=="}',
+        '{"key": "v", "value": [1.0, -0.0, 2.5]}',
+        '{"key": "%s", "value": "A"}' % ("0123456789abcdef" * 4),
+    ],
+    ids=["base64-vector", "list-of-floats", "hex-key"],
+)
+def test_cache_refuses_a_line_in_an_earlier_format_and_says_how_to_clear_it(tmp_path, line):
     path = tmp_path / "cache.jsonl"
-    path.write_text('{"key": "v", "value": [1.0, -0.0, 2.5]}\n', encoding="utf-8")
-    loaded = ResponseCache(path).get("v")
-    assert loaded.tolist() == [1.0, -0.0, 2.5]
-    assert not loaded.flags.writeable
-
-
-def test_cache_later_vector_record_wins_over_list_record(tmp_path):
-    path = tmp_path / "cache.jsonl"
-    path.write_text(
-        '{"key": "v", "value": [9.0]}\n'
-        '{"key": "w", "value": [4.0]}\n'
-        '{"key": "v", "vector": "AAAAAAAA8D8AAAAAAAAAQA=="}\n',
-        encoding="utf-8",
-    )
+    path.write_text(f'{{"key": "a", "value": "b"}}\n{line}\n', encoding="utf-8")
+    with pytest.raises(CacheCorruption) as excinfo:
+        ResponseCache(path)
+    assert "line 2" in str(excinfo.value)
+    assert "run `tracer cache-clear`" in str(excinfo.value)
+    # as a last line without its newline it is a torn append: skipped
+    path.write_text(f'{{"key": "a", "value": "b"}}\n{line}', encoding="utf-8")
     cache = ResponseCache(path)
-    assert cache.get("v").tolist() == [1.0, 2.0]
-    assert cache.get("w").tolist() == [4.0]
+    assert len(cache) == 1 and cache.get("a") == "b"
 
 
 @pytest.mark.parametrize(
@@ -598,10 +598,9 @@ def _reference_load(path):
 
     ``json.loads`` per line, then one read of the whole vector file;
     kept as the reference the cache's own load must equal. Returns the
-    entries, ``has_legacy_keys`` and the open tail, or raises the same
-    ``CacheCorruption``.
+    entries and the open tail, or raises the same ``CacheCorruption``.
     """
-    entries, refs, legacy, open_tail = {}, [], False, None
+    entries, refs, open_tail = {}, [], None
     offset = 0
     with path.open("rb") as handle:
         for number, line in enumerate(handle, start=1):
@@ -611,7 +610,7 @@ def _reference_load(path):
             try:
                 record = json.loads(line)
                 key = record["key"]
-                if type(key) is not str:
+                if type(key) is not str or len(key) == 64:
                     raise TypeError(key)
                 if "at" in record:
                     at, dim = record["at"], record["dim"]
@@ -619,19 +618,19 @@ def _reference_load(path):
                         raise ValueError(at, dim)
                     value = (at, dim)
                     refs.append((number, key, value))
-                elif "vector" in record:
-                    value = np.frombuffer(base64.b64decode(record["vector"], validate=True), "<f8")
                 else:
                     value = record["value"]
-                    if isinstance(value, list):
-                        value = np.array(value, dtype=np.float64)
+                    if type(value) is not str:
+                        raise TypeError(value)
             except (ValueError, TypeError, KeyError):
                 if line.endswith(b"\n"):
-                    raise CacheCorruption(f"{path}: undecodable cache record at line {number}") from None
+                    raise CacheCorruption(
+                        f"{path}: line {number} is not a cache record of this version; "
+                        "run `tracer cache-clear` to start a new cache"
+                    ) from None
                 open_tail = (start, line, False)
                 continue
             entries[key] = value
-            legacy = legacy or len(key) == 64
             if not line.endswith(b"\n"):
                 open_tail = (start, line, True)
     vectors = _vector_file(path)
@@ -645,26 +644,26 @@ def _reference_load(path):
             )
         if entries[key] is ref:
             entries[key] = np.frombuffer(data, "<f8", count=dim, offset=at)
-    return entries, legacy, open_tail
+    return entries, open_tail
 
 
 def _cache_load(path):
     cache = ResponseCache(path)
     for value in cache._entries.values():
         assert isinstance(value, str) or not value.flags.writeable
-    return cache._entries, cache.has_legacy_keys, cache._open_tail
+    return cache._entries, cache._open_tail
 
 
 def _load_outcome(load, path):
     try:
-        entries, legacy, open_tail = load(path)
+        entries, open_tail = load(path)
     except CacheCorruption as error:
         return str(error)
     values = {
         key: value if isinstance(value, str) else (value.dtype == np.float64, value.tobytes())
         for key, value in entries.items()
     }
-    return values, legacy, open_tail
+    return values, open_tail
 
 
 _KEYS = st.sampled_from(["a", "b", 'q"\\', "\u00e9\u2028", "0" * 64, "f" * 64])
@@ -740,29 +739,11 @@ def test_cache_loads_what_the_json_loads_loader_loaded(tmp_path_factory, files):
 
 # -- cache keys ----------------------------------------------------------
 
-# Two fixed requests: one plain, one with non-ASCII text, quotes, a
-# backslash and a newline. Each legacy digest below is what the key
-# functions returned before keys hashed the raw text; each new key is
-# pinned so that a CI job on another interpreter proves the header does
-# not depend on it.
-_PLAIN_TEXT = "Claim: the sky is blue."
+# A request with non-ASCII text, quotes, a backslash and a newline. Its
+# keys are pinned so that a CI job on another interpreter proves the
+# header does not depend on it.
 _AWKWARD_TEXT = 'Claim: "Café" costs 5€ \\ naïve\nEvidence: 東京 \U0001f600'
 _BASE64URL = set(string.ascii_letters + string.digits + "-_")
-
-
-def test_legacy_keys_are_the_digests_earlier_versions_wrote():
-    keys = [
-        _legacy_completion_key("mock", "cot_verdict", _PLAIN_TEXT, 0.0, 512),
-        _legacy_completion_key("gpt-4o-mini", "reassessment", _AWKWARD_TEXT, 0.0, 512),
-        _legacy_embedding_key("mock", _PLAIN_TEXT),
-        _legacy_embedding_key("text-embedding-3-small", _AWKWARD_TEXT),
-    ]
-    assert keys == [
-        "4ecc20dd44c6a1422aa320e00bf56bc14c5981331b232bda66094ba436a5711c",
-        "d281e524517b1565b736eb40defa1f2dca85fd220679cbc5236b43e69748252d",
-        "9cf9d44ba7ace57831aaab7f78c4cc3684313e23e95f9a51abffc0dd723c534d",
-        "2977f79ce154f9f2662692a554bf1b0105a842e1ac6cdb9223c986c6e71b129e",
-    ]
 
 
 def test_keys_are_pinned_43_character_base64url_digests():
@@ -825,80 +806,6 @@ def test_embedding_key_separates_fields_and_kinds(model, text, other):
         assert embedding_key(model + char, text) != embedding_key(model, char + text)
     assert completion_key(model, model, text, 0.0, 512) != key
     assert completion_key(model, "", text, 0.0, 512) != key
-
-
-def test_cache_notes_keys_in_the_legacy_form_only_on_load(tmp_path):
-    path = tmp_path / "cache.jsonl"
-    cache = ResponseCache(path)
-    cache.put(embedding_key("mock", "e"), [1.0])
-    cache.put("0" * 64, "written, not loaded")
-    assert not cache.has_legacy_keys
-    assert not ResponseCache(tmp_path / "new.jsonl").has_legacy_keys
-    reloaded = ResponseCache(path)
-    assert reloaded.has_legacy_keys
-    reloaded.clear()
-    assert not reloaded.has_legacy_keys
-
-
-def _legacy_gateway(tmp_path):
-    """Gateway over a cache file holding the completion of "Claim: c"
-    and the vector of "e" under their legacy keys, with a script that
-    answers both differently."""
-    path = tmp_path / "legacy.jsonl"
-    decoding = Decoding()
-    legacy_completion = _legacy_completion_key(
-        "mock", "t", "Claim: c", decoding.temperature, decoding.max_tokens
-    )
-    lines = [
-        {"key": legacy_completion, "value": "old"},
-        {"key": _legacy_embedding_key("mock", "e"), "value": [1.0, 0.0]},
-    ]
-    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
-    gateway, script = make_gateway(
-        rules=[{"template": "t", "response": "new"}],
-        embeddings=[{"text": "e", "vector": [0.0, 1.0]}],
-        cache_path=path,
-    )
-    gateway.catalog = TemplateCatalog({"t": PromptTemplate.from_body("t", "Claim: {claim}")})
-    return gateway, script, path
-
-
-def test_gateway_answers_from_legacy_keys_as_hits_and_never_rewrites_them(tmp_path):
-    gateway, script, path = _legacy_gateway(tmp_path)
-    before = path.read_bytes()
-    assert gateway.complete("t", claim="c") == "old"
-    first = gateway.embed("e")
-    assert first.vector.tolist() == [1.0, 0.0]
-    assert gateway.embed("e") is first
-    assert script.call_log == []
-    assert gateway.counters == GatewayCounters(
-        completion_requests=1,
-        completion_cache_hits=1,
-        embedding_requests=2,
-        embedding_cache_hits=2,
-    )
-    assert path.read_bytes() == before
-
-
-def _keys(path) -> list[str]:
-    return [json.loads(line)["key"] for line in path.read_text().splitlines()]
-
-
-def test_gateway_writes_misses_under_new_keys_beside_legacy_records(tmp_path):
-    gateway, script, path = _legacy_gateway(tmp_path)
-    legacy_keys = _keys(path)
-    decoding = Decoding()
-    assert gateway.complete("t", claim="d") == "new"
-    assert gateway.embed("e").vector.tolist() == [1.0, 0.0]
-    assert _keys(path) == legacy_keys + [
-        completion_key("mock", "t", "Claim: d", decoding.temperature, decoding.max_tokens)
-    ]
-    # the text is remembered under its legacy key; a miss after a clear
-    # is still written under the new one
-    gateway.cache.clear()
-    assert gateway.embed("e").vector.tolist() == [0.0, 1.0]
-    assert len(script.call_log) == 2
-    assert _keys(path) == [embedding_key("mock", "e")]
 
 
 # -- mock backend --------------------------------------------------------
@@ -1194,6 +1101,12 @@ def test_gateway_caps_backend_calls_in_flight():
     assert gateway.counters.backend_calls == 4
 
 
+@pytest.mark.parametrize("max_in_flight", [0, -1])
+def test_gateway_without_a_token_for_the_backend_is_a_value_error(max_in_flight):
+    with pytest.raises(ValueError, match="max_in_flight"):
+        Gateway(backend=_CountingBackend(), max_in_flight=max_in_flight)
+
+
 def test_gateway_embed_returns_cached_embedding():
     gateway, script = make_gateway(embeddings=[{"text": "e", "vector": [1.0, 0.0]}])
     first = gateway.embed("e")
@@ -1272,12 +1185,11 @@ _WORDS = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]
 
 
 def _seeded_cache(path, kind):
-    """A cache file holding half the words: none, under new keys, or under legacy keys."""
+    """A cache file holding none of the words, or half of them."""
     cache = ResponseCache(path)
-    key = {"half": embedding_key, "legacy": _legacy_embedding_key}.get(kind)
-    if key is not None:
+    if kind == "half":
         for i, word in enumerate(_WORDS[::2]):
-            cache.put(key("mock", word), [float(i), 1.0, 0.0, 2.0])
+            cache.put(embedding_key("mock", word), [float(i), 1.0, 0.0, 2.0])
     cache.close()
     return ResponseCache(path)
 
@@ -1311,9 +1223,9 @@ def _flat(asks):
 
 @given(
     batches=st.lists(st.lists(st.sampled_from(_WORDS), max_size=6), min_size=1, max_size=3),
-    kind=st.sampled_from(["empty", "half", "legacy"]),
+    kind=st.sampled_from(["empty", "half"]),
 )
-@example(batches=[["alpha", "beta", "alpha", "beta"], ["beta", "gamma"]], kind="legacy")
+@example(batches=[["alpha", "beta", "alpha", "beta"], ["beta", "gamma"]], kind="half")
 def test_embed_many_equals_the_same_texts_embedded_one_at_a_time(tmp_path_factory, batches, kind):
     directory = tmp_path_factory.mktemp("embed")
     texts = _flat(batches)
@@ -1421,6 +1333,30 @@ def test_unknown_template_raises():
         gateway.complete("never_heard_of_it")
 
 
+def test_gateway_vector_under_a_completion_key_is_corruption():
+    gateway, script = make_gateway(rules=[{"template": "relevance", "response": "A"}])
+    bindings = dict(claim="c", ruling="r", evidence="e")
+    prompt = render_template(gateway.catalog.get("relevance"), bindings)
+    decoding = gateway.decoding
+    key = completion_key("mock", "relevance", prompt, decoding.temperature, decoding.max_tokens)
+    gateway.cache.put(key, [1.0, 2.0])
+    with pytest.raises(CacheCorruption, match="vector under the completion key"):
+        gateway.complete("relevance", **bindings)
+    assert script.call_log == []
+
+
+def test_gateway_text_under_an_embedding_key_is_corruption(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    path.write_text(
+        json.dumps({"key": embedding_key("mock", "e"), "value": "x"}) + "\n", encoding="utf-8"
+    )
+    gateway, script = make_gateway(embeddings=[{"text": "e", "vector": [1.0]}], cache_path=path)
+    for ask in (gateway.embed, lambda text: gateway.embed_many(["f", text])):
+        with pytest.raises(CacheCorruption, match="text under the embedding key"):
+            ask("e")
+    assert script.call_log == []
+
+
 # -- live backend (stubbed transport) -------------------------------------
 
 
@@ -1503,6 +1439,14 @@ def test_live_backend_client_errors_fail_immediately():
     with pytest.raises(BackendError):
         backend.complete("t", "p", Decoding(0.0, 16))
     assert session.calls == 1
+
+
+@pytest.mark.parametrize("content", [None, 5, ["ok"]], ids=["null", "number", "list"])
+def test_live_backend_completion_content_that_is_not_text_is_a_backend_error(content):
+    session = _FakeSession([_FakeResponse(200, _completion_payload(content))])
+    backend = LiveBackend(model_id="m", api_key="k", session=session)
+    with pytest.raises(BackendError, match="malformed chat completion response"):
+        backend.complete("t", "p", Decoding(0.0, 16))
 
 
 def test_live_backend_embeddings_endpoint():
