@@ -18,6 +18,7 @@ label.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -98,12 +99,8 @@ def check_presentation(gateway: Gateway, claim: str, sentence: str) -> bool:
     return parse_letter_choice(text, {"A", "B"}) == "A"
 
 
-def refine_by_similarity(
-    gateway: Gateway,
-    claim: str,
-    sentence: str,
-    provisional_presented: bool,
-    thresholds: Thresholds,
+def _refine(
+    claim: Embedding, sentence: Embedding, provisional_presented: bool, thresholds: Thresholds
 ) -> tuple[AlignmentLabel, float]:
     """Second opinion from embedding space on the presentation answer.
 
@@ -113,14 +110,6 @@ def refine_by_similarity(
     promoted. Either direction is disabled by setting its threshold to
     None.
     """
-    return _refine(
-        gateway.embed(claim), gateway.embed(sentence), provisional_presented, thresholds
-    )
-
-
-def _refine(
-    claim: Embedding, sentence: Embedding, provisional_presented: bool, thresholds: Thresholds
-) -> tuple[AlignmentLabel, float]:
     similarity = cosine_similarity(claim, sentence)
     if provisional_presented:
         if thresholds.tau_low is not None and similarity < thresholds.tau_low:
@@ -136,6 +125,9 @@ class ExternalAlignmentClassifier:
 
     Request: POST {"claim": ..., "sentence": ...}
     Response: {"label": "Presented" | "Hidden", "confidence": number}
+
+    ``confidence`` defaults to 1.0 and must be a finite number, not a
+    bool or a string.
 
     Requests go through ``post_json`` (retried, no API key sent) behind a
     ``CircuitBreaker``; any failure, including an answer of another shape,
@@ -154,14 +146,17 @@ class ExternalAlignmentClassifier:
         data = self._post(self.endpoint, {"claim": claim, "sentence": sentence})
         try:
             label = AlignmentLabel(data["label"])
-            confidence = float(data.get("confidence", 1.0))
-        except (KeyError, TypeError, ValueError) as exc:
+            confidence = data.get("confidence", 1.0)
+            # a NaN would reach the report as a bare token, which is not JSON
+            if isinstance(confidence, bool) or not math.isfinite(confidence):
+                raise ValueError("confidence is not a finite number")
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise BackendError(
                 f"{self.endpoint} returned a malformed answer: {data!r:.200}"
             ) from exc
         if label is AlignmentLabel.IRRELEVANT:
             raise BackendError(f"{self.endpoint} answered Irrelevant, not Presented or Hidden")
-        return label, confidence
+        return label, float(confidence)
 
 
 def align_evidence(
@@ -209,11 +204,10 @@ def align_evidence(
         sentence = evidence[position]
         try:
             if embeddings is None:
-                label, similarity = refine_by_similarity(
-                    gateway, claim, sentence, answer, thresholds
-                )
+                pair = gateway.embed_many([claim, sentence])
             else:
-                label, similarity = _refine(embeddings[0], embeddings[n], answer, thresholds)
+                pair = embeddings[0], embeddings[n]
+            label, similarity = _refine(*pair, answer, thresholds)
         except TracerError as exc:
             aligned[position] = _failed(sentence, Provenance.PROMPT_PIPELINE, exc)
             continue
@@ -265,5 +259,4 @@ __all__ = [
     "cosine_similarity",
     "hidden_pool",
     "presented_pool",
-    "refine_by_similarity",
 ]

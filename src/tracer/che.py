@@ -18,7 +18,7 @@ from .alignment import cosine_similarities, cosine_similarity  # noqa: F401
 from .causality import Assumption
 from .config import Thresholds
 from .errors import BackendError
-from .gateway import Embedding, Gateway, parse_letter_choice
+from .gateway import Gateway, parse_letter_choice
 from .gateway.backends import CircuitBreaker, post_json
 
 
@@ -94,40 +94,13 @@ def retrieve_che(
     k: int = 5,
     tau_che: float = 0.5,
     classifier: ExternalNliClassifier | None = None,
-    query: Embedding | None = None,
 ) -> list[CheCandidate]:
     """Hidden sentences that support or contradict one assumption.
 
-    The pool is ranked by cosine similarity to the assumption; only the
-    top k at or above tau_che reach the entailment gate. Ties rank by
-    pool position so retrieval is deterministic. ``query`` is the
-    assumption's embedding when the caller already has it.
+    ``collect_che`` of that one assumption, with ``k`` as ``top_k``.
     """
-    if not hidden_pool:
-        return []
-    if query is None:
-        query = gateway.embed(assumption)
-    similarities = cosine_similarities(query, [gateway.embed(s) for s in hidden_pool])
-    # a stable sort: ties keep pool order
-    ranked = sorted(zip(similarities, hidden_pool), key=lambda item: -item[0])
-    selected = []
-    for similarity, sentence in ranked[:k]:
-        if similarity < tau_che:
-            break  # ranked order: everything after is weaker still
-        verdict = nli_check(gateway, sentence, assumption, classifier)
-        if verdict is NliVerdict.NEUTRAL:
-            continue
-        selected.append(
-            CheCandidate(
-                sentence=sentence,
-                assumption=assumption,
-                similarity=similarity,
-                nli=verdict,
-                selected=True,
-                linked_assumptions=(assumption,),
-            )
-        )
-    return selected
+    thresholds = Thresholds(top_k=k, tau_che=tau_che)
+    return collect_che(gateway, [Assumption(assumption)], hidden_pool, thresholds, classifier)
 
 
 def collect_che(
@@ -137,40 +110,48 @@ def collect_che(
     thresholds: Thresholds = Thresholds(),
     classifier: ExternalNliClassifier | None = None,
 ) -> list[CheCandidate]:
-    """Union of per-assumption retrievals, deduplicated by sentence.
+    """Hidden sentences that support or contradict the critical assumptions.
 
-    A sentence selected for several assumptions appears once, linked to
-    all of them, with its primary link being the highest-similarity one.
-    Output order is first-selection order, which is deterministic.
-    Every assumption is embedded in one ``embed_many`` call first.
+    The assumptions and the pool are embedded in one ``embed_many``
+    call. Then, assumption by assumption, the pool is ranked by cosine
+    similarity; only the top k at or above tau_che reach the entailment
+    gate, and Neutral sentences are dropped. Ties rank by pool position
+    so retrieval is deterministic. A sentence selected for several
+    assumptions appears once, linked to all of them, with its primary
+    link being the highest-similarity one. Output order is
+    first-selection order. With no assumption or an empty pool nothing
+    is asked of the gateway.
     """
-    if not hidden_pool:
+    if not critical_assumptions or not hidden_pool:
         return []
-    queries = gateway.embed_many([assumption.text for assumption in critical_assumptions])
+    texts = [assumption.text for assumption in critical_assumptions]
+    embeddings = gateway.embed_many([*texts, *hidden_pool])
+    pool = embeddings[len(texts) :]
     by_sentence: dict[str, CheCandidate] = {}
-    for assumption, query in zip(critical_assumptions, queries):
-        candidates = retrieve_che(
-            gateway,
-            assumption.text,
-            hidden_pool,
-            k=thresholds.top_k,
-            tau_che=thresholds.tau_che,
-            classifier=classifier,
-            query=query,
+    for assumption, query in zip(texts, embeddings):
+        # a stable sort: ties keep pool order
+        ranked = sorted(
+            zip(cosine_similarities(query, pool), hidden_pool), key=lambda item: -item[0]
         )
-        for candidate in candidates:
-            existing = by_sentence.get(candidate.sentence)
-            if existing is None:
-                by_sentence[candidate.sentence] = candidate
+        for similarity, sentence in ranked[: thresholds.top_k]:
+            if similarity < thresholds.tau_che:
+                break  # ranked order: everything after is weaker still
+            verdict = nli_check(gateway, sentence, assumption, classifier)
+            if verdict is NliVerdict.NEUTRAL:
                 continue
-            links = existing.linked_assumptions + (candidate.assumption,)
-            if candidate.similarity > existing.similarity:
-                merged = replace(
-                    candidate, linked_assumptions=links, sentence=existing.sentence
+            existing = by_sentence.get(sentence)
+            links = (existing.linked_assumptions if existing else ()) + (assumption,)
+            if existing is None or similarity > existing.similarity:
+                by_sentence[sentence] = CheCandidate(
+                    sentence=sentence,
+                    assumption=assumption,
+                    similarity=similarity,
+                    nli=verdict,
+                    selected=True,
+                    linked_assumptions=links,
                 )
             else:
-                merged = replace(existing, linked_assumptions=links)
-            by_sentence[existing.sentence] = merged
+                by_sentence[sentence] = replace(existing, linked_assumptions=links)
     return list(by_sentence.values())
 
 

@@ -80,22 +80,23 @@ class GatewayCounters:
 class Gateway:
     """Template rendering + cache + backend, behind one interface.
 
-    ``complete(template_id, **bindings)`` and ``embed(text)`` are the two
-    requests, and ``embed_many(texts)`` asks for several embeddings at
-    once. The backend is either a MockScript or a LiveBackend; both
-    answer ``complete(template_id, prompt, decoding)`` with a string and
+    ``complete(template_id, **bindings)`` and ``embed_many(texts)`` are
+    the two requests; ``embed(text)`` is ``embed_many`` of one text. The
+    backend is either a MockScript or a LiveBackend; both answer
+    ``complete(template_id, prompt, decoding)`` with a string and
     ``embed(texts)`` with one read-only float64 array per text, in order,
     each cached and wrapped without a copy. Every embedding request that
     misses the cache reaches the backend through ``embed(texts)``, one
     call for all the misses of one ``embed_many``. Every completion uses
     the bundled template catalog and the default ``Decoding``; model ids
     come from the backend (``"mock"`` when it names none). A completion
-    that is not valid Unicode (a lone surrogate) is a ``BackendError``
-    and is not cached. ``counters`` counts every request, cache hit and
-    backend call. At most ``max_in_flight`` backend requests run at once
-    when callers fan out across threads: a request takes one of that
-    many tokens from a queue before it calls the backend and puts it
-    back after. A ``max_in_flight`` below 1 is a ``ValueError``.
+    that is not valid Unicode (a lone surrogate) and a vector with a NaN
+    or infinite value are ``BackendError``s and are not cached.
+    ``counters`` counts every request, cache hit and backend call. At
+    most ``max_in_flight`` backend requests run at once when callers fan
+    out across threads: a request takes one of that many tokens from a
+    queue before it calls the backend and puts it back after. A
+    ``max_in_flight`` below 1 is a ``ValueError``.
 
     A cache hit of the wrong kind, a vector under a completion key or a
     text under an embedding key, is ``CacheCorruption``.
@@ -113,8 +114,6 @@ class Gateway:
         self.embedding_model_id = getattr(backend, "embedding_model_id", self.model_id)
         self.decoding = Decoding()
         self.counters = GatewayCounters()
-        # text -> (cache key, the Embedding last returned for it)
-        self._embedded: dict[str, tuple[str, Embedding]] = {}
         # in-flight tokens: a queue is a C primitive, cheaper per call
         # than a semaphore, which is written in Python
         self._slots = queue.SimpleQueue()
@@ -170,64 +169,39 @@ class Gateway:
     # -- embeddings ----------------------------------------------------
 
     def embed(self, text: str) -> Embedding:
-        """Embedding of the text, from the cache or else the backend.
-
-        Every call counts one request, and one cache hit when the cache
-        holds the key. A text asked for again gets the same ``Embedding``
-        object without recomputing its key, but only while the cache
-        still holds that very vector: after ``cache.clear()`` the next
-        request goes to the backend again. A failed backend call leaves
-        nothing behind, so the next request retries it.
-        """
-        remembered = self._embedded.get(text)
-        if remembered is not None and self.cache.get(remembered[0]) is remembered[1].vector:
-            with self._counter_lock:
-                self.counters.embedding_requests += 1
-                self.counters.embedding_cache_hits += 1
-            return remembered[1]
-        return self._embed_all([text])[0]
+        """Embedding of the text: ``embed_many([text])[0]``."""
+        return self.embed_many([text])[0]
 
     def embed_many(self, texts) -> list[Embedding]:
         """Embeddings of the texts, in order, with at most one backend call.
 
-        Requests, hits and cache records are those of the same texts
-        asked of ``embed`` one at a time, and so are the ``Embedding``
-        objects returned: a text asked for earlier in the list is a hit.
-        Every text the cache lacks goes to the backend in one call, each
-        text once, in the order first asked. If that call fails, nothing
-        is cached.
+        Every text counts one request, and one cache hit when the cache
+        holds its key or it was asked for earlier in the list; a text
+        asked for twice gets the same ``Embedding`` both times. Every
+        text the cache lacks goes to the backend in one call, each text
+        once, in the order first asked. If that call fails, or answers a
+        vector with a NaN or infinite value, nothing is cached, so the
+        next request asks again.
         """
-        return self._embed_all(list(texts))
-
-    def _embed_all(self, texts: list[str]) -> list[Embedding]:
+        texts = list(texts)
         if not all(text and text.strip() for text in texts):
             raise EmptyInput("cannot embed empty text")
         found: dict[str, Embedding] = {}
         missed: dict[str, str] = {}  # text -> the key it is written under
-        hits = 0
         for text in texts:
             if text in found or text in missed:
-                hits += 1
                 continue
-            remembered = self._embedded.get(text)
-            if remembered is not None:
-                key = remembered[0]
-            else:
-                key = embedding_key(self.embedding_model_id, text)
+            key = embedding_key(self.embedding_model_id, text)
             cached = self.cache.get(key)
             if cached is None:
                 missed[text] = key
-                continue
-            if not isinstance(cached, np.ndarray):
+            elif isinstance(cached, np.ndarray):
+                found[text] = Embedding(vector=cached, model_id=self.embedding_model_id)
+            else:
                 raise CacheCorruption(f"the cache holds a text under the embedding key {key}")
-            hits += 1
-            if remembered is None or cached is not remembered[1].vector:
-                remembered = (key, Embedding(vector=cached, model_id=self.embedding_model_id))
-                self._embedded[text] = remembered
-            found[text] = remembered[1]
         with self._counter_lock:
             self.counters.embedding_requests += len(texts)
-            self.counters.embedding_cache_hits += hits
+            self.counters.embedding_cache_hits += len(texts) - len(missed)
         if missed:
             vectors = self._call_backend(self.backend.embed, list(missed))
             if len(vectors) != len(missed):
@@ -236,11 +210,14 @@ class Gateway:
                 )
             with self._counter_lock:
                 self.counters.backend_calls += 1
+            vectors = [frozen_vector(vector) for vector in vectors]
+            for text, vector in zip(missed, vectors):
+                if not np.isfinite(vector).all():
+                    # cosine would read NaN as 1.0: min(1.0, nan) is 1.0
+                    raise BackendError(f"the embedding of {text!r:.80} is not finite")
             for (text, key), vector in zip(missed.items(), vectors):
-                vector = frozen_vector(vector)
                 self.cache.put(key, vector)
                 found[text] = Embedding(vector=vector, model_id=self.embedding_model_id)
-                self._embedded[text] = (key, found[text])
         return [found[text] for text in texts]
 
 

@@ -20,7 +20,6 @@ from tracer.alignment import (
     cosine_similarity,
     hidden_pool,
     presented_pool,
-    refine_by_similarity,
 )
 from tracer.config import Thresholds
 from tracer.errors import BackendError, DimensionMismatch, UnparseableChoice, ZeroVector
@@ -260,14 +259,16 @@ def _refine(similarity, provisional_presented, thresholds=None):
     # place claim at angle 0 and sentence at the requested cosine
     sine = math.sqrt(max(0.0, 1.0 - similarity * similarity))
     gateway, _ = make_gateway(
+        rules=[{"template": "presentation", "response": "A" if provisional_presented else "B"}],
         embeddings=[
             {"text": "claim", "vector": [1.0, 0.0]},
             {"text": "sentence", "vector": [similarity, sine]},
-        ]
+        ],
     )
-    return refine_by_similarity(
-        gateway, "claim", "sentence", provisional_presented, thresholds or Thresholds()
-    )
+    # no ruling: the sentence goes straight to presentation and refinement
+    [aligned] = align_evidence(gateway, "claim", "", ["sentence"], thresholds or Thresholds())
+    assert aligned.error is None
+    return aligned.label, aligned.similarity
 
 
 def test_refine_demotes_presented_below_tau_low():
@@ -395,15 +396,10 @@ def test_align_evidence_sentence_without_an_embedding_fails_alone():
     gateway, _ = _pipeline_gateway()
     aligned = align_evidence(gateway, "claim", "our ruling", evidence)
 
-    # each other sentence refined on its own, as alignment did one sentence at a time
-    for position, presented in ((0, True), (2, False)):
+    # each other sentence labelled as when it is aligned on its own
+    for position in (0, 2):
         alone, _ = _pipeline_gateway()
-        label, similarity = refine_by_similarity(
-            alone, "claim", evidence[position], presented, Thresholds()
-        )
-        assert aligned[position] == AlignedEvidence(
-            sentence=evidence[position], label=label, similarity=similarity
-        )
+        assert [aligned[position]] == align_evidence(alone, "claim", "", [evidence[position]])
     assert [a.label for a in aligned] == [
         AlignmentLabel.PRESENTED,
         AlignmentLabel.IRRELEVANT,
@@ -414,6 +410,36 @@ def test_align_evidence_sentence_without_an_embedding_fails_alone():
     # the failed batch cached nothing; the fallback cached the claim and two sentences
     assert gateway.counters.embedding_requests == 4 + 2 * 3
     assert len(gateway.cache) == 6 + 3
+
+
+def test_align_evidence_sentence_with_a_non_finite_embedding_fails_alone():
+    rules = [
+        {"template": "presentation", "contains": "the claim says", "response": "A"},
+        {"template": "presentation", "response": "B"},
+    ]
+    embeddings = [
+        {"text": "claim", "vector": [1.0, 0.0]},
+        {"text": "the claim says X", "vector": [0.9, 0.436]},
+        {"text": "hidden fact", "vector": [math.nan, 0.0]},
+        {"text": "hidden fact Y", "vector": [0.1, 0.995]},
+    ]
+    evidence = ["the claim says X", "hidden fact", "hidden fact Y"]
+    gateway, _ = make_gateway(rules=rules, embeddings=embeddings)
+    aligned = align_evidence(gateway, "claim", "", evidence)
+    # a NaN cosine would read as 1.0 and promote the sentence to Presented
+    assert aligned[1] == AlignedEvidence(
+        sentence="hidden fact",
+        label=AlignmentLabel.IRRELEVANT,
+        error="BackendError: the embedding of 'hidden fact' is not finite",
+    )
+    for position in (0, 2):
+        alone, _ = make_gateway(rules=rules, embeddings=embeddings)
+        assert [aligned[position]] == align_evidence(alone, "claim", "", [evidence[position]])
+    assert [a.label for a in aligned] == [
+        AlignmentLabel.PRESENTED,
+        AlignmentLabel.IRRELEVANT,
+        AlignmentLabel.HIDDEN,
+    ]
 
 
 def test_align_evidence_claim_without_an_embedding_fails_every_refined_sentence():
@@ -455,6 +481,30 @@ def test_external_classifier_rejects_irrelevant_answer():
     )
     with pytest.raises(BackendError, match="http://host/align"):
         classifier.classify("c", "s")
+
+
+@pytest.mark.parametrize(
+    "confidence",
+    [math.nan, math.inf, -math.inf, True, False, "0.9", None, 10**400],
+    ids=["nan", "inf", "-inf", "true", "false", "string", "null", "huge"],
+)
+def test_external_classifier_confidence_must_be_a_finite_number(confidence):
+    answer = {"label": "Hidden", "confidence": confidence}
+    classifier = ExternalAlignmentClassifier("http://host/align", post=lambda url, payload: answer)
+    with pytest.raises(BackendError, match="http://host/align returned a malformed answer"):
+        classifier.classify("c", "s")
+
+
+@pytest.mark.parametrize(
+    "answer,confidence",
+    [({"label": "Presented"}, 1.0), ({"label": "Presented", "confidence": 0}, 0.0)],
+    ids=["missing", "integer"],
+)
+def test_external_classifier_confidence_is_a_float(answer, confidence):
+    classifier = ExternalAlignmentClassifier("http://host/align", post=lambda url, payload: answer)
+    label, got = classifier.classify("c", "s")
+    assert label is AlignmentLabel.PRESENTED
+    assert got == confidence and type(got) is float
 
 
 def test_external_classifier_stops_posting_to_a_dead_endpoint():

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from tracer.alignment import ExternalAlignmentClassifier, align_evidence, hidden_pool
 from tracer.causality import Assumption, CausalEffect
 from tracer.che import (
     LETTER_TO_NLI,
@@ -252,10 +253,26 @@ def test_collect_embeds_every_assumption_in_one_backend_call():
     ]
     # the NLI checks keep their order: the first assumption's ranking, then the second's
     assert [c.prompt.count("first assumption") for c in script.call_log[4:]] == [1, 1, 0]
-    # one embedding call, three NLI checks; every pool lookup was a hit
+    # one embedding call, three NLI checks; the pool, asked once, was a hit
     assert gateway.counters.backend_calls - calls_before == 4
-    assert gateway.counters.embedding_requests == 2 + 2 + 2 * 2
-    assert gateway.counters.embedding_cache_hits == 2 * 2
+    assert gateway.counters.embedding_requests == 2 + 2 + 2
+    assert gateway.counters.embedding_cache_hits == 2
+
+
+def test_collect_over_a_pool_alignment_never_embedded_makes_one_embedding_call():
+    # an external classifier labels the evidence, so alignment embeds nothing
+    classifier = ExternalAlignmentClassifier(
+        "http://host/align", post=lambda url, payload: {"label": "Hidden"}
+    )
+    gateway, script = make_gateway(rules=[{"template": "nli", "response": "B"}], default_dim=4)
+    batches = []
+    embed = script.embed
+    script.embed = lambda texts: batches.append(list(texts)) or embed(texts)
+    evidence = ["pool one", "pool two", "pool three"]
+    aligned = align_evidence(gateway, "claim", "ruling", evidence, classifier=classifier)
+    assert hidden_pool(aligned) == evidence and batches == []
+    collect_che(gateway, [critical("first assumption"), critical("second assumption")], evidence)
+    assert batches == [["first assumption", "second assumption", *evidence]]
 
 
 def test_collect_with_an_empty_pool_embeds_nothing():

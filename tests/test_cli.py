@@ -333,16 +333,16 @@ _SCENARIO_COLD_COUNTERS = {
     },
     "completion_cache_hits": 0,
     "completion_requests": 21,
-    "embedding_cache_hits": 6,
-    "embedding_requests": 13,
+    "embedding_cache_hits": 3,
+    "embedding_requests": 10,
 }
 _SCENARIO_WARM_COUNTERS = {
     "backend_calls": 0,
     "by_template": {},
     "completion_cache_hits": 21,
     "completion_requests": 21,
-    "embedding_cache_hits": 13,
-    "embedding_requests": 13,
+    "embedding_cache_hits": 10,
+    "embedding_requests": 10,
 }
 
 

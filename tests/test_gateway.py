@@ -4,6 +4,7 @@ import base64
 import dataclasses
 import hashlib
 import json
+import math
 import string
 import struct
 import threading
@@ -915,7 +916,7 @@ def test_gateway_embed_over_texts_sharing_an_array_cold_then_warm(tmp_path):
     warm = [gateway.embed(text) for text in texts]
     for text, first, again in zip(texts, cold, warm):
         assert first.vector.tolist() == expected[text]
-        assert again is first
+        assert again == first
     assert gateway.counters.backend_calls == 4
     assert gateway.counters.embedding_cache_hits == 4
     assert len(script.call_log) == 4
@@ -1117,11 +1118,11 @@ def test_gateway_embed_returns_cached_embedding():
     assert gateway.counters.embedding_cache_hits == 1
 
 
-def test_gateway_embed_repeats_return_one_object_and_count_every_request():
+def test_gateway_embed_repeats_return_equal_embeddings_and_count_every_request():
     gateway, script = make_gateway(embeddings=[{"text": "e", "vector": [1.0, 0.0]}])
     first = gateway.embed("e")
     for repeat in range(1, 4):
-        assert gateway.embed("e") is first
+        assert gateway.embed("e") == first
         assert gateway.counters.embedding_requests == repeat + 1
         assert gateway.counters.embedding_cache_hits == repeat
     assert gateway.counters.backend_calls == 1
@@ -1209,8 +1210,8 @@ def _embed_run(path, kind, asks):
         else:
             got.append(gateway.embed(ask))
         calls.append(gateway.counters.backend_calls - before)
-    # a text asked for again afterwards gets the object it got before
-    assert all(gateway.embed(text) is embedding for text, embedding in zip(_flat(asks), got))
+    # a text asked for again afterwards gets an equal embedding
+    assert all(gateway.embed(text) == embedding for text, embedding in zip(_flat(asks), got))
     cache.close()
     vectors = path.with_name(path.name + ".vectors")
     files = [p.read_bytes() if p.exists() else None for p in (path, vectors)]
@@ -1232,10 +1233,10 @@ def test_embed_many_equals_the_same_texts_embedded_one_at_a_time(tmp_path_factor
     many, many_counters, many_calls, many_files = _embed_run(directory / "m.jsonl", kind, batches)
     one, one_counters, one_calls, one_files = _embed_run(directory / "o.jsonl", kind, texts)
     assert many == one
-    # the same text gets the same object, a different text a different one
+    # the same text gets an equal embedding, a different text a different one
     for i, first in enumerate(many):
         for j, second in enumerate(many):
-            assert (first is second) == (texts[i] == texts[j]) == (one[i] is one[j])
+            assert (first == second) == (texts[i] == texts[j]) == (one[i] == one[j])
     # the same requests and hits; a batch makes one backend call if any of it missed
     assert dataclasses.replace(many_counters, backend_calls=0) == dataclasses.replace(
         one_counters, backend_calls=0
@@ -1279,6 +1280,21 @@ def test_embed_many_rejects_an_empty_text_before_any_request():
     with pytest.raises(EmptyInput):
         gateway.embed_many(["alpha", " "])
     assert script.call_log == [] and gateway.counters == GatewayCounters()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_embed_many_non_finite_vector_is_a_backend_error_and_caches_nothing(tmp_path, bad):
+    path = tmp_path / "cache.jsonl"
+    gateway, _ = make_gateway(
+        embeddings=[{"text": "fine", "vector": [1.0, 0.0]}, {"text": "bad", "vector": [bad, 0.0]}],
+        cache_path=path,
+    )
+    with pytest.raises(BackendError, match="the embedding of 'bad' is not finite"):
+        gateway.embed_many(["fine", "bad"])
+    assert len(gateway.cache) == 0 and not path.exists()
+    assert gateway.counters.backend_calls == 1
+    assert gateway.embed("fine").vector.tolist() == [1.0, 0.0]
+    gateway.cache.close()
 
 
 def test_gateway_completion_that_is_not_unicode_is_a_backend_error_and_not_cached(tmp_path):
@@ -1467,6 +1483,16 @@ def test_live_backend_embeds_a_batch_in_one_post_and_orders_it_by_index():
     vectors = backend.embed(["a", "b", "c"])
     assert [v.tolist() for v in vectors] == [[0.0], [1.0], [2.0]]
     assert session.payloads == [{"model": "e", "input": ["a", "b", "c"]}]
+
+
+def test_live_backend_nan_embedding_is_a_backend_error_at_the_gateway():
+    # Python's json reads NaN and Infinity, so a live answer can carry them
+    answer = json.loads('{"data": [{"index": 0, "embedding": [NaN, 0.5]}]}')
+    session = _FakeSession([_FakeResponse(200, answer)])
+    gateway = Gateway(backend=LiveBackend(model_id="m", api_key="k", session=session))
+    with pytest.raises(BackendError, match="the embedding of 't' is not finite"):
+        gateway.embed("t")
+    assert len(gateway.cache) == 0
 
 
 @pytest.mark.parametrize(
