@@ -7,7 +7,7 @@ vocabulary without importing each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError
@@ -133,17 +133,6 @@ class RunConfig:
                 raise ConfigError(f"{label} path does not exist: {path}")
 
 
-_THRESHOLD_KEYS = ("tau_low", "tau_high", "tau_che", "top_k", "assumption_max_number", "max_questions")
-_BACKEND_KEYS = (
-    "mode",
-    "base_url",
-    "model_id",
-    "embedding_model_id",
-    "concurrency",
-    "mock_script",
-)
-
-
 def _section(data: dict, key: str) -> dict:
     value = data.get(key, {})
     if value is None:
@@ -162,13 +151,13 @@ def config_from_dict(data: dict) -> RunConfig:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
 
     backend_data = _section(data, "backend")
-    bad = set(backend_data) - set(_BACKEND_KEYS)
+    bad = set(backend_data) - {f.name for f in fields(BackendSettings)}
     if bad:
         raise ConfigError(f"unknown backend keys: {', '.join(sorted(bad))}")
     backend = replace(BackendSettings(), **backend_data)
 
     threshold_data = _section(data, "thresholds")
-    bad = set(threshold_data) - set(_THRESHOLD_KEYS)
+    bad = set(threshold_data) - {f.name for f in fields(Thresholds)}
     if bad:
         raise ConfigError(f"unknown threshold keys: {', '.join(sorted(bad))}")
     thresholds = replace(Thresholds(), **threshold_data)

@@ -264,6 +264,16 @@ def _validate_record(record: ClaimRecord) -> None:
             )
 
 
+def _check_unicode(line: str, payload, line_number: int) -> None:
+    """ParseError if a \\u escape in the decoded line gave a lone surrogate,
+    which no UTF-8 file, cache key or report can hold."""
+    if "\\u" in line:
+        try:
+            json.dumps(payload, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError:
+            raise ParseError(line_number, "text is not valid Unicode") from None
+
+
 def load_corpus(path: str | Path, split: Split | str = Split.TEST) -> Corpus:
     """Load and validate a line-delimited corpus file.
 
@@ -284,13 +294,7 @@ def load_corpus(path: str | Path, split: Split | str = Split.TEST) -> Corpus:
                 payload = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(line_number, f"bad JSON: {exc.msg}") from None
-            # a \u escape can decode to a lone surrogate, which no UTF-8 file,
-            # cache key or report can hold
-            if "\\u" in line:
-                try:
-                    json.dumps(payload, ensure_ascii=False).encode("utf-8")
-                except UnicodeEncodeError:
-                    raise ParseError(line_number, "text is not valid Unicode") from None
+            _check_unicode(line, payload, line_number)
             record = _record_from_dict(payload, line_number)
             if record.id in seen_ids:
                 raise ValidationError(record.id, "duplicate record id")

@@ -9,7 +9,7 @@ sufficiency, readability) and is accepted only on a clean sweep.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 from .errors import UnparseableDigit
@@ -47,20 +47,10 @@ class QualityScores:
 
     @property
     def accepted(self) -> bool:
-        return (
-            self.plausibility == 1
-            and self.implicity == 1
-            and self.sufficiency == 1
-            and self.readability == 1
-        )
+        return all(score == 1 for score in self.as_dict().values())
 
     def as_dict(self) -> dict:
-        return {
-            "plausibility": self.plausibility,
-            "implicity": self.implicity,
-            "sufficiency": self.sufficiency,
-            "readability": self.readability,
-        }
+        return asdict(self)
 
 
 _LAST_BRACKETED = re.compile(r"<([^<>]*)>(?!.*<[^<>]*>)", re.DOTALL)
@@ -99,9 +89,6 @@ def generate_intent(gateway: Gateway, claim: str, evidence: list[str]) -> Intent
     )
 
 
-_CRITERIA = ("plausibility", "implicity", "sufficiency", "readability")
-
-
 def score_quality(gateway: Gateway, claim: str, intent: str) -> QualityScores:
     """Run the four quality checks on one intent candidate.
 
@@ -117,9 +104,9 @@ def score_quality(gateway: Gateway, claim: str, intent: str) -> QualityScores:
     }
     scores: dict[str, int] = {}
     failures: list[UnparseableDigit] = []
-    for criterion in _CRITERIA:
+    for criterion, completion in completions.items():
         try:
-            scores[criterion] = parse_binary_digit(completions[criterion], criterion)
+            scores[criterion] = parse_binary_digit(completion, criterion)
         except UnparseableDigit as exc:
             failures.append(exc)
     if failures:

@@ -41,7 +41,7 @@ from .causality import (
 )
 from .che import CheCandidate, ExternalNliClassifier, NliVerdict, collect_che
 from .config import FULL_PIPELINE, AblationConfig, Thresholds
-from .corpus import ClaimRecord, Label
+from .corpus import ClaimRecord, Label, _check_unicode
 from .errors import (
     EmptyJustification,
     ParseError,
@@ -147,6 +147,7 @@ def load_base_verdicts(path: str | Path) -> dict[str, BaseVerdict]:
                 continue
             try:
                 row = json.loads(line)
+                _check_unicode(line, row, line_number)
                 verdicts[row["id"]] = BaseVerdict(
                     label=Label(row["label"]),
                     justification=row["justification"],
@@ -200,6 +201,10 @@ def reassess_with_argument(
 # -- pipeline ------------------------------------------------------------
 
 
+class _ClaimFailed(Exception):
+    """A foundation stage's failure: the claim ends, with this detail."""
+
+
 @dataclass
 class _ClaimRun:
     """What the stages of one claim read and write besides its report."""
@@ -209,16 +214,61 @@ class _ClaimRun:
     thresholds: Thresholds
     ablation: AblationConfig
     reassess_true_only: bool
+    base_verdicts: dict[str, BaseVerdict] | None
+    alignment_classifier: ExternalAlignmentClassifier | None
     nli_classifier: ExternalNliClassifier | None
     report: VerdictReport
-    relevant: list[str]
-    hidden: list[str]
+    # The alignment stage sets both pools.
+    relevant: list[str] = field(default_factory=list)
+    hidden: list[str] = field(default_factory=list)
     questions: list[ImplicitQuestion] = field(default_factory=list)
     # Retrieval queries: the intent stage sets the intent itself, and the
     # assumptions and causality stages replace it when they run.
     queries: list[Assumption] = field(default_factory=list)
     # Truncation notes, written as extra rows after the current stage's.
     notes: list[str] = field(default_factory=list)
+
+
+def _alignment_stage(run: _ClaimRun) -> tuple[str, str]:
+    record = run.record
+    aligned = align_evidence(
+        run.gateway,
+        record.claim,
+        "\n".join(record.ruling),
+        record.evidence,
+        run.thresholds,
+        run.alignment_classifier,
+    )
+    run.report.aligned_evidence = aligned
+    errors = sum(1 for a in aligned if a.error)
+    run.hidden = hidden_pool(aligned)
+    detail = (
+        f"presented={sum(1 for a in aligned if a.label is AlignmentLabel.PRESENTED)} "
+        f"hidden={len(run.hidden)} "
+        f"irrelevant={sum(1 for a in aligned if a.label is AlignmentLabel.IRRELEVANT)}"
+        + (f" errors={errors}" if errors else "")
+    )
+    if aligned and errors == len(aligned):
+        # a verdict on no aligned evidence would be scored as a real prediction
+        raise _ClaimFailed(f"every evidence sentence failed: {detail}")
+    run.relevant = [a.sentence for a in aligned if a.label is not AlignmentLabel.IRRELEVANT]
+    return "failed" if errors else "ok", detail
+
+
+def _base_verdict_stage(run: _ClaimRun) -> tuple[str, str]:
+    report = run.report
+    if run.base_verdicts is not None:
+        if run.record.id not in run.base_verdicts:
+            raise _ClaimFailed("no external verdict for this claim")
+        report.base_verdict, detail = run.base_verdicts[run.record.id], "external"
+    else:
+        try:
+            report.base_verdict = cot_verify(run.gateway, run.record.claim, run.relevant)
+        except TracerError as exc:
+            raise _ClaimFailed(f"{type(exc).__name__}: {exc}") from exc
+        detail = "CoT"
+    report.final_verdict = FinalVerdict(label=report.base_verdict.label, reassessed=False)
+    return "ok", detail
 
 
 def _intent_stage(run: _ClaimRun) -> tuple[str, str]:
@@ -297,12 +347,17 @@ def _reassessment_stage(run: _ClaimRun) -> tuple[str, str]:
     return "ok", detail
 
 
-# The TRACER stages in their fixed order. Each entry names the stage, the
-# AblationConfig switch that turns it on, the function that runs it and
-# the reason every later stage is skipped with if it fails. Causality is
-# switched on with the assumptions and reads its own switch, because
-# without counterfactuals every assumption counts as critical.
+# Every stage of a claim in its fixed order. Each entry names the stage,
+# the AblationConfig switch that turns it on (None: always on), the
+# function that runs it and the reason every later stage is skipped with
+# if it fails (None: later stages run anyway). The two foundation stages,
+# alignment and base verdict, end the claim instead when they cannot
+# produce anything to build on. Causality is switched on with the
+# assumptions and reads its own switch, because without counterfactuals
+# every assumption counts as critical.
 _STAGE_ORDER = (
+    ("alignment", None, _alignment_stage, None),
+    ("base_verdict", None, _base_verdict_stage, None),
     ("intent", "intent", _intent_stage, "intent unavailable"),
     ("questions", "assumptions", _questions_stage, "questions unavailable"),
     ("assumptions", "assumptions", _assumptions_stage, "assumptions unavailable"),
@@ -324,134 +379,63 @@ def run_pipeline(
 ) -> VerdictReport:
     """Run one claim end to end under an ablation configuration.
 
-    Never raises for a single claim's sake: a hard failure in any
-    TRACER stage downgrades the claim to its base verdict and the trace
-    says which stage failed and why. Only the two foundation stages can
-    fail the claim outright: alignment, when the claim has evidence and
-    every sentence failed, and base verification. Either surfaces as a
-    report with an error trace rather than an exception, and no later
-    stage runs.
+    Every stage runs in one loop over ``_STAGE_ORDER``, and the trace
+    gets a row per stage. Never raises for a single claim's sake: a hard
+    failure in any TRACER stage downgrades the claim to its base verdict
+    and the trace says which stage failed and why. Only the two
+    foundation stages can fail the claim outright: alignment, when the
+    claim has evidence and every sentence failed, and base verification.
+    Either ends the claim with a failed row and a False verdict carrying
+    the reason, and no later stage runs.
 
     The cache records of the claim's new answers are written together
     when it ends (``ResponseCache.batched``): when this returns, or
     raises, they are on disk.
     """
     with gateway.cache.batched():
-        return _run_claim(
-            gateway,
-            record,
-            thresholds,
-            ablation,
-            reassess_true_only,
-            base_verdicts,
-            alignment_classifier,
-            nli_classifier,
+        report = VerdictReport(
+            id=record.id,
+            aligned_evidence=[],
+            intent=None,
+            intent_quality=None,
+            causal_argument=None,
+            che=[],
+            base_verdict=BaseVerdict(
+                label=Label.FALSE, justification="(unset)", source=VerdictSource.COT
+            ),
+            final_verdict=FinalVerdict(label=Label.FALSE, reassessed=False),
         )
-
-
-def _run_claim(
-    gateway: Gateway,
-    record: ClaimRecord,
-    thresholds: Thresholds,
-    ablation: AblationConfig,
-    reassess_true_only: bool,
-    base_verdicts: dict[str, BaseVerdict] | None,
-    alignment_classifier: ExternalAlignmentClassifier | None,
-    nli_classifier: ExternalNliClassifier | None,
-) -> VerdictReport:
-    stages: list[StageTrace] = []
-    report = VerdictReport(
-        id=record.id,
-        aligned_evidence=[],
-        intent=None,
-        intent_quality=None,
-        causal_argument=None,
-        che=[],
-        base_verdict=BaseVerdict(
-            label=Label.FALSE, justification="(unset)", source=VerdictSource.COT
-        ),
-        final_verdict=FinalVerdict(label=Label.FALSE, reassessed=False),
-        stages=stages,
-    )
-
-    aligned = align_evidence(
-        gateway,
-        record.claim,
-        "\n".join(record.ruling),
-        record.evidence,
-        thresholds,
-        alignment_classifier,
-    )
-    report.aligned_evidence = aligned
-    errors = sum(1 for a in aligned if a.error)
-    hidden = hidden_pool(aligned)
-    detail = (
-        f"presented={sum(1 for a in aligned if a.label is AlignmentLabel.PRESENTED)} "
-        f"hidden={len(hidden)} "
-        f"irrelevant={sum(1 for a in aligned if a.label is AlignmentLabel.IRRELEVANT)}"
-        + (f" errors={errors}" if errors else "")
-    )
-    if aligned and errors == len(aligned):
-        # a verdict on no aligned evidence would be scored as a real prediction
-        return _fail_claim(report, "alignment", f"every evidence sentence failed: {detail}")
-    stages.append(StageTrace("alignment", "ok" if not errors else "failed", detail))
-
-    relevant = [
-        a.sentence for a in aligned if a.label is not AlignmentLabel.IRRELEVANT
-    ]
-
-    if base_verdicts is not None:
-        if record.id not in base_verdicts:
-            return _fail_claim(report, "base_verdict", "no external verdict for this claim")
-        report.base_verdict = base_verdicts[record.id]
-        stages.append(StageTrace("base_verdict", "ok", "external"))
-    else:
+        run = _ClaimRun(
+            gateway, record, thresholds, ablation, reassess_true_only,
+            base_verdicts, alignment_classifier, nli_classifier, report
+        )
+        unavailable = None
         try:
-            report.base_verdict = cot_verify(gateway, record.claim, relevant)
-        except TracerError as exc:
-            return _fail_claim(report, "base_verdict", f"{type(exc).__name__}: {exc}")
-        stages.append(StageTrace("base_verdict", "ok", "CoT"))
-    report.final_verdict = FinalVerdict(label=report.base_verdict.label, reassessed=False)
-
-    run = _ClaimRun(
-        gateway=gateway,
-        record=record,
-        thresholds=thresholds,
-        ablation=ablation,
-        reassess_true_only=reassess_true_only,
-        nli_classifier=nli_classifier,
-        report=report,
-        relevant=relevant,
-        hidden=hidden,
-    )
-    unavailable = None
-    for stage, switch, run_stage, reason in _STAGE_ORDER:
-        if unavailable is not None:
-            status, detail = "skipped", unavailable
-        elif not getattr(ablation, switch):
-            status, detail = "skipped", "ablation"
-        else:
-            try:
-                status, detail = run_stage(run)
-            except TracerError as exc:
-                status, detail = "failed", f"{type(exc).__name__}: {exc}"
-            if status == "failed":
-                unavailable = reason
-        stages.append(StageTrace(stage, status, detail))
-        stages.extend(StageTrace(stage, "ok", note) for note in run.notes)
-        run.notes.clear()
-    return report
-
-
-def _fail_claim(report: VerdictReport, stage: str, detail: str) -> VerdictReport:
-    report.stages.append(StageTrace(stage, "failed", detail))
-    report.base_verdict = BaseVerdict(
-        label=Label.FALSE, justification=f"(unavailable: {detail})", source=VerdictSource.COT
-    )
-    report.final_verdict = FinalVerdict(
-        label=Label.FALSE, reassessed=False, fallback_reason=detail
-    )
-    return report
+            for stage, switch, run_stage, reason in _STAGE_ORDER:
+                if unavailable is not None:
+                    status, detail = "skipped", unavailable
+                elif switch is not None and not getattr(ablation, switch):
+                    status, detail = "skipped", "ablation"
+                else:
+                    try:
+                        status, detail = run_stage(run)
+                    except TracerError as exc:
+                        status, detail = "failed", f"{type(exc).__name__}: {exc}"
+                    if status == "failed":
+                        unavailable = reason
+                report.stages.append(StageTrace(stage, status, detail))
+                report.stages.extend(StageTrace(stage, "ok", note) for note in run.notes)
+                run.notes.clear()
+        except _ClaimFailed as exc:  # ends the claim at `stage`
+            detail = str(exc)
+            report.stages.append(StageTrace(stage, "failed", detail))
+            report.base_verdict = BaseVerdict(
+                Label.FALSE, f"(unavailable: {detail})", VerdictSource.COT
+            )
+            report.final_verdict = FinalVerdict(
+                Label.FALSE, reassessed=False, fallback_reason=detail
+            )
+        return report
 
 
 # -- report serialization ------------------------------------------------

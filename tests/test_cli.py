@@ -392,6 +392,20 @@ def test_run_corpus_with_a_lone_surrogate_exits_one_naming_the_line(capsys, tmp_
     assert "error: line 1: text is not valid Unicode" in err
 
 
+def test_run_base_verdicts_with_a_lone_surrogate_exits_one_before_any_claim(capsys, tmp_path):
+    verdicts = tmp_path / "verdicts.jsonl"
+    verdicts.write_text(
+        '{"id": "x", "label": "False", "justification": "fine"}\n'
+        '{"id": "scenario-001", "label": "True", "justification": "ok \\ud800 reasons"}\n',
+        encoding="utf-8",
+    )
+    code, out, err, out_path = _run_scenario(capsys, tmp_path, "--base-verdicts", str(verdicts))
+    assert code == 1
+    assert "error: line 2: text is not valid Unicode" in err
+    assert "scenario-001" not in out
+    assert not out_path.exists()
+
+
 @pytest.mark.filterwarnings("error::ResourceWarning")
 def test_run_closes_its_cache_files(capsys, tmp_path):
     cache = tmp_path / "cache.jsonl"

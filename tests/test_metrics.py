@@ -230,7 +230,7 @@ def test_score_reports_names_the_first_gold_id_without_a_report():
     assert raised.value.record_id == "b"
 
 
-# the stages _fail_claim leaves: a failure at alignment, and at base_verdict
+# the stages a foundation failure leaves: a failure at alignment, and at base_verdict
 _FAILED_AT_ALIGNMENT = (("alignment", "failed"),)
 _FAILED_AT_BASE_VERDICT = (("alignment", "ok"), ("base_verdict", "failed"))
 

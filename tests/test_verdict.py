@@ -226,10 +226,12 @@ def _pipeline_rules(
     readability="1",
     questions="<Q1?>",
     assumptions="Thinking. <A1.>",
+    relevance="A",
+    presented="A",
 ):
     return [
-        {"template": "relevance", "response": "A"},
-        {"template": "presentation", "contains": "E1", "response": "A"},
+        {"template": "relevance", "response": relevance},
+        {"template": "presentation", "contains": "E1", "response": presented},
         {"template": "presentation", "response": "B"},
         {"template": "cot_verdict", "response": cot},
         {"template": "intent_generation", "response": "Because. <I.>"},
@@ -591,9 +593,25 @@ _UNPARSEABLE_REASSESSMENT = (
 _TRUE_ONLY = ("reassessment", "skipped", "restricted to True base verdicts")
 _NOTHING_HIDDEN = ("reassessment", "skipped", "no critical hidden evidence")
 _HIDDEN_UNAVAILABLE = ("reassessment", "skipped", "hidden evidence unavailable")
+_ALL_FAILED = "every evidence sentence failed: presented=0 hidden=0 irrelevant=2 errors=2"
+_EVERY_SENTENCE_FAILED = [("alignment", "failed", _ALL_FAILED)]
+_ONE_SENTENCE_FAILED = ("alignment", "failed", "presented=0 hidden=1 irrelevant=1 errors=1")
 
 # case: (_pipeline_rules overrides, run_pipeline keywords, {config: (final label, trace)})
 _TRACES = {
+    "every_sentence_fails_alignment": ({"relevance": "garbage"}, {}, {
+        cfg: ("False", _EVERY_SENTENCE_FAILED) for cfg in ("cfg1", "cfg2", "cfg3", "cfg4")
+    }),
+    "one_sentence_fails_alignment": ({"presented": "garbage"}, {}, {
+        "cfg1": ("True", [_ONE_SENTENCE_FAILED, *_BASE_ONLY[1:]]),
+        "cfg2": ("Half-True", [
+            _ONE_SENTENCE_FAILED, *_INTENT_QUERY[1:], _che("selected=1 (intent query)"), _REVISED
+        ]),
+        "cfg3": ("Half-True", [
+            _ONE_SENTENCE_FAILED, *_ALL_ASSUMED[1:], _che("selected=1"), _REVISED
+        ]),
+        "cfg4": ("Half-True", [_ONE_SENTENCE_FAILED, *_FULL[1:], _che("selected=1"), _REVISED]),
+    }),
     "every_stage_ok": ({}, {}, {
         "cfg1": ("True", _BASE_ONLY),
         "cfg2": ("Half-True", [*_INTENT_QUERY, _che("selected=1 (intent query)"), _REVISED]),
@@ -687,6 +705,79 @@ def test_pipeline_stage_trace_is_exact(case, cfg):
     report = run_pipeline(gateway, _record(), ablation=ABLATION_CONFIGS[cfg], **keywords)
     rows = [(t.stage, t.status, t.detail) for t in report.stages]
     assert (report.final_verdict.label.value, rows) == expected[cfg]
+
+
+_ALIGNED_ROWS = [
+    {"sentence": "E1 presented.", "label": "Presented", "provenance": "PromptPipeline",
+     "similarity": 0.9},
+    {"sentence": "E2 hidden.", "label": "Hidden", "provenance": "PromptPipeline",
+     "similarity": 0.2},
+]
+_ALIGNED_OK = {"stage": "alignment", "status": "ok", "detail": "presented=1 hidden=1 irrelevant=0"}
+_RELEVANCE_GARBAGE = "UnparseableChoice: no letter from ['A', 'B'] in completion 'garbage'"
+_NO_REASONING = "EmptyJustification: chain-of-thought completion contains no reasoning steps"
+_NO_VERDICT = "no external verdict for this claim"
+
+# case: (_pipeline_rules overrides, run_pipeline keywords, whole report_to_dict)
+_FAILED_REPORTS = {
+    "alignment_failed": ({"relevance": "garbage"}, {}, {
+        "schema_version": 1,
+        "id": "t-1",
+        "aligned_evidence": [
+            {"sentence": "E1 presented.", "label": "Irrelevant", "provenance": "PromptPipeline",
+             "error": _RELEVANCE_GARBAGE},
+            {"sentence": "E2 hidden.", "label": "Irrelevant", "provenance": "PromptPipeline",
+             "error": _RELEVANCE_GARBAGE},
+        ],
+        "intent": None,
+        "causal_argument": None,
+        "che": [],
+        "base_verdict": {
+            "label": "False", "justification": f"(unavailable: {_ALL_FAILED})", "source": "CoT"
+        },
+        "final_verdict": {"label": "False", "reassessed": False, "fallback_reason": _ALL_FAILED},
+        "stages": [{"stage": "alignment", "status": "failed", "detail": _ALL_FAILED}],
+    }),
+    "cot_failed": ({"cot": "A"}, {}, {
+        "schema_version": 1,
+        "id": "t-1",
+        "aligned_evidence": _ALIGNED_ROWS,
+        "intent": None,
+        "causal_argument": None,
+        "che": [],
+        "base_verdict": {
+            "label": "False", "justification": f"(unavailable: {_NO_REASONING})", "source": "CoT"
+        },
+        "final_verdict": {"label": "False", "reassessed": False, "fallback_reason": _NO_REASONING},
+        "stages": [
+            _ALIGNED_OK, {"stage": "base_verdict", "status": "failed", "detail": _NO_REASONING}
+        ],
+    }),
+    "external_verdict_missing": ({}, {"base_verdicts": {}}, {
+        "schema_version": 1,
+        "id": "t-1",
+        "aligned_evidence": _ALIGNED_ROWS,
+        "intent": None,
+        "causal_argument": None,
+        "che": [],
+        "base_verdict": {
+            "label": "False", "justification": f"(unavailable: {_NO_VERDICT})", "source": "CoT"
+        },
+        "final_verdict": {"label": "False", "reassessed": False, "fallback_reason": _NO_VERDICT},
+        "stages": [
+            _ALIGNED_OK, {"stage": "base_verdict", "status": "failed", "detail": _NO_VERDICT}
+        ],
+    }),
+}
+
+
+@pytest.mark.parametrize("case", list(_FAILED_REPORTS))
+def test_failed_claim_report_is_exact(case):
+    overrides, keywords, expected = _FAILED_REPORTS[case]
+    gateway, _ = _pipeline_gateway(**overrides)
+    report = run_pipeline(gateway, _record(), **keywords)
+    # dumped, so that key order is pinned too
+    assert json.dumps(report_to_dict(report)) == json.dumps(expected)
 
 
 # -- shipped scenario -----------------------------------------------------------
