@@ -29,7 +29,7 @@ from .causality import (
     select_critical_assumptions,
     serialize_argument,
 )
-from .che import CheCandidate, NliVerdict, collect_che, nli_check, retrieve_che
+from .che import CheCandidate, NliVerdict, collect_che, nli_check
 from .config import (
     ABLATION_CONFIGS,
     AblationConfig,
@@ -145,7 +145,6 @@ __all__ = [
     "load_corpus",
     "nli_check",
     "per_class_prf",
-    "retrieve_che",
     "run_ablation",
     "run_pipeline",
     "save_corpus",

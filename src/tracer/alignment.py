@@ -7,9 +7,9 @@ content. Finally an embedding-similarity pass refines the provisional
 answer, demoting presented sentences the claim barely resembles and
 promoting unpresented ones that are near-paraphrases of it.
 
-The two prompts run for every sentence first, in evidence order; the
-claim and all the sentences to refine are then embedded in one request,
-so a claim pays one embedding round trip, not one per sentence.
+Each step asks about every sentence still in play in one request: the
+relevance prompts, the presentation prompts, then the embeddings of the
+claim and every sentence to refine: at most three round trips a claim.
 
 When a fine-tuned external classifier is available over HTTP it replaces
 the whole prompt pipeline; provenance records which path produced each
@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import Thresholds
 from .errors import BackendError, DimensionMismatch, TracerError, ZeroVector
-from .gateway import Embedding, Gateway, parse_letter_choice
+from .gateway import Embedding, Gateway, parse_letter_choice, unwrap
 from .gateway.backends import CircuitBreaker, post_json
 
 
@@ -85,18 +85,6 @@ def cosine_similarities(query: Embedding, rows: list[Embedding]) -> list[float]:
 
 def cosine_similarity(u: Embedding, v: Embedding) -> float:
     return cosine_similarities(u, [v])[0]
-
-
-def check_relevance(gateway: Gateway, claim: str, ruling: str, sentence: str) -> bool:
-    """True when the sentence bears on the claim at all."""
-    text = gateway.complete("relevance", claim=claim, ruling=ruling, evidence=sentence)
-    return parse_letter_choice(text, {"A", "B"}) == "A"
-
-
-def check_presentation(gateway: Gateway, claim: str, sentence: str) -> bool:
-    """True when the claim itself states the sentence's content."""
-    text = gateway.complete("presentation", claim=claim, evidence=sentence)
-    return parse_letter_choice(text, {"A", "B"}) == "A"
 
 
 def _refine(
@@ -175,44 +163,46 @@ def align_evidence(
     ruling text; without one (inference time) every sentence is treated
     as relevant.
 
-    The prompts run first, sentence by sentence in evidence order. Then
-    the claim and every sentence still to refine are embedded in one
-    ``embed_many`` call. If that call fails, each sentence is refined on
-    its own, so an embedding that cannot be had fails only its sentence.
+    Relevance for every sentence, presentation for the relevant ones and
+    the embeddings of the claim and the sentences to refine are one wave
+    each. A sentence whose answer or embedding cannot be had fails alone.
     """
     if classifier is not None:
         return [_classify(classifier, claim, sentence) for sentence in evidence]
-    aligned: list[AlignedEvidence | None] = []
-    presented: dict[int, bool] = {}  # position -> answer, for the sentences to refine
-    for sentence in evidence:
-        try:
-            if ruling.strip() and not check_relevance(gateway, claim, ruling, sentence):
-                irrelevant = AlignedEvidence(sentence=sentence, label=AlignmentLabel.IRRELEVANT)
-                aligned.append(irrelevant)
-                continue
-            presented[len(aligned)] = check_presentation(gateway, claim, sentence)
-            aligned.append(None)
-        except TracerError as exc:
-            aligned.append(_failed(sentence, Provenance.PROMPT_PIPELINE, exc))
-    embeddings = None
-    if presented:
-        try:
-            embeddings = gateway.embed_many([claim, *(evidence[i] for i in presented)])
-        except TracerError:
-            pass  # refined one by one below, so the failure stays on its sentence
-    for n, (position, answer) in enumerate(presented.items(), start=1):
+    aligned: list[AlignedEvidence | None] = [None] * len(evidence)
+    relevant = range(len(evidence))
+    if ruling.strip():
+        bindings = {i: dict(claim=claim, ruling=ruling, evidence=evidence[i]) for i in relevant}
+        answers = _ask(gateway, "relevance", bindings, evidence, aligned)
+        relevant = [position for position, answer in answers.items() if answer]
+        for position in answers.keys() - set(relevant):
+            aligned[position] = AlignedEvidence(evidence[position], AlignmentLabel.IRRELEVANT)
+    bindings = {i: dict(claim=claim, evidence=evidence[i]) for i in relevant}
+    presented = _ask(gateway, "presentation", bindings, evidence, aligned)
+    if not presented:
+        return aligned
+    claim_embedding, *embeddings = gateway.embed_many([claim, *(evidence[i] for i in presented)])
+    for (position, answer), embedding in zip(presented.items(), embeddings):
         sentence = evidence[position]
         try:
-            if embeddings is None:
-                pair = gateway.embed_many([claim, sentence])
-            else:
-                pair = embeddings[0], embeddings[n]
+            pair = unwrap(claim_embedding), unwrap(embedding)
             label, similarity = _refine(*pair, answer, thresholds)
+            aligned[position] = AlignedEvidence(sentence, label, similarity)
         except TracerError as exc:
             aligned[position] = _failed(sentence, Provenance.PROMPT_PIPELINE, exc)
-            continue
-        aligned[position] = AlignedEvidence(sentence=sentence, label=label, similarity=similarity)
     return aligned
+
+
+def _ask(gateway: Gateway, template_id: str, bindings: dict, evidence, aligned) -> dict:
+    """Position -> whether its answer is A, in one wave; failed sentences go to ``aligned``."""
+    outcomes = gateway.complete_many([(template_id, b) for b in bindings.values()])
+    answers = {}
+    for position, outcome in zip(bindings, outcomes):
+        try:
+            answers[position] = parse_letter_choice(unwrap(outcome), {"A", "B"}) == "A"
+        except TracerError as exc:
+            aligned[position] = _failed(evidence[position], Provenance.PROMPT_PIPELINE, exc)
+    return answers
 
 
 def _classify(
@@ -253,8 +243,6 @@ __all__ = [
     "ExternalAlignmentClassifier",
     "Provenance",
     "align_evidence",
-    "check_presentation",
-    "check_relevance",
     "cosine_similarities",
     "cosine_similarity",
     "hidden_pool",

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..errors import BackendError, CacheCorruption, EmptyInput
+from ..errors import BackendError, CacheCorruption, EmptyInput, TracerError
 from .backends import API_KEY_ENV, Decoding, LiveBackend, api_key_from_env
 from .cache import ResponseCache, completion_key, embedding_key, frozen_vector
 from .mock import MockCall, MockScript
@@ -73,33 +73,27 @@ class GatewayCounters:
     embedding_requests: int = 0
     embedding_cache_hits: int = 0
     backend_calls: int = 0
-    # per-template backend call counts, for ablation gating checks
+    # per template, the prompts the backend answered, for ablation gating checks
     by_template: dict = field(default_factory=dict)
 
 
 class Gateway:
     """Template rendering + cache + backend, behind one interface.
 
-    ``complete(template_id, **bindings)`` and ``embed_many(texts)`` are
-    the two requests; ``embed(text)`` is ``embed_many`` of one text. The
-    backend is either a MockScript or a LiveBackend; both answer
-    ``complete(template_id, prompt, decoding)`` with a string and
-    ``embed(texts)`` with one read-only float64 array per text, in order,
-    each cached and wrapped without a copy. Every embedding request that
-    misses the cache reaches the backend through ``embed(texts)``, one
-    call for all the misses of one ``embed_many``. Every completion uses
-    the bundled template catalog and the default ``Decoding``; model ids
+    ``complete_many([(template_id, bindings), ...])`` and
+    ``embed_many(texts)`` return one outcome per item, in order: the
+    answer, or the ``TracerError`` in its place; ``complete`` and
+    ``embed`` ask for one item and raise its failure. The backend, a
+    MockScript or a LiveBackend, answers ``complete([(template_id,
+    prompt), ...], decoding)`` and ``embed(texts)`` the same way, and the
+    items of a list that the cache lacks reach it in one call. Model ids
     come from the backend (``"mock"`` when it names none). A completion
-    that is not valid Unicode (a lone surrogate) and a vector with a NaN
-    or infinite value are ``BackendError``s and are not cached.
-    ``counters`` counts every request, cache hit and backend call. At
-    most ``max_in_flight`` backend requests run at once when callers fan
-    out across threads: a request takes one of that many tokens from a
-    queue before it calls the backend and puts it back after. A
-    ``max_in_flight`` below 1 is a ``ValueError``.
-
-    A cache hit of the wrong kind, a vector under a completion key or a
-    text under an embedding key, is ``CacheCorruption``.
+    that is not valid Unicode (a lone surrogate), a vector with a NaN or
+    infinite value and a cache hit of the wrong kind are failures, and no
+    failure is cached. ``counters`` counts requests, cache hits, backend
+    round trips and, per template, the prompts the backend answered. At
+    most ``max_in_flight`` (at least 1) backend calls run at once when
+    callers fan out across threads: each takes a token from a queue first.
     """
 
     def __init__(self, backend, cache: ResponseCache | None = None, max_in_flight: int = 4):
@@ -121,104 +115,115 @@ class Gateway:
             self._slots.put(None)
         self._counter_lock = threading.Lock()
 
-    def _call_backend(self, request, *args):
-        """``request(*args)`` while holding one of the in-flight tokens."""
-        self._slots.get()
-        try:
-            return request(*args)
-        finally:
-            self._slots.put(None)
+    def _fetch(self, kind: str, requests: list, key_of, send, accept, wrap) -> list:
+        """One outcome per request, in order; ``kind`` names the counters.
 
-    # -- completions ---------------------------------------------------
+        A request is a cache hit when the cache holds its key or the list
+        asked for it earlier, and then shares that outcome. The misses go
+        to ``send`` in one call, each once; a call that raises fails them
+        all. ``accept(request, answer)`` returns the value to cache or
+        raises the item's failure; ``wrap`` makes a cached value an outcome.
+        """
+        keys = [key_of(request) for request in requests]
+        found, missed = {}, {}  # key -> outcome, key -> request
+        for key, request in zip(keys, requests):
+            if key in found or key in missed:
+                continue
+            cached = self.cache.get(key)
+            if cached is None:
+                missed[key] = request
+            elif isinstance(cached, str) == (kind == "completion"):
+                found[key] = wrap(cached)
+            else:
+                held = "text" if isinstance(cached, str) else "vector"
+                found[key] = CacheCorruption(f"the cache holds a {held} under the {kind} key {key}")
+        with self._counter_lock:
+            counters = vars(self.counters)
+            counters[f"{kind}_requests"] += len(keys)
+            counters[f"{kind}_cache_hits"] += len(keys) - len(missed)
+        if missed:
+            self._slots.get()
+            try:
+                answers = send(list(missed.values()))
+                if len(answers) != len(missed):
+                    raise BackendError(
+                        f"the backend returned {len(answers)} outcomes for {len(missed)} requests"
+                    )
+            except TracerError as exc:
+                answers = [exc] * len(missed)
+            else:
+                with self._counter_lock:
+                    self.counters.backend_calls += 1
+            finally:
+                self._slots.put(None)
+            for (key, request), answer in zip(missed.items(), answers):
+                try:
+                    value = accept(request, unwrap(answer))
+                except TracerError as exc:
+                    found[key] = exc
+                else:
+                    self.cache.put(key, value)
+                    found[key] = wrap(value)
+        return [found[key] for key in keys]
 
     def complete(self, template_id: str, **bindings) -> str:
-        """Render the catalog template with the bindings and complete it."""
-        prompt = render_template(self.catalog.get(template_id), bindings)
-        key = completion_key(
-            self.model_id,
-            template_id,
-            prompt,
-            self.decoding.temperature,
-            self.decoding.max_tokens,
+        """The completion of one request, rendered from the catalog template."""
+        return unwrap(self.complete_many([(template_id, bindings)])[0])
+
+    def complete_many(self, requests) -> list:
+        """One outcome per ``(template_id, bindings)``: its completion or a ``TracerError``."""
+        prompts = [(tid, render_template(self.catalog.get(tid), b)) for tid, b in requests]
+        decoding = self.decoding
+
+        def key_of(prompt):
+            return completion_key(self.model_id, *prompt, decoding.temperature, decoding.max_tokens)
+
+        return self._fetch(
+            "completion", prompts, key_of, lambda misses: self.backend.complete(misses, decoding),
+            self._accept_text, lambda text: text,
         )
-        cached = self.cache.get(key)
-        if cached is not None and not isinstance(cached, str):
-            raise CacheCorruption(f"the cache holds a vector under the completion key {key}")
+
+    def _accept_text(self, prompt: tuple[str, str], text: str) -> str:
+        template_id = prompt[0]
         with self._counter_lock:
-            self.counters.completion_requests += 1
-            if cached is not None:
-                self.counters.completion_cache_hits += 1
-        if cached is not None:
-            return cached
-        text = self._call_backend(self.backend.complete, template_id, prompt, self.decoding)
-        with self._counter_lock:
-            self.counters.backend_calls += 1
-            self.counters.by_template[template_id] = (
-                self.counters.by_template.get(template_id, 0) + 1
-            )
+            by_template = self.counters.by_template
+            by_template[template_id] = by_template.get(template_id, 0) + 1
         try:
             text.encode("utf-8")
         except UnicodeEncodeError as exc:
             # a lone surrogate: valid in JSON, but no cache line can hold it
-            raise BackendError(
-                f"the {template_id!r} answer is not valid Unicode: {exc}"
-            ) from None
-        self.cache.put(key, text)
+            raise BackendError(f"the {template_id!r} answer is not valid Unicode: {exc}") from None
         return text
 
-    # -- embeddings ----------------------------------------------------
-
     def embed(self, text: str) -> Embedding:
-        """Embedding of the text: ``embed_many([text])[0]``."""
-        return self.embed_many([text])[0]
+        """The embedding of one text."""
+        return unwrap(self.embed_many([text])[0])
 
-    def embed_many(self, texts) -> list[Embedding]:
-        """Embeddings of the texts, in order, with at most one backend call.
-
-        Every text counts one request, and one cache hit when the cache
-        holds its key or it was asked for earlier in the list; a text
-        asked for twice gets the same ``Embedding`` both times. Every
-        text the cache lacks goes to the backend in one call, each text
-        once, in the order first asked. If that call fails, or answers a
-        vector with a NaN or infinite value, nothing is cached, so the
-        next request asks again.
-        """
+    def embed_many(self, texts) -> list:
+        """One outcome per text: its ``Embedding`` or a ``TracerError``; an empty text raises."""
         texts = list(texts)
         if not all(text and text.strip() for text in texts):
             raise EmptyInput("cannot embed empty text")
-        found: dict[str, Embedding] = {}
-        missed: dict[str, str] = {}  # text -> the key it is written under
-        for text in texts:
-            if text in found or text in missed:
-                continue
-            key = embedding_key(self.embedding_model_id, text)
-            cached = self.cache.get(key)
-            if cached is None:
-                missed[text] = key
-            elif isinstance(cached, np.ndarray):
-                found[text] = Embedding(vector=cached, model_id=self.embedding_model_id)
-            else:
-                raise CacheCorruption(f"the cache holds a text under the embedding key {key}")
-        with self._counter_lock:
-            self.counters.embedding_requests += len(texts)
-            self.counters.embedding_cache_hits += len(texts) - len(missed)
-        if missed:
-            vectors = self._call_backend(self.backend.embed, list(missed))
-            if len(vectors) != len(missed):
-                raise BackendError(
-                    f"the backend returned {len(vectors)} vectors for {len(missed)} texts"
-                )
-            with self._counter_lock:
-                self.counters.backend_calls += 1
-            vectors = [frozen_vector(vector) for vector in vectors]
-            for text, vector in zip(missed, vectors):
-                if not np.isfinite(vector).all():
-                    # cosine would read NaN as 1.0: min(1.0, nan) is 1.0
-                    raise BackendError(f"the embedding of {text!r:.80} is not finite")
-            for (text, key), vector in zip(missed.items(), vectors):
-                self.cache.put(key, vector)
-                found[text] = Embedding(vector=vector, model_id=self.embedding_model_id)
-        return [found[text] for text in texts]
+        return self._fetch(
+            "embedding", texts, lambda text: embedding_key(self.embedding_model_id, text),
+            self.backend.embed, _accept_vector,
+            lambda vector: Embedding(vector=vector, model_id=self.embedding_model_id),
+        )
+
+
+def unwrap(outcome):
+    """A list request's outcome as its answer: raises it if it is a ``TracerError``."""
+    if isinstance(outcome, TracerError):
+        raise outcome
+    return outcome
+
+
+def _accept_vector(text: str, vector) -> np.ndarray:
+    vector = frozen_vector(vector)
+    if not np.isfinite(vector).all():
+        # cosine would read NaN as 1.0: min(1.0, nan) is 1.0
+        raise BackendError(f"the embedding of {text!r:.80} is not finite")
+    return vector
 
 
 __all__ = [
@@ -240,4 +245,5 @@ __all__ = [
     "parse_bracketed",
     "parse_letter_choice",
     "render_template",
+    "unwrap",
 ]

@@ -9,8 +9,8 @@ Parse failures downstream are never retried here.
 
 ``LiveBackend`` speaks the OpenAI-compatible wire format for the two
 endpoints the pipeline needs: chat completions and embeddings. Like
-the mock, its ``embed`` takes a list of texts and returns one read-only
-float64 array per text, all from one request.
+the mock, it answers lists: ``complete`` sends one request per prompt,
+in order, and ``embed`` one request for all the texts.
 
 ``CircuitBreaker`` stops the external classifiers from POSTing to an
 endpoint that keeps failing.
@@ -177,8 +177,17 @@ class LiveBackend:
             sleep=self._sleep,
         )
 
-    def complete(self, template_id: str, prompt: str, decoding: Decoding) -> str:
-        """One chat completion; the template id is not sent."""
+    def complete(self, requests: list[tuple[str, str]], decoding: Decoding) -> list:
+        """A chat completion or ``BackendError`` per ``(template_id, prompt)``, sent in turn."""
+        outcomes = []
+        for _, prompt in requests:
+            try:
+                outcomes.append(self._complete_one(prompt, decoding))
+            except BackendError as exc:
+                outcomes.append(exc)
+        return outcomes
+
+    def _complete_one(self, prompt: str, decoding: Decoding) -> str:
         payload = {
             "model": self.model_id,
             "messages": [{"role": "user", "content": prompt}],

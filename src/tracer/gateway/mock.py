@@ -5,9 +5,10 @@ embeddings. Completion rules are matched in order against the template
 id and, optionally, a substring of the rendered prompt; the first match
 wins; a request scans only its own template's rules, grouped at load.
 A rule may carry a single response (returned every time) or a response
-list consumed one call at a time. Every served completion, and every
-text of a served ``embed`` call, is appended to ``call_log`` so tests
-can assert exact call counts and ordering.
+list consumed one answer at a time, in request order within a list
+too, as if each prompt were sent alone. Every served completion and
+text is appended to ``call_log`` so tests can assert exact call counts
+and ordering.
 
 Each vector is parsed and checked once, at load (``float()`` on every
 element, so a bad one is ``ValueError`` or ``TypeError`` there), into
@@ -31,7 +32,7 @@ Script format::
       "default_embedding": {"dim": 8}
     }
 
-Unmatched requests raise MockScriptMiss rather than inventing output;
+An unmatched item gets a MockScriptMiss rather than invented output;
 a silent fallback would let a test pass on text the script never
 anticipated. The optional default_embedding block enables a
 deterministic hashed fallback vector for texts the script does not
@@ -164,38 +165,36 @@ class MockScript:
         with Path(path).open("r", encoding="utf-8") as handle:
             return cls.from_dict(json.load(handle))
 
-    def complete(self, template_id: str, prompt: str, decoding: Decoding) -> str:
-        """The first matching rule's next response; decoding is ignored."""
+    def complete(self, requests: list[tuple[str, str]], decoding: Decoding) -> list:
+        """For each ``(template_id, prompt)``, the first matching rule's next response."""
+        return [self._response_for(template_id, prompt) for template_id, prompt in requests]
+
+    def _response_for(self, template_id: str, prompt: str) -> str | MockScriptMiss:
         for rule in self._rules_by_template.get(template_id, ()):
             if rule.matches(prompt):
-                response = rule.next_response()
-                self.call_log.append(MockCall(kind="completion", template=template_id, prompt=prompt))
-                return response
-        raise MockScriptMiss(
+                self.call_log.append(MockCall("completion", template_id, prompt))
+                return rule.next_response()
+        return MockScriptMiss(
             f"no mock rule matches template {template_id!r}; prompt starts: {prompt[:80]!r}"
         )
 
-    def embed(self, texts: list[str]) -> list[np.ndarray]:
-        """For each text, the first matching entry's array, shared, or the hashed default.
+    def embed(self, texts: list[str]) -> list:
+        """Each text's first matching entry's array, shared, or the hashed default."""
+        return [self._vector_for(text) for text in texts]
 
-        A text nothing matches raises ``MockScriptMiss`` before any text
-        is logged.
-        """
-        vectors = [self._vector_for(text) for text in texts]
-        self.call_log.extend(
-            MockCall(kind="embedding", template=None, prompt=text) for text in texts
-        )
-        return vectors
-
-    def _vector_for(self, text: str) -> np.ndarray:
+    def _vector_for(self, text: str) -> np.ndarray | MockScriptMiss:
         for entry in self.embeddings:
             if ("text" in entry and entry["text"] == text) or (
                 "contains" in entry and entry["contains"] in text
             ):
-                return entry["vector"]
-        if self.default_embedding_dim is None:
-            raise MockScriptMiss(f"no mock embedding matches text: {text[:80]!r}")
-        return _hashed_unit_vector(text, self.default_embedding_dim)
+                vector = entry["vector"]
+                break
+        else:
+            if self.default_embedding_dim is None:
+                return MockScriptMiss(f"no mock embedding matches text: {text[:80]!r}")
+            vector = _hashed_unit_vector(text, self.default_embedding_dim)
+        self.call_log.append(MockCall("embedding", None, text))
+        return vector
 
     def calls_for(self, template_id: str) -> list[MockCall]:
         return [c for c in self.call_log if c.template == template_id]

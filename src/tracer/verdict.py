@@ -139,7 +139,10 @@ def cot_verify(gateway: Gateway, claim: str, evidence: list[str]) -> BaseVerdict
 
 
 def load_base_verdicts(path: str | Path) -> dict[str, BaseVerdict]:
-    """External verdict file: one JSON record per line (id, label, justification)."""
+    """External verdict file: one JSON record per line (id, label, justification).
+
+    A bad record, a repeated id included, is a ``ParseError`` naming its line.
+    """
     verdicts: dict[str, BaseVerdict] = {}
     with Path(path).open("r", encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
@@ -148,12 +151,17 @@ def load_base_verdicts(path: str | Path) -> dict[str, BaseVerdict]:
             try:
                 row = json.loads(line)
                 _check_unicode(line, row, line_number)
-                verdicts[row["id"]] = BaseVerdict(
+                record_id = row["id"]
+                if not isinstance(record_id, str) or not record_id:
+                    raise ValueError("id must be a non-empty string")
+                if record_id in verdicts:
+                    raise ValueError(f"duplicate id {record_id!r}")
+                verdicts[record_id] = BaseVerdict(
                     label=Label(row["label"]),
                     justification=row["justification"],
                     source=VerdictSource.EXTERNAL,
                 )
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            except (AttributeError, KeyError, TypeError, ValueError, EmptyJustification) as exc:
                 raise ParseError(line_number, f"bad external verdict record: {exc}") from exc
     return verdicts
 

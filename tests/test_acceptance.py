@@ -16,8 +16,9 @@ from pathlib import Path
 import pytest
 
 from tracer.alignment import cosine_similarity
+from tracer.causality import Assumption
 from tracer.cli import main as cli_main, run_ablation
-from tracer.che import retrieve_che
+from tracer.che import collect_che
 from tracer.config import Thresholds
 from tracer.corpus import (
     LABELS,
@@ -360,7 +361,10 @@ def test_cosine_properties_and_retrieval_threshold_monotonicity():
         previous = None
         for tau in (0.2, 0.5, 0.8):
             selected = {
-                c.sentence for c in retrieve_che(gateway, query, pool, k=6, tau_che=tau)
+                c.sentence
+                for c in collect_che(
+                    gateway, [Assumption(query)], pool, Thresholds(top_k=6, tau_che=tau)
+                )
             }
             if previous is not None:
                 assert selected <= previous, f"seed {seed}, tau {tau}"

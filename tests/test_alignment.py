@@ -14,8 +14,6 @@ from tracer.alignment import (
     ExternalAlignmentClassifier,
     Provenance,
     align_evidence,
-    check_presentation,
-    check_relevance,
     cosine_similarities,
     cosine_similarity,
     hidden_pool,
@@ -23,7 +21,7 @@ from tracer.alignment import (
 )
 from tracer.config import Thresholds
 from tracer.errors import BackendError, DimensionMismatch, UnparseableChoice, ZeroVector
-from tracer.gateway import Embedding
+from tracer.gateway import Embedding, render_template
 
 from conftest import make_gateway
 
@@ -227,29 +225,44 @@ def test_cosine_scale_invariant(u, scale):
 # -- binary prompt checks -------------------------------------------------
 
 
+# with refinement off, a relevant sentence's label is its presentation answer
+_NO_REFINEMENT = Thresholds(tau_low=None, tau_high=None)
+
+
 def test_relevance_letter_mapping():
     gateway, _ = make_gateway(
-        rules=[{"template": "relevance", "responses": ["A", "B", "A. It covers it."]}]
+        rules=[
+            {"template": "relevance", "responses": ["A", "B", "A. It covers it."]},
+            {"template": "presentation", "response": "a"},
+        ],
+        default_dim=4,
     )
-    assert check_relevance(gateway, "c1", "r", "s") is True
-    assert check_relevance(gateway, "c2", "r", "s") is False
-    assert check_relevance(gateway, "c3", "r", "s") is True
+    aligned = align_evidence(gateway, "c", "r", ["s1", "s2", "s3"], _NO_REFINEMENT)
+    assert [(a.label, a.error) for a in aligned] == [
+        (AlignmentLabel.PRESENTED, None),
+        (AlignmentLabel.IRRELEVANT, None),
+        (AlignmentLabel.PRESENTED, None),
+    ]
 
 
 def test_presentation_letter_mapping():
     gateway, _ = make_gateway(
-        rules=[{"template": "presentation", "responses": ["B", "a"]}]
+        rules=[{"template": "presentation", "responses": ["B", "a"]}], default_dim=4
     )
-    assert check_presentation(gateway, "c1", "s") is False
-    assert check_presentation(gateway, "c2", "s") is True
+    aligned = align_evidence(gateway, "c", "", ["s1", "s2"], _NO_REFINEMENT)
+    assert [(a.label, a.error) for a in aligned] == [
+        (AlignmentLabel.HIDDEN, None),
+        (AlignmentLabel.PRESENTED, None),
+    ]
 
 
 def test_presentation_unparseable_bubbles_up():
     gateway, _ = make_gateway(
-        rules=[{"template": "presentation", "response": "no idea"}]
+        rules=[{"template": "presentation", "response": "no idea"}], default_dim=4
     )
-    with pytest.raises(UnparseableChoice):
-        check_presentation(gateway, "c", "s")
+    [aligned] = align_evidence(gateway, "c", "", ["s"])
+    assert aligned.label is AlignmentLabel.IRRELEVANT
+    assert aligned.error.startswith(f"{UnparseableChoice.__name__}: ")
 
 
 # -- similarity refinement ------------------------------------------------
@@ -370,14 +383,15 @@ def test_align_evidence_embeds_the_claim_and_every_refined_sentence_in_one_call(
         AlignmentLabel.IRRELEVANT,
         AlignmentLabel.HIDDEN,
     ]
-    # every prompt first, in evidence order, then one embedding call
+    # one relevance wave and one presentation wave, each in evidence order,
+    # then one embedding call
     assert [(c.template, c.prompt.count("hidden fact W")) for c in script.call_log[:7]] == [
         ("relevance", 0),
-        ("presentation", 0),
         ("relevance", 0),
-        ("presentation", 0),
         ("relevance", 0),
         ("relevance", 1),
+        ("presentation", 0),
+        ("presentation", 0),
         ("presentation", 1),
     ]
     assert [c.prompt for c in script.call_log[7:]] == [
@@ -386,7 +400,7 @@ def test_align_evidence_embeds_the_claim_and_every_refined_sentence_in_one_call(
         "hidden fact Y",
         "hidden fact W",
     ]
-    assert gateway.counters.backend_calls == 7 + 1
+    assert gateway.counters.backend_calls == 1 + 1 + 1
     assert gateway.counters.embedding_requests == 4
     assert gateway.counters.embedding_cache_hits == 0
 
@@ -407,9 +421,58 @@ def test_align_evidence_sentence_without_an_embedding_fails_alone():
     ]
     assert aligned[1].error == "MockScriptMiss: no mock embedding matches text: 'never scripted'"
     assert aligned[1].similarity is None
-    # the failed batch cached nothing; the fallback cached the claim and two sentences
-    assert gateway.counters.embedding_requests == 4 + 2 * 3
+    # one embedding request per text; the sentence without a vector cached nothing
+    assert gateway.counters.embedding_requests == 4
     assert len(gateway.cache) == 6 + 3
+
+
+def test_align_evidence_relevance_wave_with_a_miss_and_a_garbled_answer():
+    rules = [
+        {"template": "relevance", "contains": "garbled", "response": "no idea"},
+        {"template": "relevance", "contains": "off-topic", "response": "B"},
+        {"template": "relevance", "contains": "the claim says", "response": "A"},
+        {"template": "relevance", "contains": "hidden fact", "response": "A"},
+        {"template": "presentation", "contains": "the claim says", "response": "A"},
+        {"template": "presentation", "response": "B"},
+    ]
+    embeddings = [
+        {"text": "claim", "vector": [1.0, 0.0]},
+        {"contains": "the claim says", "vector": [0.9, 0.436]},
+        {"contains": "hidden fact", "vector": [0.1, 0.995]},
+    ]
+    evidence = ["the claim says X", "garbled G", "hidden fact Y", "unscripted U", "off-topic Z"]
+    gateway, _ = make_gateway(rules=rules, embeddings=embeddings)
+    aligned = align_evidence(gateway, "claim", "our ruling", evidence)
+
+    assert aligned[1] == AlignedEvidence(
+        sentence="garbled G",
+        label=AlignmentLabel.IRRELEVANT,
+        error="UnparseableChoice: no letter from ['A', 'B'] in completion 'no idea'",
+    )
+    prompt = render_template(
+        gateway.catalog.get("relevance"),
+        dict(claim="claim", ruling="our ruling", evidence="unscripted U"),
+    )
+    assert aligned[3] == AlignedEvidence(
+        sentence="unscripted U",
+        label=AlignmentLabel.IRRELEVANT,
+        error="MockScriptMiss: no mock rule matches template 'relevance'; "
+        f"prompt starts: {prompt[:80]!r}",
+    )
+    # each other sentence labelled as when it is aligned on its own
+    for position in (0, 2, 4):
+        alone, _ = make_gateway(rules=rules, embeddings=embeddings)
+        assert [aligned[position]] == align_evidence(
+            alone, "claim", "our ruling", [evidence[position]]
+        )
+    assert [a.label for a in aligned] == [
+        AlignmentLabel.PRESENTED,
+        AlignmentLabel.IRRELEVANT,
+        AlignmentLabel.HIDDEN,
+        AlignmentLabel.IRRELEVANT,
+        AlignmentLabel.IRRELEVANT,
+    ]
+    assert aligned[4].error is None
 
 
 def test_align_evidence_sentence_with_a_non_finite_embedding_fails_alone():

@@ -12,7 +12,6 @@ from tracer.che import (
     NliVerdict,
     collect_che,
     nli_check,
-    retrieve_che,
 )
 from tracer.config import Thresholds
 from tracer.errors import BackendError
@@ -40,7 +39,7 @@ def test_nli_letter_mapping_is_total():
 @pytest.mark.parametrize("letter,verdict", sorted(LETTER_TO_NLI.items()))
 def test_nli_check_prompt_pipeline(letter, verdict):
     gateway, script = make_gateway(rules=[{"template": "nli", "response": letter}])
-    assert nli_check(gateway, "premise text", "hypothesis text") is verdict
+    assert nli_check(gateway, [("premise text", "hypothesis text")]) == [verdict]
     assert "premise text" in script.call_log[0].prompt
     assert "hypothesis text" in script.call_log[0].prompt
 
@@ -54,8 +53,7 @@ def test_nli_check_external_classifier_bypasses_gateway():
 
     classifier = ExternalNliClassifier("http://host/nli", post=fake_post)
     gateway, script = make_gateway()
-    verdict = nli_check(gateway, "p", "h", classifier)
-    assert verdict is NliVerdict.CONTRADICT
+    assert nli_check(gateway, [("p", "h")], classifier) == [NliVerdict.CONTRADICT]
     assert script.call_log == []
     assert posts == [{"premise": "p", "hypothesis": "h"}]
 
@@ -110,13 +108,15 @@ def _retrieval_gateway(pool_sims, nli_letter="B", query="the assumption"):
 
 def test_retrieve_empty_pool_makes_no_calls():
     gateway, script = make_gateway()
-    assert retrieve_che(gateway, "a", []) == []
+    assert collect_che(gateway, [Assumption("a")], [], Thresholds(top_k=5, tau_che=0.5)) == []
     assert script.call_log == []
 
 
 def test_retrieve_threshold_gates_before_nli():
     gateway, script, pool = _retrieval_gateway([0.9, 0.2])
-    selected = retrieve_che(gateway, "the assumption", pool, tau_che=0.5)
+    selected = collect_che(
+        gateway, [Assumption("the assumption")], pool, Thresholds(top_k=5, tau_che=0.5)
+    )
     assert [c.sentence for c in selected] == [pool[0]]
     assert selected[0].similarity == pytest.approx(0.9)
     assert selected[0].nli is NliVerdict.CONTRADICT
@@ -129,20 +129,27 @@ def test_retrieve_threshold_gates_before_nli():
 
 def test_retrieve_all_neutral_returns_empty():
     gateway, script, pool = _retrieval_gateway([0.9, 0.8], nli_letter="C")
-    assert retrieve_che(gateway, "the assumption", pool, tau_che=0.5) == []
+    selected = collect_che(
+        gateway, [Assumption("the assumption")], pool, Thresholds(top_k=5, tau_che=0.5)
+    )
+    assert selected == []
     assert len(script.calls_for("nli")) == 2  # both were similar enough to check
 
 
 def test_retrieve_results_ranked_by_similarity():
     gateway, _, pool = _retrieval_gateway([0.55, 0.95, 0.75])
-    selected = retrieve_che(gateway, "the assumption", pool, tau_che=0.5)
+    selected = collect_che(
+        gateway, [Assumption("the assumption")], pool, Thresholds(top_k=5, tau_che=0.5)
+    )
     assert [c.similarity for c in selected] == pytest.approx([0.95, 0.75, 0.55])
     assert [c.sentence for c in selected] == [pool[1], pool[2], pool[0]]
 
 
 def test_retrieve_top_k_caps_candidates():
     gateway, script, pool = _retrieval_gateway([0.9, 0.8, 0.7, 0.6])
-    selected = retrieve_che(gateway, "the assumption", pool, k=2, tau_che=0.5)
+    selected = collect_che(
+        gateway, [Assumption("the assumption")], pool, Thresholds(top_k=2, tau_che=0.5)
+    )
     assert [c.similarity for c in selected] == pytest.approx([0.9, 0.8])
     assert len(script.calls_for("nli")) == 2
 
@@ -150,19 +157,25 @@ def test_retrieve_top_k_caps_candidates():
 def test_retrieve_ties_break_by_pool_position():
     # identical vectors: rank falls back to pool order
     gateway, _, pool = _retrieval_gateway([0.8, 0.8, 0.8])
-    selected = retrieve_che(gateway, "the assumption", pool, k=1, tau_che=0.5)
+    selected = collect_che(
+        gateway, [Assumption("the assumption")], pool, Thresholds(top_k=1, tau_che=0.5)
+    )
     assert [c.sentence for c in selected] == [pool[0]]
 
 
 def test_retrieve_boundary_similarity_is_kept():
     gateway, _, pool = _retrieval_gateway([0.5])
-    selected = retrieve_che(gateway, "the assumption", pool, tau_che=0.5)
+    selected = collect_che(
+        gateway, [Assumption("the assumption")], pool, Thresholds(top_k=5, tau_che=0.5)
+    )
     assert len(selected) == 1  # at tau, not strictly above, still admitted
 
 
 def test_retrieve_entail_and_contradict_both_admit():
     gateway, _, pool = _retrieval_gateway([0.9, 0.8], nli_letter=["A", "B"])
-    selected = retrieve_che(gateway, "the assumption", pool, tau_che=0.5)
+    selected = collect_che(
+        gateway, [Assumption("the assumption")], pool, Thresholds(top_k=5, tau_che=0.5)
+    )
     assert [c.nli for c in selected] == [NliVerdict.ENTAIL, NliVerdict.CONTRADICT]
 
 
@@ -171,8 +184,12 @@ def test_retrieve_with_external_classifier_skips_nli_template():
         "http://host/nli", post=lambda url, payload: {"verdict": "Entail"}
     )
     gateway, script, pool = _retrieval_gateway([0.9])
-    selected = retrieve_che(
-        gateway, "the assumption", pool, tau_che=0.5, classifier=classifier
+    selected = collect_che(
+        gateway,
+        [Assumption("the assumption")],
+        pool,
+        Thresholds(top_k=5, tau_che=0.5),
+        classifier=classifier,
     )
     assert selected[0].nli is NliVerdict.ENTAIL
     assert script.calls_for("nli") == []
@@ -253,8 +270,9 @@ def test_collect_embeds_every_assumption_in_one_backend_call():
     ]
     # the NLI checks keep their order: the first assumption's ranking, then the second's
     assert [c.prompt.count("first assumption") for c in script.call_log[4:]] == [1, 1, 0]
-    # one embedding call, three NLI checks; the pool, asked once, was a hit
-    assert gateway.counters.backend_calls - calls_before == 4
+    # one embedding call and one wave of three NLI checks; the pool, asked once, was a hit
+    assert gateway.counters.backend_calls - calls_before == 2
+    assert gateway.counters.by_template == {"nli": 3}
     assert gateway.counters.embedding_requests == 2 + 2 + 2
     assert gateway.counters.embedding_cache_hits == 2
 
@@ -314,7 +332,8 @@ def test_collect_respects_thresholds_object():
 def _selected_sentences(script, query, pool, tau, k=5):
     gateway = Gateway(backend=script, cache=ResponseCache())
     return {
-        c.sentence for c in retrieve_che(gateway, query, pool, k=k, tau_che=tau)
+        c.sentence
+        for c in collect_che(gateway, [Assumption(query)], pool, Thresholds(top_k=k, tau_che=tau))
     }
 
 
@@ -327,7 +346,9 @@ def test_raising_tau_only_shrinks_the_selection():
         for tau in taus:
             selected = {
                 c.sentence
-                for c in retrieve_che(gateway, query, pool, k=8, tau_che=tau)
+                for c in collect_che(
+                    gateway, [Assumption(query)], pool, Thresholds(top_k=8, tau_che=tau)
+                )
             }
             if previous is not None:
                 assert selected <= previous, f"seed {seed}, tau {tau}"
@@ -338,8 +359,15 @@ def test_raising_k_only_grows_the_selection():
     for seed in range(60):
         script, query, pool = make_retrieval_fixture(seed, pool_size=8)
         gateway = Gateway(backend=script, cache=ResponseCache())
-        small = {c.sentence for c in retrieve_che(gateway, query, pool, k=2, tau_che=0.1)}
-        large = {c.sentence for c in retrieve_che(gateway, query, pool, k=6, tau_che=0.1)}
+        small, large = (
+            {
+                c.sentence
+                for c in collect_che(
+                    gateway, [Assumption(query)], pool, Thresholds(top_k=k, tau_che=0.1)
+                )
+            }
+            for k in (2, 6)
+        )
         assert small <= large, f"seed {seed}"
 
 
@@ -347,7 +375,7 @@ def test_retrieval_invariants_hold_across_seeds():
     for seed in range(60):
         script, query, pool = make_retrieval_fixture(seed, pool_size=10)
         gateway = Gateway(backend=script, cache=ResponseCache())
-        selected = retrieve_che(gateway, query, pool, k=5, tau_che=0.4)
+        selected = collect_che(gateway, [Assumption(query)], pool, Thresholds(top_k=5, tau_che=0.4))
         sims = [c.similarity for c in selected]
         assert sims == sorted(sims, reverse=True), f"seed {seed}"
         assert all(s >= 0.4 for s in sims), f"seed {seed}"

@@ -315,7 +315,7 @@ def test_ablate_calls_cli_run_pipeline_once_per_record_per_config(
 
 
 _SCENARIO_COLD_COUNTERS = {
-    "backend_calls": 23,
+    "backend_calls": 12,
     "by_template": {
         "assumptions": 1,
         "cot_verdict": 1,
@@ -367,16 +367,47 @@ def test_run_base_only_ablation_keeps_base_label(capsys, tmp_path):
 
 
 
-@pytest.mark.parametrize("bad_line", ["[]", "null"])
-def test_run_bad_base_verdict_record_exits_one_naming_the_line(capsys, tmp_path, bad_line):
+@pytest.mark.parametrize(
+    "bad_line,reason",
+    [
+        pytest.param("[]", "", id="[]"),
+        pytest.param("null", "", id="null"),
+        pytest.param(
+            '{"id": "scenario-001", "label": "False", "justification": "second"}',
+            ": duplicate id 'scenario-001'",
+            id="duplicate-id",
+        ),
+        pytest.param(
+            '{"id": 7, "label": "True", "justification": "j"}',
+            ": id must be a non-empty string",
+            id="number-id",
+        ),
+        pytest.param(
+            '{"id": "", "label": "True", "justification": "j"}',
+            ": id must be a non-empty string",
+            id="empty-id",
+        ),
+        pytest.param(
+            '{"id": "other", "label": "True", "justification": "   "}',
+            ": base verdicts must carry a justification; re-assessment depends on it",
+            id="blank-justification",
+        ),
+    ],
+)
+def test_run_bad_base_verdict_record_exits_one_naming_the_line(
+    capsys, tmp_path, bad_line, reason
+):
     verdicts = tmp_path / "verdicts.jsonl"
     verdicts.write_text(
         '{"id": "scenario-001", "label": "True", "justification": "j"}\n' + bad_line + "\n",
         encoding="utf-8",
     )
-    code, _, err, _ = _run_scenario(capsys, tmp_path, "--base-verdicts", str(verdicts))
+    code, out, err, out_path = _run_scenario(capsys, tmp_path, "--base-verdicts", str(verdicts))
     assert code == 1
-    assert "error: line 2: bad external verdict record" in err
+    assert f"error: line 2: bad external verdict record{reason}" in err
+    # refused before any claim runs
+    assert "scenario-001" not in out
+    assert not out_path.exists()
 
 
 def test_run_corpus_with_a_lone_surrogate_exits_one_naming_the_line(capsys, tmp_path):

@@ -38,7 +38,7 @@ def test_scenario_record_shape():
 def test_scenario_script_is_fresh_per_load():
     first = load_scenario_script()
     second = load_scenario_script()
-    first.complete("relevance", "anything", Decoding())
+    first.complete([("relevance", "anything")], Decoding())
     assert first.call_log and not second.call_log
 
 

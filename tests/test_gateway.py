@@ -821,26 +821,27 @@ def test_mock_first_matching_rule_wins():
             ]
         }
     )
-    assert script.complete("t", "a special prompt", Decoding()) == "S"
-    assert script.complete("t", "a plain prompt", Decoding()) == "D"
+    assert script.complete([("t", "a special prompt")], Decoding()) == ["S"]
+    assert script.complete([("t", "a plain prompt")], Decoding()) == ["D"]
 
 
 def test_mock_response_lists_are_consumed_in_order():
     script = MockScript.from_dict(
         {"rules": [{"template": "t", "responses": ["one", "two"]}]}
     )
-    assert script.complete("t", "p", Decoding()) == "one"
-    assert script.complete("t", "p", Decoding()) == "two"
-    with pytest.raises(MockScriptMiss):
-        script.complete("t", "p", Decoding())
+    assert script.complete([("t", "p")], Decoding()) == ["one"]
+    assert script.complete([("t", "p")], Decoding()) == ["two"]
+    [miss] = script.complete([("t", "p")], Decoding())
+    assert isinstance(miss, MockScriptMiss)
 
 
 def test_mock_miss_raises_rather_than_inventing_output():
     script = MockScript.from_dict({"rules": []})
-    with pytest.raises(MockScriptMiss):
-        script.complete("relevance", "prompt", Decoding())
-    with pytest.raises(MockScriptMiss):
-        script.embed(["text nobody scripted"])
+    [miss] = script.complete([("relevance", "prompt")], Decoding())
+    assert isinstance(miss, MockScriptMiss)
+    [miss] = script.embed(["text nobody scripted"])
+    assert isinstance(miss, MockScriptMiss)
+    assert script.call_log == []
 
 
 def test_mock_call_log_is_complete_and_ordered():
@@ -850,9 +851,9 @@ def test_mock_call_log_is_complete_and_ordered():
             "embeddings": [{"text": "e", "vector": [1.0]}],
         }
     )
-    script.complete("t", "p1", Decoding())
+    script.complete([("t", "p1")], Decoding())
     script.embed(["e", "e"])
-    script.complete("t", "p2", Decoding())
+    script.complete([("t", "p2")], Decoding())
     assert [c.kind for c in script.call_log] == ["completion", "embedding", "embedding", "completion"]
     assert [c.prompt for c in script.call_log] == ["p1", "e", "e", "p2"]
 
@@ -961,35 +962,37 @@ def test_mock_rules_are_consulted_for_the_requested_template_only(monkeypatch):
             ]
         }
     )
-    assert script.complete("t", "a special prompt", Decoding()) == "S"
-    assert script.complete("t", "a plain prompt", Decoding()) == "D"
+    assert script.complete([("t", "a special prompt")], Decoding()) == ["S"]
+    assert script.complete([("t", "a plain prompt")], Decoding()) == ["D"]
     assert "other" not in consulted
-    assert script.complete("other", "a special prompt", Decoding()) == "O"
+    assert script.complete([("other", "a special prompt")], Decoding()) == ["O"]
 
 
 def test_mock_ordered_responses_run_out_then_the_next_rule_matches():
-    script = MockScript.from_dict(
-        {
-            "rules": [
-                {"template": "u", "response": "U"},
-                {"template": "t", "responses": ["one", "two"]},
-                {"template": "t", "contains": "p", "response": "P"},
-                {"template": "t", "responses": ["three"]},
-            ]
-        }
-    )
-    answers = [script.complete("t", prompt, Decoding()) for prompt in ["p", "q", "p", "q"]]
-    assert answers == ["one", "two", "P", "three"]
-    with pytest.raises(MockScriptMiss):
-        script.complete("t", "q", Decoding())
+    rules = [
+        {"template": "u", "response": "U"},
+        {"template": "t", "responses": ["one", "two"]},
+        {"template": "t", "contains": "p", "response": "P"},
+        {"template": "t", "responses": ["three"]},
+    ]
+    script = MockScript.from_dict({"rules": rules})
+    prompts = ["p", "q", "p", "q", "q"]
+    answers = [script.complete([("t", prompt)], Decoding())[0] for prompt in prompts]
+    assert answers[:4] == ["one", "two", "P", "three"]
+    assert isinstance(answers[4], MockScriptMiss)
     assert [c.template for c in script.call_log] == ["t"] * 4
+    # one list is answered as if its prompts had been sent one by one, in order
+    fresh = MockScript.from_dict({"rules": rules})
+    wave = fresh.complete([("t", prompt) for prompt in prompts], Decoding())
+    assert wave[:4] == answers[:4] and str(wave[4]) == str(answers[4])
+    assert fresh.call_log == script.call_log
 
 
 def test_mock_miss_message_for_an_unknown_template():
     script = MockScript.from_dict({"rules": [{"template": "t", "response": "R"}]})
-    with pytest.raises(MockScriptMiss) as excinfo:
-        script.complete("zzz", "p" * 100, Decoding())
-    assert str(excinfo.value) == (
+    [miss] = script.complete([("zzz", "p" * 100)], Decoding())
+    assert isinstance(miss, MockScriptMiss)
+    assert str(miss) == (
         f"no mock rule matches template 'zzz'; prompt starts: {'p' * 80!r}"
     )
     assert script.call_log == []
@@ -1068,7 +1071,7 @@ class _CountingBackend:
         # the first two calls wait for each other, so a cap of two is reached
         self.pair = threading.Barrier(2, timeout=10)
 
-    def complete(self, template_id, prompt, decoding):
+    def complete(self, requests, decoding):
         with self.lock:
             self.inside += 1
             self.peak = max(self.peak, self.inside)
@@ -1079,7 +1082,7 @@ class _CountingBackend:
         time.sleep(0.05)
         with self.lock:
             self.inside -= 1
-        return "A"
+        return ["A"] * len(requests)
 
 
 def test_gateway_caps_backend_calls_in_flight():
@@ -1157,7 +1160,7 @@ class _FlakyEmbedder:
     def __init__(self):
         self.embed_calls = 0
 
-    def complete(self, template_id, prompt, decoding):
+    def complete(self, requests, decoding):
         raise BackendError("no completions here")
 
     def embed(self, texts):
@@ -1180,6 +1183,17 @@ def test_gateway_embed_failure_is_retried_on_the_next_call():
     assert backend.embed_calls == 2
     assert gateway.counters.embedding_requests == 3
     assert gateway.counters.embedding_cache_hits == 1
+
+
+def test_complete_many_backend_call_that_raises_fails_every_prompt():
+    gateway = Gateway(backend=_FlakyEmbedder(), cache=ResponseCache())
+    outcomes = gateway.complete_many(
+        [("relevance", dict(claim=claim, ruling="r", evidence="e")) for claim in ("c1", "c2")]
+    )
+    assert [(type(o), str(o)) for o in outcomes] == [(BackendError, "no completions here")] * 2
+    assert gateway.counters.backend_calls == 0
+    assert gateway.counters.by_template == {}
+    assert len(gateway.cache) == 0
 
 
 _WORDS = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]
@@ -1260,18 +1274,54 @@ def test_embed_many_sends_each_missed_text_once_in_one_call():
     assert gateway.counters.backend_calls == 2
 
 
+def test_complete_many_sends_each_missed_prompt_once_in_one_call():
+    gateway, script = make_gateway(
+        rules=[
+            {"template": "relevance", "contains": "e1", "response": "A"},
+            {"template": "presentation", "response": "B"},
+        ]
+    )
+    gateway.complete("presentation", claim="c", evidence="e1")
+    asked = ("relevance", dict(claim="c", ruling="r", evidence="e1"))
+    missed = ("relevance", dict(claim="c", ruling="r", evidence="e2"))
+    cached = ("presentation", dict(claim="c", evidence="e1"))
+    outcomes = gateway.complete_many([asked, missed, cached, asked])
+    assert [outcomes[0], outcomes[2], outcomes[3]] == ["A", "B", "A"]
+    assert isinstance(outcomes[1], MockScriptMiss)
+    assert [c.template for c in script.call_log] == ["presentation", "relevance"]
+    # by_template counts the prompts the backend answered, not the miss
+    assert gateway.counters == GatewayCounters(
+        completion_requests=5,
+        completion_cache_hits=2,
+        backend_calls=2,
+        by_template={"presentation": 1, "relevance": 1},
+    )
+    # the failed prompt cached nothing, so it is asked again
+    assert isinstance(gateway.complete_many([missed])[0], MockScriptMiss)
+    assert gateway.counters.backend_calls == 3
+    assert gateway.complete_many([]) == []
+    assert gateway.counters.backend_calls == 3
+
+
 def test_embed_many_failure_caches_nothing_and_is_retried(tmp_path):
     path = tmp_path / "cache.jsonl"
     gateway, script = make_gateway(
         embeddings=[{"text": "a", "vector": [1.0]}, {"text": "b", "vector": [2.0]}],
         cache_path=path,
     )
-    with pytest.raises(MockScriptMiss):
-        gateway.embed_many(["a", "c", "b"])
-    assert len(gateway.cache) == 0 and not path.exists()
-    assert gateway.counters.backend_calls == 0
-    assert [e.vector.tolist() for e in gateway.embed_many(["a", "b"])] == [[1.0], [2.0]]
+    a, c, b = gateway.embed_many(["a", "c", "b"])
+    assert isinstance(c, MockScriptMiss)
+    assert [a.vector.tolist(), b.vector.tolist()] == [[1.0], [2.0]]
+    # only the texts that were answered are cached
+    assert sorted(gateway.cache._entries) == sorted(
+        embedding_key("mock", text) for text in ("a", "b")
+    )
     assert gateway.counters.backend_calls == 1
+    [again] = gateway.embed_many(["c"])
+    assert isinstance(again, MockScriptMiss)
+    assert gateway.counters.backend_calls == 2
+    assert [e.vector.tolist() for e in gateway.embed_many(["a", "b"])] == [[1.0], [2.0]]
+    assert gateway.counters.backend_calls == 2
     gateway.cache.close()
 
 
@@ -1289,11 +1339,16 @@ def test_embed_many_non_finite_vector_is_a_backend_error_and_caches_nothing(tmp_
         embeddings=[{"text": "fine", "vector": [1.0, 0.0]}, {"text": "bad", "vector": [bad, 0.0]}],
         cache_path=path,
     )
-    with pytest.raises(BackendError, match="the embedding of 'bad' is not finite"):
-        gateway.embed_many(["fine", "bad"])
-    assert len(gateway.cache) == 0 and not path.exists()
+    fine, bad = gateway.embed_many(["fine", "bad"])
+    assert isinstance(bad, BackendError)
+    assert str(bad) == "the embedding of 'bad' is not finite"
+    assert list(gateway.cache._entries) == [embedding_key("mock", "fine")]
     assert gateway.counters.backend_calls == 1
-    assert gateway.embed("fine").vector.tolist() == [1.0, 0.0]
+    assert gateway.embed("fine") == fine
+    assert gateway.counters.backend_calls == 1
+    with pytest.raises(BackendError, match="the embedding of 'bad' is not finite"):
+        gateway.embed("bad")
+    assert gateway.counters.backend_calls == 2
     gateway.cache.close()
 
 
@@ -1314,9 +1369,12 @@ def test_gateway_rejects_a_backend_answering_the_wrong_number_of_vectors():
             return [[1.0]]
 
     gateway = Gateway(backend=Short())
-    with pytest.raises(BackendError, match="1 vectors for 2 texts"):
-        gateway.embed_many(["a", "b"])
+    outcomes = gateway.embed_many(["a", "b"])
+    for outcome in outcomes:
+        assert isinstance(outcome, BackendError)
+        assert str(outcome) == "the backend returned 1 outcomes for 2 requests"
     assert len(gateway.cache) == 0
+    assert gateway.counters.backend_calls == 0
 
 
 def test_gateway_embed_vector_is_the_read_only_cache_entry():
@@ -1367,9 +1425,12 @@ def test_gateway_text_under_an_embedding_key_is_corruption(tmp_path):
         json.dumps({"key": embedding_key("mock", "e"), "value": "x"}) + "\n", encoding="utf-8"
     )
     gateway, script = make_gateway(embeddings=[{"text": "e", "vector": [1.0]}], cache_path=path)
-    for ask in (gateway.embed, lambda text: gateway.embed_many(["f", text])):
-        with pytest.raises(CacheCorruption, match="text under the embedding key"):
-            ask("e")
+    with pytest.raises(CacheCorruption, match="text under the embedding key"):
+        gateway.embed("e")
+    f, e = gateway.embed_many(["f", "e"])
+    assert isinstance(e, CacheCorruption)
+    assert "text under the embedding key" in str(e)
+    assert isinstance(f, MockScriptMiss)
     assert script.call_log == []
 
 
@@ -1418,7 +1479,7 @@ def test_live_backend_retries_transient_errors_then_succeeds():
     backend = LiveBackend(
         model_id="m", api_key="k", session=session, sleep=lambda s: None
     )
-    assert backend.complete("t", "p", Decoding(0.0, 16)) == "ok"
+    assert backend.complete([("t", "p")], Decoding(0.0, 16)) == ["ok"]
     assert session.calls == 3
 
 
@@ -1429,16 +1490,16 @@ def test_live_backend_gives_up_after_max_retries():
     backend = LiveBackend(
         model_id="m", api_key="k", max_retries=3, session=session, sleep=lambda s: None
     )
-    with pytest.raises(BackendError) as excinfo:
-        backend.complete("t", "p", Decoding(0.0, 16))
-    assert excinfo.value.retries == 3
+    [error] = backend.complete([("t", "p")], Decoding(0.0, 16))
+    assert isinstance(error, BackendError)
+    assert error.retries == 3
     assert session.calls == 4  # initial attempt + 3 retries
 
 
 def test_live_backend_sends_decoding_but_not_template_id():
     session = _FakeSession([_FakeResponse(200, _completion_payload("ok"))])
     backend = LiveBackend(model_id="m", api_key="k", session=session)
-    backend.complete("relevance", "the prompt", Decoding(temperature=0.7, max_tokens=32))
+    backend.complete([("relevance", "the prompt")], Decoding(temperature=0.7, max_tokens=32))
     assert session.payloads == [
         {
             "model": "m",
@@ -1452,17 +1513,39 @@ def test_live_backend_sends_decoding_but_not_template_id():
 def test_live_backend_client_errors_fail_immediately():
     session = _FakeSession([_FakeResponse(401, {"error": "no"})])
     backend = LiveBackend(model_id="m", api_key="k", session=session, sleep=lambda s: None)
-    with pytest.raises(BackendError):
-        backend.complete("t", "p", Decoding(0.0, 16))
+    [error] = backend.complete([("t", "p")], Decoding(0.0, 16))
+    assert isinstance(error, BackendError)
     assert session.calls == 1
+
+
+def test_live_backend_sends_a_list_one_post_per_prompt_and_fails_items_alone():
+    session = _FakeSession(
+        [
+            _FakeResponse(200, _completion_payload("one")),
+            _FakeResponse(401, {"error": "no"}),
+            _FakeResponse(200, _completion_payload("three")),
+        ]
+    )
+    backend = LiveBackend(model_id="m", api_key="k", session=session, sleep=lambda s: None)
+    first, second, third = backend.complete(
+        [("t", "p1"), ("t", "p2"), ("u", "p3")], Decoding(0.0, 16)
+    )
+    assert (first, third) == ("one", "three")
+    assert isinstance(second, BackendError) and "401" in str(second)
+    assert [payload["messages"][0]["content"] for payload in session.payloads] == [
+        "p1",
+        "p2",
+        "p3",
+    ]
 
 
 @pytest.mark.parametrize("content", [None, 5, ["ok"]], ids=["null", "number", "list"])
 def test_live_backend_completion_content_that_is_not_text_is_a_backend_error(content):
     session = _FakeSession([_FakeResponse(200, _completion_payload(content))])
     backend = LiveBackend(model_id="m", api_key="k", session=session)
-    with pytest.raises(BackendError, match="malformed chat completion response"):
-        backend.complete("t", "p", Decoding(0.0, 16))
+    [error] = backend.complete([("t", "p")], Decoding(0.0, 16))
+    assert isinstance(error, BackendError)
+    assert "malformed chat completion response" in str(error)
 
 
 def test_live_backend_embeddings_endpoint():

@@ -19,6 +19,8 @@ from tracer.errors import (
     UnparseableChoice,
 )
 from tracer.fixtures import (
+    SCENARIO_MOCK,
+    data_path,
     generate_synthetic_corpus,
     load_expected_report,
     load_scenario_record,
@@ -780,6 +782,51 @@ def test_failed_claim_report_is_exact(case):
     assert json.dumps(report_to_dict(report)) == json.dumps(expected)
 
 
+_CF_MISS = (
+    "MockScriptMiss: no mock rule matches template 'counterfactual'; prompt starts: "
+    "'You are required to do a counterfactual causal inference on a given causal graph'"
+)
+_NLI_MISS = (
+    "MockScriptMiss: no mock rule matches template 'nli'; prompt starts: "
+    "'You are required to determine the logical relationship between a premise and a h'"
+)
+_CF_Y1, _CF_Y2 = ("counterfactual", "do(Y_1"), ("counterfactual", "do(Y_2")
+_NLI_1, _NLI_2 = ("nli", "part-time or gig-based"), ("nli", "discouraged workers")
+
+# case: ({(template, contains): response, or None to drop the rule}, the failed row)
+_BAD_WAVE_ITEMS = {
+    "second_counterfactual_garbled": ({_CF_Y2: "garbage"}, ("causality", _GARBAGE)),
+    "first_counterfactual_missed": ({_CF_Y1: None}, ("causality", _CF_MISS)),
+    "first_missed_second_garbled": ({_CF_Y1: None, _CF_Y2: "garbage"}, ("causality", _CF_MISS)),
+    "first_garbled_second_missed": ({_CF_Y1: "garbage", _CF_Y2: None}, ("causality", _GARBAGE)),
+    "second_nli_garbled": ({_NLI_2: "garbage"}, ("che", _GARBAGE)),
+    "first_nli_missed": ({_NLI_1: None}, ("che", _NLI_MISS)),
+    "first_nli_garbled_second_missed": ({_NLI_1: "garbage", _NLI_2: None}, ("che", _GARBAGE)),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_WAVE_ITEMS))
+def test_scenario_wave_with_bad_items_fails_its_stage_on_the_first_in_order(case):
+    edits, (stage, detail) = _BAD_WAVE_ITEMS[case]
+    script = json.loads(data_path(SCENARIO_MOCK).read_text(encoding="utf-8"))
+    rules = []
+    for rule in script["rules"]:
+        key = (rule["template"], rule.get("contains"))
+        if key not in edits:
+            rules.append(rule)
+        elif edits[key] is not None:
+            rules.append({**rule, "response": edits[key]})
+    script["rules"] = rules
+    gateway = Gateway(backend=MockScript.from_dict(script), cache=ResponseCache())
+    report = run_pipeline(gateway, load_scenario_record())
+    rows = [(t.stage, t.status, t.detail) for t in report.stages]
+    # the rows the items asked one at a time gave: the first bad item in order fails the stage
+    assert [row for row in rows if row[1] == "failed"] == [(stage, "failed", detail)]
+    unavailable = "causality unavailable" if stage == "causality" else "hidden evidence unavailable"
+    assert rows[-1] == ("reassessment", "skipped", unavailable)
+    assert report.final_verdict.label is Label.TRUE
+
+
 # -- shipped scenario -----------------------------------------------------------
 
 
@@ -817,9 +864,9 @@ def _vector_file(path):
 
 
 def _record_requests(gateway):
-    """Wrap the gateway's requests so that every call is logged in order."""
+    """Wrap the gateway's list requests, which the single ones go through, to log every call."""
     calls = []
-    for name in ("complete", "embed", "embed_many"):
+    for name in ("complete_many", "embed_many"):
         method = getattr(gateway, name)
 
         def logged(*args, _method=method, _name=name, **kwargs):
@@ -879,10 +926,10 @@ class _InterruptedBackend:
         self.script = load_scenario_script()
         self.template_id = template_id
 
-    def complete(self, template_id, prompt, decoding):
-        if template_id == self.template_id:
+    def complete(self, requests, decoding):
+        if any(template_id == self.template_id for template_id, _ in requests):
             raise KeyboardInterrupt
-        return self.script.complete(template_id, prompt, decoding)
+        return self.script.complete(requests, decoding)
 
     def embed(self, texts):
         return self.script.embed(texts)
