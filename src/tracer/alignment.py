@@ -7,9 +7,9 @@ content. Finally an embedding-similarity pass refines the provisional
 answer, demoting presented sentences the claim barely resembles and
 promoting unpresented ones that are near-paraphrases of it.
 
-Each step asks about every sentence still in play in one request: the
-relevance prompts, the presentation prompts, then the embeddings of the
-claim and every sentence to refine: at most three round trips a claim.
+The two prompts run for every sentence first, in evidence order; the
+claim and all the sentences to refine are then embedded in one request,
+so a claim pays one embedding round trip, not one per sentence.
 
 When a fine-tuned external classifier is available over HTTP it replaces
 the whole prompt pipeline; provenance records which path produced each
@@ -163,22 +163,27 @@ def align_evidence(
     ruling text; without one (inference time) every sentence is treated
     as relevant.
 
-    Relevance for every sentence, presentation for the relevant ones and
-    the embeddings of the claim and the sentences to refine are one wave
-    each. A sentence whose answer or embedding cannot be had fails alone.
+    The prompts run first, sentence by sentence in evidence order. Then
+    the claim and every sentence still to refine are embedded in one
+    ``embed_many`` call, so an embedding that cannot be had (a blank
+    sentence's, say) fails only its sentence.
     """
     if classifier is not None:
         return [_classify(classifier, claim, sentence) for sentence in evidence]
-    aligned: list[AlignedEvidence | None] = [None] * len(evidence)
-    relevant = range(len(evidence))
-    if ruling.strip():
-        bindings = {i: dict(claim=claim, ruling=ruling, evidence=evidence[i]) for i in relevant}
-        answers = _ask(gateway, "relevance", bindings, evidence, aligned)
-        relevant = [position for position, answer in answers.items() if answer]
-        for position in answers.keys() - set(relevant):
-            aligned[position] = AlignedEvidence(evidence[position], AlignmentLabel.IRRELEVANT)
-    bindings = {i: dict(claim=claim, evidence=evidence[i]) for i in relevant}
-    presented = _ask(gateway, "presentation", bindings, evidence, aligned)
+    aligned: list[AlignedEvidence | None] = []
+    presented: dict[int, bool] = {}  # position -> answer, for the sentences to refine
+    for sentence in evidence:
+        try:
+            if ruling.strip() and not _ask(
+                gateway, "relevance", claim=claim, ruling=ruling, evidence=sentence
+            ):
+                irrelevant = AlignedEvidence(sentence=sentence, label=AlignmentLabel.IRRELEVANT)
+                aligned.append(irrelevant)
+                continue
+            presented[len(aligned)] = _ask(gateway, "presentation", claim=claim, evidence=sentence)
+            aligned.append(None)
+        except TracerError as exc:
+            aligned.append(_failed(sentence, Provenance.PROMPT_PIPELINE, exc))
     if not presented:
         return aligned
     claim_embedding, *embeddings = gateway.embed_many([claim, *(evidence[i] for i in presented)])
@@ -187,22 +192,16 @@ def align_evidence(
         try:
             pair = unwrap(claim_embedding), unwrap(embedding)
             label, similarity = _refine(*pair, answer, thresholds)
-            aligned[position] = AlignedEvidence(sentence, label, similarity)
         except TracerError as exc:
             aligned[position] = _failed(sentence, Provenance.PROMPT_PIPELINE, exc)
+            continue
+        aligned[position] = AlignedEvidence(sentence=sentence, label=label, similarity=similarity)
     return aligned
 
 
-def _ask(gateway: Gateway, template_id: str, bindings: dict, evidence, aligned) -> dict:
-    """Position -> whether its answer is A, in one wave; failed sentences go to ``aligned``."""
-    outcomes = gateway.complete_many([(template_id, b) for b in bindings.values()])
-    answers = {}
-    for position, outcome in zip(bindings, outcomes):
-        try:
-            answers[position] = parse_letter_choice(unwrap(outcome), {"A", "B"}) == "A"
-        except TracerError as exc:
-            aligned[position] = _failed(evidence[position], Provenance.PROMPT_PIPELINE, exc)
-    return answers
+def _ask(gateway: Gateway, template_id: str, **bindings) -> bool:
+    """True when the answer to the template's A/B question is A."""
+    return parse_letter_choice(gateway.complete(template_id, **bindings), {"A", "B"}) == "A"
 
 
 def _classify(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .errors import EmptyAssumptions, UnevaluatedAssumption
-from .gateway import Gateway, parse_bracketed, parse_letter_choice, unwrap
+from .gateway import Gateway, parse_bracketed, parse_letter_choice
 
 DEFAULT_QUESTION_EXAMPLES = (
     "Claim: Our trains ran on time 99 percent of days this year.\n"
@@ -161,16 +161,16 @@ def build_causal_graph(
 def evaluate_all(gateway: Gateway, graph: CausalArgument) -> CausalArgument:
     """Effect on the intent of negating each assumption (do-operation).
 
-    One wave of counterfactuals, one per assumption, all with the same
-    serialized argument; returns a fresh graph with the effects set.
+    One counterfactual call per assumption, all with the same serialized
+    argument; returns a fresh graph with the effects set.
     """
     argument = serialize_argument(graph)
-    letters = [graph.target_symbol(i) for i in range(len(graph.assumptions))]
-    requests = [("counterfactual", dict(argument=argument, letter=y)) for y in letters]
-    outcomes = gateway.complete_many(requests)
     evaluated = []
-    for assumption, outcome in zip(graph.assumptions, outcomes):
-        effect = LETTER_TO_EFFECT[parse_letter_choice(unwrap(outcome), set(LETTER_TO_EFFECT))]
+    for i, assumption in enumerate(graph.assumptions):
+        completion = gateway.complete(
+            "counterfactual", argument=argument, letter=graph.target_symbol(i)
+        )
+        effect = LETTER_TO_EFFECT[parse_letter_choice(completion, set(LETTER_TO_EFFECT))]
         evaluated.append(replace(assumption, causal_effect=effect))
     return replace(graph, assumptions=tuple(evaluated))
 

@@ -76,21 +76,15 @@ class ExternalNliClassifier:
 
 def nli_check(
     gateway: Gateway,
-    pairs: list[tuple[str, str]],
+    premise: str,
+    hypothesis: str,
     classifier: ExternalNliClassifier | None = None,
-) -> list[NliVerdict]:
-    """Does each premise entail, contradict, or say nothing about its hypothesis?
-
-    One wave of prompts, or the external classifier pair by pair; the
-    first pair whose answer fails or cannot be read raises.
-    """
+) -> NliVerdict:
+    """Does the premise entail, contradict, or say nothing about the hypothesis?"""
     if classifier is not None:
-        return [classifier.check(premise, hypothesis) for premise, hypothesis in pairs]
-    outcomes = gateway.complete_many(
-        [("nli", dict(premise=premise, hypothesis=hypothesis)) for premise, hypothesis in pairs]
-    )
-    letters = set(LETTER_TO_NLI)
-    return [LETTER_TO_NLI[parse_letter_choice(unwrap(outcome), letters)] for outcome in outcomes]
+        return classifier.check(premise, hypothesis)
+    completion = gateway.complete("nli", premise=premise, hypothesis=hypothesis)
+    return LETTER_TO_NLI[parse_letter_choice(completion, set(LETTER_TO_NLI))]
 
 
 def collect_che(
@@ -103,12 +97,12 @@ def collect_che(
     """Hidden sentences that support or contradict the critical assumptions.
 
     The assumptions and the pool are embedded in one ``embed_many``
-    call. For each assumption the pool is ranked by cosine similarity;
-    the top k at or above tau_che all reach the entailment gate in one
-    ``nli_check`` wave, and Neutral sentences are dropped. Ties rank by
-    pool position so retrieval is deterministic. A sentence selected for
-    several assumptions appears once, linked to all of them, with its
-    primary link being the highest-similarity one. Output order is
+    call. Then, assumption by assumption, the pool is ranked by cosine
+    similarity; only the top k at or above tau_che reach the entailment
+    gate, and Neutral sentences are dropped. Ties rank by pool position
+    so retrieval is deterministic. A sentence selected for several
+    assumptions appears once, linked to all of them, with its primary
+    link being the highest-similarity one. Output order is
     first-selection order. With no assumption or an empty pool nothing
     is asked of the gateway.
     """
@@ -117,7 +111,7 @@ def collect_che(
     texts = [assumption.text for assumption in critical_assumptions]
     embeddings = [unwrap(outcome) for outcome in gateway.embed_many([*texts, *hidden_pool])]
     pool = embeddings[len(texts) :]
-    candidates: list[tuple[str, float, str]] = []  # (assumption, similarity, sentence)
+    by_sentence: dict[str, CheCandidate] = {}
     for assumption, query in zip(texts, embeddings):
         # a stable sort: ties keep pool order
         ranked = sorted(
@@ -126,27 +120,22 @@ def collect_che(
         for similarity, sentence in ranked[: thresholds.top_k]:
             if similarity < thresholds.tau_che:
                 break  # ranked order: everything after is weaker still
-            candidates.append((assumption, similarity, sentence))
-    verdicts = nli_check(
-        gateway, [(sentence, assumption) for assumption, _, sentence in candidates], classifier
-    )
-    by_sentence: dict[str, CheCandidate] = {}
-    for (assumption, similarity, sentence), verdict in zip(candidates, verdicts):
-        if verdict is NliVerdict.NEUTRAL:
-            continue
-        existing = by_sentence.get(sentence)
-        links = (existing.linked_assumptions if existing else ()) + (assumption,)
-        if existing is None or similarity > existing.similarity:
-            by_sentence[sentence] = CheCandidate(
-                sentence=sentence,
-                assumption=assumption,
-                similarity=similarity,
-                nli=verdict,
-                selected=True,
-                linked_assumptions=links,
-            )
-        else:
-            by_sentence[sentence] = replace(existing, linked_assumptions=links)
+            verdict = nli_check(gateway, sentence, assumption, classifier)
+            if verdict is NliVerdict.NEUTRAL:
+                continue
+            existing = by_sentence.get(sentence)
+            links = (existing.linked_assumptions if existing else ()) + (assumption,)
+            if existing is None or similarity > existing.similarity:
+                by_sentence[sentence] = CheCandidate(
+                    sentence=sentence,
+                    assumption=assumption,
+                    similarity=similarity,
+                    nli=verdict,
+                    selected=True,
+                    linked_assumptions=links,
+                )
+            else:
+                by_sentence[sentence] = replace(existing, linked_assumptions=links)
     return list(by_sentence.values())
 
 

@@ -91,9 +91,9 @@ class Gateway:
     that is not valid Unicode (a lone surrogate), a vector with a NaN or
     infinite value and a cache hit of the wrong kind are failures, and no
     failure is cached. ``counters`` counts requests, cache hits, backend
-    round trips and, per template, the prompts the backend answered. At
-    most ``max_in_flight`` (at least 1) backend calls run at once when
-    callers fan out across threads: each takes a token from a queue first.
+    calls (one per list) and, per template, the prompts answered. At most
+    ``max_in_flight`` (at least 1) backend calls run at once when callers
+    fan out across threads: each takes a token from a queue first.
     """
 
     def __init__(self, backend, cache: ResponseCache | None = None, max_in_flight: int = 4):
@@ -115,56 +115,49 @@ class Gateway:
             self._slots.put(None)
         self._counter_lock = threading.Lock()
 
-    def _fetch(self, kind: str, requests: list, key_of, send, accept, wrap) -> list:
-        """One outcome per request, in order; ``kind`` names the counters.
+    def _fetch(self, keys: list, items: list, held: type, send, accept) -> tuple[dict, int]:
+        """Key -> its cached value or ``TracerError``, and how many of ``keys`` were hits.
 
-        A request is a cache hit when the cache holds its key or the list
-        asked for it earlier, and then shares that outcome. The misses go
-        to ``send`` in one call, each once; a call that raises fails them
-        all. ``accept(request, answer)`` returns the value to cache or
-        raises the item's failure; ``wrap`` makes a cached value an outcome.
+        A hit is a key the cache holds (as a ``held``, else it is corrupt) or the list
+        asked for earlier. The misses go to ``send`` in one call; ``accept(item, answer)``
+        returns the value to cache or raises the item's failure, which is not cached.
         """
-        keys = [key_of(request) for request in requests]
-        found, missed = {}, {}  # key -> outcome, key -> request
-        for key, request in zip(keys, requests):
+        found, missed = {}, {}  # key -> outcome, key -> item
+        for key, item in zip(keys, items):
             if key in found or key in missed:
                 continue
             cached = self.cache.get(key)
             if cached is None:
-                missed[key] = request
-            elif isinstance(cached, str) == (kind == "completion"):
-                found[key] = wrap(cached)
+                missed[key] = item
+            elif isinstance(cached, held):
+                found[key] = cached
             else:
-                held = "text" if isinstance(cached, str) else "vector"
-                found[key] = CacheCorruption(f"the cache holds a {held} under the {kind} key {key}")
-        with self._counter_lock:
-            counters = vars(self.counters)
-            counters[f"{kind}_requests"] += len(keys)
-            counters[f"{kind}_cache_hits"] += len(keys) - len(missed)
-        if missed:
-            self._slots.get()
+                found[key] = CacheCorruption(f"the cache holds {_WRONG_KIND[held]} {key}")
+        hits = len(keys) - len(missed)
+        if not missed:
+            return found, hits
+        self._slots.get()
+        try:
+            answers = send(list(missed.values()))
+            if len(answers) != len(missed):
+                raise BackendError(
+                    f"the backend returned {len(answers)} outcomes for {len(missed)} requests"
+                )
+        except TracerError as exc:
+            answers = [exc] * len(missed)
+        else:
+            with self._counter_lock:
+                self.counters.backend_calls += 1
+        finally:
+            self._slots.put(None)
+        for (key, item), answer in zip(missed.items(), answers):
             try:
-                answers = send(list(missed.values()))
-                if len(answers) != len(missed):
-                    raise BackendError(
-                        f"the backend returned {len(answers)} outcomes for {len(missed)} requests"
-                    )
+                found[key] = accept(item, unwrap(answer))
             except TracerError as exc:
-                answers = [exc] * len(missed)
+                found[key] = exc
             else:
-                with self._counter_lock:
-                    self.counters.backend_calls += 1
-            finally:
-                self._slots.put(None)
-            for (key, request), answer in zip(missed.items(), answers):
-                try:
-                    value = accept(request, unwrap(answer))
-                except TracerError as exc:
-                    found[key] = exc
-                else:
-                    self.cache.put(key, value)
-                    found[key] = wrap(value)
-        return [found[key] for key in keys]
+                self.cache.put(key, found[key])
+        return found, hits
 
     def complete(self, template_id: str, **bindings) -> str:
         """The completion of one request, rendered from the catalog template."""
@@ -173,15 +166,16 @@ class Gateway:
     def complete_many(self, requests) -> list:
         """One outcome per ``(template_id, bindings)``: its completion or a ``TracerError``."""
         prompts = [(tid, render_template(self.catalog.get(tid), b)) for tid, b in requests]
-        decoding = self.decoding
+        decoding = (self.decoding.temperature, self.decoding.max_tokens)
+        keys = [completion_key(self.model_id, *prompt, *decoding) for prompt in prompts]
+        found, hits = self._fetch(keys, prompts, str, self._send_prompts, self._accept_text)
+        with self._counter_lock:
+            self.counters.completion_requests += len(keys)
+            self.counters.completion_cache_hits += hits
+        return [found[key] for key in keys]
 
-        def key_of(prompt):
-            return completion_key(self.model_id, *prompt, decoding.temperature, decoding.max_tokens)
-
-        return self._fetch(
-            "completion", prompts, key_of, lambda misses: self.backend.complete(misses, decoding),
-            self._accept_text, lambda text: text,
-        )
+    def _send_prompts(self, prompts: list[tuple[str, str]]) -> list:
+        return self.backend.complete(prompts, self.decoding)
 
     def _accept_text(self, prompt: tuple[str, str], text: str) -> str:
         template_id = prompt[0]
@@ -200,15 +194,31 @@ class Gateway:
         return unwrap(self.embed_many([text])[0])
 
     def embed_many(self, texts) -> list:
-        """One outcome per text: its ``Embedding`` or a ``TracerError``; an empty text raises."""
+        """One outcome per text: its ``Embedding`` or a ``TracerError``.
+
+        An empty or blank text is an ``EmptyInput`` outcome of its own; it
+        is not a request and reaches neither the cache nor the backend.
+        """
         texts = list(texts)
-        if not all(text and text.strip() for text in texts):
-            raise EmptyInput("cannot embed empty text")
-        return self._fetch(
-            "embedding", texts, lambda text: embedding_key(self.embedding_model_id, text),
-            self.backend.embed, _accept_vector,
-            lambda vector: Embedding(vector=vector, model_id=self.embedding_model_id),
-        )
+        asked = [text for text in texts if text and text.strip()]
+        keys = [embedding_key(self.embedding_model_id, text) for text in asked]
+        found, hits = self._fetch(keys, asked, np.ndarray, self.backend.embed, _accept_vector)
+        with self._counter_lock:
+            self.counters.embedding_requests += len(keys)
+            self.counters.embedding_cache_hits += hits
+        for key, value in found.items():
+            if isinstance(value, np.ndarray):
+                found[key] = Embedding(vector=value, model_id=self.embedding_model_id)
+        key_of = dict(zip(asked, keys))
+        blank = EmptyInput("cannot embed empty text")
+        return [found[key_of[text]] if text in key_of else blank for text in texts]
+
+
+# what a cache hit of the wrong kind holds, by the kind a request expects
+_WRONG_KIND = {
+    str: "a vector under the completion key",
+    np.ndarray: "a text under the embedding key",
+}
 
 
 def unwrap(outcome):

@@ -10,7 +10,8 @@ Parse failures downstream are never retried here.
 ``LiveBackend`` speaks the OpenAI-compatible wire format for the two
 endpoints the pipeline needs: chat completions and embeddings. Like
 the mock, it answers lists: ``complete`` sends one request per prompt,
-in order, and ``embed`` one request for all the texts.
+in order, and ``embed`` one request for all the texts. After a request
+that failed every retry, the rest of a list get its error unsent.
 
 ``CircuitBreaker`` stops the external classifiers from POSTing to an
 endpoint that keeps failing.
@@ -179,12 +180,14 @@ class LiveBackend:
 
     def complete(self, requests: list[tuple[str, str]], decoding: Decoding) -> list:
         """A chat completion or ``BackendError`` per ``(template_id, prompt)``, sent in turn."""
-        outcomes = []
+        outcomes, down = [], None
         for _, prompt in requests:
             try:
-                outcomes.append(self._complete_one(prompt, decoding))
+                outcomes.append(down or self._complete_one(prompt, decoding))
             except BackendError as exc:
                 outcomes.append(exc)
+                if self.max_retries and exc.retries == self.max_retries:
+                    down = exc  # it used every retry: the rest get this error, unsent
         return outcomes
 
     def _complete_one(self, prompt: str, decoding: Decoding) -> str:

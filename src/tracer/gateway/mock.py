@@ -69,10 +69,7 @@ class MockRule:
         return self.repeat or self.served < len(self.responses)
 
     def next_response(self) -> str:
-        if self.repeat:
-            response = self.responses[0]
-        else:
-            response = self.responses[self.served]
+        response = self.responses[0 if self.repeat else self.served]
         self.served += 1
         return response
 

@@ -12,7 +12,8 @@ import re
 from dataclasses import asdict, dataclass
 from enum import Enum
 
-from .gateway import Gateway, parse_binary_digit, parse_bracketed, unwrap
+from .errors import UnparseableDigit
+from .gateway import Gateway, parse_binary_digit, parse_bracketed
 
 # Exemplar slot for the few-shot template. The shipped default is
 # deliberately small and synthetic; operators running live models should
@@ -89,25 +90,28 @@ def generate_intent(gateway: Gateway, claim: str, evidence: list[str]) -> Intent
 
 
 def score_quality(gateway: Gateway, claim: str, intent: str) -> QualityScores:
-    """Run the four quality checks on one intent candidate, in one wave.
+    """Run the four quality checks on one intent candidate.
 
-    All four answers are in before any is parsed, so a malformed one never
-    suppresses another check. The first failed request raises, and
-    otherwise the first unparseable criterion.
+    All four completions are issued before any parsing, so a malformed
+    answer on one criterion never suppresses the other calls; the first
+    unparseable criterion is then reported.
     """
-    requests = [
-        ("plausibility", dict(claim=claim, intent=intent)),
-        ("implicity", dict(claim=claim, intent=intent)),
-        ("sufficiency", dict(intent=intent)),
-        ("readability", dict(intent=intent)),
-    ]
-    completions = [unwrap(outcome) for outcome in gateway.complete_many(requests)]
-    return QualityScores(
-        **{
-            criterion: parse_binary_digit(completion, criterion)
-            for (criterion, _), completion in zip(requests, completions)
-        }
-    )
+    completions = {
+        "plausibility": gateway.complete("plausibility", claim=claim, intent=intent),
+        "implicity": gateway.complete("implicity", claim=claim, intent=intent),
+        "sufficiency": gateway.complete("sufficiency", intent=intent),
+        "readability": gateway.complete("readability", intent=intent),
+    }
+    scores: dict[str, int] = {}
+    failures: list[UnparseableDigit] = []
+    for criterion, completion in completions.items():
+        try:
+            scores[criterion] = parse_binary_digit(completion, criterion)
+        except UnparseableDigit as exc:
+            failures.append(exc)
+    if failures:
+        raise failures[0]
+    return QualityScores(**scores)
 
 
 __all__ = [

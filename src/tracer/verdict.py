@@ -139,10 +139,7 @@ def cot_verify(gateway: Gateway, claim: str, evidence: list[str]) -> BaseVerdict
 
 
 def load_base_verdicts(path: str | Path) -> dict[str, BaseVerdict]:
-    """External verdict file: one JSON record per line (id, label, justification).
-
-    A bad record, a repeated id included, is a ``ParseError`` naming its line.
-    """
+    """External verdicts, one JSON record per line; a bad or repeated one is a ``ParseError``."""
     verdicts: dict[str, BaseVerdict] = {}
     with Path(path).open("r", encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):

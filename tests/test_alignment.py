@@ -383,15 +383,14 @@ def test_align_evidence_embeds_the_claim_and_every_refined_sentence_in_one_call(
         AlignmentLabel.IRRELEVANT,
         AlignmentLabel.HIDDEN,
     ]
-    # one relevance wave and one presentation wave, each in evidence order,
-    # then one embedding call
+    # every prompt first, in evidence order, then one embedding call
     assert [(c.template, c.prompt.count("hidden fact W")) for c in script.call_log[:7]] == [
         ("relevance", 0),
+        ("presentation", 0),
         ("relevance", 0),
+        ("presentation", 0),
         ("relevance", 0),
         ("relevance", 1),
-        ("presentation", 0),
-        ("presentation", 0),
         ("presentation", 1),
     ]
     assert [c.prompt for c in script.call_log[7:]] == [
@@ -400,7 +399,7 @@ def test_align_evidence_embeds_the_claim_and_every_refined_sentence_in_one_call(
         "hidden fact Y",
         "hidden fact W",
     ]
-    assert gateway.counters.backend_calls == 1 + 1 + 1
+    assert gateway.counters.backend_calls == 7 + 1
     assert gateway.counters.embedding_requests == 4
     assert gateway.counters.embedding_cache_hits == 0
 
@@ -426,7 +425,23 @@ def test_align_evidence_sentence_without_an_embedding_fails_alone():
     assert len(gateway.cache) == 6 + 3
 
 
-def test_align_evidence_relevance_wave_with_a_miss_and_a_garbled_answer():
+def test_align_evidence_blank_sentence_fails_alone():
+    rules = [{"template": "presentation", "response": "A"}]
+    gateway, _ = make_gateway(rules=rules, default_dim=4)
+    fact, blank = align_evidence(gateway, "claim", "", ["fact", "   "])
+    alone, _ = make_gateway(rules=rules, default_dim=4)
+    assert [fact] == align_evidence(alone, "claim", "", ["fact"])
+    assert fact.error is None
+    assert blank == AlignedEvidence(
+        sentence="   ",
+        label=AlignmentLabel.IRRELEVANT,
+        error="EmptyInput: cannot embed empty text",
+    )
+    # the claim and "fact"; the blank sentence is not requested
+    assert gateway.counters.embedding_requests == 2
+
+
+def test_align_evidence_relevance_miss_and_garbled_answer_fail_their_sentences_alone():
     rules = [
         {"template": "relevance", "contains": "garbled", "response": "no idea"},
         {"template": "relevance", "contains": "off-topic", "response": "B"},

@@ -39,7 +39,7 @@ def test_nli_letter_mapping_is_total():
 @pytest.mark.parametrize("letter,verdict", sorted(LETTER_TO_NLI.items()))
 def test_nli_check_prompt_pipeline(letter, verdict):
     gateway, script = make_gateway(rules=[{"template": "nli", "response": letter}])
-    assert nli_check(gateway, [("premise text", "hypothesis text")]) == [verdict]
+    assert nli_check(gateway, "premise text", "hypothesis text") is verdict
     assert "premise text" in script.call_log[0].prompt
     assert "hypothesis text" in script.call_log[0].prompt
 
@@ -53,7 +53,8 @@ def test_nli_check_external_classifier_bypasses_gateway():
 
     classifier = ExternalNliClassifier("http://host/nli", post=fake_post)
     gateway, script = make_gateway()
-    assert nli_check(gateway, [("p", "h")], classifier) == [NliVerdict.CONTRADICT]
+    verdict = nli_check(gateway, "p", "h", classifier)
+    assert verdict is NliVerdict.CONTRADICT
     assert script.call_log == []
     assert posts == [{"premise": "p", "hypothesis": "h"}]
 
@@ -270,9 +271,8 @@ def test_collect_embeds_every_assumption_in_one_backend_call():
     ]
     # the NLI checks keep their order: the first assumption's ranking, then the second's
     assert [c.prompt.count("first assumption") for c in script.call_log[4:]] == [1, 1, 0]
-    # one embedding call and one wave of three NLI checks; the pool, asked once, was a hit
-    assert gateway.counters.backend_calls - calls_before == 2
-    assert gateway.counters.by_template == {"nli": 3}
+    # one embedding call, three NLI checks; the pool, asked once, was a hit
+    assert gateway.counters.backend_calls - calls_before == 4
     assert gateway.counters.embedding_requests == 2 + 2 + 2
     assert gateway.counters.embedding_cache_hits == 2
 

@@ -315,7 +315,7 @@ def test_ablate_calls_cli_run_pipeline_once_per_record_per_config(
 
 
 _SCENARIO_COLD_COUNTERS = {
-    "backend_calls": 12,
+    "backend_calls": 23,
     "by_template": {
         "assumptions": 1,
         "cot_verdict": 1,

@@ -1327,9 +1327,17 @@ def test_embed_many_failure_caches_nothing_and_is_retried(tmp_path):
 
 def test_embed_many_rejects_an_empty_text_before_any_request():
     gateway, script = make_gateway(default_dim=4)
-    with pytest.raises(EmptyInput):
-        gateway.embed_many(["alpha", " "])
+    [blank] = gateway.embed_many([" "])
+    assert isinstance(blank, EmptyInput)
     assert script.call_log == [] and gateway.counters == GatewayCounters()
+    # beside other texts, only the empty one fails, and it is not requested
+    alpha, empty, blank = gateway.embed_many(["alpha", "", " \n"])
+    assert alpha == gateway.embed("alpha")
+    assert [type(empty), type(blank)] == [EmptyInput, EmptyInput]
+    assert [c.prompt for c in script.call_log] == ["alpha"]
+    assert gateway.counters == GatewayCounters(
+        embedding_requests=2, embedding_cache_hits=1, backend_calls=1
+    )
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
@@ -1494,6 +1502,28 @@ def test_live_backend_gives_up_after_max_retries():
     assert isinstance(error, BackendError)
     assert error.retries == 3
     assert session.calls == 4  # initial attempt + 3 retries
+
+
+def test_live_backend_stops_a_list_once_a_request_used_every_retry():
+    import requests
+
+    session = _FakeSession(
+        [_FakeResponse(400, {"error": "too long"})]
+        + [requests.ConnectionError("down"), _FakeResponse(503, {})] * 2
+    )
+    sleeps = []
+    backend = LiveBackend(
+        model_id="m", api_key="k", max_retries=3, session=session, sleep=sleeps.append
+    )
+    rejected, down, *rest = backend.complete(
+        [("t", "p1"), ("t", "p2"), ("t", "p3"), ("u", "p4")], Decoding(0.0, 16)
+    )
+    # a rejected prompt fails alone; the first to outlast its retries fails the rest unsent
+    assert "400" in str(rejected) and rejected.retries == 0
+    assert "503" in str(down) and down.retries == 3
+    assert rest == [down, down]
+    assert session.calls == 1 + 4
+    assert sleeps == [1.0, 2.0, 4.0]
 
 
 def test_live_backend_sends_decoding_but_not_template_id():

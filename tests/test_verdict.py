@@ -794,7 +794,7 @@ _CF_Y1, _CF_Y2 = ("counterfactual", "do(Y_1"), ("counterfactual", "do(Y_2")
 _NLI_1, _NLI_2 = ("nli", "part-time or gig-based"), ("nli", "discouraged workers")
 
 # case: ({(template, contains): response, or None to drop the rule}, the failed row)
-_BAD_WAVE_ITEMS = {
+_BAD_ITEMS = {
     "second_counterfactual_garbled": ({_CF_Y2: "garbage"}, ("causality", _GARBAGE)),
     "first_counterfactual_missed": ({_CF_Y1: None}, ("causality", _CF_MISS)),
     "first_missed_second_garbled": ({_CF_Y1: None, _CF_Y2: "garbage"}, ("causality", _CF_MISS)),
@@ -805,9 +805,9 @@ _BAD_WAVE_ITEMS = {
 }
 
 
-@pytest.mark.parametrize("case", list(_BAD_WAVE_ITEMS))
-def test_scenario_wave_with_bad_items_fails_its_stage_on_the_first_in_order(case):
-    edits, (stage, detail) = _BAD_WAVE_ITEMS[case]
+@pytest.mark.parametrize("case", list(_BAD_ITEMS))
+def test_scenario_bad_counterfactual_or_nli_answers_fail_the_stage_on_the_first(case):
+    edits, (stage, detail) = _BAD_ITEMS[case]
     script = json.loads(data_path(SCENARIO_MOCK).read_text(encoding="utf-8"))
     rules = []
     for rule in script["rules"]:
@@ -820,7 +820,7 @@ def test_scenario_wave_with_bad_items_fails_its_stage_on_the_first_in_order(case
     gateway = Gateway(backend=MockScript.from_dict(script), cache=ResponseCache())
     report = run_pipeline(gateway, load_scenario_record())
     rows = [(t.stage, t.status, t.detail) for t in report.stages]
-    # the rows the items asked one at a time gave: the first bad item in order fails the stage
+    # the first bad answer in request order fails the stage
     assert [row for row in rows if row[1] == "failed"] == [(stage, "failed", detail)]
     unavailable = "causality unavailable" if stage == "causality" else "hidden evidence unavailable"
     assert rows[-1] == ("reassessment", "skipped", unavailable)
@@ -864,9 +864,9 @@ def _vector_file(path):
 
 
 def _record_requests(gateway):
-    """Wrap the gateway's list requests, which the single ones go through, to log every call."""
+    """Wrap the gateway's requests so that every call is logged in order."""
     calls = []
-    for name in ("complete_many", "embed_many"):
+    for name in ("complete", "embed", "embed_many"):
         method = getattr(gateway, name)
 
         def logged(*args, _method=method, _name=name, **kwargs):
