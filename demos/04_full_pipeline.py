@@ -12,7 +12,7 @@ print(f"Base verdict:  {report.base_verdict.label.value}")
 print(f"  {report.base_verdict.justification[:90]}...")
 print()
 print(f"Inferred intent: {report.intent.text}")
-print(f"  quality: {report.intent_quality.as_dict()}")
+print(f"  quality: {report.intent.quality.as_dict()}")
 print()
 print("Assumptions and the effect of negating each one:")
 for assumption in report.causal_argument.assumptions:

@@ -12,7 +12,7 @@ against hidden evidence.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .errors import EmptyAssumptions, UnevaluatedAssumption
@@ -59,7 +59,9 @@ class ImplicitQuestion:
 @dataclass(frozen=True)
 class Assumption:
     text: str
-    causal_effect: CausalEffect | None = None
+    # None until evaluated; a report line always carries the key (see
+    # ``tracer.verdict.report_from_dict``)
+    causal_effect: CausalEffect | None = field(default=None, metadata={"required": True})
     flags: tuple[str, ...] = ()
 
     @property

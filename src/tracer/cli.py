@@ -30,7 +30,7 @@ from .corpus import ClaimRecord, Label, load_corpus, save_corpus
 from .errors import ConfigError, EmptyInput, ParseError, TracerError
 from .gateway import Gateway, LiveBackend, MockScript, ResponseCache, api_key_from_env
 from .gateway.cache import remove_cache_files
-from .metrics import MetricsReport, failed_stage, format_table, score_reports
+from .metrics import MetricsReport, format_table, score_reports
 from .verdict import VerdictReport, load_base_verdicts, load_reports, run_pipeline, save_reports
 
 
@@ -272,7 +272,7 @@ def cmd_run(args) -> int:
             nli_classifier=nli_classifier,
         ):
             reports.append(report)
-            stage = failed_stage(report)
+            stage = report.failed
             verdict = f"failed at {stage}" if stage else report.final_verdict.label.value
             print(f"{report.id}: {verdict}")
 

@@ -163,6 +163,7 @@ def config_from_dict(data: dict) -> RunConfig:
     thresholds = replace(Thresholds(), **threshold_data)
 
     ablation_name = data.get("ablation", "cfg4")
+    _require("ablation", ablation_name, (str,), "a config name")
     if ablation_name not in ABLATION_CONFIGS:
         raise ConfigError(
             f"unknown ablation config {ablation_name!r}; expected one of "

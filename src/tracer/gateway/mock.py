@@ -13,9 +13,11 @@ and ordering.
 Each vector is parsed and checked once, at load (``float()`` on every
 element, so a bad one is ``ValueError`` or ``TypeError`` there), into
 one read-only float64 array that every text its entry matches shares.
-The other fields are checked at load too: a template, a ``contains``,
-a response or an embedding's ``text`` that is not a string, or an
-empty ``responses`` list, is ``TypeError``.
+The other fields are checked at load too: a root or a
+``default_embedding`` that is not an object, a template, a
+``contains``, a response or an embedding's ``text`` that is not a
+string, or an empty ``responses`` list, is ``TypeError``, and a ``dim``
+that is not a positive integer is ``ValueError``.
 
 Script format::
 
@@ -122,6 +124,9 @@ class MockScript:
             for name in ("text", "contains"):
                 if name in entry:
                     _require_str(entry[name], f"an embedding's {name}")
+        dim = self.default_embedding_dim
+        if dim is not None and (type(dim) is not int or dim < 1):
+            raise ValueError(f"default_embedding's dim must be a positive integer, not {dim!r}")
         self.embeddings = [
             {**entry, "vector": frozen_vector([float(x) for x in entry["vector"]])}
             for entry in self.embeddings
@@ -132,6 +137,8 @@ class MockScript:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MockScript":
+        if not isinstance(data, dict):
+            raise TypeError(f"a mock script must be an object, not {data!r}")
         rules = []
         for entry in data.get("rules", []):
             if "responses" in entry:
@@ -151,6 +158,8 @@ class MockScript:
                 )
             )
         default = data.get("default_embedding") or {}
+        if not isinstance(default, dict):
+            raise TypeError(f"default_embedding must be an object, not {default!r}")
         return cls(
             rules=rules,
             embeddings=list(data.get("embeddings", [])),

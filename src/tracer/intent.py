@@ -36,6 +36,7 @@ class IntentRecord:
     rationale: str
     source: IntentSource
     low_context: bool = False
+    quality: QualityScores | None = None  # set once the quality checks ran
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,12 @@ complete, replayable trace of what happened.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import re
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
@@ -23,14 +26,12 @@ from .alignment import (
     AlignedEvidence,
     AlignmentLabel,
     ExternalAlignmentClassifier,
-    Provenance,
     align_evidence,
     hidden_pool,
 )
 from .causality import (
     Assumption,
     CausalArgument,
-    CausalEffect,
     ImplicitQuestion,
     build_causal_graph,
     evaluate_all,
@@ -39,7 +40,7 @@ from .causality import (
     select_critical_assumptions,
     serialize_argument,
 )
-from .che import CheCandidate, ExternalNliClassifier, NliVerdict, collect_che
+from .che import CheCandidate, ExternalNliClassifier, collect_che
 from .config import FULL_PIPELINE, AblationConfig, Thresholds
 from .corpus import ClaimRecord, Label, _check_unicode
 from .errors import (
@@ -49,9 +50,9 @@ from .errors import (
     UnparseableChoice,
 )
 from .gateway import Gateway, parse_letter_choice
-from .intent import IntentRecord, IntentSource, QualityScores, generate_intent, score_quality
+from .intent import IntentRecord, generate_intent, score_quality
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 VERDICT_LETTERS = {
     "A": Label.TRUE,
@@ -96,16 +97,20 @@ class StageTrace:
 
 @dataclass
 class VerdictReport:
-    """Full trace of one claim through the pipeline."""
+    """Full trace of one claim through the pipeline.
+
+    ``failed`` names the foundation stage that ended the claim; such a
+    claim has no prediction, and its False verdicts are placeholders.
+    """
 
     id: str
     aligned_evidence: list[AlignedEvidence]
     intent: IntentRecord | None
-    intent_quality: QualityScores | None
     causal_argument: CausalArgument | None
     che: list[CheCandidate]
     base_verdict: BaseVerdict
     final_verdict: FinalVerdict
+    failed: str | None = None
     stages: list[StageTrace] = field(default_factory=list)
 
 
@@ -278,12 +283,12 @@ def _base_verdict_stage(run: _ClaimRun) -> tuple[str, str]:
 
 def _intent_stage(run: _ClaimRun) -> tuple[str, str]:
     report, claim = run.report, run.record.claim
-    report.intent = generate_intent(run.gateway, claim, run.relevant)
-    report.intent_quality = score_quality(run.gateway, claim, report.intent.text)
-    if not report.intent_quality.accepted:
-        return "failed", "quality filter rejected the intent: " + json.dumps(
-            report.intent_quality.as_dict()
-        )
+    # recorded before the checks, so that it stays when they fail
+    intent = report.intent = generate_intent(run.gateway, claim, run.relevant)
+    quality = score_quality(run.gateway, claim, intent.text)
+    report.intent = replace(intent, quality=quality)
+    if not quality.accepted:
+        return "failed", "quality filter rejected the intent: " + json.dumps(quality.as_dict())
     run.queries = [Assumption(text=report.intent.text)]
     return "ok", f"low_context={report.intent.low_context}"
 
@@ -390,8 +395,8 @@ def run_pipeline(
     and the trace says which stage failed and why. Only the two
     foundation stages can fail the claim outright: alignment, when the
     claim has evidence and every sentence failed, and base verification.
-    Either ends the claim with a failed row and a False verdict carrying
-    the reason, and no later stage runs.
+    Either ends the claim with a failed row, ``failed`` naming the stage
+    and a False verdict carrying the reason, and no later stage runs.
 
     The cache records of the claim's new answers are written together
     when it ends (``ResponseCache.batched``): when this returns, or
@@ -402,7 +407,6 @@ def run_pipeline(
             id=record.id,
             aligned_evidence=[],
             intent=None,
-            intent_quality=None,
             causal_argument=None,
             che=[],
             base_verdict=BaseVerdict(
@@ -433,6 +437,7 @@ def run_pipeline(
                 run.notes.clear()
         except _ClaimFailed as exc:  # ends the claim at `stage`
             detail = str(exc)
+            report.failed = stage
             report.stages.append(StageTrace(stage, "failed", detail))
             report.base_verdict = BaseVerdict(
                 Label.FALSE, f"(unavailable: {detail})", VerdictSource.COT
@@ -444,178 +449,108 @@ def run_pipeline(
 
 
 # -- report serialization ------------------------------------------------
+#
+# A report line is its dataclasses: every field in declaration order,
+# nulls included, nested dataclasses alike. Enums are str subclasses and
+# tuples become lists, so json needs no other hook.
 
 
-def _aligned_to_dict(a: AlignedEvidence) -> dict:
-    row = {"sentence": a.sentence, "label": a.label.value, "provenance": a.provenance.value}
-    if a.similarity is not None:
-        row["similarity"] = a.similarity
-    if a.error is not None:
-        row["error"] = a.error
-    return row
+def _fields(obj) -> dict:
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
 
 
-def _aligned_from_dict(row: dict) -> AlignedEvidence:
-    return AlignedEvidence(
-        sentence=row["sentence"],
-        label=AlignmentLabel(row["label"]),
-        similarity=row.get("similarity"),
-        provenance=Provenance(row["provenance"]),
-        error=row.get("error"),
-    )
+def _dumps(report: VerdictReport) -> str:
+    line = {"schema_version": REPORT_SCHEMA_VERSION, **_fields(report)}
+    return json.dumps(line, default=_fields, ensure_ascii=False)
 
 
 def report_to_dict(report: VerdictReport) -> dict:
-    intent = None
-    if report.intent is not None:
-        intent = {
-            "text": report.intent.text,
-            "rationale": report.intent.rationale,
-            "source": report.intent.source.value,
-            "low_context": report.intent.low_context,
-        }
-        if report.intent_quality is not None:
-            intent["quality"] = report.intent_quality.as_dict()
-    argument = None
-    if report.causal_argument is not None:
-        argument = {
-            "intent": report.causal_argument.intent,
-            "claim": report.causal_argument.claim,
-            "assumptions": [
-                {
-                    "text": a.text,
-                    "causal_effect": a.causal_effect.value if a.causal_effect else None,
-                    "flags": list(a.flags),
-                }
-                for a in report.causal_argument.assumptions
-            ],
-        }
-    final = {"label": report.final_verdict.label.value, "reassessed": report.final_verdict.reassessed}
-    if report.final_verdict.raw_choice is not None:
-        final["raw_choice"] = report.final_verdict.raw_choice
-    if report.final_verdict.fallback_reason is not None:
-        final["fallback_reason"] = report.final_verdict.fallback_reason
-    stages = []
-    for trace in report.stages:
-        row = {"stage": trace.stage, "status": trace.status}
-        if trace.detail is not None:
-            row["detail"] = trace.detail
-        stages.append(row)
-    return {
-        "schema_version": REPORT_SCHEMA_VERSION,
-        "id": report.id,
-        "aligned_evidence": [_aligned_to_dict(a) for a in report.aligned_evidence],
-        "intent": intent,
-        "causal_argument": argument,
-        "che": [
-            {
-                "sentence": c.sentence,
-                "assumption": c.assumption,
-                "similarity": c.similarity,
-                "nli": c.nli.value,
-                "selected": c.selected,
-                "linked_assumptions": list(c.linked_assumptions),
-            }
-            for c in report.che
-        ],
-        "base_verdict": {
-            "label": report.base_verdict.label.value,
-            "justification": report.base_verdict.justification,
-            "source": report.base_verdict.source.value,
-        },
-        "final_verdict": final,
-        "stages": stages,
-    }
+    """The JSON object of one report line."""
+    return json.loads(_dumps(report))
+
+
+_type_hints = functools.cache(typing.get_type_hints)
+
+
+def _build(hint, value):
+    """``value``, read from JSON, as an instance of the type ``hint``.
+
+    A dataclass's key may be missing only when the field's default is
+    None and its metadata does not mark it ``required``.
+    """
+    args = typing.get_args(hint)
+    if type(None) in args:  # X | None
+        (inner,) = set(args) - {type(None)}
+        return None if value is None else _build(inner, value)
+    origin = typing.get_origin(hint)
+    if origin in (list, tuple):
+        if not isinstance(value, list):
+            raise TypeError(f"expected a list, got {value!r}")
+        return origin(_build(args[0], item) for item in value)
+    if dataclasses.is_dataclass(hint):
+        if not isinstance(value, dict):
+            raise TypeError(f"expected an object, got {value!r}")
+        hints = _type_hints(hint)
+        return hint(**{
+            f.name: _build(hints[f.name], value[f.name])
+            for f in dataclasses.fields(hint)
+            if f.name in value or f.default is not None or f.metadata.get("required")
+        })
+    if issubclass(hint, Enum):
+        return hint(value)
+    if not isinstance(value, (int, float) if hint is float else hint):
+        raise TypeError(f"expected {hint.__name__}, got {value!r}")
+    return value
+
+
+def _v1_failed(stages: list[StageTrace]) -> str | None:
+    # Version 1 did not record ``failed``: a claim failed when it has no
+    # ok base verdict row, at its last failed foundation stage.
+    if any(t.stage == "base_verdict" and t.status == "ok" for t in stages):
+        return None
+    failed = [
+        t.stage
+        for t in stages
+        if t.stage in ("alignment", "base_verdict") and t.status == "failed"
+    ]
+    return failed[-1] if failed else "base_verdict"
 
 
 def report_from_dict(data: dict) -> VerdictReport:
-    if data.get("schema_version") != REPORT_SCHEMA_VERSION:
-        raise ParseError(0, f"unsupported report schema version: {data.get('schema_version')}")
-    intent = None
-    quality = None
-    if data["intent"] is not None:
-        block = data["intent"]
-        intent = IntentRecord(
-            text=block["text"],
-            rationale=block["rationale"],
-            source=IntentSource(block["source"]),
-            low_context=block["low_context"],
-        )
-        if "quality" in block:
-            quality = QualityScores(**block["quality"])
-    argument = None
-    if data["causal_argument"] is not None:
-        block = data["causal_argument"]
-        argument = CausalArgument(
-            intent=block["intent"],
-            claim=block["claim"],
-            assumptions=tuple(
-                Assumption(
-                    text=a["text"],
-                    causal_effect=CausalEffect(a["causal_effect"])
-                    if a["causal_effect"]
-                    else None,
-                    flags=tuple(a["flags"]),
-                )
-                for a in block["assumptions"]
-            ),
-        )
-    final_block = data["final_verdict"]
-    return VerdictReport(
-        id=data["id"],
-        aligned_evidence=[_aligned_from_dict(row) for row in data["aligned_evidence"]],
-        intent=intent,
-        intent_quality=quality,
-        causal_argument=argument,
-        che=[
-            CheCandidate(
-                sentence=c["sentence"],
-                assumption=c["assumption"],
-                similarity=c["similarity"],
-                nli=NliVerdict(c["nli"]),
-                selected=c["selected"],
-                linked_assumptions=tuple(c["linked_assumptions"]),
-            )
-            for c in data["che"]
-        ],
-        base_verdict=BaseVerdict(
-            label=Label(data["base_verdict"]["label"]),
-            justification=data["base_verdict"]["justification"],
-            source=VerdictSource(data["base_verdict"]["source"]),
-        ),
-        final_verdict=FinalVerdict(
-            label=Label(final_block["label"]),
-            reassessed=final_block["reassessed"],
-            raw_choice=final_block.get("raw_choice"),
-            fallback_reason=final_block.get("fallback_reason"),
-        ),
-        stages=[
-            StageTrace(row["stage"], row["status"], row.get("detail"))
-            for row in data["stages"]
-        ],
-    )
+    """A report line of this schema version or of version 1."""
+    version = data.get("schema_version")
+    if type(version) is not int or version not in (1, REPORT_SCHEMA_VERSION):
+        raise ParseError(0, f"unsupported report schema version: {version}")
+    report = _build(VerdictReport, data)
+    if version == 1:
+        report.failed = _v1_failed(report.stages)
+    return report
 
 
 def save_reports(path: str | Path, reports: list[VerdictReport]) -> None:
     with Path(path).open("w", encoding="utf-8") as handle:
         for report in reports:
-            handle.write(json.dumps(report_to_dict(report), ensure_ascii=False))
+            handle.write(_dumps(report))
             handle.write("\n")
 
 
 def load_reports(path: str | Path) -> list[VerdictReport]:
-    reports = []
+    """Reports, one JSON line each; a bad line or a repeated id is a ``ParseError``."""
+    reports: dict[str, VerdictReport] = {}
     with Path(path).open("r", encoding="utf-8") as handle:
         for line_number, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
-                reports.append(report_from_dict(json.loads(line)))
+                report = report_from_dict(json.loads(line))
             except ParseError as exc:
                 raise ParseError(line_number, exc.reason) from exc
-            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            except (AttributeError, KeyError, TypeError, ValueError, EmptyJustification) as exc:
                 raise ParseError(line_number, f"bad report record: {exc}") from exc
-    return reports
+            if report.id in reports:
+                raise ParseError(line_number, f"duplicate report id {report.id!r}")
+            reports[report.id] = report
+    return list(reports.values())
 
 
 __all__ = [

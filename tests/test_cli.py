@@ -30,6 +30,8 @@ from conftest import synthetic_script
 
 SCENARIO_CORPUS = str(data_path(SCENARIO_CLAIM))
 SCENARIO_SCRIPT = str(data_path(SCENARIO_MOCK))
+# the scenario's report as version 1 of the format wrote it
+_V1_REPORT = Path(__file__).parent / "data" / "scenario_report_v1.jsonl"
 
 
 def run_cli(capsys, *argv):
@@ -558,6 +560,8 @@ def test_run_config_rejects_keys_that_would_be_ignored(capsys, tmp_path, config_
         ("backend:\n  embedding_model_id: 5\n", "embedding_model_id"),
         ("paths:\n  cache: 5\n", "cache_path"),
         ("reassess_true_only: 'false'\n", "reassess_true_only"),
+        ("ablation: [cfg1]\n", "ablation"),
+        ("ablation: {a: 1}\n", "ablation"),
     ],
     ids=[
         "top_k-float",
@@ -573,6 +577,8 @@ def test_run_config_rejects_keys_that_would_be_ignored(capsys, tmp_path, config_
         "embedding_model_id-int",
         "cache-int",
         "reassess_true_only-string",
+        "ablation-list",
+        "ablation-mapping",
     ],
 )
 def test_run_config_value_of_the_wrong_type_exits_one_before_any_claim(
@@ -665,6 +671,44 @@ def test_run_malformed_mock_rule_or_embedding_exits_one_before_any_claim(
     )
     assert code == 1
     assert f"mock script {bad_script} is malformed" in err
+    assert out == ""
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
+    "script",
+    [
+        [],
+        {"default_embedding": [8]},
+        {"default_embedding": {"dim": "8"}},
+        {"default_embedding": {"dim": 2.5}},
+        {"default_embedding": {"dim": True}},
+        {"default_embedding": {"dim": 0}},
+        {"default_embedding": {"dim": -3}},
+    ],
+    ids=["root-list", "default-list", "dim-string", "dim-float", "dim-bool", "dim-zero",
+         "dim-negative"],
+)
+def test_run_mock_script_of_the_wrong_shape_exits_one_before_any_claim(
+    capsys, tmp_path, script
+):
+    if isinstance(script, dict):
+        script = {**json.loads(Path(SCENARIO_SCRIPT).read_text(encoding="utf-8")), **script}
+    bad_script = tmp_path / "bad.json"
+    bad_script.write_text(json.dumps(script), encoding="utf-8")
+    out_path = tmp_path / "r.jsonl"
+    code, out, err = run_cli(
+        capsys,
+        "run",
+        "--corpus",
+        SCENARIO_CORPUS,
+        "--mock",
+        str(bad_script),
+        "--output",
+        str(out_path),
+    )
+    assert code == 1, err
+    assert f"error: mock script {bad_script} is malformed" in err
     assert out == ""
     assert not out_path.exists()
 
@@ -793,10 +837,39 @@ def test_eval_bad_report_record_exits_one_naming_the_line(capsys, tmp_path, corr
 
 def test_eval_unsupported_schema_version_names_the_line(capsys, tmp_path):
     report_path = tmp_path / "reports.jsonl"
-    report_path.write_text('\n{"schema_version": 2}\n', encoding="utf-8")
+    report_path.write_text('\n{"schema_version": 3}\n', encoding="utf-8")
     code, _, err = run_cli(capsys, "eval", "--report", str(report_path), "--gold", SCENARIO_CORPUS)
     assert code == 1
-    assert "error: line 2: unsupported report schema version: 2" in err
+    assert "error: line 2: unsupported report schema version: 3" in err
+
+
+def test_eval_repeated_report_id_exits_one_naming_the_line(capsys, tmp_path):
+    code, _, _, report_path = _run_scenario(capsys, tmp_path)
+    assert code == 0
+    line = json.loads(report_path.read_text(encoding="utf-8"))
+    assert line["final_verdict"]["label"] == "Half-True"
+    second = {**line, "final_verdict": {**line["final_verdict"], "label": "False"}}
+    report_path.write_text(
+        json.dumps(line) + "\n" + json.dumps(second) + "\n", encoding="utf-8"
+    )
+    code, out, err = run_cli(
+        capsys, "eval", "--report", str(report_path), "--gold", SCENARIO_CORPUS
+    )
+    assert code == 1
+    assert "error: line 2: duplicate report id 'scenario-001'" in err
+    assert out == ""
+
+
+def test_eval_reads_a_version_1_report_as_its_version_2_form(capsys, tmp_path):
+    code, _, _, report_path = _run_scenario(capsys, tmp_path)
+    assert code == 0
+    tables = []
+    for path in (report_path, _V1_REPORT):
+        code, out, _ = run_cli(capsys, "eval", "--report", str(path), "--gold", SCENARIO_CORPUS)
+        assert code == 0
+        tables.append(out)
+    assert tables[0] == tables[1]
+    assert "n             1" in tables[0]
 
 
 # -- ablate ----------------------------------------------------------------------

@@ -20,7 +20,7 @@ from tracer.metrics import (
     score_reports,
     summarize,
 )
-from tracer.verdict import BaseVerdict, FinalVerdict, StageTrace, VerdictReport, VerdictSource
+from tracer.verdict import BaseVerdict, FinalVerdict, VerdictReport, VerdictSource
 
 T, H, F = Label.TRUE, Label.HALF_TRUE, Label.FALSE
 
@@ -197,17 +197,16 @@ def _gold(record_id, label):
     return ClaimRecord(id=record_id, claim="c", gold_label=label)
 
 
-def _report(record_id, label, stages=(("alignment", "ok"), ("base_verdict", "ok"))):
+def _report(record_id, label, failed=None):
     return VerdictReport(
         id=record_id,
         aligned_evidence=[],
         intent=None,
-        intent_quality=None,
         causal_argument=None,
         che=[],
         base_verdict=BaseVerdict(label, "j", VerdictSource.COT),
         final_verdict=FinalVerdict(label=label, reassessed=False),
-        stages=[StageTrace(stage, status) for stage, status in stages],
+        failed=failed,
     )
 
 
@@ -230,19 +229,13 @@ def test_score_reports_names_the_first_gold_id_without_a_report():
     assert raised.value.record_id == "b"
 
 
-# the stages a foundation failure leaves: a failure at alignment, and at base_verdict
-_FAILED_AT_ALIGNMENT = (("alignment", "failed"),)
-_FAILED_AT_BASE_VERDICT = (("alignment", "ok"), ("base_verdict", "failed"))
-
-
 def test_score_reports_leaves_failed_claims_out_and_counts_them():
     records = [_gold("a", F), _gold("b", H), _gold("c", F), _gold("d", T)]
     reports = [
-        _report("a", F, _FAILED_AT_ALIGNMENT),
+        _report("a", F, failed="alignment"),
         _report("b", H),
-        _report("c", F, _FAILED_AT_BASE_VERDICT),
-        # an alignment stage that failed for some sentences only
-        _report("d", T, (("alignment", "failed"), ("base_verdict", "ok"))),
+        _report("c", F, failed="base_verdict"),
+        _report("d", T),
     ]
     metrics = score_reports(records, reports)
     assert metrics.n == 2
@@ -255,9 +248,9 @@ def test_score_reports_leaves_failed_claims_out_and_counts_them():
 def test_score_reports_when_every_gold_claim_failed_has_only_counts():
     records = [_gold("a", F), ClaimRecord(id="u", claim="c"), _gold("b", H)]
     reports = [
-        _report("a", F, _FAILED_AT_ALIGNMENT),
+        _report("a", F, failed="alignment"),
         _report("u", F),
-        _report("b", F, _FAILED_AT_BASE_VERDICT),
+        _report("b", F, failed="base_verdict"),
     ]
     metrics = score_reports(records, reports)
     assert metrics.n == 0

@@ -2,6 +2,7 @@
 
 import contextlib
 import json
+from pathlib import Path
 
 import pytest
 import requests
@@ -19,6 +20,7 @@ from tracer.errors import (
     UnparseableChoice,
 )
 from tracer.fixtures import (
+    SCENARIO_EXPECTED,
     SCENARIO_MOCK,
     data_path,
     generate_synthetic_corpus,
@@ -471,7 +473,7 @@ def test_pipeline_rejected_intent_downgrades_to_base():
     report = run_pipeline(gateway, _record())
     assert report.final_verdict == FinalVerdict(label=Label.TRUE, reassessed=False)
     assert report.intent is not None  # recorded even though rejected
-    assert report.intent_quality.accepted is False
+    assert report.intent.quality.accepted is False
     trace = {t.stage: t for t in report.stages}
     assert trace["intent"].status == "failed"
     assert "quality filter" in trace["intent"].detail
@@ -710,66 +712,62 @@ def test_pipeline_stage_trace_is_exact(case, cfg):
 
 
 _ALIGNED_ROWS = [
-    {"sentence": "E1 presented.", "label": "Presented", "provenance": "PromptPipeline",
-     "similarity": 0.9},
-    {"sentence": "E2 hidden.", "label": "Hidden", "provenance": "PromptPipeline",
-     "similarity": 0.2},
+    {"sentence": "E1 presented.", "label": "Presented", "similarity": 0.9,
+     "provenance": "PromptPipeline", "error": None},
+    {"sentence": "E2 hidden.", "label": "Hidden", "similarity": 0.2,
+     "provenance": "PromptPipeline", "error": None},
 ]
 _ALIGNED_OK = {"stage": "alignment", "status": "ok", "detail": "presented=1 hidden=1 irrelevant=0"}
 _RELEVANCE_GARBAGE = "UnparseableChoice: no letter from ['A', 'B'] in completion 'garbage'"
 _NO_REASONING = "EmptyJustification: chain-of-thought completion contains no reasoning steps"
 _NO_VERDICT = "no external verdict for this claim"
 
+
+def _failed_report(aligned, reason, stage, stages):
+    """The whole report line of a claim that ``stage`` ended."""
+    return {
+        "schema_version": 2,
+        "id": "t-1",
+        "aligned_evidence": aligned,
+        "intent": None,
+        "causal_argument": None,
+        "che": [],
+        "base_verdict": {
+            "label": "False", "justification": f"(unavailable: {reason})", "source": "CoT"
+        },
+        "final_verdict": {
+            "label": "False", "reassessed": False, "raw_choice": None, "fallback_reason": reason
+        },
+        "failed": stage,
+        "stages": stages,
+    }
+
+
 # case: (_pipeline_rules overrides, run_pipeline keywords, whole report_to_dict)
 _FAILED_REPORTS = {
-    "alignment_failed": ({"relevance": "garbage"}, {}, {
-        "schema_version": 1,
-        "id": "t-1",
-        "aligned_evidence": [
-            {"sentence": "E1 presented.", "label": "Irrelevant", "provenance": "PromptPipeline",
-             "error": _RELEVANCE_GARBAGE},
-            {"sentence": "E2 hidden.", "label": "Irrelevant", "provenance": "PromptPipeline",
-             "error": _RELEVANCE_GARBAGE},
+    "alignment_failed": ({"relevance": "garbage"}, {}, _failed_report(
+        [
+            {"sentence": "E1 presented.", "label": "Irrelevant", "similarity": None,
+             "provenance": "PromptPipeline", "error": _RELEVANCE_GARBAGE},
+            {"sentence": "E2 hidden.", "label": "Irrelevant", "similarity": None,
+             "provenance": "PromptPipeline", "error": _RELEVANCE_GARBAGE},
         ],
-        "intent": None,
-        "causal_argument": None,
-        "che": [],
-        "base_verdict": {
-            "label": "False", "justification": f"(unavailable: {_ALL_FAILED})", "source": "CoT"
-        },
-        "final_verdict": {"label": "False", "reassessed": False, "fallback_reason": _ALL_FAILED},
-        "stages": [{"stage": "alignment", "status": "failed", "detail": _ALL_FAILED}],
-    }),
-    "cot_failed": ({"cot": "A"}, {}, {
-        "schema_version": 1,
-        "id": "t-1",
-        "aligned_evidence": _ALIGNED_ROWS,
-        "intent": None,
-        "causal_argument": None,
-        "che": [],
-        "base_verdict": {
-            "label": "False", "justification": f"(unavailable: {_NO_REASONING})", "source": "CoT"
-        },
-        "final_verdict": {"label": "False", "reassessed": False, "fallback_reason": _NO_REASONING},
-        "stages": [
-            _ALIGNED_OK, {"stage": "base_verdict", "status": "failed", "detail": _NO_REASONING}
-        ],
-    }),
-    "external_verdict_missing": ({}, {"base_verdicts": {}}, {
-        "schema_version": 1,
-        "id": "t-1",
-        "aligned_evidence": _ALIGNED_ROWS,
-        "intent": None,
-        "causal_argument": None,
-        "che": [],
-        "base_verdict": {
-            "label": "False", "justification": f"(unavailable: {_NO_VERDICT})", "source": "CoT"
-        },
-        "final_verdict": {"label": "False", "reassessed": False, "fallback_reason": _NO_VERDICT},
-        "stages": [
-            _ALIGNED_OK, {"stage": "base_verdict", "status": "failed", "detail": _NO_VERDICT}
-        ],
-    }),
+        _ALL_FAILED,
+        "alignment",
+        [{"stage": "alignment", "status": "failed", "detail": _ALL_FAILED}],
+    )),
+    "cot_failed": ({"cot": "A"}, {}, _failed_report(
+        _ALIGNED_ROWS,
+        _NO_REASONING,
+        "base_verdict",
+        [_ALIGNED_OK, {"stage": "base_verdict", "status": "failed", "detail": _NO_REASONING}],
+    )),
+    "external_verdict_missing": ({}, {"base_verdicts": {}}, _failed_report(
+        _ALIGNED_ROWS,
+        _NO_VERDICT,
+        "base_verdict",
+        [_ALIGNED_OK, {"stage": "base_verdict", "status": "failed", "detail": _NO_VERDICT}],
+    )),
 }
 
 
@@ -780,6 +778,58 @@ def test_failed_claim_report_is_exact(case):
     report = run_pipeline(gateway, _record(), **keywords)
     # dumped, so that key order is pinned too
     assert json.dumps(report_to_dict(report)) == json.dumps(expected)
+
+
+_V1_ALIGNED = [
+    {"sentence": "E1 presented.", "label": "Presented", "provenance": "PromptPipeline",
+     "similarity": 0.9},
+]
+_V1_PARTIAL = {"stage": "alignment", "status": "failed", "detail": "presented=1 errors=1"}
+_V1_BASE_OK = {"stage": "base_verdict", "status": "ok", "detail": "CoT"}
+
+# case: (the stages of a version-1 line, the ``failed`` it loads with)
+_V1_FAILURES = {
+    "alignment_failed": (
+        [{"stage": "alignment", "status": "failed", "detail": _ALL_FAILED}], "alignment"
+    ),
+    "cot_failed": (
+        [_ALIGNED_OK, {"stage": "base_verdict", "status": "failed", "detail": _NO_REASONING}],
+        "base_verdict",
+    ),
+    "external_verdict_missing": (
+        [_ALIGNED_OK, {"stage": "base_verdict", "status": "failed", "detail": _NO_VERDICT}],
+        "base_verdict",
+    ),
+    "partial_alignment_failure": ([_V1_PARTIAL, _V1_BASE_OK], None),
+    "no_foundation_rows": ([], "base_verdict"),
+}
+
+
+@pytest.mark.parametrize("case", list(_V1_FAILURES))
+def test_version_1_line_gets_failed_from_its_stages(case):
+    stages, failed = _V1_FAILURES[case]
+    # version 1 left out null optional keys and had no ``failed``
+    line = {
+        "schema_version": 1,
+        "id": "t-1",
+        "aligned_evidence": _V1_ALIGNED,
+        "intent": None,
+        "causal_argument": None,
+        "che": [],
+        "base_verdict": {"label": "False", "justification": "j", "source": "CoT"},
+        "final_verdict": {"label": "False", "reassessed": False},
+        "stages": stages,
+    }
+    report = report_from_dict(line)
+    assert report.failed == failed
+    assert report_to_dict(report) == {
+        **line,
+        "schema_version": 2,
+        "aligned_evidence": [{**_V1_ALIGNED[0], "error": None}],
+        "final_verdict": {**line["final_verdict"], "raw_choice": None, "fallback_reason": None},
+        "failed": failed,
+        "stages": [{"detail": None, **row} for row in stages],
+    }
 
 
 _CF_MISS = (
@@ -1038,6 +1088,11 @@ def test_report_round_trip_with_minimal_fields():
 def test_report_rejects_unknown_schema_version():
     with pytest.raises(ParseError):
         report_from_dict({"schema_version": 99})
+    # a version that only compares equal to a known one is not it
+    line = report_to_dict(load_expected_report())
+    for version in (True, 2.0, "2", None):
+        with pytest.raises(ParseError):
+            report_from_dict({**line, "schema_version": version})
 
 
 def test_save_and_load_reports(tmp_path):
@@ -1046,6 +1101,51 @@ def test_save_and_load_reports(tmp_path):
     path = tmp_path / "reports.jsonl"
     save_reports(path, reports)
     assert load_reports(path) == reports
+
+
+def test_version_1_scenario_report_loads_equal_to_the_version_2_fixture():
+    v1 = Path(__file__).parent / "data" / "scenario_report_v1.jsonl"
+    assert json.loads(v1.read_text(encoding="utf-8"))["schema_version"] == 1
+    assert load_reports(v1) == [load_expected_report()]
+
+
+# every key the version-1 reader required, as a path into the scenario's line
+_REQUIRED_KEYS = [
+    ("schema_version",), ("id",), ("aligned_evidence",), ("intent",), ("causal_argument",),
+    ("che",), ("base_verdict",), ("final_verdict",), ("stages",),
+    *[("aligned_evidence", 0, key) for key in ("sentence", "label", "provenance")],
+    *[("intent", key) for key in ("text", "rationale", "source", "low_context")],
+    *[
+        ("intent", "quality", key)
+        for key in ("plausibility", "implicity", "sufficiency", "readability")
+    ],
+    *[("causal_argument", key) for key in ("intent", "claim", "assumptions")],
+    *[("causal_argument", "assumptions", 0, key) for key in ("text", "causal_effect", "flags")],
+    *[
+        ("che", 0, key)
+        for key in ("sentence", "assumption", "similarity", "nli", "selected",
+                    "linked_assumptions")
+    ],
+    *[("base_verdict", key) for key in ("label", "justification", "source")],
+    *[("final_verdict", key) for key in ("label", "reassessed")],
+    *[("stages", 0, key) for key in ("stage", "status")],
+]
+
+
+@pytest.mark.parametrize(
+    "path", _REQUIRED_KEYS, ids=[".".join(map(str, path)) for path in _REQUIRED_KEYS]
+)
+def test_load_reports_refuses_a_line_without_a_required_key(tmp_path, path):
+    line = json.loads(data_path(SCENARIO_EXPECTED).read_text(encoding="utf-8"))
+    block = line
+    for step in path[:-1]:
+        block = block[step]
+    del block[path[-1]]
+    reports = tmp_path / "reports.jsonl"
+    reports.write_text("\n" + json.dumps(line) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as excinfo:
+        load_reports(reports)
+    assert excinfo.value.line_number == 2
 
 
 def test_load_reports_names_bad_line(tmp_path):
