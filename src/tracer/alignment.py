@@ -12,8 +12,9 @@ claim and all the sentences to refine are then embedded in one request,
 so a claim pays one embedding round trip, not one per sentence.
 
 When a fine-tuned external classifier is available over HTTP it replaces
-the whole prompt pipeline; provenance records which path produced each
-label.
+the whole prompt pipeline: an ``ExternalClassifier`` asks it one question
+per sentence and ``_read_label`` reads the answer. Provenance records
+which path produced each label.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ from enum import Enum
 import numpy as np
 
 from .config import Thresholds
-from .errors import BackendError, DimensionMismatch, TracerError, ZeroVector
-from .gateway import Embedding, Gateway, parse_letter_choice, unwrap
-from .gateway.backends import CircuitBreaker, post_json
+from .errors import DimensionMismatch, TracerError, ZeroVector
+from .gateway import Embedding, ExternalClassifier, Gateway, parse_letter_choice, unwrap
 
 
 class AlignmentLabel(str, Enum):
@@ -108,43 +108,20 @@ def _refine(
     return AlignmentLabel.HIDDEN, similarity
 
 
-class ExternalAlignmentClassifier:
-    """HTTP stand-in for a fine-tuned alignment model.
+def _read_label(data) -> tuple[AlignmentLabel, float]:
+    """An alignment classifier's answer: ``{"label", "confidence"}``.
 
-    Request: POST {"claim": ..., "sentence": ...}
-    Response: {"label": "Presented" | "Hidden", "confidence": number}
-
-    ``confidence`` defaults to 1.0 and must be a finite number, not a
-    bool or a string.
-
-    Requests go through ``post_json`` (retried, no API key sent) behind a
-    ``CircuitBreaker``; any failure, including an answer of another shape,
-    is a ``BackendError``.
+    The label is Presented or Hidden. ``confidence`` defaults to 1.0
+    and must be a finite number, not a bool or a string.
     """
-
-    def __init__(self, endpoint: str, timeout: float = 30.0, post=None):
-        self.endpoint = endpoint
-        self.timeout = timeout
-        # injectable for tests; default goes over the network
-        self._post = CircuitBreaker(
-            post or (lambda url, payload: post_json(url, payload, timeout=self.timeout))
-        )
-
-    def classify(self, claim: str, sentence: str) -> tuple[AlignmentLabel, float]:
-        data = self._post(self.endpoint, {"claim": claim, "sentence": sentence})
-        try:
-            label = AlignmentLabel(data["label"])
-            confidence = data.get("confidence", 1.0)
-            # a NaN would reach the report as a bare token, which is not JSON
-            if isinstance(confidence, bool) or not math.isfinite(confidence):
-                raise ValueError("confidence is not a finite number")
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise BackendError(
-                f"{self.endpoint} returned a malformed answer: {data!r:.200}"
-            ) from exc
-        if label is AlignmentLabel.IRRELEVANT:
-            raise BackendError(f"{self.endpoint} answered Irrelevant, not Presented or Hidden")
-        return label, float(confidence)
+    label = AlignmentLabel(data["label"])
+    confidence = data.get("confidence", 1.0)
+    # a NaN would reach the report as a bare token, which is not JSON
+    if isinstance(confidence, bool) or not math.isfinite(confidence):
+        raise ValueError("confidence is not a finite number")
+    if label is AlignmentLabel.IRRELEVANT:
+        raise ValueError("the label is Irrelevant, not Presented or Hidden")
+    return label, float(confidence)
 
 
 def align_evidence(
@@ -153,7 +130,7 @@ def align_evidence(
     ruling: str,
     evidence: list[str],
     thresholds: Thresholds = Thresholds(),
-    classifier: ExternalAlignmentClassifier | None = None,
+    classifier: ExternalClassifier | None = None,
 ) -> list[AlignedEvidence]:
     """Label every evidence sentence Presented, Hidden, or Irrelevant.
 
@@ -204,11 +181,9 @@ def _ask(gateway: Gateway, template_id: str, **bindings) -> bool:
     return parse_letter_choice(gateway.complete(template_id, **bindings), {"A", "B"}) == "A"
 
 
-def _classify(
-    classifier: ExternalAlignmentClassifier, claim: str, sentence: str
-) -> AlignedEvidence:
+def _classify(classifier: ExternalClassifier, claim: str, sentence: str) -> AlignedEvidence:
     try:
-        label, confidence = classifier.classify(claim, sentence)
+        label, confidence = classifier.ask({"claim": claim, "sentence": sentence}, _read_label)
     except TracerError as exc:
         return _failed(sentence, Provenance.EXTERNAL_CLASSIFIER, exc)
     return AlignedEvidence(
@@ -239,7 +214,6 @@ def presented_pool(aligned: list[AlignedEvidence]) -> list[str]:
 __all__ = [
     "AlignedEvidence",
     "AlignmentLabel",
-    "ExternalAlignmentClassifier",
     "Provenance",
     "align_evidence",
     "cosine_similarities",

@@ -5,7 +5,9 @@ hidden-evidence pool for sentences that bear on them. Retrieval is a
 two-stage gate: embedding similarity ranks the pool and discards weak
 matches, then an entailment check keeps only sentences that genuinely
 support or contradict the assumption. Neutral sentences are rejected no
-matter how similar they look.
+matter how similar they look. An ``ExternalClassifier`` can stand in for
+the entailment prompt: it POSTs ``{"premise", "hypothesis"}`` and reads
+``{"verdict": "Entail" | "Contradict" | "Neutral"}``.
 """
 
 from __future__ import annotations
@@ -17,9 +19,7 @@ from enum import Enum
 from .alignment import cosine_similarities, cosine_similarity  # noqa: F401
 from .causality import Assumption
 from .config import Thresholds
-from .errors import BackendError
-from .gateway import Gateway, parse_letter_choice, unwrap
-from .gateway.backends import CircuitBreaker, post_json
+from .gateway import ExternalClassifier, Gateway, parse_letter_choice, unwrap
 
 
 class NliVerdict(str, Enum):
@@ -45,44 +45,16 @@ class CheCandidate:
     linked_assumptions: tuple[str, ...] = ()
 
 
-class ExternalNliClassifier:
-    """HTTP stand-in for a dedicated NLI model.
-
-    Request: POST {"premise": ..., "hypothesis": ...}
-    Response: {"verdict": "Entail" | "Contradict" | "Neutral"}
-
-    Requests go through ``post_json`` (retried, no API key sent) behind a
-    ``CircuitBreaker``; any failure, including an answer of another shape,
-    is a ``BackendError``.
-    """
-
-    def __init__(self, endpoint: str, timeout: float = 30.0, post=None):
-        self.endpoint = endpoint
-        self.timeout = timeout
-        # injectable for tests; default goes over the network
-        self._post = CircuitBreaker(
-            post or (lambda url, payload: post_json(url, payload, timeout=self.timeout))
-        )
-
-    def check(self, premise: str, hypothesis: str) -> NliVerdict:
-        data = self._post(self.endpoint, {"premise": premise, "hypothesis": hypothesis})
-        try:
-            return NliVerdict(data["verdict"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise BackendError(
-                f"{self.endpoint} returned a malformed answer: {data!r:.200}"
-            ) from exc
-
-
 def nli_check(
     gateway: Gateway,
     premise: str,
     hypothesis: str,
-    classifier: ExternalNliClassifier | None = None,
+    classifier: ExternalClassifier | None = None,
 ) -> NliVerdict:
     """Does the premise entail, contradict, or say nothing about the hypothesis?"""
     if classifier is not None:
-        return classifier.check(premise, hypothesis)
+        payload = {"premise": premise, "hypothesis": hypothesis}
+        return classifier.ask(payload, lambda data: NliVerdict(data["verdict"]))
     completion = gateway.complete("nli", premise=premise, hypothesis=hypothesis)
     return LETTER_TO_NLI[parse_letter_choice(completion, set(LETTER_TO_NLI))]
 
@@ -92,7 +64,7 @@ def collect_che(
     critical_assumptions: list[Assumption],
     hidden_pool: list[str],
     thresholds: Thresholds = Thresholds(),
-    classifier: ExternalNliClassifier | None = None,
+    classifier: ExternalClassifier | None = None,
 ) -> list[CheCandidate]:
     """Hidden sentences that support or contradict the critical assumptions.
 
@@ -141,7 +113,6 @@ def collect_che(
 
 __all__ = [
     "CheCandidate",
-    "ExternalNliClassifier",
     "LETTER_TO_NLI",
     "NliVerdict",
     "collect_che",

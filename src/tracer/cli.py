@@ -23,12 +23,11 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .alignment import ExternalAlignmentClassifier
-from .che import ExternalNliClassifier
 from .config import ABLATION_CONFIGS, AblationConfig, BackendSettings, RunConfig, load_config
 from .corpus import ClaimRecord, Label, load_corpus, save_corpus
 from .errors import ConfigError, EmptyInput, ParseError, TracerError
 from .gateway import Gateway, LiveBackend, MockScript, ResponseCache, api_key_from_env
+from .gateway.backends import ExternalClassifier
 from .gateway.cache import remove_cache_files
 from .metrics import MetricsReport, format_table, score_reports
 from .verdict import VerdictReport, load_base_verdicts, load_reports, run_pipeline, save_reports
@@ -50,7 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
     ingest = sub.add_parser("ingest", help="validate and re-emit a corpus")
     ingest.add_argument("--input", required=True, help="corpus file, one JSON record per line")
     ingest.add_argument("--output", help="write the validated corpus here")
-    ingest.add_argument("--split", default="test", choices=["train", "dev", "test"])
 
     run = sub.add_parser("run", help="run the pipeline over a corpus")
     run.add_argument("--config", help="YAML run configuration file")
@@ -227,7 +225,7 @@ def run_ablation(
 
 
 def cmd_ingest(args) -> int:
-    corpus = load_corpus(args.input, split=args.split)
+    corpus = load_corpus(args.input)
     counts = corpus.label_counts()
     print(
         f"True={counts[Label.TRUE]} "
@@ -254,11 +252,9 @@ def cmd_run(args) -> int:
         corpus = load_corpus(config.corpus_path)
         base_verdicts = load_base_verdicts(args.base_verdicts) if args.base_verdicts else None
         alignment_classifier = (
-            ExternalAlignmentClassifier(args.alignment_endpoint)
-            if args.alignment_endpoint
-            else None
+            ExternalClassifier(args.alignment_endpoint) if args.alignment_endpoint else None
         )
-        nli_classifier = ExternalNliClassifier(args.nli_endpoint) if args.nli_endpoint else None
+        nli_classifier = ExternalClassifier(args.nli_endpoint) if args.nli_endpoint else None
 
         reports = []
         for report in run_corpus(

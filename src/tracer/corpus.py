@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import EmptyTestDates, ParseError, UnknownRating, ValidationError
 
@@ -264,14 +264,27 @@ def _validate_record(record: ClaimRecord) -> None:
             )
 
 
-def _check_unicode(line: str, payload, line_number: int) -> None:
-    """ParseError if a \\u escape in the decoded line gave a lone surrogate,
-    which no UTF-8 file, cache key or report can hold."""
-    if "\\u" in line:
-        try:
-            json.dumps(payload, ensure_ascii=False).encode("utf-8")
-        except UnicodeEncodeError:
-            raise ParseError(line_number, "text is not valid Unicode") from None
+def read_json_lines(path: str | Path) -> Iterator[tuple[int, object]]:
+    """``(line number, decoded value)`` for each non-blank line of a JSON-lines file.
+
+    A line that is not JSON, or whose ``\\u`` escapes give a lone
+    surrogate (which no UTF-8 file, cache key or report can hold), is a
+    ParseError naming the line.
+    """
+    with Path(path).open("r", encoding="utf-8") as handle:
+        for line_number, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                payload = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(line_number, f"bad JSON: {exc.msg}") from None
+            if "\\u" in line:
+                try:
+                    json.dumps(payload, ensure_ascii=False).encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ParseError(line_number, "text is not valid Unicode") from None
+            yield line_number, payload
 
 
 def load_corpus(path: str | Path, split: Split | str = Split.TEST) -> Corpus:
@@ -283,24 +296,15 @@ def load_corpus(path: str | Path, split: Split | str = Split.TEST) -> Corpus:
     counts land in corpus.diagnostics.
     """
     split = Split(split)
-    path = Path(path)
     records: list[ClaimRecord] = []
     seen_ids: set[str] = set()
-    with path.open("r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(line_number, f"bad JSON: {exc.msg}") from None
-            _check_unicode(line, payload, line_number)
-            record = _record_from_dict(payload, line_number)
-            if record.id in seen_ids:
-                raise ValidationError(record.id, "duplicate record id")
-            seen_ids.add(record.id)
-            _validate_record(record)
-            records.append(record)
+    for line_number, payload in read_json_lines(path):
+        record = _record_from_dict(payload, line_number)
+        if record.id in seen_ids:
+            raise ValidationError(record.id, "duplicate record id")
+        seen_ids.add(record.id)
+        _validate_record(record)
+        records.append(record)
     corpus = Corpus(split=split, records=records)
     corpus.diagnostics["label_counts"] = {
         label.value: n for label, n in corpus.label_counts().items()

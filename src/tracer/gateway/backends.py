@@ -1,10 +1,11 @@
 """HTTP transport and the live model backend.
 
 ``post_json`` is the one HTTP POST of the package: the live backend and
-the external classifiers all send their requests through it. Transport
-failures and 5xx/429 statuses are retried with exponential backoff; any
-other non-2xx status fails immediately, since repeating a rejected
-request cannot change the outcome. Every failure is a ``BackendError``.
+the external classifier send their requests through it, each on its own
+kept-alive ``requests.Session``. Transport failures and 5xx/429 statuses
+are retried with exponential backoff; any other non-2xx status fails
+immediately, since repeating a rejected request cannot change the
+outcome. Every failure is a ``BackendError``.
 Parse failures downstream are never retried here.
 
 ``LiveBackend`` speaks the OpenAI-compatible wire format for the two
@@ -13,8 +14,9 @@ the mock, it answers lists: ``complete`` sends one request per prompt,
 in order, and ``embed`` one request for all the texts. After a request
 that failed every retry, the rest of a list get its error unsent.
 
-``CircuitBreaker`` stops the external classifiers from POSTing to an
-endpoint that keeps failing.
+``ExternalClassifier`` is the client of one external classifier
+endpoint (alignment or NLI). It POSTs one JSON object per question and
+stops POSTing to an endpoint that keeps failing.
 
 ``requests`` is imported only when a session is made or a request is
 sent, so offline runs never pay for importing it.
@@ -35,8 +37,10 @@ API_KEY_ENV = "TRACER_API_KEY"
 DEFAULT_BASE_URL = "https://api.openai.com/v1"
 RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
 DEFAULT_MAX_TOKENS = 1024
-# consecutive failed POSTs after which a circuit breaker stops sending
+# consecutive failed POSTs after which an external classifier stops sending
 CIRCUIT_BREAKER_FAILURES = 3
+# seconds an external classifier's POST may take
+CLASSIFIER_TIMEOUT_S = 30.0
 
 
 @dataclass(frozen=True)
@@ -56,8 +60,8 @@ def post_json(
     url: str,
     payload: dict,
     *,
+    session,
     headers: dict | None = None,
-    session=None,
     timeout: float = 60.0,
     max_retries: int = 3,
     backoff_base: float = 1.0,
@@ -65,17 +69,15 @@ def post_json(
 ):
     """POST ``payload`` as JSON to ``url`` and return the decoded JSON body.
 
-    ``session`` is anything with a ``requests.Session``-style ``post``;
-    without one each request goes through ``requests.post``.
+    ``session`` is anything with a ``requests.Session``-style ``post``.
     """
     import requests
 
-    send = session.post if session is not None else requests.post
     attempts = 0
     while True:
         attempts += 1
         try:
-            response = send(url, json=payload, headers=headers, timeout=timeout)
+            response = session.post(url, json=payload, headers=headers, timeout=timeout)
         except requests.RequestException as exc:
             if attempts > max_retries:
                 raise BackendError(f"POST {url} failed: {exc}", retries=attempts - 1) from exc
@@ -101,37 +103,59 @@ def post_json(
             ) from exc
 
 
-class CircuitBreaker:
-    """A ``post(url, payload)`` that gives up on an endpoint that keeps failing.
+class ExternalClassifier:
+    """The client of one external classifier endpoint.
 
-    Every ``BackendError`` from the wrapped post (raised only after
-    ``post_json``'s own retries) counts as one failed POST, and a success
-    resets the count. After ``CIRCUIT_BREAKER_FAILURES`` failures in a
-    row the circuit stays open: every later call raises ``BackendError``
-    at once, naming the open circuit and the last error, and sends
-    nothing. A dead endpoint then costs a run that many failed POSTs,
-    not a full backoff for every request.
+    ``ask(payload, read)`` POSTs one JSON object through ``post_json``
+    (retried, no API key sent, ``CLASSIFIER_TIMEOUT_S``) on the
+    classifier's own kept-alive session, and returns ``read(answer)``.
+    An answer ``read`` rejects with a ``KeyError``, ``TypeError``,
+    ``ValueError`` or ``OverflowError`` is a ``BackendError`` naming the
+    endpoint. ``post(url, payload)`` replaces the transport in tests.
+
+    The circuit breaker: every ``BackendError`` from the POST (raised only
+    after ``post_json``'s own retries) counts as one failed POST, and a
+    POST that answers resets the count, whatever ``read`` makes of the
+    answer. After ``CIRCUIT_BREAKER_FAILURES`` failures in a row the
+    circuit stays open: every later ``ask`` raises ``BackendError`` at
+    once, naming the open circuit and the last error, and sends nothing.
+    A dead endpoint then costs a run that many failed POSTs, not a full
+    backoff for every request.
     """
 
-    def __init__(self, post):
+    def __init__(self, endpoint: str, post=None):
+        self.endpoint = endpoint
+        if post is None:
+            import requests
+
+            session = requests.Session()
+
+            def post(url: str, payload: dict):
+                return post_json(url, payload, session=session, timeout=CLASSIFIER_TIMEOUT_S)
+
         self._post = post
         self._failures = 0
         self._last_error: BackendError | None = None
 
-    def __call__(self, url: str, payload: dict):
+    def ask(self, payload: dict, read):
         if self._failures >= CIRCUIT_BREAKER_FAILURES:
             raise BackendError(
-                f"circuit open for {url} after {self._failures} consecutive failed POSTs; "
-                f"last error: {self._last_error}"
+                f"circuit open for {self.endpoint} after {self._failures} consecutive "
+                f"failed POSTs; last error: {self._last_error}"
             )
         try:
-            data = self._post(url, payload)
+            data = self._post(self.endpoint, payload)
         except BackendError as exc:
             self._failures += 1
             self._last_error = exc
             raise
         self._failures = 0
-        return data
+        try:
+            return read(data)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise BackendError(
+                f"{self.endpoint} returned a malformed answer: {data!r:.200}"
+            ) from exc
 
 
 class LiveBackend:

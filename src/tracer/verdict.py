@@ -25,7 +25,6 @@ from pathlib import Path
 from .alignment import (
     AlignedEvidence,
     AlignmentLabel,
-    ExternalAlignmentClassifier,
     align_evidence,
     hidden_pool,
 )
@@ -40,16 +39,16 @@ from .causality import (
     select_critical_assumptions,
     serialize_argument,
 )
-from .che import CheCandidate, ExternalNliClassifier, collect_che
+from .che import CheCandidate, collect_che
 from .config import FULL_PIPELINE, AblationConfig, Thresholds
-from .corpus import ClaimRecord, Label, _check_unicode
+from .corpus import ClaimRecord, Label, read_json_lines
 from .errors import (
     EmptyJustification,
     ParseError,
     TracerError,
     UnparseableChoice,
 )
-from .gateway import Gateway, parse_letter_choice
+from .gateway import ExternalClassifier, Gateway, parse_letter_choice
 from .intent import IntentRecord, generate_intent, score_quality
 
 REPORT_SCHEMA_VERSION = 2
@@ -146,25 +145,20 @@ def cot_verify(gateway: Gateway, claim: str, evidence: list[str]) -> BaseVerdict
 def load_base_verdicts(path: str | Path) -> dict[str, BaseVerdict]:
     """External verdicts, one JSON record per line; a bad or repeated one is a ``ParseError``."""
     verdicts: dict[str, BaseVerdict] = {}
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                _check_unicode(line, row, line_number)
-                record_id = row["id"]
-                if not isinstance(record_id, str) or not record_id:
-                    raise ValueError("id must be a non-empty string")
-                if record_id in verdicts:
-                    raise ValueError(f"duplicate id {record_id!r}")
-                verdicts[record_id] = BaseVerdict(
-                    label=Label(row["label"]),
-                    justification=row["justification"],
-                    source=VerdictSource.EXTERNAL,
-                )
-            except (AttributeError, KeyError, TypeError, ValueError, EmptyJustification) as exc:
-                raise ParseError(line_number, f"bad external verdict record: {exc}") from exc
+    for line_number, row in read_json_lines(path):
+        try:
+            record_id = row["id"]
+            if not isinstance(record_id, str) or not record_id:
+                raise ValueError("id must be a non-empty string")
+            if record_id in verdicts:
+                raise ValueError(f"duplicate id {record_id!r}")
+            verdicts[record_id] = BaseVerdict(
+                label=Label(row["label"]),
+                justification=row["justification"],
+                source=VerdictSource.EXTERNAL,
+            )
+        except (AttributeError, KeyError, TypeError, ValueError, EmptyJustification) as exc:
+            raise ParseError(line_number, f"bad external verdict record: {exc}") from exc
     return verdicts
 
 
@@ -225,8 +219,8 @@ class _ClaimRun:
     ablation: AblationConfig
     reassess_true_only: bool
     base_verdicts: dict[str, BaseVerdict] | None
-    alignment_classifier: ExternalAlignmentClassifier | None
-    nli_classifier: ExternalNliClassifier | None
+    alignment_classifier: ExternalClassifier | None
+    nli_classifier: ExternalClassifier | None
     report: VerdictReport
     # The alignment stage sets both pools.
     relevant: list[str] = field(default_factory=list)
@@ -384,8 +378,8 @@ def run_pipeline(
     ablation: AblationConfig = FULL_PIPELINE,
     reassess_true_only: bool = False,
     base_verdicts: dict[str, BaseVerdict] | None = None,
-    alignment_classifier: ExternalAlignmentClassifier | None = None,
-    nli_classifier: ExternalNliClassifier | None = None,
+    alignment_classifier: ExternalClassifier | None = None,
+    nli_classifier: ExternalClassifier | None = None,
 ) -> VerdictReport:
     """Run one claim end to end under an ablation configuration.
 
@@ -498,7 +492,10 @@ def _build(hint, value):
         })
     if issubclass(hint, Enum):
         return hint(value)
-    if not isinstance(value, (int, float) if hint is float else hint):
+    # a bool is an int to isinstance, but never a number here
+    if not isinstance(value, (int, float) if hint is float else hint) or (
+        isinstance(value, bool) and hint is not bool
+    ):
         raise TypeError(f"expected {hint.__name__}, got {value!r}")
     return value
 
@@ -537,19 +534,16 @@ def save_reports(path: str | Path, reports: list[VerdictReport]) -> None:
 def load_reports(path: str | Path) -> list[VerdictReport]:
     """Reports, one JSON line each; a bad line or a repeated id is a ``ParseError``."""
     reports: dict[str, VerdictReport] = {}
-    with Path(path).open("r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                report = report_from_dict(json.loads(line))
-            except ParseError as exc:
-                raise ParseError(line_number, exc.reason) from exc
-            except (AttributeError, KeyError, TypeError, ValueError, EmptyJustification) as exc:
-                raise ParseError(line_number, f"bad report record: {exc}") from exc
-            if report.id in reports:
-                raise ParseError(line_number, f"duplicate report id {report.id!r}")
-            reports[report.id] = report
+    for line_number, line in read_json_lines(path):
+        try:
+            report = report_from_dict(line)
+        except ParseError as exc:
+            raise ParseError(line_number, exc.reason) from exc
+        except (AttributeError, KeyError, TypeError, ValueError, EmptyJustification) as exc:
+            raise ParseError(line_number, f"bad report record: {exc}") from exc
+        if report.id in reports:
+            raise ParseError(line_number, f"duplicate report id {report.id!r}")
+        reports[report.id] = report
     return list(reports.values())
 
 

@@ -4,11 +4,10 @@ import math
 
 import pytest
 
-from tracer.alignment import ExternalAlignmentClassifier, align_evidence, hidden_pool
+from tracer.alignment import align_evidence, hidden_pool
 from tracer.causality import Assumption, CausalEffect
 from tracer.che import (
     LETTER_TO_NLI,
-    ExternalNliClassifier,
     NliVerdict,
     collect_che,
     nli_check,
@@ -16,7 +15,7 @@ from tracer.che import (
 from tracer.config import Thresholds
 from tracer.errors import BackendError
 from tracer.fixtures import make_retrieval_fixture
-from tracer.gateway import Gateway, ResponseCache
+from tracer.gateway import ExternalClassifier, Gateway, ResponseCache
 
 from conftest import make_gateway
 
@@ -51,7 +50,7 @@ def test_nli_check_external_classifier_bypasses_gateway():
         posts.append(payload)
         return {"verdict": "Contradict"}
 
-    classifier = ExternalNliClassifier("http://host/nli", post=fake_post)
+    classifier = ExternalClassifier("http://host/nli", post=fake_post)
     gateway, script = make_gateway()
     verdict = nli_check(gateway, "p", "h", classifier)
     assert verdict is NliVerdict.CONTRADICT
@@ -69,11 +68,11 @@ def test_external_nli_classifier_circuit_resets_on_success_and_opens_after_three
             raise BackendError(f"POST {url} returned 503", retries=3)
         return {"verdict": "Neutral"}
 
-    classifier = ExternalNliClassifier("http://host/nli", post=flaky_post)
+    classifier = ExternalClassifier("http://host/nli", post=flaky_post)
     outcomes = []
     for _ in range(11):
         try:
-            outcomes.append(classifier.check("p", "h"))
+            outcomes.append(nli_check(None, "p", "h", classifier))
         except BackendError as exc:
             outcomes.append(str(exc))
     assert len(posts) == 9  # the last two calls send nothing
@@ -83,6 +82,20 @@ def test_external_nli_classifier_circuit_resets_on_success_and_opens_after_three
         "circuit open for http://host/nli after 3 consecutive failed POSTs; "
         "last error: POST http://host/nli returned 503 (after 3 retries)"
     ] * 2
+
+
+def test_external_classifier_malformed_answers_do_not_open_the_circuit():
+    posts = []
+
+    def answering_post(url, payload):
+        posts.append(payload)
+        return {"verdict": "maybe"}
+
+    classifier = ExternalClassifier("http://host/nli", post=answering_post)
+    for _ in range(4):
+        with pytest.raises(BackendError, match="http://host/nli returned a malformed answer"):
+            nli_check(None, "p", "h", classifier)
+    assert len(posts) == 4  # each POST answered, so the count never rose
 
 
 # -- single-assumption retrieval -------------------------------------------
@@ -181,7 +194,7 @@ def test_retrieve_entail_and_contradict_both_admit():
 
 
 def test_retrieve_with_external_classifier_skips_nli_template():
-    classifier = ExternalNliClassifier(
+    classifier = ExternalClassifier(
         "http://host/nli", post=lambda url, payload: {"verdict": "Entail"}
     )
     gateway, script, pool = _retrieval_gateway([0.9])
@@ -279,7 +292,7 @@ def test_collect_embeds_every_assumption_in_one_backend_call():
 
 def test_collect_over_a_pool_alignment_never_embedded_makes_one_embedding_call():
     # an external classifier labels the evidence, so alignment embeds nothing
-    classifier = ExternalAlignmentClassifier(
+    classifier = ExternalClassifier(
         "http://host/align", post=lambda url, payload: {"label": "Hidden"}
     )
     gateway, script = make_gateway(rules=[{"template": "nli", "response": "B"}], default_dim=4)

@@ -3,10 +3,12 @@
 import dataclasses
 import gc
 import hashlib
+import http.server
 import json
 import shutil
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -115,6 +117,15 @@ def test_ingest_duplicate_id_exits_two(capsys, tmp_path):
     code, _, err = run_cli(capsys, "ingest", "--input", str(path))
     assert code == 2
     assert "duplicate" in err
+
+
+def test_ingest_has_no_split_flag(capsys, tmp_path):
+    # a corpus file carries no split, and ingest wrote the same bytes for every one
+    corpus_path = tmp_path / "corpus.jsonl"
+    save_corpus(generate_synthetic_corpus(seed=3, n=2), corpus_path)
+    code, _, err = run_cli(capsys, "ingest", "--input", str(corpus_path), "--split", "train")
+    assert code == 1
+    assert "unrecognized arguments: --split train" in err
 
 
 # -- run --------------------------------------------------------------------
@@ -763,6 +774,81 @@ def test_run_and_eval_count_a_failed_claim_instead_of_scoring_it(
     assert (written["n"], written["n_failed"], written["accuracy"]) == (0, 1, None)
 
 
+class _ClassifierHandler(http.server.BaseHTTPRequestHandler):
+    """Both external classifiers: the first scenario sentence is Presented,
+    every other one Hidden, and every NLI pair a contradiction."""
+
+    protocol_version = "HTTP/1.1"  # keep-alive, so a reused connection shows as one port
+
+    def do_POST(self):
+        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.server.posts.append((self.path, self.client_address[1], payload))
+        if self.path == "/align":
+            presented = payload["sentence"] == self.server.evidence[0]
+            answer = {"label": "Presented" if presented else "Hidden", "confidence": 0.9}
+        else:
+            answer = {"verdict": "Contradict"}
+        body = json.dumps(answer).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *args):
+        pass
+
+
+def test_run_with_both_classifiers_over_loopback_keeps_one_connection_each(capsys, tmp_path):
+    record = json.loads(Path(SCENARIO_CORPUS).read_text(encoding="utf-8"))
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _ClassifierHandler)
+    server.posts, server.evidence = [], record["evidence"]
+    serving = threading.Thread(target=server.serve_forever)
+    serving.start()
+    try:
+        base = f"http://127.0.0.1:{server.server_address[1]}"
+        endpoints = ["--alignment-endpoint", f"{base}/align", "--nli-endpoint", f"{base}/nli"]
+        code, out, err, out_path = _run_scenario(capsys, tmp_path, *endpoints)
+    finally:
+        server.shutdown()
+        server.server_close()
+        serving.join()
+    assert code == 0, err
+    report = json.loads(out_path.read_text(encoding="utf-8"))
+    align = [(port, payload) for path, port, payload in server.posts if path == "/align"]
+    nli = [(port, payload) for path, port, payload in server.posts if path == "/nli"]
+    assert len(align) + len(nli) == len(server.posts)
+    assert [payload for _, payload in align] == [
+        {"claim": record["claim"], "sentence": sentence} for sentence in record["evidence"]
+    ]
+    assert [a["provenance"] for a in report["aligned_evidence"]] == ["ExternalClassifier"] * 4
+    assumptions = {a["text"] for a in report["causal_argument"]["assumptions"]}
+    assert nli and all(
+        payload["premise"] in record["evidence"][1:] and payload["hypothesis"] in assumptions
+        for _, payload in nli
+    )
+    assert {c["nli"] for c in report["che"]} == {"Contradict"}
+    # one kept-alive connection per classifier
+    align_ports, nli_ports = {port for port, _ in align}, {port for port, _ in nli}
+    assert len(align_ports) == len(nli_ports) == 1 and align_ports != nli_ports
+
+
+def test_offline_run_does_not_import_requests(tmp_path):
+    out_path = tmp_path / "reports.jsonl"
+    argv = ["run", "--corpus", SCENARIO_CORPUS, "--mock", SCENARIO_SCRIPT]
+    argv += ["--output", str(out_path)]
+    code = (
+        "import sys; from tracer.cli import main; "
+        f"code = main({argv!r}); print(code, 'requests' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "0 False"
+    assert out_path.exists()
+
+
 # -- eval ---------------------------------------------------------------------
 
 
@@ -833,6 +919,22 @@ def test_eval_bad_report_record_exits_one_naming_the_line(capsys, tmp_path, corr
     assert code == 1
     assert "error: line 1: bad report record" in err
 
+
+
+def test_eval_report_with_a_lone_surrogate_exits_one_naming_the_line(capsys, tmp_path):
+    # such a report could be scored, but saving it again would fail
+    code, _, _, report_path = _run_scenario(capsys, tmp_path)
+    assert code == 0
+    record = json.loads(report_path.read_text(encoding="utf-8"))
+    record["base_verdict"]["justification"] = "JUSTIFICATION"
+    line = json.dumps(record).replace("JUSTIFICATION", "ok \\ud800 reasons")
+    report_path.write_text("\n" + line + "\n", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "eval", "--report", str(report_path), "--gold", SCENARIO_CORPUS
+    )
+    assert code == 1
+    assert "error: line 2: text is not valid Unicode" in err
+    assert out == ""
 
 
 def test_eval_unsupported_schema_version_names_the_line(capsys, tmp_path):

@@ -7,9 +7,9 @@ from pathlib import Path
 import pytest
 import requests
 
-from tracer.alignment import AlignmentLabel, ExternalAlignmentClassifier, Provenance
+from tracer.alignment import AlignmentLabel, Provenance
 from tracer.causality import Assumption, CausalEffect
-from tracer.che import CheCandidate, ExternalNliClassifier, NliVerdict
+from tracer.che import CheCandidate, NliVerdict
 from tracer.config import ABLATION_CONFIGS, Thresholds
 from tracer.corpus import ClaimRecord, Label
 from tracer.errors import (
@@ -30,7 +30,7 @@ from tracer.fixtures import (
     make_scenario_gateway,
 )
 from tracer.gateway import Gateway, MockScript, ResponseCache
-from tracer.gateway.backends import post_json
+from tracer.gateway.backends import ExternalClassifier, post_json
 from tracer.verdict import (
     BaseVerdict,
     FinalVerdict,
@@ -399,7 +399,7 @@ _CLASSIFIER_FAILURES = {
 
 @pytest.mark.parametrize("failure", sorted(_CLASSIFIER_FAILURES))
 def test_pipeline_records_alignment_classifier_failures(failure):
-    classifier = ExternalAlignmentClassifier(
+    classifier = ExternalClassifier(
         "http://host/align", post=_CLASSIFIER_FAILURES[failure]
     )
     gateway, script = _pipeline_gateway()
@@ -423,7 +423,7 @@ def test_pipeline_goes_on_when_only_some_sentences_fail_alignment():
             raise BackendError(f"POST {url} failed: connection refused")
         return {"label": "Presented"}
 
-    classifier = ExternalAlignmentClassifier("http://host/align", post=post)
+    classifier = ExternalClassifier("http://host/align", post=post)
     gateway, script = _pipeline_gateway()
     report = run_pipeline(gateway, _record(), alignment_classifier=classifier)
     assert report.stages[0] == StageTrace(
@@ -445,7 +445,7 @@ def test_pipeline_claim_without_evidence_is_still_verified():
 
 @pytest.mark.parametrize("failure", sorted(_CLASSIFIER_FAILURES))
 def test_pipeline_records_nli_classifier_failures(failure):
-    classifier = ExternalNliClassifier("http://host/nli", post=_CLASSIFIER_FAILURES[failure])
+    classifier = ExternalClassifier("http://host/nli", post=_CLASSIFIER_FAILURES[failure])
     gateway, _ = _pipeline_gateway()
     report = run_pipeline(gateway, _record(), nli_classifier=classifier)
     che = next(row for row in report.stages if row.stage == "che")
@@ -1146,6 +1146,36 @@ def test_load_reports_refuses_a_line_without_a_required_key(tmp_path, path):
     with pytest.raises(ParseError) as excinfo:
         load_reports(reports)
     assert excinfo.value.line_number == 2
+
+
+@pytest.mark.parametrize(
+    "path",
+    [("intent", "quality", "plausibility"), ("aligned_evidence", 0, "similarity")],
+    ids=["int", "float"],
+)
+def test_load_reports_refuses_a_bool_for_a_number(tmp_path, path):
+    line = json.loads(data_path(SCENARIO_EXPECTED).read_text(encoding="utf-8"))
+    block = line
+    for step in path[:-1]:
+        block = block[step]
+    block[path[-1]] = True
+    reports = tmp_path / "reports.jsonl"
+    reports.write_text("\n" + json.dumps(line) + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as excinfo:
+        load_reports(reports)
+    assert excinfo.value.line_number == 2
+    assert excinfo.value.reason.endswith("got True")
+
+
+def test_load_reports_refuses_a_lone_surrogate(tmp_path):
+    line = json.loads(data_path(SCENARIO_EXPECTED).read_text(encoding="utf-8"))
+    line["base_verdict"]["justification"] = "JUSTIFICATION"
+    reports = tmp_path / "reports.jsonl"
+    text = json.dumps(line).replace("JUSTIFICATION", "ok \\ud800 reasons")
+    reports.write_text("\n" + text + "\n", encoding="utf-8")
+    with pytest.raises(ParseError) as excinfo:
+        load_reports(reports)
+    assert (excinfo.value.line_number, excinfo.value.reason) == (2, "text is not valid Unicode")
 
 
 def test_load_reports_names_bad_line(tmp_path):
