@@ -82,7 +82,8 @@ class MockScriptMiss(BackendError):
 
 class CacheCorruption(TracerError):
     """A cache line this version does not read, a record past the end of the
-    vector file, or a cache hit of the wrong kind."""
+    vector file, a cached vector the vector file was cut short before, or a
+    cache hit of the wrong kind."""
 
 
 # ---------------------------------------------------------------------------

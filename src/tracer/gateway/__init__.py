@@ -44,10 +44,11 @@ class Embedding:
     """An embedding vector and the model that produced it.
 
     ``vector`` is a read-only float64 array; a list or tuple given to the
-    constructor is converted. Arrays from the Gateway are shared with its
-    cache, so they are never copied and never written to. ``norm`` is the
-    vector's Euclidean length, summed strictly left to right, computed on
-    first use and kept.
+    constructor is converted. An array from the Gateway is the cache's
+    own while its record is unwritten, shared with every caller, and a
+    fresh read of the vector file after; it is never written to. ``norm``
+    is the vector's Euclidean length, summed strictly left to right,
+    computed on first use and kept.
     """
 
     vector: np.ndarray
@@ -89,9 +90,10 @@ class Gateway:
     items of a list that the cache lacks reach it in one call. Model ids
     come from the backend (``"mock"`` when it names none). A completion
     that is not valid Unicode (a lone surrogate), a vector with a NaN or
-    infinite value and a cache hit of the wrong kind are failures, and no
-    failure is cached. ``counters`` counts requests, cache hits, backend
-    calls (one per list) and, per template, the prompts answered. At most
+    infinite value, a cache hit of the wrong kind and a cached vector its
+    vector file lost are failures, and no failure is cached. ``counters``
+    counts requests, cache hits, backend calls (one per list) and, per
+    template, the prompts answered. At most
     ``max_in_flight`` (at least 1) backend calls run at once when callers
     fan out across threads: each takes a token from a queue first.
     """
@@ -118,15 +120,20 @@ class Gateway:
     def _fetch(self, keys: list, items: list, held: type, send, accept) -> tuple[dict, int]:
         """Key -> its cached value or ``TracerError``, and how many of ``keys`` were hits.
 
-        A hit is a key the cache holds (as a ``held``, else it is corrupt) or the list
-        asked for earlier. The misses go to ``send`` in one call; ``accept(item, answer)``
-        returns the value to cache or raises the item's failure, which is not cached.
+        A hit is a key the cache holds (as a ``held``, else it is corrupt, as is a key
+        ``cache.get`` raises ``CacheCorruption`` for) or the list asked for earlier.
+        The misses go to ``send`` in one call; ``accept(item, answer)`` returns the
+        value to cache or raises the item's failure, which is not cached.
         """
         found, missed = {}, {}  # key -> outcome, key -> item
         for key, item in zip(keys, items):
             if key in found or key in missed:
                 continue
-            cached = self.cache.get(key)
+            try:
+                cached = self.cache.get(key)
+            except CacheCorruption as exc:  # a vector its vector file lost
+                found[key] = exc
+                continue
             if cached is None:
                 missed[key] = item
             elif isinstance(cached, held):

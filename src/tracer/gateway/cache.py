@@ -20,13 +20,11 @@ appends too.
 
 Read order: the whole cache file is read once at open, one line at a
 time, each line decoded by the C JSON scanner (a line it cannot settle
-goes through ``json.loads``). Then the vector file is mapped read-only,
-not copied, and every vector is a read-only view into that one mapping.
-The mapping stays valid on POSIX because the vector file is only ever
-appended to or unlinked (``clear()``, ``tracer cache-clear``), never
-truncated. An index record is written after its bytes, so every record
-read has its bytes on disk; one that points past the end of the vector
-file is ``CacheCorruption``. Later records win on duplicate keys, so an
+goes through ``json.loads``). Then the vector file is opened for reading
+and each index record is checked against its size: an index record is
+written after its bytes, so every record read has its bytes on disk,
+and one that points past the end of the vector file is
+``CacheCorruption``. Later records win on duplicate keys, so an
 interrupted run can simply be re-run.
 
 A line is exactly one of the two records above, with a string key and a
@@ -52,9 +50,17 @@ raw UTF-8, written as 43 unpadded base64url characters; see
 ``completion_key``. Reads are lock-free; writes are serialized through
 one append handle per file, flushed after every batch.
 
-Embedding vectors are held in memory as read-only float64 arrays (see
-``frozen_vector``). Every caller that gets a vector shares the one
-cached array, which is why it cannot be written to.
+Vectors on disk are not held in memory: the cache keeps where each
+one lies, and ``get`` reads its bytes with one positioned read into a
+new read-only float64 array (see ``frozen_vector``), so a process's
+memory does not grow with the vectors it reads or writes. A vector put
+inside an open ``batched()`` block is held as its array until the block
+writes it, and a cache without a file holds every array. The cache
+keeps one read descriptor per vector file it has loaded or written, so
+a vector reads the bytes of its own file even after ``tracer
+cache-clear`` has unlinked it and another writer has started a new one
+at the same path. ``get`` of a vector the vector file lost, cut short
+since, raises ``CacheCorruption``.
 """
 
 from __future__ import annotations
@@ -64,6 +70,7 @@ import hashlib
 import json
 import os
 import threading
+import weakref
 from contextlib import contextmanager
 from json.encoder import encode_basestring
 from json.scanner import make_scanner
@@ -110,7 +117,8 @@ def frozen_vector(values) -> np.ndarray:
 
     A read-only float64 array is returned as is; anything else (a list,
     a tuple, a writable array) is copied, so freezing never changes an
-    array the caller still holds.
+    array the caller still holds. Read-only, because the cache serves the
+    array of a vector it has not yet written to every caller that asks.
     """
     if isinstance(values, np.ndarray) and values.dtype == np.float64 and not values.flags.writeable:
         return values
@@ -133,10 +141,15 @@ def remove_cache_files(path: str | Path) -> None:
 
 
 class _VectorRef(NamedTuple):
-    """Where an index record says a vector lies in the vector file."""
+    """Where a vector lies: ``dim`` float64 values from byte ``at`` of a vector file.
+
+    ``fd`` is the cache's read descriptor of that file, None in an index
+    record just decoded (and for an empty vector of a missing file).
+    """
 
     at: int
     dim: int
+    fd: int | None = None
 
 
 # The scanner json.loads runs, without the Python around it: encoding
@@ -171,8 +184,8 @@ def _decode(line: bytes):
     """(key, value) of one cache line.
 
     Raises ValueError, TypeError or KeyError on a line that is not a
-    valid record. The value of an index record is a ``_VectorRef``,
-    resolved once the vector file is mapped.
+    valid record. The value of an index record is a ``_VectorRef``
+    without a descriptor, given one once the vector file is opened.
     """
     record = _parse(line)
     key = record["key"]
@@ -191,26 +204,6 @@ def _decode(line: bytes):
     return key, value
 
 
-def _map_read_only(path: Path) -> np.ndarray:
-    """The file's bytes as a read-only uint8 array over a read-only mapping.
-
-    An empty or missing file has no mapping (``mmap`` refuses length 0)
-    and gives an empty array. The handle is closed once the mapping
-    exists; the mapping lives as long as the array or a view into it.
-    """
-    # imported here, so that a run that maps no vector file never loads it
-    import mmap
-
-    try:
-        with path.open("rb") as handle:
-            if os.fstat(handle.fileno()).st_size:
-                mapping = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
-                return np.frombuffer(mapping, dtype=np.uint8)
-    except FileNotFoundError:
-        pass
-    return np.frombuffer(b"", dtype=np.uint8)
-
-
 class ResponseCache:
     """Deterministic response cache, optionally persisted to a file.
 
@@ -226,6 +219,8 @@ class ResponseCache:
         self._lock = threading.Lock()
         self._handle = None
         self._vector_handle = None
+        # read descriptor -> its closer, one per vector file
+        self._readers: dict[int, weakref.finalize] = {}
         # (key, value) put but not yet written, and the open batched() blocks
         self._pending: list[tuple[str, object]] = []
         self._open_batches = 0
@@ -266,23 +261,45 @@ class ResponseCache:
             self._resolve(refs)
 
     def _resolve(self, refs: list[tuple[int, str, _VectorRef]]) -> None:
-        """Replace each index record's placeholder by its vector.
+        """Give each index record the read descriptor of the vector file.
 
-        Mapped after the cache file is read, so the bytes of every record
+        Opened after the cache file is read, so the bytes of every record
         read are already in the vector file; bytes appended since are not
-        needed. Each vector is a read-only float64 view into the mapping.
+        needed.
         """
-        data = _map_read_only(self._vector_path)
+        try:
+            opened = os.open(self._vector_path, os.O_RDONLY)
+        except FileNotFoundError:
+            fd, size = None, 0
+        else:
+            try:
+                fd = self._reader_of(opened)
+            finally:
+                os.close(opened)
+            size = os.fstat(fd).st_size
         for line_number, key, ref in refs:
-            end = ref.at + 8 * ref.dim
-            if end > data.size:
+            if ref.at + 8 * ref.dim > size:
                 raise CacheCorruption(
                     f"{self.path}: the vector record at line {line_number} points past "
-                    f"the end of {self._vector_path} ({data.size} bytes)"
+                    f"the end of {self._vector_path} ({size} bytes)"
                 )
             # unless a later record for the key replaced this one
             if self._entries[key] is ref:
-                self._entries[key] = frozen_vector(data[ref.at : end].view("<f8"))
+                self._entries[key] = _VectorRef(ref.at, ref.dim, fd)
+
+    def _reader_of(self, fd: int) -> int:
+        """The cache's one read descriptor of the file ``fd`` is open on.
+
+        A kept one when ``os.path.samestat`` finds it, else a duplicate of
+        ``fd``, kept past ``close()`` until ``clear()`` or collection.
+        """
+        stat = os.fstat(fd)
+        for reader in self._readers:
+            if os.path.samestat(os.fstat(reader), stat):
+                return reader
+        reader = os.dup(fd)
+        self._readers[reader] = weakref.finalize(self, os.close, reader)
+        return reader
 
     def _file_ends_with_open_tail(self) -> bool:
         """Whether no other writer has appended to the file since the load."""
@@ -308,6 +325,7 @@ class ResponseCache:
 
         One write and one flush per file. The lines are those of
         ``json.dumps(record, ensure_ascii=False)``, formatted directly.
+        Each written vector is then held as where it lies, not as its array.
         """
         pending, self._pending = self._pending, []
         vectors = [
@@ -317,7 +335,11 @@ class ResponseCache:
         ]
         if vectors:
             if self._vector_handle is None:
-                self._vector_handle = self._vector_path.open("ab")
+                # read-write, so that its file's reader can be a duplicate of
+                # it: the same file, whatever another process does to the path
+                fd = os.open(self._vector_path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+                self._vector_handle = open(fd, "ab")
+            reader = self._reader_of(self._vector_handle.fileno())
             raw = b"".join(vectors)
             self._vector_handle.write(raw)
             self._vector_handle.flush()
@@ -326,19 +348,37 @@ class ResponseCache:
             at = self._vector_handle.tell() - len(raw)
         lines = []
         for key, value in pending:
-            key = encode_basestring(key)
+            quoted = encode_basestring(key)
             if isinstance(value, str):
-                lines.append(f'{{"key": {key}, "value": {encode_basestring(value)}}}\n')
+                lines.append(f'{{"key": {quoted}, "value": {encode_basestring(value)}}}\n')
             else:
-                lines.append(f'{{"key": {key}, "at": {at}, "dim": {value.size}}}\n')
+                lines.append(f'{{"key": {quoted}, "at": {at}, "dim": {value.size}}}\n')
+                # unless a later put replaced it
+                if self._entries.get(key) is value:
+                    self._entries[key] = _VectorRef(at, value.size, reader)
                 at += 8 * value.size
         handle = self._append_handle()
         handle.write("".join(lines).encode("utf-8"))
         handle.flush()
 
     def get(self, key: str):
-        """Cached value for key, or None."""
-        return self._entries.get(key)
+        """Cached value for key, or None.
+
+        A vector on disk is read from its vector file into a new read-only
+        array. A vector file cut short since that vector was loaded or
+        written raises ``CacheCorruption`` naming it.
+        """
+        value = self._entries.get(key)
+        if type(value) is not _VectorRef:
+            return value
+        size = 8 * value.dim
+        data = os.pread(value.fd, size, value.at) if size else b""
+        if len(data) < size:
+            raise CacheCorruption(
+                f"{self._vector_path} ends before the vector of {key} "
+                f"({size} bytes at {value.at})"
+            )
+        return np.frombuffer(data, dtype="<f8")
 
     def put(self, key: str, value) -> None:
         """Store a completion text, or an embedding vector given as any sequence.
@@ -375,7 +415,11 @@ class ResponseCache:
                     self._write_pending()
 
     def close(self) -> None:
-        """Close the append handles; the cache still serves, and a later write reopens them."""
+        """Close the append handles; the cache still serves, and a later write reopens them.
+
+        The vector files' read descriptors stay open until ``clear()`` or
+        until the cache is collected.
+        """
         with self._lock:
             self._close_handles()
 
@@ -389,6 +433,9 @@ class ResponseCache:
         with self._lock:
             self._entries.clear()
             self._close_handles()
+            for closer in self._readers.values():
+                closer()
+            self._readers.clear()
             self._open_tail = None
             self._pending.clear()
             if self.path is not None:

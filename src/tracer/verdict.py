@@ -497,7 +497,9 @@ def _build(hint, value):
         isinstance(value, bool) and hint is not bool
     ):
         raise TypeError(f"expected {hint.__name__}, got {value!r}")
-    return value
+    # an int where a float is due is written back as a float, as the
+    # pipeline writes it; one too large for a float raises OverflowError
+    return float(value) if hint is float else value
 
 
 def _v1_failed(stages: list[StageTrace]) -> str | None:
@@ -539,7 +541,9 @@ def load_reports(path: str | Path) -> list[VerdictReport]:
             report = report_from_dict(line)
         except ParseError as exc:
             raise ParseError(line_number, exc.reason) from exc
-        except (AttributeError, KeyError, TypeError, ValueError, EmptyJustification) as exc:
+        except (
+            AttributeError, KeyError, OverflowError, TypeError, ValueError, EmptyJustification
+        ) as exc:
             raise ParseError(line_number, f"bad report record: {exc}") from exc
         if report.id in reports:
             raise ParseError(line_number, f"duplicate report id {report.id!r}")

@@ -7,6 +7,8 @@ import json
 import math
 import string
 import struct
+import subprocess
+import sys
 import threading
 import time
 
@@ -560,15 +562,153 @@ def test_cache_two_writers_appending_in_turn_keep_every_vector(tmp_path):
         assert reloaded.get(key).tobytes() == vector.tobytes()
 
 
-def test_cache_loaded_vectors_share_one_buffer(tmp_path):
+def _assert_no_array_on_disk(cache, written):
+    """No vector of ``written`` is held as an array, and each reads back bit-exact."""
+    assert not any(isinstance(value, np.ndarray) for value in cache._entries.values())
+    for key, vector in written.items():
+        got = cache.get(key)
+        assert got.dtype == np.float64 and not got.flags.writeable
+        assert got.tobytes() == np.asarray(vector, dtype=np.float64).tobytes()
+
+
+def test_cache_holds_no_array_for_a_vector_on_disk(tmp_path):
     path = tmp_path / "cache.jsonl"
+    rng = np.random.default_rng(3)
+    written = {f"k{i}": rng.standard_normal(i) for i in range(5)}
+    written["subnormal"] = [5e-324, -0.0, math.pi]
     cache = ResponseCache(path)
-    cache.put("a", [1.0, 2.0])
-    cache.put("b", [3.0])
-    reloaded = ResponseCache(path)
-    a, b = reloaded.get("a"), reloaded.get("b")
-    assert a.base is not None and a.base is b.base
-    assert not a.flags.writeable and not b.flags.writeable
+    cache.put("k0", written["k0"])
+    cache.put("t", "text")
+    with cache.batched():
+        for key in ("k1", "k2", "k3", "k4", "subnormal"):
+            cache.put(key, written[key])
+        # a vector still pending stays an array until the block writes it
+        assert isinstance(cache._entries["k1"], np.ndarray)
+    _assert_no_array_on_disk(cache, written)
+    assert cache.get("t") == "text"
+    # a vector is a fresh read each time
+    assert cache.get("k3") is not cache.get("k3")
+    _assert_no_array_on_disk(ResponseCache(path), written)
+
+
+def test_cache_vector_file_cut_short_after_load_fails_only_the_vectors_it_lost(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    writer, _ = make_gateway(
+        embeddings=[{"text": "a", "vector": [1.0, 2.0]}, {"text": "b", "vector": [3.0]}],
+        cache_path=path,
+    )
+    writer.embed_many(["a", "b"])
+    writer.cache.close()
+    gateway, script = make_gateway(default_dim=2, cache_path=path)
+    with _vector_file(path).open("r+b") as handle:
+        handle.truncate(16)
+    assert gateway.cache.get(embedding_key("mock", "a")).tolist() == [1.0, 2.0]
+    with pytest.raises(CacheCorruption, match="cache.jsonl.vectors ends before the vector"):
+        gateway.cache.get(embedding_key("mock", "b"))
+    a, b = gateway.embed_many(["a", "b"])
+    assert a.vector.tolist() == [1.0, 2.0]
+    assert isinstance(b, CacheCorruption)
+    # a corrupt entry is a hit that fails, as a wrong-kind hit is
+    assert script.call_log == []
+    assert gateway.counters == GatewayCounters(embedding_requests=2, embedding_cache_hits=2)
+
+
+def test_pipeline_over_a_vector_file_cut_short_returns_a_report(tmp_path):
+    from tracer.fixtures import load_scenario_record, make_scenario_gateway
+    from tracer.verdict import run_pipeline
+
+    path = tmp_path / "cache.jsonl"
+    cold = make_scenario_gateway(path)
+    run_pipeline(cold, load_scenario_record())
+    cold.cache.close()
+    warm = make_scenario_gateway(path)
+    with _vector_file(path).open("r+b") as handle:
+        handle.truncate(0)
+    report = run_pipeline(warm, load_scenario_record())
+    # the claim fails at alignment, each sentence with its cache error
+    assert report.id == load_scenario_record().id and report.failed == "alignment"
+    assert report.aligned_evidence and all(
+        item.error.startswith("CacheCorruption: ") and "ends before the vector" in item.error
+        for item in report.aligned_evidence
+    )
+
+
+def test_cache_reads_its_own_vectors_after_another_cache_clears_the_path(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    writer = ResponseCache(path)
+    writer.put("a", [1.0, 2.0])
+    writer.put("b", [3.0])
+    writer.close()
+    cache = ResponseCache(path)
+    cache.put("w", [4.0, 5.0])  # written to the file it loaded
+    other = ResponseCache(path)
+    other.clear()
+    for i in range(4):
+        other.put(f"n{i}", [-1.0 - i] * 3)
+    mine = {"a": [1.0, 2.0], "b": [3.0], "w": [4.0, 5.0]}
+    _assert_no_array_on_disk(cache, mine)
+    cache.close()
+    _assert_no_array_on_disk(cache, mine)
+    # a write after close() goes to the new file at the path, and both read back
+    cache.put("z", [6.0])
+    _assert_no_array_on_disk(cache, {**mine, "z": [6.0]})
+    assert ResponseCache(path).get("z").tolist() == [6.0]
+    assert len(cache._readers) == 2
+    cache.clear()
+    assert cache._readers == {}
+
+
+# Writes or reads 1,500 1536-wide vectors (18 MB), 10 to a batch, and
+# prints how far the process's peak resident set grew, in bytes. The peak
+# is VmHWM, that of the process's own memory since it started: ru_maxrss
+# would start at the resident set of the process that spawned it (Linux
+# carries the mark across fork and exec), which for pytest is far above
+# what this child ever reaches.
+_VECTOR_MEMORY = """
+import sys
+import numpy as np
+from tracer.gateway import ResponseCache
+
+def peak():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) * 1024 for line in status if line.startswith("VmHWM:"))
+
+mode, path = sys.argv[1:]
+cache = ResponseCache(path)
+rng = np.random.default_rng(0)
+before = peak()
+for batch in range(150):
+    keys = [f"k{batch * 10 + i}" for i in range(10)]
+    if mode == "write":
+        with cache.batched():
+            for key in keys:
+                cache.put(key, rng.standard_normal(1536))
+    else:
+        assert all(np.isfinite(cache.get(key)).all() for key in keys)
+print(peak() - before)
+"""
+
+
+def _vector_memory_growth(mode, path):
+    result = subprocess.run(
+        [sys.executable, "-c", _VECTOR_MEMORY, mode, str(path)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return int(result.stdout)
+
+
+def test_cache_memory_does_not_grow_with_the_vectors_it_writes(tmp_path):
+    assert _vector_memory_growth("write", tmp_path / "cache.jsonl") < 4e6
+
+
+def test_cache_memory_does_not_grow_with_the_vectors_it_reads(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    _vector_memory_growth("write", path)
+    assert len(ResponseCache(path)) == 1500
+    assert _vector_memory_growth("read", path) < 4e6
 
 
 def test_cache_clear_keeps_loaded_vectors_readable_and_starts_fresh_files(tmp_path):
@@ -587,11 +727,11 @@ def test_cache_clear_keeps_loaded_vectors_readable_and_starts_fresh_files(tmp_pa
         '{"key": "c", "at": 0, "dim": 1}\n{"key": "t", "value": "text"}\n'
     )
     assert _vector_file(path).read_bytes() == struct.pack("<d", 4.0)
-    # the views still read the unlinked file's bytes, and still refuse writes
+    # the arrays read before the clear keep their values, and still refuse writes
     assert a.tolist() == [1.0, 2.0] and b.tolist() == [3.0]
-    for view in (a, b):
+    for array in (a, b):
         with pytest.raises(ValueError):
-            view[0] = 0.0
+            array[0] = 0.0
 
 
 def _reference_load(path):
@@ -650,9 +790,10 @@ def _reference_load(path):
 
 def _cache_load(path):
     cache = ResponseCache(path)
-    for value in cache._entries.values():
+    entries = {key: cache.get(key) for key in cache._entries}
+    for value in entries.values():
         assert isinstance(value, str) or not value.flags.writeable
-    return cache._entries, cache._open_tail
+    return entries, cache._open_tail
 
 
 def _load_outcome(load, path):

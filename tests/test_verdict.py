@@ -993,7 +993,7 @@ def test_pipeline_interrupted_inside_a_claim_keeps_its_earlier_records(tmp_path)
     gateway.cache.close()
 
     # alignment's completions and embeddings came before the interrupt
-    held = gateway.cache._entries
+    held = {key: gateway.cache.get(key) for key in gateway.cache._entries}
     counters = gateway.counters
     # one record per completion call and one per embedded text
     assert counters.by_template == {"relevance": 4, "presentation": 4}
@@ -1165,6 +1165,33 @@ def test_load_reports_refuses_a_bool_for_a_number(tmp_path, path):
         load_reports(reports)
     assert excinfo.value.line_number == 2
     assert excinfo.value.reason.endswith("got True")
+
+
+def test_load_reports_reads_an_int_float_as_a_float_and_saves_it_as_the_pipeline_does(
+    tmp_path,
+):
+    fixture = data_path(SCENARIO_EXPECTED).read_text(encoding="utf-8")
+    assert fixture.count('"similarity": 0.95,') == 1
+    # 1.0 is how the pipeline writes a similarity of one
+    as_float = fixture.replace('"similarity": 0.95,', '"similarity": 1.0,')
+    reports = tmp_path / "reports.jsonl"
+    reports.write_text(as_float.replace('"similarity": 1.0,', '"similarity": 1,'), "utf-8")
+    [report] = load_reports(reports)
+    assert type(report.aligned_evidence[0].similarity) is float
+    saved = tmp_path / "saved.jsonl"
+    save_reports(saved, [report])
+    assert saved.read_bytes() == as_float.encode("utf-8")
+
+
+def test_load_reports_refuses_an_int_too_large_for_a_float(tmp_path):
+    fixture = data_path(SCENARIO_EXPECTED).read_text(encoding="utf-8")
+    huge = fixture.replace('"similarity": 0.95,', f'"similarity": {10**400},')
+    reports = tmp_path / "reports.jsonl"
+    reports.write_text("\n" + huge, encoding="utf-8")
+    with pytest.raises(ParseError) as excinfo:
+        load_reports(reports)
+    assert excinfo.value.line_number == 2
+    assert "too large" in excinfo.value.reason
 
 
 def test_load_reports_refuses_a_lone_surrogate(tmp_path):
