@@ -12,8 +12,8 @@ claim and all the sentences to refine are then embedded in one request,
 so a claim pays one embedding round trip, not one per sentence.
 
 When a fine-tuned external classifier is available over HTTP it replaces
-the whole prompt pipeline: an ``ExternalClassifier`` asks it one question
-per sentence and ``_read_label`` reads the answer. Provenance records
+the whole prompt pipeline: an ``Endpoint`` asks it one question per
+sentence and ``_read_label`` reads the answer. Provenance records
 which path produced each label.
 """
 
@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import Thresholds
 from .errors import DimensionMismatch, TracerError, ZeroVector
-from .gateway import Embedding, ExternalClassifier, Gateway, parse_letter_choice, unwrap
+from .gateway import Embedding, Endpoint, Gateway, parse_letter_choice, unwrap
 
 
 class AlignmentLabel(str, Enum):
@@ -130,7 +130,7 @@ def align_evidence(
     ruling: str,
     evidence: list[str],
     thresholds: Thresholds = Thresholds(),
-    classifier: ExternalClassifier | None = None,
+    classifier: Endpoint | None = None,
 ) -> list[AlignedEvidence]:
     """Label every evidence sentence Presented, Hidden, or Irrelevant.
 
@@ -181,7 +181,7 @@ def _ask(gateway: Gateway, template_id: str, **bindings) -> bool:
     return parse_letter_choice(gateway.complete(template_id, **bindings), {"A", "B"}) == "A"
 
 
-def _classify(classifier: ExternalClassifier, claim: str, sentence: str) -> AlignedEvidence:
+def _classify(classifier: Endpoint, claim: str, sentence: str) -> AlignedEvidence:
     try:
         label, confidence = classifier.ask({"claim": claim, "sentence": sentence}, _read_label)
     except TracerError as exc:

@@ -5,8 +5,8 @@ hidden-evidence pool for sentences that bear on them. Retrieval is a
 two-stage gate: embedding similarity ranks the pool and discards weak
 matches, then an entailment check keeps only sentences that genuinely
 support or contradict the assumption. Neutral sentences are rejected no
-matter how similar they look. An ``ExternalClassifier`` can stand in for
-the entailment prompt: it POSTs ``{"premise", "hypothesis"}`` and reads
+matter how similar they look. An ``Endpoint`` can stand in for the
+entailment prompt: it POSTs ``{"premise", "hypothesis"}`` and reads
 ``{"verdict": "Entail" | "Contradict" | "Neutral"}``.
 """
 
@@ -19,7 +19,7 @@ from enum import Enum
 from .alignment import cosine_similarities, cosine_similarity  # noqa: F401
 from .causality import Assumption
 from .config import Thresholds
-from .gateway import ExternalClassifier, Gateway, parse_letter_choice, unwrap
+from .gateway import Endpoint, Gateway, parse_letter_choice, unwrap
 
 
 class NliVerdict(str, Enum):
@@ -49,7 +49,7 @@ def nli_check(
     gateway: Gateway,
     premise: str,
     hypothesis: str,
-    classifier: ExternalClassifier | None = None,
+    classifier: Endpoint | None = None,
 ) -> NliVerdict:
     """Does the premise entail, contradict, or say nothing about the hypothesis?"""
     if classifier is not None:
@@ -64,7 +64,7 @@ def collect_che(
     critical_assumptions: list[Assumption],
     hidden_pool: list[str],
     thresholds: Thresholds = Thresholds(),
-    classifier: ExternalClassifier | None = None,
+    classifier: Endpoint | None = None,
 ) -> list[CheCandidate]:
     """Hidden sentences that support or contradict the critical assumptions.
 

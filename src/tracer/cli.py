@@ -26,8 +26,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .config import ABLATION_CONFIGS, AblationConfig, BackendSettings, RunConfig, load_config
 from .corpus import ClaimRecord, Label, load_corpus, save_corpus
 from .errors import ConfigError, EmptyInput, ParseError, TracerError
-from .gateway import Gateway, LiveBackend, MockScript, ResponseCache, api_key_from_env
-from .gateway.backends import ExternalClassifier
+from .gateway import Endpoint, Gateway, LiveBackend, MockScript, ResponseCache
 from .gateway.cache import remove_cache_files
 from .metrics import MetricsReport, format_table, score_reports
 from .verdict import VerdictReport, load_base_verdicts, load_reports, run_pipeline, save_reports
@@ -156,12 +155,11 @@ def _build_gateway(settings: BackendSettings, cache_path: str | None) -> Gateway
     if settings.mode == "mock":
         backend = _load_mock_script(settings.mock_script)
     else:
+        # reads TRACER_API_KEY, so a missing key fails before any work
         backend = LiveBackend(
             model_id=settings.model_id,
             embedding_model_id=settings.embedding_model_id,
             base_url=settings.base_url,
-            # fail before any work when the key is missing
-            api_key=api_key_from_env(),
         )
     return Gateway(
         backend=backend, cache=ResponseCache(cache_path), max_in_flight=settings.concurrency
@@ -252,9 +250,9 @@ def cmd_run(args) -> int:
         corpus = load_corpus(config.corpus_path)
         base_verdicts = load_base_verdicts(args.base_verdicts) if args.base_verdicts else None
         alignment_classifier = (
-            ExternalClassifier(args.alignment_endpoint) if args.alignment_endpoint else None
+            Endpoint(args.alignment_endpoint) if args.alignment_endpoint else None
         )
-        nli_classifier = ExternalClassifier(args.nli_endpoint) if args.nli_endpoint else None
+        nli_classifier = Endpoint(args.nli_endpoint) if args.nli_endpoint else None
 
         reports = []
         for report in run_corpus(

@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from ..errors import BackendError, CacheCorruption, EmptyInput, TracerError
-from .backends import API_KEY_ENV, Decoding, ExternalClassifier, LiveBackend, api_key_from_env
+from .backends import API_KEY_ENV, Decoding, Endpoint, LiveBackend, api_key_from_env
 from .cache import ResponseCache, completion_key, embedding_key, frozen_vector
 from .mock import MockCall, MockScript
 from .parsing import parse_binary_digit, parse_bracketed, parse_letter_choice
@@ -247,7 +247,7 @@ __all__ = [
     "API_KEY_ENV",
     "Decoding",
     "Embedding",
-    "ExternalClassifier",
+    "Endpoint",
     "Gateway",
     "GatewayCounters",
     "LiveBackend",

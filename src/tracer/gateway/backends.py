@@ -1,22 +1,18 @@
-"""HTTP transport and the live model backend.
+"""HTTP transport, the client of one endpoint, and the live model backend.
 
-``post_json`` is the one HTTP POST of the package: the live backend and
-the external classifier send their requests through it, each on its own
-kept-alive ``requests.Session``. Transport failures and 5xx/429 statuses
-are retried with exponential backoff; any other non-2xx status fails
-immediately, since repeating a rejected request cannot change the
-outcome. Every failure is a ``BackendError``.
-Parse failures downstream are never retried here.
+``post_json`` is the one HTTP POST of the package. Transport failures
+and 5xx/429 statuses are retried with exponential backoff, or, on a 429
+or 503, after the whole seconds its ``Retry-After`` names, capped. Any
+other non-2xx status fails at once, since repeating a rejected request
+cannot change the outcome. Every failure is a ``BackendError``.
 
-``LiveBackend`` speaks the OpenAI-compatible wire format for the two
-endpoints the pipeline needs: chat completions and embeddings. Like
-the mock, it answers lists: ``complete`` sends one request per prompt,
-in order, and ``embed`` one request for all the texts. After a request
-that failed every retry, the rest of a list get its error unsent.
-
-``ExternalClassifier`` is the client of one external classifier
-endpoint (alignment or NLI). It POSTs one JSON object per question and
-stops POSTing to an endpoint that keeps failing.
+``Endpoint`` is its one caller: one client per URL, each with its own
+kept-alive ``requests.Session``, circuit breaker and malformed-answer
+rule, serves the alignment and NLI classifiers and the live model's
+``chat/completions`` and ``embeddings``. ``LiveBackend`` speaks the
+OpenAI-compatible wire format over the last two. Like the mock, it
+answers lists: ``complete`` sends one request per prompt, in order, and
+``embed`` one request for all the texts.
 
 ``requests`` is imported only when a session is made or a request is
 sent, so offline runs never pay for importing it.
@@ -37,9 +33,15 @@ API_KEY_ENV = "TRACER_API_KEY"
 DEFAULT_BASE_URL = "https://api.openai.com/v1"
 RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
 DEFAULT_MAX_TOKENS = 1024
-# consecutive failed POSTs after which an external classifier stops sending
+# retries of one POST after its first attempt, and the first backoff, doubled per retry
+MAX_RETRIES = 3
+BACKOFF_BASE_S = 1.0
+# the longest wait a Retry-After header can ask for
+RETRY_AFTER_CAP_S = 60
+# consecutive POSTs that used every retry, after which an endpoint stops sending
 CIRCUIT_BREAKER_FAILURES = 3
-# seconds an external classifier's POST may take
+# seconds one POST may take
+MODEL_TIMEOUT_S = 60.0
 CLASSIFIER_TIMEOUT_S = 30.0
 
 
@@ -56,82 +58,78 @@ def api_key_from_env() -> str:
     return key
 
 
-def post_json(
-    url: str,
-    payload: dict,
-    *,
-    session,
-    headers: dict | None = None,
-    timeout: float = 60.0,
-    max_retries: int = 3,
-    backoff_base: float = 1.0,
-    sleep=time.sleep,
-):
+def post_json(url: str, payload: dict, *, session, timeout: float, headers=None, sleep=time.sleep):
     """POST ``payload`` as JSON to ``url`` and return the decoded JSON body.
 
     ``session`` is anything with a ``requests.Session``-style ``post``.
     """
     import requests
 
-    attempts = 0
+    retries = 0
     while True:
-        attempts += 1
         try:
             response = session.post(url, json=payload, headers=headers, timeout=timeout)
         except requests.RequestException as exc:
-            if attempts > max_retries:
-                raise BackendError(f"POST {url} failed: {exc}", retries=attempts - 1) from exc
-            sleep(backoff_base * 2 ** (attempts - 1))
-            continue
-        if response.status_code in RETRYABLE_STATUSES:
-            if attempts > max_retries:
-                raise BackendError(
-                    f"POST {url} returned {response.status_code}", retries=attempts - 1
-                )
-            sleep(backoff_base * 2 ** (attempts - 1))
-            continue
-        if response.status_code != 200:
-            raise BackendError(
-                f"POST {url} returned {response.status_code}: {response.text[:200]}",
-                retries=attempts - 1,
-            )
-        try:
-            return response.json()
-        except ValueError as exc:
-            raise BackendError(
-                f"POST {url} returned undecodable body", retries=attempts - 1
-            ) from exc
+            if retries == MAX_RETRIES:
+                raise BackendError(f"POST {url} failed: {exc}", retries=retries) from exc
+            wait = None
+        else:
+            if response.status_code not in RETRYABLE_STATUSES:
+                break
+            if retries == MAX_RETRIES:
+                raise BackendError(f"POST {url} returned {response.status_code}", retries=retries)
+            wait = _retry_after(response)
+        sleep(BACKOFF_BASE_S * 2**retries if wait is None else wait)
+        retries += 1
+    if response.status_code != 200:
+        raise BackendError(
+            f"POST {url} returned {response.status_code}: {response.text[:200]}",
+            retries=retries,
+        )
+    try:
+        return response.json()
+    except ValueError as exc:
+        raise BackendError(f"POST {url} returned undecodable body", retries=retries) from exc
 
 
-class ExternalClassifier:
-    """The client of one external classifier endpoint.
+def _retry_after(response) -> float | None:
+    """The capped wait a 429 or 503 asks for in whole seconds; None for an
+    HTTP-date or an unreadable value, which leave the backoff step as it is."""
+    if response.status_code not in (429, 503):
+        return None
+    value = response.headers.get("Retry-After", "")
+    if not (value.isascii() and value.isdigit()):
+        return None
+    return min(float(value), RETRY_AFTER_CAP_S)
 
-    ``ask(payload, read)`` POSTs one JSON object through ``post_json``
-    (retried, no API key sent, ``CLASSIFIER_TIMEOUT_S``) on the
-    classifier's own kept-alive session, and returns ``read(answer)``.
-    An answer ``read`` rejects with a ``KeyError``, ``TypeError``,
-    ``ValueError`` or ``OverflowError`` is a ``BackendError`` naming the
-    endpoint. ``post(url, payload)`` replaces the transport in tests.
 
-    The circuit breaker: every ``BackendError`` from the POST (raised only
-    after ``post_json``'s own retries) counts as one failed POST, and a
-    POST that answers resets the count, whatever ``read`` makes of the
-    answer. After ``CIRCUIT_BREAKER_FAILURES`` failures in a row the
-    circuit stays open: every later ``ask`` raises ``BackendError`` at
-    once, naming the open circuit and the last error, and sends nothing.
-    A dead endpoint then costs a run that many failed POSTs, not a full
-    backoff for every request.
+class Endpoint:
+    """The client of one HTTP endpoint.
+
+    ``ask(payload, read)`` POSTs one JSON object through ``post_json`` and
+    returns ``read(answer)``. An answer ``read`` rejects with a
+    ``LookupError``, ``TypeError``, ``ValueError`` or ``OverflowError`` is
+    a ``BackendError`` naming the URL and the reader's reason.
+    ``post(url, payload)`` replaces the transport in tests.
+
+    The circuit breaker: a POST on which ``post_json`` used every retry
+    counts as failed; any other outcome, a 4xx or an answer ``read``
+    rejects included, resets the count. After ``CIRCUIT_BREAKER_FAILURES``
+    failures in a row every later ``ask`` raises ``BackendError`` at once,
+    naming the open circuit and the last error, and sends nothing.
     """
 
-    def __init__(self, endpoint: str, post=None):
-        self.endpoint = endpoint
+    def __init__(
+        self, url: str, post=None, headers: dict | None = None, timeout=CLASSIFIER_TIMEOUT_S
+    ):
+        self.url = url
         if post is None:
             import requests
 
             session = requests.Session()
 
             def post(url: str, payload: dict):
-                return post_json(url, payload, session=session, timeout=CLASSIFIER_TIMEOUT_S)
+                return post_json(url, payload, session=session, headers=headers, timeout=timeout)
 
         self._post = post
         self._failures = 0
@@ -140,26 +138,28 @@ class ExternalClassifier:
     def ask(self, payload: dict, read):
         if self._failures >= CIRCUIT_BREAKER_FAILURES:
             raise BackendError(
-                f"circuit open for {self.endpoint} after {self._failures} consecutive "
+                f"circuit open for {self.url} after {self._failures} consecutive "
                 f"failed POSTs; last error: {self._last_error}"
             )
         try:
-            data = self._post(self.endpoint, payload)
+            data = self._post(self.url, payload)
         except BackendError as exc:
-            self._failures += 1
+            # an answer that was not retried to the end (a 4xx, say) resets the count
+            self._failures = self._failures + 1 if exc.retries == MAX_RETRIES else 0
             self._last_error = exc
             raise
         self._failures = 0
         try:
             return read(data)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (LookupError, TypeError, ValueError, OverflowError) as exc:
             raise BackendError(
-                f"{self.endpoint} returned a malformed answer: {data!r:.200}"
+                f"{self.url} returned a malformed answer ({type(exc).__name__}: {exc}): "
+                f"{data!r:.200}"
             ) from exc
 
 
 class LiveBackend:
-    """HTTP client for chat-completions and embeddings endpoints."""
+    """Chat completions and embeddings, each through its own ``Endpoint``."""
 
     def __init__(
         self,
@@ -167,86 +167,53 @@ class LiveBackend:
         embedding_model_id: str | None = None,
         base_url: str = DEFAULT_BASE_URL,
         api_key: str | None = None,
-        max_retries: int = 3,
-        backoff_base: float = 1.0,
-        timeout: float = 60.0,
-        session=None,
-        sleep=time.sleep,
+        post=None,
     ):
         self.model_id = model_id
         self.embedding_model_id = embedding_model_id or model_id
-        self.base_url = base_url.rstrip("/")
-        self.api_key = api_key if api_key is not None else api_key_from_env()
-        self.max_retries = max_retries
-        self.backoff_base = backoff_base
-        self.timeout = timeout
-        if session is None:
-            import requests
-
-            session = requests.Session()
-        self.session = session
-        self._sleep = sleep
-
-    def _post(self, endpoint: str, payload: dict) -> dict:
-        return post_json(
-            f"{self.base_url}/{endpoint}",
-            payload,
-            headers={
-                "Authorization": f"Bearer {self.api_key}",
-                "Content-Type": "application/json",
-            },
-            session=self.session,
-            timeout=self.timeout,
-            max_retries=self.max_retries,
-            backoff_base=self.backoff_base,
-            sleep=self._sleep,
+        api_key = api_key if api_key is not None else api_key_from_env()
+        headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
+        base_url = base_url.rstrip("/")
+        self._chat, self._embeddings = (
+            Endpoint(f"{base_url}/{path}", post, headers, MODEL_TIMEOUT_S)
+            for path in ("chat/completions", "embeddings")
         )
 
     def complete(self, requests: list[tuple[str, str]], decoding: Decoding) -> list:
         """A chat completion or ``BackendError`` per ``(template_id, prompt)``, sent in turn."""
-        outcomes, down = [], None
+        outcomes = []
         for _, prompt in requests:
+            payload = {
+                "model": self.model_id,
+                "messages": [{"role": "user", "content": prompt}],
+                "temperature": decoding.temperature,
+                "max_tokens": decoding.max_tokens,
+            }
             try:
-                outcomes.append(down or self._complete_one(prompt, decoding))
+                outcomes.append(self._chat.ask(payload, _read_content))
             except BackendError as exc:
                 outcomes.append(exc)
-                if self.max_retries and exc.retries == self.max_retries:
-                    down = exc  # it used every retry: the rest get this error, unsent
         return outcomes
 
-    def _complete_one(self, prompt: str, decoding: Decoding) -> str:
-        payload = {
-            "model": self.model_id,
-            "messages": [{"role": "user", "content": prompt}],
-            "temperature": decoding.temperature,
-            "max_tokens": decoding.max_tokens,
-        }
-        data = self._post("chat/completions", payload)
-        try:
-            content = data["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError):
-            content = None
-        # a null, number or list content is as malformed as a missing one
-        if not isinstance(content, str):
-            raise BackendError(f"malformed chat completion response: {data!r:.200}")
-        return content
-
     def embed(self, texts: list[str]) -> list[np.ndarray]:
-        """One request for all the texts; one vector per text, in their order.
-
-        The answer's rows are put back in order by their ``index``, which
-        must run over exactly the texts' positions.
-        """
+        """One request for all the texts; one vector per text, in their order."""
         payload = {"model": self.embedding_model_id, "input": list(texts)}
-        data = self._post("embeddings", payload)
-        try:
-            rows = sorted(data["data"], key=lambda row: row["index"])
-            indices = [row["index"] for row in rows]
-            vectors = [frozen_vector([float(x) for x in row["embedding"]]) for row in rows]
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise BackendError(f"malformed embedding response: {data!r:.200}") from exc
-        if indices != list(range(len(texts))):
-            raise BackendError(
-                f"embedding response indices {indices} do not match {len(texts)} texts"
-            )
-        return vectors
+        return self._embeddings.ask(payload, lambda data: _read_vectors(data, len(texts)))
+
+
+def _read_content(data) -> str:
+    content = data["choices"][0]["message"]["content"]
+    # a null, number or list content is as malformed as a missing one
+    if not isinstance(content, str):
+        raise TypeError(f"the message content is {type(content).__name__}, not text")
+    return content
+
+
+def _read_vectors(data, count: int) -> list[np.ndarray]:
+    """The answer's rows put back in order by their ``index``, which must
+    run over exactly the texts' positions."""
+    rows = sorted(data["data"], key=lambda row: row["index"])
+    indices = [row["index"] for row in rows]
+    if indices != list(range(count)):
+        raise ValueError(f"indices {indices} do not match {count} texts")
+    return [frozen_vector([float(x) for x in row["embedding"]]) for row in rows]

@@ -48,7 +48,7 @@ from .errors import (
     TracerError,
     UnparseableChoice,
 )
-from .gateway import ExternalClassifier, Gateway, parse_letter_choice
+from .gateway import Endpoint, Gateway, parse_letter_choice
 from .intent import IntentRecord, generate_intent, score_quality
 
 REPORT_SCHEMA_VERSION = 2
@@ -219,8 +219,8 @@ class _ClaimRun:
     ablation: AblationConfig
     reassess_true_only: bool
     base_verdicts: dict[str, BaseVerdict] | None
-    alignment_classifier: ExternalClassifier | None
-    nli_classifier: ExternalClassifier | None
+    alignment_classifier: Endpoint | None
+    nli_classifier: Endpoint | None
     report: VerdictReport
     # The alignment stage sets both pools.
     relevant: list[str] = field(default_factory=list)
@@ -378,8 +378,8 @@ def run_pipeline(
     ablation: AblationConfig = FULL_PIPELINE,
     reassess_true_only: bool = False,
     base_verdicts: dict[str, BaseVerdict] | None = None,
-    alignment_classifier: ExternalClassifier | None = None,
-    nli_classifier: ExternalClassifier | None = None,
+    alignment_classifier: Endpoint | None = None,
+    nli_classifier: Endpoint | None = None,
 ) -> VerdictReport:
     """Run one claim end to end under an ablation configuration.
 

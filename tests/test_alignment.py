@@ -21,7 +21,7 @@ from tracer.alignment import (
 )
 from tracer.config import Thresholds
 from tracer.errors import BackendError, DimensionMismatch, UnparseableChoice, ZeroVector
-from tracer.gateway import Embedding, ExternalClassifier, render_template
+from tracer.gateway import Embedding, Endpoint, render_template
 
 from conftest import make_gateway
 
@@ -541,7 +541,7 @@ def test_external_classifier_replaces_prompt_pipeline():
         posts.append((url, payload))
         return {"label": "Hidden", "confidence": 0.93}
 
-    classifier = ExternalClassifier("http://host/align", post=fake_post)
+    classifier = Endpoint("http://host/align", post=fake_post)
     gateway, script = _pipeline_gateway()
     aligned = align_evidence(
         gateway, "claim", "our ruling", ["hidden fact Y"], classifier=classifier
@@ -554,7 +554,7 @@ def test_external_classifier_replaces_prompt_pipeline():
 
 
 def test_external_classifier_rejects_irrelevant_answer():
-    classifier = ExternalClassifier(
+    classifier = Endpoint(
         "http://host/align", post=lambda url, payload: {"label": "Irrelevant"}
     )
     with pytest.raises(BackendError, match="http://host/align"):
@@ -568,7 +568,7 @@ def test_external_classifier_rejects_irrelevant_answer():
 )
 def test_external_classifier_confidence_must_be_a_finite_number(confidence):
     answer = {"label": "Hidden", "confidence": confidence}
-    classifier = ExternalClassifier("http://host/align", post=lambda url, payload: answer)
+    classifier = Endpoint("http://host/align", post=lambda url, payload: answer)
     with pytest.raises(BackendError, match="http://host/align returned a malformed answer"):
         classifier.ask({"claim": "c", "sentence": "s"}, _read_label)
 
@@ -579,7 +579,7 @@ def test_external_classifier_confidence_must_be_a_finite_number(confidence):
     ids=["missing", "integer"],
 )
 def test_external_classifier_confidence_is_a_float(answer, confidence):
-    classifier = ExternalClassifier("http://host/align", post=lambda url, payload: answer)
+    classifier = Endpoint("http://host/align", post=lambda url, payload: answer)
     label, got = classifier.ask({"claim": "c", "sentence": "s"}, _read_label)
     assert label is AlignmentLabel.PRESENTED
     assert got == confidence and type(got) is float
@@ -592,7 +592,7 @@ def test_external_classifier_stops_posting_to_a_dead_endpoint():
         posts.append(payload["sentence"])
         raise BackendError(f"POST {url} failed: connection refused", retries=3)
 
-    classifier = ExternalClassifier("http://host/align", post=dead_post)
+    classifier = Endpoint("http://host/align", post=dead_post)
     gateway, script = _pipeline_gateway()
     sentences = [f"sentence {i}" for i in range(10)]
     aligned = align_evidence(gateway, "claim", "our ruling", sentences, classifier=classifier)

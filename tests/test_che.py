@@ -15,7 +15,7 @@ from tracer.che import (
 from tracer.config import Thresholds
 from tracer.errors import BackendError
 from tracer.fixtures import make_retrieval_fixture
-from tracer.gateway import ExternalClassifier, Gateway, ResponseCache
+from tracer.gateway import Endpoint, Gateway, ResponseCache
 
 from conftest import make_gateway
 
@@ -50,7 +50,7 @@ def test_nli_check_external_classifier_bypasses_gateway():
         posts.append(payload)
         return {"verdict": "Contradict"}
 
-    classifier = ExternalClassifier("http://host/nli", post=fake_post)
+    classifier = Endpoint("http://host/nli", post=fake_post)
     gateway, script = make_gateway()
     verdict = nli_check(gateway, "p", "h", classifier)
     assert verdict is NliVerdict.CONTRADICT
@@ -68,7 +68,7 @@ def test_external_nli_classifier_circuit_resets_on_success_and_opens_after_three
             raise BackendError(f"POST {url} returned 503", retries=3)
         return {"verdict": "Neutral"}
 
-    classifier = ExternalClassifier("http://host/nli", post=flaky_post)
+    classifier = Endpoint("http://host/nli", post=flaky_post)
     outcomes = []
     for _ in range(11):
         try:
@@ -91,7 +91,7 @@ def test_external_classifier_malformed_answers_do_not_open_the_circuit():
         posts.append(payload)
         return {"verdict": "maybe"}
 
-    classifier = ExternalClassifier("http://host/nli", post=answering_post)
+    classifier = Endpoint("http://host/nli", post=answering_post)
     for _ in range(4):
         with pytest.raises(BackendError, match="http://host/nli returned a malformed answer"):
             nli_check(None, "p", "h", classifier)
@@ -194,7 +194,7 @@ def test_retrieve_entail_and_contradict_both_admit():
 
 
 def test_retrieve_with_external_classifier_skips_nli_template():
-    classifier = ExternalClassifier(
+    classifier = Endpoint(
         "http://host/nli", post=lambda url, payload: {"verdict": "Entail"}
     )
     gateway, script, pool = _retrieval_gateway([0.9])
@@ -292,7 +292,7 @@ def test_collect_embeds_every_assumption_in_one_backend_call():
 
 def test_collect_over_a_pool_alignment_never_embedded_makes_one_embedding_call():
     # an external classifier labels the evidence, so alignment embeds nothing
-    classifier = ExternalClassifier(
+    classifier = Endpoint(
         "http://host/align", post=lambda url, payload: {"label": "Hidden"}
     )
     gateway, script = make_gateway(rules=[{"template": "nli", "response": "B"}], default_dim=4)

@@ -3,6 +3,7 @@
 import base64
 import dataclasses
 import hashlib
+import http.server
 import json
 import math
 import string
@@ -43,6 +44,7 @@ from tracer.gateway import (
     render_template,
 )
 
+from tracer.gateway.backends import MAX_RETRIES, RETRY_AFTER_CAP_S, post_json
 from tracer.gateway.mock import MockRule, _hashed_unit_vector
 
 from conftest import make_gateway
@@ -1587,10 +1589,11 @@ def test_gateway_text_under_an_embedding_key_is_corruption(tmp_path):
 
 
 class _FakeResponse:
-    def __init__(self, status_code, payload):
+    def __init__(self, status_code, payload, headers=None):
         self.status_code = status_code
         self._payload = payload
         self.text = json.dumps(payload)
+        self.headers = headers or {}
 
     def json(self):
         return self._payload
@@ -1615,6 +1618,15 @@ def _completion_payload(text):
     return {"choices": [{"message": {"content": text}}]}
 
 
+def _live_backend(session, sleep=lambda s: None, **options):
+    """A LiveBackend whose endpoints post through ``post_json`` on ``session``."""
+
+    def post(url, payload):
+        return post_json(url, payload, session=session, timeout=1.0, sleep=sleep)
+
+    return LiveBackend(model_id="m", api_key="k", base_url="http://host/v1", post=post, **options)
+
+
 def test_live_backend_retries_transient_errors_then_succeeds():
     import requests
 
@@ -1625,9 +1637,7 @@ def test_live_backend_retries_transient_errors_then_succeeds():
             _FakeResponse(200, _completion_payload("ok")),
         ]
     )
-    backend = LiveBackend(
-        model_id="m", api_key="k", session=session, sleep=lambda s: None
-    )
+    backend = _live_backend(session)
     assert backend.complete([("t", "p")], Decoding(0.0, 16)) == ["ok"]
     assert session.calls == 3
 
@@ -1636,40 +1646,39 @@ def test_live_backend_gives_up_after_max_retries():
     import requests
 
     session = _FakeSession([requests.ConnectionError("down")] * 10)
-    backend = LiveBackend(
-        model_id="m", api_key="k", max_retries=3, session=session, sleep=lambda s: None
-    )
+    backend = _live_backend(session)
     [error] = backend.complete([("t", "p")], Decoding(0.0, 16))
     assert isinstance(error, BackendError)
     assert error.retries == 3
     assert session.calls == 4  # initial attempt + 3 retries
 
 
-def test_live_backend_stops_a_list_once_a_request_used_every_retry():
+def test_live_backend_opens_the_circuit_once_three_requests_used_every_retry():
     import requests
 
     session = _FakeSession(
         [_FakeResponse(400, {"error": "too long"})]
-        + [requests.ConnectionError("down"), _FakeResponse(503, {})] * 2
+        + [requests.ConnectionError("down"), _FakeResponse(503, {})] * 6
     )
     sleeps = []
-    backend = LiveBackend(
-        model_id="m", api_key="k", max_retries=3, session=session, sleep=sleeps.append
+    backend = _live_backend(session, sleeps.append)
+    rejected, *down, unsent = backend.complete(
+        [("t", "p1"), ("t", "p2"), ("t", "p3"), ("u", "p4"), ("u", "p5")], Decoding(0.0, 16)
     )
-    rejected, down, *rest = backend.complete(
-        [("t", "p1"), ("t", "p2"), ("t", "p3"), ("u", "p4")], Decoding(0.0, 16)
-    )
-    # a rejected prompt fails alone; the first to outlast its retries fails the rest unsent
+    # a rejected prompt fails alone; three that outlast their retries open the circuit
     assert "400" in str(rejected) and rejected.retries == 0
-    assert "503" in str(down) and down.retries == 3
-    assert rest == [down, down]
-    assert session.calls == 1 + 4
-    assert sleeps == [1.0, 2.0, 4.0]
+    assert all("503" in str(error) and error.retries == 3 for error in down)
+    assert str(unsent) == (
+        "circuit open for http://host/v1/chat/completions after 3 consecutive failed POSTs; "
+        f"last error: {down[-1]}"
+    )
+    assert session.calls == 1 + 3 * 4
+    assert sleeps == [1.0, 2.0, 4.0] * 3
 
 
 def test_live_backend_sends_decoding_but_not_template_id():
     session = _FakeSession([_FakeResponse(200, _completion_payload("ok"))])
-    backend = LiveBackend(model_id="m", api_key="k", session=session)
+    backend = _live_backend(session)
     backend.complete([("relevance", "the prompt")], Decoding(temperature=0.7, max_tokens=32))
     assert session.payloads == [
         {
@@ -1683,7 +1692,7 @@ def test_live_backend_sends_decoding_but_not_template_id():
 
 def test_live_backend_client_errors_fail_immediately():
     session = _FakeSession([_FakeResponse(401, {"error": "no"})])
-    backend = LiveBackend(model_id="m", api_key="k", session=session, sleep=lambda s: None)
+    backend = _live_backend(session)
     [error] = backend.complete([("t", "p")], Decoding(0.0, 16))
     assert isinstance(error, BackendError)
     assert session.calls == 1
@@ -1697,7 +1706,7 @@ def test_live_backend_sends_a_list_one_post_per_prompt_and_fails_items_alone():
             _FakeResponse(200, _completion_payload("three")),
         ]
     )
-    backend = LiveBackend(model_id="m", api_key="k", session=session, sleep=lambda s: None)
+    backend = _live_backend(session)
     first, second, third = backend.complete(
         [("t", "p1"), ("t", "p2"), ("u", "p3")], Decoding(0.0, 16)
     )
@@ -1713,17 +1722,17 @@ def test_live_backend_sends_a_list_one_post_per_prompt_and_fails_items_alone():
 @pytest.mark.parametrize("content", [None, 5, ["ok"]], ids=["null", "number", "list"])
 def test_live_backend_completion_content_that_is_not_text_is_a_backend_error(content):
     session = _FakeSession([_FakeResponse(200, _completion_payload(content))])
-    backend = LiveBackend(model_id="m", api_key="k", session=session)
+    backend = _live_backend(session)
     [error] = backend.complete([("t", "p")], Decoding(0.0, 16))
     assert isinstance(error, BackendError)
-    assert "malformed chat completion response" in str(error)
+    assert "returned a malformed answer" in str(error)
 
 
 def test_live_backend_embeddings_endpoint():
     session = _FakeSession(
         [_FakeResponse(200, {"data": [{"index": 0, "embedding": [0.1, 0.2]}]})]
     )
-    backend = LiveBackend(model_id="m", api_key="k", session=session)
+    backend = _live_backend(session)
     [vector] = backend.embed(["t"])
     assert vector.tolist() == [0.1, 0.2]
     assert vector.dtype == np.float64 and not vector.flags.writeable
@@ -1733,7 +1742,7 @@ def test_live_backend_embeddings_endpoint():
 def test_live_backend_embeds_a_batch_in_one_post_and_orders_it_by_index():
     rows = [{"index": 2, "embedding": [2.0]}, {"index": 0, "embedding": [0.0]}, {"index": 1, "embedding": [1.0]}]
     session = _FakeSession([_FakeResponse(200, {"data": rows})])
-    backend = LiveBackend(model_id="m", embedding_model_id="e", api_key="k", session=session)
+    backend = _live_backend(session, embedding_model_id="e")
     vectors = backend.embed(["a", "b", "c"])
     assert [v.tolist() for v in vectors] == [[0.0], [1.0], [2.0]]
     assert session.payloads == [{"model": "e", "input": ["a", "b", "c"]}]
@@ -1743,7 +1752,7 @@ def test_live_backend_nan_embedding_is_a_backend_error_at_the_gateway():
     # Python's json reads NaN and Infinity, so a live answer can carry them
     answer = json.loads('{"data": [{"index": 0, "embedding": [NaN, 0.5]}]}')
     session = _FakeSession([_FakeResponse(200, answer)])
-    gateway = Gateway(backend=LiveBackend(model_id="m", api_key="k", session=session))
+    gateway = Gateway(backend=_live_backend(session))
     with pytest.raises(BackendError, match="the embedding of 't' is not finite"):
         gateway.embed("t")
     assert len(gateway.cache) == 0
@@ -1757,9 +1766,175 @@ def test_live_backend_nan_embedding_is_a_backend_error_at_the_gateway():
 def test_live_backend_embedding_rows_that_do_not_match_the_texts_are_a_backend_error(indices):
     rows = [{"index": i, "embedding": [float(i)]} for i in indices]
     session = _FakeSession([_FakeResponse(200, {"data": rows})])
-    backend = LiveBackend(model_id="m", api_key="k", session=session)
+    backend = _live_backend(session)
     with pytest.raises(BackendError, match="indices"):
         backend.embed(["a", "b"])
+
+
+@pytest.mark.parametrize(
+    "value,wait",
+    [
+        ("5", 5),
+        ("0", 0),
+        ("3600", RETRY_AFTER_CAP_S),
+        ("Wed, 21 Oct 2015 07:28:00 GMT", 1.0),
+        ("soon", 1.0),
+        ("-1", 1.0),
+        ("2.5", 1.0),
+        ("", 1.0),
+    ],
+    ids=["seconds", "zero", "capped", "http-date", "word", "negative", "fraction", "empty"],
+)
+@pytest.mark.parametrize("status", [429, 503])
+def test_post_json_waits_the_whole_seconds_retry_after_asks_for(status, value, wait):
+    session = _FakeSession(
+        [
+            _FakeResponse(status, {}, {"Retry-After": value}),
+            _FakeResponse(status, {}),
+            _FakeResponse(200, {"ok": True}),
+        ]
+    )
+    sleeps = []
+    answer = post_json("http://host/x", {}, session=session, timeout=1.0, sleep=sleeps.append)
+    assert answer == {"ok": True}
+    # the step Retry-After does not name keeps its backoff
+    assert sleeps == [wait, 2.0]
+
+
+def test_post_json_ignores_retry_after_on_other_retried_statuses():
+    session = _FakeSession(
+        [_FakeResponse(502, {}, {"Retry-After": "30"}), _FakeResponse(200, {"ok": True})]
+    )
+    sleeps = []
+    post_json("http://host/x", {}, session=session, timeout=1.0, sleep=sleeps.append)
+    assert sleeps == [1.0]
+
+
+def test_post_json_does_not_wait_after_its_last_attempt():
+    session = _FakeSession([_FakeResponse(429, {}, {"Retry-After": "9"})] * 4)
+    sleeps = []
+    with pytest.raises(BackendError, match="returned 429") as excinfo:
+        post_json("http://host/x", {}, session=session, timeout=1.0, sleep=sleeps.append)
+    assert excinfo.value.retries == MAX_RETRIES
+    assert sleeps == [9, 9, 9]
+
+
+# -- circuit breaker -------------------------------------------------------
+
+
+def _giving_up(url):
+    return BackendError(f"POST {url} failed: connection refused", retries=MAX_RETRIES)
+
+
+def test_live_backend_three_give_ups_open_the_chat_circuit_only():
+    posts = []
+
+    def post(url, payload):
+        posts.append(url)
+        if url.endswith("/chat/completions"):
+            raise _giving_up(url)
+        return {"data": [{"index": 0, "embedding": [1.0]}]}
+
+    backend = LiveBackend(model_id="m", api_key="k", base_url="http://host/v1", post=post)
+    outcomes = backend.complete([("t", f"p{i}") for i in range(5)], Decoding())
+    chat = "http://host/v1/chat/completions"
+    assert posts == [chat] * 3  # an open circuit sends nothing
+    assert [str(error) for error in outcomes[:3]] == [str(_giving_up(chat))] * 3
+    assert [str(error) for error in outcomes[3:]] == [
+        f"circuit open for {chat} after 3 consecutive failed POSTs; "
+        f"last error: {_giving_up(chat)}"
+    ] * 2
+    [vector] = backend.embed(["t"])
+    assert vector.tolist() == [1.0]
+    assert posts[3:] == ["http://host/v1/embeddings"]
+
+
+def test_live_backend_embeddings_keep_their_own_count():
+    posts = []
+
+    def post(url, payload):
+        posts.append(url.rsplit("/", 1)[-1])
+        raise _giving_up(url)
+
+    backend = LiveBackend(model_id="m", api_key="k", base_url="http://host/v1", post=post)
+    for _ in range(3):
+        [error] = backend.complete([("t", "p")], Decoding())
+        assert "circuit open" not in str(error)
+        with pytest.raises(BackendError, match="connection refused"):
+            backend.embed(["t"])
+    assert posts == ["completions", "embeddings"] * 3
+    [error] = backend.complete([("t", "p")], Decoding())
+    assert str(error).startswith("circuit open for http://host/v1/chat/completions after 3 ")
+    with pytest.raises(BackendError, match="circuit open for http://host/v1/embeddings after 3 "):
+        backend.embed(["t"])
+    assert len(posts) == 6
+
+
+@pytest.mark.parametrize("answer", ["rejected", "malformed"])
+def test_live_backend_an_answered_post_resets_the_count(answer):
+    chat = "http://host/v1/chat/completions"
+    answered = {
+        "rejected": BackendError(f"POST {chat} returned 400: too long"),
+        "malformed": {"choices": []},
+    }[answer]
+    replies = iter([_giving_up(chat)] * 2 + [answered] + [_giving_up(chat)] * 3)
+    posts = []
+
+    def post(url, payload):
+        posts.append(payload["messages"][0]["content"])
+        reply = next(replies)
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
+
+    backend = LiveBackend(model_id="m", api_key="k", base_url="http://host/v1", post=post)
+    outcomes = backend.complete([("t", f"p{i}") for i in range(7)], Decoding())
+    assert posts == [f"p{i}" for i in range(6)]
+    assert ("400" if answer == "rejected" else "returned a malformed answer") in str(outcomes[2])
+    assert str(outcomes[6]).startswith("circuit open")
+
+
+class _UnavailableHandler(http.server.BaseHTTPRequestHandler):
+    """Answers every POST with a 503, counting them."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.posts.append(self.path)
+        self.send_response(503)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+    def log_message(self, *args):
+        pass
+
+
+def test_live_backend_stops_posting_to_an_unavailable_server_over_loopback():
+    import requests
+
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _UnavailableHandler)
+    server.posts = []
+    serving = threading.Thread(target=server.serve_forever)
+    serving.start()
+    session = requests.Session()
+    try:
+        backend = LiveBackend(
+            model_id="m",
+            api_key="k",
+            base_url=f"http://127.0.0.1:{server.server_address[1]}/v1",
+            post=lambda url, payload: post_json(
+                url, payload, session=session, timeout=5.0, sleep=lambda s: None
+            ),
+        )
+        outcomes = backend.complete([("t", f"p{i}") for i in range(5)], Decoding())
+    finally:
+        session.close()
+        server.shutdown()
+        server.server_close()
+        serving.join()
+    # three requests, each sent once and retried three times; the rest never leave
+    assert server.posts == ["/v1/chat/completions"] * 12
+    assert all("returned 503 (after 3 retries)" in str(error) for error in outcomes[:3])
+    assert all(str(error).startswith("circuit open") for error in outcomes[3:])
 
 
 # -- letter parsing property ---------------------------------------------

@@ -30,7 +30,7 @@ from tracer.fixtures import (
     make_scenario_gateway,
 )
 from tracer.gateway import Gateway, MockScript, ResponseCache
-from tracer.gateway.backends import ExternalClassifier, post_json
+from tracer.gateway.backends import Endpoint, post_json
 from tracer.verdict import (
     BaseVerdict,
     FinalVerdict,
@@ -392,14 +392,14 @@ _CLASSIFIER_FAILURES = {
     "string_body": _answering("Hidden"),
     "null_body": _answering(None),
     "transport_error": lambda url, payload: post_json(
-        url, payload, session=_RefusingSession(), sleep=lambda s: None
+        url, payload, session=_RefusingSession(), timeout=1.0, sleep=lambda s: None
     ),
 }
 
 
 @pytest.mark.parametrize("failure", sorted(_CLASSIFIER_FAILURES))
 def test_pipeline_records_alignment_classifier_failures(failure):
-    classifier = ExternalClassifier(
+    classifier = Endpoint(
         "http://host/align", post=_CLASSIFIER_FAILURES[failure]
     )
     gateway, script = _pipeline_gateway()
@@ -423,7 +423,7 @@ def test_pipeline_goes_on_when_only_some_sentences_fail_alignment():
             raise BackendError(f"POST {url} failed: connection refused")
         return {"label": "Presented"}
 
-    classifier = ExternalClassifier("http://host/align", post=post)
+    classifier = Endpoint("http://host/align", post=post)
     gateway, script = _pipeline_gateway()
     report = run_pipeline(gateway, _record(), alignment_classifier=classifier)
     assert report.stages[0] == StageTrace(
@@ -445,7 +445,7 @@ def test_pipeline_claim_without_evidence_is_still_verified():
 
 @pytest.mark.parametrize("failure", sorted(_CLASSIFIER_FAILURES))
 def test_pipeline_records_nli_classifier_failures(failure):
-    classifier = ExternalClassifier("http://host/nli", post=_CLASSIFIER_FAILURES[failure])
+    classifier = Endpoint("http://host/nli", post=_CLASSIFIER_FAILURES[failure])
     gateway, _ = _pipeline_gateway()
     report = run_pipeline(gateway, _record(), nli_classifier=classifier)
     che = next(row for row in report.stages if row.stage == "che")
