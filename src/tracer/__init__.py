@@ -52,7 +52,6 @@ from .corpus import (
 )
 from .errors import TracerError
 from .gateway import (
-    Decoding,
     Embedding,
     Gateway,
     LiveBackend,
@@ -110,7 +109,6 @@ __all__ = [
     "ClaimRecord",
     "ConfusionMatrix",
     "Corpus",
-    "Decoding",
     "Embedding",
     "FinalVerdict",
     "Gateway",

@@ -7,10 +7,11 @@
     tracer cache-stats show persistent cache entries and the size of its files
     tracer cache-clear drop the persistent cache and its vector file
 
-Exit codes: 0 success; 1 usage, configuration, or unreadable input;
-2 inconsistent data (duplicate ids, missing predictions, empty scoring
-sets). Per-claim pipeline failures never fail the run: they are recorded
-inside the report.
+Exit codes: 0 success; 1 usage, configuration, or unreadable input, or
+a run that ends with an HTTP endpoint's circuit open; 2 inconsistent data
+(duplicate ids, missing predictions, empty scoring sets). Other per-claim
+pipeline failures never fail the run: they are recorded inside the
+report.
 """
 
 from __future__ import annotations
@@ -161,9 +162,7 @@ def _build_gateway(settings: BackendSettings, cache_path: str | None) -> Gateway
             embedding_model_id=settings.embedding_model_id,
             base_url=settings.base_url,
         )
-    return Gateway(
-        backend=backend, cache=ResponseCache(cache_path), max_in_flight=settings.concurrency
-    )
+    return Gateway(backend=backend, cache=ResponseCache(cache_path))
 
 
 # -- running a corpus ----------------------------------------------------
@@ -253,6 +252,9 @@ def cmd_run(args) -> int:
             Endpoint(args.alignment_endpoint) if args.alignment_endpoint else None
         )
         nli_classifier = Endpoint(args.nli_endpoint) if args.nli_endpoint else None
+        endpoints = [e for e in (alignment_classifier, nli_classifier) if e is not None]
+        if isinstance(gateway.backend, LiveBackend):
+            endpoints += gateway.backend.endpoints
 
         reports = []
         for report in run_corpus(
@@ -291,7 +293,11 @@ def cmd_run(args) -> int:
             json.dump(manifest, handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"manifest: {manifest_path}")
-        return 0
+        # an open circuit failed every later claim: the reports stay, the run fails
+        errors = list(filter(None, (endpoint.circuit_error() for endpoint in endpoints)))
+        for error in errors:
+            print(f"error: {error}", file=sys.stderr)
+        return 1 if errors else 0
     finally:
         gateway.cache.close()
 

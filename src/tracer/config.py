@@ -89,6 +89,7 @@ class BackendSettings:
     base_url: str = "https://api.openai.com/v1"
     model_id: str = "gpt-4o-mini"
     embedding_model_id: str | None = None
+    # a cap on in-flight backend requests, met at any value: a run sends one at a time
     concurrency: int = 4
     mock_script: str | None = None
 

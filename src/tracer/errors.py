@@ -69,11 +69,16 @@ class UnknownTemplate(TracerError):
 
 
 class BackendError(TracerError):
-    """Transport or status failure talking to a model backend."""
+    """Transport or status failure talking to a model backend.
 
-    def __init__(self, message: str, retries: int = 0):
+    ``answered`` marks a failure the server answered, a rejected status or
+    an undecodable body, which no retry could change.
+    """
+
+    def __init__(self, message: str, retries: int = 0, answered: bool = False):
         super().__init__(f"{message} (after {retries} retries)" if retries else message)
         self.retries = retries
+        self.answered = answered
 
 
 class MockScriptMiss(BackendError):

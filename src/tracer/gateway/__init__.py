@@ -10,15 +10,13 @@ every answer back without a single backend call.
 from __future__ import annotations
 
 import math
-import queue
-import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from ..errors import BackendError, CacheCorruption, EmptyInput, TracerError
-from .backends import API_KEY_ENV, Decoding, Endpoint, LiveBackend, api_key_from_env
+from .backends import API_KEY_ENV, MAX_TOKENS, TEMPERATURE, Endpoint, LiveBackend, api_key_from_env
 from .cache import ResponseCache, completion_key, embedding_key, frozen_vector
 from .mock import MockCall, MockScript
 from .parsing import parse_binary_digit, parse_bracketed, parse_letter_choice
@@ -86,36 +84,28 @@ class Gateway:
     answer, or the ``TracerError`` in its place; ``complete`` and
     ``embed`` ask for one item and raise its failure. The backend, a
     MockScript or a LiveBackend, answers ``complete([(template_id,
-    prompt), ...], decoding)`` and ``embed(texts)`` the same way, and the
-    items of a list that the cache lacks reach it in one call. Model ids
-    come from the backend (``"mock"`` when it names none). A completion
-    that is not valid Unicode (a lone surrogate), a vector with a NaN or
-    infinite value, a cache hit of the wrong kind and a cached vector its
-    vector file lost are failures, and no failure is cached. ``counters``
-    counts requests, cache hits, backend calls (one per list) and, per
-    template, the prompts answered. At most
-    ``max_in_flight`` (at least 1) backend calls run at once when callers
-    fan out across threads: each takes a token from a queue first.
+    prompt), ...])`` and ``embed(texts)`` the same way, and the items of
+    a list that the cache lacks reach it in one call. A completion's
+    cache key records the fixed decoding, ``TEMPERATURE`` and
+    ``MAX_TOKENS``. Model ids come from the backend (``"mock"`` when it
+    names none). A completion that is not valid Unicode (a lone
+    surrogate), a vector with a NaN or infinite value, a cache hit of the
+    wrong kind and a cached vector its vector file lost are failures, and
+    no failure is cached. ``counters`` counts requests, cache hits,
+    backend calls (one per list) and, per template, the prompts answered.
+
+    A Gateway and its cache are used from one thread, which runs one
+    claim at a time, so a run sends one backend request at a time.
     """
 
-    def __init__(self, backend, cache: ResponseCache | None = None, max_in_flight: int = 4):
-        if max_in_flight < 1:
-            # no token would ever be free: the first backend call would wait forever
-            raise ValueError(f"max_in_flight must be at least 1, got {max_in_flight}")
+    def __init__(self, backend, cache: ResponseCache | None = None):
         self.backend = backend
         self.catalog = TemplateCatalog.bundled()
         # explicit None check: an empty cache is falsy but still the caller's cache
         self.cache = cache if cache is not None else ResponseCache()
         self.model_id = getattr(backend, "model_id", "mock")
         self.embedding_model_id = getattr(backend, "embedding_model_id", self.model_id)
-        self.decoding = Decoding()
         self.counters = GatewayCounters()
-        # in-flight tokens: a queue is a C primitive, cheaper per call
-        # than a semaphore, which is written in Python
-        self._slots = queue.SimpleQueue()
-        for _ in range(max_in_flight):
-            self._slots.put(None)
-        self._counter_lock = threading.Lock()
 
     def _fetch(self, keys: list, items: list, held: type, send, accept) -> tuple[dict, int]:
         """Key -> its cached value or ``TracerError``, and how many of ``keys`` were hits.
@@ -143,7 +133,6 @@ class Gateway:
         hits = len(keys) - len(missed)
         if not missed:
             return found, hits
-        self._slots.get()
         try:
             answers = send(list(missed.values()))
             if len(answers) != len(missed):
@@ -153,10 +142,7 @@ class Gateway:
         except TracerError as exc:
             answers = [exc] * len(missed)
         else:
-            with self._counter_lock:
-                self.counters.backend_calls += 1
-        finally:
-            self._slots.put(None)
+            self.counters.backend_calls += 1
         for (key, item), answer in zip(missed.items(), answers):
             try:
                 found[key] = accept(item, unwrap(answer))
@@ -173,22 +159,16 @@ class Gateway:
     def complete_many(self, requests) -> list:
         """One outcome per ``(template_id, bindings)``: its completion or a ``TracerError``."""
         prompts = [(tid, render_template(self.catalog.get(tid), b)) for tid, b in requests]
-        decoding = (self.decoding.temperature, self.decoding.max_tokens)
-        keys = [completion_key(self.model_id, *prompt, *decoding) for prompt in prompts]
-        found, hits = self._fetch(keys, prompts, str, self._send_prompts, self._accept_text)
-        with self._counter_lock:
-            self.counters.completion_requests += len(keys)
-            self.counters.completion_cache_hits += hits
+        keys = [completion_key(self.model_id, *p, TEMPERATURE, MAX_TOKENS) for p in prompts]
+        found, hits = self._fetch(keys, prompts, str, self.backend.complete, self._accept_text)
+        self.counters.completion_requests += len(keys)
+        self.counters.completion_cache_hits += hits
         return [found[key] for key in keys]
-
-    def _send_prompts(self, prompts: list[tuple[str, str]]) -> list:
-        return self.backend.complete(prompts, self.decoding)
 
     def _accept_text(self, prompt: tuple[str, str], text: str) -> str:
         template_id = prompt[0]
-        with self._counter_lock:
-            by_template = self.counters.by_template
-            by_template[template_id] = by_template.get(template_id, 0) + 1
+        by_template = self.counters.by_template
+        by_template[template_id] = by_template.get(template_id, 0) + 1
         try:
             text.encode("utf-8")
         except UnicodeEncodeError as exc:
@@ -210,9 +190,8 @@ class Gateway:
         asked = [text for text in texts if text and text.strip()]
         keys = [embedding_key(self.embedding_model_id, text) for text in asked]
         found, hits = self._fetch(keys, asked, np.ndarray, self.backend.embed, _accept_vector)
-        with self._counter_lock:
-            self.counters.embedding_requests += len(keys)
-            self.counters.embedding_cache_hits += hits
+        self.counters.embedding_requests += len(keys)
+        self.counters.embedding_cache_hits += hits
         for key, value in found.items():
             if isinstance(value, np.ndarray):
                 found[key] = Embedding(vector=value, model_id=self.embedding_model_id)
@@ -245,7 +224,6 @@ def _accept_vector(text: str, vector) -> np.ndarray:
 
 __all__ = [
     "API_KEY_ENV",
-    "Decoding",
     "Embedding",
     "Endpoint",
     "Gateway",

@@ -4,7 +4,9 @@
 and 5xx/429 statuses are retried with exponential backoff, or, on a 429
 or 503, after the whole seconds its ``Retry-After`` names, capped. Any
 other non-2xx status fails at once, since repeating a rejected request
-cannot change the outcome. Every failure is a ``BackendError``.
+cannot change the outcome. Every failure is a ``BackendError``; one the
+server answered, a rejected status or an undecodable body, is marked
+``answered``.
 
 ``Endpoint`` is its one caller: one client per URL, each with its own
 kept-alive ``requests.Session``, circuit breaker and malformed-answer
@@ -12,7 +14,8 @@ rule, serves the alignment and NLI classifiers and the live model's
 ``chat/completions`` and ``embeddings``. ``LiveBackend`` speaks the
 OpenAI-compatible wire format over the last two. Like the mock, it
 answers lists: ``complete`` sends one request per prompt, in order, and
-``embed`` one request for all the texts.
+``embed`` one request for all the texts. Every completion is asked at
+temperature ``TEMPERATURE`` for at most ``MAX_TOKENS`` tokens.
 
 ``requests`` is imported only when a session is made or a request is
 sent, so offline runs never pay for importing it.
@@ -22,7 +25,6 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +34,9 @@ from .cache import frozen_vector
 API_KEY_ENV = "TRACER_API_KEY"
 DEFAULT_BASE_URL = "https://api.openai.com/v1"
 RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
-DEFAULT_MAX_TOKENS = 1024
+# the decoding of every completion, recorded in its cache key
+TEMPERATURE = 0.0
+MAX_TOKENS = 1024
 # retries of one POST after its first attempt, and the first backoff, doubled per retry
 MAX_RETRIES = 3
 BACKOFF_BASE_S = 1.0
@@ -43,12 +47,6 @@ CIRCUIT_BREAKER_FAILURES = 3
 # seconds one POST may take
 MODEL_TIMEOUT_S = 60.0
 CLASSIFIER_TIMEOUT_S = 30.0
-
-
-@dataclass(frozen=True)
-class Decoding:
-    temperature: float = 0.0
-    max_tokens: int = DEFAULT_MAX_TOKENS
 
 
 def api_key_from_env() -> str:
@@ -85,11 +83,14 @@ def post_json(url: str, payload: dict, *, session, timeout: float, headers=None,
         raise BackendError(
             f"POST {url} returned {response.status_code}: {response.text[:200]}",
             retries=retries,
+            answered=True,
         )
     try:
         return response.json()
     except ValueError as exc:
-        raise BackendError(f"POST {url} returned undecodable body", retries=retries) from exc
+        raise BackendError(
+            f"POST {url} returned undecodable body", retries=retries, answered=True
+        ) from exc
 
 
 def _retry_after(response) -> float | None:
@@ -112,11 +113,13 @@ class Endpoint:
     a ``BackendError`` naming the URL and the reader's reason.
     ``post(url, payload)`` replaces the transport in tests.
 
-    The circuit breaker: a POST on which ``post_json`` used every retry
-    counts as failed; any other outcome, a 4xx or an answer ``read``
-    rejects included, resets the count. After ``CIRCUIT_BREAKER_FAILURES``
-    failures in a row every later ``ask`` raises ``BackendError`` at once,
-    naming the open circuit and the last error, and sends nothing.
+    The circuit breaker: a POST that ``post_json`` gave up on after using
+    every retry counts as failed; any other outcome resets the count, an
+    ``answered`` failure (a 4xx or an undecodable body, after retried 5xx
+    answers too) and an answer ``read`` rejects included. After
+    ``CIRCUIT_BREAKER_FAILURES`` failures in a row the circuit is open:
+    every later ``ask`` raises ``circuit_error()`` at once and sends
+    nothing.
     """
 
     def __init__(
@@ -135,17 +138,24 @@ class Endpoint:
         self._failures = 0
         self._last_error: BackendError | None = None
 
+    def circuit_error(self) -> BackendError | None:
+        """The error naming the open circuit and the last failure; None while it is closed."""
+        if self._failures < CIRCUIT_BREAKER_FAILURES:
+            return None
+        return BackendError(
+            f"circuit open for {self.url} after {self._failures} consecutive "
+            f"failed POSTs; last error: {self._last_error}"
+        )
+
     def ask(self, payload: dict, read):
-        if self._failures >= CIRCUIT_BREAKER_FAILURES:
-            raise BackendError(
-                f"circuit open for {self.url} after {self._failures} consecutive "
-                f"failed POSTs; last error: {self._last_error}"
-            )
+        error = self.circuit_error()
+        if error is not None:
+            raise error
         try:
             data = self._post(self.url, payload)
         except BackendError as exc:
-            # an answer that was not retried to the end (a 4xx, say) resets the count
-            self._failures = self._failures + 1 if exc.retries == MAX_RETRIES else 0
+            gave_up = exc.retries == MAX_RETRIES and not exc.answered
+            self._failures = self._failures + 1 if gave_up else 0
             self._last_error = exc
             raise
         self._failures = 0
@@ -159,7 +169,10 @@ class Endpoint:
 
 
 class LiveBackend:
-    """Chat completions and embeddings, each through its own ``Endpoint``."""
+    """Chat completions and embeddings, each through its own ``Endpoint``.
+
+    ``endpoints`` holds the two, chat first.
+    """
 
     def __init__(
         self,
@@ -174,20 +187,21 @@ class LiveBackend:
         api_key = api_key if api_key is not None else api_key_from_env()
         headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
         base_url = base_url.rstrip("/")
-        self._chat, self._embeddings = (
+        self.endpoints = tuple(
             Endpoint(f"{base_url}/{path}", post, headers, MODEL_TIMEOUT_S)
             for path in ("chat/completions", "embeddings")
         )
+        self._chat, self._embeddings = self.endpoints
 
-    def complete(self, requests: list[tuple[str, str]], decoding: Decoding) -> list:
+    def complete(self, requests: list[tuple[str, str]]) -> list:
         """A chat completion or ``BackendError`` per ``(template_id, prompt)``, sent in turn."""
         outcomes = []
         for _, prompt in requests:
             payload = {
                 "model": self.model_id,
                 "messages": [{"role": "user", "content": prompt}],
-                "temperature": decoding.temperature,
-                "max_tokens": decoding.max_tokens,
+                "temperature": TEMPERATURE,
+                "max_tokens": MAX_TOKENS,
             }
             try:
                 outcomes.append(self._chat.ask(payload, _read_content))

@@ -47,7 +47,7 @@ an append still in progress, now whole).
 A key is the sha256 of a short header (kind, model, and for a
 completion its template and decoding) followed by the prompt or text as
 raw UTF-8, written as 43 unpadded base64url characters; see
-``completion_key``. Reads are lock-free; writes are serialized through
+``completion_key``. A cache is used from one thread. It writes through
 one append handle per file, flushed after every batch.
 
 Vectors on disk are not held in memory: the cache keeps where each
@@ -69,7 +69,6 @@ import base64
 import hashlib
 import json
 import os
-import threading
 import weakref
 from contextlib import contextmanager
 from json.encoder import encode_basestring
@@ -216,7 +215,6 @@ class ResponseCache:
         self.path = Path(path) if path is not None else None
         self._vector_path = _vector_path(self.path) if self.path is not None else None
         self._entries: dict[str, object] = {}
-        self._lock = threading.Lock()
         self._handle = None
         self._vector_handle = None
         # read descriptor -> its closer, one per vector file
@@ -389,30 +387,27 @@ class ResponseCache:
         """
         if not isinstance(value, str):
             value = frozen_vector(value)
-        with self._lock:
-            self._entries[key] = value
-            if self.path is None:
-                return
-            self._pending.append((key, value))
-            if not self._open_batches:
-                self._write_pending()
+        self._entries[key] = value
+        if self.path is None:
+            return
+        self._pending.append((key, value))
+        if not self._open_batches:
+            self._write_pending()
 
     @contextmanager
     def batched(self):
         """Hold the records put inside the block, and write them when it exits.
 
         Every exit writes everything pending, an exit by exception too,
-        and also while another thread's block is still open.
+        and also the exit of a block nested in another.
         """
-        with self._lock:
-            self._open_batches += 1
+        self._open_batches += 1
         try:
             yield
         finally:
-            with self._lock:
-                self._open_batches -= 1
-                if self._pending:
-                    self._write_pending()
+            self._open_batches -= 1
+            if self._pending:
+                self._write_pending()
 
     def close(self) -> None:
         """Close the append handles; the cache still serves, and a later write reopens them.
@@ -420,26 +415,21 @@ class ResponseCache:
         The vector files' read descriptors stay open until ``clear()`` or
         until the cache is collected.
         """
-        with self._lock:
-            self._close_handles()
-
-    def _close_handles(self) -> None:
         for handle in (self._handle, self._vector_handle):
             if handle is not None:
                 handle.close()
         self._handle = self._vector_handle = None
 
     def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._close_handles()
-            for closer in self._readers.values():
-                closer()
-            self._readers.clear()
-            self._open_tail = None
-            self._pending.clear()
-            if self.path is not None:
-                remove_cache_files(self.path)
+        self._entries.clear()
+        self.close()
+        for closer in self._readers.values():
+            closer()
+        self._readers.clear()
+        self._open_tail = None
+        self._pending.clear()
+        if self.path is not None:
+            remove_cache_files(self.path)
 
     def stats(self) -> dict:
         """Entry count, cache file path, and the bytes of both files."""

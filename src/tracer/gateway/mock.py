@@ -52,7 +52,6 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import MockScriptMiss
-from .backends import Decoding
 from .cache import frozen_vector
 
 
@@ -171,7 +170,7 @@ class MockScript:
         with Path(path).open("r", encoding="utf-8") as handle:
             return cls.from_dict(json.load(handle))
 
-    def complete(self, requests: list[tuple[str, str]], decoding: Decoding) -> list:
+    def complete(self, requests: list[tuple[str, str]]) -> list:
         """For each ``(template_id, prompt)``, the first matching rule's next response."""
         return [self._response_for(template_id, prompt) for template_id, prompt in requests]
 

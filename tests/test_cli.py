@@ -603,6 +603,24 @@ def test_run_config_value_of_the_wrong_type_exits_one_before_any_claim(
     assert out == "" and not out_path.exists()
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_run_concurrency_below_one_exits_one_before_any_claim(capsys, tmp_path, value):
+    code, out, err, out_path = _run_scenario(capsys, tmp_path, "--concurrency", value)
+    assert code == 1
+    assert f"error: concurrency must be positive, got {value}" in err
+    assert out == "" and not out_path.exists()
+
+
+@pytest.mark.parametrize("value", ["1", "8"])
+def test_run_gives_the_scenario_digest_at_any_concurrency(capsys, tmp_path, value):
+    code, out, err, out_path = _run_scenario(capsys, tmp_path, "--concurrency", value)
+    assert code == 0, err
+    expected = hashlib.sha256(data_path(SCENARIO_EXPECTED).read_bytes()).hexdigest()
+    assert f"report digest: {expected}" in out
+    manifest = json.loads((tmp_path / "reports.jsonl.manifest.json").read_text())
+    assert manifest["report_digest"] == expected
+
+
 def test_run_config_that_is_not_yaml_exits_one(capsys, tmp_path):
     config = tmp_path / "run.yaml"
     config.write_text("backend: [unclosed\n", encoding="utf-8")
@@ -831,6 +849,65 @@ def test_run_with_both_classifiers_over_loopback_keeps_one_connection_each(capsy
     # one kept-alive connection per classifier
     align_ports, nli_ports = {port for port, _ in align}, {port for port, _ in nli}
     assert len(align_ports) == len(nli_ports) == 1 and align_ports != nli_ports
+
+
+class _UnavailableHandler(http.server.BaseHTTPRequestHandler):
+    """Answers every POST with a 503 that asks for no wait."""
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.posts.append(self.path)
+        self.send_response(503)
+        self.send_header("Retry-After", "0")
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+    def log_message(self, *args):
+        pass
+
+
+def test_run_against_an_unavailable_model_exits_one_and_keeps_its_reports(
+    capsys, tmp_path, monkeypatch
+):
+    record = json.loads(Path(SCENARIO_CORPUS).read_text(encoding="utf-8"))
+    corpus = tmp_path / "claims.jsonl"
+    corpus.write_text(
+        "".join(json.dumps(dict(record, id=f"dead-{i}")) + "\n" for i in range(2)),
+        encoding="utf-8",
+    )
+    monkeypatch.setenv("TRACER_API_KEY", "dummy")
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _UnavailableHandler)
+    server.posts = []
+    serving = threading.Thread(target=server.serve_forever)
+    serving.start()
+    out_path = tmp_path / "reports.jsonl"
+    base = f"http://127.0.0.1:{server.server_address[1]}/v1"
+    try:
+        code, out, err = run_cli(
+            capsys,
+            "run",
+            "--live",
+            "--base-url",
+            base,
+            "--corpus",
+            str(corpus),
+            "--output",
+            str(out_path),
+        )
+    finally:
+        server.shutdown()
+        server.server_close()
+        serving.join()
+    assert code == 1
+    assert f"error: circuit open for {base}/chat/completions after 3 " in err
+    reports = [json.loads(line) for line in out_path.read_text(encoding="utf-8").splitlines()]
+    assert [(r["id"], bool(r["failed"])) for r in reports] == [("dead-0", True), ("dead-1", True)]
+    assert "dead-0: failed at " in out and "dead-1: failed at " in out
+    assert f"report digest: {hashlib.sha256(out_path.read_bytes()).hexdigest()}" in out
+    manifest = json.loads((tmp_path / "reports.jsonl.manifest.json").read_text())
+    assert manifest["n_claims"] == 2
+    # three requests, each sent once and retried three times; the rest never leave
+    assert server.posts == ["/v1/chat/completions"] * 12
 
 
 def test_offline_run_does_not_import_requests(tmp_path):

@@ -19,7 +19,6 @@ from tracer.fixtures import (
     make_scenario_gateway,
 )
 from tracer.fixtures.__main__ import main as fixtures_main
-from tracer.gateway import Decoding
 
 
 def test_all_shipped_files_exist():
@@ -38,7 +37,7 @@ def test_scenario_record_shape():
 def test_scenario_script_is_fresh_per_load():
     first = load_scenario_script()
     second = load_scenario_script()
-    first.complete([("relevance", "anything")], Decoding())
+    first.complete([("relevance", "anything")])
     assert first.call_log and not second.call_log
 
 

@@ -11,7 +11,6 @@ import struct
 import subprocess
 import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -29,8 +28,8 @@ from tracer.errors import (
     UnparseableChoice,
 )
 from tracer.gateway import (
-    Decoding,
     Embedding,
+    Endpoint,
     Gateway,
     LiveBackend,
     MockScript,
@@ -44,7 +43,13 @@ from tracer.gateway import (
     render_template,
 )
 
-from tracer.gateway.backends import MAX_RETRIES, RETRY_AFTER_CAP_S, post_json
+from tracer.gateway.backends import (
+    MAX_RETRIES,
+    MAX_TOKENS,
+    RETRY_AFTER_CAP_S,
+    TEMPERATURE,
+    post_json,
+)
 from tracer.gateway.mock import MockRule, _hashed_unit_vector
 
 from conftest import make_gateway
@@ -381,60 +386,19 @@ def test_cache_put_after_clear_starts_a_fresh_file(tmp_path):
     assert path.read_text(encoding="utf-8") == '{"key": "k2", "value": "v2"}\n'
 
 
-def test_cache_concurrent_writers(tmp_path):
+def test_cache_nested_batch_exit_writes_everything_pending(tmp_path):
     path = tmp_path / "cache.jsonl"
     cache = ResponseCache(path)
-
-    def writer(start):
-        for i in range(start, start + 50):
-            cache.put(f"k{i}", f"v{i}")
-            cache.put(f"e{i}", [float(i)] * (i % 7 + 1))
-
-    threads = [threading.Thread(target=writer, args=(n * 50,)) for n in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=30)
-        assert not t.is_alive()
-    reloaded = ResponseCache(path)
-    assert len(reloaded) == 400
-    assert reloaded.get("k123") == "v123"
-    for i in range(200):
-        assert reloaded.get(f"e{i}").tolist() == [float(i)] * (i % 7 + 1)
-
-
-def test_cache_batches_on_two_threads_each_write_everything_pending_on_exit(tmp_path):
-    path = tmp_path / "cache.jsonl"
-    cache = ResponseCache(path)
-    first_put, second_put, first_done = threading.Event(), threading.Event(), threading.Event()
-    held_when_first_exited = []
-
-    def first():
-        with cache.batched():
-            cache.put("a", "text a")
-            cache.put("av", [1.0, 2.0])
-            first_put.set()
-            assert second_put.wait(10)
-        first_done.set()
-
-    def second():
-        assert first_put.wait(10)
+    with cache.batched():
+        cache.put("a", "text a")
+        cache.put("av", [1.0, 2.0])
         with cache.batched():
             cache.put("b", "text b")
             cache.put("bv", [3.0])
-            second_put.set()
-            assert first_done.wait(10)
-            held_when_first_exited.append(len(ResponseCache(path)))
-            cache.put("c", "text c")
-
-    threads = [threading.Thread(target=first), threading.Thread(target=second)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=30)
-        assert not t.is_alive()
-    # the first exit wrote the second block's records too
-    assert held_when_first_exited == [4]
+        # the inner exit wrote the outer block's records too
+        assert len(ResponseCache(path)) == 4
+        cache.put("c", "text c")
+        assert len(ResponseCache(path)) == 4
     reloaded = ResponseCache(path)
     assert len(reloaded) == 5
     assert [reloaded.get(k) for k in ("a", "b", "c")] == ["text a", "text b", "text c"]
@@ -964,23 +928,23 @@ def test_mock_first_matching_rule_wins():
             ]
         }
     )
-    assert script.complete([("t", "a special prompt")], Decoding()) == ["S"]
-    assert script.complete([("t", "a plain prompt")], Decoding()) == ["D"]
+    assert script.complete([("t", "a special prompt")]) == ["S"]
+    assert script.complete([("t", "a plain prompt")]) == ["D"]
 
 
 def test_mock_response_lists_are_consumed_in_order():
     script = MockScript.from_dict(
         {"rules": [{"template": "t", "responses": ["one", "two"]}]}
     )
-    assert script.complete([("t", "p")], Decoding()) == ["one"]
-    assert script.complete([("t", "p")], Decoding()) == ["two"]
-    [miss] = script.complete([("t", "p")], Decoding())
+    assert script.complete([("t", "p")]) == ["one"]
+    assert script.complete([("t", "p")]) == ["two"]
+    [miss] = script.complete([("t", "p")])
     assert isinstance(miss, MockScriptMiss)
 
 
 def test_mock_miss_raises_rather_than_inventing_output():
     script = MockScript.from_dict({"rules": []})
-    [miss] = script.complete([("relevance", "prompt")], Decoding())
+    [miss] = script.complete([("relevance", "prompt")])
     assert isinstance(miss, MockScriptMiss)
     [miss] = script.embed(["text nobody scripted"])
     assert isinstance(miss, MockScriptMiss)
@@ -994,9 +958,9 @@ def test_mock_call_log_is_complete_and_ordered():
             "embeddings": [{"text": "e", "vector": [1.0]}],
         }
     )
-    script.complete([("t", "p1")], Decoding())
+    script.complete([("t", "p1")])
     script.embed(["e", "e"])
-    script.complete([("t", "p2")], Decoding())
+    script.complete([("t", "p2")])
     assert [c.kind for c in script.call_log] == ["completion", "embedding", "embedding", "completion"]
     assert [c.prompt for c in script.call_log] == ["p1", "e", "e", "p2"]
 
@@ -1105,10 +1069,10 @@ def test_mock_rules_are_consulted_for_the_requested_template_only(monkeypatch):
             ]
         }
     )
-    assert script.complete([("t", "a special prompt")], Decoding()) == ["S"]
-    assert script.complete([("t", "a plain prompt")], Decoding()) == ["D"]
+    assert script.complete([("t", "a special prompt")]) == ["S"]
+    assert script.complete([("t", "a plain prompt")]) == ["D"]
     assert "other" not in consulted
-    assert script.complete([("other", "a special prompt")], Decoding()) == ["O"]
+    assert script.complete([("other", "a special prompt")]) == ["O"]
 
 
 def test_mock_ordered_responses_run_out_then_the_next_rule_matches():
@@ -1120,20 +1084,20 @@ def test_mock_ordered_responses_run_out_then_the_next_rule_matches():
     ]
     script = MockScript.from_dict({"rules": rules})
     prompts = ["p", "q", "p", "q", "q"]
-    answers = [script.complete([("t", prompt)], Decoding())[0] for prompt in prompts]
+    answers = [script.complete([("t", prompt)])[0] for prompt in prompts]
     assert answers[:4] == ["one", "two", "P", "three"]
     assert isinstance(answers[4], MockScriptMiss)
     assert [c.template for c in script.call_log] == ["t"] * 4
     # one list is answered as if its prompts had been sent one by one, in order
     fresh = MockScript.from_dict({"rules": rules})
-    wave = fresh.complete([("t", prompt) for prompt in prompts], Decoding())
+    wave = fresh.complete([("t", prompt) for prompt in prompts])
     assert wave[:4] == answers[:4] and str(wave[4]) == str(answers[4])
     assert fresh.call_log == script.call_log
 
 
 def test_mock_miss_message_for_an_unknown_template():
     script = MockScript.from_dict({"rules": [{"template": "t", "response": "R"}]})
-    [miss] = script.complete([("zzz", "p" * 100)], Decoding())
+    [miss] = script.complete([("zzz", "p" * 100)])
     assert isinstance(miss, MockScriptMiss)
     assert str(miss) == (
         f"no mock rule matches template 'zzz'; prompt starts: {'p' * 80!r}"
@@ -1205,55 +1169,6 @@ def test_gateway_persistent_cache_across_instances(tmp_path):
     assert script2.call_log == []
 
 
-class _CountingBackend:
-    """Answers A, and keeps the most calls it was ever inside at once."""
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.inside = self.peak = 0
-        # the first two calls wait for each other, so a cap of two is reached
-        self.pair = threading.Barrier(2, timeout=10)
-
-    def complete(self, requests, decoding):
-        with self.lock:
-            self.inside += 1
-            self.peak = max(self.peak, self.inside)
-        try:
-            self.pair.wait()
-        except threading.BrokenBarrierError:
-            pass
-        time.sleep(0.05)
-        with self.lock:
-            self.inside -= 1
-        return ["A"] * len(requests)
-
-
-def test_gateway_caps_backend_calls_in_flight():
-    backend = _CountingBackend()
-    gateway = Gateway(backend=backend, max_in_flight=2)
-    threads = [
-        threading.Thread(
-            target=gateway.complete,
-            args=("relevance",),
-            kwargs=dict(claim=f"c{i}", ruling="r", evidence="e"),
-        )
-        for i in range(4)
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=30)
-        assert not t.is_alive()
-    assert backend.peak == 2
-    assert gateway.counters.backend_calls == 4
-
-
-@pytest.mark.parametrize("max_in_flight", [0, -1])
-def test_gateway_without_a_token_for_the_backend_is_a_value_error(max_in_flight):
-    with pytest.raises(ValueError, match="max_in_flight"):
-        Gateway(backend=_CountingBackend(), max_in_flight=max_in_flight)
-
-
 def test_gateway_embed_returns_cached_embedding():
     gateway, script = make_gateway(embeddings=[{"text": "e", "vector": [1.0, 0.0]}])
     first = gateway.embed("e")
@@ -1303,7 +1218,7 @@ class _FlakyEmbedder:
     def __init__(self):
         self.embed_calls = 0
 
-    def complete(self, requests, decoding):
+    def complete(self, requests):
         raise BackendError("no completions here")
 
     def embed(self, texts):
@@ -1562,8 +1477,7 @@ def test_gateway_vector_under_a_completion_key_is_corruption():
     gateway, script = make_gateway(rules=[{"template": "relevance", "response": "A"}])
     bindings = dict(claim="c", ruling="r", evidence="e")
     prompt = render_template(gateway.catalog.get("relevance"), bindings)
-    decoding = gateway.decoding
-    key = completion_key("mock", "relevance", prompt, decoding.temperature, decoding.max_tokens)
+    key = completion_key("mock", "relevance", prompt, TEMPERATURE, MAX_TOKENS)
     gateway.cache.put(key, [1.0, 2.0])
     with pytest.raises(CacheCorruption, match="vector under the completion key"):
         gateway.complete("relevance", **bindings)
@@ -1638,7 +1552,7 @@ def test_live_backend_retries_transient_errors_then_succeeds():
         ]
     )
     backend = _live_backend(session)
-    assert backend.complete([("t", "p")], Decoding(0.0, 16)) == ["ok"]
+    assert backend.complete([("t", "p")]) == ["ok"]
     assert session.calls == 3
 
 
@@ -1647,7 +1561,7 @@ def test_live_backend_gives_up_after_max_retries():
 
     session = _FakeSession([requests.ConnectionError("down")] * 10)
     backend = _live_backend(session)
-    [error] = backend.complete([("t", "p")], Decoding(0.0, 16))
+    [error] = backend.complete([("t", "p")])
     assert isinstance(error, BackendError)
     assert error.retries == 3
     assert session.calls == 4  # initial attempt + 3 retries
@@ -1663,7 +1577,7 @@ def test_live_backend_opens_the_circuit_once_three_requests_used_every_retry():
     sleeps = []
     backend = _live_backend(session, sleeps.append)
     rejected, *down, unsent = backend.complete(
-        [("t", "p1"), ("t", "p2"), ("t", "p3"), ("u", "p4"), ("u", "p5")], Decoding(0.0, 16)
+        [("t", "p1"), ("t", "p2"), ("t", "p3"), ("u", "p4"), ("u", "p5")]
     )
     # a rejected prompt fails alone; three that outlast their retries open the circuit
     assert "400" in str(rejected) and rejected.retries == 0
@@ -1679,13 +1593,13 @@ def test_live_backend_opens_the_circuit_once_three_requests_used_every_retry():
 def test_live_backend_sends_decoding_but_not_template_id():
     session = _FakeSession([_FakeResponse(200, _completion_payload("ok"))])
     backend = _live_backend(session)
-    backend.complete([("relevance", "the prompt")], Decoding(temperature=0.7, max_tokens=32))
+    backend.complete([("relevance", "the prompt")])
     assert session.payloads == [
         {
             "model": "m",
             "messages": [{"role": "user", "content": "the prompt"}],
-            "temperature": 0.7,
-            "max_tokens": 32,
+            "temperature": 0.0,
+            "max_tokens": 1024,
         }
     ]
 
@@ -1693,7 +1607,7 @@ def test_live_backend_sends_decoding_but_not_template_id():
 def test_live_backend_client_errors_fail_immediately():
     session = _FakeSession([_FakeResponse(401, {"error": "no"})])
     backend = _live_backend(session)
-    [error] = backend.complete([("t", "p")], Decoding(0.0, 16))
+    [error] = backend.complete([("t", "p")])
     assert isinstance(error, BackendError)
     assert session.calls == 1
 
@@ -1708,7 +1622,7 @@ def test_live_backend_sends_a_list_one_post_per_prompt_and_fails_items_alone():
     )
     backend = _live_backend(session)
     first, second, third = backend.complete(
-        [("t", "p1"), ("t", "p2"), ("u", "p3")], Decoding(0.0, 16)
+        [("t", "p1"), ("t", "p2"), ("u", "p3")]
     )
     assert (first, third) == ("one", "three")
     assert isinstance(second, BackendError) and "401" in str(second)
@@ -1723,7 +1637,7 @@ def test_live_backend_sends_a_list_one_post_per_prompt_and_fails_items_alone():
 def test_live_backend_completion_content_that_is_not_text_is_a_backend_error(content):
     session = _FakeSession([_FakeResponse(200, _completion_payload(content))])
     backend = _live_backend(session)
-    [error] = backend.complete([("t", "p")], Decoding(0.0, 16))
+    [error] = backend.complete([("t", "p")])
     assert isinstance(error, BackendError)
     assert "returned a malformed answer" in str(error)
 
@@ -1836,7 +1750,7 @@ def test_live_backend_three_give_ups_open_the_chat_circuit_only():
         return {"data": [{"index": 0, "embedding": [1.0]}]}
 
     backend = LiveBackend(model_id="m", api_key="k", base_url="http://host/v1", post=post)
-    outcomes = backend.complete([("t", f"p{i}") for i in range(5)], Decoding())
+    outcomes = backend.complete([("t", f"p{i}") for i in range(5)])
     chat = "http://host/v1/chat/completions"
     assert posts == [chat] * 3  # an open circuit sends nothing
     assert [str(error) for error in outcomes[:3]] == [str(_giving_up(chat))] * 3
@@ -1858,12 +1772,12 @@ def test_live_backend_embeddings_keep_their_own_count():
 
     backend = LiveBackend(model_id="m", api_key="k", base_url="http://host/v1", post=post)
     for _ in range(3):
-        [error] = backend.complete([("t", "p")], Decoding())
+        [error] = backend.complete([("t", "p")])
         assert "circuit open" not in str(error)
         with pytest.raises(BackendError, match="connection refused"):
             backend.embed(["t"])
     assert posts == ["completions", "embeddings"] * 3
-    [error] = backend.complete([("t", "p")], Decoding())
+    [error] = backend.complete([("t", "p")])
     assert str(error).startswith("circuit open for http://host/v1/chat/completions after 3 ")
     with pytest.raises(BackendError, match="circuit open for http://host/v1/embeddings after 3 "):
         backend.embed(["t"])
@@ -1888,10 +1802,38 @@ def test_live_backend_an_answered_post_resets_the_count(answer):
         return reply
 
     backend = LiveBackend(model_id="m", api_key="k", base_url="http://host/v1", post=post)
-    outcomes = backend.complete([("t", f"p{i}") for i in range(7)], Decoding())
+    outcomes = backend.complete([("t", f"p{i}") for i in range(7)])
     assert posts == [f"p{i}" for i in range(6)]
     assert ("400" if answer == "rejected" else "returned a malformed answer") in str(outcomes[2])
     assert str(outcomes[6]).startswith("circuit open")
+
+
+class _UndecodableResponse(_FakeResponse):
+    def json(self):
+        raise ValueError("Expecting value")
+
+
+@pytest.mark.parametrize("answer", ["rejected", "undecodable"])
+def test_endpoint_an_answer_after_retried_5xx_answers_resets_the_count(answer):
+    url = "http://host/x"
+    last, message = {
+        "rejected": (_FakeResponse(400, "too long"), f'POST {url} returned 400: "too long"'),
+        "undecodable": (_UndecodableResponse(200, None), f"POST {url} returned undecodable body"),
+    }[answer]
+    session = _FakeSession(([_FakeResponse(503, {})] * 3 + [last]) * 4)
+    endpoint = Endpoint(
+        url,
+        post=lambda url, payload: post_json(
+            url, payload, session=session, timeout=1.0, sleep=lambda s: None
+        ),
+    )
+    for _ in range(4):
+        with pytest.raises(BackendError) as excinfo:
+            endpoint.ask({}, lambda data: data)
+        assert str(excinfo.value) == f"{message} (after 3 retries)"
+        assert excinfo.value.retries == MAX_RETRIES
+        assert endpoint.circuit_error() is None
+    assert session.calls == 16
 
 
 class _UnavailableHandler(http.server.BaseHTTPRequestHandler):
@@ -1925,7 +1867,7 @@ def test_live_backend_stops_posting_to_an_unavailable_server_over_loopback():
                 url, payload, session=session, timeout=5.0, sleep=lambda s: None
             ),
         )
-        outcomes = backend.complete([("t", f"p{i}") for i in range(5)], Decoding())
+        outcomes = backend.complete([("t", f"p{i}") for i in range(5)])
     finally:
         session.close()
         server.shutdown()

@@ -976,10 +976,10 @@ class _InterruptedBackend:
         self.script = load_scenario_script()
         self.template_id = template_id
 
-    def complete(self, requests, decoding):
+    def complete(self, requests):
         if any(template_id == self.template_id for template_id, _ in requests):
             raise KeyboardInterrupt
-        return self.script.complete(requests, decoding)
+        return self.script.complete(requests)
 
     def embed(self, texts):
         return self.script.embed(texts)
