@@ -1,14 +1,17 @@
 """Scoring and stage ablation: what each pipeline stage buys."""
 
-from tracer.cli import run_ablation
-from tracer.corpus import Label
-from tracer.fixtures import (
-    SCENARIO_MOCK,
-    data_path,
-    load_scenario_record,
-)
-from tracer.gateway import Gateway, MockScript, ResponseCache
-from tracer.metrics import format_table, score_labels
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from tracer.cli import main
+from tracer.config import ABLATION_CONFIGS
+from tracer.corpus import Label, load_corpus
+from tracer.fixtures import SCENARIO_CLAIM, SCENARIO_MOCK, data_path
+from tracer.metrics import format_table, score_labels, score_reports
+from tracer.verdict import load_reports
 
 T, H, F = Label.TRUE, Label.HALF_TRUE, Label.FALSE
 
@@ -18,25 +21,27 @@ pred = [T, H, F, F, H, T]
 print(format_table(score_labels(gold, pred)))
 
 print()
-print("Ablation over the shipped scenario (one claim, gold Half-True):")
-record = load_scenario_record()
-
-
-def factory():
-    return Gateway(
-        backend=MockScript.from_file(data_path(SCENARIO_MOCK)), cache=ResponseCache()
-    )
-
-
-results = run_ablation([record], gateway_factory=factory)
-for name, result in results.items():
-    config = result.config
-    stages = (
-        f"intent={'on' if config.intent else 'off'} "
-        f"assumptions={'on' if config.assumptions else 'off'} "
-        f"causality={'on' if config.causality else 'off'}"
-    )
-    final = result.reports[0].final_verdict.label.value
-    print(f"  {name}: {stages}")
-    print(f"    final={final}  accuracy={result.metrics.accuracy:.0%}")
-    print(f"    calls={result.call_counts}")
+print("Ablation over the shipped scenario (one claim, gold Half-True).")
+print("One `tracer ablate` runs every config over one gateway and one cache:")
+corpus = str(data_path(SCENARIO_CLAIM))
+records = load_corpus(corpus).records
+with tempfile.TemporaryDirectory() as out:
+    output = Path(out) / "ab.jsonl"
+    argv = ["ablate", "--corpus", corpus, "--mock", str(data_path(SCENARIO_MOCK))]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([*argv, "--output", str(output)]) == 0
+    for name, config in sorted(ABLATION_CONFIGS.items()):
+        reports_path = Path(out) / f"ab.{name}.jsonl"
+        reports = load_reports(reports_path)
+        counters = json.loads(Path(f"{reports_path}.manifest.json").read_text())["counters"]
+        stages = (
+            f"intent={'on' if config.intent else 'off'} "
+            f"assumptions={'on' if config.assumptions else 'off'} "
+            f"causality={'on' if config.causality else 'off'}"
+        )
+        accuracy = score_reports(records, reports).accuracy
+        print(f"  {name}: {stages}")
+        print(f"    final={reports[0].final_verdict.label.value}  accuracy={accuracy:.0%}")
+        print(f"    asked={counters['by_template']}")
+        hits = f"{counters['completion_cache_hits']}/{counters['completion_requests']}"
+        print(f"    backend lists={counters['backend_calls']}  completions from the cache={hits}")

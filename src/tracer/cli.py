@@ -3,15 +3,20 @@
     tracer ingest      validate a corpus file and re-emit it canonically
     tracer run         run the pipeline end to end over a corpus
     tracer eval        score a verdict report against gold labels
-    tracer ablate      run every stage-gating configuration and compare
+    tracer ablate      run the pipeline once per stage-gating configuration
     tracer cache-stats show persistent cache entries and the size of its files
     tracer cache-clear drop the persistent cache and its vector file
 
+``ablate`` is ``run`` once per configuration, over one Gateway and one
+cache, so a prompt that several configurations ask reaches the backend
+once. Each configuration writes ``<stem>.<cfg><suffix>`` (``--output
+ab.jsonl`` gives ``ab.cfg1.jsonl``, ...) and its manifest.
+
 Exit codes: 0 success; 1 usage, configuration, or unreadable input, or
-a run that ends with an HTTP endpoint's circuit open; 2 inconsistent data
-(duplicate ids, missing predictions, empty scoring sets). Other per-claim
-pipeline failures never fail the run: they are recorded inside the
-report.
+a run that ends with an HTTP endpoint's circuit open (``ablate`` stops
+at the first configuration that does); 2 inconsistent data (duplicate
+ids, missing predictions, empty scoring sets). Other per-claim pipeline
+failures never fail the run: they are recorded inside the report.
 """
 
 from __future__ import annotations
@@ -20,16 +25,16 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, replace
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .config import ABLATION_CONFIGS, AblationConfig, BackendSettings, RunConfig, load_config
 from .corpus import ClaimRecord, Label, load_corpus, save_corpus
 from .errors import ConfigError, EmptyInput, ParseError, TracerError
-from .gateway import Endpoint, Gateway, LiveBackend, MockScript, ResponseCache
+from .gateway import Endpoint, Gateway, GatewayCounters, LiveBackend, MockScript, ResponseCache
 from .gateway.cache import remove_cache_files
-from .metrics import MetricsReport, format_table, score_reports
+from .metrics import format_table, score_reports
 from .verdict import VerdictReport, load_base_verdicts, load_reports, run_pipeline, save_reports
 
 
@@ -51,29 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--output", help="write the validated corpus here")
 
     run = sub.add_parser("run", help="run the pipeline over a corpus")
-    run.add_argument("--config", help="YAML run configuration file")
-    run.add_argument("--corpus", help="corpus file (overrides config)")
-    run.add_argument("--output", help="verdict report destination (overrides config)")
-    run.add_argument("--mock", help="mock script path; selects the offline backend")
-    run.add_argument("--cache", help="persistent response cache file")
+    _add_run_options(run)
     run.add_argument("--ablation", choices=sorted(ABLATION_CONFIGS), help="stage gating")
-    run.add_argument("--live", action="store_true", help="use the live HTTP backend")
-    run.add_argument("--model", help="live model identifier")
-    run.add_argument("--base-url", help="live backend base URL")
-    run.add_argument("--concurrency", type=int, help="max in-flight backend requests")
-    run.add_argument("--tau-low", type=float, help="alignment demotion threshold")
-    run.add_argument("--tau-high", type=float, help="alignment promotion threshold")
-    run.add_argument("--tau-che", type=float, help="retrieval similarity threshold")
-    run.add_argument("--k", type=int, help="retrieval candidates per assumption")
-    run.add_argument("--max-assumptions", type=int, help="assumption cap per claim")
-    run.add_argument(
-        "--reassess-true-only",
-        action="store_true",
-        help="re-assess only claims with a True base verdict",
-    )
-    run.add_argument("--base-verdicts", help="external base-verdict file (skips the CoT step)")
-    run.add_argument("--alignment-endpoint", help="external alignment classifier URL")
-    run.add_argument("--nli-endpoint", help="external NLI classifier URL")
     run.add_argument("--manifest", help="run manifest destination (default: <output>.manifest.json)")
 
     evaluate = sub.add_parser("eval", help="score a report against gold")
@@ -81,15 +65,14 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--gold", required=True, help="corpus file with gold labels")
     evaluate.add_argument("--output", help="write metrics as JSON here")
 
-    ablate = sub.add_parser("ablate", help="run all ablation configs")
-    ablate.add_argument("--corpus", required=True)
-    ablate.add_argument("--mock", required=True, help="mock script path")
+    ablate = sub.add_parser("ablate", help="run the pipeline once per ablation config")
+    _add_run_options(ablate)
     ablate.add_argument(
         "--configs",
         default=",".join(sorted(ABLATION_CONFIGS)),
         help="comma-separated config names",
     )
-    ablate.add_argument("--output", help="write per-config results as JSON here")
+    ablate.set_defaults(ablation=None, manifest=None)
 
     stats = sub.add_parser("cache-stats", help="show cache entries and the size of its files")
     stats.add_argument("--cache", required=True)
@@ -98,6 +81,32 @@ def build_parser() -> argparse.ArgumentParser:
     clear.add_argument("--cache", required=True)
 
     return parser
+
+
+def _add_run_options(parser: argparse.ArgumentParser) -> None:
+    """The options ``run`` and ``ablate`` share."""
+    parser.add_argument("--config", help="YAML run configuration file")
+    parser.add_argument("--corpus", help="corpus file (overrides config)")
+    parser.add_argument("--output", help="verdict report destination (overrides config)")
+    parser.add_argument("--mock", help="mock script path; selects the offline backend")
+    parser.add_argument("--cache", help="persistent response cache file")
+    parser.add_argument("--live", action="store_true", help="use the live HTTP backend")
+    parser.add_argument("--model", help="live model identifier")
+    parser.add_argument("--base-url", help="live backend base URL")
+    parser.add_argument("--concurrency", type=int, help="max in-flight backend requests")
+    parser.add_argument("--tau-low", type=float, help="alignment demotion threshold")
+    parser.add_argument("--tau-high", type=float, help="alignment promotion threshold")
+    parser.add_argument("--tau-che", type=float, help="retrieval similarity threshold")
+    parser.add_argument("--k", type=int, help="retrieval candidates per assumption")
+    parser.add_argument("--max-assumptions", type=int, help="assumption cap per claim")
+    parser.add_argument(
+        "--reassess-true-only",
+        action="store_true",
+        help="re-assess only claims with a True base verdict",
+    )
+    parser.add_argument("--base-verdicts", help="external base-verdict file (skips the CoT step)")
+    parser.add_argument("--alignment-endpoint", help="external alignment classifier URL")
+    parser.add_argument("--nli-endpoint", help="external NLI classifier URL")
 
 
 # -- run configuration assembly -----------------------------------------
@@ -180,44 +189,6 @@ def run_corpus(
         yield run_pipeline(gateway, record, **options)
 
 
-@dataclass
-class AblationResult:
-    config: AblationConfig
-    reports: list[VerdictReport]
-    metrics: MetricsReport | None
-    call_counts: dict  # per-template backend completion calls
-
-
-def run_ablation(
-    records: Sequence[ClaimRecord],
-    configs: Sequence[AblationConfig] | None = None,
-    *,
-    gateway_factory: Callable[[], Gateway],
-) -> dict[str, AblationResult]:
-    """Run the pipeline once per ablation configuration (all by default).
-
-    Each configuration gets a fresh gateway (and therefore fresh call
-    counters and cache) from the factory, so per-template call counts
-    attribute cleanly to that configuration's gating.
-    """
-    if configs is None:
-        configs = [ABLATION_CONFIGS[name] for name in sorted(ABLATION_CONFIGS)]
-    results: dict[str, AblationResult] = {}
-    for config in configs:
-        gateway = gateway_factory()
-        try:
-            reports = list(run_corpus(gateway, records, ablation=config))
-        finally:
-            gateway.cache.close()
-        results[config.name] = AblationResult(
-            config=config,
-            reports=reports,
-            metrics=score_reports(records, reports),
-            call_counts=dict(sorted(gateway.counters.by_template.items())),
-        )
-    return results
-
-
 # -- command handlers ----------------------------------------------------
 
 
@@ -237,6 +208,23 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_run(args) -> int:
+    return _run(args, None)
+
+
+def _config_output(path: str, name: str) -> str:
+    """Where ``ablate`` writes one config's reports: ``ab.jsonl`` -> ``ab.cfg1.jsonl``."""
+    path = Path(path)
+    return str(path.with_name(f"{path.stem}.{name}{path.suffix}"))
+
+
+def _run(args, ablations: list[AblationConfig] | None) -> int:
+    """``run`` (``ablations`` None: the configured one) or ``ablate``.
+
+    The Gateway, corpus, base verdicts and endpoints are built once; the
+    claim loop runs once per config, each on fresh counters, and writes
+    that config's reports and manifest. A config that ends with an
+    endpoint's circuit open ends the run: its reports stay, it exits 1.
+    """
     config = _assemble_run_config(args)
     config.validate()
     if config.corpus_path is None:
@@ -256,48 +244,56 @@ def cmd_run(args) -> int:
         if isinstance(gateway.backend, LiveBackend):
             endpoints += gateway.backend.endpoints
 
-        reports = []
-        for report in run_corpus(
-            gateway,
-            corpus.records,
-            thresholds=config.thresholds,
-            ablation=config.ablation,
-            reassess_true_only=config.reassess_true_only,
-            base_verdicts=base_verdicts,
-            alignment_classifier=alignment_classifier,
-            nli_classifier=nli_classifier,
-        ):
-            reports.append(report)
-            stage = report.failed
-            verdict = f"failed at {stage}" if stage else report.final_verdict.label.value
-            print(f"{report.id}: {verdict}")
+        for ablation in ablations or [config.ablation]:
+            output_path = config.output_path
+            if ablations is not None:
+                print(f"== {ablation.name} ==")
+                output_path = _config_output(output_path, ablation.name)
+            gateway.counters = GatewayCounters()
+            reports = []
+            for report in run_corpus(
+                gateway,
+                corpus.records,
+                thresholds=config.thresholds,
+                ablation=ablation,
+                reassess_true_only=config.reassess_true_only,
+                base_verdicts=base_verdicts,
+                alignment_classifier=alignment_classifier,
+                nli_classifier=nli_classifier,
+            ):
+                reports.append(report)
+                stage = report.failed
+                verdict = f"failed at {stage}" if stage else report.final_verdict.label.value
+                print(f"{report.id}: {verdict}")
 
-        save_reports(config.output_path, reports)
-        digest = hashlib.sha256(Path(config.output_path).read_bytes()).hexdigest()
-        print(f"report digest: {digest}")
+            save_reports(output_path, reports)
+            digest = hashlib.sha256(Path(output_path).read_bytes()).hexdigest()
+            print(f"report digest: {digest}")
 
-        metrics = score_reports(corpus.records, reports)
-        if metrics is not None:
-            print(format_table(metrics))
+            metrics = score_reports(corpus.records, reports)
+            if metrics is not None:
+                print(format_table(metrics))
 
-        manifest_path = args.manifest or f"{config.output_path}.manifest.json"
-        manifest = {
-            "ablation": config.ablation.name,
-            "backend_mode": config.backend.mode,
-            "n_claims": len(reports),
-            "report_digest": digest,
-            "counters": asdict(gateway.counters),
-            "cache": gateway.cache.stats(),
-        }
-        with open(manifest_path, "w", encoding="utf-8") as handle:
-            json.dump(manifest, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"manifest: {manifest_path}")
-        # an open circuit failed every later claim: the reports stay, the run fails
-        errors = list(filter(None, (endpoint.circuit_error() for endpoint in endpoints)))
-        for error in errors:
-            print(f"error: {error}", file=sys.stderr)
-        return 1 if errors else 0
+            manifest_path = args.manifest or f"{output_path}.manifest.json"
+            manifest = {
+                "ablation": ablation.name,
+                "backend_mode": config.backend.mode,
+                "n_claims": len(reports),
+                "report_digest": digest,
+                "counters": asdict(gateway.counters),
+                "cache": gateway.cache.stats(),
+            }
+            with open(manifest_path, "w", encoding="utf-8") as handle:
+                json.dump(manifest, handle, indent=2, sort_keys=True)
+                handle.write("\n")
+            print(f"manifest: {manifest_path}")
+            # an open circuit failed every later claim: the reports stay, the run fails
+            errors = list(filter(None, (endpoint.circuit_error() for endpoint in endpoints)))
+            for error in errors:
+                print(f"error: {error}", file=sys.stderr)
+            if errors:
+                return 1
+        return 0
     finally:
         gateway.cache.close()
 
@@ -318,35 +314,15 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     names = [name.strip() for name in args.configs.split(",") if name.strip()]
+    if not names:
+        raise ConfigError("no ablation configs given")
     unknown = [name for name in names if name not in ABLATION_CONFIGS]
     if unknown:
         raise ConfigError(f"unknown ablation configs: {', '.join(unknown)}")
     repeated = [name for name in dict.fromkeys(names) if names.count(name) > 1]
     if repeated:
         raise ConfigError(f"repeated ablation configs: {', '.join(repeated)}")
-    results = run_ablation(
-        load_corpus(args.corpus).records,
-        configs=[ABLATION_CONFIGS[name] for name in names],
-        gateway_factory=lambda: Gateway(backend=_load_mock_script(args.mock), cache=ResponseCache()),
-    )
-    payload = {}
-    for name in names:
-        result = results[name]
-        payload[name] = {
-            "metrics": result.metrics.as_dict() if result.metrics else None,
-            "call_counts": result.call_counts,
-        }
-        print(f"== {name} ==")
-        print(f"calls: {json.dumps(result.call_counts, sort_keys=True)}")
-        if result.metrics:
-            print(format_table(result.metrics))
-        print()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.output}")
-    return 0
+    return _run(args, [ABLATION_CONFIGS[name] for name in names])
 
 
 def cmd_cache_stats(args) -> int:

@@ -72,7 +72,7 @@ class GatewayCounters:
     embedding_requests: int = 0
     embedding_cache_hits: int = 0
     backend_calls: int = 0
-    # per template, the prompts the backend answered, for ablation gating checks
+    # per template, the prompts asked, cache hits included: which templates a config asks
     by_template: dict = field(default_factory=dict)
 
 
@@ -92,7 +92,7 @@ class Gateway:
     surrogate), a vector with a NaN or infinite value, a cache hit of the
     wrong kind and a cached vector its vector file lost are failures, and
     no failure is cached. ``counters`` counts requests, cache hits,
-    backend calls (one per list) and, per template, the prompts answered.
+    backend calls (one per list) and, per template, the prompts asked.
 
     A Gateway and its cache are used from one thread, which runs one
     claim at a time, so a run sends one backend request at a time.
@@ -159,6 +159,13 @@ class Gateway:
     def complete_many(self, requests) -> list:
         """One outcome per ``(template_id, bindings)``: its completion or a ``TracerError``."""
         prompts = [(tid, render_template(self.catalog.get(tid), b)) for tid, b in requests]
+        by_template = self.counters.by_template
+        for template_id, _ in prompts:
+            # subscripts, not dict.get: no call per prompt on the hot path
+            if template_id in by_template:
+                by_template[template_id] += 1
+            else:
+                by_template[template_id] = 1
         keys = [completion_key(self.model_id, *p, TEMPERATURE, MAX_TOKENS) for p in prompts]
         found, hits = self._fetch(keys, prompts, str, self.backend.complete, self._accept_text)
         self.counters.completion_requests += len(keys)
@@ -166,14 +173,11 @@ class Gateway:
         return [found[key] for key in keys]
 
     def _accept_text(self, prompt: tuple[str, str], text: str) -> str:
-        template_id = prompt[0]
-        by_template = self.counters.by_template
-        by_template[template_id] = by_template.get(template_id, 0) + 1
         try:
             text.encode("utf-8")
         except UnicodeEncodeError as exc:
             # a lone surrogate: valid in JSON, but no cache line can hold it
-            raise BackendError(f"the {template_id!r} answer is not valid Unicode: {exc}") from None
+            raise BackendError(f"the {prompt[0]!r} answer is not valid Unicode: {exc}") from None
         return text
 
     def embed(self, text: str) -> Embedding:

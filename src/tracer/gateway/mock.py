@@ -4,11 +4,10 @@ A mock script is a JSON document describing canned completions and
 embeddings. Completion rules are matched in order against the template
 id and, optionally, a substring of the rendered prompt; the first match
 wins; a request scans only its own template's rules, grouped at load.
-A rule may carry a single response (returned every time) or a response
-list consumed one answer at a time, in request order within a list
-too, as if each prompt were sent alone. Every served completion and
-text is appended to ``call_log`` so tests can assert exact call counts
-and ordering.
+A rule answers every prompt it matches with its one ``response``, so an
+answer never depends on which prompts came before it. Every served
+completion and text is appended to ``call_log`` so tests can assert
+exact call counts and ordering.
 
 Each vector is parsed and checked once, at load (``float()`` on every
 element, so a bad one is ``ValueError`` or ``TypeError`` there), into
@@ -16,8 +15,9 @@ one read-only float64 array that every text its entry matches shares.
 The other fields are checked at load too: a root or a
 ``default_embedding`` that is not an object, a template, a
 ``contains``, a response or an embedding's ``text`` that is not a
-string, or an empty ``responses`` list, is ``TypeError``, and a ``dim``
-that is not a positive integer is ``ValueError``.
+string is ``TypeError``, a rule with a ``responses`` key (the ordered
+form this format once had) is ``ValueError`` naming the rule, and a
+``dim`` that is not a positive integer is ``ValueError``.
 
 Script format::
 
@@ -25,7 +25,7 @@ Script format::
       "rules": [
         {"template": "relevance", "response": "A"},
         {"template": "presentation", "contains": "part-time", "response": "B"},
-        {"template": "counterfactual", "responses": ["C", "A"]}
+        {"template": "counterfactual", "response": "C"}
       ],
       "embeddings": [
         {"text": "exact text to embed", "vector": [1.0, 0.0]},
@@ -59,20 +59,11 @@ from .cache import frozen_vector
 class MockRule:
     template: str
     contains: str | None
-    responses: list[str]
-    repeat: bool
-    served: int = 0
+    response: str
 
     def matches(self, prompt: str) -> bool:
         """Whether this rule answers the prompt; the template is matched by the caller."""
-        if self.contains is not None and self.contains not in prompt:
-            return False
-        return self.repeat or self.served < len(self.responses)
-
-    def next_response(self) -> str:
-        response = self.responses[0 if self.repeat else self.served]
-        self.served += 1
-        return response
+        return self.contains is None or self.contains in prompt
 
 
 @dataclass
@@ -115,10 +106,7 @@ class MockScript:
             _require_str(rule.template, "a rule's template")
             if rule.contains is not None:
                 _require_str(rule.contains, "a rule's contains")
-            if not rule.responses:
-                raise TypeError(f"the {rule.template!r} rule has no response")
-            for response in rule.responses:
-                _require_str(response, f"a {rule.template!r} response")
+            _require_str(rule.response, f"a {rule.template!r} response")
         for entry in self.embeddings:
             for name in ("text", "contains"):
                 if name in entry:
@@ -139,23 +127,13 @@ class MockScript:
         if not isinstance(data, dict):
             raise TypeError(f"a mock script must be an object, not {data!r}")
         rules = []
-        for entry in data.get("rules", []):
+        for index, entry in enumerate(data.get("rules", [])):
             if "responses" in entry:
-                responses = entry["responses"]
-                if not isinstance(responses, list):
-                    raise TypeError(f"a rule's responses must be a list, not {responses!r}")
-                repeat = False
-            else:
-                responses = [entry["response"]]
-                repeat = True
-            rules.append(
-                MockRule(
-                    template=entry["template"],
-                    contains=entry.get("contains"),
-                    responses=responses,
-                    repeat=repeat,
+                raise ValueError(
+                    f"rule {index} ({entry.get('template')!r}) has a responses list, which "
+                    "is not read: give each answer a rule of its own, told apart by contains"
                 )
-            )
+            rules.append(MockRule(entry["template"], entry.get("contains"), entry["response"]))
         default = data.get("default_embedding") or {}
         if not isinstance(default, dict):
             raise TypeError(f"default_embedding must be an object, not {default!r}")
@@ -171,14 +149,14 @@ class MockScript:
             return cls.from_dict(json.load(handle))
 
     def complete(self, requests: list[tuple[str, str]]) -> list:
-        """For each ``(template_id, prompt)``, the first matching rule's next response."""
+        """For each ``(template_id, prompt)``, the first matching rule's response."""
         return [self._response_for(template_id, prompt) for template_id, prompt in requests]
 
     def _response_for(self, template_id: str, prompt: str) -> str | MockScriptMiss:
         for rule in self._rules_by_template.get(template_id, ()):
             if rule.matches(prompt):
                 self.call_log.append(MockCall("completion", template_id, prompt))
-                return rule.next_response()
+                return rule.response
         return MockScriptMiss(
             f"no mock rule matches template {template_id!r}; prompt starts: {prompt[:80]!r}"
         )
@@ -200,6 +178,3 @@ class MockScript:
             vector = _hashed_unit_vector(text, self.default_embedding_dim)
         self.call_log.append(MockCall("embedding", None, text))
         return vector
-
-    def calls_for(self, template_id: str) -> list[MockCall]:
-        return [c for c in self.call_log if c.template == template_id]

@@ -458,11 +458,6 @@ def _dumps(report: VerdictReport) -> str:
     return json.dumps(line, default=_fields, ensure_ascii=False)
 
 
-def report_to_dict(report: VerdictReport) -> dict:
-    """The JSON object of one report line."""
-    return json.loads(_dumps(report))
-
-
 _type_hints = functools.cache(typing.get_type_hints)
 
 
@@ -564,7 +559,6 @@ __all__ = [
     "load_reports",
     "reassess_with_argument",
     "report_from_dict",
-    "report_to_dict",
     "run_pipeline",
     "save_reports",
 ]

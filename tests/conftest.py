@@ -24,6 +24,11 @@ def make_gateway(
     return Gateway(backend=script, cache=ResponseCache(cache_path)), script
 
 
+def served(script: MockScript, template_id: str) -> list:
+    """The script's ``call_log`` entries for one template, in order."""
+    return [call for call in script.call_log if call.template == template_id]
+
+
 def synthetic_script(dim: int) -> dict:
     """The scenario's mock rules, able to answer any ``generate_synthetic_corpus`` claim.
 

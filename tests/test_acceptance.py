@@ -17,13 +17,15 @@ import pytest
 
 from tracer.alignment import cosine_similarity
 from tracer.causality import Assumption
-from tracer.cli import main as cli_main, run_ablation
+from tracer.cli import main as cli_main
 from tracer.che import collect_che
 from tracer.config import Thresholds
 from tracer.corpus import (
     LABELS,
     ClaimRecord,
+    Corpus,
     Label,
+    Split,
     consolidate_label,
     load_corpus,
     save_corpus,
@@ -43,8 +45,9 @@ from tracer.fixtures import (
 )
 from tracer.gateway import Embedding, Gateway, MockScript, ResponseCache
 from tracer.metrics import score_labels
-from tracer.verdict import run_pipeline, save_reports
+from tracer.verdict import load_reports, run_pipeline, save_reports
 
+from conftest import served
 from test_parser_robustness import _RUNNERS, _expected_error
 
 
@@ -193,13 +196,13 @@ def test_empty_che_always_preserves_base_label_without_reassessment():
         assert report.che == [], name
         assert report.final_verdict.label is report.base_verdict.label, name
         assert report.final_verdict.reassessed is False, name
-        assert script.calls_for("reassessment") == [], name
+        assert served(script, "reassessment") == [], name
 
 
 # 5. Ablation gating ----------------------------------------------------------------
 
 
-def test_ablation_configs_gate_stage_calls_exactly():
+def test_ablation_configs_gate_stage_calls_exactly(tmp_path, capsys):
     record = ClaimRecord(
         id="g-1",
         claim="C.",
@@ -232,36 +235,37 @@ def test_ablation_configs_gate_stage_calls_exactly():
             {"text": "I.", "vector": [0.2, 0.9797958971132712]},
         ],
     }
-    scripts = []
+    corpus, script = tmp_path / "corpus.jsonl", tmp_path / "script.json"
+    save_corpus(Corpus(split=Split.TEST, records=[record]), corpus)
+    script.write_text(json.dumps(script_dict), encoding="utf-8")
+    argv = ["ablate", "--corpus", str(corpus), "--mock", str(script)]
+    assert cli_main([*argv, "--output", str(tmp_path / "ab.jsonl")]) == 0
+    capsys.readouterr()
 
-    def factory():
-        script = MockScript.from_dict(script_dict)
-        scripts.append(script)
-        return Gateway(backend=script, cache=ResponseCache())
+    def asked(name):
+        manifest = json.loads((tmp_path / f"ab.{name}.jsonl.manifest.json").read_text())
+        return manifest["counters"]["by_template"]
 
-    results = run_ablation([record], gateway_factory=factory)
-    by_name = dict(zip(results, scripts))
-
-    cfg1 = results["cfg1"].call_counts
+    # every prompt a config asks counts, whether the shared cache or the backend answers it
+    cfg1 = asked("cfg1")
     assert set(cfg1) == {"relevance", "presentation", "cot_verdict"}
 
-    cfg2 = results["cfg2"].call_counts
+    cfg2 = asked("cfg2")
     assert "counterfactual" not in cfg2
     assert "assumptions" not in cfg2
     assert "implicit_questions" not in cfg2
     assert cfg2["intent_generation"] == 1
     assert cfg2["reassessment"] == 1
 
-    cfg3 = results["cfg3"].call_counts
+    cfg3 = asked("cfg3")
     assert "counterfactual" not in cfg3
     assert cfg3["assumptions"] == 1
-    assert by_name["cfg3"].calls_for("counterfactual") == []
 
-    cfg4 = results["cfg4"].call_counts
-    n_assumptions = len(results["cfg4"].reports[0].causal_argument.assumptions)
+    cfg4 = asked("cfg4")
+    [report] = load_reports(tmp_path / "ab.cfg4.jsonl")
+    n_assumptions = len(report.causal_argument.assumptions)
     assert n_assumptions == 2
     assert cfg4["counterfactual"] == n_assumptions
-    assert len(by_name["cfg4"].calls_for("counterfactual")) == n_assumptions
 
 
 # 6. Parser robustness ---------------------------------------------------------------

@@ -23,7 +23,7 @@ from tracer.config import Thresholds
 from tracer.errors import BackendError, DimensionMismatch, UnparseableChoice, ZeroVector
 from tracer.gateway import Embedding, Endpoint, render_template
 
-from conftest import make_gateway
+from conftest import make_gateway, served
 
 
 def emb(*values, model="mock-embed"):
@@ -232,7 +232,9 @@ _NO_REFINEMENT = Thresholds(tau_low=None, tau_high=None)
 def test_relevance_letter_mapping():
     gateway, _ = make_gateway(
         rules=[
-            {"template": "relevance", "responses": ["A", "B", "A. It covers it."]},
+            {"template": "relevance", "contains": "s1", "response": "A"},
+            {"template": "relevance", "contains": "s2", "response": "B"},
+            {"template": "relevance", "contains": "s3", "response": "A. It covers it."},
             {"template": "presentation", "response": "a"},
         ],
         default_dim=4,
@@ -247,7 +249,11 @@ def test_relevance_letter_mapping():
 
 def test_presentation_letter_mapping():
     gateway, _ = make_gateway(
-        rules=[{"template": "presentation", "responses": ["B", "a"]}], default_dim=4
+        rules=[
+            {"template": "presentation", "contains": "s1", "response": "B"},
+            {"template": "presentation", "contains": "s2", "response": "a"},
+        ],
+        default_dim=4,
     )
     aligned = align_evidence(gateway, "c", "", ["s1", "s2"], _NO_REFINEMENT)
     assert [(a.label, a.error) for a in aligned] == [
@@ -348,8 +354,8 @@ def test_align_evidence_labels_and_order():
 def test_align_evidence_irrelevant_skips_downstream_calls():
     gateway, script = _pipeline_gateway()
     align_evidence(gateway, "claim", "our ruling", ["off-topic Z"])
-    assert len(script.calls_for("relevance")) == 1
-    assert script.calls_for("presentation") == []
+    assert len(served(script, "relevance")) == 1
+    assert served(script, "presentation") == []
     assert [c for c in script.call_log if c.kind == "embedding"] == []
 
 
@@ -357,7 +363,7 @@ def test_align_evidence_empty_ruling_skips_relevance():
     gateway, script = _pipeline_gateway()
     aligned = align_evidence(gateway, "claim", "", ["hidden fact Y"])
     assert aligned[0].label is AlignmentLabel.HIDDEN
-    assert script.calls_for("relevance") == []
+    assert served(script, "relevance") == []
 
 
 def test_align_evidence_captures_per_sentence_errors():

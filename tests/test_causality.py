@@ -28,7 +28,7 @@ from tracer.errors import (
 )
 from tracer.gateway import TemplateCatalog, render_template
 
-from conftest import make_gateway
+from conftest import make_gateway, served
 
 
 def graph_of(*texts, intent="Z text", claim="X text", effects=None):
@@ -231,11 +231,14 @@ def test_counterfactual_rejects_out_of_range_letter():
 
 def test_evaluate_all_one_call_per_assumption():
     gateway, script = make_gateway(
-        rules=[{"template": "counterfactual", "responses": ["C", "A", "B"]}]
+        rules=[
+            {"template": "counterfactual", "contains": f"do(Y_{i} ", "response": letter}
+            for i, letter in enumerate("CAB", start=1)
+        ]
     )
     graph = graph_of("a1", "a2", "a3")
     evaluated = evaluate_all(gateway, graph)
-    assert len(script.calls_for("counterfactual")) == 3
+    assert len(served(script, "counterfactual")) == 3
     assert [a.causal_effect for a in evaluated.assumptions] == [
         CausalEffect.DECREASE,
         CausalEffect.NO_CHANGE,

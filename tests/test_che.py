@@ -17,7 +17,7 @@ from tracer.errors import BackendError
 from tracer.fixtures import make_retrieval_fixture
 from tracer.gateway import Endpoint, Gateway, ResponseCache
 
-from conftest import make_gateway
+from conftest import make_gateway, served
 
 
 def critical(text):
@@ -136,7 +136,7 @@ def test_retrieve_threshold_gates_before_nli():
     assert selected[0].nli is NliVerdict.CONTRADICT
     assert selected[0].selected is True
     # the weak sentence never reaches the entailment gate
-    nli_calls = script.calls_for("nli")
+    nli_calls = served(script, "nli")
     assert len(nli_calls) == 1
     assert pool[1] not in nli_calls[0].prompt
 
@@ -147,7 +147,7 @@ def test_retrieve_all_neutral_returns_empty():
         gateway, [Assumption("the assumption")], pool, Thresholds(top_k=5, tau_che=0.5)
     )
     assert selected == []
-    assert len(script.calls_for("nli")) == 2  # both were similar enough to check
+    assert len(served(script, "nli")) == 2  # both were similar enough to check
 
 
 def test_retrieve_results_ranked_by_similarity():
@@ -165,7 +165,7 @@ def test_retrieve_top_k_caps_candidates():
         gateway, [Assumption("the assumption")], pool, Thresholds(top_k=2, tau_che=0.5)
     )
     assert [c.similarity for c in selected] == pytest.approx([0.9, 0.8])
-    assert len(script.calls_for("nli")) == 2
+    assert len(served(script, "nli")) == 2
 
 
 def test_retrieve_ties_break_by_pool_position():
@@ -206,7 +206,7 @@ def test_retrieve_with_external_classifier_skips_nli_template():
         classifier=classifier,
     )
     assert selected[0].nli is NliVerdict.ENTAIL
-    assert script.calls_for("nli") == []
+    assert served(script, "nli") == []
     assert [c.kind for c in script.call_log] == ["embedding", "embedding"]
 
 

@@ -317,14 +317,19 @@ def test_ablate_calls_cli_run_pipeline_once_per_record_per_config(
     ids = ["c-3", "c-1"]
     calls = _record_pipeline_calls(monkeypatch)
     code, _, _ = run_cli(
-        capsys, "ablate", "--corpus", _scenario_copies(tmp_path, ids), "--mock", SCENARIO_SCRIPT
+        capsys,
+        "ablate",
+        "--corpus",
+        _scenario_copies(tmp_path, ids),
+        "--mock",
+        SCENARIO_SCRIPT,
+        "--output",
+        str(tmp_path / "ab.jsonl"),
     )
     assert code == 0
     assert [record.id for _, record in calls] == ids * len(ABLATION_CONFIGS)
-    # one fresh gateway per config, shared by that config's records
-    gateways = [gateway for gateway, _ in calls]
-    assert len(set(map(id, gateways))) == len(ABLATION_CONFIGS)
-    assert all(a is b for a, b in zip(gateways[::2], gateways[1::2]))
+    # one gateway, and so one cache, for every config
+    assert len({id(gateway) for gateway, _ in calls}) == 1
 
 
 _SCENARIO_COLD_COUNTERS = {
@@ -349,9 +354,10 @@ _SCENARIO_COLD_COUNTERS = {
     "embedding_cache_hits": 3,
     "embedding_requests": 10,
 }
+# by_template counts the prompts asked, so a warm run's equals the cold run's
 _SCENARIO_WARM_COUNTERS = {
     "backend_calls": 0,
-    "by_template": {},
+    "by_template": _SCENARIO_COLD_COUNTERS["by_template"],
     "completion_cache_hits": 21,
     "completion_requests": 21,
     "embedding_cache_hits": 10,
@@ -663,9 +669,7 @@ def test_run_malformed_mock_vector_exits_one_before_any_claim(capsys, tmp_path, 
         ("rules", {"template": 5, "response": "A"}),
         ("rules", {"template": "relevance", "contains": 5, "response": "A"}),
         ("rules", {"template": "relevance", "response": 5}),
-        ("rules", {"template": "relevance", "responses": ["A", None]}),
-        ("rules", {"template": "relevance", "responses": []}),
-        ("rules", {"template": "relevance", "responses": "AB"}),
+        ("rules", {"template": "relevance", "responses": ["A", "B"]}),
         ("embeddings", {"contains": 5, "vector": [1.0]}),
         ("embeddings", {"text": ["a"], "vector": [1.0]}),
     ],
@@ -673,9 +677,7 @@ def test_run_malformed_mock_vector_exits_one_before_any_claim(capsys, tmp_path, 
         "template",
         "contains",
         "response",
-        "responses-item",
-        "responses-empty",
-        "responses-string",
+        "responses",
         "embedding-contains",
         "embedding-text",
     ],
@@ -700,6 +702,8 @@ def test_run_malformed_mock_rule_or_embedding_exits_one_before_any_claim(
     )
     assert code == 1
     assert f"mock script {bad_script} is malformed" in err
+    if "responses" in entry:  # the ordered form is refused by name
+        assert "rule 0 ('relevance') has a responses list" in err
     assert out == ""
     assert not out_path.exists()
 
@@ -910,6 +914,40 @@ def test_run_against_an_unavailable_model_exits_one_and_keeps_its_reports(
     assert server.posts == ["/v1/chat/completions"] * 12
 
 
+def test_ablate_stops_at_the_config_that_ends_with_a_circuit_open(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("TRACER_API_KEY", "dummy")
+    server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _UnavailableHandler)
+    server.posts = []
+    serving = threading.Thread(target=server.serve_forever)
+    serving.start()
+    base = f"http://127.0.0.1:{server.server_address[1]}/v1"
+    try:
+        code, out, err = run_cli(
+            capsys,
+            "ablate",
+            "--live",
+            "--base-url",
+            base,
+            "--corpus",
+            SCENARIO_CORPUS,
+            "--output",
+            str(tmp_path / "ab.jsonl"),
+        )
+    finally:
+        server.shutdown()
+        server.server_close()
+        serving.join()
+    assert code == 1
+    assert f"error: circuit open for {base}/chat/completions after 3 " in err
+    assert "== cfg1 ==" in out and "== cfg2 ==" not in out
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "ab.cfg1.jsonl",
+        "ab.cfg1.jsonl.manifest.json",
+    ]
+    # cfg1's three failed requests; cfg2 and later never start
+    assert server.posts == ["/v1/chat/completions"] * 12
+
+
 def test_offline_run_does_not_import_requests(tmp_path):
     out_path = tmp_path / "reports.jsonl"
     argv = ["run", "--corpus", SCENARIO_CORPUS, "--mock", SCENARIO_SCRIPT]
@@ -1054,52 +1092,106 @@ def test_eval_reads_a_version_1_report_as_its_version_2_form(capsys, tmp_path):
 # -- ablate ----------------------------------------------------------------------
 
 
-def test_ablate_reports_gating_per_config(capsys, tmp_path):
-    out_path = tmp_path / "ablation.json"
-    code, out, _ = run_cli(
+def _ablate(capsys, tmp_path, *extra, corpus=SCENARIO_CORPUS, script=SCENARIO_SCRIPT):
+    """``tracer ablate --output <tmp_path>/ab.jsonl``: exit code, stdout and stderr."""
+    return run_cli(
         capsys,
         "ablate",
         "--corpus",
-        SCENARIO_CORPUS,
+        corpus,
         "--mock",
-        SCENARIO_SCRIPT,
+        script,
         "--output",
-        str(out_path),
+        str(tmp_path / "ab.jsonl"),
+        *extra,
     )
+
+
+def _manifest(path) -> dict:
+    return json.loads(Path(f"{path}.manifest.json").read_text(encoding="utf-8"))
+
+
+def test_ablate_writes_reports_and_a_manifest_per_config(capsys, tmp_path):
+    code, out, _ = _ablate(capsys, tmp_path)
     assert code == 0
-    for name in ("cfg1", "cfg2", "cfg3", "cfg4"):
-        assert f"== {name} ==" in out
-    payload = json.loads(out_path.read_text())
-    assert set(payload) == {"cfg1", "cfg2", "cfg3", "cfg4"}
-    assert "intent_generation" not in payload["cfg1"]["call_counts"]
-    assert "assumptions" not in payload["cfg2"]["call_counts"]
-    assert "counterfactual" not in payload["cfg3"]["call_counts"]
-    assert payload["cfg4"]["call_counts"]["counterfactual"] == 2
-    assert payload["cfg4"]["metrics"]["accuracy"] == 1.0
-    assert payload["cfg1"]["metrics"]["accuracy"] == 0.0
+    names = ["cfg1", "cfg2", "cfg3", "cfg4"]
+    assert [line for line in out.splitlines() if line.startswith("== ")] == [
+        f"== {name} ==" for name in names
+    ]
+    asked = {}
+    for name in names:
+        report = tmp_path / f"ab.{name}.jsonl"
+        manifest = _manifest(report)
+        assert manifest["ablation"] == name
+        assert manifest["report_digest"] == hashlib.sha256(report.read_bytes()).hexdigest()
+        asked[name] = manifest["counters"]["by_template"]
+    assert not (tmp_path / "ab.jsonl").exists()
+    assert "intent_generation" not in asked["cfg1"]
+    assert "assumptions" not in asked["cfg2"]
+    assert "counterfactual" not in asked["cfg3"]
+    assert asked["cfg4"]["counterfactual"] == 2
+    # what the summary file held, tracer eval reads from each config's report
+    for name, accuracy in (("cfg1", "0.000"), ("cfg4", "1.000")):
+        report = str(tmp_path / f"ab.{name}.jsonl")
+        code, out, _ = run_cli(capsys, "eval", "--report", report, "--gold", SCENARIO_CORPUS)
+        assert code == 0
+        assert f"accuracy      {accuracy}" in out
 
 
-# tracer ablate's stdout, less its last line, and its --output bytes on
-# the scenario corpus and script
+def test_ablate_sends_each_prompt_of_the_scenario_once_across_configs(capsys, tmp_path):
+    code, _, _ = _ablate(capsys, tmp_path)
+    assert code == 0
+    manifests = [_manifest(tmp_path / f"ab.{name}.jsonl") for name in sorted(ABLATION_CONFIGS)]
+    # tracer run --ablation cfgN sends 10, 18, 21 and 23 lists: 72 in all
+    assert [m["counters"]["backend_calls"] for m in manifests] == [10, 8, 6, 2]
+    assert sum(m["counters"]["backend_calls"] for m in manifests) == 26
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["memory", "file-cache"])
+@pytest.mark.parametrize("corpus", ["scenario", "synthetic"])
+def test_ablate_reports_equal_tracer_run_per_config(capsys, tmp_path, corpus, cached):
+    if corpus == "scenario":
+        corpus_path, script = SCENARIO_CORPUS, SCENARIO_SCRIPT
+    else:
+        corpus_path, script = str(tmp_path / "corpus.jsonl"), str(tmp_path / "script.json")
+        save_corpus(generate_synthetic_corpus(seed=41, n=6), corpus_path)
+        Path(script).write_text(json.dumps(synthetic_script(8)), encoding="utf-8")
+    cache = ["--cache", str(tmp_path / "ablate-cache.jsonl")] if cached else []
+    code, _, err = _ablate(capsys, tmp_path, *cache, corpus=corpus_path, script=script)
+    assert code == 0, err
+    for name in sorted(ABLATION_CONFIGS):
+        alone = tmp_path / f"run.{name}.jsonl"
+        cache = ["--cache", str(tmp_path / f"run-{name}-cache.jsonl")] if cached else []
+        argv = ["run", "--corpus", corpus_path, "--mock", script, "--output", str(alone)]
+        code, _, err = run_cli(capsys, *argv, "--ablation", name, *cache)
+        assert code == 0, err
+        assert (tmp_path / f"ab.{name}.jsonl").read_bytes() == alone.read_bytes(), name
+
+
+# tracer ablate's stdout on the scenario corpus and script, with the
+# output directory written as <out>
 _ABLATE_STDOUT = Path(__file__).parent / "data" / "scenario_ablate_stdout.txt"
-_ABLATE_OUTPUT = Path(__file__).parent / "data" / "scenario_ablate.json"
 
 
-def test_ablate_stdout_and_output_bytes_are_pinned(capsys, tmp_path):
-    out_path = tmp_path / "ablation.json"
-    code, out, _ = run_cli(
-        capsys,
-        "ablate",
-        "--corpus",
-        SCENARIO_CORPUS,
-        "--mock",
-        SCENARIO_SCRIPT,
-        "--output",
-        str(out_path),
-    )
+def test_ablate_stdout_is_pinned(capsys, tmp_path):
+    code, out, _ = _ablate(capsys, tmp_path)
     assert code == 0
-    assert out == _ABLATE_STDOUT.read_text(encoding="utf-8") + f"wrote {out_path}\n"
-    assert out_path.read_bytes() == _ABLATE_OUTPUT.read_bytes()
+    assert out.replace(str(tmp_path), "<out>") == _ABLATE_STDOUT.read_text(encoding="utf-8")
+
+
+def test_ablate_takes_neither_ablation_nor_manifest(capsys, tmp_path):
+    for option in (["--ablation", "cfg1"], ["--manifest", str(tmp_path / "m.json")]):
+        code, out, err = _ablate(capsys, tmp_path, *option)
+        assert code == 1
+        assert f"unrecognized arguments: {' '.join(option)}" in err
+        assert out == ""
+
+
+def test_ablate_with_no_config_named_exits_one(capsys, tmp_path):
+    code, out, err = _ablate(capsys, tmp_path, "--configs", ",")
+    assert code == 1
+    assert "no ablation configs given" in err
+    assert out == ""
 
 
 def test_ablate_unknown_config_exits_one(capsys):
@@ -1317,14 +1409,3 @@ def test_importing_the_cli_imports_neither_requests_nor_yaml():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["False", "False"]
-
-
-def test_package_exports_run_ablation_without_importing_the_cli():
-    # ``python -m tracer.cli`` would warn and run a second copy of the
-    # module if importing the package had already imported it
-    code = "import sys, tracer; print('tracer.cli' in sys.modules, tracer.run_ablation.__module__)"
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["False", "tracer.cli"]

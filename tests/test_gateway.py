@@ -932,14 +932,28 @@ def test_mock_first_matching_rule_wins():
     assert script.complete([("t", "a plain prompt")]) == ["D"]
 
 
-def test_mock_response_lists_are_consumed_in_order():
+def test_mock_rule_answers_every_match_with_its_one_response():
     script = MockScript.from_dict(
-        {"rules": [{"template": "t", "responses": ["one", "two"]}]}
+        {
+            "rules": [
+                {"template": "t", "contains": "first", "response": "one"},
+                {"template": "t", "contains": "second", "response": "two"},
+            ]
+        }
     )
-    assert script.complete([("t", "p")]) == ["one"]
-    assert script.complete([("t", "p")]) == ["two"]
-    [miss] = script.complete([("t", "p")])
+    assert script.complete([("t", "first p")] * 3) == ["one"] * 3
+    assert script.complete([("t", "second p"), ("t", "first p")]) == ["two", "one"]
+    [miss] = script.complete([("t", "third p")])
     assert isinstance(miss, MockScriptMiss)
+
+
+def test_mock_script_with_a_responses_list_is_refused_naming_the_rule():
+    rules = [
+        {"template": "u", "response": "U"},
+        {"template": "t", "responses": ["one", "two"]},
+    ]
+    with pytest.raises(ValueError, match=r"rule 1 \('t'\) has a responses list"):
+        MockScript.from_dict({"rules": rules})
 
 
 def test_mock_miss_raises_rather_than_inventing_output():
@@ -1005,7 +1019,7 @@ def test_mock_malformed_vector_fails_at_load(vector, error):
 
 
 def test_mock_built_directly_checks_its_rules():
-    rule = MockRule(template="relevance", contains=None, responses=[5], repeat=True)
+    rule = MockRule(template="relevance", contains=None, response=5)
     with pytest.raises(TypeError):
         MockScript(rules=[rule])
 
@@ -1075,20 +1089,20 @@ def test_mock_rules_are_consulted_for_the_requested_template_only(monkeypatch):
     assert script.complete([("other", "a special prompt")]) == ["O"]
 
 
-def test_mock_ordered_responses_run_out_then_the_next_rule_matches():
+def test_mock_first_matching_rule_answers_whatever_was_asked_before():
     rules = [
         {"template": "u", "response": "U"},
-        {"template": "t", "responses": ["one", "two"]},
         {"template": "t", "contains": "p", "response": "P"},
-        {"template": "t", "responses": ["three"]},
+        {"template": "t", "contains": "q", "response": "Q"},
+        {"template": "t", "contains": "pq", "response": "never: an earlier rule matches"},
     ]
     script = MockScript.from_dict({"rules": rules})
-    prompts = ["p", "q", "p", "q", "q"]
+    prompts = ["p", "q", "pq", "p", "r"]
     answers = [script.complete([("t", prompt)])[0] for prompt in prompts]
-    assert answers[:4] == ["one", "two", "P", "three"]
+    assert answers[:4] == ["P", "Q", "P", "P"]
     assert isinstance(answers[4], MockScriptMiss)
     assert [c.template for c in script.call_log] == ["t"] * 4
-    # one list is answered as if its prompts had been sent one by one, in order
+    # one list is answered as if its prompts had been sent one by one
     fresh = MockScript.from_dict({"rules": rules})
     wave = fresh.complete([("t", prompt) for prompt in prompts])
     assert wave[:4] == answers[:4] and str(wave[4]) == str(answers[4])
@@ -1146,7 +1160,7 @@ def test_gateway_cache_hit_skips_backend():
     assert first == second == "A"
     assert len(script.call_log) == 1  # second answer came from cache
     assert gateway.counters.completion_cache_hits == 1
-    assert gateway.counters.by_template == {"relevance": 1}
+    assert gateway.counters.by_template == {"relevance": 2}  # asked, hits included
 
 
 def test_gateway_distinct_bindings_are_distinct_requests():
@@ -1250,7 +1264,7 @@ def test_complete_many_backend_call_that_raises_fails_every_prompt():
     )
     assert [(type(o), str(o)) for o in outcomes] == [(BackendError, "no completions here")] * 2
     assert gateway.counters.backend_calls == 0
-    assert gateway.counters.by_template == {}
+    assert gateway.counters.by_template == {"relevance": 2}
     assert len(gateway.cache) == 0
 
 
@@ -1347,12 +1361,12 @@ def test_complete_many_sends_each_missed_prompt_once_in_one_call():
     assert [outcomes[0], outcomes[2], outcomes[3]] == ["A", "B", "A"]
     assert isinstance(outcomes[1], MockScriptMiss)
     assert [c.template for c in script.call_log] == ["presentation", "relevance"]
-    # by_template counts the prompts the backend answered, not the miss
+    # by_template counts every prompt asked: hits, repeats and the miss
     assert gateway.counters == GatewayCounters(
         completion_requests=5,
         completion_cache_hits=2,
         backend_calls=2,
-        by_template={"presentation": 1, "relevance": 1},
+        by_template={"presentation": 2, "relevance": 3},
     )
     # the failed prompt cached nothing, so it is asked again
     assert isinstance(gateway.complete_many([missed])[0], MockScriptMiss)

@@ -1,17 +1,17 @@
 """Scoring: confusion matrix, per-class PRF, macro-F1, ablation harness."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tracer.cli import run_ablation
-from tracer.config import ABLATION_CONFIGS
-from tracer.corpus import LABELS, ClaimRecord, Label
+from tracer.cli import main
+from tracer.corpus import LABELS, ClaimRecord, Corpus, Label, Split, save_corpus
 from tracer.errors import EmptyInput, LengthMismatch, MissingPrediction
 from tracer.fixtures import generate_random_fixture
-from tracer.gateway import Gateway, MockScript, ResponseCache
 from tracer.metrics import (
     confusion_matrix,
     format_table,
@@ -20,7 +20,7 @@ from tracer.metrics import (
     score_reports,
     summarize,
 )
-from tracer.verdict import BaseVerdict, FinalVerdict, VerdictReport, VerdictSource
+from tracer.verdict import BaseVerdict, FinalVerdict, VerdictReport, VerdictSource, load_reports
 
 T, H, F = Label.TRUE, Label.HALF_TRUE, Label.FALSE
 
@@ -316,29 +316,35 @@ def _records(gold=Label.HALF_TRUE):
     ]
 
 
-def _factory():
-    return Gateway(backend=MockScript.from_dict(_ABLATION_SCRIPT), cache=ResponseCache())
+def _ablate(tmp_path, capsys, records, *extra) -> tuple[dict, str]:
+    """``tracer ablate`` over the records: per config its (manifest, reports), and stdout."""
+    corpus, script = tmp_path / "corpus.jsonl", tmp_path / "script.json"
+    save_corpus(Corpus(split=Split.TEST, records=records), corpus)
+    script.write_text(json.dumps(_ABLATION_SCRIPT), encoding="utf-8")
+    argv = ["ablate", "--corpus", str(corpus), "--mock", str(script)]
+    code = main([*argv, "--output", str(tmp_path / "ab.jsonl"), *extra])
+    out = capsys.readouterr().out
+    assert code == 0
+    results = {}
+    for path in sorted(tmp_path.glob("ab.*.jsonl")):
+        manifest = json.loads(Path(f"{path}.manifest.json").read_text(encoding="utf-8"))
+        results[path.name.split(".")[1]] = (manifest, load_reports(path))
+    return results, out
 
 
-def test_run_ablation_requires_factory():
-    with pytest.raises(TypeError):
-        run_ablation(_records())
-
-
-def test_run_ablation_covers_all_configs_by_default():
-    results = run_ablation(_records(), gateway_factory=_factory)
+def test_ablate_covers_all_configs_by_default(tmp_path, capsys):
+    results, _ = _ablate(tmp_path, capsys, _records())
     assert list(results) == ["cfg1", "cfg2", "cfg3", "cfg4"]
-    for name, result in results.items():
-        assert result.config is ABLATION_CONFIGS[name]
-        assert len(result.reports) == 1
+    for name, (manifest, reports) in results.items():
+        assert manifest["ablation"] == name
+        assert [report.id for report in reports] == ["t-1"]
 
 
-def test_run_ablation_call_counts_reflect_gating():
-    results = run_ablation(_records(), gateway_factory=_factory)
-    cfg1 = results["cfg1"].call_counts
-    cfg2 = results["cfg2"].call_counts
-    cfg3 = results["cfg3"].call_counts
-    cfg4 = results["cfg4"].call_counts
+def test_ablate_asked_counts_reflect_gating(tmp_path, capsys):
+    results, _ = _ablate(tmp_path, capsys, _records())
+    cfg1, cfg2, cfg3, cfg4 = (
+        results[name][0]["counters"]["by_template"] for name in ("cfg1", "cfg2", "cfg3", "cfg4")
+    )
 
     assert "intent_generation" not in cfg1
     assert "reassessment" not in cfg1
@@ -356,14 +362,15 @@ def test_run_ablation_call_counts_reflect_gating():
     assert cfg4["reassessment"] == 1
 
 
-def test_run_ablation_scores_against_gold():
-    results = run_ablation(_records(gold=Label.HALF_TRUE), gateway_factory=_factory)
+def test_ablate_reports_score_against_gold(tmp_path, capsys):
+    records = _records(gold=Label.HALF_TRUE)
+    results, _ = _ablate(tmp_path, capsys, records)
     # base CoT says True; the full pipeline revises to Half-True
-    assert results["cfg1"].metrics.accuracy == 0.0
-    assert results["cfg4"].metrics.accuracy == 1.0
+    assert score_reports(records, results["cfg1"][1]).accuracy == 0.0
+    assert score_reports(records, results["cfg4"][1]).accuracy == 1.0
 
 
-def test_run_ablation_without_gold_labels_skips_metrics():
+def test_ablate_without_gold_labels_prints_no_scores(tmp_path, capsys):
     records = _records()
     records[0] = ClaimRecord(
         id=records[0].id,
@@ -374,15 +381,16 @@ def test_run_ablation_without_gold_labels_skips_metrics():
         evidence=records[0].evidence,
         ruling=records[0].ruling,
     )
-    results = run_ablation(records, gateway_factory=_factory)
-    assert all(result.metrics is None for result in results.values())
-    assert all(len(result.reports) == 1 for result in results.values())
+    results, out = _ablate(tmp_path, capsys, records)
+    assert all(score_reports(records, reports) is None for _, reports in results.values())
+    assert all(len(reports) == 1 for _, reports in results.values())
+    assert "accuracy" not in out and "n_failed" not in out
 
 
-def test_run_ablation_subset_of_configs():
-    results = run_ablation(
-        _records(),
-        configs=[ABLATION_CONFIGS["cfg1"], ABLATION_CONFIGS["cfg4"]],
-        gateway_factory=_factory,
-    )
+def test_ablate_subset_of_configs(tmp_path, capsys):
+    results, out = _ablate(tmp_path, capsys, _records(), "--configs", "cfg1,cfg4")
     assert list(results) == ["cfg1", "cfg4"]
+    assert [line for line in out.splitlines() if line.startswith("==")] == [
+        "== cfg1 ==",
+        "== cfg4 ==",
+    ]

@@ -1,6 +1,8 @@
 """README: the import block under "Library surface" runs as written."""
 
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -16,8 +18,9 @@ def _library_surface_imports() -> list[str]:
 def test_library_surface_imports_run():
     lines = _library_surface_imports()
     assert lines
-    for line in lines:
-        try:
-            exec(line, {})
-        except ImportError as exc:
-            raise AssertionError(f"README import fails: {line}: {exc}") from None
+    # a fresh interpreter, so that no module an earlier test imported can
+    # stand in for one the block needs
+    result = subprocess.run(
+        [sys.executable, "-c", "\n".join(lines)], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, f"README import block fails:\n{result.stderr}"

@@ -40,13 +40,19 @@ from tracer.verdict import (
     load_base_verdicts,
     reassess_with_argument,
     report_from_dict,
-    report_to_dict,
     run_pipeline,
     save_reports,
     load_reports,
 )
 
-from conftest import make_gateway, synthetic_script
+from conftest import make_gateway, served, synthetic_script
+
+
+def _saved_line(tmp_path, report) -> str:
+    """The line ``save_reports`` writes for one report."""
+    path = tmp_path / "saved-report.jsonl"
+    save_reports(path, [report])
+    return path.read_text(encoding="utf-8")
 
 
 # -- chain-of-thought base verdict -----------------------------------------
@@ -288,7 +294,7 @@ def test_pipeline_full_run_revises_the_label():
         "che": "ok",
         "reassessment": "ok",
     }
-    assert len(script.calls_for("counterfactual")) == 1
+    assert len(served(script, "counterfactual")) == 1
 
 
 def test_pipeline_neutral_nli_preserves_base_label():
@@ -297,7 +303,7 @@ def test_pipeline_neutral_nli_preserves_base_label():
     assert report.che == []
     assert report.final_verdict.label is report.base_verdict.label
     assert report.final_verdict.reassessed is False
-    assert script.calls_for("reassessment") == []
+    assert served(script, "reassessment") == []
     trace = {t.stage: t for t in report.stages}
     assert trace["reassessment"].status == "skipped"
     assert trace["reassessment"].detail == "no critical hidden evidence"
@@ -308,8 +314,8 @@ def test_pipeline_no_critical_assumption_preserves_base_label():
     report = run_pipeline(gateway, _record())
     assert report.che == []
     assert report.final_verdict == FinalVerdict(label=Label.TRUE, reassessed=False)
-    assert script.calls_for("nli") == []
-    assert script.calls_for("reassessment") == []
+    assert served(script, "nli") == []
+    assert served(script, "reassessment") == []
 
 
 def test_pipeline_base_only_ablation_calls_nothing_downstream():
@@ -330,11 +336,11 @@ def test_pipeline_intent_ablation_queries_by_intent():
     gateway, script = _pipeline_gateway()
     report = run_pipeline(gateway, _record(), ablation=ABLATION_CONFIGS["cfg2"])
     assert report.causal_argument is None
-    assert script.calls_for("implicit_questions") == []
-    assert script.calls_for("assumptions") == []
-    assert script.calls_for("counterfactual") == []
+    assert served(script, "implicit_questions") == []
+    assert served(script, "assumptions") == []
+    assert served(script, "counterfactual") == []
     assert [c.assumption for c in report.che] == ["I."]
-    argument = script.calls_for("reassessment")[0].prompt
+    argument = served(script, "reassessment")[0].prompt
     assert '"X": "C."' in argument
     assert '"Y_1"' not in argument  # no assumptions exist under this ablation
     assert report.final_verdict.label is Label.HALF_TRUE
@@ -343,7 +349,7 @@ def test_pipeline_intent_ablation_queries_by_intent():
 def test_pipeline_assumption_ablation_treats_all_as_critical():
     gateway, script = _pipeline_gateway()
     report = run_pipeline(gateway, _record(), ablation=ABLATION_CONFIGS["cfg3"])
-    assert script.calls_for("counterfactual") == []
+    assert served(script, "counterfactual") == []
     assert [c.assumption for c in report.che] == ["A1."]
     trace = {t.stage: t for t in report.stages}
     assert trace["causality"].status == "skipped"
@@ -359,7 +365,7 @@ def test_pipeline_external_base_verdicts_skip_cot():
         )
     }
     report = run_pipeline(gateway, _record(), base_verdicts=external)
-    assert script.calls_for("cot_verdict") == []
+    assert served(script, "cot_verdict") == []
     assert report.base_verdict.source is VerdictSource.EXTERNAL
     assert report.base_verdict.label is Label.HALF_TRUE
 
@@ -408,7 +414,7 @@ def test_pipeline_records_alignment_classifier_failures(failure):
     assert report.stages[0].detail.startswith("every evidence sentence failed: ")
     assert report.stages[0].detail.endswith(" errors=2")
     # every sentence failed, so the claim fails instead of being verified on no evidence
-    assert script.calls_for("cot_verdict") == []
+    assert served(script, "cot_verdict") == []
     assert report.final_verdict.label is Label.FALSE
     assert report.final_verdict.fallback_reason == report.stages[0].detail
     for aligned in report.aligned_evidence:
@@ -430,7 +436,7 @@ def test_pipeline_goes_on_when_only_some_sentences_fail_alignment():
         "alignment", "failed", "presented=1 hidden=0 irrelevant=1 errors=1"
     )
     assert report.stages[1] == StageTrace("base_verdict", "ok", "CoT")
-    assert len(script.calls_for("cot_verdict")) == 1
+    assert len(served(script, "cot_verdict")) == 1
 
 
 def test_pipeline_claim_without_evidence_is_still_verified():
@@ -440,7 +446,7 @@ def test_pipeline_claim_without_evidence_is_still_verified():
     report = run_pipeline(gateway, record)
     assert report.stages[0] == StageTrace("alignment", "ok", "presented=0 hidden=0 irrelevant=0")
     assert report.stages[1] == StageTrace("base_verdict", "ok", "CoT")
-    assert len(script.calls_for("cot_verdict")) == 1
+    assert len(served(script, "cot_verdict")) == 1
 
 
 @pytest.mark.parametrize("failure", sorted(_CLASSIFIER_FAILURES))
@@ -478,7 +484,7 @@ def test_pipeline_rejected_intent_downgrades_to_base():
     assert trace["intent"].status == "failed"
     assert "quality filter" in trace["intent"].detail
     assert trace["reassessment"].status == "skipped"
-    assert script.calls_for("implicit_questions") == []
+    assert served(script, "implicit_questions") == []
 
 
 def test_pipeline_reassess_true_only_restricts_the_stage():
@@ -486,7 +492,7 @@ def test_pipeline_reassess_true_only_restricts_the_stage():
     report = run_pipeline(gateway, _record(), reassess_true_only=True)
     assert report.base_verdict.label is Label.HALF_TRUE
     assert report.final_verdict == FinalVerdict(label=Label.HALF_TRUE, reassessed=False)
-    assert script.calls_for("reassessment") == []
+    assert served(script, "reassessment") == []
     trace = {t.stage: t for t in report.stages}
     assert trace["reassessment"].status == "skipped"
     assert trace["reassessment"].detail == "restricted to True base verdicts"
@@ -497,7 +503,7 @@ def test_pipeline_reassess_true_only_still_reassesses_true():
     report = run_pipeline(gateway, _record(), reassess_true_only=True)
     assert report.base_verdict.label is Label.TRUE
     assert report.final_verdict.label is Label.HALF_TRUE
-    assert len(script.calls_for("reassessment")) == 1
+    assert len(served(script, "reassessment")) == 1
 
 
 def test_pipeline_unparseable_reassessment_downgrades_gracefully():
@@ -743,7 +749,7 @@ def _failed_report(aligned, reason, stage, stages):
     }
 
 
-# case: (_pipeline_rules overrides, run_pipeline keywords, whole report_to_dict)
+# case: (_pipeline_rules overrides, run_pipeline keywords, whole report line)
 _FAILED_REPORTS = {
     "alignment_failed": ({"relevance": "garbage"}, {}, _failed_report(
         [
@@ -772,12 +778,12 @@ _FAILED_REPORTS = {
 
 
 @pytest.mark.parametrize("case", list(_FAILED_REPORTS))
-def test_failed_claim_report_is_exact(case):
+def test_failed_claim_report_is_exact(case, tmp_path):
     overrides, keywords, expected = _FAILED_REPORTS[case]
     gateway, _ = _pipeline_gateway(**overrides)
     report = run_pipeline(gateway, _record(), **keywords)
-    # dumped, so that key order is pinned too
-    assert json.dumps(report_to_dict(report)) == json.dumps(expected)
+    # the saved line, so that key order is pinned too
+    assert _saved_line(tmp_path, report) == json.dumps(expected, ensure_ascii=False) + "\n"
 
 
 _V1_ALIGNED = [
@@ -806,7 +812,7 @@ _V1_FAILURES = {
 
 
 @pytest.mark.parametrize("case", list(_V1_FAILURES))
-def test_version_1_line_gets_failed_from_its_stages(case):
+def test_version_1_line_gets_failed_from_its_stages(case, tmp_path):
     stages, failed = _V1_FAILURES[case]
     # version 1 left out null optional keys and had no ``failed``
     line = {
@@ -822,7 +828,7 @@ def test_version_1_line_gets_failed_from_its_stages(case):
     }
     report = report_from_dict(line)
     assert report.failed == failed
-    assert report_to_dict(report) == {
+    assert json.loads(_saved_line(tmp_path, report)) == {
         **line,
         "schema_version": 2,
         "aligned_evidence": [{**_V1_ALIGNED[0], "error": None}],
@@ -880,10 +886,10 @@ def test_scenario_bad_counterfactual_or_nli_answers_fail_the_stage_on_the_first(
 # -- shipped scenario -----------------------------------------------------------
 
 
-def test_scenario_reproduces_the_committed_report():
+def test_scenario_reproduces_the_committed_report(tmp_path):
     gateway = make_scenario_gateway()
     report = run_pipeline(gateway, load_scenario_record())
-    assert report_to_dict(report) == report_to_dict(load_expected_report())
+    assert _saved_line(tmp_path, report) == data_path(SCENARIO_EXPECTED).read_text(encoding="utf-8")
 
 
 def test_scenario_summary_shape():
@@ -897,12 +903,12 @@ def test_scenario_summary_shape():
     assert all(t.status == "ok" for t in report.stages)
 
 
-def test_scenario_runs_are_byte_identical():
+def test_scenario_runs_are_byte_identical(tmp_path):
     runs = []
     for _ in range(2):
         gateway = make_scenario_gateway()
         report = run_pipeline(gateway, load_scenario_record())
-        runs.append(json.dumps(report_to_dict(report), ensure_ascii=False, sort_keys=False))
+        runs.append(_saved_line(tmp_path, report))
     assert runs[0] == runs[1]
 
 
@@ -995,8 +1001,9 @@ def test_pipeline_interrupted_inside_a_claim_keeps_its_earlier_records(tmp_path)
     # alignment's completions and embeddings came before the interrupt
     held = {key: gateway.cache.get(key) for key in gateway.cache._entries}
     counters = gateway.counters
-    # one record per completion call and one per embedded text
-    assert counters.by_template == {"relevance": 4, "presentation": 4}
+    # one record per completion answered and one per embedded text; the
+    # interrupted cot_verdict prompt was asked, so it counts, but not cached
+    assert counters.by_template == {"relevance": 4, "presentation": 4, "cot_verdict": 1}
     assert len(held) == 8 + counters.embedding_requests - counters.embedding_cache_hits > 8
     reloaded = ResponseCache(path)
     assert len(reloaded) == len(held)
@@ -1065,21 +1072,20 @@ def test_pipeline_cache_that_cannot_write_vectors_writes_no_index_record(tmp_pat
 # -- report serialization ---------------------------------------------------------
 
 
-def test_report_round_trip_is_lossless():
+def test_report_round_trip_is_lossless(tmp_path):
     gateway, _ = _pipeline_gateway()
     report = run_pipeline(gateway, _record())
-    restored = report_from_dict(report_to_dict(report))
+    once = _saved_line(tmp_path, report)
+    restored = report_from_dict(json.loads(once))
     assert restored == report
-    # and the dict form is json-stable
-    once = json.dumps(report_to_dict(report))
-    twice = json.dumps(report_to_dict(restored))
-    assert once == twice
+    # and the saved line is stable
+    assert _saved_line(tmp_path, restored) == once
 
 
-def test_report_round_trip_with_minimal_fields():
+def test_report_round_trip_with_minimal_fields(tmp_path):
     gateway, script = _pipeline_gateway()
     report = run_pipeline(gateway, _record(), ablation=ABLATION_CONFIGS["cfg1"])
-    restored = report_from_dict(report_to_dict(report))
+    restored = report_from_dict(json.loads(_saved_line(tmp_path, report)))
     assert restored == report
     assert restored.intent is None
     assert restored.causal_argument is None
@@ -1089,7 +1095,7 @@ def test_report_rejects_unknown_schema_version():
     with pytest.raises(ParseError):
         report_from_dict({"schema_version": 99})
     # a version that only compares equal to a known one is not it
-    line = report_to_dict(load_expected_report())
+    line = json.loads(data_path(SCENARIO_EXPECTED).read_text(encoding="utf-8"))
     for version in (True, 2.0, "2", None):
         with pytest.raises(ParseError):
             report_from_dict({**line, "schema_version": version})
