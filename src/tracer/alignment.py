@@ -9,7 +9,8 @@ promoting unpresented ones that are near-paraphrases of it.
 
 The two prompts run for every sentence first, in evidence order; the
 claim and all the sentences to refine are then embedded in one request,
-so a claim pays one embedding round trip, not one per sentence.
+so a claim pays one embedding round trip, not one per sentence. They
+are compared with the claim in one similarity step, and CHE reuses them.
 
 When a fine-tuned external classifier is available over HTTP it replaces
 the whole prompt pipeline: an ``Endpoint`` asks it one question per
@@ -50,28 +51,30 @@ class AlignedEvidence:
     error: str | None = None
 
 
+def _check_pair(u: Embedding, v: Embedding) -> None:
+    """Raise what makes the cosine of ``u`` and ``v`` undefined, if anything."""
+    if u.model_id != v.model_id:
+        raise DimensionMismatch(
+            f"embeddings from different models: {u.model_id!r} vs {v.model_id!r}"
+        )
+    if len(u.vector) != len(v.vector):
+        raise DimensionMismatch(f"embedding lengths differ: {len(u.vector)} vs {len(v.vector)}")
+    if u.norm == 0.0 or v.norm == 0.0:
+        raise ZeroVector("cosine similarity undefined for zero-norm vector")
+
+
 def cosine_similarities(query: Embedding, rows: list[Embedding]) -> list[float]:
     """Cosine similarity of the query to each row, in row order.
 
-    Each row is checked as ``cosine_similarity`` checks a pair, in order,
-    so a bad row raises what the pairwise call would. The dot products
-    are one matrix step, but each row is still summed strictly left to
-    right (``np.add.accumulate`` along the row, then ``+ 0.0`` as the
-    start value), so every value has the bits of an explicit ``acc += x``
-    loop. ``np.dot``, ``np.sum`` and BLAS sum in other orders and would
-    not.
+    Each row is checked by ``_check_pair``, in order, so a bad row raises
+    what the pairwise call would. The dot products are one matrix step,
+    but each row is still summed strictly left to right
+    (``np.add.accumulate`` along the row, then ``+ 0.0`` as the start
+    value), so every value has the bits of an explicit ``acc += x`` loop.
+    ``np.dot``, ``np.sum`` and BLAS sum in other orders and would not.
     """
     for row in rows:
-        if query.model_id != row.model_id:
-            raise DimensionMismatch(
-                f"embeddings from different models: {query.model_id!r} vs {row.model_id!r}"
-            )
-        if len(query.vector) != len(row.vector):
-            raise DimensionMismatch(
-                f"embedding lengths differ: {len(query.vector)} vs {len(row.vector)}"
-            )
-        if query.norm == 0.0 or row.norm == 0.0:
-            raise ZeroVector("cosine similarity undefined for zero-norm vector")
+        _check_pair(query, row)
     if not rows:
         return []
     products = np.array([row.vector for row in rows])  # a fresh copy, safe to write
@@ -88,8 +91,8 @@ def cosine_similarity(u: Embedding, v: Embedding) -> float:
 
 
 def _refine(
-    claim: Embedding, sentence: Embedding, provisional_presented: bool, thresholds: Thresholds
-) -> tuple[AlignmentLabel, float]:
+    similarity: float, provisional_presented: bool, thresholds: Thresholds
+) -> AlignmentLabel:
     """Second opinion from embedding space on the presentation answer.
 
     A "presented" sentence far from the claim is treated as a
@@ -98,14 +101,13 @@ def _refine(
     promoted. Either direction is disabled by setting its threshold to
     None.
     """
-    similarity = cosine_similarity(claim, sentence)
     if provisional_presented:
         if thresholds.tau_low is not None and similarity < thresholds.tau_low:
-            return AlignmentLabel.HIDDEN, similarity
-        return AlignmentLabel.PRESENTED, similarity
+            return AlignmentLabel.HIDDEN
+        return AlignmentLabel.PRESENTED
     if thresholds.tau_high is not None and similarity >= thresholds.tau_high:
-        return AlignmentLabel.PRESENTED, similarity
-    return AlignmentLabel.HIDDEN, similarity
+        return AlignmentLabel.PRESENTED
+    return AlignmentLabel.HIDDEN
 
 
 def _read_label(data) -> tuple[AlignmentLabel, float]:
@@ -131,6 +133,7 @@ def align_evidence(
     evidence: list[str],
     thresholds: Thresholds = Thresholds(),
     classifier: Endpoint | None = None,
+    embeddings: dict[str, Embedding] | None = None,
 ) -> list[AlignedEvidence]:
     """Label every evidence sentence Presented, Hidden, or Irrelevant.
 
@@ -143,7 +146,10 @@ def align_evidence(
     The prompts run first, sentence by sentence in evidence order. Then
     the claim and every sentence still to refine are embedded in one
     ``embed_many`` call, so an embedding that cannot be had (a blank
-    sentence's, say) fails only its sentence.
+    sentence's, say) fails only its sentence, as does one that cannot be
+    compared with the claim's; the rest are compared in one
+    ``cosine_similarities`` call. ``embeddings``, when given, receives
+    the ``Embedding`` of every refined sentence, by sentence.
     """
     if classifier is not None:
         return [_classify(classifier, claim, sentence) for sentence in evidence]
@@ -163,16 +169,23 @@ def align_evidence(
             aligned.append(_failed(sentence, Provenance.PROMPT_PIPELINE, exc))
     if not presented:
         return aligned
-    claim_embedding, *embeddings = gateway.embed_many([claim, *(evidence[i] for i in presented)])
-    for (position, answer), embedding in zip(presented.items(), embeddings):
-        sentence = evidence[position]
+    claim_outcome, *outcomes = gateway.embed_many([claim, *(evidence[i] for i in presented)])
+    refined: dict[int, Embedding] = {}  # position -> embedding, for the checked sentences
+    for position, outcome in zip(presented, outcomes):
         try:
-            pair = unwrap(claim_embedding), unwrap(embedding)
-            label, similarity = _refine(*pair, answer, thresholds)
+            claim_embedding, embedding = unwrap(claim_outcome), unwrap(outcome)
+            _check_pair(claim_embedding, embedding)
         except TracerError as exc:
-            aligned[position] = _failed(sentence, Provenance.PROMPT_PIPELINE, exc)
+            aligned[position] = _failed(evidence[position], Provenance.PROMPT_PIPELINE, exc)
             continue
+        refined[position] = embedding
+    similarities = cosine_similarities(claim_embedding, [*refined.values()]) if refined else []
+    for (position, embedding), similarity in zip(refined.items(), similarities):
+        sentence = evidence[position]
+        label = _refine(similarity, presented[position], thresholds)
         aligned[position] = AlignedEvidence(sentence=sentence, label=label, similarity=similarity)
+        if embeddings is not None:
+            embeddings[sentence] = embedding
     return aligned
 
 

@@ -11,7 +11,7 @@ against hidden evidence.
 
 from __future__ import annotations
 
-import json
+from json.encoder import encode_basestring
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -85,11 +85,13 @@ class CausalArgument:
 
 
 def serialize_argument(graph: CausalArgument) -> str:
-    """Render the argument structure embedded verbatim into prompts."""
-    linked_by = {"X": graph.claim}
-    for i, assumption in enumerate(graph.assumptions, start=1):
-        linked_by[f"Y_{i}"] = assumption.text
-    return json.dumps({"Z": graph.intent, "linked_by": linked_by}, indent=2, ensure_ascii=False)
+    """Render the argument structure embedded verbatim into prompts: ``json.dumps({"Z":
+    intent, "linked_by": {"X": claim, "Y_1": ...}}, indent=2, ensure_ascii=False)``, byte
+    for byte, without the pure-Python encoder that ``indent`` selects."""
+    quote = encode_basestring
+    links = [("X", graph.claim), *((f"Y_{i}", a.text) for i, a in enumerate(graph.assumptions, 1))]
+    body = ",\n".join(f'    "{name}": {quote(text)}' for name, text in links)
+    return f'{{\n  "Z": {quote(graph.intent)},\n  "linked_by": {{\n{body}\n  }}\n}}'
 
 
 def generate_implicit_questions(

@@ -5,9 +5,11 @@ hidden-evidence pool for sentences that bear on them. Retrieval is a
 two-stage gate: embedding similarity ranks the pool and discards weak
 matches, then an entailment check keeps only sentences that genuinely
 support or contradict the assumption. Neutral sentences are rejected no
-matter how similar they look. An ``Endpoint`` can stand in for the
-entailment prompt: it POSTs ``{"premise", "hypothesis"}`` and reads
-``{"verdict": "Entail" | "Contradict" | "Neutral"}``.
+matter how similar they look. The pool's embeddings are alignment's
+(the external alignment classifier makes none, and then CHE embeds the
+pool). An ``Endpoint`` can stand in for the entailment prompt: it POSTs
+``{"premise", "hypothesis"}`` and reads ``{"verdict": "Entail" |
+"Contradict" | "Neutral"}``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from enum import Enum
 from .alignment import cosine_similarities, cosine_similarity  # noqa: F401
 from .causality import Assumption
 from .config import Thresholds
-from .gateway import Endpoint, Gateway, parse_letter_choice, unwrap
+from .gateway import Embedding, Endpoint, Gateway, parse_letter_choice, unwrap
 
 
 class NliVerdict(str, Enum):
@@ -65,26 +67,31 @@ def collect_che(
     hidden_pool: list[str],
     thresholds: Thresholds = Thresholds(),
     classifier: Endpoint | None = None,
+    embeddings: dict[str, Embedding] | None = None,
 ) -> list[CheCandidate]:
     """Hidden sentences that support or contradict the critical assumptions.
 
-    The assumptions and the pool are embedded in one ``embed_many``
-    call. Then, assumption by assumption, the pool is ranked by cosine
-    similarity; only the top k at or above tau_che reach the entailment
-    gate, and Neutral sentences are dropped. Ties rank by pool position
-    so retrieval is deterministic. A sentence selected for several
-    assumptions appears once, linked to all of them, with its primary
-    link being the highest-similarity one. Output order is
-    first-selection order. With no assumption or an empty pool nothing
-    is asked of the gateway.
+    The assumptions, and the pool sentences ``embeddings`` does not
+    already hold (alignment's, by sentence), are embedded in one
+    ``embed_many`` call. Then, assumption by assumption, the pool is
+    ranked by cosine similarity; only the top k at or above tau_che
+    reach the entailment gate, and Neutral sentences are dropped. Ties
+    rank by pool position so retrieval is deterministic. A sentence
+    selected for several assumptions appears once, linked to all of
+    them, with its primary link being the highest-similarity one. Output
+    order is first-selection order. With no assumption or an empty pool
+    nothing is asked of the gateway.
     """
     if not critical_assumptions or not hidden_pool:
         return []
     texts = [assumption.text for assumption in critical_assumptions]
-    embeddings = [unwrap(outcome) for outcome in gateway.embed_many([*texts, *hidden_pool])]
-    pool = embeddings[len(texts) :]
+    known = dict(embeddings or {})
+    missing = [sentence for sentence in hidden_pool if sentence not in known]
+    queries = [unwrap(outcome) for outcome in gateway.embed_many([*texts, *missing])]
+    known.update(zip(missing, queries[len(texts) :]))
+    pool = [known[sentence] for sentence in hidden_pool]
     by_sentence: dict[str, CheCandidate] = {}
-    for assumption, query in zip(texts, embeddings):
+    for assumption, query in zip(texts, queries):
         # a stable sort: ties keep pool order
         ranked = sorted(
             zip(cosine_similarities(query, pool), hidden_pool), key=lambda item: -item[0]

@@ -13,8 +13,9 @@ once. Each configuration writes ``<stem>.<cfg><suffix>`` (``--output
 ab.jsonl`` gives ``ab.cfg1.jsonl``, ...) and its manifest.
 
 Exit codes: 0 success; 1 usage, configuration, or unreadable input, or
-a run that ends with an HTTP endpoint's circuit open (``ablate`` stops
-at the first configuration that does); 2 inconsistent data (duplicate
+a run that stops at the first claim after which an HTTP endpoint's
+circuit is open, keeping the reports of the claims it ran (``ablate``
+runs no later configuration); 2 inconsistent data (duplicate
 ids, missing predictions, empty scoring sets). Other per-claim pipeline
 failures never fail the run: they are recorded inside the report.
 """
@@ -222,8 +223,9 @@ def _run(args, ablations: list[AblationConfig] | None) -> int:
 
     The Gateway, corpus, base verdicts and endpoints are built once; the
     claim loop runs once per config, each on fresh counters, and writes
-    that config's reports and manifest. A config that ends with an
-    endpoint's circuit open ends the run: its reports stay, it exits 1.
+    that config's reports and manifest. The first claim after which an
+    endpoint's circuit is open ends the run: the reports and manifest of
+    the claims run so far are written, nothing is scored, it exits 1.
     """
     config = _assemble_run_config(args)
     config.validate()
@@ -250,7 +252,7 @@ def _run(args, ablations: list[AblationConfig] | None) -> int:
                 print(f"== {ablation.name} ==")
                 output_path = _config_output(output_path, ablation.name)
             gateway.counters = GatewayCounters()
-            reports = []
+            reports, errors = [], []
             for report in run_corpus(
                 gateway,
                 corpus.records,
@@ -265,12 +267,17 @@ def _run(args, ablations: list[AblationConfig] | None) -> int:
                 stage = report.failed
                 verdict = f"failed at {stage}" if stage else report.final_verdict.label.value
                 print(f"{report.id}: {verdict}")
+                # an open circuit would fail every later claim unasked: stop here
+                errors = list(filter(None, (endpoint.circuit_error() for endpoint in endpoints)))
+                if errors:
+                    break
 
             save_reports(output_path, reports)
             digest = hashlib.sha256(Path(output_path).read_bytes()).hexdigest()
             print(f"report digest: {digest}")
 
-            metrics = score_reports(corpus.records, reports)
+            # a stopped run lacks the predictions of the claims it did not reach
+            metrics = None if errors else score_reports(corpus.records, reports)
             if metrics is not None:
                 print(format_table(metrics))
 
@@ -287,8 +294,6 @@ def _run(args, ablations: list[AblationConfig] | None) -> int:
                 json.dump(manifest, handle, indent=2, sort_keys=True)
                 handle.write("\n")
             print(f"manifest: {manifest_path}")
-            # an open circuit failed every later claim: the reports stay, the run fails
-            errors = list(filter(None, (endpoint.circuit_error() for endpoint in endpoints)))
             for error in errors:
                 print(f"error: {error}", file=sys.stderr)
             if errors:

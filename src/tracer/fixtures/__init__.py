@@ -2,7 +2,7 @@
 
 A single end-to-end scenario (claim record, mock script, committed
 expected report), a corpus of malformed model responses for the parser
-robustness suite, and seeded generators for property tests. The expected
+robustness suite, and a seeded synthetic corpus generator. The expected
 report is a committed artifact; regenerate it only deliberately, via
 ``python -m tracer.fixtures regenerate``.
 """
@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import datetime
 import json
-import math
 import random
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
-from ..corpus import ClaimRecord, Corpus, Label, LABELS, Split, consolidate_label
+from ..corpus import ClaimRecord, Corpus, Split, consolidate_label
 from ..gateway import Gateway, MockScript, ResponseCache
 from ..verdict import VerdictReport, load_reports
 
@@ -58,48 +56,6 @@ def load_malformed_responses() -> list[dict]:
         return json.load(handle)
 
 
-@dataclass
-class RandomFixture:
-    gold: list[Label]
-    pred: list[Label]
-    pool: list[str]
-
-
-def generate_random_fixture(seed: int, n: int) -> RandomFixture:
-    """Seeded gold/prediction label lists plus a synthetic sentence pool."""
-    rng = random.Random(seed)
-    return RandomFixture(
-        gold=[rng.choice(LABELS) for _ in range(n)],
-        pred=[rng.choice(LABELS) for _ in range(n)],
-        pool=[f"synthetic evidence sentence {seed}-{i}" for i in range(n)],
-    )
-
-
-def make_retrieval_fixture(seed: int, pool_size: int) -> tuple[MockScript, str, list[str]]:
-    """Scripted backend for retrieval property tests.
-
-    The probe query embeds to the unit x-axis; pool sentences embed to
-    random unit vectors in the upper half-plane, so similarities spread
-    across (-1, 1). Each sentence gets a random entailment verdict.
-    Everything is deterministic per seed.
-    """
-    rng = random.Random(seed)
-    query = f"probe assumption {seed}"
-    pool = [f"pool sentence {seed}-{i}" for i in range(pool_size)]
-    embeddings = [{"text": query, "vector": [1.0, 0.0]}]
-    rules = []
-    for sentence in pool:
-        angle = rng.uniform(0.0, math.pi)
-        embeddings.append(
-            {"text": sentence, "vector": [math.cos(angle), math.sin(angle)]}
-        )
-        rules.append(
-            {"template": "nli", "contains": sentence, "response": rng.choice("ABC")}
-        )
-    script = MockScript.from_dict({"rules": rules, "embeddings": embeddings})
-    return script, query, pool
-
-
 def generate_synthetic_corpus(seed: int, n: int) -> Corpus:
     """Deterministic well-formed corpus for round-trip and ingest tests."""
     rng = random.Random(seed)
@@ -132,17 +88,14 @@ def generate_synthetic_corpus(seed: int, n: int) -> Corpus:
 
 __all__ = [
     "MALFORMED_RESPONSES",
-    "RandomFixture",
     "SCENARIO_CLAIM",
     "SCENARIO_EXPECTED",
     "SCENARIO_MOCK",
     "data_path",
-    "generate_random_fixture",
     "generate_synthetic_corpus",
     "load_expected_report",
     "load_malformed_responses",
     "load_scenario_record",
     "load_scenario_script",
-    "make_retrieval_fixture",
     "make_scenario_gateway",
 ]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -45,19 +44,18 @@ class Embedding:
     constructor is converted. An array from the Gateway is the cache's
     own while its record is unwritten, shared with every caller, and a
     fresh read of the vector file after; it is never written to. ``norm``
-    is the vector's Euclidean length, summed strictly left to right,
-    computed on first use and kept.
+    is the vector's Euclidean length, summed strictly left to right when
+    the ``Embedding`` is built.
     """
 
     vector: np.ndarray
     model_id: str
+    norm: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "vector", frozen_vector(self.vector))
-
-    @cached_property
-    def norm(self) -> float:
-        return math.sqrt(_sequential_sum(self.vector * self.vector))
+        vector = frozen_vector(self.vector)
+        object.__setattr__(self, "vector", vector)
+        object.__setattr__(self, "norm", math.sqrt(_sequential_sum(vector * vector)))
 
     def __eq__(self, other):
         if not isinstance(other, Embedding):
@@ -107,32 +105,35 @@ class Gateway:
         self.embedding_model_id = getattr(backend, "embedding_model_id", self.model_id)
         self.counters = GatewayCounters()
 
-    def _fetch(self, keys: list, items: list, held: type, send, accept) -> tuple[dict, int]:
-        """Key -> its cached value or ``TracerError``, and how many of ``keys`` were hits.
+    def _cached(self, key: str, held: type):
+        """``held`` under ``key``, None for a miss, or a ``CacheCorruption``."""
+        try:
+            cached = self.cache.get(key)
+        except CacheCorruption as exc:
+            return exc
+        if cached is None or isinstance(cached, held):
+            return cached
+        return CacheCorruption(f"the cache holds {_WRONG_KIND[held]} {key}")
 
-        A hit is a key the cache holds (as a ``held``, else it is corrupt, as is a key
-        ``cache.get`` raises ``CacheCorruption`` for) or the list asked for earlier.
-        The misses go to ``send`` in one call; ``accept(item, answer)`` returns the
-        value to cache or raises the item's failure, which is not cached.
-        """
+    def _fetch(self, keys: list, items: list, held: type, send, accept) -> tuple[dict, int]:
+        """Key -> its cached value or ``TracerError``, and how many of ``keys`` were hits:
+        keys ``_cached`` found (corrupt ones too) or asked earlier in the list."""
         found, missed = {}, {}  # key -> outcome, key -> item
         for key, item in zip(keys, items):
             if key in found or key in missed:
                 continue
-            try:
-                cached = self.cache.get(key)
-            except CacheCorruption as exc:  # a vector its vector file lost
-                found[key] = exc
-                continue
+            cached = self._cached(key, held)
             if cached is None:
                 missed[key] = item
-            elif isinstance(cached, held):
-                found[key] = cached
             else:
-                found[key] = CacheCorruption(f"the cache holds {_WRONG_KIND[held]} {key}")
-        hits = len(keys) - len(missed)
-        if not missed:
-            return found, hits
+                found[key] = cached
+        if missed:
+            found.update(self._send(missed, send, accept))
+        return found, len(keys) - len(missed)
+
+    def _send(self, missed: dict, send, accept) -> dict:
+        """Key -> outcome of each missed item, asked of ``send`` in one call; ``accept(item,
+        answer)`` returns the value to cache or raises the item's failure, which is not."""
         try:
             answers = send(list(missed.values()))
             if len(answers) != len(missed):
@@ -143,6 +144,7 @@ class Gateway:
             answers = [exc] * len(missed)
         else:
             self.counters.backend_calls += 1
+        found = {}
         for (key, item), answer in zip(missed.items(), answers):
             try:
                 found[key] = accept(item, unwrap(answer))
@@ -150,11 +152,26 @@ class Gateway:
                 found[key] = exc
             else:
                 self.cache.put(key, found[key])
-        return found, hits
+        return found
 
     def complete(self, template_id: str, **bindings) -> str:
-        """The completion of one request, rendered from the catalog template."""
-        return unwrap(self.complete_many([(template_id, bindings)])[0])
+        """``complete_many`` of one request, raising its failure; a cache hit
+        costs one render, one key and one ``cache.get``."""
+        prompt = render_template(self.catalog.get(template_id), bindings)
+        key = completion_key(self.model_id, template_id, prompt, TEMPERATURE, MAX_TOKENS)
+        counters = self.counters
+        if template_id in counters.by_template:
+            counters.by_template[template_id] += 1
+        else:
+            counters.by_template[template_id] = 1
+        outcome = self._cached(key, str)
+        if outcome is None:
+            missed = {key: (template_id, prompt)}
+            outcome = self._send(missed, self.backend.complete, self._accept_text)[key]
+        else:
+            counters.completion_cache_hits += 1
+        counters.completion_requests += 1
+        return unwrap(outcome)
 
     def complete_many(self, requests) -> list:
         """One outcome per ``(template_id, bindings)``: its completion or a ``TracerError``."""

@@ -48,7 +48,7 @@ from .errors import (
     TracerError,
     UnparseableChoice,
 )
-from .gateway import Endpoint, Gateway, parse_letter_choice
+from .gateway import Embedding, Endpoint, Gateway, parse_letter_choice
 from .intent import IntentRecord, generate_intent, score_quality
 
 REPORT_SCHEMA_VERSION = 2
@@ -222,9 +222,11 @@ class _ClaimRun:
     alignment_classifier: Endpoint | None
     nli_classifier: Endpoint | None
     report: VerdictReport
-    # The alignment stage sets both pools.
+    # The alignment stage sets both pools, and the embeddings of the
+    # sentences it refined, by sentence, which CHE reuses.
     relevant: list[str] = field(default_factory=list)
     hidden: list[str] = field(default_factory=list)
+    embeddings: dict[str, Embedding] = field(default_factory=dict)
     questions: list[ImplicitQuestion] = field(default_factory=list)
     # Retrieval queries: the intent stage sets the intent itself, and the
     # assumptions and causality stages replace it when they run.
@@ -242,6 +244,7 @@ def _alignment_stage(run: _ClaimRun) -> tuple[str, str]:
         record.evidence,
         run.thresholds,
         run.alignment_classifier,
+        run.embeddings,
     )
     run.report.aligned_evidence = aligned
     errors = sum(1 for a in aligned if a.error)
@@ -326,7 +329,7 @@ def _causality_stage(run: _ClaimRun) -> tuple[str, str]:
 def _che_stage(run: _ClaimRun) -> tuple[str, str]:
     report = run.report
     report.che = collect_che(
-        run.gateway, run.queries, run.hidden, run.thresholds, run.nli_classifier
+        run.gateway, run.queries, run.hidden, run.thresholds, run.nli_classifier, run.embeddings
     )
     query = " (intent query)" if report.causal_argument is None else ""
     return "ok", f"selected={len(report.che)}{query}"

@@ -1,11 +1,15 @@
-"""Shared test helpers: quick scripted gateways."""
+"""Shared test helpers: quick scripted gateways and seeded builders."""
 
 from __future__ import annotations
 
 import json
+import math
+import random
+from dataclasses import dataclass
 
 import pytest
 
+from tracer.corpus import LABELS, Label
 from tracer.fixtures import SCENARIO_MOCK, data_path
 from tracer.gateway import Gateway, MockScript, ResponseCache
 
@@ -40,6 +44,48 @@ def synthetic_script(dim: int) -> dict:
     script["default_embedding"] = {"dim": dim}
     script["rules"].append({"template": "nli", "response": "A"})
     return script
+
+
+@dataclass
+class RandomFixture:
+    gold: list[Label]
+    pred: list[Label]
+    pool: list[str]
+
+
+def generate_random_fixture(seed: int, n: int) -> RandomFixture:
+    """Seeded gold/prediction label lists plus a synthetic sentence pool."""
+    rng = random.Random(seed)
+    return RandomFixture(
+        gold=[rng.choice(LABELS) for _ in range(n)],
+        pred=[rng.choice(LABELS) for _ in range(n)],
+        pool=[f"synthetic evidence sentence {seed}-{i}" for i in range(n)],
+    )
+
+
+def make_retrieval_fixture(seed: int, pool_size: int) -> tuple[MockScript, str, list[str]]:
+    """Scripted backend for retrieval property tests.
+
+    The probe query embeds to the unit x-axis; pool sentences embed to
+    random unit vectors in the upper half-plane, so similarities spread
+    across (-1, 1). Each sentence gets a random entailment verdict.
+    Everything is deterministic per seed.
+    """
+    rng = random.Random(seed)
+    query = f"probe assumption {seed}"
+    pool = [f"pool sentence {seed}-{i}" for i in range(pool_size)]
+    embeddings = [{"text": query, "vector": [1.0, 0.0]}]
+    rules = []
+    for sentence in pool:
+        angle = rng.uniform(0.0, math.pi)
+        embeddings.append(
+            {"text": sentence, "vector": [math.cos(angle), math.sin(angle)]}
+        )
+        rules.append(
+            {"template": "nli", "contains": sentence, "response": rng.choice("ABC")}
+        )
+    script = MockScript.from_dict({"rules": rules, "embeddings": embeddings})
+    return script, query, pool
 
 
 @pytest.fixture

@@ -36,18 +36,16 @@ from tracer.fixtures import (
     SCENARIO_EXPECTED,
     SCENARIO_MOCK,
     data_path,
-    generate_random_fixture,
     generate_synthetic_corpus,
     load_malformed_responses,
     load_scenario_record,
-    make_retrieval_fixture,
     make_scenario_gateway,
 )
 from tracer.gateway import Embedding, Gateway, MockScript, ResponseCache
 from tracer.metrics import score_labels
 from tracer.verdict import load_reports, run_pipeline, save_reports
 
-from conftest import served
+from conftest import generate_random_fixture, make_retrieval_fixture, served
 from test_parser_robustness import _RUNNERS, _expected_error
 
 

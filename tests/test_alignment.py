@@ -534,6 +534,39 @@ def test_align_evidence_claim_without_an_embedding_fails_every_refined_sentence(
         assert a.error == "MockScriptMiss: no mock embedding matches text: 'unscripted claim'"
 
 
+_CLAIM = emb(1.0, 0.0)
+_ROWS = [emb(0.9, 0.436), emb(0.1, 0.995), emb(-0.3, 0.954)]
+
+
+@pytest.mark.parametrize(
+    "bad,error",
+    [
+        pytest.param(emb(0.0, 0.0), ZeroVector, id="zero-norm"),
+        pytest.param(emb(0.6, 0.8, model="other-model"), DimensionMismatch, id="other-model"),
+        pytest.param(emb(0.6, 0.8, 0.0), DimensionMismatch, id="other-width"),
+        pytest.param(BackendError("no vector"), BackendError, id="failed-embedding"),
+    ],
+)
+def test_align_evidence_bad_row_among_several_fails_only_its_sentence(monkeypatch, bad, error):
+    evidence = ["fact A", "bad fact", "fact B", "fact C"]
+    gateway, _ = make_gateway(rules=[{"template": "presentation", "response": "B"}])
+    asked = []
+    outcomes = [_CLAIM, _ROWS[0], bad, *_ROWS[1:]]
+    monkeypatch.setattr(gateway, "embed_many", lambda texts: asked.append(texts) or outcomes)
+    embeddings = {}
+    aligned = align_evidence(gateway, "claim", "", evidence, embeddings=embeddings)
+    assert asked == [["claim", *evidence]]
+    assert aligned[1].label is AlignmentLabel.IRRELEVANT
+    assert aligned[1].error.startswith(f"{error.__name__}: ")
+    good = [aligned[0], *aligned[2:]]
+    assert all(a.error is None for a in good)
+    # bit for bit the pairwise values, as if the bad row were not there
+    expected = [cosine_similarity(_CLAIM, row).hex() for row in _ROWS]
+    assert [a.similarity.hex() for a in good] == expected
+    # only the refined sentences' embeddings are handed on
+    assert embeddings == {"fact A": _ROWS[0], "fact B": _ROWS[1], "fact C": _ROWS[2]}
+
+
 def test_align_evidence_empty_input():
     gateway, script = _pipeline_gateway()
     assert align_evidence(gateway, "claim", "r", []) == []

@@ -3,7 +3,7 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from tracer.causality import (
@@ -184,6 +184,22 @@ def test_parse_serialize_round_trip_property(texts, intent, claim):
         "X": claim,
         **{f"Y_{i}": text for i, text in enumerate(texts, start=1)},
     }
+
+
+# every character a string can hold: quotes, backslashes, control
+# characters, non-BMP characters and lone surrogates included
+_ANY_TEXT = st.text(st.characters(exclude_categories=()), max_size=40)
+
+
+@given(texts=st.lists(_ANY_TEXT, max_size=5), intent=_ANY_TEXT, claim=_ANY_TEXT)
+@example(texts=['say "no"', "C:\\path"], intent="tab\tnew\nline\x00\x1f", claim="\U0001f600 \ud800")
+def test_serialize_argument_is_json_dumps_with_indent_2_byte_for_byte(texts, intent, claim):
+    graph = CausalArgument(
+        intent=intent, claim=claim, assumptions=tuple(Assumption(t) for t in texts)
+    )
+    linked_by = {"X": claim, **{f"Y_{i}": text for i, text in enumerate(texts, start=1)}}
+    expected = json.dumps({"Z": intent, "linked_by": linked_by}, indent=2, ensure_ascii=False)
+    assert serialize_argument(graph) == expected
 
 
 def test_target_symbol_is_one_based():

@@ -14,10 +14,9 @@ from tracer.che import (
 )
 from tracer.config import Thresholds
 from tracer.errors import BackendError
-from tracer.fixtures import make_retrieval_fixture
 from tracer.gateway import Endpoint, Gateway, ResponseCache
 
-from conftest import make_gateway, served
+from conftest import make_gateway, make_retrieval_fixture, served
 
 
 def critical(text):

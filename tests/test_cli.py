@@ -351,8 +351,10 @@ _SCENARIO_COLD_COUNTERS = {
     },
     "completion_cache_hits": 0,
     "completion_requests": 21,
-    "embedding_cache_hits": 3,
-    "embedding_requests": 10,
+    # alignment embeds the claim and its 4 sentences; CHE reuses the 3
+    # hidden ones and embeds only its 2 critical assumptions
+    "embedding_cache_hits": 0,
+    "embedding_requests": 7,
 }
 # by_template counts the prompts asked, so a warm run's equals the cold run's
 _SCENARIO_WARM_COUNTERS = {
@@ -360,8 +362,8 @@ _SCENARIO_WARM_COUNTERS = {
     "by_template": _SCENARIO_COLD_COUNTERS["by_template"],
     "completion_cache_hits": 21,
     "completion_requests": 21,
-    "embedding_cache_hits": 10,
-    "embedding_requests": 10,
+    "embedding_cache_hits": 7,
+    "embedding_requests": 7,
 }
 
 
@@ -870,15 +872,21 @@ class _UnavailableHandler(http.server.BaseHTTPRequestHandler):
         pass
 
 
-def test_run_against_an_unavailable_model_exits_one_and_keeps_its_reports(
-    capsys, tmp_path, monkeypatch
-):
+def _dead_claims(tmp_path) -> Path:
+    """Two copies of the scenario claim, ``dead-0`` and ``dead-1``."""
     record = json.loads(Path(SCENARIO_CORPUS).read_text(encoding="utf-8"))
     corpus = tmp_path / "claims.jsonl"
     corpus.write_text(
         "".join(json.dumps(dict(record, id=f"dead-{i}")) + "\n" for i in range(2)),
         encoding="utf-8",
     )
+    return corpus
+
+
+def test_run_against_an_unavailable_model_exits_one_and_keeps_its_reports(
+    capsys, tmp_path, monkeypatch
+):
+    corpus = _dead_claims(tmp_path)
     monkeypatch.setenv("TRACER_API_KEY", "dummy")
     server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _UnavailableHandler)
     server.posts = []
@@ -904,17 +912,21 @@ def test_run_against_an_unavailable_model_exits_one_and_keeps_its_reports(
         serving.join()
     assert code == 1
     assert f"error: circuit open for {base}/chat/completions after 3 " in err
+    # the circuit opened inside dead-0, so the run stopped before dead-1
     reports = [json.loads(line) for line in out_path.read_text(encoding="utf-8").splitlines()]
-    assert [(r["id"], bool(r["failed"])) for r in reports] == [("dead-0", True), ("dead-1", True)]
-    assert "dead-0: failed at " in out and "dead-1: failed at " in out
+    assert [(r["id"], bool(r["failed"])) for r in reports] == [("dead-0", True)]
+    assert "dead-0: failed at " in out and "dead-1" not in out
     assert f"report digest: {hashlib.sha256(out_path.read_bytes()).hexdigest()}" in out
+    assert "n_failed" not in out  # a stopped run is not scored
     manifest = json.loads((tmp_path / "reports.jsonl.manifest.json").read_text())
-    assert manifest["n_claims"] == 2
+    assert manifest["n_claims"] == 1
     # three requests, each sent once and retried three times; the rest never leave
     assert server.posts == ["/v1/chat/completions"] * 12
 
 
 def test_ablate_stops_at_the_config_that_ends_with_a_circuit_open(capsys, tmp_path, monkeypatch):
+    corpus = _dead_claims(tmp_path)
+    (tmp_path / "out").mkdir()
     monkeypatch.setenv("TRACER_API_KEY", "dummy")
     server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), _UnavailableHandler)
     server.posts = []
@@ -929,9 +941,9 @@ def test_ablate_stops_at_the_config_that_ends_with_a_circuit_open(capsys, tmp_pa
             "--base-url",
             base,
             "--corpus",
-            SCENARIO_CORPUS,
+            str(corpus),
             "--output",
-            str(tmp_path / "ab.jsonl"),
+            str(tmp_path / "out" / "ab.jsonl"),
         )
     finally:
         server.shutdown()
@@ -940,11 +952,16 @@ def test_ablate_stops_at_the_config_that_ends_with_a_circuit_open(capsys, tmp_pa
     assert code == 1
     assert f"error: circuit open for {base}/chat/completions after 3 " in err
     assert "== cfg1 ==" in out and "== cfg2 ==" not in out
-    assert sorted(path.name for path in tmp_path.iterdir()) == [
+    assert sorted(path.name for path in (tmp_path / "out").iterdir()) == [
         "ab.cfg1.jsonl",
         "ab.cfg1.jsonl.manifest.json",
     ]
-    # cfg1's three failed requests; cfg2 and later never start
+    # cfg1 stopped after dead-0, the claim in which the circuit opened
+    reports = (tmp_path / "out" / "ab.cfg1.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["id"] for line in reports] == ["dead-0"]
+    manifest = json.loads((tmp_path / "out" / "ab.cfg1.jsonl.manifest.json").read_text())
+    assert manifest["n_claims"] == 1
+    # cfg1's three failed requests; dead-1, cfg2 and later never start
     assert server.posts == ["/v1/chat/completions"] * 12
 
 

@@ -9,16 +9,16 @@ from tracer.fixtures import (
     SCENARIO_EXPECTED,
     SCENARIO_MOCK,
     data_path,
-    generate_random_fixture,
     generate_synthetic_corpus,
     load_expected_report,
     load_malformed_responses,
     load_scenario_record,
     load_scenario_script,
-    make_retrieval_fixture,
     make_scenario_gateway,
 )
 from tracer.fixtures.__main__ import main as fixtures_main
+
+from conftest import generate_random_fixture, make_retrieval_fixture
 
 
 def test_all_shipped_files_exist():

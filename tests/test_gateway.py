@@ -23,6 +23,7 @@ from tracer.errors import (
     EmptyInput,
     MissingBinding,
     MockScriptMiss,
+    TracerError,
     UnknownBinding,
     UnknownTemplate,
     UnparseableChoice,
@@ -41,6 +42,7 @@ from tracer.gateway import (
     embedding_key,
     parse_letter_choice,
     render_template,
+    unwrap,
 )
 
 from tracer.gateway.backends import (
@@ -1496,6 +1498,42 @@ def test_gateway_vector_under_a_completion_key_is_corruption():
     with pytest.raises(CacheCorruption, match="vector under the completion key"):
         gateway.complete("relevance", **bindings)
     assert script.call_log == []
+
+
+@pytest.mark.parametrize("case", ["hit", "miss", "failed", "corrupt"])
+def test_gateway_complete_counts_and_answers_as_complete_many_of_one(case):
+    bindings = dict(claim="c", ruling="r", evidence="e")
+    seen = []
+    for ask in (
+        lambda gateway: gateway.complete("relevance", **bindings),
+        lambda gateway: unwrap(gateway.complete_many([("relevance", bindings)])[0]),
+    ):
+        rules = [] if case == "failed" else [{"template": "relevance", "response": "A"}]
+        gateway, script = make_gateway(rules=rules)
+        prompt = render_template(gateway.catalog.get("relevance"), bindings)
+        key = completion_key("mock", "relevance", prompt, TEMPERATURE, MAX_TOKENS)
+        if case in ("hit", "corrupt"):
+            gateway.cache.put(key, "A" if case == "hit" else [1.0, 2.0])
+        try:
+            answer = ask(gateway)
+        except TracerError as exc:
+            answer = (type(exc), str(exc))
+        cached = None if case == "corrupt" else gateway.cache.get(key)
+        seen.append((answer, gateway.counters, len(script.call_log), cached))
+    assert seen[0] == seen[1]
+    answer, counters, backend_prompts, cached = seen[0]
+    assert counters.completion_requests == 1 and counters.by_template == {"relevance": 1}
+    assert counters.completion_cache_hits == (case in ("hit", "corrupt"))
+    assert counters.backend_calls == (case in ("miss", "failed"))
+    assert backend_prompts == (case == "miss")  # the script logs the prompts it answers
+    if case == "failed":
+        assert answer[0] is MockScriptMiss
+    elif case == "corrupt":
+        reason = f"the cache holds a vector under the completion key {key}"
+        assert answer == (CacheCorruption, reason)
+    else:
+        assert answer == "A"
+    assert cached == (None if case in ("failed", "corrupt") else "A")
 
 
 def test_gateway_text_under_an_embedding_key_is_corruption(tmp_path):

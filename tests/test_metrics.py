@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from tracer.cli import main
 from tracer.corpus import LABELS, ClaimRecord, Corpus, Label, Split, save_corpus
 from tracer.errors import EmptyInput, LengthMismatch, MissingPrediction
-from tracer.fixtures import generate_random_fixture
 from tracer.metrics import (
     confusion_matrix,
     format_table,
@@ -21,6 +20,8 @@ from tracer.metrics import (
     summarize,
 )
 from tracer.verdict import BaseVerdict, FinalVerdict, VerdictReport, VerdictSource, load_reports
+
+from conftest import generate_random_fixture
 
 T, H, F = Label.TRUE, Label.HALF_TRUE, Label.FALSE
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 import requests
 
+import tracer.verdict
 from tracer.alignment import AlignmentLabel, Provenance
 from tracer.causality import Assumption, CausalEffect
 from tracer.che import CheCandidate, NliVerdict
@@ -437,6 +438,47 @@ def test_pipeline_goes_on_when_only_some_sentences_fail_alignment():
     )
     assert report.stages[1] == StageTrace("base_verdict", "ok", "CoT")
     assert len(served(script, "cot_verdict")) == 1
+
+
+def _scenario_che_embeddings(monkeypatch, **options):
+    """The scenario claim's report, the ``embed_many`` calls from CHE on, and
+    the query and pool texts CHE was given."""
+    gateway = make_scenario_gateway()
+    calls, che = [], {}
+    embed_many, collect_che = gateway.embed_many, tracer.verdict.collect_che
+
+    def record(texts):
+        calls.append(texts)
+        return embed_many(texts)
+
+    def spy(gateway, queries, pool, *args):
+        che.update(queries=[query.text for query in queries], pool=pool, first=len(calls))
+        return collect_che(gateway, queries, pool, *args)
+
+    monkeypatch.setattr(gateway, "embed_many", record)
+    monkeypatch.setattr(tracer.verdict, "collect_che", spy)
+    report = run_pipeline(gateway, load_scenario_record(), **options)
+    return report, calls[che["first"] :], che
+
+
+def test_pipeline_che_embeds_only_its_queries_after_alignment(monkeypatch):
+    report, che_calls, che = _scenario_che_embeddings(monkeypatch)
+    assert report == load_expected_report()
+    assert len(che["queries"]) == 2 and len(che["pool"]) == 3
+    assert che_calls == [che["queries"]]  # the pool's embeddings are alignment's
+
+
+def test_pipeline_che_embeds_the_pool_after_the_alignment_classifier(monkeypatch):
+    evidence = load_scenario_record().evidence
+
+    def post(url, payload):
+        return {"label": "Presented" if payload["sentence"] == evidence[0] else "Hidden"}
+
+    classifier = Endpoint("http://host/align", post=post)
+    report, che_calls, che = _scenario_che_embeddings(monkeypatch, alignment_classifier=classifier)
+    assert che["pool"] == evidence[1:]
+    assert che_calls == [[*che["queries"], *che["pool"]]]
+    assert report.che == load_expected_report().che
 
 
 def test_pipeline_claim_without_evidence_is_still_verified():
