@@ -29,8 +29,9 @@ print(f"  unrelated premise -> {second}")
 print()
 print("Identical requests are served from the cache, not the backend:")
 gateway.complete("nli", premise="Most new roles were part-time.", hypothesis="Jobs grew.")
-print(f"  backend completions: {len([c for c in script.call_log if c.kind == 'completion'])}")
-print(f"  counters: {asdict(gateway.counters)}")
+counters = gateway.counters
+print(f"  backend completions: {counters.completion_requests - counters.completion_cache_hits}")
+print(f"  counters: {asdict(counters)}")
 
 print()
 vector = gateway.embed("jobs grew")

@@ -12,12 +12,14 @@ cache, so a prompt that several configurations ask reaches the backend
 once. Each configuration writes ``<stem>.<cfg><suffix>`` (``--output
 ab.jsonl`` gives ``ab.cfg1.jsonl``, ...) and its manifest.
 
-Exit codes: 0 success; 1 usage, configuration, or unreadable input, or
-a run that stops at the first claim after which an HTTP endpoint's
-circuit is open, keeping the reports of the claims it ran (``ablate``
-runs no later configuration); 2 inconsistent data (duplicate
-ids, missing predictions, empty scoring sets). Other per-claim pipeline
-failures never fail the run: they are recorded inside the report.
+Exit codes: 0 success; 1 usage, configuration (a report or manifest
+path whose directory does not exist, checked before any claim), or
+unreadable input, or a run that stops at the first claim after which an
+HTTP endpoint's circuit is open, keeping the reports of the claims it
+ran (``ablate`` runs no later configuration); 2 inconsistent data
+(duplicate ids, missing predictions, empty scoring sets). Other
+per-claim pipeline failures never fail the run: they are recorded
+inside the report.
 """
 
 from __future__ import annotations
@@ -233,6 +235,15 @@ def _run(args, ablations: list[AblationConfig] | None) -> int:
         raise ConfigError("no corpus given (use --corpus or a config file)")
     if config.output_path is None:
         raise ConfigError("no output path given (use --output or a config file)")
+    runs = (
+        [(config.ablation, config.output_path)]
+        if ablations is None
+        else [(cfg, _config_output(config.output_path, cfg.name)) for cfg in ablations]
+    )
+    # a report or manifest with nowhere to go would lose the claims run before it
+    for path in [output_path for _, output_path in runs] + [args.manifest]:
+        if path is not None and not Path(path).parent.is_dir():
+            raise ConfigError(f"the directory of {path} does not exist")
 
     gateway = _build_gateway(config.backend, config.cache_path)
     try:
@@ -246,11 +257,9 @@ def _run(args, ablations: list[AblationConfig] | None) -> int:
         if isinstance(gateway.backend, LiveBackend):
             endpoints += gateway.backend.endpoints
 
-        for ablation in ablations or [config.ablation]:
-            output_path = config.output_path
+        for ablation, output_path in runs:
             if ablations is not None:
                 print(f"== {ablation.name} ==")
-                output_path = _config_output(output_path, ablation.name)
             gateway.counters = GatewayCounters()
             reports, errors = [], []
             for report in run_corpus(

@@ -39,7 +39,7 @@ def load_scenario_record() -> ClaimRecord:
 
 
 def load_scenario_script() -> MockScript:
-    """Fresh scripted backend for the scenario (call_log starts empty)."""
+    """The scenario's scripted backend."""
     return MockScript.from_file(data_path(SCENARIO_MOCK))
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from ..errors import BackendError, CacheCorruption, EmptyInput, TracerError
 from .backends import API_KEY_ENV, MAX_TOKENS, TEMPERATURE, Endpoint, LiveBackend, api_key_from_env
 from .cache import ResponseCache, completion_key, embedding_key, frozen_vector
-from .mock import MockCall, MockScript
+from .mock import MockScript
 from .parsing import parse_binary_digit, parse_bracketed, parse_letter_choice
 from .templates import PromptTemplate, TemplateCatalog, render_template
 
@@ -250,7 +250,6 @@ __all__ = [
     "Gateway",
     "GatewayCounters",
     "LiveBackend",
-    "MockCall",
     "MockScript",
     "PromptTemplate",
     "ResponseCache",

@@ -5,9 +5,8 @@ embeddings. Completion rules are matched in order against the template
 id and, optionally, a substring of the rendered prompt; the first match
 wins; a request scans only its own template's rules, grouped at load.
 A rule answers every prompt it matches with its one ``response``, so an
-answer never depends on which prompts came before it. Every served
-completion and text is appended to ``call_log`` so tests can assert
-exact call counts and ordering.
+answer never depends on which prompts came before it. The script keeps
+nothing per request.
 
 Each vector is parsed and checked once, at load (``float()`` on every
 element, so a bad one is ``ValueError`` or ``TypeError`` there), into
@@ -66,15 +65,6 @@ class MockRule:
         return self.contains is None or self.contains in prompt
 
 
-@dataclass
-class MockCall:
-    """One request actually served by the backend (cache hits bypass it)."""
-
-    kind: str
-    template: str | None
-    prompt: str
-
-
 def _require_str(value, what: str) -> None:
     if not isinstance(value, str):
         raise TypeError(f"{what} must be a string, not {value!r}")
@@ -97,7 +87,6 @@ class MockScript:
     rules: list[MockRule] = field(default_factory=list)
     embeddings: list[dict] = field(default_factory=list)
     default_embedding_dim: int | None = None
-    call_log: list[MockCall] = field(default_factory=list)
     # template id -> its rules, in script order
     _rules_by_template: dict[str, list[MockRule]] = field(init=False, repr=False, compare=False)
 
@@ -155,7 +144,6 @@ class MockScript:
     def _response_for(self, template_id: str, prompt: str) -> str | MockScriptMiss:
         for rule in self._rules_by_template.get(template_id, ()):
             if rule.matches(prompt):
-                self.call_log.append(MockCall("completion", template_id, prompt))
                 return rule.response
         return MockScriptMiss(
             f"no mock rule matches template {template_id!r}; prompt starts: {prompt[:80]!r}"
@@ -170,11 +158,7 @@ class MockScript:
             if ("text" in entry and entry["text"] == text) or (
                 "contains" in entry and entry["contains"] in text
             ):
-                vector = entry["vector"]
-                break
-        else:
-            if self.default_embedding_dim is None:
-                return MockScriptMiss(f"no mock embedding matches text: {text[:80]!r}")
-            vector = _hashed_unit_vector(text, self.default_embedding_dim)
-        self.call_log.append(MockCall("embedding", None, text))
-        return vector
+                return entry["vector"]
+        if self.default_embedding_dim is None:
+            return MockScriptMiss(f"no mock embedding matches text: {text[:80]!r}")
+        return _hashed_unit_vector(text, self.default_embedding_dim)

@@ -6,18 +6,61 @@ import json
 import math
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import pytest
 
 from tracer.corpus import LABELS, Label
+from tracer.errors import TracerError
 from tracer.fixtures import SCENARIO_MOCK, data_path
 from tracer.gateway import Gateway, MockScript, ResponseCache
 
 
+class Call(NamedTuple):
+    """One item a backend answered: a completion's template and prompt, or a text."""
+
+    kind: str  # "completion" or "embedding"
+    template: str | None
+    prompt: str
+
+
+class Recorder:
+    """A backend that logs each item the backend it wraps answers, in order.
+
+    An item answered with a ``TracerError`` is not logged, nor is any item
+    of a call that raises. Every other attribute, ``model_id`` and
+    ``embedding_model_id`` among them, is the wrapped backend's.
+    """
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.call_log: list[Call] = []
+
+    def __getattr__(self, name):
+        return getattr(self.backend, name)
+
+    def complete(self, requests):
+        answers = self.backend.complete(requests)
+        self._log("completion", requests, answers)
+        return answers
+
+    def embed(self, texts):
+        answers = self.backend.embed(texts)
+        self._log("embedding", [(None, text) for text in texts], answers)
+        return answers
+
+    def _log(self, kind, items, answers):
+        self.call_log += [
+            Call(kind, template, prompt)
+            for (template, prompt), answer in zip(items, answers)
+            if not isinstance(answer, TracerError)
+        ]
+
+
 def make_gateway(
     rules=None, embeddings=None, default_dim=None, cache_path=None
-) -> tuple[Gateway, MockScript]:
-    """Gateway over an inline mock script; returns the script for call_log asserts."""
+) -> tuple[Gateway, Recorder]:
+    """Gateway over an inline mock script; returns its recorder for call_log asserts."""
     script = MockScript.from_dict(
         {
             "rules": rules or [],
@@ -25,12 +68,13 @@ def make_gateway(
             **({"default_embedding": {"dim": default_dim}} if default_dim else {}),
         }
     )
-    return Gateway(backend=script, cache=ResponseCache(cache_path)), script
+    recorder = Recorder(script)
+    return Gateway(backend=recorder, cache=ResponseCache(cache_path)), recorder
 
 
-def served(script: MockScript, template_id: str) -> list:
-    """The script's ``call_log`` entries for one template, in order."""
-    return [call for call in script.call_log if call.template == template_id]
+def served(recorder: Recorder, template_id: str) -> list:
+    """The recorder's ``call_log`` entries for one template, in order."""
+    return [call for call in recorder.call_log if call.template == template_id]
 
 
 def synthetic_script(dim: int) -> dict:

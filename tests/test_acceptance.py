@@ -45,7 +45,7 @@ from tracer.gateway import Embedding, Gateway, MockScript, ResponseCache
 from tracer.metrics import score_labels
 from tracer.verdict import load_reports, run_pipeline, save_reports
 
-from conftest import generate_random_fixture, make_retrieval_fixture, served
+from conftest import Recorder, generate_random_fixture, make_retrieval_fixture, served
 from test_parser_robustness import _RUNNERS, _expected_error
 
 
@@ -188,7 +188,7 @@ def test_empty_che_always_preserves_base_label_without_reassessment():
         ),
     }
     for name, fixture in fixtures.items():
-        script = MockScript.from_dict(fixture["script"])
+        script = Recorder(MockScript.from_dict(fixture["script"]))
         gateway = Gateway(backend=script, cache=ResponseCache())
         report = run_pipeline(gateway, record, thresholds=fixture["thresholds"])
         assert report.che == [], name

@@ -469,12 +469,75 @@ def test_run_closes_its_cache_files(capsys, tmp_path):
     assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
+# One cold mock run in a fresh interpreter: prints how far its peak
+# resident set (VmHWM, which the child's own pages set; ru_maxrss would
+# start at pytest's) rose over the run.
+_RUN_MEMORY = """
+import contextlib, os, sys
+from tracer.cli import main
+
+def peak():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) * 1024 for line in status if line.startswith("VmHWM:"))
+
+before = peak()
+with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+    assert main(sys.argv[1:]) == 0
+print(peak() - before)
+"""
+
+
+def _run_memory_growth(tmp_path, n):
+    corpus, script = tmp_path / f"corpus-{n}.jsonl", tmp_path / "script.json"
+    save_corpus(generate_synthetic_corpus(seed=7, n=n), corpus)
+    script.write_text(json.dumps(synthetic_script(8)), encoding="utf-8")
+    argv = ["run", "--corpus", corpus, "--mock", script, "--output", tmp_path / f"r-{n}.jsonl"]
+    argv += ["--cache", tmp_path / f"cache-{n}.jsonl"]
+    result = subprocess.run(
+        [sys.executable, "-c", _RUN_MEMORY, *map(str, argv)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return int(result.stdout)
+
+
+def test_cold_mock_run_memory_grows_only_with_what_the_run_keeps(tmp_path):
+    # the peak rises about 11.5 KB per extra claim (Python 3.11, Linux); a
+    # mock that kept every prompt and text it answered made it 27.3 KB
+    n = 100
+    growth = _run_memory_growth(tmp_path, 4 * n) - _run_memory_growth(tmp_path, n)
+    assert growth / (3 * n) < 19 * 1024
+
+
 def test_run_without_corpus_exits_one(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "run", "--mock", SCENARIO_SCRIPT, "--output", str(tmp_path / "r.jsonl")
     )
     assert code == 1
     assert "no corpus" in err
+
+
+@pytest.mark.parametrize("option", ["--output", "--manifest"])
+def test_run_with_nowhere_to_write_exits_one_before_any_claim(capsys, tmp_path, option):
+    paths = {"--output": tmp_path / "reports.jsonl", "--manifest": tmp_path / "m.json"}
+    paths[option] = tmp_path / "missing" / "o.json"
+    code, out, err = run_cli(
+        capsys,
+        "run",
+        "--corpus",
+        SCENARIO_CORPUS,
+        "--mock",
+        SCENARIO_SCRIPT,
+        "--cache",
+        str(tmp_path / "cache.jsonl"),
+        *[str(part) for pair in paths.items() for part in pair],
+    )
+    assert code == 1
+    assert err == f"error: the directory of {paths[option]} does not exist\n"
+    # no claim ran: nothing printed, and no report, manifest or cache written
+    assert out == "" and list(tmp_path.iterdir()) == []
 
 
 def test_run_live_without_key_fails_fast(capsys, tmp_path, monkeypatch):
@@ -1202,6 +1265,14 @@ def test_ablate_takes_neither_ablation_nor_manifest(capsys, tmp_path):
         assert code == 1
         assert f"unrecognized arguments: {' '.join(option)}" in err
         assert out == ""
+
+
+def test_ablate_with_nowhere_to_write_exits_one_before_any_claim(capsys, tmp_path):
+    cache = str(tmp_path / "cache.jsonl")
+    code, out, err = _ablate(capsys, tmp_path / "missing", "--cache", cache)
+    assert code == 1
+    assert err == f"error: the directory of {tmp_path / 'missing' / 'ab.cfg1.jsonl'} does not exist\n"
+    assert out == "" and list(tmp_path.iterdir()) == []
 
 
 def test_ablate_with_no_config_named_exits_one(capsys, tmp_path):

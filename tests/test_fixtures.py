@@ -13,7 +13,6 @@ from tracer.fixtures import (
     load_expected_report,
     load_malformed_responses,
     load_scenario_record,
-    load_scenario_script,
     make_scenario_gateway,
 )
 from tracer.fixtures.__main__ import main as fixtures_main
@@ -32,13 +31,6 @@ def test_scenario_record_shape():
     assert record.gold_label is Label.HALF_TRUE
     assert len(record.evidence) == 4
     assert record.ruling
-
-
-def test_scenario_script_is_fresh_per_load():
-    first = load_scenario_script()
-    second = load_scenario_script()
-    first.complete([("relevance", "anything")])
-    assert first.call_log and not second.call_log
 
 
 def test_scenario_gateways_are_independent():

@@ -54,7 +54,7 @@ from tracer.gateway.backends import (
 )
 from tracer.gateway.mock import MockRule, _hashed_unit_vector
 
-from conftest import make_gateway
+from conftest import Call, Recorder, make_gateway
 
 
 @pytest.fixture(autouse=True)
@@ -959,7 +959,7 @@ def test_mock_script_with_a_responses_list_is_refused_naming_the_rule():
 
 
 def test_mock_miss_raises_rather_than_inventing_output():
-    script = MockScript.from_dict({"rules": []})
+    script = Recorder(MockScript.from_dict({"rules": []}))
     [miss] = script.complete([("relevance", "prompt")])
     assert isinstance(miss, MockScriptMiss)
     [miss] = script.embed(["text nobody scripted"])
@@ -967,18 +967,41 @@ def test_mock_miss_raises_rather_than_inventing_output():
     assert script.call_log == []
 
 
-def test_mock_call_log_is_complete_and_ordered():
-    script = MockScript.from_dict(
-        {
-            "rules": [{"template": "t", "response": "R"}],
-            "embeddings": [{"text": "e", "vector": [1.0]}],
-        }
+def test_recorder_logs_each_answered_item_in_order():
+    recorder = Recorder(
+        MockScript.from_dict(
+            {
+                "rules": [{"template": "t", "response": "R"}],
+                "embeddings": [{"text": "e", "vector": [1.0]}],
+            }
+        )
     )
-    script.complete([("t", "p1")])
-    script.embed(["e", "e"])
-    script.complete([("t", "p2")])
-    assert [c.kind for c in script.call_log] == ["completion", "embedding", "embedding", "completion"]
-    assert [c.prompt for c in script.call_log] == ["p1", "e", "e", "p2"]
+    recorder.complete([("t", "p1"), ("u", "unscripted")])
+    recorder.embed(["e", "unscripted", "e"])
+    recorder.complete([("t", "p2")])
+    # the misses are not logged
+    assert recorder.call_log == [
+        Call("completion", "t", "p1"),
+        Call("embedding", None, "e"),
+        Call("embedding", None, "e"),
+        Call("completion", "t", "p2"),
+    ]
+    assert Gateway(backend=recorder).model_id == "mock"
+
+
+def test_recorder_logs_nothing_of_a_call_that_raises_and_keeps_the_model_ids():
+    class Down:
+        model_id, embedding_model_id = "m", "e"
+
+        def complete(self, requests):
+            raise BackendError("down")
+
+    recorder = Recorder(Down())
+    with pytest.raises(BackendError):
+        recorder.complete([("t", "p")])
+    assert recorder.call_log == []
+    gateway = Gateway(backend=recorder)
+    assert (gateway.model_id, gateway.embedding_model_id) == ("m", "e")
 
 
 def test_mock_default_embedding_is_deterministic_unit_norm():
@@ -991,10 +1014,12 @@ def test_mock_default_embedding_is_deterministic_unit_norm():
 
 def test_mock_texts_matching_one_entry_share_one_read_only_array():
     # parsed from JSON text, so the floats are the ones a script file gives
-    script = MockScript.from_dict(
-        json.loads(
-            '{"embeddings": [{"text": "exact", "vector": [0.1, -2.5e-300, 0.3333333333333333]},'
-            ' {"contains": "[x]", "vector": [1, 0.30000000000000004, -0.0]}]}'
+    script = Recorder(
+        MockScript.from_dict(
+            json.loads(
+                '{"embeddings": [{"text": "exact", "vector": [0.1, -2.5e-300, 0.3333333333333333]},'
+                ' {"contains": "[x]", "vector": [1, 0.30000000000000004, -0.0]}]}'
+            )
         )
     )
     exact, first, second = script.embed(["exact", "[x] one", "two [x]"])
@@ -1098,21 +1123,21 @@ def test_mock_first_matching_rule_answers_whatever_was_asked_before():
         {"template": "t", "contains": "q", "response": "Q"},
         {"template": "t", "contains": "pq", "response": "never: an earlier rule matches"},
     ]
-    script = MockScript.from_dict({"rules": rules})
+    script = Recorder(MockScript.from_dict({"rules": rules}))
     prompts = ["p", "q", "pq", "p", "r"]
     answers = [script.complete([("t", prompt)])[0] for prompt in prompts]
     assert answers[:4] == ["P", "Q", "P", "P"]
     assert isinstance(answers[4], MockScriptMiss)
     assert [c.template for c in script.call_log] == ["t"] * 4
     # one list is answered as if its prompts had been sent one by one
-    fresh = MockScript.from_dict({"rules": rules})
+    fresh = Recorder(MockScript.from_dict({"rules": rules}))
     wave = fresh.complete([("t", prompt) for prompt in prompts])
     assert wave[:4] == answers[:4] and str(wave[4]) == str(answers[4])
     assert fresh.call_log == script.call_log
 
 
 def test_mock_miss_message_for_an_unknown_template():
-    script = MockScript.from_dict({"rules": [{"template": "t", "response": "R"}]})
+    script = Recorder(MockScript.from_dict({"rules": [{"template": "t", "response": "R"}]}))
     [miss] = script.complete([("zzz", "p" * 100)])
     assert isinstance(miss, MockScriptMiss)
     assert str(miss) == (
