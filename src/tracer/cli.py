@@ -246,7 +246,7 @@ def _run(args, ablations: list[AblationConfig] | None) -> int:
             raise ConfigError(f"the directory of {path} does not exist")
 
     gateway = _build_gateway(config.backend, config.cache_path)
-    try:
+    with gateway.cache:
         corpus = load_corpus(config.corpus_path)
         base_verdicts = load_base_verdicts(args.base_verdicts) if args.base_verdicts else None
         alignment_classifier = (
@@ -308,8 +308,6 @@ def _run(args, ablations: list[AblationConfig] | None) -> int:
             if errors:
                 return 1
         return 0
-    finally:
-        gateway.cache.close()
 
 
 def cmd_eval(args) -> int:
@@ -340,8 +338,8 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_cache_stats(args) -> int:
-    cache = ResponseCache(args.cache)
-    print(json.dumps(cache.stats(), indent=2, sort_keys=True))
+    with ResponseCache(args.cache) as cache:
+        print(json.dumps(cache.stats(), indent=2, sort_keys=True))
     return 0
 
 

@@ -115,27 +115,6 @@ def consolidate_label(rating: str) -> Label:
         raise UnknownRating(rating) from None
 
 
-def split_article(
-    paragraphs: Sequence[str],
-    cues: Sequence[str] = DEFAULT_RULING_CUES,
-) -> tuple[list[str], list[str]]:
-    """Split article paragraphs into (evidence, ruling) segments.
-
-    The first paragraph whose normalized prefix matches a cue starts the
-    ruling segment; the cue paragraph itself belongs to the ruling. With
-    no cue present, everything is evidence and the ruling is empty
-    (callers flag the record with MISSING_CUE_FLAG).
-    """
-    if not paragraphs:
-        raise ValueError("paragraph list must be non-empty")
-    normalized_cues = tuple(normalize_rating(c) for c in cues)
-    for i, paragraph in enumerate(paragraphs):
-        head = normalize_rating(paragraph)
-        if head.startswith(normalized_cues):
-            return list(paragraphs[:i]), list(paragraphs[i:])
-    return list(paragraphs), []
-
-
 def record_from_article(
     record_id: str,
     claim: str,
@@ -145,8 +124,21 @@ def record_from_article(
     raw_rating: str | None = None,
     cues: Sequence[str] = DEFAULT_RULING_CUES,
 ) -> ClaimRecord:
-    """Build a record from a raw verdict article, splitting off the ruling."""
-    evidence, ruling = split_article(paragraphs, cues)
+    """Build a record from a raw verdict article, splitting off the ruling.
+
+    The first paragraph whose normalized prefix matches a cue starts the
+    ruling, and belongs to it; the paragraphs before it are the evidence.
+    With no cue present, everything is evidence, the ruling is empty and
+    the record is flagged with MISSING_CUE_FLAG.
+    """
+    if not paragraphs:
+        raise ValueError("paragraph list must be non-empty")
+    cues = tuple(normalize_rating(c) for c in cues)
+    start = next(
+        (i for i, p in enumerate(paragraphs) if normalize_rating(p).startswith(cues)),
+        len(paragraphs),
+    )
+    evidence, ruling = list(paragraphs[:start]), list(paragraphs[start:])
     flags = [] if ruling else [MISSING_CUE_FLAG]
     gold = consolidate_label(raw_rating) if raw_rating else None
     return ClaimRecord(

@@ -177,3 +177,7 @@ class MissingPrediction(TracerError):
 
 class ConfigError(TracerError):
     """An invalid or incomplete run configuration."""
+
+
+class CacheInUse(ConfigError):
+    """A cache file another open cache holds, in this process or another."""

@@ -43,8 +43,8 @@ def load_scenario_script() -> MockScript:
     return MockScript.from_file(data_path(SCENARIO_MOCK))
 
 
-def make_scenario_gateway(cache_path: str | Path | None = None) -> Gateway:
-    return Gateway(backend=load_scenario_script(), cache=ResponseCache(cache_path))
+def make_scenario_gateway() -> Gateway:
+    return Gateway(backend=load_scenario_script(), cache=ResponseCache())
 
 
 def load_expected_report() -> VerdictReport:

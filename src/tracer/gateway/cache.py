@@ -8,24 +8,27 @@ the vector file, which sits beside the cache file under its name plus
 ``.vectors``. Raw float64 bytes round-trip every bit and load without
 any decoding.
 
+One writer: a cache with a path opens its cache file once, creating it
+if missing, and holds an exclusive ``flock`` on it until ``close()``. A
+second open of the path, in this process or another, raises
+``CacheInUse``, and so does ``remove_cache_files`` while the cache is
+open.
+
 Write order: records are written in batches, one append per file. A
 batch is everything put inside a ``batched()`` block, written when the
 block exits (``run_pipeline`` wraps each claim in one), or a single put
 made outside any block, written at once. The batch's vector bytes go to
-the vector file in one write and are flushed, and only then do its
-lines go to the cache file, in put order, in one write and one flush.
-Each offset is taken from the vector handle's position after that
-write, not from a running count, so it stays right when another writer
-appends too.
+the vector file in one write, and only then do its lines go to the cache
+file, in put order, in one write and one flush. Offsets count on from
+the vector file's size when the cache opened it.
 
 Read order: the whole cache file is read once at open, one line at a
 time, each line decoded by the C JSON scanner (a line it cannot settle
-goes through ``json.loads``). Then the vector file is opened for reading
-and each index record is checked against its size: an index record is
-written after its bytes, so every record read has its bytes on disk,
-and one that points past the end of the vector file is
-``CacheCorruption``. Later records win on duplicate keys, so an
-interrupted run can simply be re-run.
+goes through ``json.loads``). Then each index record is checked against
+the vector file's size: an index record is written after its bytes, so
+every record read has its bytes on disk, and one that points past the
+end of the vector file is ``CacheCorruption``. Later records win on
+duplicate keys, so an interrupted run can simply be re-run.
 
 A line is exactly one of the two records above, with a string key and a
 string ``value``. Any other line is ``CacheCorruption`` that names it,
@@ -39,38 +42,32 @@ are only in memory, so a run killed inside a claim loses that claim's
 records and keeps every finished claim's. A writer that dies between
 its two writes leaves vector bytes no record points at; they are never
 read, and the next vector lands after them. A writer that dies inside
-an append to the cache file leaves a last line with no newline. If it
-does not decode it is skipped, and the first append cuts it off, unless
-another writer has appended since the load (the line may then have been
-an append still in progress, now whole).
+an append to the cache file leaves a last line with no newline. The
+next open repairs it: a line that does not decode is cut off, and a
+whole record gets its newline.
 
 A key is the sha256 of a short header (kind, model, and for a
 completion its template and decoding) followed by the prompt or text as
 raw UTF-8, written as 43 unpadded base64url characters; see
-``completion_key``. A cache is used from one thread. It writes through
-one append handle per file, flushed after every batch.
+``completion_key``. A cache is used from one thread.
 
 Vectors on disk are not held in memory: the cache keeps where each
 one lies, and ``get`` reads its bytes with one positioned read into a
 new read-only float64 array (see ``frozen_vector``), so a process's
 memory does not grow with the vectors it reads or writes. A vector put
 inside an open ``batched()`` block is held as its array until the block
-writes it, and a cache without a file holds every array. The cache
-keeps one read descriptor per vector file it has loaded or written, so
-a vector reads the bytes of its own file even after ``tracer
-cache-clear`` has unlinked it and another writer has started a new one
-at the same path. ``get`` of a vector the vector file lost, cut short
-since, raises ``CacheCorruption``.
+writes it, and a cache without a file holds every array. ``get`` of a
+vector the vector file lost, cut short since, raises ``CacheCorruption``.
 """
 
 from __future__ import annotations
 
 import base64
+import fcntl
 import hashlib
 import json
 import os
-import weakref
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext, suppress
 from json.encoder import encode_basestring
 from json.scanner import make_scanner
 from pathlib import Path
@@ -78,7 +75,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ..errors import CacheCorruption
+from ..errors import CacheCorruption, CacheInUse
 
 
 def _digest(header: str, text: str) -> str:
@@ -132,23 +129,37 @@ def _vector_path(path: Path) -> Path:
     return path.with_name(path.name + ".vectors")
 
 
+def _locked(path: Path, mode: str):
+    """``path`` opened in ``mode`` under an exclusive lock, or ``CacheInUse``."""
+    handle = path.open(mode)
+    try:
+        fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        handle.close()
+        raise CacheInUse(f"cache in use: {path} is open in another cache") from None
+    return handle
+
+
 def remove_cache_files(path: str | Path) -> None:
-    """Delete a cache file and its vector file without reading either."""
+    """Delete a cache file and its vector file without reading either.
+
+    Under the cache file's lock, so a cache in use is left whole.
+    """
     path = Path(path)
-    path.unlink(missing_ok=True)
-    _vector_path(path).unlink(missing_ok=True)
+    try:
+        lock = _locked(path, "rb")
+    except FileNotFoundError:
+        lock = nullcontext()
+    with lock:
+        path.unlink(missing_ok=True)
+        _vector_path(path).unlink(missing_ok=True)
 
 
 class _VectorRef(NamedTuple):
-    """Where a vector lies: ``dim`` float64 values from byte ``at`` of a vector file.
-
-    ``fd`` is the cache's read descriptor of that file, None in an index
-    record just decoded (and for an empty vector of a missing file).
-    """
+    """Where a vector lies: ``dim`` float64 values from byte ``at`` of the vector file."""
 
     at: int
     dim: int
-    fd: int | None = None
 
 
 # The scanner json.loads runs, without the Python around it: encoding
@@ -183,8 +194,7 @@ def _decode(line: bytes):
     """(key, value) of one cache line.
 
     Raises ValueError, TypeError or KeyError on a line that is not a
-    valid record. The value of an index record is a ``_VectorRef``
-    without a descriptor, given one once the vector file is opened.
+    valid record. The value of an index record is a ``_VectorRef``.
     """
     record = _parse(line)
     key = record["key"]
@@ -208,7 +218,9 @@ class ResponseCache:
 
     With ``path=None`` the cache is purely in-memory (useful for tests
     and one-shot runs). It counts nothing: requests and hits are counted
-    once, by ``Gateway.counters``.
+    once, by ``Gateway.counters``. A cache with a path holds its file's
+    lock until ``close()`` or the end of a ``with`` block, and is not
+    used after.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -216,112 +228,82 @@ class ResponseCache:
         self._vector_path = _vector_path(self.path) if self.path is not None else None
         self._entries: dict[str, object] = {}
         self._handle = None
-        self._vector_handle = None
-        # read descriptor -> its closer, one per vector file
-        self._readers: dict[int, weakref.finalize] = {}
+        # the vector file's one descriptor, for reads and appends, and its size
+        self._vector_fd: int | None = None
+        self._vector_size = 0
         # (key, value) put but not yet written, and the open batched() blocks
         self._pending: list[tuple[str, object]] = []
         self._open_batches = 0
-        # the last line when it lacks its newline, as (offset, bytes,
-        # whether it decoded): a torn append, or a whole record whose
-        # writer died before the newline (older writers wrote them apart)
-        self._open_tail: tuple[int, bytes, bool] | None = None
-        if self.path is not None and self.path.exists():
-            self._load()
+        if self.path is not None:
+            self._handle = _locked(self.path, "a+b")
+            try:
+                self._load()
+            except BaseException:
+                self.close()
+                raise
 
     def _load(self) -> None:
-        refs: list[tuple[int, str, _VectorRef]] = []
+        refs: list[tuple[int, _VectorRef]] = []
+        # the last line when it lacks its newline, as (offset, whether it
+        # decoded): a torn append, or a whole record whose writer died
+        # before the newline (older writers wrote them apart)
+        tail: tuple[int, bool] | None = None
         offset = 0
-        with self.path.open("rb") as handle:
-            for line_number, line in enumerate(handle, start=1):
-                start = offset
-                offset += len(line)
-                if not line.strip():
-                    continue
-                try:
-                    key, value = _decode(line)
-                # ValueError covers undecodable JSON and a bad index,
-                # TypeError a key or value of the wrong type
-                except (ValueError, TypeError, KeyError):
-                    if line.endswith(b"\n"):
-                        raise CacheCorruption(
-                            f"{self.path}: line {line_number} is not a cache record of "
-                            "this version; run `tracer cache-clear` to start a new cache"
-                        ) from None
-                    self._open_tail = (start, line, False)
-                    continue
-                self._entries[key] = value
-                if isinstance(value, _VectorRef):
-                    refs.append((line_number, key, value))
-                if not line.endswith(b"\n"):
-                    self._open_tail = (start, line, True)
-        if refs:
-            self._resolve(refs)
-
-    def _resolve(self, refs: list[tuple[int, str, _VectorRef]]) -> None:
-        """Give each index record the read descriptor of the vector file.
-
-        Opened after the cache file is read, so the bytes of every record
-        read are already in the vector file; bytes appended since are not
-        needed.
-        """
-        try:
-            opened = os.open(self._vector_path, os.O_RDONLY)
-        except FileNotFoundError:
-            fd, size = None, 0
-        else:
+        self._handle.seek(0)
+        for line_number, line in enumerate(self._handle, start=1):
+            start = offset
+            offset += len(line)
+            if not line.strip():
+                continue
             try:
-                fd = self._reader_of(opened)
-            finally:
-                os.close(opened)
-            size = os.fstat(fd).st_size
-        for line_number, key, ref in refs:
-            if ref.at + 8 * ref.dim > size:
-                raise CacheCorruption(
-                    f"{self.path}: the vector record at line {line_number} points past "
-                    f"the end of {self._vector_path} ({size} bytes)"
-                )
-            # unless a later record for the key replaced this one
-            if self._entries[key] is ref:
-                self._entries[key] = _VectorRef(ref.at, ref.dim, fd)
+                key, value = _decode(line)
+            # ValueError covers undecodable JSON and a bad index,
+            # TypeError a key or value of the wrong type
+            except (ValueError, TypeError, KeyError):
+                if line.endswith(b"\n"):
+                    raise CacheCorruption(
+                        f"{self.path}: line {line_number} is not a cache record of "
+                        "this version; run `tracer cache-clear` to start a new cache"
+                    ) from None
+                tail = (start, False)
+                continue
+            self._entries[key] = value
+            if isinstance(value, _VectorRef):
+                refs.append((line_number, value))
+            if not line.endswith(b"\n"):
+                tail = (start, True)
+        if refs:
+            # a vector file that is missing reads as empty
+            with suppress(FileNotFoundError):
+                self._vectors(create=False)
+            for line_number, ref in refs:
+                if ref.at + 8 * ref.dim > self._vector_size:
+                    raise CacheCorruption(
+                        f"{self.path}: the vector record at line {line_number} points past "
+                        f"the end of {self._vector_path} ({self._vector_size} bytes)"
+                    )
+        if tail is not None:
+            start, whole = tail
+            if whole:
+                self._handle.write(b"\n")
+                self._handle.flush()
+            else:
+                self._handle.truncate(start)
 
-    def _reader_of(self, fd: int) -> int:
-        """The cache's one read descriptor of the file ``fd`` is open on.
-
-        A kept one when ``os.path.samestat`` finds it, else a duplicate of
-        ``fd``, kept past ``close()`` until ``clear()`` or collection.
-        """
-        stat = os.fstat(fd)
-        for reader in self._readers:
-            if os.path.samestat(os.fstat(reader), stat):
-                return reader
-        reader = os.dup(fd)
-        self._readers[reader] = weakref.finalize(self, os.close, reader)
-        return reader
-
-    def _file_ends_with_open_tail(self) -> bool:
-        """Whether no other writer has appended to the file since the load."""
-        offset, line, _ = self._open_tail
-        with self.path.open("rb") as handle:
-            handle.seek(offset)
-            return handle.read(len(line) + 1) == line
-
-    def _append_handle(self):
-        if self._handle is None:
-            self._handle = self.path.open("ab")
-            if self._open_tail is not None and self._file_ends_with_open_tail():
-                offset, _, whole = self._open_tail
-                if whole:
-                    self._handle.write(b"\n")
-                else:
-                    self._handle.truncate(offset)
-            self._open_tail = None
-        return self._handle
+    def _vectors(self, create: bool = True) -> int:
+        """The vector file's descriptor, opened at load if a record points
+        into the file, else at the first vector write."""
+        if self._vector_fd is None:
+            flags = os.O_RDWR | os.O_APPEND | (os.O_CREAT if create else 0)
+            self._vector_fd = os.open(self._vector_path, flags, 0o666)
+            # bytes past the last record, left by a crash, are skipped
+            self._vector_size = os.fstat(self._vector_fd).st_size
+        return self._vector_fd
 
     def _write_pending(self) -> None:
         """Append every pending record: its vector bytes first, then its line.
 
-        One write and one flush per file. The lines are those of
+        One write per file. The lines are those of
         ``json.dumps(record, ensure_ascii=False)``, formatted directly.
         Each written vector is then held as where it lies, not as its array.
         """
@@ -332,18 +314,18 @@ class ResponseCache:
             if not isinstance(value, str)
         ]
         if vectors:
-            if self._vector_handle is None:
-                # read-write, so that its file's reader can be a duplicate of
-                # it: the same file, whatever another process does to the path
-                fd = os.open(self._vector_path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
-                self._vector_handle = open(fd, "ab")
-            reader = self._reader_of(self._vector_handle.fileno())
+            fd = self._vectors()
             raw = b"".join(vectors)
-            self._vector_handle.write(raw)
-            self._vector_handle.flush()
-            # the position after the write, not a running count: in append
-            # mode the bytes land at the end, after any other writer's
-            at = self._vector_handle.tell() - len(raw)
+            at = self._vector_size
+            try:
+                unwritten = memoryview(raw)
+                while unwritten:
+                    unwritten = unwritten[os.write(fd, unwritten) :]
+            except BaseException:
+                # the bytes of a failed write are skipped, as a crash's are
+                self._vector_size = os.fstat(fd).st_size
+                raise
+            self._vector_size += len(raw)
         lines = []
         for key, value in pending:
             quoted = encode_basestring(key)
@@ -353,11 +335,10 @@ class ResponseCache:
                 lines.append(f'{{"key": {quoted}, "at": {at}, "dim": {value.size}}}\n')
                 # unless a later put replaced it
                 if self._entries.get(key) is value:
-                    self._entries[key] = _VectorRef(at, value.size, reader)
+                    self._entries[key] = _VectorRef(at, value.size)
                 at += 8 * value.size
-        handle = self._append_handle()
-        handle.write("".join(lines).encode("utf-8"))
-        handle.flush()
+        self._handle.write("".join(lines).encode("utf-8"))
+        self._handle.flush()
 
     def get(self, key: str):
         """Cached value for key, or None.
@@ -370,7 +351,7 @@ class ResponseCache:
         if type(value) is not _VectorRef:
             return value
         size = 8 * value.dim
-        data = os.pread(value.fd, size, value.at) if size else b""
+        data = os.pread(self._vector_fd, size, value.at) if size else b""
         if len(data) < size:
             raise CacheCorruption(
                 f"{self._vector_path} ends before the vector of {key} "
@@ -410,26 +391,19 @@ class ResponseCache:
                 self._write_pending()
 
     def close(self) -> None:
-        """Close the append handles; the cache still serves, and a later write reopens them.
+        """Close both files and release the lock; the cache is not used after."""
+        if self._vector_fd is not None:
+            os.close(self._vector_fd)
+            self._vector_fd = None
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
 
-        The vector files' read descriptors stay open until ``clear()`` or
-        until the cache is collected.
-        """
-        for handle in (self._handle, self._vector_handle):
-            if handle is not None:
-                handle.close()
-        self._handle = self._vector_handle = None
+    def __enter__(self) -> ResponseCache:
+        return self
 
-    def clear(self) -> None:
-        self._entries.clear()
+    def __exit__(self, *exc_info) -> None:
         self.close()
-        for closer in self._readers.values():
-            closer()
-        self._readers.clear()
-        self._open_tail = None
-        self._pending.clear()
-        if self.path is not None:
-            remove_cache_files(self.path)
 
     def stats(self) -> dict:
         """Entry count, cache file path, and the bytes of both files."""

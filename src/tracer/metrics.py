@@ -32,9 +32,6 @@ class ConfusionMatrix:
     def array(self) -> np.ndarray:
         return np.array(self.counts, dtype=np.int64)
 
-    def cell(self, gold: Label, pred: Label) -> int:
-        return self.counts[_INDEX[gold]][_INDEX[pred]]
-
 
 @dataclass(frozen=True)
 class MetricsReport:

@@ -261,7 +261,8 @@ def test_run_killed_at_a_claim_keeps_exactly_the_finished_claims_records(capsys,
         left = Path(f"{killed_cache}{suffix}").read_bytes()
         assert left == Path(f"{first_two_cache}{suffix}").read_bytes(), suffix
         assert Path(f"{whole_cache}{suffix}").read_bytes().startswith(left), suffix
-    assert len(ResponseCache(killed_cache)) == len(ResponseCache(first_two_cache)) > 0
+    with ResponseCache(killed_cache) as killed, ResponseCache(first_two_cache) as first:
+        assert len(killed) == len(first) > 0
     # the rerun answers claims 1-2 from the cache and finishes the rest
     assert run(whole, killed_cache, "rerun") == digest
 
@@ -1337,6 +1338,61 @@ def test_cache_stats_and_clear(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "cache-stats", "--cache", str(cache))
     assert code == 0
     assert json.loads(out)["entries"] == 0
+
+
+# Holds a cache open until its stdin closes.
+_HOLD_CACHE = """
+import sys
+from tracer.gateway import ResponseCache
+
+with ResponseCache(sys.argv[1]):
+    print("open", flush=True)
+    sys.stdin.read()
+"""
+
+
+def test_cache_held_by_another_process_fails_run_ablate_and_clear(capsys, tmp_path):
+    cache = tmp_path / "cache.jsonl"
+    vectors = tmp_path / "cache.jsonl.vectors"
+    code, _, _, _ = _run_scenario(capsys, tmp_path, "--cache", str(cache))
+    assert code == 0
+    before = cache.read_bytes(), vectors.read_bytes()
+    holder = subprocess.Popen(
+        [sys.executable, "-c", _HOLD_CACHE, str(cache)],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        assert holder.stdout.readline() == "open\n"
+        for command in (["run"], ["ablate", "--configs", "cfg1"]):
+            output = tmp_path / "second.jsonl"
+            code, out, err = run_cli(
+                capsys,
+                *command,
+                "--corpus",
+                SCENARIO_CORPUS,
+                "--mock",
+                SCENARIO_SCRIPT,
+                "--output",
+                str(output),
+                "--cache",
+                str(cache),
+            )
+            assert code == 1, err
+            assert err == f"error: cache in use: {cache} is open in another cache\n"
+            assert out == "" and list(tmp_path.glob("second*")) == []
+        code, out, err = run_cli(capsys, "cache-clear", "--cache", str(cache))
+        assert code == 1 and "cache in use" in err and out == ""
+        assert (cache.read_bytes(), vectors.read_bytes()) == before
+    finally:
+        holder.stdin.close()
+        holder.wait(timeout=60)
+        holder.stdout.close()
+    assert holder.returncode == 0
+    # the lock went with the process
+    code, _, _ = run_cli(capsys, "cache-clear", "--cache", str(cache))
+    assert code == 0 and not cache.exists() and not vectors.exists()
 
 
 def test_cache_stats_and_manifest_count_the_vector_file(capsys, tmp_path):

@@ -6,7 +6,6 @@ import json
 import pytest
 
 from tracer.corpus import (
-    DEFAULT_RULING_CUES,
     LABELS,
     MISSING_CUE_FLAG,
     ClaimRecord,
@@ -18,7 +17,6 @@ from tracer.corpus import (
     normalize_rating,
     record_from_article,
     save_corpus,
-    split_article,
     temporal_filter,
 )
 from tracer.errors import EmptyTestDates, ParseError, UnknownRating, ValidationError
@@ -70,25 +68,29 @@ def test_label_values_are_the_canonical_strings():
 # -- article splitting ---------------------------------------------------
 
 
+def _article(paragraphs):
+    return record_from_article(record_id="r1", claim="c", paragraphs=paragraphs)
+
+
 def test_split_article_on_cue():
-    paragraphs = ["Evidence one.", "Evidence two.", "Our ruling", "It is true."]
-    evidence, ruling = split_article(paragraphs, DEFAULT_RULING_CUES)
-    assert evidence == ["Evidence one.", "Evidence two."]
-    assert ruling == ["Our ruling", "It is true."]
+    record = _article(["Evidence one.", "Evidence two.", "Our ruling", "It is true."])
+    assert record.evidence == ["Evidence one.", "Evidence two."]
+    assert record.ruling == ["Our ruling", "It is true."]
+    assert record.flags == []
 
 
 def test_split_article_cue_is_prefix_and_case_insensitive():
-    paragraphs = ["body", "OUR RATING: False", "tail"]
-    evidence, ruling = split_article(paragraphs, DEFAULT_RULING_CUES)
-    assert evidence == ["body"]
-    assert ruling == ["OUR RATING: False", "tail"]
+    record = _article(["body", "OUR RATING: False", "tail"])
+    assert record.evidence == ["body"]
+    assert record.ruling == ["OUR RATING: False", "tail"]
+    assert record.flags == []
 
 
 def test_split_article_without_cue_keeps_everything_as_evidence():
-    paragraphs = ["one", "two"]
-    evidence, ruling = split_article(paragraphs, DEFAULT_RULING_CUES)
-    assert evidence == paragraphs
-    assert ruling == []
+    record = _article(["one", "two"])
+    assert record.evidence == ["one", "two"]
+    assert record.ruling == []
+    assert record.flags == [MISSING_CUE_FLAG]
 
 
 def test_record_from_article_flags_missing_cue():

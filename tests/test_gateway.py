@@ -2,10 +2,12 @@
 
 import base64
 import dataclasses
+import errno
 import hashlib
 import http.server
 import json
 import math
+import os
 import string
 import struct
 import subprocess
@@ -20,6 +22,8 @@ from hypothesis import strategies as st
 from tracer.errors import (
     BackendError,
     CacheCorruption,
+    CacheInUse,
+    ConfigError,
     EmptyInput,
     MissingBinding,
     MockScriptMiss,
@@ -52,6 +56,7 @@ from tracer.gateway.backends import (
     TEMPERATURE,
     post_json,
 )
+from tracer.gateway.cache import remove_cache_files
 from tracer.gateway.mock import MockRule, _hashed_unit_vector
 
 from conftest import Call, Recorder, make_gateway
@@ -145,17 +150,58 @@ def test_bundled_templates_satisfy_binding_invariant():
 
 def test_cache_persists_and_reloads(tmp_path):
     path = tmp_path / "cache.jsonl"
-    cache = ResponseCache(path)
-    cache.put("k1", "v1")
-    cache.put("k2", [1.0, 2.0])
-    reloaded = ResponseCache(path)
-    assert reloaded.get("k1") == "v1"
-    assert reloaded.get("k2").tolist() == [1.0, 2.0]
-    assert len(reloaded) == 2
+    with ResponseCache(path) as cache:
+        cache.put("k1", "v1")
+        cache.put("k2", [1.0, 2.0])
+    with ResponseCache(path) as reloaded:
+        assert reloaded.get("k1") == "v1"
+        assert reloaded.get("k2").tolist() == [1.0, 2.0]
+        assert len(reloaded) == 2
     assert path.read_text(encoding="utf-8") == (
         '{"key": "k1", "value": "v1"}\n{"key": "k2", "at": 0, "dim": 2}\n'
     )
     assert (tmp_path / "cache.jsonl.vectors").read_bytes() == struct.pack("<2d", 1.0, 2.0)
+
+
+def test_cache_open_of_a_missing_path_creates_an_empty_cache_file(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    with ResponseCache(path) as cache:
+        assert len(cache) == 0
+    assert path.read_bytes() == b""
+    assert not _vector_file(path).exists()
+
+
+def test_cache_second_open_of_a_path_is_in_use_and_the_first_still_serves(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    with ResponseCache(path) as cache:
+        cache.put("a", [1.0, 2.0])
+        with pytest.raises(CacheInUse, match=f"cache in use: {path}"):
+            ResponseCache(path)
+        with pytest.raises(CacheInUse):
+            remove_cache_files(path)
+        assert cache.get("a").tolist() == [1.0, 2.0]
+        cache.put("b", "text")
+        assert cache.get("b") == "text"
+    assert issubclass(CacheInUse, ConfigError)
+    assert path.read_text(encoding="utf-8") == (
+        '{"key": "a", "at": 0, "dim": 2}\n{"key": "b", "value": "text"}\n'
+    )
+    assert _vector_file(path).read_bytes() == struct.pack("<2d", 1.0, 2.0)
+
+
+def test_cache_closed_or_failed_to_load_releases_its_path(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    cache = ResponseCache(path)
+    cache.put("a", "b")
+    cache.close()
+    cache.close()  # a second close does nothing
+    with ResponseCache(path) as again:
+        assert again.get("a") == "b"
+    path.write_text("garbage\n", encoding="utf-8")
+    with pytest.raises(CacheCorruption):
+        ResponseCache(path)
+    remove_cache_files(path)
+    assert not path.exists()
 
 
 _SPECIAL_FLOATS = [
@@ -182,8 +228,10 @@ def test_cache_vector_round_trip_is_bit_exact(tmp_path_factory, dim, seed, speci
     raw = np.random.default_rng(seed).bytes(8 * dim)
     vector = np.concatenate([np.frombuffer(raw), specials])
     path = tmp_path_factory.mktemp("cache") / "cache.jsonl"
-    ResponseCache(path).put("v", vector)
-    loaded = ResponseCache(path).get("v")
+    with ResponseCache(path) as cache:
+        cache.put("v", vector)
+    with ResponseCache(path) as cache:
+        loaded = cache.get("v")
     assert loaded.dtype == np.float64
     assert loaded.tobytes() == vector.tobytes()
     # the raw bytes sit in the vector file, not in the JSON record
@@ -193,8 +241,10 @@ def test_cache_vector_round_trip_is_bit_exact(tmp_path_factory, dim, seed, speci
 
 def test_cache_loaded_vector_is_read_only(tmp_path):
     path = tmp_path / "cache.jsonl"
-    ResponseCache(path).put("v", [1.0, 2.0])
-    loaded = ResponseCache(path).get("v")
+    with ResponseCache(path) as cache:
+        cache.put("v", [1.0, 2.0])
+    with ResponseCache(path) as cache:
+        loaded = cache.get("v")
     assert not loaded.flags.writeable
     with pytest.raises(ValueError):
         loaded[0] = 3.0
@@ -218,8 +268,8 @@ def test_cache_refuses_a_line_in_an_earlier_format_and_says_how_to_clear_it(tmp_
     assert "run `tracer cache-clear`" in str(excinfo.value)
     # as a last line without its newline it is a torn append: skipped
     path.write_text(f'{{"key": "a", "value": "b"}}\n{line}', encoding="utf-8")
-    cache = ResponseCache(path)
-    assert len(cache) == 1 and cache.get("a") == "b"
+    with ResponseCache(path) as cache:
+        assert len(cache) == 1 and cache.get("a") == "b"
 
 
 @pytest.mark.parametrize(
@@ -240,67 +290,41 @@ def test_cache_bad_vector_record_is_corruption(tmp_path, vector):
 @pytest.mark.parametrize("torn_value", ["text", [1.0, 2.0, 3.0]], ids=["text", "vector"])
 def test_cache_skips_and_cuts_a_torn_last_record(tmp_path, torn_value):
     path = tmp_path / "cache.jsonl"
-    cache = ResponseCache(path)
-    cache.put("a", "first")
-    cache.put("b", [0.5, -1.5])
-    cache.put("torn", torn_value)
+    with ResponseCache(path) as cache:
+        cache.put("a", "first")
+        cache.put("b", [0.5, -1.5])
+        cache.put("torn", torn_value)
     whole = path.read_bytes()
     last_line = whole[whole.rindex(b"\n", 0, -1) + 1 :]
     path.write_bytes(whole[: -len(last_line) // 2])  # the writer died mid-append
 
-    reopened = ResponseCache(path)
-    assert reopened.get("a") == "first"
-    assert reopened.get("b").tolist() == [0.5, -1.5]
-    assert reopened.get("torn") is None
-    reopened.put("c", "after")
+    with ResponseCache(path) as reopened:
+        # cut off at open
+        assert path.read_bytes() == whole[: -len(last_line)]
+        assert reopened.get("a") == "first"
+        assert reopened.get("b").tolist() == [0.5, -1.5]
+        assert reopened.get("torn") is None
+        reopened.put("c", "after")
 
-    reloaded = ResponseCache(path)
-    assert len(reloaded) == 3
-    assert reloaded.get("a") == "first"
-    assert reloaded.get("b").tolist() == [0.5, -1.5]
-    assert reloaded.get("c") == "after"
+    with ResponseCache(path) as reloaded:
+        assert len(reloaded) == 3
+        assert reloaded.get("a") == "first"
+        assert reloaded.get("b").tolist() == [0.5, -1.5]
+        assert reloaded.get("c") == "after"
     assert path.read_bytes() == whole[: -len(last_line)] + b'{"key": "c", "value": "after"}\n'
-
-
-def test_cache_keeps_records_appended_after_the_torn_tail_it_loaded(tmp_path):
-    path = tmp_path / "cache.jsonl"
-    ResponseCache(path).put("a", "first")
-    line = b'{"key": "b", "value": "in flight"}\n'
-    path.write_bytes(path.read_bytes() + line[:10])  # another writer is mid-append
-    cache = ResponseCache(path)
-    assert cache.get("b") is None
-    with path.open("ab") as other:  # that writer finishes, then appends more
-        other.write(line[10:] + b'{"key": "c", "value": "later"}\n')
-    cache.put("d", "mine")
-
-    reloaded = ResponseCache(path)
-    assert [reloaded.get(k) for k in "abcd"] == ["first", "in flight", "later", "mine"]
-
-
-def test_cache_keeps_a_record_another_cache_wrote_over_the_same_torn_tail(tmp_path):
-    path = tmp_path / "cache.jsonl"
-    ResponseCache(path).put("a", "first")
-    theirs = b'{"key": "p", "value": "q"}\n'
-    torn = b'{"key": "t", "value": "'.ljust(len(theirs), b"x")  # as long as their record
-    path.write_bytes(path.read_bytes() + torn)
-    mine, other = ResponseCache(path), ResponseCache(path)
-    other.put("p", "q")  # cuts the torn tail and appends where it was
-    assert path.stat().st_size == len(b'{"key": "a", "value": "first"}\n') + len(torn)
-    mine.put("m", "n")
-
-    reloaded = ResponseCache(path)
-    assert [reloaded.get(k) for k in "apm"] == ["first", "q", "n"]
 
 
 def test_cache_appends_after_a_whole_record_missing_its_newline(tmp_path):
     path = tmp_path / "cache.jsonl"
     path.write_text('{"key": "a", "value": "b"}', encoding="utf-8")
-    cache = ResponseCache(path)
-    assert cache.get("a") == "b"
-    cache.put("c", "d")
-    reloaded = ResponseCache(path)
-    assert reloaded.get("a") == "b"
-    assert reloaded.get("c") == "d"
+    with ResponseCache(path) as cache:
+        # given its newline at open
+        assert path.read_bytes() == b'{"key": "a", "value": "b"}\n'
+        assert cache.get("a") == "b"
+        cache.put("c", "d")
+    with ResponseCache(path) as reloaded:
+        assert reloaded.get("a") == "b"
+        assert reloaded.get("c") == "d"
 
 
 def test_cache_undecodable_middle_line_without_torn_tail_is_still_corruption(tmp_path):
@@ -313,17 +337,17 @@ def test_cache_undecodable_middle_line_without_torn_tail_is_still_corruption(tmp
 
 def test_cache_later_appends_win(tmp_path):
     path = tmp_path / "cache.jsonl"
-    cache = ResponseCache(path)
-    cache.put("k", "old")
-    cache.put("k", "new")
-    cache.put("v", [1.0])
-    cache.put("v", "text after a vector")
-    cache.put("t", "text")
-    cache.put("t", [2.0])
-    reloaded = ResponseCache(path)
-    assert reloaded.get("k") == "new"
-    assert reloaded.get("v") == "text after a vector"
-    assert reloaded.get("t").tolist() == [2.0]
+    with ResponseCache(path) as cache:
+        cache.put("k", "old")
+        cache.put("k", "new")
+        cache.put("v", [1.0])
+        cache.put("v", "text after a vector")
+        cache.put("t", "text")
+        cache.put("t", [2.0])
+    with ResponseCache(path) as reloaded:
+        assert reloaded.get("k") == "new"
+        assert reloaded.get("v") == "text after a vector"
+        assert reloaded.get("t").tolist() == [2.0]
 
 
 def test_cache_corruption_names_the_line(tmp_path):
@@ -365,74 +389,45 @@ def test_cache_value_neither_text_nor_a_flat_list_of_numbers_is_corruption(tmp_p
     assert "line 2" in str(excinfo.value)
     # as a last line without its newline it is a torn append: skipped
     path.write_text(f'{{"key": "a", "value": "b"}}\n{line}', encoding="utf-8")
-    cache = ResponseCache(path)
-    assert cache.get("a") == "b"
-    assert cache.get("v") is None
-
-
-def test_cache_clear_removes_file(tmp_path):
-    path = tmp_path / "cache.jsonl"
-    cache = ResponseCache(path)
-    cache.put("k", "v")
-    cache.clear()
-    assert not path.exists()
-    assert len(cache) == 0
-
-
-def test_cache_put_after_clear_starts_a_fresh_file(tmp_path):
-    path = tmp_path / "cache.jsonl"
-    cache = ResponseCache(path)
-    cache.put("k", "v")
-    cache.clear()
-    cache.put("k2", "v2")
-    assert path.read_text(encoding="utf-8") == '{"key": "k2", "value": "v2"}\n'
+    with ResponseCache(path) as cache:
+        assert cache.get("a") == "b"
+        assert cache.get("v") is None
 
 
 def test_cache_nested_batch_exit_writes_everything_pending(tmp_path):
     path = tmp_path / "cache.jsonl"
-    cache = ResponseCache(path)
-    with cache.batched():
+    with ResponseCache(path) as cache, cache.batched():
         cache.put("a", "text a")
         cache.put("av", [1.0, 2.0])
         with cache.batched():
             cache.put("b", "text b")
             cache.put("bv", [3.0])
         # the inner exit wrote the outer block's records too
-        assert len(ResponseCache(path)) == 4
+        assert len(path.read_bytes().splitlines()) == 4
         cache.put("c", "text c")
-        assert len(ResponseCache(path)) == 4
-    reloaded = ResponseCache(path)
-    assert len(reloaded) == 5
-    assert [reloaded.get(k) for k in ("a", "b", "c")] == ["text a", "text b", "text c"]
-    assert reloaded.get("av").tolist() == [1.0, 2.0]
-    assert reloaded.get("bv").tolist() == [3.0]
+        assert len(path.read_bytes().splitlines()) == 4
+    with ResponseCache(path) as reloaded:
+        assert len(reloaded) == 5
+        assert [reloaded.get(k) for k in ("a", "b", "c")] == ["text a", "text b", "text c"]
+        assert reloaded.get("av").tolist() == [1.0, 2.0]
+        assert reloaded.get("bv").tolist() == [3.0]
 
 
 def test_cache_writes_nothing_inside_a_batch_and_everything_at_its_exit(tmp_path):
     path = tmp_path / "cache.jsonl"
-    cache = ResponseCache(path)
-    cache.put("k0", "v0")
-    with cache.batched():
-        cache.put("k1", "v1")
-        cache.put("e1", [1.0, 2.0])
-        # every put is answered at once, and nothing new is on disk yet
-        assert cache.get("k1") == "v1" and cache.get("e1").tolist() == [1.0, 2.0]
-        assert len(ResponseCache(path)) == 1
+    with ResponseCache(path) as cache:
+        cache.put("k0", "v0")
+        with cache.batched():
+            cache.put("k1", "v1")
+            cache.put("e1", [1.0, 2.0])
+            # every put is answered at once, and nothing new is on disk yet
+            assert cache.get("k1") == "v1" and cache.get("e1").tolist() == [1.0, 2.0]
+            assert len(path.read_bytes().splitlines()) == 1
     assert path.read_text(encoding="utf-8") == (
         '{"key": "k0", "value": "v0"}\n'
         '{"key": "k1", "value": "v1"}\n'
         '{"key": "e1", "at": 0, "dim": 2}\n'
     )
-
-
-def test_cache_clear_drops_what_a_batch_has_not_written(tmp_path):
-    path = tmp_path / "cache.jsonl"
-    cache = ResponseCache(path)
-    with cache.batched():
-        cache.put("k1", "v1")
-        cache.clear()
-        cache.put("k2", "v2")
-    assert path.read_text(encoding="utf-8") == '{"key": "k2", "value": "v2"}\n'
 
 
 @given(
@@ -442,8 +437,7 @@ def test_cache_clear_drops_what_a_batch_has_not_written(tmp_path):
 )
 def test_cache_lines_are_the_json_encoding_of_their_record(tmp_path_factory, text, key, dim):
     path = tmp_path_factory.mktemp("cache") / "cache.jsonl"
-    cache = ResponseCache(path)
-    with cache.batched():
+    with ResponseCache(path) as cache, cache.batched():
         cache.put(key + "t", text)
         cache.put(key + "v", [0.5] * dim)
     expected = [
@@ -462,22 +456,52 @@ def _vector_file(path):
 @pytest.mark.parametrize("orphan_bytes", [24, 5], ids=["whole-vector", "torn-vector"])
 def test_cache_vector_bytes_orphaned_by_a_crash_are_never_read(tmp_path, orphan_bytes):
     path = tmp_path / "cache.jsonl"
-    ResponseCache(path).put("a", [1.0, 2.0])
+    with ResponseCache(path) as cache:
+        cache.put("a", [1.0, 2.0])
     # a writer that died after (or while) writing a vector, before its index record
     with _vector_file(path).open("ab") as dying:
         dying.write(struct.pack("<3d", 3.0, 4.0, 5.0)[:orphan_bytes])
 
-    reopened = ResponseCache(path)
-    assert len(reopened) == 1
-    assert reopened.get("a").tolist() == [1.0, 2.0]
-    reopened.put("c", [-0.0, 6.0])
+    with ResponseCache(path) as reopened:
+        assert len(reopened) == 1
+        assert reopened.get("a").tolist() == [1.0, 2.0]
+        reopened.put("c", [-0.0, 6.0])
     last = json.loads(path.read_text(encoding="utf-8").splitlines()[-1])
     assert last == {"key": "c", "at": 16 + orphan_bytes, "dim": 2}
 
-    reloaded = ResponseCache(path)
-    assert len(reloaded) == 2
-    assert reloaded.get("a").tolist() == [1.0, 2.0]
-    assert reloaded.get("c").tobytes() == struct.pack("<2d", -0.0, 6.0)
+    with ResponseCache(path) as reloaded:
+        assert len(reloaded) == 2
+        assert reloaded.get("a").tolist() == [1.0, 2.0]
+        assert reloaded.get("c").tobytes() == struct.pack("<2d", -0.0, 6.0)
+
+
+def test_cache_vector_write_that_fails_midway_leaves_bytes_that_are_never_read(
+    tmp_path, monkeypatch
+):
+    path = tmp_path / "cache.jsonl"
+    write = os.write
+
+    def fill_the_disk(fd, data):
+        # the first write lands 8 bytes, the next finds the disk full
+        if fill_the_disk.landed:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        fill_the_disk.landed = write(fd, bytes(data[:8]))
+        return fill_the_disk.landed
+
+    fill_the_disk.landed = 0
+    with ResponseCache(path) as cache:
+        cache.put("t", "text")
+        monkeypatch.setattr(os, "write", fill_the_disk)
+        with pytest.raises(OSError):
+            cache.put("a", [1.0, 2.0])
+        monkeypatch.undo()
+        cache.put("b", [3.0])
+    assert path.read_text(encoding="utf-8") == (
+        '{"key": "t", "value": "text"}\n{"key": "b", "at": 8, "dim": 1}\n'
+    )
+    with ResponseCache(path) as reloaded:
+        assert len(reloaded) == 2
+        assert reloaded.get("b").tolist() == [3.0]
 
 
 @pytest.mark.parametrize(
@@ -485,10 +509,10 @@ def test_cache_vector_bytes_orphaned_by_a_crash_are_never_read(tmp_path, orphan_
 )
 def test_cache_index_record_past_the_vector_file_end_is_corruption(tmp_path, vector_bytes, line):
     path = tmp_path / "cache.jsonl"
-    cache = ResponseCache(path)
-    cache.put("a", "text")
-    cache.put("v", [1.0, 2.0])
-    cache.put("w", [3.0])
+    with ResponseCache(path) as cache:
+        cache.put("a", "text")
+        cache.put("v", [1.0, 2.0])
+        cache.put("w", [3.0])
     vectors = _vector_file(path)
     if vector_bytes is None:
         vectors.unlink()
@@ -513,23 +537,6 @@ def test_cache_malformed_index_record_is_corruption(tmp_path, index):
     assert "line 2" in str(excinfo.value)
 
 
-def test_cache_two_writers_appending_in_turn_keep_every_vector(tmp_path):
-    path = tmp_path / "cache.jsonl"
-    writers = [ResponseCache(path), ResponseCache(path)]
-    written = {}
-    for i in range(8):
-        vector = np.random.default_rng(i).standard_normal(i + 1)
-        writers[i % 2].put(f"k{i}", vector)
-        written[f"k{i}"] = vector
-    writers[0].put("k0", [7.0])  # a later record wins
-    written["k0"] = np.array([7.0])
-
-    reloaded = ResponseCache(path)
-    assert len(reloaded) == len(written)
-    for key, vector in written.items():
-        assert reloaded.get(key).tobytes() == vector.tobytes()
-
-
 def _assert_no_array_on_disk(cache, written):
     """No vector of ``written`` is held as an array, and each reads back bit-exact."""
     assert not any(isinstance(value, np.ndarray) for value in cache._entries.values())
@@ -544,19 +551,20 @@ def test_cache_holds_no_array_for_a_vector_on_disk(tmp_path):
     rng = np.random.default_rng(3)
     written = {f"k{i}": rng.standard_normal(i) for i in range(5)}
     written["subnormal"] = [5e-324, -0.0, math.pi]
-    cache = ResponseCache(path)
-    cache.put("k0", written["k0"])
-    cache.put("t", "text")
-    with cache.batched():
-        for key in ("k1", "k2", "k3", "k4", "subnormal"):
-            cache.put(key, written[key])
-        # a vector still pending stays an array until the block writes it
-        assert isinstance(cache._entries["k1"], np.ndarray)
-    _assert_no_array_on_disk(cache, written)
-    assert cache.get("t") == "text"
-    # a vector is a fresh read each time
-    assert cache.get("k3") is not cache.get("k3")
-    _assert_no_array_on_disk(ResponseCache(path), written)
+    with ResponseCache(path) as cache:
+        cache.put("k0", written["k0"])
+        cache.put("t", "text")
+        with cache.batched():
+            for key in ("k1", "k2", "k3", "k4", "subnormal"):
+                cache.put(key, written[key])
+            # a vector still pending stays an array until the block writes it
+            assert isinstance(cache._entries["k1"], np.ndarray)
+        _assert_no_array_on_disk(cache, written)
+        assert cache.get("t") == "text"
+        # a vector is a fresh read each time
+        assert cache.get("k3") is not cache.get("k3")
+    with ResponseCache(path) as reloaded:
+        _assert_no_array_on_disk(reloaded, written)
 
 
 def test_cache_vector_file_cut_short_after_load_fails_only_the_vectors_it_lost(tmp_path):
@@ -574,6 +582,7 @@ def test_cache_vector_file_cut_short_after_load_fails_only_the_vectors_it_lost(t
     with pytest.raises(CacheCorruption, match="cache.jsonl.vectors ends before the vector"):
         gateway.cache.get(embedding_key("mock", "b"))
     a, b = gateway.embed_many(["a", "b"])
+    gateway.cache.close()
     assert a.vector.tolist() == [1.0, 2.0]
     assert isinstance(b, CacheCorruption)
     # a corrupt entry is a hit that fails, as a wrong-kind hit is
@@ -582,48 +591,24 @@ def test_cache_vector_file_cut_short_after_load_fails_only_the_vectors_it_lost(t
 
 
 def test_pipeline_over_a_vector_file_cut_short_returns_a_report(tmp_path):
-    from tracer.fixtures import load_scenario_record, make_scenario_gateway
+    from tracer.fixtures import load_scenario_record, load_scenario_script
     from tracer.verdict import run_pipeline
 
     path = tmp_path / "cache.jsonl"
-    cold = make_scenario_gateway(path)
-    run_pipeline(cold, load_scenario_record())
-    cold.cache.close()
-    warm = make_scenario_gateway(path)
-    with _vector_file(path).open("r+b") as handle:
-        handle.truncate(0)
-    report = run_pipeline(warm, load_scenario_record())
+    with ResponseCache(path) as cache:
+        run_pipeline(Gateway(backend=load_scenario_script(), cache=cache), load_scenario_record())
+    with ResponseCache(path) as cache:
+        with _vector_file(path).open("r+b") as handle:
+            handle.truncate(0)
+        report = run_pipeline(
+            Gateway(backend=load_scenario_script(), cache=cache), load_scenario_record()
+        )
     # the claim fails at alignment, each sentence with its cache error
     assert report.id == load_scenario_record().id and report.failed == "alignment"
     assert report.aligned_evidence and all(
         item.error.startswith("CacheCorruption: ") and "ends before the vector" in item.error
         for item in report.aligned_evidence
     )
-
-
-def test_cache_reads_its_own_vectors_after_another_cache_clears_the_path(tmp_path):
-    path = tmp_path / "cache.jsonl"
-    writer = ResponseCache(path)
-    writer.put("a", [1.0, 2.0])
-    writer.put("b", [3.0])
-    writer.close()
-    cache = ResponseCache(path)
-    cache.put("w", [4.0, 5.0])  # written to the file it loaded
-    other = ResponseCache(path)
-    other.clear()
-    for i in range(4):
-        other.put(f"n{i}", [-1.0 - i] * 3)
-    mine = {"a": [1.0, 2.0], "b": [3.0], "w": [4.0, 5.0]}
-    _assert_no_array_on_disk(cache, mine)
-    cache.close()
-    _assert_no_array_on_disk(cache, mine)
-    # a write after close() goes to the new file at the path, and both read back
-    cache.put("z", [6.0])
-    _assert_no_array_on_disk(cache, {**mine, "z": [6.0]})
-    assert ResponseCache(path).get("z").tolist() == [6.0]
-    assert len(cache._readers) == 2
-    cache.clear()
-    assert cache._readers == {}
 
 
 # Writes or reads 1,500 1536-wide vectors (18 MB), 10 to a batch, and
@@ -654,6 +639,7 @@ for batch in range(150):
     else:
         assert all(np.isfinite(cache.get(key)).all() for key in keys)
 print(peak() - before)
+cache.close()
 """
 
 
@@ -675,31 +661,9 @@ def test_cache_memory_does_not_grow_with_the_vectors_it_writes(tmp_path):
 def test_cache_memory_does_not_grow_with_the_vectors_it_reads(tmp_path):
     path = tmp_path / "cache.jsonl"
     _vector_memory_growth("write", path)
-    assert len(ResponseCache(path)) == 1500
+    with ResponseCache(path) as cache:
+        assert len(cache) == 1500
     assert _vector_memory_growth("read", path) < 4e6
-
-
-def test_cache_clear_keeps_loaded_vectors_readable_and_starts_fresh_files(tmp_path):
-    path = tmp_path / "cache.jsonl"
-    writer = ResponseCache(path)
-    writer.put("a", [1.0, 2.0])
-    writer.put("b", [3.0])
-    writer.close()
-    cache = ResponseCache(path)
-    a, b = cache.get("a"), cache.get("b")
-    cache.clear()
-    assert not path.exists() and not _vector_file(path).exists()
-    cache.put("c", [4.0])
-    cache.put("t", "text")
-    assert path.read_text(encoding="utf-8") == (
-        '{"key": "c", "at": 0, "dim": 1}\n{"key": "t", "value": "text"}\n'
-    )
-    assert _vector_file(path).read_bytes() == struct.pack("<d", 4.0)
-    # the arrays read before the clear keep their values, and still refuse writes
-    assert a.tolist() == [1.0, 2.0] and b.tolist() == [3.0]
-    for array in (a, b):
-        with pytest.raises(ValueError):
-            array[0] = 0.0
 
 
 def _reference_load(path):
@@ -707,7 +671,8 @@ def _reference_load(path):
 
     ``json.loads`` per line, then one read of the whole vector file;
     kept as the reference the cache's own load must equal. Returns the
-    entries and the open tail, or raises the same ``CacheCorruption``.
+    entries and the cache file's bytes once its open tail is repaired,
+    or raises the same ``CacheCorruption``.
     """
     entries, refs, open_tail = {}, [], None
     offset = 0
@@ -753,27 +718,31 @@ def _reference_load(path):
             )
         if entries[key] is ref:
             entries[key] = np.frombuffer(data, "<f8", count=dim, offset=at)
-    return entries, open_tail
+    repaired = path.read_bytes()
+    if open_tail is not None:
+        start, _, whole = open_tail
+        repaired = repaired + b"\n" if whole else repaired[:start]
+    return entries, repaired
 
 
 def _cache_load(path):
-    cache = ResponseCache(path)
-    entries = {key: cache.get(key) for key in cache._entries}
+    with ResponseCache(path) as cache:
+        entries = {key: cache.get(key) for key in cache._entries}
     for value in entries.values():
         assert isinstance(value, str) or not value.flags.writeable
-    return entries, cache._open_tail
+    return entries, path.read_bytes()
 
 
 def _load_outcome(load, path):
     try:
-        entries, open_tail = load(path)
+        entries, repaired = load(path)
     except CacheCorruption as error:
         return str(error)
     values = {
         key: value if isinstance(value, str) else (value.dtype == np.float64, value.tobytes())
         for key, value in entries.items()
     }
-    return values, open_tail
+    return values, repaired
 
 
 _KEYS = st.sampled_from(["a", "b", 'q"\\', "\u00e9\u2028", "0" * 64, "f" * 64])
@@ -844,7 +813,11 @@ def test_cache_loads_what_the_json_loads_loader_loaded(tmp_path_factory, files):
     path.write_bytes(data)
     if vector_bytes is not None:
         _vector_file(path).write_bytes(vector_bytes)
-    assert _load_outcome(_cache_load, path) == _load_outcome(_reference_load, path)
+    expected = _load_outcome(_reference_load, path)
+    assert _load_outcome(_cache_load, path) == expected
+    # a cache that does not load is left as it was
+    if isinstance(expected, str):
+        assert path.read_bytes() == data
 
 
 # -- cache keys ----------------------------------------------------------
@@ -1052,13 +1025,12 @@ def test_mock_built_directly_checks_its_rules():
 
 
 def test_gateway_embed_over_texts_sharing_an_array_cold_then_warm(tmp_path):
-    gateway, script = make_gateway(
-        embeddings=[
-            {"contains": "[x]", "vector": [1.0, 0.0]},
-            {"contains": "[y]", "vector": [0.0, 1.0]},
-        ],
-        cache_path=tmp_path / "cache.jsonl",
-    )
+    path = tmp_path / "cache.jsonl"
+    embeddings = [
+        {"contains": "[x]", "vector": [1.0, 0.0]},
+        {"contains": "[y]", "vector": [0.0, 1.0]},
+    ]
+    gateway, script = make_gateway(embeddings=embeddings, cache_path=path)
     texts = ["[x] one", "[x] two", "[y] three", "[x] four"]
     expected = {"[x] one": [1.0, 0.0], "[x] two": [1.0, 0.0], "[y] three": [0.0, 1.0], "[x] four": [1.0, 0.0]}
     cold = [gateway.embed(text) for text in texts]
@@ -1069,17 +1041,22 @@ def test_gateway_embed_over_texts_sharing_an_array_cold_then_warm(tmp_path):
     assert gateway.counters.backend_calls == 4
     assert gateway.counters.embedding_cache_hits == 4
     assert len(script.call_log) == 4
+    gateway.cache.close()
 
-    gateway.cache.clear()
+    # after `tracer cache-clear`, a fresh gateway asks the backend again
+    remove_cache_files(path)
+    gateway, script = make_gateway(embeddings=embeddings, cache_path=path)
     assert gateway.embed("[x] two").vector.tolist() == [1.0, 0.0]
     assert gateway.embed("[y] three").vector.tolist() == [0.0, 1.0]
-    assert [c.prompt for c in script.call_log[4:]] == ["[x] two", "[y] three"]
-    assert gateway.counters.backend_calls == 6
+    assert [c.prompt for c in script.call_log] == ["[x] two", "[y] three"]
+    assert gateway.counters.backend_calls == 2
+    gateway.cache.close()
 
     # a fresh gateway over the same file reads each text's own vector back
-    reloaded, script2 = make_gateway(cache_path=tmp_path / "cache.jsonl")
+    reloaded, script2 = make_gateway(cache_path=path)
     assert reloaded.embed("[x] two").vector.tolist() == [1.0, 0.0]
     assert reloaded.embed("[y] three").vector.tolist() == [0.0, 1.0]
+    reloaded.cache.close()
     assert script2.call_log == []
 
 
@@ -1203,10 +1180,12 @@ def test_gateway_persistent_cache_across_instances(tmp_path):
         rules=[{"template": "relevance", "response": "A"}], cache_path=path
     )
     gateway.complete("relevance", claim="c", ruling="r", evidence="e")
+    gateway.cache.close()
     assert len(script.call_log) == 1
 
     gateway2, script2 = make_gateway(rules=[], cache_path=path)  # no rules needed
     assert gateway2.complete("relevance", claim="c", ruling="r", evidence="e") == "A"
+    gateway2.cache.close()
     assert script2.call_log == []
 
 
@@ -1231,16 +1210,22 @@ def test_gateway_embed_repeats_return_equal_embeddings_and_count_every_request()
     assert len(script.call_log) == 1
 
 
-def test_gateway_embed_after_cache_clear_reaches_the_backend():
-    gateway, script = make_gateway(embeddings=[{"text": "e", "vector": [1.0, 0.0]}])
+def test_gateway_embed_after_cache_clear_reaches_the_backend(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    embeddings = [{"text": "e", "vector": [1.0, 0.0]}]
+    gateway, script = make_gateway(embeddings=embeddings, cache_path=path)
     gateway.embed("e")
     gateway.embed("e")
-    gateway.cache.clear()
+    gateway.cache.close()
+    assert gateway.counters.backend_calls == 1
+    remove_cache_files(path)
+    gateway, script = make_gateway(embeddings=embeddings, cache_path=path)
     assert gateway.embed("e").vector.tolist() == [1.0, 0.0]
-    assert gateway.counters.backend_calls == 2
-    assert len(script.call_log) == 2
-    assert gateway.counters.embedding_requests == 3
-    assert gateway.counters.embedding_cache_hits == 1
+    gateway.cache.close()
+    assert gateway.counters.backend_calls == 1
+    assert len(script.call_log) == 1
+    assert gateway.counters.embedding_requests == 1
+    assert gateway.counters.embedding_cache_hits == 0
 
 
 def test_gateway_embed_answers_what_the_cache_now_holds():
@@ -1466,8 +1451,9 @@ def test_gateway_completion_that_is_not_unicode_is_a_backend_error_and_not_cache
     )
     with pytest.raises(BackendError, match="'relevance' answer is not valid Unicode"):
         gateway.complete("relevance", claim="c", ruling="r", evidence="e")
+    gateway.cache.close()
     assert gateway.counters.backend_calls == 1
-    assert len(gateway.cache) == 0 and not path.exists()
+    assert len(gateway.cache) == 0 and path.read_bytes() == b""
 
 
 def test_gateway_rejects_a_backend_answering_the_wrong_number_of_vectors():
@@ -1570,6 +1556,7 @@ def test_gateway_text_under_an_embedding_key_is_corruption(tmp_path):
     with pytest.raises(CacheCorruption, match="text under the embedding key"):
         gateway.embed("e")
     f, e = gateway.embed_many(["f", "e"])
+    gateway.cache.close()
     assert isinstance(e, CacheCorruption)
     assert "text under the embedding key" in str(e)
     assert isinstance(f, MockScriptMiss)
@@ -1998,11 +1985,12 @@ def test_same_request_sequence_replays_identically(tmp_path):
 
     def run(cache_path):
         gateway, script = make_gateway(rules=rules, cache_path=cache_path)
-        out = [
-            gateway.complete("relevance", claim="c", ruling="r", evidence="e"),
-            gateway.complete("presentation", claim="c", evidence="e"),
-            gateway.complete("relevance", claim="c", ruling="r", evidence="e"),
-        ]
+        with gateway.cache:
+            out = [
+                gateway.complete("relevance", claim="c", ruling="r", evidence="e"),
+                gateway.complete("presentation", claim="c", evidence="e"),
+                gateway.complete("relevance", claim="c", ruling="r", evidence="e"),
+            ]
         return out, len(script.call_log)
 
     first_out, first_calls = run(tmp_path / "cache.jsonl")

@@ -33,11 +33,8 @@ T, H, F = Label.TRUE, Label.HALF_TRUE, Label.FALSE
 
 def test_confusion_matrix_cells():
     matrix = confusion_matrix([T, H, H, F], [T, H, F, H])
-    assert matrix.cell(T, T) == 1
-    assert matrix.cell(H, H) == 1
-    assert matrix.cell(H, F) == 1
-    assert matrix.cell(F, H) == 1
-    assert matrix.cell(T, F) == 0
+    # rows gold, columns predicted, both in the order T, H, F
+    assert matrix.counts == ((1, 0, 0), (0, 1, 1), (0, 1, 0))
     assert matrix.total == 4
 
 
@@ -172,7 +169,7 @@ def test_accuracy_is_micro_recall(pairs):
     gold = [g for g, _ in pairs]
     pred = [p for _, p in pairs]
     matrix = confusion_matrix(gold, pred)
-    diagonal = sum(matrix.cell(label, label) for label in LABELS)
+    diagonal = sum(matrix.counts[i][i] for i in range(len(LABELS)))
     assert summarize(matrix).accuracy == pytest.approx(diagonal / matrix.total)
 
 

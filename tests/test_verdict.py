@@ -1038,22 +1038,22 @@ def test_pipeline_interrupted_inside_a_claim_keeps_its_earlier_records(tmp_path)
     gateway = Gateway(backend=_InterruptedBackend("cot_verdict"), cache=ResponseCache(path))
     with pytest.raises(KeyboardInterrupt):
         run_pipeline(gateway, load_scenario_record())
-    gateway.cache.close()
 
     # alignment's completions and embeddings came before the interrupt
     held = {key: gateway.cache.get(key) for key in gateway.cache._entries}
+    gateway.cache.close()
     counters = gateway.counters
     # one record per completion answered and one per embedded text; the
     # interrupted cot_verdict prompt was asked, so it counts, but not cached
     assert counters.by_template == {"relevance": 4, "presentation": 4, "cot_verdict": 1}
     assert len(held) == 8 + counters.embedding_requests - counters.embedding_cache_hits > 8
-    reloaded = ResponseCache(path)
-    assert len(reloaded) == len(held)
-    for key, value in held.items():
-        if isinstance(value, str):
-            assert reloaded.get(key) == value
-        else:
-            assert reloaded.get(key).tobytes() == value.tobytes()
+    with ResponseCache(path) as reloaded:
+        assert len(reloaded) == len(held)
+        for key, value in held.items():
+            if isinstance(value, str):
+                assert reloaded.get(key) == value
+            else:
+                assert reloaded.get(key).tobytes() == value.tobytes()
 
 
 def test_pipeline_never_leaves_an_index_record_past_the_vector_file(tmp_path):
@@ -1072,8 +1072,9 @@ def test_pipeline_never_leaves_an_index_record_past_the_vector_file(tmp_path):
             index = json.loads(line)
             if "at" in index:
                 assert index["at"] + 8 * index["dim"] <= size
-        assert len(ResponseCache(path)) == n_records
     gateway.cache.close()
+    with ResponseCache(path) as reloaded:
+        assert len(reloaded) == n_records
 
 
 def test_pipeline_answer_with_a_lone_surrogate_fails_only_its_stage(tmp_path):
@@ -1096,7 +1097,8 @@ def test_pipeline_answer_with_a_lone_surrogate_fails_only_its_stage(tmp_path):
         assert "not valid Unicode" in status["intent"].detail
     save_reports(tmp_path / "reports.jsonl", reports)
     gateway.cache.close()
-    assert len(ResponseCache(path)) == len(gateway.cache)
+    with ResponseCache(path) as reloaded:
+        assert len(reloaded) == len(gateway.cache)
 
 
 def test_pipeline_cache_that_cannot_write_vectors_writes_no_index_record(tmp_path):
@@ -1107,6 +1109,7 @@ def test_pipeline_cache_that_cannot_write_vectors_writes_no_index_record(tmp_pat
     )
     with pytest.raises(OSError):
         run_pipeline(gateway, generate_synthetic_corpus(seed=29, n=1).records[0])
+    gateway.cache.close()
     written = path.read_text(encoding="utf-8") if path.exists() else ""
     assert '"at": ' not in written
 
