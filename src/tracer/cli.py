@@ -7,6 +7,8 @@
     tracer cache-stats show persistent cache entries and the size of its files
     tracer cache-clear drop the persistent cache and its vector file
 
+``run`` and ``ablate`` take ``--config`` and one flag per row of
+``config.RUN_OPTIONS``; a flag given overrides its key in the file.
 ``ablate`` is ``run`` once per configuration, over one Gateway and one
 cache, so a prompt that several configurations ask reaches the backend
 once. Each configuration writes ``<stem>.<cfg><suffix>`` (``--output
@@ -28,11 +30,13 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .config import ABLATION_CONFIGS, AblationConfig, BackendSettings, RunConfig, load_config
+from .config import (
+    ABLATION_CONFIGS, CONFIG_KEYS, RUN_OPTIONS, AblationConfig, RunConfig, load_config
+)
 from .corpus import ClaimRecord, Label, load_corpus, save_corpus
 from .errors import ConfigError, EmptyInput, ParseError, TracerError
 from .gateway import Endpoint, Gateway, GatewayCounters, LiveBackend, MockScript, ResponseCache
@@ -70,12 +74,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     ablate = sub.add_parser("ablate", help="run the pipeline once per ablation config")
     _add_run_options(ablate)
-    ablate.add_argument(
-        "--configs",
-        default=",".join(sorted(ABLATION_CONFIGS)),
-        help="comma-separated config names",
-    )
-    ablate.set_defaults(ablation=None, manifest=None)
+    configs = ",".join(sorted(ABLATION_CONFIGS))
+    ablate.add_argument("--configs", default=configs, help="comma-separated config names")
+    ablate.set_defaults(manifest=None)
 
     stats = sub.add_parser("cache-stats", help="show cache entries and the size of its files")
     stats.add_argument("--cache", required=True)
@@ -87,86 +88,38 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
-    """The options ``run`` and ``ablate`` share."""
-    parser.add_argument("--config", help="YAML run configuration file")
-    parser.add_argument("--corpus", help="corpus file (overrides config)")
-    parser.add_argument("--output", help="verdict report destination (overrides config)")
-    parser.add_argument("--mock", help="mock script path; selects the offline backend")
-    parser.add_argument("--cache", help="persistent response cache file")
-    parser.add_argument("--live", action="store_true", help="use the live HTTP backend")
-    parser.add_argument("--model", help="live model identifier")
-    parser.add_argument("--base-url", help="live backend base URL")
-    parser.add_argument("--concurrency", type=int, help="max in-flight backend requests")
-    parser.add_argument("--tau-low", type=float, help="alignment demotion threshold")
-    parser.add_argument("--tau-high", type=float, help="alignment promotion threshold")
-    parser.add_argument("--tau-che", type=float, help="retrieval similarity threshold")
-    parser.add_argument("--k", type=int, help="retrieval candidates per assumption")
-    parser.add_argument("--max-assumptions", type=int, help="assumption cap per claim")
-    parser.add_argument(
-        "--reassess-true-only",
-        action="store_true",
-        help="re-assess only claims with a True base verdict",
-    )
-    parser.add_argument("--base-verdicts", help="external base-verdict file (skips the CoT step)")
-    parser.add_argument("--alignment-endpoint", help="external alignment classifier URL")
-    parser.add_argument("--nli-endpoint", help="external NLI classifier URL")
+    """The options ``run`` and ``ablate`` share: ``--config`` and one flag per run option."""
+    parser.add_argument("--config", help="YAML run configuration file (flags override it)")
+    for key, flag, parse, text in RUN_OPTIONS:
+        if isinstance(parse, type):
+            parser.add_argument(flag, dest=key, type=parse, help=text)
+        else:  # a bare flag, standing for its constant
+            parser.add_argument(flag, dest=key, action="store_const", const=parse, help=text)
 
 
 # -- run configuration assembly -----------------------------------------
 
 
 def _assemble_run_config(args) -> RunConfig:
-    config = load_config(args.config) if args.config else RunConfig()
-
-    backend = config.backend
-    if args.mock:
-        backend = replace(backend, mode="mock", mock_script=args.mock)
-    if args.live:
-        backend = replace(backend, mode="live")
-    if args.model:
-        backend = replace(backend, model_id=args.model)
-    if args.base_url:
-        backend = replace(backend, base_url=args.base_url)
-    if args.concurrency is not None:
-        backend = replace(backend, concurrency=args.concurrency)
-
-    thresholds = config.thresholds
+    """The config file's values with each flag given laid over its key, built and checked."""
     overrides = {
-        "tau_low": args.tau_low,
-        "tau_high": args.tau_high,
-        "tau_che": args.tau_che,
-        "top_k": args.k,
-        "assumption_max_number": args.max_assumptions,
+        key: value for key, value in vars(args).items() if key in CONFIG_KEYS and value is not None
     }
-    thresholds = replace(
-        thresholds, **{k: v for k, v in overrides.items() if v is not None}
-    )
-
-    return replace(
-        config,
-        backend=backend,
-        thresholds=thresholds,
-        ablation=ABLATION_CONFIGS[args.ablation] if args.ablation else config.ablation,
-        reassess_true_only=args.reassess_true_only or config.reassess_true_only,
-        corpus_path=args.corpus or config.corpus_path,
-        cache_path=args.cache or config.cache_path,
-        output_path=args.output or config.output_path,
-    )
+    if "backend.mock_script" in overrides:
+        overrides.setdefault("backend.mode", "mock")
+    return load_config(args.config, overrides)
 
 
-def _load_mock_script(path: str) -> MockScript:
-    try:
-        return MockScript.from_file(path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read mock script {path}: {exc}") from exc
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ConfigError(f"mock script {path} is malformed: {exc}") from exc
-
-
-def _build_gateway(settings: BackendSettings, cache_path: str | None) -> Gateway:
+def _build_gateway(config: RunConfig) -> Gateway:
     # the backend first: a configuration error outranks a cache that does not load
+    settings, path = config.backend, config.backend.mock_script
     if settings.mode == "mock":
-        backend = _load_mock_script(settings.mock_script)
+        try:
+            backend = MockScript.from_file(path)
+        except OSError as exc:
+            raise ConfigError(f"cannot read mock script {path}: {exc}") from exc
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"mock script {path} is malformed: {exc}") from exc
     else:
         # reads TRACER_API_KEY, so a missing key fails before any work
         backend = LiveBackend(
@@ -174,7 +127,7 @@ def _build_gateway(settings: BackendSettings, cache_path: str | None) -> Gateway
             embedding_model_id=settings.embedding_model_id,
             base_url=settings.base_url,
         )
-    return Gateway(backend=backend, cache=ResponseCache(cache_path))
+    return Gateway(backend=backend, cache=ResponseCache(config.cache_path))
 
 
 # -- running a corpus ----------------------------------------------------
@@ -230,7 +183,6 @@ def _run(args, ablations: list[AblationConfig] | None) -> int:
     the claims run so far are written, nothing is scored, it exits 1.
     """
     config = _assemble_run_config(args)
-    config.validate()
     if config.corpus_path is None:
         raise ConfigError("no corpus given (use --corpus or a config file)")
     if config.output_path is None:
@@ -245,15 +197,16 @@ def _run(args, ablations: list[AblationConfig] | None) -> int:
         if path is not None and not Path(path).parent.is_dir():
             raise ConfigError(f"the directory of {path} does not exist")
 
-    gateway = _build_gateway(config.backend, config.cache_path)
+    # the inputs load before the Gateway opens its cache file, which opening
+    # creates, so that a bad input leaves no cache file behind
+    corpus = load_corpus(config.corpus_path)
+    base_verdicts = config.base_verdicts_path and load_base_verdicts(config.base_verdicts_path)
+    gateway = _build_gateway(config)
     with gateway.cache:
-        corpus = load_corpus(config.corpus_path)
-        base_verdicts = load_base_verdicts(args.base_verdicts) if args.base_verdicts else None
-        alignment_classifier = (
-            Endpoint(args.alignment_endpoint) if args.alignment_endpoint else None
-        )
-        nli_classifier = Endpoint(args.nli_endpoint) if args.nli_endpoint else None
-        endpoints = [e for e in (alignment_classifier, nli_classifier) if e is not None]
+        urls = (config.backend.alignment_endpoint, config.backend.nli_endpoint)
+        classifiers = [url and Endpoint(url) for url in urls]
+        alignment_classifier, nli_classifier = classifiers
+        endpoints = [endpoint for endpoint in classifiers if endpoint is not None]
         if isinstance(gateway.backend, LiveBackend):
             endpoints += gateway.backend.endpoints
 

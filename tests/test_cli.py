@@ -16,7 +16,7 @@ import pytest
 
 import tracer.cli
 from tracer.cli import main
-from tracer.config import ABLATION_CONFIGS
+from tracer.config import ABLATION_CONFIGS, RUN_OPTIONS
 from tracer.corpus import Corpus, Split, save_corpus
 from tracer.fixtures import (
     SCENARIO_CLAIM,
@@ -702,6 +702,150 @@ def test_run_config_that_is_not_yaml_exits_one(capsys, tmp_path):
     assert code == 1
     assert f"config file {config} is not valid YAML" in err
     assert out == ""
+
+
+def _write_config(path: Path, **data) -> str:
+    # JSON is YAML, so the config file needs no YAML writer
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--corpus", SCENARIO_CORPUS, "--base-verdicts", "MISSING"],
+        ["--corpus", SCENARIO_CORPUS, "--base-verdicts", "VERDICTS"],
+        ["--config", "CONFIG"],
+        ["--corpus", ""],
+    ],
+    ids=["missing-base-verdicts", "base-verdict-without-justification", "file-empty-corpus",
+         "flag-empty-corpus"],
+)
+def test_run_input_error_leaves_no_cache_file(capsys, tmp_path, flags):
+    verdicts = tmp_path / "verdicts.jsonl"
+    verdicts.write_text('{"id": "scenario-001", "label": "True"}\n', encoding="utf-8")
+    placeholders = {
+        "MISSING": str(tmp_path / "missing.jsonl"),
+        "VERDICTS": str(verdicts),
+        "CONFIG": _write_config(tmp_path / "run.yaml", paths={"corpus": ""}),
+    }
+    flags = [placeholders.get(flag, flag) for flag in flags]
+    cache = tmp_path / "cache.jsonl"
+    code, out, err = run_cli(
+        capsys, "run", "--mock", SCENARIO_SCRIPT, "--output", str(tmp_path / "r.jsonl"),
+        "--cache", str(cache), *flags,
+    )
+    assert code == 1, err
+    assert out == ""
+    assert not cache.exists()
+    assert not (tmp_path / "r.jsonl").exists()
+
+
+@pytest.mark.parametrize("route", ["flag", "file"])
+@pytest.mark.parametrize(
+    "key,flag",
+    [
+        ("base_url", "--base-url"),
+        ("alignment_endpoint", "--alignment-endpoint"),
+        ("nli_endpoint", "--nli-endpoint"),
+    ],
+)
+@pytest.mark.parametrize("url", ["localhost:9", "ftp://host/x", "http://", "http://[::1"])
+def test_run_url_that_is_not_http_exits_one_naming_the_key(
+    capsys, tmp_path, key, flag, route, url
+):
+    if route == "flag":
+        extra = [flag, url]
+    else:
+        extra = ["--config", _write_config(tmp_path / "run.yaml", backend={key: url})]
+    code, out, err, out_path = _run_scenario(capsys, tmp_path, *extra)
+    assert code == 1, err
+    assert f"error: {key} must be an http or https URL with a host, got {url!r}" in err
+    assert out == "" and not out_path.exists()
+
+
+def test_every_run_option_sets_the_same_config_by_flag_and_by_file(tmp_path):
+    verdicts = tmp_path / "verdicts.jsonl"
+    verdicts.write_text("", encoding="utf-8")
+    script = shutil.copy(SCENARIO_SCRIPT, tmp_path / "script.json")
+    # one value per config key, none of them the default
+    values = {
+        "paths.corpus": SCENARIO_CORPUS,
+        "paths.output": str(tmp_path / "r.jsonl"),
+        "paths.cache": str(tmp_path / "c.jsonl"),
+        "paths.base_verdicts": str(verdicts),
+        "backend.mock_script": str(script),
+        "backend.mode": "live",
+        "backend.model_id": "m",
+        "backend.embedding_model_id": "e",
+        "backend.base_url": "http://127.0.0.1:9/v1",
+        "backend.concurrency": 2,
+        "backend.alignment_endpoint": "http://127.0.0.1:9/align",
+        "backend.nli_endpoint": "https://nli.example/check",
+        "thresholds.tau_low": 0.25,
+        "thresholds.tau_high": 0.75,
+        "thresholds.tau_che": -0.5,
+        "thresholds.top_k": 2,
+        "thresholds.assumption_max_number": 4,
+        "thresholds.max_questions": 6,
+        "reassess_true_only": True,
+    }
+    assert set(values) == {option.key for option in RUN_OPTIONS}
+    parser = tracer.cli.build_parser()
+
+    def config_of(*argv):
+        return tracer.cli._assemble_run_config(parser.parse_args(argv))
+
+    # the mock backend needs a script: both routes start from a file naming one
+    base = {"backend": {"mock_script": SCENARIO_SCRIPT}}
+    base_file = _write_config(tmp_path / "base.yaml", **base)
+    for option in RUN_OPTIONS:
+        value = values[option.key]
+        bare = not isinstance(option.parse, type)
+        flag = [option.flag] if bare else [option.flag, str(value)]
+        section, _, name = option.key.rpartition(".")
+        data = json.loads(json.dumps(base))
+        (data.setdefault(section, {}) if section else data)[name] = value
+        by_file = config_of("run", "--config", _write_config(tmp_path / "f.yaml", **data))
+        assert by_file != config_of("run", "--config", base_file), option.key
+        # the flag exists on both commands, and sets what the key sets
+        for command in ("run", "ablate"):
+            assert config_of(command, "--config", base_file, *flag) == by_file, (command, option)
+
+
+def test_a_flag_overrides_its_key_in_the_config_file(tmp_path):
+    config = _write_config(tmp_path / "run.yaml", thresholds={"top_k": 1, "tau_che": 0.9})
+    args = ["run", "--config", config, "--mock", SCENARIO_SCRIPT, "--k", "3"]
+    config = tracer.cli._assemble_run_config(tracer.cli.build_parser().parse_args(args))
+    assert (config.thresholds.top_k, config.thresholds.tau_che) == (3, 0.9)
+
+
+def test_run_from_a_config_file_writes_the_flag_runs_report(capsys, tmp_path):
+    # values that each change the scenario's report
+    flags = ["--tau-low", "0.95", "--tau-high", "0.9", "--tau-che", "0.99", "--k", "1",
+             "--max-assumptions", "1", "--max-questions", "1", "--reassess-true-only"]
+    code, out, err, by_flags = _run_scenario(capsys, tmp_path, *flags)
+    assert code == 0, err
+    expected = hashlib.sha256(data_path(SCENARIO_EXPECTED).read_bytes()).hexdigest()
+    assert f"report digest: {expected}" not in out
+    thresholds = {
+        "tau_low": 0.95,
+        "tau_high": 0.9,
+        "tau_che": 0.99,
+        "top_k": 1,
+        "assumption_max_number": 1,
+        "max_questions": 1,
+    }
+    config = _write_config(
+        tmp_path / "run.yaml",
+        backend={"mock_script": SCENARIO_SCRIPT},
+        paths={"corpus": SCENARIO_CORPUS, "output": str(tmp_path / "from-file.jsonl")},
+        thresholds=thresholds,
+        reassess_true_only=True,
+    )
+    code, _, err = run_cli(capsys, "run", "--config", config)
+    assert code == 0, err
+    assert (tmp_path / "from-file.jsonl").read_bytes() == by_flags.read_bytes()
 
 
 @pytest.mark.parametrize("bad", ['"x"', "null", "[1.0]"], ids=["string", "null", "nested"])
