@@ -10,7 +10,7 @@ from tracer.cli import main
 from tracer.config import ABLATION_CONFIGS
 from tracer.corpus import Label, load_corpus
 from tracer.fixtures import SCENARIO_CLAIM, SCENARIO_MOCK, data_path
-from tracer.metrics import format_table, score_labels, score_reports
+from tracer.metrics import format_table, prediction, score_labels, score_reports
 from tracer.verdict import load_reports
 
 T, H, F = Label.TRUE, Label.HALF_TRUE, Label.FALSE
@@ -39,7 +39,8 @@ with tempfile.TemporaryDirectory() as out:
             f"assumptions={'on' if config.assumptions else 'off'} "
             f"causality={'on' if config.causality else 'off'}"
         )
-        accuracy = score_reports(records, reports).accuracy
+        predictions = {report.id: prediction(report) for report in reports}
+        accuracy = score_reports(records, predictions).accuracy
         print(f"  {name}: {stages}")
         print(f"    final={reports[0].final_verdict.label.value}  accuracy={accuracy:.0%}")
         print(f"    asked={counters['by_template']}")

@@ -12,7 +12,12 @@
 ``ablate`` is ``run`` once per configuration, over one Gateway and one
 cache, so a prompt that several configurations ask reaches the backend
 once. Each configuration writes ``<stem>.<cfg><suffix>`` (``--output
-ab.jsonl`` gives ``ab.cfg1.jsonl``, ...) and its manifest.
+ab.jsonl`` gives ``ab.cfg1.jsonl``, ...) and its manifest; ``ablate``
+refuses a config file that sets ``ablation``.
+
+A run writes each claim's report line as the claim ends, keeping only
+its predicted label to score, and writes the manifest last: a run that
+dies keeps every finished claim's line and has no manifest.
 
 Exit codes: 0 success; 1 usage, configuration (a report or manifest
 path whose directory does not exist, checked before any claim), or
@@ -35,13 +40,14 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .config import (
-    ABLATION_CONFIGS, CONFIG_KEYS, RUN_OPTIONS, AblationConfig, RunConfig, load_config
+    ABLATION_CONFIGS, CONFIG_KEYS, RUN_OPTIONS, AblationConfig, RunConfig, config_from_dict,
+    read_config_file,
 )
 from .corpus import ClaimRecord, Label, load_corpus, save_corpus
 from .errors import ConfigError, EmptyInput, ParseError, TracerError
 from .gateway import Endpoint, Gateway, GatewayCounters, LiveBackend, MockScript, ResponseCache
 from .gateway.cache import remove_cache_files
-from .metrics import format_table, score_reports
+from .metrics import format_table, prediction, score_reports
 from .verdict import VerdictReport, load_base_verdicts, load_reports, run_pipeline, save_reports
 
 
@@ -102,12 +108,19 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
 
 def _assemble_run_config(args) -> RunConfig:
     """The config file's values with each flag given laid over its key, built and checked."""
+    data = {} if args.config is None else read_config_file(args.config)
+    # ablate runs the configs --configs names: the file's ablation would do nothing
+    if args.command == "ablate" and isinstance(data, dict) and "ablation" in data:
+        raise ConfigError(
+            f"config file {args.config} sets ablation, which tracer ablate does not take "
+            "(name the configs with --configs)"
+        )
     overrides = {
         key: value for key, value in vars(args).items() if key in CONFIG_KEYS and value is not None
     }
     if "backend.mock_script" in overrides:
         overrides.setdefault("backend.mode", "mock")
-    return load_config(args.config, overrides)
+    return config_from_dict(data, overrides)
 
 
 def _build_gateway(config: RunConfig) -> Gateway:
@@ -173,14 +186,24 @@ def _config_output(path: str, name: str) -> str:
     return str(path.with_name(f"{path.stem}.{name}{path.suffix}"))
 
 
+def _file_digest(path: str) -> str:
+    """The sha256 of a file, read in fixed-size chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for chunk in iter(lambda: handle.read(1 << 16), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def _run(args, ablations: list[AblationConfig] | None) -> int:
     """``run`` (``ablations`` None: the configured one) or ``ablate``.
 
     The Gateway, corpus, base verdicts and endpoints are built once; the
-    claim loop runs once per config, each on fresh counters, and writes
-    that config's reports and manifest. The first claim after which an
-    endpoint's circuit is open ends the run: the reports and manifest of
-    the claims run so far are written, nothing is scored, it exits 1.
+    claim loop runs once per config, each on fresh counters. It opens
+    that config's report file before the first claim, writes each
+    claim's line at its end, then writes the manifest. The first claim
+    after which an endpoint's circuit is open ends the run: the manifest
+    of the claims run so far is written, nothing is scored, it exits 1.
     """
     config = _assemble_run_config(args)
     if config.corpus_path is None:
@@ -214,32 +237,38 @@ def _run(args, ablations: list[AblationConfig] | None) -> int:
             if ablations is not None:
                 print(f"== {ablation.name} ==")
             gateway.counters = GatewayCounters()
-            reports, errors = [], []
-            for report in run_corpus(
-                gateway,
-                corpus.records,
-                thresholds=config.thresholds,
-                ablation=ablation,
-                reassess_true_only=config.reassess_true_only,
-                base_verdicts=base_verdicts,
-                alignment_classifier=alignment_classifier,
-                nli_classifier=nli_classifier,
-            ):
-                reports.append(report)
-                stage = report.failed
-                verdict = f"failed at {stage}" if stage else report.final_verdict.label.value
-                print(f"{report.id}: {verdict}")
-                # an open circuit would fail every later claim unasked: stop here
-                errors = list(filter(None, (endpoint.circuit_error() for endpoint in endpoints)))
-                if errors:
-                    break
+            # what the run keeps of each claim once its line is written
+            predictions: dict[str, Label | None] = {}
+            errors = []
+            with open(output_path, "w", encoding="utf-8") as out:
+                for report in run_corpus(
+                    gateway,
+                    corpus.records,
+                    thresholds=config.thresholds,
+                    ablation=ablation,
+                    reassess_true_only=config.reassess_true_only,
+                    base_verdicts=base_verdicts,
+                    alignment_classifier=alignment_classifier,
+                    nli_classifier=nli_classifier,
+                ):
+                    save_reports(out, [report])
+                    predictions[report.id] = prediction(report)
+                    stage = report.failed
+                    verdict = f"failed at {stage}" if stage else report.final_verdict.label.value
+                    print(f"{report.id}: {verdict}")
+                    del report  # nothing of it outlives its line
+                    # an open circuit would fail every later claim unasked: stop here
+                    errors = list(
+                        filter(None, (endpoint.circuit_error() for endpoint in endpoints))
+                    )
+                    if errors:
+                        break
 
-            save_reports(output_path, reports)
-            digest = hashlib.sha256(Path(output_path).read_bytes()).hexdigest()
+            digest = _file_digest(output_path)
             print(f"report digest: {digest}")
 
             # a stopped run lacks the predictions of the claims it did not reach
-            metrics = None if errors else score_reports(corpus.records, reports)
+            metrics = None if errors else score_reports(corpus.records, predictions)
             if metrics is not None:
                 print(format_table(metrics))
 
@@ -247,7 +276,7 @@ def _run(args, ablations: list[AblationConfig] | None) -> int:
             manifest = {
                 "ablation": ablation.name,
                 "backend_mode": config.backend.mode,
-                "n_claims": len(reports),
+                "n_claims": len(predictions),
                 "report_digest": digest,
                 "counters": asdict(gateway.counters),
                 "cache": gateway.cache.stats(),
@@ -264,8 +293,8 @@ def _run(args, ablations: list[AblationConfig] | None) -> int:
 
 
 def cmd_eval(args) -> int:
-    reports = load_reports(args.report)
-    metrics = score_reports(load_corpus(args.gold).records, reports)
+    predictions = {report.id: prediction(report) for report in load_reports(args.report)}
+    metrics = score_reports(load_corpus(args.gold).records, predictions)
     if metrics is None:
         raise EmptyInput("gold corpus contains no labeled records")
     print(format_table(metrics))

@@ -228,10 +228,8 @@ def config_from_dict(data: dict, overrides: dict | None = None) -> RunConfig:
     return config
 
 
-def load_config(path: str | Path | None, overrides: dict | None = None) -> RunConfig:
-    """The RunConfig of a YAML run configuration file (None: no file) and overrides."""
-    if path is None:
-        return config_from_dict({}, overrides)
+def read_config_file(path: str | Path) -> dict:
+    """The mapping a YAML run configuration file holds; ``config_from_dict`` checks it."""
     # imported here, so that a run without a config file never pays for it
     import yaml
 
@@ -242,7 +240,7 @@ def load_config(path: str | Path | None, overrides: dict | None = None) -> RunCo
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"config file {path} is not valid YAML: {exc}") from exc
-    return config_from_dict(data or {}, overrides)
+    return data or {}
 
 
 __all__ = [
@@ -255,5 +253,5 @@ __all__ = [
     "RunConfig",
     "Thresholds",
     "config_from_dict",
-    "load_config",
+    "read_config_file",
 ]

@@ -21,7 +21,8 @@ def regenerate() -> int:
     gateway = make_scenario_gateway()
     report = run_pipeline(gateway, record)
     target = data_path(SCENARIO_EXPECTED)
-    save_reports(target, [report])
+    with target.open("w", encoding="utf-8") as handle:
+        save_reports(handle, [report])
     print(f"wrote {target}")
     print(f"final verdict: {report.final_verdict.label.value}")
     return 0

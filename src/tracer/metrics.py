@@ -7,7 +7,7 @@ Ablations run the pipeline, so they live in ``tracer.cli``.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -107,31 +107,35 @@ def score_labels(gold: Sequence[Label], pred: Sequence[Label]) -> MetricsReport:
     return summarize(confusion_matrix(gold, pred))
 
 
-def score_reports(
-    records: Sequence[ClaimRecord], reports: Iterable[VerdictReport]
-) -> MetricsReport | None:
-    """Score each gold-labelled record against the report with its id.
+def prediction(report: VerdictReport) -> Label | None:
+    """The label a report predicts: its final label, or None for a failed claim."""
+    return None if report.failed is not None else report.final_verdict.label
 
-    Reports of other ids are ignored. None when no record has a gold
-    label; a gold record with no report is MissingPrediction, naming the
-    first such id in corpus order. A claim that failed (``report.failed``)
-    has no prediction: its fallback label is not scored, and it counts in
-    ``n_failed``.
+
+def score_reports(
+    records: Sequence[ClaimRecord], predictions: Mapping[str, Label | None]
+) -> MetricsReport | None:
+    """Score each gold-labelled record against the prediction for its id.
+
+    ``predictions`` maps a claim id to its ``prediction``. Other ids are
+    ignored. None when no record has a gold label; a gold record with no
+    entry is MissingPrediction, naming the first such id in corpus
+    order. A claim that failed (None) has no prediction: its fallback
+    label is not scored, and it counts in ``n_failed``.
     """
-    by_id = {report.id: report for report in reports}
     gold, pred = [], []
     n_failed = 0
     for record in records:
         if record.gold_label is None:
             continue
-        if record.id not in by_id:
+        if record.id not in predictions:
             raise MissingPrediction(record.id)
-        report = by_id[record.id]
-        if report.failed is not None:
+        label = predictions[record.id]
+        if label is None:
             n_failed += 1
             continue
         gold.append(record.gold_label)
-        pred.append(report.final_verdict.label)
+        pred.append(label)
     if gold:
         return replace(score_labels(gold, pred), n_failed=n_failed)
     if n_failed:
@@ -165,6 +169,7 @@ __all__ = [
     "confusion_matrix",
     "format_table",
     "per_class_prf",
+    "prediction",
     "score_labels",
     "score_reports",
     "summarize",

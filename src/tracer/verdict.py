@@ -452,8 +452,13 @@ def run_pipeline(
 # tuples become lists, so json needs no other hook.
 
 
+@functools.cache
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
 def _fields(obj) -> dict:
-    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    return {name: getattr(obj, name) for name in _field_names(type(obj))}
 
 
 def _dumps(report: VerdictReport) -> str:
@@ -524,11 +529,16 @@ def report_from_dict(data: dict) -> VerdictReport:
     return report
 
 
-def save_reports(path: str | Path, reports: list[VerdictReport]) -> None:
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for report in reports:
-            handle.write(_dumps(report))
-            handle.write("\n")
+def save_reports(handle: typing.TextIO, reports: list[VerdictReport]) -> None:
+    """Append one line per report to an open text file, flushing after each.
+
+    A run calls it at each claim's end, so a run that dies keeps the line
+    of every claim it finished.
+    """
+    for report in reports:
+        handle.write(_dumps(report))
+        handle.write("\n")
+        handle.flush()
 
 
 def load_reports(path: str | Path) -> list[VerdictReport]:

@@ -131,7 +131,8 @@ def test_shipped_scenario_reproduces_committed_report_byte_for_byte(tmp_path):
     assert "participation" in che_text
 
     out = tmp_path / "scenario.jsonl"
-    save_reports(out, [report])
+    with out.open("w", encoding="utf-8") as handle:
+        save_reports(handle, [report])
     assert out.read_bytes() == data_path(SCENARIO_EXPECTED).read_bytes()
     assert time.perf_counter() - started < 10.0
 

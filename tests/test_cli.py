@@ -263,6 +263,11 @@ def test_run_killed_at_a_claim_keeps_exactly_the_finished_claims_records(capsys,
         assert Path(f"{whole_cache}{suffix}").read_bytes().startswith(left), suffix
     with ResponseCache(killed_cache) as killed, ResponseCache(first_two_cache) as first:
         assert len(killed) == len(first) > 0
+    # the report holds the finished claims' lines, and no manifest says the run ended
+    kept = (tmp_path / "killed-reports.jsonl").read_bytes()
+    assert kept == (tmp_path / "first-two-reports.jsonl").read_bytes()
+    assert (tmp_path / "whole-reports.jsonl").read_bytes().startswith(kept)
+    assert not (tmp_path / "killed.manifest.json").exists()
     # the rerun answers claims 1-2 from the cache and finishes the rest
     assert run(whole, killed_cache, "rerun") == digest
 
@@ -505,11 +510,13 @@ def _run_memory_growth(tmp_path, n):
 
 
 def test_cold_mock_run_memory_grows_only_with_what_the_run_keeps(tmp_path):
-    # the peak rises about 11.5 KB per extra claim (Python 3.11, Linux); a
-    # mock that kept every prompt and text it answered made it 27.3 KB
+    # the peak rises about 3.4 KB per extra claim (Python 3.11, Linux),
+    # mostly the cache's index; a run that kept every report until its loop
+    # ended made it 11.3 KB, and a mock that also kept every prompt and text
+    # it answered 27.3 KB
     n = 100
     growth = _run_memory_growth(tmp_path, 4 * n) - _run_memory_growth(tmp_path, n)
-    assert growth / (3 * n) < 19 * 1024
+    assert growth / (3 * n) < 8 * 1024
 
 
 def test_run_without_corpus_exits_one(capsys, tmp_path):
@@ -1410,6 +1417,25 @@ def test_ablate_takes_neither_ablation_nor_manifest(capsys, tmp_path):
         assert code == 1
         assert f"unrecognized arguments: {' '.join(option)}" in err
         assert out == ""
+
+
+@pytest.mark.parametrize("ablation", ["cfg1", "cfg2"])
+def test_ablate_refuses_a_config_file_that_sets_ablation(capsys, tmp_path, ablation):
+    # ablate runs what --configs names, so the file's key would do nothing
+    config, work = tmp_path / "ab.yaml", tmp_path / "work"
+    config.write_text(f"ablation: {ablation}\n", encoding="utf-8")
+    work.mkdir()
+    cache = str(work / "cache.jsonl")
+    code, out, err = _ablate(
+        capsys, work, "--config", str(config), "--configs", "cfg1", "--cache", cache
+    )
+    assert code == 1
+    assert err == (
+        f"error: config file {config} sets ablation, which tracer ablate does not take "
+        "(name the configs with --configs)\n"
+    )
+    # no claim ran: nothing printed, and no report, manifest or cache written
+    assert out == "" and list(work.iterdir()) == []
 
 
 def test_ablate_with_nowhere_to_write_exits_one_before_any_claim(capsys, tmp_path):

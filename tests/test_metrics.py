@@ -15,6 +15,7 @@ from tracer.metrics import (
     confusion_matrix,
     format_table,
     per_class_prf,
+    prediction,
     score_labels,
     score_reports,
     summarize,
@@ -208,22 +209,26 @@ def _report(record_id, label, failed=None):
     )
 
 
+def _predictions(reports):
+    return {report.id: prediction(report) for report in reports}
+
+
 def test_score_reports_pairs_by_id_whatever_the_report_order():
     records = [_gold("a", T), _gold("b", H), _gold("c", F)]
     reports = [_report("c", H), _report("a", T), _report("b", H)]
-    assert score_reports(records, reports) == score_labels([T, H, F], [T, H, H])
+    assert score_reports(records, _predictions(reports)) == score_labels([T, H, F], [T, H, H])
 
 
 def test_score_reports_ignores_reports_of_other_ids_and_unlabeled_records():
     records = [_gold("a", T), ClaimRecord(id="u", claim="c"), _gold("b", H)]
     reports = [_report("x", F), _report("a", T), _report("u", F), _report("b", H)]
-    assert score_reports(records, reports) == score_labels([T, H], [T, H])
+    assert score_reports(records, _predictions(reports)) == score_labels([T, H], [T, H])
 
 
 def test_score_reports_names_the_first_gold_id_without_a_report():
     records = [_gold("a", T), _gold("b", H), _gold("c", F)]
     with pytest.raises(MissingPrediction) as raised:
-        score_reports(records, [_report("a", T)])
+        score_reports(records, _predictions([_report("a", T)]))
     assert raised.value.record_id == "b"
 
 
@@ -235,7 +240,7 @@ def test_score_reports_leaves_failed_claims_out_and_counts_them():
         _report("c", F, failed="base_verdict"),
         _report("d", T),
     ]
-    metrics = score_reports(records, reports)
+    metrics = score_reports(records, _predictions(reports))
     assert metrics.n == 2
     assert metrics.n_failed == 2
     assert metrics.accuracy == 1.0
@@ -250,7 +255,7 @@ def test_score_reports_when_every_gold_claim_failed_has_only_counts():
         _report("u", F),
         _report("b", F, failed="base_verdict"),
     ]
-    metrics = score_reports(records, reports)
+    metrics = score_reports(records, _predictions(reports))
     assert metrics.n == 0
     assert metrics.n_failed == 2
     assert metrics.as_dict() == {
@@ -266,8 +271,8 @@ def test_score_reports_when_every_gold_claim_failed_has_only_counts():
 
 def test_score_reports_without_gold_is_none():
     records = [ClaimRecord(id="u", claim="c")]
-    assert score_reports(records, [_report("u", T)]) is None
-    assert score_reports([], []) is None
+    assert score_reports(records, _predictions([_report("u", T)])) is None
+    assert score_reports([], {}) is None
 
 
 # -- ablation harness ------------------------------------------------------------
@@ -364,8 +369,8 @@ def test_ablate_reports_score_against_gold(tmp_path, capsys):
     records = _records(gold=Label.HALF_TRUE)
     results, _ = _ablate(tmp_path, capsys, records)
     # base CoT says True; the full pipeline revises to Half-True
-    assert score_reports(records, results["cfg1"][1]).accuracy == 0.0
-    assert score_reports(records, results["cfg4"][1]).accuracy == 1.0
+    assert score_reports(records, _predictions(results["cfg1"][1])).accuracy == 0.0
+    assert score_reports(records, _predictions(results["cfg4"][1])).accuracy == 1.0
 
 
 def test_ablate_without_gold_labels_prints_no_scores(tmp_path, capsys):
@@ -380,7 +385,9 @@ def test_ablate_without_gold_labels_prints_no_scores(tmp_path, capsys):
         ruling=records[0].ruling,
     )
     results, out = _ablate(tmp_path, capsys, records)
-    assert all(score_reports(records, reports) is None for _, reports in results.values())
+    assert all(
+        score_reports(records, _predictions(reports)) is None for _, reports in results.values()
+    )
     assert all(len(reports) == 1 for _, reports in results.values())
     assert "accuracy" not in out and "n_failed" not in out
 

@@ -52,7 +52,8 @@ from conftest import make_gateway, served, synthetic_script
 def _saved_line(tmp_path, report) -> str:
     """The line ``save_reports`` writes for one report."""
     path = tmp_path / "saved-report.jsonl"
-    save_reports(path, [report])
+    with path.open("w", encoding="utf-8") as handle:
+        save_reports(handle, [report])
     return path.read_text(encoding="utf-8")
 
 
@@ -1095,7 +1096,8 @@ def test_pipeline_answer_with_a_lone_surrogate_fails_only_its_stage(tmp_path):
         assert status["intent"].status == "failed"
         assert "BackendError" in status["intent"].detail
         assert "not valid Unicode" in status["intent"].detail
-    save_reports(tmp_path / "reports.jsonl", reports)
+    with (tmp_path / "reports.jsonl").open("w", encoding="utf-8") as handle:
+        save_reports(handle, reports)
     gateway.cache.close()
     with ResponseCache(path) as reloaded:
         assert len(reloaded) == len(gateway.cache)
@@ -1150,7 +1152,8 @@ def test_save_and_load_reports(tmp_path):
     gateway, _ = _pipeline_gateway()
     reports = [run_pipeline(gateway, _record())]
     path = tmp_path / "reports.jsonl"
-    save_reports(path, reports)
+    with path.open("w", encoding="utf-8") as handle:
+        save_reports(handle, reports)
     assert load_reports(path) == reports
 
 
@@ -1230,7 +1233,8 @@ def test_load_reports_reads_an_int_float_as_a_float_and_saves_it_as_the_pipeline
     [report] = load_reports(reports)
     assert type(report.aligned_evidence[0].similarity) is float
     saved = tmp_path / "saved.jsonl"
-    save_reports(saved, [report])
+    with saved.open("w", encoding="utf-8") as handle:
+        save_reports(handle, [report])
     assert saved.read_bytes() == as_float.encode("utf-8")
 
 
