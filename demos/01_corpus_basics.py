@@ -2,13 +2,7 @@
 
 import datetime
 
-from tracer.corpus import (
-    Corpus,
-    Split,
-    consolidate_label,
-    record_from_article,
-    temporal_filter,
-)
+from tracer.corpus import consolidate_label, record_from_article, temporal_filter
 from tracer.fixtures import generate_synthetic_corpus
 
 print("Six source ratings collapse onto three labels:")
@@ -37,10 +31,9 @@ print(f"  label:    {record.gold_label.value}")
 print()
 print("Temporal filtering drops training claims inside the test date range:")
 train = generate_synthetic_corpus(seed=1, n=40)
-train.split = Split.TRAIN
 test = generate_synthetic_corpus(seed=2, n=10)
-test_dates = [r.date for r in test.records]
+test_dates = [r.date for r in test]
 print(f"  test range: {min(test_dates)} .. {max(test_dates)}")
-filtered = temporal_filter(train, test)
-print(f"  train records: {len(train.records)} -> {len(filtered.records)}")
-print(f"  diagnostics:   {filtered.diagnostics}")
+kept, diagnostics = temporal_filter(train, test)
+print(f"  train records: {len(train)} -> {len(kept)}")
+print(f"  diagnostics:   {diagnostics}")

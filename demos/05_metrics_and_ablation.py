@@ -24,7 +24,7 @@ print()
 print("Ablation over the shipped scenario (one claim, gold Half-True).")
 print("One `tracer ablate` runs every config over one gateway and one cache:")
 corpus = str(data_path(SCENARIO_CLAIM))
-records = load_corpus(corpus).records
+records = load_corpus(corpus)
 with tempfile.TemporaryDirectory() as out:
     output = Path(out) / "ab.jsonl"
     argv = ["ablate", "--corpus", corpus, "--mock", str(data_path(SCENARIO_MOCK))]

@@ -37,18 +37,17 @@ import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import Iterable, Iterator
 
 from .config import (
     ABLATION_CONFIGS, CONFIG_KEYS, RUN_OPTIONS, AblationConfig, RunConfig, config_from_dict,
     read_config_file,
 )
-from .corpus import ClaimRecord, Label, load_corpus, save_corpus
+from .corpus import Label, label_counts, load_corpus, save_corpus
 from .errors import ConfigError, EmptyInput, ParseError, TracerError
 from .gateway import Endpoint, Gateway, GatewayCounters, LiveBackend, MockScript, ResponseCache
 from .gateway.cache import remove_cache_files
 from .metrics import format_table, prediction, score_reports
-from .verdict import VerdictReport, load_base_verdicts, load_reports, run_pipeline, save_reports
+from .verdict import load_base_verdicts, load_reports, run_pipeline, save_reports
 
 
 class _Parser(argparse.ArgumentParser):
@@ -143,35 +142,20 @@ def _build_gateway(config: RunConfig) -> Gateway:
     return Gateway(backend=backend, cache=ResponseCache(config.cache_path))
 
 
-# -- running a corpus ----------------------------------------------------
-
-
-def run_corpus(
-    gateway: Gateway, records: Iterable[ClaimRecord], **options
-) -> Iterator[VerdictReport]:
-    """Yield one report per record, in corpus order.
-
-    ``options`` go to ``run_pipeline``, looked up as this module's global
-    so that a wrapper put in its place sees every claim.
-    """
-    for record in records:
-        yield run_pipeline(gateway, record, **options)
-
-
 # -- command handlers ----------------------------------------------------
 
 
 def cmd_ingest(args) -> int:
-    corpus = load_corpus(args.input)
-    counts = corpus.label_counts()
+    records = load_corpus(args.input)
+    counts = label_counts(records)
     print(
         f"True={counts[Label.TRUE]} "
         f"HalfTrue={counts[Label.HALF_TRUE]} "
         f"False={counts[Label.FALSE]}"
     )
-    print(f"records={len(corpus.records)}")
+    print(f"records={len(records)}")
     if args.output:
-        save_corpus(corpus, args.output)
+        save_corpus(records, args.output)
         print(f"wrote {args.output}")
     return 0
 
@@ -222,7 +206,7 @@ def _run(args, ablations: list[AblationConfig] | None) -> int:
 
     # the inputs load before the Gateway opens its cache file, which opening
     # creates, so that a bad input leaves no cache file behind
-    corpus = load_corpus(config.corpus_path)
+    records = load_corpus(config.corpus_path)
     base_verdicts = config.base_verdicts_path and load_base_verdicts(config.base_verdicts_path)
     gateway = _build_gateway(config)
     with gateway.cache:
@@ -232,6 +216,13 @@ def _run(args, ablations: list[AblationConfig] | None) -> int:
         endpoints = [endpoint for endpoint in classifiers if endpoint is not None]
         if isinstance(gateway.backend, LiveBackend):
             endpoints += gateway.backend.endpoints
+        options = dict(
+            thresholds=config.thresholds,
+            reassess_true_only=config.reassess_true_only,
+            base_verdicts=base_verdicts,
+            alignment_classifier=alignment_classifier,
+            nli_classifier=nli_classifier,
+        )
 
         for ablation, output_path in runs:
             if ablations is not None:
@@ -241,16 +232,9 @@ def _run(args, ablations: list[AblationConfig] | None) -> int:
             predictions: dict[str, Label | None] = {}
             errors = []
             with open(output_path, "w", encoding="utf-8") as out:
-                for report in run_corpus(
-                    gateway,
-                    corpus.records,
-                    thresholds=config.thresholds,
-                    ablation=ablation,
-                    reassess_true_only=config.reassess_true_only,
-                    base_verdicts=base_verdicts,
-                    alignment_classifier=alignment_classifier,
-                    nli_classifier=nli_classifier,
-                ):
+                for record in records:
+                    # a global lookup, so that a wrapper put in its place sees every claim
+                    report = run_pipeline(gateway, record, ablation=ablation, **options)
                     save_reports(out, [report])
                     predictions[report.id] = prediction(report)
                     stage = report.failed
@@ -268,7 +252,7 @@ def _run(args, ablations: list[AblationConfig] | None) -> int:
             print(f"report digest: {digest}")
 
             # a stopped run lacks the predictions of the claims it did not reach
-            metrics = None if errors else score_reports(corpus.records, predictions)
+            metrics = None if errors else score_reports(records, predictions)
             if metrics is not None:
                 print(format_table(metrics))
 
@@ -294,7 +278,7 @@ def _run(args, ablations: list[AblationConfig] | None) -> int:
 
 def cmd_eval(args) -> int:
     predictions = {report.id: prediction(report) for report in load_reports(args.report)}
-    metrics = score_reports(load_corpus(args.gold).records, predictions)
+    metrics = score_reports(load_corpus(args.gold), predictions)
     if metrics is None:
         raise EmptyInput("gold corpus contains no labeled records")
     print(format_table(metrics))

@@ -30,14 +30,8 @@ class Label(str, Enum):
     FALSE = "False"
 
 
-#: Canonical layout order for reports and confusion matrices.
+#: Canonical layout order for reports and score tables.
 LABELS: tuple[Label, ...] = (Label.TRUE, Label.HALF_TRUE, Label.FALSE)
-
-
-class Split(str, Enum):
-    TRAIN = "train"
-    DEV = "dev"
-    TEST = "test"
 
 
 #: Consolidation of the six source ratings (normalized form -> label).
@@ -53,17 +47,10 @@ RATING_MAP: dict[str, Label] = {
 #: Paragraph prefixes that open the ruling segment of a verdict article.
 DEFAULT_RULING_CUES: tuple[str, ...] = ("our ruling", "our rating")
 
-#: Flag set on records whose article had no recognizable ruling cue.
-MISSING_CUE_FLAG = "missing_ruling_cue"
-
 
 @dataclass
 class ClaimRecord:
-    """One claim with its evidence sentences and ruling paragraphs.
-
-    ``flags`` carries in-memory diagnostics (e.g. a missing ruling cue)
-    and is not part of the file format.
-    """
+    """One claim with its evidence sentences and ruling paragraphs."""
 
     id: str
     claim: str
@@ -72,27 +59,15 @@ class ClaimRecord:
     gold_label: Label | None = None
     evidence: list[str] = field(default_factory=list)
     ruling: list[str] = field(default_factory=list)
-    flags: list[str] = field(default_factory=list)
 
 
-@dataclass
-class Corpus:
-    """A validated list of records for one split.
-
-    ``diagnostics`` accumulates load/transform counters (per-label counts,
-    undated records retained by the temporal filter, ...). In-memory only.
-    """
-
-    split: Split
-    records: list[ClaimRecord] = field(default_factory=list)
-    diagnostics: dict = field(default_factory=dict)
-
-    def label_counts(self) -> dict[Label, int]:
-        counts = {label: 0 for label in LABELS}
-        for record in self.records:
-            if record.gold_label is not None:
-                counts[record.gold_label] += 1
-        return counts
+def label_counts(records: Sequence[ClaimRecord]) -> dict[Label, int]:
+    """Gold-labelled records per label, in layout order."""
+    counts = {label: 0 for label in LABELS}
+    for record in records:
+        if record.gold_label is not None:
+            counts[record.gold_label] += 1
+    return counts
 
 
 def normalize_rating(rating: str) -> str:
@@ -128,8 +103,7 @@ def record_from_article(
 
     The first paragraph whose normalized prefix matches a cue starts the
     ruling, and belongs to it; the paragraphs before it are the evidence.
-    With no cue present, everything is evidence, the ruling is empty and
-    the record is flagged with MISSING_CUE_FLAG.
+    With no cue present, everything is evidence and the ruling is empty.
     """
     if not paragraphs:
         raise ValueError("paragraph list must be non-empty")
@@ -139,7 +113,6 @@ def record_from_article(
         len(paragraphs),
     )
     evidence, ruling = list(paragraphs[:start]), list(paragraphs[start:])
-    flags = [] if ruling else [MISSING_CUE_FLAG]
     gold = consolidate_label(raw_rating) if raw_rating else None
     return ClaimRecord(
         id=record_id,
@@ -149,38 +122,27 @@ def record_from_article(
         gold_label=gold,
         evidence=evidence,
         ruling=ruling,
-        flags=flags,
     )
 
 
-def temporal_filter(train: Corpus, test: Corpus) -> Corpus:
-    """Drop train records dated within the test split's date range.
+def temporal_filter(
+    train: list[ClaimRecord], test: list[ClaimRecord]
+) -> tuple[list[ClaimRecord], dict]:
+    """``(kept, diagnostics)``: the train records dated outside the test range.
 
     The range is closed on both ends, at day precision. Undated train
-    records are retained and counted in the diagnostics.
+    records are kept and counted in the diagnostics.
     """
-    test_dates = [r.date for r in test.records if r.date is not None]
+    test_dates = [r.date for r in test if r.date is not None]
     if not test_dates:
         raise EmptyTestDates("no test record carries a date")
     lo, hi = min(test_dates), max(test_dates)
-
-    kept: list[ClaimRecord] = []
-    undated = 0
-    for record in train.records:
-        if record.date is None:
-            undated += 1
-            kept.append(record)
-        elif not (lo <= record.date <= hi):
-            kept.append(record)
-    return Corpus(
-        split=train.split,
-        records=kept,
-        diagnostics={
-            "undated_retained": undated,
-            "removed_by_date": len(train.records) - len(kept),
-            "test_range": (lo.isoformat(), hi.isoformat()),
-        },
-    )
+    kept = [r for r in train if r.date is None or not lo <= r.date <= hi]
+    return kept, {
+        "undated_retained": sum(r.date is None for r in train),
+        "removed_by_date": len(train) - len(kept),
+        "test_range": (lo.isoformat(), hi.isoformat()),
+    }
 
 
 def _record_to_dict(record: ClaimRecord) -> dict:
@@ -247,6 +209,8 @@ def _validate_record(record: ClaimRecord) -> None:
     if not record.claim or not record.claim.strip():
         raise ValidationError(record.id, "claim text is empty")
     if record.raw_rating is not None and record.gold_label is not None:
+        if not record.raw_rating.strip():
+            raise ValidationError(record.id, "raw_rating is blank")
         expected = consolidate_label(record.raw_rating)
         if expected is not record.gold_label:
             raise ValidationError(
@@ -259,14 +223,19 @@ def _validate_record(record: ClaimRecord) -> None:
 def read_json_lines(path: str | Path) -> Iterator[tuple[int, object]]:
     """``(line number, decoded value)`` for each non-blank line of a JSON-lines file.
 
-    A line that is not JSON, or whose ``\\u`` escapes give a lone
-    surrogate (which no UTF-8 file, cache key or report can hold), is a
-    ParseError naming the line.
+    A line that is not UTF-8, is not JSON, or whose ``\\u`` escapes give
+    a lone surrogate (which no UTF-8 file, cache key or report can hold),
+    is a ParseError naming the line.
     """
-    with Path(path).open("r", encoding="utf-8") as handle:
+    # bytes that are not UTF-8 read as lone surrogates, refused with their line
+    with Path(path).open("r", encoding="utf-8", errors="surrogateescape") as handle:
         for line_number, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ParseError(line_number, "text is not UTF-8") from None
             try:
                 payload = json.loads(line)
             except json.JSONDecodeError as exc:
@@ -279,15 +248,13 @@ def read_json_lines(path: str | Path) -> Iterator[tuple[int, object]]:
             yield line_number, payload
 
 
-def load_corpus(path: str | Path, split: Split | str = Split.TEST) -> Corpus:
+def load_corpus(path: str | Path) -> list[ClaimRecord]:
     """Load and validate a line-delimited corpus file.
 
     Raises ParseError (with the offending line number) for undecodable
     lines, a lone surrogate among them, and ValidationError (naming the
-    record id) for duplicate ids or inconsistent labels. Per-label
-    counts land in corpus.diagnostics.
+    record id) for duplicate ids or inconsistent labels.
     """
-    split = Split(split)
     records: list[ClaimRecord] = []
     seen_ids: set[str] = set()
     for line_number, payload in read_json_lines(path):
@@ -297,21 +264,16 @@ def load_corpus(path: str | Path, split: Split | str = Split.TEST) -> Corpus:
         seen_ids.add(record.id)
         _validate_record(record)
         records.append(record)
-    corpus = Corpus(split=split, records=records)
-    corpus.diagnostics["label_counts"] = {
-        label.value: n for label, n in corpus.label_counts().items()
-    }
-    corpus.diagnostics["n_records"] = len(records)
-    return corpus
+    return records
 
 
-def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write a corpus in the canonical line-delimited form.
+def save_corpus(records: Sequence[ClaimRecord], path: str | Path) -> None:
+    """Write records in the canonical line-delimited form.
 
     Key order is fixed, so save -> load -> save is byte-identical.
     """
     path = Path(path)
     with path.open("w", encoding="utf-8") as handle:
-        for record in corpus.records:
+        for record in records:
             handle.write(json.dumps(_record_to_dict(record), ensure_ascii=False))
             handle.write("\n")

@@ -158,11 +158,6 @@ class EmptyJustification(TracerError):
 # Evaluation / CLI
 
 
-class LengthMismatch(TracerError):
-    def __init__(self, n_gold: int, n_pred: int):
-        super().__init__(f"gold has {n_gold} labels, predictions have {n_pred}")
-
-
 class EmptyInput(TracerError):
     """Metrics requested over zero claims."""
 

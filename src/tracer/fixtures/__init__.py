@@ -1,8 +1,7 @@
 """Shipped test assets.
 
 A single end-to-end scenario (claim record, mock script, committed
-expected report), a corpus of malformed model responses for the parser
-robustness suite, and a seeded synthetic corpus generator. The expected
+expected report) and a seeded synthetic corpus generator. The expected
 report is a committed artifact; regenerate it only deliberately, via
 ``python -m tracer.fixtures regenerate``.
 """
@@ -10,14 +9,12 @@ report is a committed artifact; regenerate it only deliberately, via
 from __future__ import annotations
 
 import datetime
-import json
 import random
 from importlib import resources
 from pathlib import Path
 
-from ..corpus import ClaimRecord, Corpus, Split, consolidate_label
+from ..corpus import ClaimRecord, consolidate_label, load_corpus
 from ..gateway import Gateway, MockScript, ResponseCache
-from ..verdict import VerdictReport, load_reports
 
 _RATING_CYCLE = ("True", "Mostly True", "Half True", "Mostly False", "False", "Pants on Fire")
 
@@ -29,13 +26,10 @@ def data_path(name: str) -> Path:
 SCENARIO_CLAIM = "scenario_claim.jsonl"
 SCENARIO_MOCK = "scenario_mock.json"
 SCENARIO_EXPECTED = "scenario_expected.jsonl"
-MALFORMED_RESPONSES = "malformed_responses.json"
 
 
 def load_scenario_record() -> ClaimRecord:
-    from ..corpus import load_corpus
-
-    return load_corpus(data_path(SCENARIO_CLAIM)).records[0]
+    return load_corpus(data_path(SCENARIO_CLAIM))[0]
 
 
 def load_scenario_script() -> MockScript:
@@ -47,16 +41,7 @@ def make_scenario_gateway() -> Gateway:
     return Gateway(backend=load_scenario_script(), cache=ResponseCache())
 
 
-def load_expected_report() -> VerdictReport:
-    return load_reports(data_path(SCENARIO_EXPECTED))[0]
-
-
-def load_malformed_responses() -> list[dict]:
-    with data_path(MALFORMED_RESPONSES).open("r", encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def generate_synthetic_corpus(seed: int, n: int) -> Corpus:
+def generate_synthetic_corpus(seed: int, n: int) -> list[ClaimRecord]:
     """Deterministic well-formed corpus for round-trip and ingest tests."""
     rng = random.Random(seed)
     records = []
@@ -83,18 +68,15 @@ def generate_synthetic_corpus(seed: int, n: int) -> Corpus:
                 ],
             )
         )
-    return Corpus(split=Split.TEST, records=records)
+    return records
 
 
 __all__ = [
-    "MALFORMED_RESPONSES",
     "SCENARIO_CLAIM",
     "SCENARIO_EXPECTED",
     "SCENARIO_MOCK",
     "data_path",
     "generate_synthetic_corpus",
-    "load_expected_report",
-    "load_malformed_responses",
     "load_scenario_record",
     "load_scenario_script",
     "make_scenario_gateway",

@@ -1,36 +1,17 @@
-"""Scoring: three-way confusion matrix, per-class precision/recall/F1,
-accuracy, macro-F1, and the dedicated Half-True F1 the half-truth task
-is judged on, from label lists or from a corpus and its verdict reports.
-Ablations run the pipeline, so they live in ``tracer.cli``.
+"""Scoring: per-class precision, recall and F1, accuracy, macro-F1 and the
+Half-True F1 the half-truth task is judged on, from two label lists
+(``score_labels``) or from a corpus and its predictions (``score_reports``).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .corpus import LABELS, ClaimRecord, Label
-from .errors import EmptyInput, LengthMismatch, MissingPrediction
+from .errors import EmptyInput, MissingPrediction
 from .verdict import VerdictReport
-
-_INDEX = {label: i for i, label in enumerate(LABELS)}
-
-
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """Counts indexed (gold, predicted) in the fixed label order."""
-
-    counts: tuple[tuple[int, ...], ...]
-
-    @property
-    def total(self) -> int:
-        return int(np.sum(self.array))
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.array(self.counts, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -61,50 +42,32 @@ class MetricsReport:
         }
 
 
-def confusion_matrix(gold: Sequence[Label], pred: Sequence[Label]) -> ConfusionMatrix:
+def score_labels(gold: Sequence[Label], pred: Sequence[Label]) -> MetricsReport:
+    """Scores of ``pred`` against ``gold``, paired by position; a zero denominator scores 0."""
     if len(gold) != len(pred):
-        raise LengthMismatch(len(gold), len(pred))
+        raise ValueError(f"gold has {len(gold)} labels, predictions have {len(pred)}")
     if not gold:
         raise EmptyInput("cannot score zero claims")
-    counts = np.zeros((len(LABELS), len(LABELS)), dtype=np.int64)
-    for g, p in zip(gold, pred):
-        counts[_INDEX[g], _INDEX[p]] += 1
-    return ConfusionMatrix(counts=tuple(tuple(int(x) for x in row) for row in counts))
-
-
-def per_class_prf(matrix: ConfusionMatrix, label: Label) -> tuple[float, float, float]:
-    """Precision, recall, F1 for one class; zero denominators score 0."""
-    counts = matrix.array
-    i = _INDEX[label]
-    tp = counts[i, i]
-    fp = counts[:, i].sum() - tp
-    fn = counts[i, :].sum() - tp
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return float(precision), float(recall), float(f1)
-
-
-def summarize(matrix: ConfusionMatrix) -> MetricsReport:
-    counts = matrix.array
+    counts = Counter(zip(gold, pred))  # (gold, predicted) -> claims
     per_class = {}
     for label in LABELS:
-        precision, recall, f1 = per_class_prf(matrix, label)
+        tp = counts[label, label]
+        predicted = sum(counts[other, label] for other in LABELS)
+        actual = sum(counts[label, other] for other in LABELS)
+        precision = tp / predicted if predicted else 0.0
+        recall = tp / actual if actual else 0.0
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
         per_class[label] = {"precision": precision, "recall": recall, "f1": f1}
     # macro-F1 averages the full three-label universe even when a label
     # never occurs, so scores stay comparable across corpora
     macro_f1 = sum(per_class[label]["f1"] for label in LABELS) / len(LABELS)
     return MetricsReport(
-        accuracy=float(np.trace(counts) / counts.sum()),
+        accuracy=sum(counts[label, label] for label in LABELS) / len(gold),
         per_class=per_class,
         macro_f1=macro_f1,
         f1_half_true=per_class[Label.HALF_TRUE]["f1"],
-        n=int(counts.sum()),
+        n=len(gold),
     )
-
-
-def score_labels(gold: Sequence[Label], pred: Sequence[Label]) -> MetricsReport:
-    return summarize(confusion_matrix(gold, pred))
 
 
 def prediction(report: VerdictReport) -> Label | None:
@@ -164,13 +127,9 @@ def format_table(report: MetricsReport) -> str:
 
 
 __all__ = [
-    "ConfusionMatrix",
     "MetricsReport",
-    "confusion_matrix",
     "format_table",
-    "per_class_prf",
     "prediction",
     "score_labels",
     "score_reports",
-    "summarize",
 ]

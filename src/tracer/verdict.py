@@ -448,22 +448,15 @@ def run_pipeline(
 # -- report serialization ------------------------------------------------
 #
 # A report line is its dataclasses: every field in declaration order,
-# nulls included, nested dataclasses alike. Enums are str subclasses and
-# tuples become lists, so json needs no other hook.
-
-
-@functools.cache
-def _field_names(cls) -> tuple[str, ...]:
-    return tuple(f.name for f in dataclasses.fields(cls))
-
-
-def _fields(obj) -> dict:
-    return {name: getattr(obj, name) for name in _field_names(type(obj))}
+# nulls included, nested dataclasses alike. A report dataclass has no
+# slots and no attribute but its fields, so its ``vars`` are its fields
+# in that order. Enums are str subclasses and tuples become lists, so
+# json needs no other hook.
 
 
 def _dumps(report: VerdictReport) -> str:
-    line = {"schema_version": REPORT_SCHEMA_VERSION, **_fields(report)}
-    return json.dumps(line, default=_fields, ensure_ascii=False)
+    line = {"schema_version": REPORT_SCHEMA_VERSION, **vars(report)}
+    return json.dumps(line, default=vars, ensure_ascii=False)
 
 
 _type_hints = functools.cache(typing.get_type_hints)

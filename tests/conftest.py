@@ -6,14 +6,19 @@ import json
 import math
 import random
 from dataclasses import dataclass
+from pathlib import Path
 from typing import NamedTuple
 
 import pytest
 
 from tracer.corpus import LABELS, Label
 from tracer.errors import TracerError
-from tracer.fixtures import SCENARIO_MOCK, data_path
+from tracer.fixtures import SCENARIO_EXPECTED, SCENARIO_MOCK, data_path
 from tracer.gateway import Gateway, MockScript, ResponseCache
+from tracer.verdict import VerdictReport, load_reports
+
+#: Malformed model responses, one entry per case, for the parser robustness suite.
+MALFORMED_RESPONSES = Path(__file__).parent / "data" / "malformed_responses.json"
 
 
 class Call(NamedTuple):
@@ -55,6 +60,15 @@ class Recorder:
             for (template, prompt), answer in zip(items, answers)
             if not isinstance(answer, TracerError)
         ]
+
+
+def load_expected_report() -> VerdictReport:
+    """The scenario's committed report, as ``python -m tracer.fixtures regenerate`` wrote it."""
+    return load_reports(data_path(SCENARIO_EXPECTED))[0]
+
+
+def load_malformed_responses() -> list[dict]:
+    return json.loads(MALFORMED_RESPONSES.read_text(encoding="utf-8"))
 
 
 def make_gateway(

@@ -23,10 +23,9 @@ from tracer.config import Thresholds
 from tracer.corpus import (
     LABELS,
     ClaimRecord,
-    Corpus,
     Label,
-    Split,
     consolidate_label,
+    label_counts,
     load_corpus,
     save_corpus,
 )
@@ -37,7 +36,6 @@ from tracer.fixtures import (
     SCENARIO_MOCK,
     data_path,
     generate_synthetic_corpus,
-    load_malformed_responses,
     load_scenario_record,
     make_scenario_gateway,
 )
@@ -45,7 +43,9 @@ from tracer.gateway import Embedding, Gateway, MockScript, ResponseCache
 from tracer.metrics import score_labels
 from tracer.verdict import load_reports, run_pipeline, save_reports
 
-from conftest import Recorder, generate_random_fixture, make_retrieval_fixture, served
+from conftest import (
+    Recorder, generate_random_fixture, load_malformed_responses, make_retrieval_fixture, served,
+)
 from test_parser_robustness import _RUNNERS, _expected_error
 
 
@@ -235,7 +235,7 @@ def test_ablation_configs_gate_stage_calls_exactly(tmp_path, capsys):
         ],
     }
     corpus, script = tmp_path / "corpus.jsonl", tmp_path / "script.json"
-    save_corpus(Corpus(split=Split.TEST, records=[record]), corpus)
+    save_corpus([record], corpus)
     script.write_text(json.dumps(script_dict), encoding="utf-8")
     argv = ["ablate", "--corpus", str(corpus), "--mock", str(script)]
     assert cli_main([*argv, "--output", str(tmp_path / "ab.jsonl")]) == 0
@@ -389,7 +389,7 @@ def test_corpus_ingest_emit_ingest_is_fixpoint(tmp_path, capsys):
 
     assert once.read_bytes() == twice.read_bytes()
     reloaded = load_corpus(twice)
-    assert len(reloaded.records) == 50
+    assert len(reloaded) == 50
 
 
 _OFFICIAL_DATA_ENV = "TRACER_OFFICIAL_DATA_DIR"
@@ -409,8 +409,7 @@ _OFFICIAL_DISTRIBUTION = {
 def test_official_corpus_label_distribution_when_provided():
     root = Path(os.environ[_OFFICIAL_DATA_ENV])
     for split, (n_true, n_half, n_false) in _OFFICIAL_DISTRIBUTION.items():
-        corpus = load_corpus(root / f"{split}.jsonl", split=split)
-        counts = corpus.label_counts()
+        counts = label_counts(load_corpus(root / f"{split}.jsonl"))
         assert counts[Label.TRUE] == n_true, split
         assert counts[Label.HALF_TRUE] == n_half, split
         assert counts[Label.FALSE] == n_false, split

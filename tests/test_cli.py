@@ -17,7 +17,7 @@ import pytest
 import tracer.cli
 from tracer.cli import main
 from tracer.config import ABLATION_CONFIGS, RUN_OPTIONS
-from tracer.corpus import Corpus, Split, save_corpus
+from tracer.corpus import save_corpus
 from tracer.fixtures import (
     SCENARIO_CLAIM,
     SCENARIO_EXPECTED,
@@ -102,6 +102,27 @@ def test_non_string_claim_or_rating_exits_one_naming_the_line(
     code, _, err = run_cli(capsys, *argv)
     assert code == 1
     assert f"error: line 2: {message}" in err
+
+
+def test_ingest_a_line_that_is_not_utf8_exits_one_naming_the_line(capsys, tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b'{"id": "a", "claim": "fine"}\n{"id": "b", "claim": "caf\xff"}\n')
+    code, out, err = run_cli(capsys, "ingest", "--input", str(path))
+    assert code == 1
+    assert err == "error: line 2: text is not UTF-8\n"
+    assert out == ""
+
+
+@pytest.mark.parametrize("rating", ["", "  "])
+def test_ingest_a_blank_rating_beside_a_gold_label_exits_two_naming_the_record(
+    capsys, tmp_path, rating
+):
+    path = tmp_path / "blank.jsonl"
+    row = {"id": "b", "claim": "c", "raw_rating": rating, "gold_label": "True"}
+    path.write_text('{"id": "a", "claim": "fine"}\n' + json.dumps(row) + "\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, "ingest", "--input", str(path))
+    assert code == 2
+    assert err == "error: record 'b': raw_rating is blank\n"
 
 
 def test_ingest_missing_file_exits_one(capsys, tmp_path):
@@ -220,10 +241,10 @@ sys.exit(tracer.cli.main(sys.argv[1:]))
 def test_run_killed_at_a_claim_keeps_exactly_the_finished_claims_records(capsys, tmp_path):
     script = tmp_path / "synthetic.json"
     script.write_text(json.dumps(synthetic_script(8)), encoding="utf-8")
-    records = generate_synthetic_corpus(seed=31, n=5).records
+    records = generate_synthetic_corpus(seed=31, n=5)
     first_two, whole = tmp_path / "first-two.jsonl", tmp_path / "whole.jsonl"
-    save_corpus(Corpus(split=Split.TEST, records=records[:2]), first_two)
-    save_corpus(Corpus(split=Split.TEST, records=records), whole)
+    save_corpus(records[:2], first_two)
+    save_corpus(records, whole)
 
     def run_args(corpus, cache, tag):
         return [
@@ -290,7 +311,7 @@ def _scenario_copies(tmp_path, ids) -> str:
     record = load_scenario_record()
     path = tmp_path / "copies.jsonl"
     records = [dataclasses.replace(record, id=record_id) for record_id in ids]
-    save_corpus(Corpus(split=Split.TEST, records=records), path)
+    save_corpus(records, path)
     return str(path)
 
 
@@ -448,6 +469,19 @@ def test_run_corpus_with_a_lone_surrogate_exits_one_naming_the_line(capsys, tmp_
     )
     assert code == 1
     assert "error: line 1: text is not valid Unicode" in err
+
+
+def test_run_base_verdicts_not_utf8_exits_one_before_any_claim(capsys, tmp_path):
+    verdicts = tmp_path / "verdicts.jsonl"
+    verdicts.write_bytes(
+        b'{"id": "x", "label": "False", "justification": "fine"}\n'
+        b'{"id": "scenario-001", "label": "True", "justification": "ok \xff reasons"}\n'
+    )
+    code, out, err, out_path = _run_scenario(capsys, tmp_path, "--base-verdicts", str(verdicts))
+    assert code == 1
+    assert "error: line 2: text is not UTF-8" in err
+    assert "scenario-001" not in out
+    assert not out_path.exists()
 
 
 def test_run_base_verdicts_with_a_lone_surrogate_exits_one_before_any_claim(capsys, tmp_path):
@@ -1281,6 +1315,19 @@ def test_eval_report_with_a_lone_surrogate_exits_one_naming_the_line(capsys, tmp
     )
     assert code == 1
     assert "error: line 2: text is not valid Unicode" in err
+    assert out == ""
+
+
+def test_eval_report_not_utf8_exits_one_naming_the_line(capsys, tmp_path):
+    code, _, _, report_path = _run_scenario(capsys, tmp_path)
+    assert code == 0
+    line = report_path.read_bytes().replace(b"scenario-001", b"scenario-\xff", 1)
+    report_path.write_bytes(b"\n" + line)
+    code, out, err = run_cli(
+        capsys, "eval", "--report", str(report_path), "--gold", SCENARIO_CORPUS
+    )
+    assert code == 1
+    assert err == "error: line 2: text is not UTF-8\n"
     assert out == ""
 
 

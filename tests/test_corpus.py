@@ -7,12 +7,10 @@ import pytest
 
 from tracer.corpus import (
     LABELS,
-    MISSING_CUE_FLAG,
     ClaimRecord,
-    Corpus,
     Label,
-    Split,
     consolidate_label,
+    label_counts,
     load_corpus,
     normalize_rating,
     record_from_article,
@@ -76,24 +74,21 @@ def test_split_article_on_cue():
     record = _article(["Evidence one.", "Evidence two.", "Our ruling", "It is true."])
     assert record.evidence == ["Evidence one.", "Evidence two."]
     assert record.ruling == ["Our ruling", "It is true."]
-    assert record.flags == []
 
 
 def test_split_article_cue_is_prefix_and_case_insensitive():
     record = _article(["body", "OUR RATING: False", "tail"])
     assert record.evidence == ["body"]
     assert record.ruling == ["OUR RATING: False", "tail"]
-    assert record.flags == []
 
 
 def test_split_article_without_cue_keeps_everything_as_evidence():
     record = _article(["one", "two"])
     assert record.evidence == ["one", "two"]
     assert record.ruling == []
-    assert record.flags == [MISSING_CUE_FLAG]
 
 
-def test_record_from_article_flags_missing_cue():
+def test_record_from_article_without_cue_has_an_empty_ruling():
     record = record_from_article(
         record_id="r1",
         claim="c",
@@ -101,7 +96,7 @@ def test_record_from_article_flags_missing_cue():
         raw_rating="True",
     )
     assert record.gold_label is Label.TRUE
-    assert MISSING_CUE_FLAG in record.flags
+    assert record.evidence == ["no cue here"]
     assert record.ruling == []
 
 
@@ -115,28 +110,30 @@ def _dated(record_id, year, month=6, day=15) -> ClaimRecord:
 
 
 def test_temporal_filter_drops_train_records_inside_test_range():
-    train = Corpus(
-        split=Split.TRAIN, records=[_dated("a", 2019), _dated("b", 2020), _dated("c", 2021)]
-    )
-    test = Corpus(split=Split.TEST, records=[_dated("t1", 2020), _dated("t2", 2021, 12, 31)])
-    kept = temporal_filter(train, test)
+    train = [_dated("a", 2019), _dated("b", 2020), _dated("c", 2021)]
+    test = [_dated("t1", 2020), _dated("t2", 2021, 12, 31)]
+    kept, diagnostics = temporal_filter(train, test)
     # range is closed: b sits exactly on the lower bound and is dropped
-    assert [r.id for r in kept.records] == ["a"]
-    assert kept.diagnostics["removed_by_date"] == 2
+    assert [r.id for r in kept] == ["a"]
+    assert diagnostics["removed_by_date"] == 2
 
 
 def test_temporal_filter_retains_undated_records_with_diagnostic():
     undated = ClaimRecord(id="u", claim="c")
-    train = Corpus(split=Split.TRAIN, records=[_dated("a", 2019), undated])
-    test = Corpus(split=Split.TEST, records=[_dated("t1", 2019, 1, 1), _dated("t2", 2019, 12, 31)])
-    kept = temporal_filter(train, test)
-    assert [r.id for r in kept.records] == ["u"]
-    assert kept.diagnostics["undated_retained"] == 1
+    train = [_dated("a", 2019), undated]
+    test = [_dated("t1", 2019, 1, 1), _dated("t2", 2019, 12, 31)]
+    kept, diagnostics = temporal_filter(train, test)
+    assert [r.id for r in kept] == ["u"]
+    assert diagnostics == {
+        "undated_retained": 1,
+        "removed_by_date": 1,
+        "test_range": ("2019-01-01", "2019-12-31"),
+    }
 
 
 def test_temporal_filter_requires_dated_test_records():
-    train = Corpus(split=Split.TRAIN, records=[_dated("a", 2019)])
-    test = Corpus(split=Split.TEST, records=[ClaimRecord(id="u", claim="c")])
+    train = [_dated("a", 2019)]
+    test = [ClaimRecord(id="u", claim="c")]
     with pytest.raises(EmptyTestDates):
         temporal_filter(train, test)
 
@@ -152,7 +149,7 @@ def test_load_save_round_trip_is_fixpoint(tmp_path):
     reloaded = load_corpus(first)
     save_corpus(reloaded, second)
     assert first.read_bytes() == second.read_bytes()
-    assert len(reloaded.records) == 50
+    assert len(reloaded) == 50
 
 
 def test_load_reports_bad_json_with_line_number(tmp_path):
@@ -183,13 +180,14 @@ def test_load_rejects_label_inconsistent_with_rating(tmp_path):
         load_corpus(path)
 
 
-def test_load_counts_labels_in_diagnostics(tmp_path):
-    corpus = generate_synthetic_corpus(seed=3, n=12)
+def test_label_counts_counts_the_loaded_gold_labels(tmp_path):
     path = tmp_path / "c.jsonl"
-    save_corpus(corpus, path)
+    save_corpus(generate_synthetic_corpus(seed=3, n=12), path)
     loaded = load_corpus(path)
     # the rating cycle hits each of the six ratings twice over 12 records
-    assert loaded.diagnostics["label_counts"] == {"True": 2, "Half-True": 4, "False": 6}
+    assert label_counts(loaded) == {Label.TRUE: 2, Label.HALF_TRUE: 4, Label.FALSE: 6}
+    unlabelled = [ClaimRecord(id="u", claim="c")]
+    assert label_counts(loaded + unlabelled) == label_counts(loaded)
 
 
 def _corpus_with_claim_escape(tmp_path, escape):
@@ -213,4 +211,27 @@ def test_load_rejects_a_lone_surrogate_naming_its_line(tmp_path):
 
 def test_load_accepts_an_escaped_surrogate_pair(tmp_path):
     corpus = load_corpus(_corpus_with_claim_escape(tmp_path, "\\ud83d\\ude00"))
-    assert corpus.records[1].claim == "jobs \U0001f600 grew"
+    assert corpus[1].claim == "jobs \U0001f600 grew"
+
+
+@pytest.mark.parametrize("rating", ["", "  "])
+def test_load_rejects_a_blank_rating_beside_a_gold_label_naming_the_record(tmp_path, rating):
+    path = tmp_path / "blank.jsonl"
+    row = {"id": "a", "claim": "x", "raw_rating": rating, "gold_label": "True"}
+    path.write_text(json.dumps(row) + "\n", encoding="utf-8")
+    with pytest.raises(ValidationError) as excinfo:
+        load_corpus(path)
+    assert excinfo.value.record_id == "a"
+    assert excinfo.value.reason == "raw_rating is blank"
+
+
+def test_load_rejects_a_line_that_is_not_utf8_naming_it(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(generate_synthetic_corpus(seed=1, n=3), path)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[1] = lines[1].replace(b"Synthetic claim", b"Synthetic \xff claim")
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(ParseError) as excinfo:
+        load_corpus(path)
+    assert excinfo.value.line_number == 2
+    assert excinfo.value.reason == "text is not UTF-8"

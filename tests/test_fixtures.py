@@ -4,25 +4,29 @@ import pytest
 
 from tracer.corpus import Label, load_corpus, save_corpus
 from tracer.fixtures import (
-    MALFORMED_RESPONSES,
     SCENARIO_CLAIM,
     SCENARIO_EXPECTED,
     SCENARIO_MOCK,
     data_path,
     generate_synthetic_corpus,
-    load_expected_report,
-    load_malformed_responses,
     load_scenario_record,
     make_scenario_gateway,
 )
 from tracer.fixtures.__main__ import main as fixtures_main
 
-from conftest import generate_random_fixture, make_retrieval_fixture
+from conftest import (
+    MALFORMED_RESPONSES,
+    generate_random_fixture,
+    load_expected_report,
+    load_malformed_responses,
+    make_retrieval_fixture,
+)
 
 
 def test_all_shipped_files_exist():
-    for name in (SCENARIO_CLAIM, SCENARIO_MOCK, SCENARIO_EXPECTED, MALFORMED_RESPONSES):
+    for name in (SCENARIO_CLAIM, SCENARIO_MOCK, SCENARIO_EXPECTED):
         assert data_path(name).is_file(), name
+    assert MALFORMED_RESPONSES.is_file()
 
 
 def test_scenario_record_shape():
@@ -97,13 +101,13 @@ def test_random_fixture_size_zero():
 
 def test_synthetic_corpus_round_trips(tmp_path):
     corpus = generate_synthetic_corpus(seed=9, n=18)
-    assert len(corpus.records) == 18
-    assert len({r.id for r in corpus.records}) == 18
+    assert len(corpus) == 18
+    assert len({r.id for r in corpus}) == 18
     path = tmp_path / "syn.jsonl"
     save_corpus(corpus, path)
     loaded = load_corpus(path)
-    assert [r.id for r in loaded.records] == [r.id for r in corpus.records]
-    assert [r.gold_label for r in loaded.records] == [r.gold_label for r in corpus.records]
+    assert [r.id for r in loaded] == [r.id for r in corpus]
+    assert [r.gold_label for r in loaded] == [r.gold_label for r in corpus]
 
 
 def test_synthetic_corpus_is_seed_deterministic(tmp_path):
@@ -115,7 +119,7 @@ def test_synthetic_corpus_is_seed_deterministic(tmp_path):
 
 def test_synthetic_corpus_cycles_all_three_labels():
     corpus = generate_synthetic_corpus(seed=2, n=6)
-    assert {r.gold_label for r in corpus.records} == set(Label)
+    assert {r.gold_label for r in corpus} == set(Label)
 
 
 def test_retrieval_fixture_shape():

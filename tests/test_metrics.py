@@ -1,4 +1,4 @@
-"""Scoring: confusion matrix, per-class PRF, macro-F1, ablation harness."""
+"""Scoring: per-class PRF from (gold, predicted) counts, macro-F1, ablation harness."""
 
 import json
 import random
@@ -9,17 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tracer.cli import main
-from tracer.corpus import LABELS, ClaimRecord, Corpus, Label, Split, save_corpus
-from tracer.errors import EmptyInput, LengthMismatch, MissingPrediction
-from tracer.metrics import (
-    confusion_matrix,
-    format_table,
-    per_class_prf,
-    prediction,
-    score_labels,
-    score_reports,
-    summarize,
-)
+from tracer.corpus import LABELS, ClaimRecord, Label, save_corpus
+from tracer.errors import EmptyInput, MissingPrediction
+from tracer.metrics import format_table, prediction, score_labels, score_reports
 from tracer.verdict import BaseVerdict, FinalVerdict, VerdictReport, VerdictSource, load_reports
 
 from conftest import generate_random_fixture
@@ -32,11 +24,19 @@ T, H, F = Label.TRUE, Label.HALF_TRUE, Label.FALSE
 # False, whose only instance was called Half-True.
 
 
-def test_confusion_matrix_cells():
-    matrix = confusion_matrix([T, H, H, F], [T, H, F, H])
-    # rows gold, columns predicted, both in the order T, H, F
-    assert matrix.counts == ((1, 0, 0), (0, 1, 1), (0, 1, 0))
-    assert matrix.total == 4
+def test_counts_pair_each_gold_label_with_its_prediction():
+    # one claim in each of the (gold, predicted) cells (T, T), (T, H),
+    # (H, H), (F, T), (F, F), (F, H): a class's precision reads the claims
+    # predicted as it, its recall the claims whose gold it is
+    report = score_labels([T, T, H, F, F, F], [T, H, H, T, F, H])
+    assert report.n == 6
+    assert report.accuracy == pytest.approx(3 / 6)
+    assert report.per_class[T]["precision"] == pytest.approx(1 / 2)
+    assert report.per_class[T]["recall"] == pytest.approx(1 / 2)
+    assert report.per_class[H]["precision"] == pytest.approx(1 / 3)
+    assert report.per_class[H]["recall"] == 1.0
+    assert report.per_class[F]["precision"] == 1.0
+    assert report.per_class[F]["recall"] == pytest.approx(1 / 3)
 
 
 def test_worked_example_metrics():
@@ -67,9 +67,9 @@ def test_single_class_macro_averages_all_three_labels():
 
 
 def test_zero_denominator_class_scores_zero():
-    matrix = confusion_matrix([T, T], [T, T])
-    assert per_class_prf(matrix, F) == (0.0, 0.0, 0.0)
-    assert per_class_prf(matrix, H) == (0.0, 0.0, 0.0)
+    report = score_labels([T, T], [T, T])
+    assert report.per_class[F] == {"precision": 0.0, "recall": 0.0, "f1": 0.0}
+    assert report.per_class[H] == {"precision": 0.0, "recall": 0.0, "f1": 0.0}
 
 
 def test_all_wrong_predictions():
@@ -79,13 +79,13 @@ def test_all_wrong_predictions():
 
 
 def test_length_mismatch_rejected():
-    with pytest.raises(LengthMismatch):
-        confusion_matrix([T, H], [T])
+    with pytest.raises(ValueError, match="gold has 2 labels, predictions have 1"):
+        score_labels([T, H], [T])
 
 
 def test_empty_input_rejected():
     with pytest.raises(EmptyInput):
-        confusion_matrix([], [])
+        score_labels([], [])
 
 
 # -- brute-force oracle over seeded fixtures ----------------------------------
@@ -169,9 +169,10 @@ def test_metric_bounds_property(pairs):
 def test_accuracy_is_micro_recall(pairs):
     gold = [g for g, _ in pairs]
     pred = [p for _, p in pairs]
-    matrix = confusion_matrix(gold, pred)
-    diagonal = sum(matrix.counts[i][i] for i in range(len(LABELS)))
-    assert summarize(matrix).accuracy == pytest.approx(diagonal / matrix.total)
+    report = score_labels(gold, pred)
+    recalled = sum(report.per_class[label]["recall"] * gold.count(label) for label in LABELS)
+    assert report.accuracy == pytest.approx(recalled / len(gold))
+    assert report.accuracy == pytest.approx(sum(g == p for g, p in pairs) / len(gold))
 
 
 # -- table rendering -----------------------------------------------------------
@@ -322,7 +323,7 @@ def _records(gold=Label.HALF_TRUE):
 def _ablate(tmp_path, capsys, records, *extra) -> tuple[dict, str]:
     """``tracer ablate`` over the records: per config its (manifest, reports), and stdout."""
     corpus, script = tmp_path / "corpus.jsonl", tmp_path / "script.json"
-    save_corpus(Corpus(split=Split.TEST, records=records), corpus)
+    save_corpus(records, corpus)
     script.write_text(json.dumps(_ABLATION_SCRIPT), encoding="utf-8")
     argv = ["ablate", "--corpus", str(corpus), "--mock", str(script)]
     code = main([*argv, "--output", str(tmp_path / "ab.jsonl"), *extra])

@@ -17,11 +17,10 @@ from tracer.causality import (
 )
 from tracer.che import CheCandidate, NliVerdict
 from tracer.corpus import Label
-from tracer.fixtures import load_malformed_responses
 from tracer.gateway import parse_binary_digit, parse_bracketed, parse_letter_choice
 from tracer.verdict import BaseVerdict, VerdictSource, cot_verify, reassess_with_argument
 
-from conftest import make_gateway
+from conftest import load_malformed_responses, make_gateway
 
 ENTRIES = load_malformed_responses()
 

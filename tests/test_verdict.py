@@ -1,7 +1,9 @@
 """Base verification, re-assessment, and the end-to-end pipeline."""
 
 import contextlib
+import dataclasses
 import json
+import typing
 from pathlib import Path
 
 import pytest
@@ -25,7 +27,6 @@ from tracer.fixtures import (
     SCENARIO_MOCK,
     data_path,
     generate_synthetic_corpus,
-    load_expected_report,
     load_scenario_record,
     load_scenario_script,
     make_scenario_gateway,
@@ -36,6 +37,7 @@ from tracer.verdict import (
     BaseVerdict,
     FinalVerdict,
     StageTrace,
+    VerdictReport,
     VerdictSource,
     cot_verify,
     load_base_verdicts,
@@ -46,7 +48,7 @@ from tracer.verdict import (
     load_reports,
 )
 
-from conftest import make_gateway, served, synthetic_script
+from conftest import load_expected_report, make_gateway, served, synthetic_script
 
 
 def _saved_line(tmp_path, report) -> str:
@@ -829,6 +831,46 @@ def test_failed_claim_report_is_exact(case, tmp_path):
     assert _saved_line(tmp_path, report) == json.dumps(expected, ensure_ascii=False) + "\n"
 
 
+def _reachable_dataclasses(hint, found: set) -> set:
+    """Every dataclass a value of type ``hint`` can hold, ``hint`` included."""
+    for arg in typing.get_args(hint):
+        _reachable_dataclasses(arg, found)
+    if dataclasses.is_dataclass(hint) and hint not in found:
+        found.add(hint)
+        for field_hint in typing.get_type_hints(hint).values():
+            _reachable_dataclasses(field_hint, found)
+    return found
+
+
+def _dataclass_instances(value):
+    """Every dataclass instance inside ``value``, ``value`` included."""
+    if dataclasses.is_dataclass(value):
+        yield value
+        for f in dataclasses.fields(value):
+            yield from _dataclass_instances(getattr(value, f.name))
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _dataclass_instances(item)
+
+
+def test_every_report_dataclass_has_exactly_its_fields_as_vars():
+    # a report line writes each dataclass's ``vars``: a class with slots has
+    # none, and an attribute outside the fields would be written too
+    classes = _reachable_dataclasses(VerdictReport, set())
+    assert [cls.__name__ for cls in classes if hasattr(cls, "__slots__")] == []
+    overrides, keywords, _ = _FAILED_REPORTS["alignment_failed"]
+    gateway, _ = _pipeline_gateway(**overrides)
+    failed = run_pipeline(gateway, _record(), **keywords)
+    scenario = run_pipeline(make_scenario_gateway(), load_scenario_record())
+    assert failed.failed == "alignment" and scenario.failed is None
+    seen = set()
+    for report in (scenario, failed):
+        for obj in _dataclass_instances(report):
+            seen.add(type(obj))
+            assert list(vars(obj)) == [f.name for f in dataclasses.fields(obj)], type(obj)
+    assert seen == classes
+
+
 _V1_ALIGNED = [
     {"sentence": "E1 presented.", "label": "Presented", "provenance": "PromptPipeline",
      "similarity": 0.9},
@@ -983,7 +1025,7 @@ def _scenario_run():
 def _synthetic_run(dim):
     def run():
         script = MockScript.from_dict(synthetic_script(dim))
-        return script, generate_synthetic_corpus(seed=23, n=5).records
+        return script, generate_synthetic_corpus(seed=23, n=5)
 
     return run
 
@@ -1063,7 +1105,7 @@ def test_pipeline_never_leaves_an_index_record_past_the_vector_file(tmp_path):
         backend=MockScript.from_dict(synthetic_script(8)), cache=ResponseCache(path)
     )
     n_records = 0
-    for record in generate_synthetic_corpus(seed=29, n=4).records:
+    for record in generate_synthetic_corpus(seed=29, n=4):
         run_pipeline(gateway, record)
         size = _vector_file(path).stat().st_size
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -1088,7 +1130,7 @@ def test_pipeline_answer_with_a_lone_surrogate_fails_only_its_stage(tmp_path):
     ]
     path = tmp_path / "cache.jsonl"
     gateway = Gateway(backend=MockScript.from_dict(script), cache=ResponseCache(path))
-    records = generate_synthetic_corpus(seed=29, n=2).records
+    records = generate_synthetic_corpus(seed=29, n=2)
     reports = [run_pipeline(gateway, record) for record in records]
     for report in reports:
         status = {trace.stage: trace for trace in report.stages}
@@ -1110,7 +1152,7 @@ def test_pipeline_cache_that_cannot_write_vectors_writes_no_index_record(tmp_pat
         backend=MockScript.from_dict(synthetic_script(8)), cache=ResponseCache(path)
     )
     with pytest.raises(OSError):
-        run_pipeline(gateway, generate_synthetic_corpus(seed=29, n=1).records[0])
+        run_pipeline(gateway, generate_synthetic_corpus(seed=29, n=1)[0])
     gateway.cache.close()
     written = path.read_text(encoding="utf-8") if path.exists() else ""
     assert '"at": ' not in written
