@@ -34,9 +34,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
+
+# The program makes no BLAS call, and OpenBLAS starts its thread pool when
+# it loads, at numpy's first import (below); a value already set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .config import (
     ABLATION_CONFIGS, CONFIG_KEYS, RUN_OPTIONS, AblationConfig, RunConfig, config_from_dict,
@@ -304,8 +309,12 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_cache_stats(args) -> int:
-    with ResponseCache(args.cache) as cache:
-        print(json.dumps(cache.stats(), indent=2, sort_keys=True))
+    stats = {"entries": 0, "path": str(Path(args.cache)), "file_bytes": 0}
+    # opening a missing cache would create it
+    if Path(args.cache).exists():
+        with ResponseCache(args.cache) as cache:
+            stats = cache.stats()
+    print(json.dumps(stats, indent=2, sort_keys=True))
     return 0
 
 

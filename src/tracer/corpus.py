@@ -208,11 +208,11 @@ def _record_from_dict(payload: dict, line_number: int) -> ClaimRecord:
 def _validate_record(record: ClaimRecord) -> None:
     if not record.claim or not record.claim.strip():
         raise ValidationError(record.id, "claim text is empty")
-    if record.raw_rating is not None and record.gold_label is not None:
+    if record.raw_rating is not None:
         if not record.raw_rating.strip():
             raise ValidationError(record.id, "raw_rating is blank")
         expected = consolidate_label(record.raw_rating)
-        if expected is not record.gold_label:
+        if record.gold_label is not None and expected is not record.gold_label:
             raise ValidationError(
                 record.id,
                 f"gold_label {record.gold_label.value!r} does not match "

@@ -5,6 +5,7 @@ import gc
 import hashlib
 import http.server
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -123,6 +124,21 @@ def test_ingest_a_blank_rating_beside_a_gold_label_exits_two_naming_the_record(
     code, _, err = run_cli(capsys, "ingest", "--input", str(path))
     assert code == 2
     assert err == "error: record 'b': raw_rating is blank\n"
+
+
+@pytest.mark.parametrize(
+    "rating, message",
+    [("", "record 'b': raw_rating is blank"), ("  ", "record 'b': raw_rating is blank"),
+     ("Bogus", "unknown rating: 'Bogus'")],
+)
+def test_ingest_a_bad_rating_without_a_gold_label_exits_two(capsys, tmp_path, rating, message):
+    path = tmp_path / "bad.jsonl"
+    row = {"id": "b", "claim": "c", "raw_rating": rating}
+    path.write_text('{"id": "a", "claim": "fine"}\n' + json.dumps(row) + "\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "ingest", "--input", str(path))
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert out == ""
 
 
 def test_ingest_missing_file_exits_one(capsys, tmp_path):
@@ -1555,6 +1571,7 @@ def test_cache_stats_and_clear(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "cache-stats", "--cache", str(cache))
     assert code == 0
     assert json.loads(out)["entries"] == 0
+    assert not cache.exists()
 
 
 # Holds a cache open until its stdin closes.
@@ -1770,3 +1787,64 @@ def test_importing_the_cli_imports_neither_requests_nor_yaml():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["False", "False"]
+
+
+# Prints OPENBLAS_NUM_THREADS as it is when numpy is first looked up, then
+# the thread count after the import.
+_BLAS_THREADS_AT_NUMPY = """
+import os, sys
+
+class Recorder:
+    seen = []
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not self.seen:
+            self.seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+        return None
+
+sys.meta_path.insert(0, Recorder())
+import tracer.cli
+threads = "-"
+if os.path.exists("/proc/self/status"):
+    with open("/proc/self/status") as status:
+        threads = next(l.split()[1] for l in status if l.startswith("Threads:"))
+print(Recorder.seen, threads)
+"""
+
+# the variables OpenBLAS reads for its thread count, in the order it reads them
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _blas_threads_at_numpy(**env):
+    # this process may hold the variable already: importing tracer.cli sets it
+    environ = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARIABLES}
+    result = subprocess.run(
+        [sys.executable, "-c", _BLAS_THREADS_AT_NUMPY],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**environ, **env},
+    )
+    assert result.returncode == 0, result.stderr
+    seen, threads = result.stdout.rsplit(" ", 1)
+    return seen, threads.strip()
+
+
+def test_the_cli_asks_openblas_for_one_thread_before_numpy_loads():
+    # the program makes no BLAS call, so a pool would only cost start-up time
+    seen, _ = _blas_threads_at_numpy()
+    assert seen == "['1']"
+
+
+def test_the_cli_keeps_an_openblas_thread_count_already_set():
+    seen, _ = _blas_threads_at_numpy(OPENBLAS_NUM_THREADS="3")
+    assert seen == "['3']"
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
+    reason="OpenBLAS starts no pool on one CPU; /proc/self/status is Linux's",
+)
+def test_importing_the_cli_starts_no_thread():
+    _, threads = _blas_threads_at_numpy()
+    assert threads == "1"
