@@ -2,14 +2,8 @@
 
 from dataclasses import asdict
 
-from tracer.gateway import Gateway, MockScript, ResponseCache, TemplateCatalog
+from tracer.gateway import Gateway, MockScript, ResponseCache
 
-catalog = TemplateCatalog.bundled()
-print(f"Bundled prompt templates ({len(catalog.ids())}):")
-print("  " + ", ".join(catalog.ids()))
-
-print()
-print("A mock script answers by template id and optional prompt substring:")
 script = MockScript.from_dict(
     {
         "rules": [
@@ -21,6 +15,12 @@ script = MockScript.from_dict(
 )
 gateway = Gateway(backend=script, cache=ResponseCache())
 
+# a template is its text: gateway.templates maps each id to it
+print(f"Bundled prompt templates ({len(gateway.templates)}):")
+print("  " + ", ".join(sorted(gateway.templates)))
+
+print()
+print("A mock script answers by template id and optional prompt substring:")
 first = gateway.complete("nli", premise="Most new roles were part-time.", hypothesis="Jobs grew.")
 second = gateway.complete("nli", premise="The sun rose.", hypothesis="Jobs grew.")
 print(f"  part-time premise -> {first}")

@@ -15,7 +15,7 @@ from json.encoder import encode_basestring
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
-from .errors import EmptyAssumptions, UnevaluatedAssumption
+from .errors import UnevaluatedAssumption
 from .gateway import Gateway, parse_bracketed, parse_letter_choice
 
 DEFAULT_QUESTION_EXAMPLES = (
@@ -154,14 +154,6 @@ def infer_assumptions(
     return assumptions
 
 
-def build_causal_graph(
-    claim: str, intent: str, assumptions: list[Assumption]
-) -> CausalArgument:
-    if not assumptions:
-        raise EmptyAssumptions("cannot build a causal argument without assumptions")
-    return CausalArgument(intent=intent, claim=claim, assumptions=tuple(assumptions))
-
-
 def evaluate_all(gateway: Gateway, graph: CausalArgument) -> CausalArgument:
     """Effect on the intent of negating each assumption (do-operation).
 
@@ -199,7 +191,6 @@ __all__ = [
     "ImplicitQuestion",
     "LETTER_TO_EFFECT",
     "VAGUE_REFERENCE_FLAG",
-    "build_causal_graph",
     "evaluate_all",
     "generate_implicit_questions",
     "infer_assumptions",

@@ -50,24 +50,6 @@ class EmptyTestDates(TracerError):
 # Model gateway
 
 
-class MissingBinding(TracerError):
-    def __init__(self, name: str):
-        super().__init__(f"missing binding: {name!r}")
-        self.name = name
-
-
-class UnknownBinding(TracerError):
-    def __init__(self, name: str):
-        super().__init__(f"unknown binding: {name!r}")
-        self.name = name
-
-
-class UnknownTemplate(TracerError):
-    def __init__(self, template_id: str):
-        super().__init__(f"no template named {template_id!r} in catalog")
-        self.template_id = template_id
-
-
 class BackendError(TracerError):
     """Transport or status failure talking to a model backend.
 
@@ -97,9 +79,6 @@ class CacheCorruption(TracerError):
 
 class DimensionMismatch(TracerError):
     """Cosine similarity over vectors of unequal length or model."""
-
-    def __init__(self, reason: str):
-        super().__init__(reason)
 
 
 class ZeroVector(TracerError):
@@ -140,10 +119,6 @@ class UnparseableDigit(TracerError):
 
 # ---------------------------------------------------------------------------
 # Intent / causality / verdict stages
-
-
-class EmptyAssumptions(TracerError):
-    """A causal argument cannot be built without assumptions."""
 
 
 class UnevaluatedAssumption(TracerError):

@@ -1,10 +1,11 @@
 """Single point of contact with language models.
 
 Everything the pipeline asks of a model flows through one Gateway
-object: render a catalog template, check the persistent cache, and only
-then touch the configured backend (live HTTP or a scripted mock). The
-cache makes temperature-0 runs replayable: a second identical run reads
-every answer back without a single backend call.
+object: fill a bundled template's text with ``str.format_map``, check
+the persistent cache, and only then touch the configured backend (live
+HTTP or a scripted mock). The cache makes temperature-0 runs replayable:
+a second identical run reads every answer back without a single backend
+call.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .backends import API_KEY_ENV, MAX_TOKENS, TEMPERATURE, Endpoint, LiveBacken
 from .cache import ResponseCache, completion_key, embedding_key, frozen_vector
 from .mock import MockScript
 from .parsing import parse_binary_digit, parse_bracketed, parse_letter_choice
-from .templates import PromptTemplate, TemplateCatalog, render_template
+from .templates import bundled_templates, render_template
 
 
 def _sequential_sum(values: np.ndarray) -> float:
@@ -80,8 +81,10 @@ class Gateway:
     ``complete_many([(template_id, bindings), ...])`` and
     ``embed_many(texts)`` return one outcome per item, in order: the
     answer, or the ``TracerError`` in its place; ``complete`` and
-    ``embed`` ask for one item and raise its failure. The backend, a
-    MockScript or a LiveBackend, answers ``complete([(template_id,
+    ``embed`` ask for one item and raise its failure. ``templates`` maps
+    each bundled template id to its text, and a prompt is that text's
+    ``format_map(bindings)``; an id it lacks is a ``KeyError``. The
+    backend, a MockScript or a LiveBackend, answers ``complete([(template_id,
     prompt), ...])`` and ``embed(texts)`` the same way, and the items of
     a list that the cache lacks reach it in one call. A completion's
     cache key records the fixed decoding, ``TEMPERATURE`` and
@@ -98,7 +101,7 @@ class Gateway:
 
     def __init__(self, backend, cache: ResponseCache | None = None):
         self.backend = backend
-        self.catalog = TemplateCatalog.bundled()
+        self.templates = bundled_templates()
         # explicit None check: an empty cache is falsy but still the caller's cache
         self.cache = cache if cache is not None else ResponseCache()
         self.model_id = getattr(backend, "model_id", "mock")
@@ -157,7 +160,7 @@ class Gateway:
     def complete(self, template_id: str, **bindings) -> str:
         """``complete_many`` of one request, raising its failure; a cache hit
         costs one render, one key and one ``cache.get``."""
-        prompt = render_template(self.catalog.get(template_id), bindings)
+        prompt = render_template(self.templates[template_id], bindings)
         key = completion_key(self.model_id, template_id, prompt, TEMPERATURE, MAX_TOKENS)
         counters = self.counters
         if template_id in counters.by_template:
@@ -175,7 +178,7 @@ class Gateway:
 
     def complete_many(self, requests) -> list:
         """One outcome per ``(template_id, bindings)``: its completion or a ``TracerError``."""
-        prompts = [(tid, render_template(self.catalog.get(tid), b)) for tid, b in requests]
+        prompts = [(tid, render_template(self.templates[tid], b)) for tid, b in requests]
         by_template = self.counters.by_template
         for template_id, _ in prompts:
             # subscripts, not dict.get: no call per prompt on the hot path
@@ -251,10 +254,9 @@ __all__ = [
     "GatewayCounters",
     "LiveBackend",
     "MockScript",
-    "PromptTemplate",
     "ResponseCache",
-    "TemplateCatalog",
     "api_key_from_env",
+    "bundled_templates",
     "completion_key",
     "embedding_key",
     "parse_binary_digit",

@@ -225,9 +225,13 @@ def _read_content(data) -> str:
 
 def _read_vectors(data, count: int) -> list[np.ndarray]:
     """The answer's rows put back in order by their ``index``, which must
-    run over exactly the texts' positions."""
+    be ints (not bools) running over exactly the texts' positions; each
+    row's ``embedding`` must be a list."""
     rows = sorted(data["data"], key=lambda row: row["index"])
     indices = [row["index"] for row in rows]
-    if indices != list(range(count)):
+    if indices != list(range(count)) or any(type(index) is not int for index in indices):
         raise ValueError(f"indices {indices} do not match {count} texts")
+    for row in rows:
+        if type(row["embedding"]) is not list:
+            raise TypeError(f"an embedding is {type(row['embedding']).__name__}, not a list")
     return [frozen_vector([float(x) for x in row["embedding"]]) for row in rows]

@@ -8,9 +8,10 @@ A rule answers every prompt it matches with its one ``response``, so an
 answer never depends on which prompts came before it. The script keeps
 nothing per request.
 
-Each vector is parsed and checked once, at load (``float()`` on every
-element, so a bad one is ``ValueError`` or ``TypeError`` there), into
-one read-only float64 array that every text its entry matches shares.
+Each vector is parsed and checked once, at load (it must be a list, and
+``float()`` runs on every element, so a bad one is ``ValueError`` or
+``TypeError`` there), into one read-only float64 array that every text
+its entry matches shares.
 The other fields are checked at load too: a root or a
 ``default_embedding`` that is not an object, a template, a
 ``contains``, a response or an embedding's ``text`` that is not a
@@ -100,6 +101,9 @@ class MockScript:
             for name in ("text", "contains"):
                 if name in entry:
                     _require_str(entry[name], f"an embedding's {name}")
+            vector = entry["vector"]
+            if type(vector) is not list:
+                raise TypeError(f"an embedding's vector must be a list, not {vector!r:.80}")
         dim = self.default_embedding_dim
         if dim is not None and (type(dim) is not int or dim < 1):
             raise ValueError(f"default_embedding's dim must be a positive integer, not {dim!r}")

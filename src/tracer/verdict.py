@@ -32,7 +32,6 @@ from .causality import (
     Assumption,
     CausalArgument,
     ImplicitQuestion,
-    build_causal_graph,
     evaluate_all,
     generate_implicit_questions,
     infer_assumptions,
@@ -312,7 +311,9 @@ def _assumptions_stage(run: _ClaimRun) -> tuple[str, str]:
         max_n=run.thresholds.assumption_max_number,
         diagnostics=run.notes,
     )
-    report.causal_argument = build_causal_graph(claim, report.intent.text, assumptions)
+    report.causal_argument = CausalArgument(
+        intent=report.intent.text, claim=claim, assumptions=tuple(assumptions)
+    )
     run.queries = list(report.causal_argument.assumptions)
     return "ok", f"n={len(assumptions)}"
 

@@ -471,7 +471,7 @@ def test_align_evidence_relevance_miss_and_garbled_answer_fail_their_sentences_a
         error="UnparseableChoice: no letter from ['A', 'B'] in completion 'no idea'",
     )
     prompt = render_template(
-        gateway.catalog.get("relevance"),
+        gateway.templates["relevance"],
         dict(claim="claim", ruling="our ruling", evidence="unscripted U"),
     )
     assert aligned[3] == AlignedEvidence(

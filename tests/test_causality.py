@@ -13,7 +13,6 @@ from tracer.causality import (
     CausalArgument,
     CausalEffect,
     ImplicitQuestion,
-    build_causal_graph,
     evaluate_all,
     generate_implicit_questions,
     infer_assumptions,
@@ -21,12 +20,11 @@ from tracer.causality import (
     serialize_argument,
 )
 from tracer.errors import (
-    EmptyAssumptions,
     NoItemsFound,
     UnevaluatedAssumption,
     UnparseableChoice,
 )
-from tracer.gateway import TemplateCatalog, render_template
+from tracer.gateway import bundled_templates, render_template
 
 from conftest import make_gateway, served
 
@@ -210,11 +208,6 @@ def test_target_symbol_is_one_based():
         graph.target_symbol(2)
 
 
-def test_build_graph_rejects_empty():
-    with pytest.raises(EmptyAssumptions):
-        build_causal_graph("c", "i", [])
-
-
 # -- counterfactual evaluation --------------------------------------------
 
 
@@ -268,7 +261,7 @@ def test_evaluate_all_prompts_carry_the_whole_argument_and_each_target():
     gateway, script = make_gateway(rules=[{"template": "counterfactual", "response": "A"}])
     graph = graph_of("a1", "a2", "a3")
     evaluate_all(gateway, graph)
-    template = TemplateCatalog.bundled().get("counterfactual")
+    template = bundled_templates()["counterfactual"]
     assert [call.prompt for call in script.call_log] == [
         render_template(template, {"argument": serialize_argument(graph), "letter": f"Y_{i}"})
         for i in (1, 2, 3)
@@ -277,8 +270,8 @@ def test_evaluate_all_prompts_carry_the_whole_argument_and_each_target():
 
 def test_evaluate_all_preserves_text_and_flags():
     gateway, _ = make_gateway(rules=[{"template": "counterfactual", "response": "A"}])
-    graph = build_causal_graph(
-        "c", "i", [Assumption(text="a", flags=(VAGUE_REFERENCE_FLAG,))]
+    graph = CausalArgument(
+        intent="i", claim="c", assumptions=(Assumption(text="a", flags=(VAGUE_REFERENCE_FLAG,)),)
     )
     evaluated = evaluate_all(gateway, graph)
     assert evaluated.assumptions[0].text == "a"

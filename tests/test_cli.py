@@ -939,6 +939,8 @@ def test_run_malformed_mock_vector_exits_one_before_any_claim(capsys, tmp_path, 
         ("rules", {"template": "relevance", "responses": ["A", "B"]}),
         ("embeddings", {"contains": 5, "vector": [1.0]}),
         ("embeddings", {"text": ["a"], "vector": [1.0]}),
+        ("embeddings", {"contains": "a", "vector": "907"}),
+        ("embeddings", {"contains": "a", "vector": {"1.0": 0}}),
     ],
     ids=[
         "template",
@@ -947,6 +949,8 @@ def test_run_malformed_mock_vector_exits_one_before_any_claim(capsys, tmp_path, 
         "responses",
         "embedding-contains",
         "embedding-text",
+        "embedding-vector-string",
+        "embedding-vector-object",
     ],
 )
 def test_run_malformed_mock_rule_or_embedding_exits_one_before_any_claim(

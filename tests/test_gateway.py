@@ -19,29 +19,28 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import tracer.gateway
+from tracer.config import ABLATION_CONFIGS
 from tracer.errors import (
     BackendError,
     CacheCorruption,
     CacheInUse,
     ConfigError,
     EmptyInput,
-    MissingBinding,
     MockScriptMiss,
     TracerError,
-    UnknownBinding,
-    UnknownTemplate,
     UnparseableChoice,
 )
+from tracer.fixtures import load_scenario_record, make_scenario_gateway
 from tracer.gateway import (
     Embedding,
     Endpoint,
     Gateway,
     LiveBackend,
     MockScript,
-    PromptTemplate,
     ResponseCache,
-    TemplateCatalog,
     GatewayCounters,
+    bundled_templates,
     completion_key,
     embedding_key,
     parse_letter_choice,
@@ -58,6 +57,7 @@ from tracer.gateway.backends import (
 )
 from tracer.gateway.cache import remove_cache_files
 from tracer.gateway.mock import MockRule, _hashed_unit_vector
+from tracer.verdict import run_pipeline
 
 from conftest import Call, Recorder, make_gateway
 
@@ -86,35 +86,11 @@ def _close_test_caches(monkeypatch):
 
 
 def test_render_substitutes_all_placeholders():
-    template = PromptTemplate.from_body("t", "Evidence: {evidence}\nClaim: {claim}")
-    text = render_template(template, {"evidence": "E", "claim": "C"})
-    assert "Evidence: E" in text
-    assert "Claim: C" in text
-    assert "{evidence}" not in text and "{claim}" not in text
-
-
-def test_render_missing_binding():
-    template = PromptTemplate.from_body("t", "Claim: {claim}")
-    with pytest.raises(MissingBinding) as excinfo:
-        render_template(template, {})
-    assert excinfo.value.name == "claim"
-
-
-def test_render_unknown_binding():
-    template = PromptTemplate.from_body("t", "Claim: {claim}")
-    with pytest.raises(UnknownBinding) as excinfo:
-        render_template(template, {"claim": "c", "foo": "x"})
-    assert excinfo.value.name == "foo"
-
-
-def test_doubled_braces_are_literal_not_placeholders():
-    template = PromptTemplate.from_body("t", "Score in {{0, 1}} for {intent}")
-    assert template.required_bindings == frozenset({"intent"})
-    assert render_template(template, {"intent": "i"}) == "Score in {0, 1} for i"
+    text = render_template("Evidence: {evidence}\nClaim: {claim}", {"evidence": "E", "claim": "C"})
+    assert text == "Evidence: E\nClaim: C"
 
 
 def test_bundled_catalog_covers_every_pipeline_template():
-    catalog = TemplateCatalog.bundled()
     expected = {
         "relevance",
         "presentation",
@@ -130,19 +106,48 @@ def test_bundled_catalog_covers_every_pipeline_template():
         "nli",
         "cot_verdict",
     }
-    assert expected <= set(catalog.ids())
+    assert expected <= set(bundled_templates())
 
 
-# every placeholder occurring in a body is required, and vice versa
-def test_bundled_templates_satisfy_binding_invariant():
-    catalog = TemplateCatalog.bundled()
-    for template_id in catalog.ids():
-        template = catalog.get(template_id)
-        rendered = render_template(
-            template, {name: "x" for name in template.required_bindings}
-        )
-        for name in template.required_bindings:
-            assert "{" + name + "}" not in rendered
+def _placeholders(body: str) -> frozenset[str]:
+    """The names of a body's placeholders, each of which must be bare: no
+    index, attribute, format spec or conversion."""
+    names = set()
+    for _, name, spec, conversion in string.Formatter().parse(body):
+        if name is not None:
+            assert name.isidentifier() and not spec and not conversion, name
+            names.add(name)
+    return frozenset(names)
+
+
+# the check render_template leaves out: run the scenario under every config
+# and record each binding set that reaches it, by template
+def test_every_stage_binds_exactly_the_placeholders_of_each_shipped_template(monkeypatch):
+    templates = bundled_templates()
+    template_of = {body: template_id for template_id, body in templates.items()}
+    assert len(template_of) == len(templates)
+    bound = {}  # template id -> the binding-name sets it was rendered with
+    prompts = {}  # template id -> a prompt rendered from it
+    render = tracer.gateway.render_template
+
+    def recording(body, bindings):
+        assert all(type(value) is str for value in bindings.values()), bindings
+        template_id = template_of[body]
+        bound.setdefault(template_id, set()).add(frozenset(bindings))
+        prompts[template_id] = render(body, bindings)
+        return prompts[template_id]
+
+    monkeypatch.setattr(tracer.gateway, "render_template", recording)
+    record = load_scenario_record()
+    for ablation in ABLATION_CONFIGS.values():
+        run_pipeline(make_scenario_gateway(), record, ablation=ablation)
+    assert bound == {
+        template_id: {_placeholders(body)} for template_id, body in templates.items()
+    }
+    doubled = [template_id for template_id, body in templates.items() if "{{0, 1}}" in body]
+    assert doubled
+    for template_id in doubled:
+        assert "Choose from {0, 1}:" in prompts[template_id]
 
 
 # -- response cache ------------------------------------------------------
@@ -1010,8 +1015,14 @@ def test_mock_texts_matching_one_entry_share_one_read_only_array():
 
 @pytest.mark.parametrize(
     "vector, error",
-    [([1.0, "x"], ValueError), ([1.0, None], TypeError), ([[1.0], 0.0], TypeError)],
-    ids=["string", "null", "nested"],
+    [
+        ([1.0, "x"], ValueError),
+        ([1.0, None], TypeError),
+        ([[1.0], 0.0], TypeError),
+        ("907", TypeError),
+        ({"9.0": 0, "7.0": 1}, TypeError),
+    ],
+    ids=["string", "null", "nested", "digit-string", "object"],
 )
 def test_mock_malformed_vector_fails_at_load(vector, error):
     with pytest.raises(error):
@@ -1496,14 +1507,14 @@ def test_gateway_embed_rejects_empty_text():
 
 def test_unknown_template_raises():
     gateway, _ = make_gateway()
-    with pytest.raises(UnknownTemplate):
+    with pytest.raises(KeyError):
         gateway.complete("never_heard_of_it")
 
 
 def test_gateway_vector_under_a_completion_key_is_corruption():
     gateway, script = make_gateway(rules=[{"template": "relevance", "response": "A"}])
     bindings = dict(claim="c", ruling="r", evidence="e")
-    prompt = render_template(gateway.catalog.get("relevance"), bindings)
+    prompt = render_template(gateway.templates["relevance"], bindings)
     key = completion_key("mock", "relevance", prompt, TEMPERATURE, MAX_TOKENS)
     gateway.cache.put(key, [1.0, 2.0])
     with pytest.raises(CacheCorruption, match="vector under the completion key"):
@@ -1521,7 +1532,7 @@ def test_gateway_complete_counts_and_answers_as_complete_many_of_one(case):
     ):
         rules = [] if case == "failed" else [{"template": "relevance", "response": "A"}]
         gateway, script = make_gateway(rules=rules)
-        prompt = render_template(gateway.catalog.get("relevance"), bindings)
+        prompt = render_template(gateway.templates["relevance"], bindings)
         key = completion_key("mock", "relevance", prompt, TEMPERATURE, MAX_TOKENS)
         if case in ("hit", "corrupt"):
             gateway.cache.put(key, "A" if case == "hit" else [1.0, 2.0])
@@ -1732,6 +1743,23 @@ def test_live_backend_nan_embedding_is_a_backend_error_at_the_gateway():
     session = _FakeSession([_FakeResponse(200, answer)])
     gateway = Gateway(backend=_live_backend(session))
     with pytest.raises(BackendError, match="the embedding of 't' is not finite"):
+        gateway.embed("t")
+    assert len(gateway.cache) == 0
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        {"index": 0, "embedding": "12"},
+        {"index": 0, "embedding": {"1.0": 0, "2.0": 1}},
+        {"index": False, "embedding": [1.0, 2.0]},
+    ],
+    ids=["string", "object", "bool-index"],
+)
+def test_live_backend_embedding_of_another_shape_is_a_malformed_answer(row):
+    session = _FakeSession([_FakeResponse(200, {"data": [row]})])
+    gateway = Gateway(backend=_live_backend(session))
+    with pytest.raises(BackendError, match="returned a malformed answer"):
         gateway.embed("t")
     assert len(gateway.cache) == 0
 
