@@ -27,6 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .config import Thresholds
+from .decoding import decode
 from .errors import DimensionMismatch, TracerError, ZeroVector
 from .gateway import Embedding, Endpoint, Gateway, parse_letter_choice, unwrap
 
@@ -116,14 +117,14 @@ def _read_label(data) -> tuple[AlignmentLabel, float]:
     The label is Presented or Hidden. ``confidence`` defaults to 1.0
     and must be a finite number, not a bool or a string.
     """
-    label = AlignmentLabel(data["label"])
-    confidence = data.get("confidence", 1.0)
+    label = decode(AlignmentLabel, data["label"])
+    confidence = decode(float, data.get("confidence", 1.0))
     # a NaN would reach the report as a bare token, which is not JSON
-    if isinstance(confidence, bool) or not math.isfinite(confidence):
+    if not math.isfinite(confidence):
         raise ValueError("confidence is not a finite number")
     if label is AlignmentLabel.IRRELEVANT:
         raise ValueError("the label is Irrelevant, not Presented or Hidden")
-    return label, float(confidence)
+    return label, confidence
 
 
 def align_evidence(

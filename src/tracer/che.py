@@ -21,6 +21,7 @@ from enum import Enum
 from .alignment import cosine_similarities, cosine_similarity  # noqa: F401
 from .causality import Assumption
 from .config import Thresholds
+from .decoding import decode
 from .gateway import Embedding, Endpoint, Gateway, parse_letter_choice, unwrap
 
 
@@ -56,7 +57,7 @@ def nli_check(
     """Does the premise entail, contradict, or say nothing about the hypothesis?"""
     if classifier is not None:
         payload = {"premise": premise, "hypothesis": hypothesis}
-        return classifier.ask(payload, lambda data: NliVerdict(data["verdict"]))
+        return classifier.ask(payload, lambda data: decode(NliVerdict, data["verdict"]))
     completion = gateway.complete("nli", premise=premise, hypothesis=hypothesis)
     return LETTER_TO_NLI[parse_letter_choice(completion, set(LETTER_TO_NLI))]
 

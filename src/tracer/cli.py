@@ -129,14 +129,9 @@ def _assemble_run_config(args) -> RunConfig:
 
 def _build_gateway(config: RunConfig) -> Gateway:
     # the backend first: a configuration error outranks a cache that does not load
-    settings, path = config.backend, config.backend.mock_script
+    settings = config.backend
     if settings.mode == "mock":
-        try:
-            backend = MockScript.from_file(path)
-        except OSError as exc:
-            raise ConfigError(f"cannot read mock script {path}: {exc}") from exc
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ConfigError(f"mock script {path} is malformed: {exc}") from exc
+        backend = MockScript.from_file(settings.mock_script)
     else:
         # reads TRACER_API_KEY, so a missing key fails before any work
         backend = LiveBackend(

@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import get_args, get_type_hints
 from urllib.parse import urlsplit
 
+from .decoding import DecodeError, decode
 from .errors import ConfigError
 
 
@@ -64,18 +65,21 @@ _KINDS = {str: "a non-empty string", int: "an integer", float: "a number", bool:
 def _check_fields(settings) -> None:
     """ConfigError naming the first field whose value its type hint does not allow.
 
-    A bool is no number, a float takes an int, a string must not be empty
-    and ``X | None`` takes None. Every int field is a count, so positive;
-    every float field is a similarity threshold, so in [-1, 1].
+    The type rule is ``decode``'s: a bool is no number, a float takes an
+    int, and ``X | None`` takes None. A string must not be empty. Every
+    int field is a count, so positive; every float field is a similarity
+    threshold, so in [-1, 1].
     """
     for name, hint in get_type_hints(type(settings)).items():
         kind, *optional = get_args(hint) or (hint,)
         value = getattr(settings, name)
         if kind not in _KINDS or (value is None and optional):
             continue
-        allowed = (int, float) if kind is float else kind
-        bool_mismatch = isinstance(value, bool) != (kind is bool)
-        if bool_mismatch or not isinstance(value, allowed) or value == "":
+        try:
+            valid = decode(kind, value) != ""
+        except DecodeError:
+            valid = False
+        if not valid:
             raise ConfigError(f"{name} must be {_KINDS[kind]}, got {value!r}")
         if kind is int and value < 1:
             raise ConfigError(f"{name} must be positive, got {value}")

@@ -7,7 +7,8 @@ train/test separation.
 
 Corpus files are line-delimited JSON, one record per line, with keys
 ``id``, ``claim``, ``date`` (ISO-8601, optional), ``raw_rating``
-(optional), ``gold_label`` (optional), ``evidence``, ``ruling``.
+(optional), ``gold_label`` (optional), ``evidence`` and ``ruling``
+(lists of strings, each empty when missing).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterator, Sequence
 
+from .decoding import DecodeError, decode
 from .errors import EmptyTestDates, ParseError, UnknownRating, ValidationError
 
 
@@ -158,53 +160,6 @@ def _record_to_dict(record: ClaimRecord) -> dict:
     return out
 
 
-def _record_from_dict(payload: dict, line_number: int) -> ClaimRecord:
-    if not isinstance(payload, dict):
-        raise ParseError(line_number, "record is not a JSON object")
-    for key in ("id", "claim"):
-        if key not in payload:
-            raise ParseError(line_number, f"missing required key {key!r}")
-    record_id = payload["id"]
-    if not isinstance(record_id, str) or not record_id:
-        raise ParseError(line_number, "id must be a non-empty string")
-    if not isinstance(payload["claim"], str):
-        raise ParseError(line_number, "claim must be a string")
-    if payload.get("raw_rating") is not None and not isinstance(payload["raw_rating"], str):
-        raise ParseError(line_number, "raw_rating must be a string")
-
-    date = None
-    if payload.get("date") is not None:
-        try:
-            date = datetime.date.fromisoformat(payload["date"])
-        except (TypeError, ValueError):
-            raise ParseError(line_number, f"bad date {payload.get('date')!r}") from None
-
-    gold = None
-    if payload.get("gold_label") is not None:
-        try:
-            gold = Label(payload["gold_label"])
-        except ValueError:
-            raise ParseError(
-                line_number, f"unknown gold_label {payload.get('gold_label')!r}"
-            ) from None
-
-    evidence = payload.get("evidence", [])
-    ruling = payload.get("ruling", [])
-    for name, value in (("evidence", evidence), ("ruling", ruling)):
-        if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
-            raise ParseError(line_number, f"{name} must be a list of strings")
-
-    return ClaimRecord(
-        id=record_id,
-        claim=payload["claim"],
-        date=date,
-        raw_rating=payload.get("raw_rating"),
-        gold_label=gold,
-        evidence=list(evidence),
-        ruling=list(ruling),
-    )
-
-
 def _validate_record(record: ClaimRecord) -> None:
     if not record.claim or not record.claim.strip():
         raise ValidationError(record.id, "claim text is empty")
@@ -252,13 +207,21 @@ def load_corpus(path: str | Path) -> list[ClaimRecord]:
     """Load and validate a line-delimited corpus file.
 
     Raises ParseError (with the offending line number) for undecodable
-    lines, a lone surrogate among them, and ValidationError (naming the
+    lines, a lone surrogate among them, a line that does not decode as a
+    ``ClaimRecord`` and an empty id, and ValidationError (naming the
     record id) for duplicate ids or inconsistent labels.
     """
     records: list[ClaimRecord] = []
     seen_ids: set[str] = set()
     for line_number, payload in read_json_lines(path):
-        record = _record_from_dict(payload, line_number)
+        if isinstance(payload, dict):  # a missing evidence or ruling is empty
+            payload = {"evidence": [], "ruling": [], **payload}
+        try:
+            record = decode(ClaimRecord, payload)
+        except DecodeError as exc:
+            raise ParseError(line_number, str(exc)) from None
+        if not record.id:
+            raise ParseError(line_number, "id must be a non-empty string")
         if record.id in seen_ids:
             raise ValidationError(record.id, "duplicate record id")
         seen_ids.add(record.id)

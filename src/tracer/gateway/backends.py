@@ -15,7 +15,11 @@ rule, serves the alignment and NLI classifiers and the live model's
 OpenAI-compatible wire format over the last two. Like the mock, it
 answers lists: ``complete`` sends one request per prompt, in order, and
 ``embed`` one request for all the texts. Every completion is asked at
-temperature ``TEMPERATURE`` for at most ``MAX_TOKENS`` tokens.
+temperature ``TEMPERATURE`` for at most ``MAX_TOKENS`` tokens. Answers
+are read with ``tracer.decoding.decode``: a message content must be a
+string, and each embedding row an integer ``index`` (not a bool) and an
+``embedding`` list, each element of which is a JSON number, not a
+string or a bool.
 
 ``requests`` is imported only when a session is made or a request is
 sent, so offline runs never pay for importing it.
@@ -25,9 +29,11 @@ from __future__ import annotations
 
 import os
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
+from ..decoding import decode
 from ..errors import BackendError, ConfigError
 from .cache import frozen_vector
 
@@ -109,8 +115,8 @@ class Endpoint:
 
     ``ask(payload, read)`` POSTs one JSON object through ``post_json`` and
     returns ``read(answer)``. An answer ``read`` rejects with a
-    ``LookupError``, ``TypeError``, ``ValueError`` or ``OverflowError`` is
-    a ``BackendError`` naming the URL and the reader's reason.
+    ``LookupError``, ``TypeError`` or ``ValueError`` (a ``DecodeError`` is
+    both) is a ``BackendError`` naming the URL and the reader's reason.
     ``post(url, payload)`` replaces the transport in tests.
 
     The circuit breaker: a POST that ``post_json`` gave up on after using
@@ -161,7 +167,7 @@ class Endpoint:
         self._failures = 0
         try:
             return read(data)
-        except (LookupError, TypeError, ValueError, OverflowError) as exc:
+        except (LookupError, TypeError, ValueError) as exc:
             raise BackendError(
                 f"{self.url} returned a malformed answer ({type(exc).__name__}: {exc}): "
                 f"{data!r:.200}"
@@ -216,22 +222,20 @@ class LiveBackend:
 
 
 def _read_content(data) -> str:
-    content = data["choices"][0]["message"]["content"]
-    # a null, number or list content is as malformed as a missing one
-    if not isinstance(content, str):
-        raise TypeError(f"the message content is {type(content).__name__}, not text")
-    return content
+    return decode(str, data["choices"][0]["message"]["content"])
+
+
+@dataclass
+class _EmbeddingRow:
+    index: int
+    embedding: list[float]
 
 
 def _read_vectors(data, count: int) -> list[np.ndarray]:
     """The answer's rows put back in order by their ``index``, which must
-    be ints (not bools) running over exactly the texts' positions; each
-    row's ``embedding`` must be a list."""
-    rows = sorted(data["data"], key=lambda row: row["index"])
-    indices = [row["index"] for row in rows]
-    if indices != list(range(count)) or any(type(index) is not int for index in indices):
+    run over exactly the texts' positions."""
+    rows = sorted(decode(list[_EmbeddingRow], data["data"]), key=lambda row: row.index)
+    indices = [row.index for row in rows]
+    if indices != list(range(count)):
         raise ValueError(f"indices {indices} do not match {count} texts")
-    for row in rows:
-        if type(row["embedding"]) is not list:
-            raise TypeError(f"an embedding is {type(row['embedding']).__name__}, not a list")
-    return [frozen_vector([float(x) for x in row["embedding"]]) for row in rows]
+    return [frozen_vector(row.embedding) for row in rows]

@@ -8,16 +8,16 @@ A rule answers every prompt it matches with its one ``response``, so an
 answer never depends on which prompts came before it. The script keeps
 nothing per request.
 
-Each vector is parsed and checked once, at load (it must be a list, and
-``float()`` runs on every element, so a bad one is ``ValueError`` or
-``TypeError`` there), into one read-only float64 array that every text
-its entry matches shares.
-The other fields are checked at load too: a root or a
-``default_embedding`` that is not an object, a template, a
-``contains``, a response or an embedding's ``text`` that is not a
-string is ``TypeError``, a rule with a ``responses`` key (the ordered
-form this format once had) is ``ValueError`` naming the rule, and a
-``dim`` that is not a positive integer is ``ValueError``.
+The script is decoded once, at load, by ``tracer.decoding.decode``,
+into the dataclasses below. A vector must be a list, and each element is
+a JSON number, not a string or a bool; a template, ``contains``,
+response or embedding ``text`` must be a string and ``dim`` an integer.
+A value that is not is a ``DecodeError`` (both ``TypeError`` and
+``ValueError``) naming where it sits, as is a missing ``template``,
+``response`` or ``vector``. A rule with a ``responses`` key (the ordered
+form this format once had) is ``ValueError`` naming the rule, and so is
+a ``dim`` below 1. Each vector becomes one read-only float64 array that
+every text its entry matches shares.
 
 Script format::
 
@@ -51,24 +51,35 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import MockScriptMiss
+from ..decoding import decode
+from ..errors import ConfigError, MockScriptMiss
 from .cache import frozen_vector
 
 
 @dataclass
 class MockRule:
     template: str
-    contains: str | None
     response: str
+    contains: str | None = None
 
     def matches(self, prompt: str) -> bool:
         """Whether this rule answers the prompt; the template is matched by the caller."""
         return self.contains is None or self.contains in prompt
 
 
-def _require_str(value, what: str) -> None:
-    if not isinstance(value, str):
-        raise TypeError(f"{what} must be a string, not {value!r}")
+@dataclass
+class MockEmbedding:
+    """An ``embeddings`` entry: its vector answers a text equal to ``text``
+    or holding ``contains``."""
+
+    vector: list[float]
+    text: str | None = None
+    contains: str | None = None
+
+
+@dataclass
+class DefaultEmbedding:
+    dim: int
 
 
 def _hashed_unit_vector(text: str, dim: int) -> np.ndarray:
@@ -83,63 +94,55 @@ def _hashed_unit_vector(text: str, dim: int) -> np.ndarray:
 
 @dataclass
 class MockScript:
-    """Deterministic scripted backend for completions and embeddings."""
+    """Deterministic scripted backend for completions and embeddings.
+
+    Its fields are a script file's keys, which ``from_dict`` decodes.
+    """
 
     rules: list[MockRule] = field(default_factory=list)
-    embeddings: list[dict] = field(default_factory=list)
-    default_embedding_dim: int | None = None
-    # template id -> its rules, in script order
-    _rules_by_template: dict[str, list[MockRule]] = field(init=False, repr=False, compare=False)
+    embeddings: list[MockEmbedding] = field(default_factory=list)
+    default_embedding: DefaultEmbedding | None = None
 
     def __post_init__(self):
-        for rule in self.rules:
-            _require_str(rule.template, "a rule's template")
-            if rule.contains is not None:
-                _require_str(rule.contains, "a rule's contains")
-            _require_str(rule.response, f"a {rule.template!r} response")
-        for entry in self.embeddings:
-            for name in ("text", "contains"):
-                if name in entry:
-                    _require_str(entry[name], f"an embedding's {name}")
-            vector = entry["vector"]
-            if type(vector) is not list:
-                raise TypeError(f"an embedding's vector must be a list, not {vector!r:.80}")
-        dim = self.default_embedding_dim
-        if dim is not None and (type(dim) is not int or dim < 1):
-            raise ValueError(f"default_embedding's dim must be a positive integer, not {dim!r}")
-        self.embeddings = [
-            {**entry, "vector": frozen_vector([float(x) for x in entry["vector"]])}
-            for entry in self.embeddings
-        ]
-        self._rules_by_template = {}
+        # template id -> its rules, in script order
+        self._rules_by_template: dict[str, list[MockRule]] = {}
         for rule in self.rules:
             self._rules_by_template.setdefault(rule.template, []).append(rule)
+        # (text, contains, vector) per entry, the vector as one read-only array
+        self._vectors = [(e.text, e.contains, frozen_vector(e.vector)) for e in self.embeddings]
 
     @classmethod
-    def from_dict(cls, data: dict) -> "MockScript":
-        if not isinstance(data, dict):
-            raise TypeError(f"a mock script must be an object, not {data!r}")
-        rules = []
-        for index, entry in enumerate(data.get("rules", [])):
-            if "responses" in entry:
+    def from_dict(cls, data) -> "MockScript":
+        """The script a decoded JSON document holds; a missing ``rules`` or
+        ``embeddings`` is empty. A value of the wrong type or a missing key is
+        a ``DecodeError``, and a rule in the ordered ``responses`` form or a
+        ``dim`` below 1 a ``ValueError``."""
+        rules = data.get("rules") if isinstance(data, dict) else None
+        for index, entry in enumerate(rules if isinstance(rules, list) else ()):
+            if isinstance(entry, dict) and "responses" in entry:
                 raise ValueError(
                     f"rule {index} ({entry.get('template')!r}) has a responses list, which "
                     "is not read: give each answer a rule of its own, told apart by contains"
                 )
-            rules.append(MockRule(entry["template"], entry.get("contains"), entry["response"]))
-        default = data.get("default_embedding") or {}
-        if not isinstance(default, dict):
-            raise TypeError(f"default_embedding must be an object, not {default!r}")
-        return cls(
-            rules=rules,
-            embeddings=list(data.get("embeddings", [])),
-            default_embedding_dim=default.get("dim"),
-        )
+        if isinstance(data, dict):
+            data = {"rules": [], "embeddings": [], **data}
+        script = decode(cls, data)
+        dim = script.default_embedding and script.default_embedding.dim
+        if dim is not None and dim < 1:
+            raise ValueError(f"default_embedding's dim must be a positive integer, not {dim}")
+        return script
 
     @classmethod
     def from_file(cls, path: str | Path) -> "MockScript":
-        with Path(path).open("r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))
+        """The script a JSON file holds; a ``ConfigError`` where it cannot be
+        read or does not decode."""
+        try:
+            with Path(path).open("r", encoding="utf-8") as handle:
+                return cls.from_dict(json.load(handle))
+        except OSError as exc:
+            raise ConfigError(f"cannot read mock script {path}: {exc}") from exc
+        except ValueError as exc:  # bad JSON or bad values: a DecodeError is one
+            raise ConfigError(f"mock script {path} is malformed: {exc}") from exc
 
     def complete(self, requests: list[tuple[str, str]]) -> list:
         """For each ``(template_id, prompt)``, the first matching rule's response."""
@@ -158,11 +161,9 @@ class MockScript:
         return [self._vector_for(text) for text in texts]
 
     def _vector_for(self, text: str) -> np.ndarray | MockScriptMiss:
-        for entry in self.embeddings:
-            if ("text" in entry and entry["text"] == text) or (
-                "contains" in entry and entry["contains"] in text
-            ):
-                return entry["vector"]
-        if self.default_embedding_dim is None:
+        for entry_text, contains, vector in self._vectors:
+            if entry_text == text or (contains is not None and contains in text):
+                return vector
+        if self.default_embedding is None:
             return MockScriptMiss(f"no mock embedding matches text: {text[:80]!r}")
-        return _hashed_unit_vector(text, self.default_embedding_dim)
+        return _hashed_unit_vector(text, self.default_embedding.dim)

@@ -13,8 +13,6 @@ complete, replayable trace of what happened.
 
 from __future__ import annotations
 
-import dataclasses
-import functools
 import json
 import re
 import typing
@@ -41,6 +39,7 @@ from .causality import (
 from .che import CheCandidate, collect_che
 from .config import FULL_PIPELINE, AblationConfig, Thresholds
 from .corpus import ClaimRecord, Label, read_json_lines
+from .decoding import DecodeError, decode
 from .errors import (
     EmptyJustification,
     ParseError,
@@ -141,22 +140,27 @@ def cot_verify(gateway: Gateway, claim: str, evidence: list[str]) -> BaseVerdict
     )
 
 
+@dataclass
+class _ExternalVerdict:
+    """One line of an external verdict file."""
+
+    id: str
+    label: Label
+    justification: str
+
+
 def load_base_verdicts(path: str | Path) -> dict[str, BaseVerdict]:
     """External verdicts, one JSON record per line; a bad or repeated one is a ``ParseError``."""
     verdicts: dict[str, BaseVerdict] = {}
     for line_number, row in read_json_lines(path):
         try:
-            record_id = row["id"]
-            if not isinstance(record_id, str) or not record_id:
+            line = decode(_ExternalVerdict, row)
+            if not line.id:
                 raise ValueError("id must be a non-empty string")
-            if record_id in verdicts:
-                raise ValueError(f"duplicate id {record_id!r}")
-            verdicts[record_id] = BaseVerdict(
-                label=Label(row["label"]),
-                justification=row["justification"],
-                source=VerdictSource.EXTERNAL,
-            )
-        except (AttributeError, KeyError, TypeError, ValueError, EmptyJustification) as exc:
+            if line.id in verdicts:
+                raise ValueError(f"duplicate id {line.id!r}")
+            verdicts[line.id] = BaseVerdict(line.label, line.justification, VerdictSource.EXTERNAL)
+        except (ValueError, EmptyJustification) as exc:
             raise ParseError(line_number, f"bad external verdict record: {exc}") from exc
     return verdicts
 
@@ -460,45 +464,6 @@ def _dumps(report: VerdictReport) -> str:
     return json.dumps(line, default=vars, ensure_ascii=False)
 
 
-_type_hints = functools.cache(typing.get_type_hints)
-
-
-def _build(hint, value):
-    """``value``, read from JSON, as an instance of the type ``hint``.
-
-    A dataclass's key may be missing only when the field's default is
-    None and its metadata does not mark it ``required``.
-    """
-    args = typing.get_args(hint)
-    if type(None) in args:  # X | None
-        (inner,) = set(args) - {type(None)}
-        return None if value is None else _build(inner, value)
-    origin = typing.get_origin(hint)
-    if origin in (list, tuple):
-        if not isinstance(value, list):
-            raise TypeError(f"expected a list, got {value!r}")
-        return origin(_build(args[0], item) for item in value)
-    if dataclasses.is_dataclass(hint):
-        if not isinstance(value, dict):
-            raise TypeError(f"expected an object, got {value!r}")
-        hints = _type_hints(hint)
-        return hint(**{
-            f.name: _build(hints[f.name], value[f.name])
-            for f in dataclasses.fields(hint)
-            if f.name in value or f.default is not None or f.metadata.get("required")
-        })
-    if issubclass(hint, Enum):
-        return hint(value)
-    # a bool is an int to isinstance, but never a number here
-    if not isinstance(value, (int, float) if hint is float else hint) or (
-        isinstance(value, bool) and hint is not bool
-    ):
-        raise TypeError(f"expected {hint.__name__}, got {value!r}")
-    # an int where a float is due is written back as a float, as the
-    # pipeline writes it; one too large for a float raises OverflowError
-    return float(value) if hint is float else value
-
-
 def _v1_failed(stages: list[StageTrace]) -> str | None:
     # Version 1 did not record ``failed``: a claim failed when it has no
     # ok base verdict row, at its last failed foundation stage.
@@ -517,7 +482,7 @@ def report_from_dict(data: dict) -> VerdictReport:
     version = data.get("schema_version")
     if type(version) is not int or version not in (1, REPORT_SCHEMA_VERSION):
         raise ParseError(0, f"unsupported report schema version: {version}")
-    report = _build(VerdictReport, data)
+    report = decode(VerdictReport, data)
     if version == 1:
         report.failed = _v1_failed(report.stages)
     return report
@@ -543,9 +508,7 @@ def load_reports(path: str | Path) -> list[VerdictReport]:
             report = report_from_dict(line)
         except ParseError as exc:
             raise ParseError(line_number, exc.reason) from exc
-        except (
-            AttributeError, KeyError, OverflowError, TypeError, ValueError, EmptyJustification
-        ) as exc:
+        except (AttributeError, DecodeError, EmptyJustification) as exc:
             raise ParseError(line_number, f"bad report record: {exc}") from exc
         if report.id in reports:
             raise ParseError(line_number, f"duplicate report id {report.id!r}")

@@ -84,9 +84,12 @@ def test_ingest_malformed_line_exits_one_naming_the_line(capsys, tmp_path):
 @pytest.mark.parametrize(
     "fields,message",
     [
-        ('"claim": 5', "claim must be a string"),
-        ('"claim": "c", "raw_rating": 3, "gold_label": "True"', "raw_rating must be a string"),
-        ('"claim": "c", "raw_rating": ["True"]', "raw_rating must be a string"),
+        ('"claim": 5', "claim: expected a string, got 5"),
+        (
+            '"claim": "c", "raw_rating": 3, "gold_label": "True"',
+            "raw_rating: expected a string, got 3",
+        ),
+        ('"claim": "c", "raw_rating": ["True"]', "raw_rating: expected a string, got ['True']"),
     ],
 )
 @pytest.mark.parametrize("command", ["ingest", "run"])
@@ -443,7 +446,7 @@ def test_run_base_only_ablation_keeps_base_label(capsys, tmp_path):
         ),
         pytest.param(
             '{"id": 7, "label": "True", "justification": "j"}',
-            ": id must be a non-empty string",
+            ": id: expected a string, got 7",
             id="number-id",
         ),
         pytest.param(
@@ -941,6 +944,7 @@ def test_run_malformed_mock_vector_exits_one_before_any_claim(capsys, tmp_path, 
         ("embeddings", {"text": ["a"], "vector": [1.0]}),
         ("embeddings", {"contains": "a", "vector": "907"}),
         ("embeddings", {"contains": "a", "vector": {"1.0": 0}}),
+        ("embeddings", {"contains": "a", "vector": ["9", False]}),
     ],
     ids=[
         "template",
@@ -951,6 +955,7 @@ def test_run_malformed_mock_vector_exits_one_before_any_claim(capsys, tmp_path, 
         "embedding-text",
         "embedding-vector-string",
         "embedding-vector-object",
+        "embedding-vector-elements",
     ],
 )
 def test_run_malformed_mock_rule_or_embedding_exits_one_before_any_claim(
@@ -970,9 +975,12 @@ def test_run_malformed_mock_rule_or_embedding_exits_one_before_any_claim(
         str(bad_script),
         "--output",
         str(out_path),
+        "--cache",
+        str(tmp_path / "cache.jsonl"),
     )
     assert code == 1
     assert f"mock script {bad_script} is malformed" in err
+    assert not (tmp_path / "cache.jsonl").exists()
     if "responses" in entry:  # the ordered form is refused by name
         assert "rule 0 ('relevance') has a responses list" in err
     assert out == ""

@@ -1021,18 +1021,21 @@ def test_mock_texts_matching_one_entry_share_one_read_only_array():
         ([[1.0], 0.0], TypeError),
         ("907", TypeError),
         ({"9.0": 0, "7.0": 1}, TypeError),
+        (["9", False], ValueError),
+        ([1.0, True], ValueError),
     ],
-    ids=["string", "null", "nested", "digit-string", "object"],
+    ids=["string", "null", "nested", "digit-string", "object", "numeric-string-element",
+         "bool-element"],
 )
 def test_mock_malformed_vector_fails_at_load(vector, error):
     with pytest.raises(error):
         MockScript.from_dict({"embeddings": [{"contains": "a", "vector": vector}]})
 
 
-def test_mock_built_directly_checks_its_rules():
-    rule = MockRule(template="relevance", contains=None, response=5)
-    with pytest.raises(TypeError):
-        MockScript(rules=[rule])
+def test_mock_vector_of_ints_reads_as_floats():
+    script = MockScript.from_dict({"embeddings": [{"text": "a", "vector": [1, 0]}]})
+    [vector] = script.embed(["a"])
+    assert vector.tolist() == [1.0, 0.0] and vector.dtype == np.float64
 
 
 def test_gateway_embed_over_texts_sharing_an_array_cold_then_warm(tmp_path):
@@ -1762,6 +1765,22 @@ def test_live_backend_embedding_of_another_shape_is_a_malformed_answer(row):
     with pytest.raises(BackendError, match="returned a malformed answer"):
         gateway.embed("t")
     assert len(gateway.cache) == 0
+
+
+@pytest.mark.parametrize(
+    "embedding", [["1.5", True, " 2 "], ["1.5"], [True], [" 2 "]],
+    ids=["mixed", "numeric-string", "bool", "padded-string"],
+)
+def test_live_backend_embedding_element_that_is_not_a_number_is_a_malformed_answer(embedding):
+    session = _FakeSession([_FakeResponse(200, {"data": [{"index": 0, "embedding": embedding}]})])
+    with pytest.raises(BackendError, match="returned a malformed answer"):
+        _live_backend(session).embed(["t"])
+
+
+def test_live_backend_embedding_of_ints_reads_as_floats():
+    session = _FakeSession([_FakeResponse(200, {"data": [{"index": 0, "embedding": [1, 0]}]})])
+    [vector] = _live_backend(session).embed(["t"])
+    assert vector.tolist() == [1.0, 0.0] and vector.dtype == np.float64
 
 
 @pytest.mark.parametrize(
