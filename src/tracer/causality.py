@@ -61,7 +61,7 @@ class Assumption:
     text: str
     # None until evaluated; a report line always carries the key (see
     # ``tracer.verdict.report_from_dict``)
-    causal_effect: CausalEffect | None = field(default=None, metadata={"required": True})
+    causal_effect: CausalEffect | None = field(default=None, metadata={"optional": False})
     flags: tuple[str, ...] = ()
 
     @property

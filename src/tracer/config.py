@@ -65,22 +65,20 @@ _KINDS = {str: "a non-empty string", int: "an integer", float: "a number", bool:
 def _check_fields(settings) -> None:
     """ConfigError naming the first field whose value its type hint does not allow.
 
-    The type rule is ``decode``'s: a bool is no number, a float takes an
-    int, and ``X | None`` takes None. A string must not be empty. Every
-    int field is a count, so positive; every float field is a similarity
-    threshold, so in [-1, 1].
+    Types are read as ``decode`` reads them (a bool is no number, a float
+    takes an int, ``X | None`` takes None), and a string must not be empty.
+    Every int field is a count, so positive; every float field is a
+    similarity threshold, so in [-1, 1].
     """
     for name, hint in get_type_hints(type(settings)).items():
         kind, *optional = get_args(hint) or (hint,)
         value = getattr(settings, name)
         if kind not in _KINDS or (value is None and optional):
             continue
-        try:
-            valid = decode(kind, value) != ""
+        try:  # an empty string is refused as a null is
+            decode(kind, None if value == "" else value)
         except DecodeError:
-            valid = False
-        if not valid:
-            raise ConfigError(f"{name} must be {_KINDS[kind]}, got {value!r}")
+            raise ConfigError(f"{name} must be {_KINDS[kind]}, got {value!r}") from None
         if kind is int and value < 1:
             raise ConfigError(f"{name} must be positive, got {value}")
         if kind is float and not -1.0 <= value <= 1.0:

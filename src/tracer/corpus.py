@@ -59,8 +59,8 @@ class ClaimRecord:
     date: datetime.date | None = None
     raw_rating: str | None = None
     gold_label: Label | None = None
-    evidence: list[str] = field(default_factory=list)
-    ruling: list[str] = field(default_factory=list)
+    evidence: list[str] = field(default_factory=list, metadata={"optional": True})
+    ruling: list[str] = field(default_factory=list, metadata={"optional": True})
 
 
 def label_counts(records: Sequence[ClaimRecord]) -> dict[Label, int]:
@@ -195,7 +195,7 @@ def read_json_lines(path: str | Path) -> Iterator[tuple[int, object]]:
                 payload = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ParseError(line_number, f"bad JSON: {exc.msg}") from None
-            if "\\u" in line:
+            if "\\" in line and "\\u" in line:  # a fast one-character scan first
                 try:
                     json.dumps(payload, ensure_ascii=False).encode("utf-8")
                 except UnicodeEncodeError:
@@ -206,16 +206,14 @@ def read_json_lines(path: str | Path) -> Iterator[tuple[int, object]]:
 def load_corpus(path: str | Path) -> list[ClaimRecord]:
     """Load and validate a line-delimited corpus file.
 
-    Raises ParseError (with the offending line number) for undecodable
-    lines, a lone surrogate among them, a line that does not decode as a
-    ``ClaimRecord`` and an empty id, and ValidationError (naming the
-    record id) for duplicate ids or inconsistent labels.
+    Raises ParseError (with the offending line number) for a line that
+    does not decode as a ``ClaimRecord`` or has an empty id, and
+    ValidationError (naming the record id) for duplicate ids or
+    inconsistent labels.
     """
     records: list[ClaimRecord] = []
     seen_ids: set[str] = set()
     for line_number, payload in read_json_lines(path):
-        if isinstance(payload, dict):  # a missing evidence or ruling is empty
-            payload = {"evidence": [], "ruling": [], **payload}
         try:
             record = decode(ClaimRecord, payload)
         except DecodeError as exc:

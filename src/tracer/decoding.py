@@ -1,14 +1,8 @@
-"""One typed decoder for every JSON input.
-
-``decode(hint, value)`` reads a JSON (or YAML) value as an instance of
-``hint``, or raises ``DecodeError`` naming where and why it is not one.
-A bool is never a number and neither is a string; an int where a float
-is due becomes a float; ``X | None`` takes None, an enum its values, a
-``datetime.date`` an ISO string; a list or tuple is a JSON list, one of
-scalars checked in one pass over its elements; a dataclass is an object
-whose keys may be missing only for fields that default to None and are
-not marked ``required``. Each boundary adds its own rules and error
-class. This module imports nothing else of the package.
+"""One typed decoder for every JSON input: ``decode(hint, value)`` reads a
+JSON value as an instance of ``hint`` or raises ``DecodeError``. A bool or
+a string is never a number, an int where a float is due becomes a float,
+and a dataclass's key may be missing only where the field's metadata says
+``optional`` (by default, where the field defaults to None).
 """
 
 from __future__ import annotations
@@ -21,31 +15,70 @@ from enum import Enum
 
 # the exact JSON types each scalar type takes, so a bool is no int
 _SCALARS = {str: {str}, int: {int}, float: {int, float}, bool: {bool}}
-_NAMES = {str: "a string", int: "an integer", float: "a number", bool: "true or false"}
 
 
 class DecodeError(TypeError, ValueError):
-    """A value not of its type, at ``path`` (``embeddings[0].vector[1]``, or
-    empty); both errors, as the checks it replaces raised one or the other."""
-
-    def __init__(self, reason: str, path: str = ""):
-        super().__init__(f"{path}: {reason}" if path else reason)
-        self.reason = reason
-        self.path = path
-
-    def under(self, step: str) -> DecodeError:
-        """This error, as seen from the value that holds it at ``step``."""
-        joint = "" if self.path[:1] in ("", "[") else "."
-        return DecodeError(self.reason, step + joint + self.path)
+    """A value not of its type: both errors, as the checks it replaced raised one or the other."""
 
 
 def decode(hint, value):
     """``value``, read from JSON, as an instance of the type ``hint``."""
-    return _decoder(hint)(value)
+    return _reader(hint)(value)
 
 
-def _refusal(expected: str, value, path: str = "") -> DecodeError:
-    return DecodeError(f"expected {expected}, got {value!r:.80}", path)
+@functools.cache
+def _reader(hint):
+    """The function that reads a JSON value as ``hint``, made once per type."""
+    if hint in _SCALARS:
+
+        def scalar(value):
+            if type(value) not in _SCALARS[hint]:
+                raise DecodeError(f"expected {hint.__name__}, got {value!r:.80}")
+            return _floats([value])[0] if hint is float and type(value) is int else value
+
+        return scalar
+    args = typing.get_args(hint)
+    if type(None) in args:  # X | None
+        (inner,) = set(args) - {type(None)}
+        read = _reader(inner)
+        return lambda value: None if value is None else read(value)
+    origin = typing.get_origin(hint)
+    if origin in (list, tuple):
+        item, read = args[0], _reader(args[0])
+
+        def items(value):
+            if type(value) is not list:
+                raise DecodeError(f"expected a list, got {value!r:.80}")
+            if item not in _SCALARS:
+                return origin(map(read, value))
+            types = set(map(type, value))  # one pass, not a call per element
+            if not types <= _SCALARS[item]:
+                raise DecodeError(f"expected a list of {item.__name__}, got {value!r:.80}")
+            return origin(_floats(value) if int in types and item is float else value)
+
+        return items
+    if dataclasses.is_dataclass(hint):
+        hints, fields = typing.get_type_hints(hint), dataclasses.fields(hint)
+        required = {f.name for f in fields if not f.metadata.get("optional", f.default is None)}
+        readers = [(f.name, _reader(hints[f.name])) for f in fields]
+
+        def build(value):
+            if type(value) is not dict:
+                raise DecodeError(f"expected an object, got {value!r:.80}")
+            if not required <= value.keys():
+                raise DecodeError(f"missing required keys {sorted(required - value.keys())}")
+            return hint(**{name: read(value[name]) for name, read in readers if name in value})
+
+        return build
+    parse = hint if issubclass(hint, Enum) else datetime.date.fromisoformat
+
+    def parsed(value):  # an enum member or a date
+        try:
+            return parse(value)
+        except (TypeError, ValueError):
+            raise DecodeError(f"expected {hint.__name__}, got {value!r:.80}") from None
+
+    return parsed
 
 
 def _floats(values) -> list[float]:
@@ -53,104 +86,6 @@ def _floats(values) -> list[float]:
         return list(map(float, values))
     except OverflowError as exc:  # an int too large for a float
         raise DecodeError(str(exc)) from None
-
-
-@functools.cache
-def _decoder(hint):
-    """The function that decodes a JSON value as ``hint``."""
-    args = typing.get_args(hint)
-    if type(None) in args:  # X | None
-        (inner,) = set(args) - {type(None)}
-        decode_inner = _decoder(inner)
-        return lambda value: None if value is None else decode_inner(value)
-    origin = typing.get_origin(hint)
-    if origin in (list, tuple):
-        return _sequence_decoder(origin, args[0])
-    if dataclasses.is_dataclass(hint):
-        return _dataclass_decoder(hint)
-    if issubclass(hint, Enum):
-        values = ", ".join(repr(member.value) for member in hint)
-
-        def member(value):
-            try:
-                return hint(value)
-            except ValueError:
-                raise _refusal(f"one of {values}", value) from None
-
-        return member
-    if hint is datetime.date:
-
-        def date(value):
-            try:
-                return datetime.date.fromisoformat(value)
-            except (TypeError, ValueError):
-                raise _refusal("an ISO date", value) from None
-
-        return date
-    allowed, name = _SCALARS[hint], _NAMES[hint]
-
-    def scalar(value):
-        if type(value) not in allowed:
-            raise _refusal(name, value)
-        return _floats([value])[0] if type(value) is int and hint is float else value
-
-    return scalar
-
-
-def _sequence_decoder(origin, item):
-    if item in _SCALARS:
-        allowed, name = _SCALARS[item], _NAMES[item]
-
-        def scalars(value):
-            if not isinstance(value, list):
-                raise _refusal("a list", value)
-            types = set(map(type, value))
-            if not types <= allowed:
-                index = next(i for i, x in enumerate(value) if type(x) not in allowed)
-                raise _refusal(name, value[index], f"[{index}]")
-            return origin(_floats(value) if int in types and item is float else value)
-
-        return scalars
-    decode_item = _decoder(item)
-
-    def items(value):
-        if not isinstance(value, list):
-            raise _refusal("a list", value)
-        decoded = []
-        for index, element in enumerate(value):
-            try:
-                decoded.append(decode_item(element))
-            except DecodeError as exc:
-                raise exc.under(f"[{index}]") from None
-        return origin(decoded)
-
-    return items
-
-
-def _dataclass_decoder(hint):
-    hints = typing.get_type_hints(hint)
-    # (key, its decoder, whether it may be missing)
-    fields = [
-        (f.name, _decoder(hints[f.name]), f.default is None and not f.metadata.get("required"))
-        for f in dataclasses.fields(hint)
-        if f.init
-    ]
-
-    def build(value):
-        if not isinstance(value, dict):
-            raise _refusal("an object", value)
-        kwargs = {}
-        for name, decode_field, optional in fields:
-            if name in value:
-                try:
-                    kwargs[name] = decode_field(value[name])
-                except DecodeError as exc:
-                    raise exc.under(name) from None
-            elif not optional:
-                raise DecodeError(f"missing required key {name!r}")
-        return hint(**kwargs)
-
-    return build
 
 
 __all__ = ["DecodeError", "decode"]

@@ -15,11 +15,10 @@ rule, serves the alignment and NLI classifiers and the live model's
 OpenAI-compatible wire format over the last two. Like the mock, it
 answers lists: ``complete`` sends one request per prompt, in order, and
 ``embed`` one request for all the texts. Every completion is asked at
-temperature ``TEMPERATURE`` for at most ``MAX_TOKENS`` tokens. Answers
-are read with ``tracer.decoding.decode``: a message content must be a
-string, and each embedding row an integer ``index`` (not a bool) and an
-``embedding`` list, each element of which is a JSON number, not a
-string or a bool.
+temperature ``TEMPERATURE`` for at most ``MAX_TOKENS`` tokens. Answers are
+read by ``tracer.decoding.decode``: a message content is a string, and an
+embedding row an int ``index`` and an ``embedding`` list, each element
+of which is a JSON number, not a string or a bool.
 
 ``requests`` is imported only when a session is made or a request is
 sent, so offline runs never pay for importing it.
@@ -29,7 +28,6 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -225,17 +223,11 @@ def _read_content(data) -> str:
     return decode(str, data["choices"][0]["message"]["content"])
 
 
-@dataclass
-class _EmbeddingRow:
-    index: int
-    embedding: list[float]
-
-
 def _read_vectors(data, count: int) -> list[np.ndarray]:
     """The answer's rows put back in order by their ``index``, which must
     run over exactly the texts' positions."""
-    rows = sorted(decode(list[_EmbeddingRow], data["data"]), key=lambda row: row.index)
-    indices = [row.index for row in rows]
+    rows = sorted(data["data"], key=lambda row: decode(int, row["index"]))
+    indices = [row["index"] for row in rows]
     if indices != list(range(count)):
         raise ValueError(f"indices {indices} do not match {count} texts")
-    return [frozen_vector(row.embedding) for row in rows]
+    return [frozen_vector(decode(list[float], row["embedding"])) for row in rows]

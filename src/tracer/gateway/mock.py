@@ -11,13 +11,14 @@ nothing per request.
 The script is decoded once, at load, by ``tracer.decoding.decode``,
 into the dataclasses below. A vector must be a list, and each element is
 a JSON number, not a string or a bool; a template, ``contains``,
-response or embedding ``text`` must be a string and ``dim`` an integer.
-A value that is not is a ``DecodeError`` (both ``TypeError`` and
-``ValueError``) naming where it sits, as is a missing ``template``,
-``response`` or ``vector``. A rule with a ``responses`` key (the ordered
-form this format once had) is ``ValueError`` naming the rule, and so is
-a ``dim`` below 1. Each vector becomes one read-only float64 array that
-every text its entry matches shares.
+response or embedding ``text`` must be a string (a null ``contains`` or
+``text`` is the same as none), and ``default_embedding`` is null or an
+object with an integer ``dim``. A value that is not is a ``DecodeError``
+(both ``TypeError`` and ``ValueError``), as is a missing ``template``,
+``response``, ``vector`` or ``dim``. A rule with a ``responses`` key (the
+ordered form this format once had) is ``ValueError`` naming the rule, and
+so is a ``dim`` below 1. Each vector becomes one read-only float64 array
+that every text its entry matches shares.
 
 Script format::
 
@@ -69,9 +70,6 @@ class MockRule:
 
 @dataclass
 class MockEmbedding:
-    """An ``embeddings`` entry: its vector answers a text equal to ``text``
-    or holding ``contains``."""
-
     vector: list[float]
     text: str | None = None
     contains: str | None = None
@@ -94,13 +92,10 @@ def _hashed_unit_vector(text: str, dim: int) -> np.ndarray:
 
 @dataclass
 class MockScript:
-    """Deterministic scripted backend for completions and embeddings.
+    """Deterministic scripted backend; its fields are a script file's keys."""
 
-    Its fields are a script file's keys, which ``from_dict`` decodes.
-    """
-
-    rules: list[MockRule] = field(default_factory=list)
-    embeddings: list[MockEmbedding] = field(default_factory=list)
+    rules: list[MockRule] = field(default_factory=list, metadata={"optional": True})
+    embeddings: list[MockEmbedding] = field(default_factory=list, metadata={"optional": True})
     default_embedding: DefaultEmbedding | None = None
 
     def __post_init__(self):
@@ -113,10 +108,7 @@ class MockScript:
 
     @classmethod
     def from_dict(cls, data) -> "MockScript":
-        """The script a decoded JSON document holds; a missing ``rules`` or
-        ``embeddings`` is empty. A value of the wrong type or a missing key is
-        a ``DecodeError``, and a rule in the ordered ``responses`` form or a
-        ``dim`` below 1 a ``ValueError``."""
+        """The script a JSON document holds, or a ``ValueError`` (see the module's doc)."""
         rules = data.get("rules") if isinstance(data, dict) else None
         for index, entry in enumerate(rules if isinstance(rules, list) else ()):
             if isinstance(entry, dict) and "responses" in entry:
@@ -124,18 +116,15 @@ class MockScript:
                     f"rule {index} ({entry.get('template')!r}) has a responses list, which "
                     "is not read: give each answer a rule of its own, told apart by contains"
                 )
-        if isinstance(data, dict):
-            data = {"rules": [], "embeddings": [], **data}
         script = decode(cls, data)
-        dim = script.default_embedding and script.default_embedding.dim
-        if dim is not None and dim < 1:
+        if script.default_embedding and script.default_embedding.dim < 1:
+            dim = script.default_embedding.dim
             raise ValueError(f"default_embedding's dim must be a positive integer, not {dim}")
         return script
 
     @classmethod
     def from_file(cls, path: str | Path) -> "MockScript":
-        """The script a JSON file holds; a ``ConfigError`` where it cannot be
-        read or does not decode."""
+        """The script a JSON file holds, or a ``ConfigError`` naming the file."""
         try:
             with Path(path).open("r", encoding="utf-8") as handle:
                 return cls.from_dict(json.load(handle))

@@ -142,8 +142,6 @@ def cot_verify(gateway: Gateway, claim: str, evidence: list[str]) -> BaseVerdict
 
 @dataclass
 class _ExternalVerdict:
-    """One line of an external verdict file."""
-
     id: str
     label: Label
     justification: str

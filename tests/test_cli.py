@@ -84,12 +84,9 @@ def test_ingest_malformed_line_exits_one_naming_the_line(capsys, tmp_path):
 @pytest.mark.parametrize(
     "fields,message",
     [
-        ('"claim": 5', "claim: expected a string, got 5"),
-        (
-            '"claim": "c", "raw_rating": 3, "gold_label": "True"',
-            "raw_rating: expected a string, got 3",
-        ),
-        ('"claim": "c", "raw_rating": ["True"]', "raw_rating: expected a string, got ['True']"),
+        ('"claim": 5', "expected str, got 5"),
+        ('"claim": "c", "raw_rating": 3, "gold_label": "True"', "expected str, got 3"),
+        ('"claim": "c", "raw_rating": ["True"]', "expected str, got ['True']"),
     ],
 )
 @pytest.mark.parametrize("command", ["ingest", "run"])
@@ -446,7 +443,7 @@ def test_run_base_only_ablation_keeps_base_label(capsys, tmp_path):
         ),
         pytest.param(
             '{"id": 7, "label": "True", "justification": "j"}',
-            ": id: expected a string, got 7",
+            ": expected str, got 7",
             id="number-id",
         ),
         pytest.param(

@@ -1,20 +1,22 @@
-"""Every JSON input boundary refuses a bad value with its own error class.
+"""Every JSON input boundary reads its good value and refuses a bad one
+with its own error class.
 
-Each row puts one bad value at one path of a value the boundary accepts:
-a bool or a numeric string where a number is due, null where a value is
-required, a missing required key, or a list element of the wrong type.
-JSON-lines files carry the bad value on line 2, after a good line.
+Each refusal row puts one bad value at one path of the boundary's good
+value: a bool or a numeric string where a number is due, null where a
+value is required, a missing required key, or a list element of the
+wrong type. JSON-lines files carry the value on line 2, after a good line.
 """
 
 import copy
+import datetime
 import json
 
 import pytest
 
-from tracer.alignment import _read_label
-from tracer.che import nli_check
+from tracer.alignment import AlignmentLabel, _read_label
+from tracer.che import NliVerdict, nli_check
 from tracer.config import config_from_dict
-from tracer.corpus import load_corpus
+from tracer.corpus import Label, load_corpus
 from tracer.decoding import DecodeError, decode
 from tracer.errors import BackendError, ConfigError, ParseError
 from tracer.fixtures import SCENARIO_EXPECTED, SCENARIO_MOCK, data_path
@@ -24,81 +26,52 @@ from tracer.verdict import load_base_verdicts, load_reports
 MISSING = object()
 
 
-def _lines(tmp_path, good, bad, load):
-    path = tmp_path / "input.jsonl"
-    path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
-    with pytest.raises(ParseError) as excinfo:
-        load(path)
-    assert excinfo.value.line_number == 2
-    return excinfo.value
+def _lines(load):
+    def read(tmp_path, boundary, value):
+        path = tmp_path / "input.jsonl"
+        first = {**_good(boundary), "id": "first"}
+        path.write_text(json.dumps(first) + "\n" + json.dumps(value) + "\n", encoding="utf-8")
+        return load(path)
+
+    return read
 
 
-def _corpus(tmp_path, value):
-    return _lines(tmp_path, {**_good("corpus"), "id": "first"}, value, load_corpus)
-
-
-def _base_verdicts(tmp_path, value):
-    return _lines(tmp_path, {**_good("base_verdicts"), "id": "first"}, value, load_base_verdicts)
-
-
-def _reports(tmp_path, value):
-    return _lines(tmp_path, {**_good("reports"), "id": "first"}, value, load_reports)
-
-
-def _mock(tmp_path, value):
+def _mock(tmp_path, boundary, value):
     path = tmp_path / "mock.json"
     path.write_text(json.dumps(value), encoding="utf-8")
-    with pytest.raises(ConfigError) as excinfo:
-        MockScript.from_file(path)
-    return excinfo.value
+    return MockScript.from_file(path)
 
 
 def _live(value):
     return LiveBackend("m", api_key="k", post=lambda url, payload: value)
 
 
-def _chat(tmp_path, value):
+def _chat(tmp_path, boundary, value):
     [outcome] = _live(value).complete([("t", "p")])
-    assert isinstance(outcome, BackendError)
+    if isinstance(outcome, BaseException):  # a failed completion is returned, not raised
+        raise outcome
     return outcome
 
 
-def _embedding(tmp_path, value):
-    with pytest.raises(BackendError) as excinfo:
-        _live(value).embed(["t"])
-    return excinfo.value
+def _classifier(read):
+    def ask(tmp_path, boundary, value):
+        return read(Endpoint(f"http://host/{boundary}", post=lambda url, payload: value))
+
+    return ask
 
 
-def _alignment(tmp_path, value):
-    classifier = Endpoint("http://host/align", post=lambda url, payload: value)
-    with pytest.raises(BackendError) as excinfo:
-        classifier.ask({"claim": "c", "sentence": "s"}, _read_label)
-    return excinfo.value
-
-
-def _nli(tmp_path, value):
-    classifier = Endpoint("http://host/nli", post=lambda url, payload: value)
-    with pytest.raises(BackendError) as excinfo:
-        nli_check(None, "p", "h", classifier)
-    return excinfo.value
-
-
-def _config(tmp_path, value):
-    with pytest.raises(ConfigError) as excinfo:
-        config_from_dict(value)
-    return excinfo.value
-
-
+# boundary -> (its reader of one value, the error class it refuses a bad one with)
 BOUNDARIES = {
-    "corpus": _corpus,
-    "base_verdicts": _base_verdicts,
-    "reports": _reports,
-    "mock": _mock,
-    "chat": _chat,
-    "embedding": _embedding,
-    "alignment": _alignment,
-    "nli": _nli,
-    "config": _config,
+    "corpus": (_lines(load_corpus), ParseError),
+    "base_verdicts": (_lines(load_base_verdicts), ParseError),
+    "reports": (_lines(load_reports), ParseError),
+    "mock": (_mock, ConfigError),
+    "chat": (_chat, BackendError),
+    "embedding": (lambda tmp_path, boundary, value: _live(value).embed(["t"]), BackendError),
+    "alignment": (_classifier(lambda c: c.ask({"claim": "c", "sentence": "s"}, _read_label)),
+                  BackendError),
+    "nli": (_classifier(lambda c: nli_check(None, "p", "h", c)), BackendError),
+    "config": (lambda tmp_path, boundary, value: config_from_dict(value), ConfigError),
 }
 
 
@@ -113,11 +86,11 @@ def _good(boundary):
         "reports": json.loads(data_path(SCENARIO_EXPECTED).read_text(encoding="utf-8")),
         "mock": {
             "rules": [{"template": "t", "response": "A"}],
-            "embeddings": [{"text": "x", "vector": [1.0, 0.5]}],
+            "embeddings": [{"text": "x", "vector": [1, 0.5]}],
             "default_embedding": {"dim": 4},
         },
         "chat": {"choices": [{"message": {"content": "A"}}]},
-        "embedding": {"data": [{"index": 0, "embedding": [0.5, 1.0]}]},
+        "embedding": {"data": [{"index": 0, "embedding": [0.5, 1]}]},
         "alignment": {"label": "Hidden", "confidence": 0.9},
         "nli": {"verdict": "Entail"},
         "config": {
@@ -125,6 +98,38 @@ def _good(boundary):
             "thresholds": {"top_k": 5, "tau_che": 0.5},
         },
     }[boundary]
+
+
+def _check_accepted(boundary, result):
+    if boundary == "corpus":
+        first, record = result
+        assert (first.id, record.id, record.claim) == ("first", "b", "c")
+        assert (record.date, record.raw_rating, record.gold_label) == (
+            datetime.date(2020, 5, 9), "True", Label.TRUE,
+        )
+        assert (record.evidence, record.ruling) == (["e1", "e2"], ["r"])
+    elif boundary == "base_verdicts":
+        assert list(result) == ["first", "b"]
+        assert (result["b"].label, result["b"].justification) == (Label.TRUE, "j")
+    elif boundary == "reports":
+        assert [report.id for report in result] == ["first", _good("reports")["id"]]
+    elif boundary == "mock":
+        assert result.complete([("t", "p")]) == ["A"]
+        [vector] = result.embed(["x"])
+        assert vector.tolist() == [1.0, 0.5]
+        assert len(result.embed(["other"])[0]) == 4
+    elif boundary == "chat":
+        assert result == "A"
+    elif boundary == "embedding":
+        [vector] = result
+        assert vector.tolist() == [0.5, 1.0]
+    elif boundary == "alignment":
+        assert result == (AlignmentLabel.HIDDEN, 0.9)
+    elif boundary == "nli":
+        assert result is NliVerdict.ENTAIL
+    else:
+        assert (result.thresholds.top_k, result.thresholds.tau_che) == (5, 0.5)
+        assert result.backend.mock_script == str(data_path(SCENARIO_MOCK))
 
 
 ROWS = [
@@ -144,6 +149,9 @@ ROWS = [
     ("mock", "numeric-string", ("embeddings", 0, "vector", 1), "0.5"),
     ("mock", "bool", ("default_embedding", "dim"), True),
     ("mock", "numeric-string", ("default_embedding", "dim"), "4"),
+    ("mock", "null", ("default_embedding", "dim"), None),
+    ("mock", "missing", ("default_embedding", "dim"), MISSING),
+    ("mock", "bool", ("default_embedding",), False),
     ("mock", "null", ("rules", 0, "response"), None),
     ("mock", "missing", ("rules", 0, "template"), MISSING),
     ("mock", "element", ("rules", 0), "t"),
@@ -178,9 +186,8 @@ def _dotted(path) -> str:
 
 @pytest.mark.parametrize("boundary", BOUNDARIES)
 def test_each_boundary_accepts_its_good_value(tmp_path, boundary):
-    # each runner fails (no error raised) on a value its boundary accepts
-    with pytest.raises((pytest.fail.Exception, AssertionError)):
-        BOUNDARIES[boundary](tmp_path, _good(boundary))
+    read, _ = BOUNDARIES[boundary]
+    _check_accepted(boundary, read(tmp_path, boundary, _good(boundary)))
 
 
 @pytest.mark.parametrize(
@@ -197,11 +204,23 @@ def test_each_boundary_refuses_a_bad_value_with_its_own_error(tmp_path, boundary
         del block[path[-1]]
     else:
         block[path[-1]] = bad
-    error = BOUNDARIES[boundary](tmp_path, value)
-    if boundary in ("corpus", "base_verdicts", "reports", "mock"):
-        # the whole value decodes at once, so the message names where the bad one sits
-        where = _dotted(path[:-1]) if bad is MISSING else _dotted(path)
-        assert where in str(error)
+    read, error = BOUNDARIES[boundary]
+    with pytest.raises(error) as excinfo:
+        read(tmp_path, boundary, value)
+    if error is ParseError:
+        assert excinfo.value.line_number == 2
+    if error is BackendError:
+        assert "returned a malformed answer" in str(excinfo.value)
+
+
+def test_a_null_mock_text_or_contains_is_the_same_as_none():
+    script = MockScript.from_dict({
+        "rules": [{"template": "t", "contains": None, "response": "A"}],
+        "embeddings": [{"text": None, "contains": "needle", "vector": [1.0]}],
+    })
+    assert script.complete([("t", "any prompt")]) == ["A"]
+    assert [v.tolist() for v in script.embed(["a needle here"])] == [[1.0]]
+    assert script.embeddings[0].text is None
 
 
 def test_decode_rules():
@@ -209,10 +228,16 @@ def test_decode_rules():
     assert type(decode(float, 1)) is float
     assert decode(tuple[str, ...], ["a"]) == ("a",)
     assert decode(int | None, None) is None
-    for hint, value in [(float, True), (int, "1"), (list[float], [1.0, "2"]), (str, None)]:
+    assert decode(datetime.date, "2020-05-09") == datetime.date(2020, 5, 9)
+    for hint, value in [
+        (float, True), (int, "1"), (list[float], [1.0, "2"]), (str, None),
+        (Label, "Bogus"), (datetime.date, "May 9"), (datetime.date, 9),
+    ]:
         with pytest.raises(DecodeError):
             decode(hint, value)
     with pytest.raises(DecodeError, match="too large"):
         decode(float, 10**400)
+    with pytest.raises(DecodeError, match="too large"):
+        decode(list[float], [1.0, 10**400])
     error = DecodeError("r")
     assert isinstance(error, TypeError) and isinstance(error, ValueError)
