@@ -70,9 +70,12 @@ class MockRule:
 
 @dataclass
 class MockEmbedding:
-    vector: list[float]
+    vector: list[float]  # read as a list, kept as one read-only float64 array
     text: str | None = None
     contains: str | None = None
+
+    def __post_init__(self):
+        self.vector = frozen_vector(self.vector)
 
 
 @dataclass
@@ -103,8 +106,6 @@ class MockScript:
         self._rules_by_template: dict[str, list[MockRule]] = {}
         for rule in self.rules:
             self._rules_by_template.setdefault(rule.template, []).append(rule)
-        # (text, contains, vector) per entry, the vector as one read-only array
-        self._vectors = [(e.text, e.contains, frozen_vector(e.vector)) for e in self.embeddings]
 
     @classmethod
     def from_dict(cls, data) -> "MockScript":
@@ -150,9 +151,9 @@ class MockScript:
         return [self._vector_for(text) for text in texts]
 
     def _vector_for(self, text: str) -> np.ndarray | MockScriptMiss:
-        for entry_text, contains, vector in self._vectors:
-            if entry_text == text or (contains is not None and contains in text):
-                return vector
+        for entry in self.embeddings:
+            if entry.text == text or (entry.contains is not None and entry.contains in text):
+                return entry.vector
         if self.default_embedding is None:
             return MockScriptMiss(f"no mock embedding matches text: {text[:80]!r}")
         return _hashed_unit_vector(text, self.default_embedding.dim)
