@@ -166,7 +166,7 @@ def evaluate_all(gateway: Gateway, graph: CausalArgument) -> CausalArgument:
         completion = gateway.complete(
             "counterfactual", argument=argument, letter=graph.target_symbol(i)
         )
-        effect = LETTER_TO_EFFECT[parse_letter_choice(completion, set(LETTER_TO_EFFECT))]
+        effect = LETTER_TO_EFFECT[parse_letter_choice(completion, LETTER_TO_EFFECT)]
         evaluated.append(replace(assumption, causal_effect=effect))
     return replace(graph, assumptions=tuple(evaluated))
 

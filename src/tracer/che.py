@@ -59,7 +59,7 @@ def nli_check(
         payload = {"premise": premise, "hypothesis": hypothesis}
         return classifier.ask(payload, lambda data: decode(NliVerdict, data["verdict"]))
     completion = gateway.complete("nli", premise=premise, hypothesis=hypothesis)
-    return LETTER_TO_NLI[parse_letter_choice(completion, set(LETTER_TO_NLI))]
+    return LETTER_TO_NLI[parse_letter_choice(completion, LETTER_TO_NLI)]
 
 
 def collect_che(

@@ -284,7 +284,7 @@ def cmd_eval(args) -> int:
     print(format_table(metrics))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
-            json.dump(metrics.as_dict(), handle, indent=2, sort_keys=True)
+            json.dump(vars(metrics), handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"wrote {args.output}")
     return 0

@@ -147,19 +147,6 @@ def temporal_filter(
     }
 
 
-def _record_to_dict(record: ClaimRecord) -> dict:
-    out: dict = {"id": record.id, "claim": record.claim}
-    if record.date is not None:
-        out["date"] = record.date.isoformat()
-    if record.raw_rating is not None:
-        out["raw_rating"] = record.raw_rating
-    if record.gold_label is not None:
-        out["gold_label"] = record.gold_label.value
-    out["evidence"] = list(record.evidence)
-    out["ruling"] = list(record.ruling)
-    return out
-
-
 def _validate_record(record: ClaimRecord) -> None:
     if not record.claim or not record.claim.strip():
         raise ValidationError(record.id, "claim text is empty")
@@ -187,10 +174,11 @@ def read_json_lines(path: str | Path) -> Iterator[tuple[int, object]]:
         for line_number, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:
-                raise ParseError(line_number, "text is not UTF-8") from None
+            if not line.isascii():  # an ASCII line holds no surrogate
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ParseError(line_number, "text is not UTF-8") from None
             try:
                 payload = json.loads(line)
             except json.JSONDecodeError as exc:
@@ -231,10 +219,12 @@ def load_corpus(path: str | Path) -> list[ClaimRecord]:
 def save_corpus(records: Sequence[ClaimRecord], path: str | Path) -> None:
     """Write records in the canonical line-delimited form.
 
-    Key order is fixed, so save -> load -> save is byte-identical.
+    A line is the record's fields in declaration order, less those that
+    are None, so save -> load -> save is byte-identical.
     """
     path = Path(path)
     with path.open("w", encoding="utf-8") as handle:
         for record in records:
-            handle.write(json.dumps(_record_to_dict(record), ensure_ascii=False))
+            fields = {name: value for name, value in vars(record).items() if value is not None}
+            handle.write(json.dumps(fields, ensure_ascii=False, default=datetime.date.isoformat))
             handle.write("\n")

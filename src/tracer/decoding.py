@@ -54,7 +54,9 @@ def _reader(hint):
             types = set(map(type, value))  # one pass, not a call per element
             if not types <= _SCALARS[item]:
                 raise DecodeError(f"expected a list of {item.__name__}, got {value!r:.80}")
-            return origin(_floats(value) if int in types and item is float else value)
+            if int in types and item is float:
+                value = _floats(value)
+            return value if origin is list else origin(value)  # the JSON list, not a copy
 
         return items
     if dataclasses.is_dataclass(hint):

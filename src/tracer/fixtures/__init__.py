@@ -1,9 +1,10 @@
 """Shipped test assets.
 
 A single end-to-end scenario (claim record, mock script, committed
-expected report) and a seeded synthetic corpus generator. The expected
-report is a committed artifact; regenerate it only deliberately, via
-``python -m tracer.fixtures regenerate``.
+expected report ``data/scenario_expected.jsonl``) and a seeded synthetic
+corpus generator. The expected report is what ``tracer run`` writes for
+the scenario's claim under its mock script; README's "Tests" section
+gives the command that regenerates it.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ def data_path(name: str) -> Path:
 
 SCENARIO_CLAIM = "scenario_claim.jsonl"
 SCENARIO_MOCK = "scenario_mock.json"
-SCENARIO_EXPECTED = "scenario_expected.jsonl"
 
 
 def load_scenario_record() -> ClaimRecord:
@@ -73,7 +73,6 @@ def generate_synthetic_corpus(seed: int, n: int) -> list[ClaimRecord]:
 
 __all__ = [
     "SCENARIO_CLAIM",
-    "SCENARIO_EXPECTED",
     "SCENARIO_MOCK",
     "data_path",
     "generate_synthetic_corpus",

@@ -9,7 +9,7 @@ silently coerced.
 from __future__ import annotations
 
 import re
-from typing import Iterable
+from typing import Collection
 
 from ..errors import NoItemsFound, UnparseableChoice, UnparseableDigit
 
@@ -21,20 +21,20 @@ _BRACKETED = re.compile(r"<([^<>]*)>")
 _DIGIT_TOKEN = re.compile(r"(?<![0-9.])([0-9])(?![0-9.])")
 
 
-def parse_letter_choice(text: str, allowed: Iterable[str]) -> str:
-    """First standalone option letter in ``text``, uppercased.
+def parse_letter_choice(text: str, allowed: Collection[str]) -> str:
+    """The first standalone letter in ``text`` that ``allowed`` holds, uppercased.
 
+    ``allowed`` holds uppercase letters: a set, or a map keyed by them.
     Accepts "B", "b", "B.", "B. Yes", "Answer: B", "(b)". Raises
     UnparseableChoice when no standalone allowed letter occurs.
     """
-    allowed_set = {a.upper() for a in allowed}
-    if not allowed_set:
+    if not allowed:
         raise ValueError("allowed letter set must be non-empty")
     for match in _LETTER_TOKEN.finditer(text):
         letter = match.group(1).upper()
-        if letter in allowed_set:
+        if letter in allowed:
             return letter
-    raise UnparseableChoice(text, allowed_set)
+    raise UnparseableChoice(text, allowed)
 
 
 def parse_bracketed(text: str, separator: str | None = None) -> list[str]:

@@ -9,11 +9,11 @@ sufficiency, readability) and is accepted only on a clean sweep.
 from __future__ import annotations
 
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 
-from .errors import UnparseableDigit
-from .gateway import Gateway, parse_binary_digit, parse_bracketed
+from .errors import NoItemsFound, UnparseableDigit
+from .gateway import Gateway, parse_binary_digit
 
 # Exemplar slot for the few-shot template. The shipped default is
 # deliberately small and synthetic; operators running live models should
@@ -48,23 +48,19 @@ class QualityScores:
 
     @property
     def accepted(self) -> bool:
-        return all(score == 1 for score in self.as_dict().values())
-
-    def as_dict(self) -> dict:
-        return asdict(self)
+        return all(score == 1 for score in vars(self).values())
 
 
-_LAST_BRACKETED = re.compile(r"<([^<>]*)>(?!.*<[^<>]*>)", re.DOTALL)
+_BRACKETED = re.compile(r"<([^<>]*)>")
 
 
 def _split_intent(completion: str) -> tuple[str, str]:
-    # Last bracketed item is the intent; any earlier bracketed text is
-    # model reasoning and stays in the rationale.
-    items = parse_bracketed(completion)
-    intent = items[-1]
-    match = _LAST_BRACKETED.search(completion)
-    rationale = completion[: match.start()].strip()
-    return intent, rationale
+    # The last non-blank bracketed item is the intent; the text before it,
+    # earlier bracketed reasoning included, is the rationale.
+    filled = [match for match in _BRACKETED.finditer(completion) if match.group(1).strip()]
+    if not filled:
+        raise NoItemsFound(completion)
+    return filled[-1].group(1).strip(), completion[: filled[-1].start()].strip()
 
 
 def generate_intent(gateway: Gateway, claim: str, evidence: list[str]) -> IntentRecord:

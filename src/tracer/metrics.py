@@ -29,18 +29,6 @@ class MetricsReport:
     n: int
     n_failed: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "per_class": {
-                label.value: dict(values) for label, values in self.per_class.items()
-            },
-            "macro_f1": self.macro_f1,
-            "f1_half_true": self.f1_half_true,
-            "n": self.n,
-            "n_failed": self.n_failed,
-        }
-
 
 def score_labels(gold: Sequence[Label], pred: Sequence[Label]) -> MetricsReport:
     """Scores of ``pred`` against ``gold``, paired by position; a zero denominator scores 0."""

@@ -57,6 +57,7 @@ VERDICT_LETTERS = {
     "C": Label.FALSE,
 }
 UNVERIFIABLE_LETTER = "D"
+_REASSESSMENT_LETTERS = {*VERDICT_LETTERS, UNVERIFIABLE_LETTER}
 
 
 class VerdictSource(str, Enum):
@@ -132,7 +133,7 @@ def cot_verify(gateway: Gateway, claim: str, evidence: list[str]) -> BaseVerdict
     else:
         reasoning = ""
         choice_text = completion
-    letter = parse_letter_choice(choice_text, set(VERDICT_LETTERS))
+    letter = parse_letter_choice(choice_text, VERDICT_LETTERS)
     if not reasoning:
         raise EmptyJustification("chain-of-thought completion contains no reasoning steps")
     return BaseVerdict(
@@ -186,7 +187,7 @@ def reassess_with_argument(
         justification=base.justification,
     )
     try:
-        letter = parse_letter_choice(completion, set(VERDICT_LETTERS) | {UNVERIFIABLE_LETTER})
+        letter = parse_letter_choice(completion, _REASSESSMENT_LETTERS)
     except UnparseableChoice as exc:
         return FinalVerdict(
             label=base.label,
@@ -286,7 +287,7 @@ def _intent_stage(run: _ClaimRun) -> tuple[str, str]:
     quality = score_quality(run.gateway, claim, intent.text)
     report.intent = replace(intent, quality=quality)
     if not quality.accepted:
-        return "failed", "quality filter rejected the intent: " + json.dumps(quality.as_dict())
+        return "failed", "quality filter rejected the intent: " + json.dumps(vars(quality))
     run.queries = [Assumption(text=report.intent.text)]
     return "ok", f"low_context={report.intent.low_context}"
 

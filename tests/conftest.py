@@ -1,4 +1,6 @@
-"""Shared test helpers: quick scripted gateways and seeded builders."""
+"""Shared test helpers: quick scripted gateways, seeded builders and the
+name of the scenario's committed report, which README's "Tests" section
+regenerates with ``tracer run``."""
 
 from __future__ import annotations
 
@@ -13,9 +15,12 @@ import pytest
 
 from tracer.corpus import LABELS, Label
 from tracer.errors import TracerError
-from tracer.fixtures import SCENARIO_EXPECTED, SCENARIO_MOCK, data_path
+from tracer.fixtures import SCENARIO_MOCK, data_path
 from tracer.gateway import Gateway, MockScript, ResponseCache
 from tracer.verdict import VerdictReport, load_reports
+
+#: The scenario's committed report, under ``tracer.fixtures.data_path``.
+SCENARIO_EXPECTED = "scenario_expected.jsonl"
 
 #: Malformed model responses, one entry per case, for the parser robustness suite.
 MALFORMED_RESPONSES = Path(__file__).parent / "data" / "malformed_responses.json"
@@ -63,7 +68,7 @@ class Recorder:
 
 
 def load_expected_report() -> VerdictReport:
-    """The scenario's committed report, as ``python -m tracer.fixtures regenerate`` wrote it."""
+    """The scenario's committed report, as ``tracer run`` writes it."""
     return load_reports(data_path(SCENARIO_EXPECTED))[0]
 
 

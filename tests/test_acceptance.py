@@ -32,7 +32,6 @@ from tracer.corpus import (
 from tracer.errors import UnknownRating
 from tracer.fixtures import (
     SCENARIO_CLAIM,
-    SCENARIO_EXPECTED,
     SCENARIO_MOCK,
     data_path,
     generate_synthetic_corpus,
@@ -44,7 +43,12 @@ from tracer.metrics import score_labels
 from tracer.verdict import load_reports, run_pipeline, save_reports
 
 from conftest import (
-    Recorder, generate_random_fixture, load_malformed_responses, make_retrieval_fixture, served,
+    SCENARIO_EXPECTED,
+    Recorder,
+    generate_random_fixture,
+    load_malformed_responses,
+    make_retrieval_fixture,
+    served,
 )
 from test_parser_robustness import _RUNNERS, _expected_error
 

@@ -21,7 +21,6 @@ from tracer.config import ABLATION_CONFIGS, RUN_OPTIONS
 from tracer.corpus import save_corpus
 from tracer.fixtures import (
     SCENARIO_CLAIM,
-    SCENARIO_EXPECTED,
     SCENARIO_MOCK,
     data_path,
     generate_synthetic_corpus,
@@ -29,7 +28,7 @@ from tracer.fixtures import (
 )
 from tracer.gateway import ResponseCache
 
-from conftest import synthetic_script
+from conftest import SCENARIO_EXPECTED, synthetic_script
 
 SCENARIO_CORPUS = str(data_path(SCENARIO_CLAIM))
 SCENARIO_SCRIPT = str(data_path(SCENARIO_MOCK))
@@ -1274,11 +1273,32 @@ def test_eval_perfect_report(capsys, tmp_path):
     )
     assert code == 0
     assert "accuracy      1.000" in out
-    written = json.loads(metrics_path.read_text())
-    assert written["accuracy"] == 1.0
-    assert written["n"] == 1
-    assert written["n_failed"] == 0
-    assert written["per_class"]["Half-True"]["f1"] == 1.0
+    assert metrics_path.read_text() == (
+        '{\n'
+        '  "accuracy": 1.0,\n'
+        '  "f1_half_true": 1.0,\n'
+        '  "macro_f1": 0.3333333333333333,\n'
+        '  "n": 1,\n'
+        '  "n_failed": 0,\n'
+        '  "per_class": {\n'
+        '    "False": {\n'
+        '      "f1": 0.0,\n'
+        '      "precision": 0.0,\n'
+        '      "recall": 0.0\n'
+        '    },\n'
+        '    "Half-True": {\n'
+        '      "f1": 1.0,\n'
+        '      "precision": 1.0,\n'
+        '      "recall": 1.0\n'
+        '    },\n'
+        '    "True": {\n'
+        '      "f1": 0.0,\n'
+        '      "precision": 0.0,\n'
+        '      "recall": 0.0\n'
+        '    }\n'
+        '  }\n'
+        '}\n'
+    )
 
 
 def test_eval_missing_prediction_exits_two(capsys, tmp_path):

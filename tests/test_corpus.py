@@ -152,6 +152,26 @@ def test_load_save_round_trip_is_fixpoint(tmp_path):
     assert len(reloaded) == 50
 
 
+def test_save_writes_the_fields_in_declaration_order_less_the_none_ones(tmp_path):
+    full = ClaimRecord(
+        id="a",
+        claim="Café prices doubled.",
+        date=datetime.date(2019, 3, 4),
+        raw_rating="Mostly True",
+        gold_label=Label.HALF_TRUE,
+        evidence=["e1", "e2"],
+        ruling=["Our ruling", "r"],
+    )
+    path = tmp_path / "pinned.jsonl"
+    save_corpus([full, ClaimRecord(id="b", claim="x")], path)
+    assert path.read_text(encoding="utf-8") == (
+        '{"id": "a", "claim": "Café prices doubled.", "date": "2019-03-04", '
+        '"raw_rating": "Mostly True", "gold_label": "Half-True", '
+        '"evidence": ["e1", "e2"], "ruling": ["Our ruling", "r"]}\n'
+        '{"id": "b", "claim": "x", "evidence": [], "ruling": []}\n'
+    )
+
+
 def test_load_reports_bad_json_with_line_number(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"id": "a", "claim": "x"}\nnot json\n', encoding="utf-8")

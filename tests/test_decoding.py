@@ -19,9 +19,11 @@ from tracer.config import config_from_dict
 from tracer.corpus import Label, load_corpus
 from tracer.decoding import DecodeError, decode
 from tracer.errors import BackendError, ConfigError, ParseError
-from tracer.fixtures import SCENARIO_EXPECTED, SCENARIO_MOCK, data_path
+from tracer.fixtures import SCENARIO_MOCK, data_path
 from tracer.gateway import Endpoint, LiveBackend, MockScript
 from tracer.verdict import load_base_verdicts, load_reports
+
+from conftest import SCENARIO_EXPECTED
 
 MISSING = object()
 
@@ -227,6 +229,9 @@ def test_decode_rules():
     assert decode(list[float], [1, 0.5]) == [1.0, 0.5]
     assert type(decode(float, 1)) is float
     assert decode(tuple[str, ...], ["a"]) == ("a",)
+    row = [1.5, 0.5]  # nothing to convert: the JSON list itself, not a copy
+    assert decode(list[float], row) is row
+    assert type(decode(tuple[float, ...], row)) is tuple
     assert decode(int | None, None) is None
     assert decode(datetime.date, "2020-05-09") == datetime.date(2020, 5, 9)
     for hint, value in [

@@ -5,17 +5,16 @@ import pytest
 from tracer.corpus import Label, load_corpus, save_corpus
 from tracer.fixtures import (
     SCENARIO_CLAIM,
-    SCENARIO_EXPECTED,
     SCENARIO_MOCK,
     data_path,
     generate_synthetic_corpus,
     load_scenario_record,
     make_scenario_gateway,
 )
-from tracer.fixtures.__main__ import main as fixtures_main
 
 from conftest import (
     MALFORMED_RESPONSES,
+    SCENARIO_EXPECTED,
     generate_random_fixture,
     load_expected_report,
     load_malformed_responses,
@@ -130,12 +129,3 @@ def test_retrieval_fixture_shape():
         assert len(vector) == 2
         assert sum(x * x for x in vector) == pytest.approx(1.0)
 
-
-# -- maintainer entry point ----------------------------------------------------
-
-
-def test_fixtures_main_rejects_unknown_args(capsys):
-    assert fixtures_main([]) == 1
-    assert fixtures_main(["frobnicate"]) == 1
-    err = capsys.readouterr().err
-    assert "regenerate" in err

@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from tracer.errors import NoItemsFound, UnparseableDigit
-from tracer.intent import IntentSource, QualityScores, generate_intent, score_quality
+from tracer.intent import IntentSource, generate_intent, score_quality
 
 from conftest import make_gateway
 
@@ -27,12 +27,24 @@ def test_generate_intent_takes_last_bracketed_item():
     assert "<" not in record.text and ">" not in record.text
 
 
-def test_generate_intent_without_brackets_fails():
+def test_generate_intent_takes_intent_and_rationale_from_the_same_bracket():
+    # a blank last bracket is no item, so the intent is the one before it,
+    # and the rationale is the text before the intent, not before the blank
+    completion = "Reasoning here. <The economy is strong.> < >"
     gateway, _ = make_gateway(
-        rules=[{"template": "intent_generation", "response": "no markers at all"}]
+        rules=[{"template": "intent_generation", "response": completion}]
     )
-    with pytest.raises(NoItemsFound):
-        generate_intent(gateway, "claim", ["evidence"])
+    record = generate_intent(gateway, "claim", ["evidence"])
+    assert (record.text, record.rationale) == ("The economy is strong.", "Reasoning here.")
+
+
+def test_generate_intent_without_brackets_fails():
+    for completion in ("no markers at all", "blank brackets only: < > <>"):
+        gateway, _ = make_gateway(
+            rules=[{"template": "intent_generation", "response": completion}]
+        )
+        with pytest.raises(NoItemsFound, match="no bracketed items in completion"):
+            generate_intent(gateway, "claim", ["evidence"])
 
 
 def test_generate_intent_with_evidence():
@@ -116,14 +128,3 @@ def test_quality_first_failing_criterion_reported_in_canonical_order():
     with pytest.raises(UnparseableDigit) as excinfo:
         score_quality(gateway, "claim", "intent")
     assert excinfo.value.criterion == "implicity"
-
-
-def test_quality_scores_as_dict_round_trip():
-    scores = QualityScores(plausibility=1, implicity=0, sufficiency=1, readability=1)
-    assert scores.as_dict() == {
-        "plausibility": 1,
-        "implicity": 0,
-        "sufficiency": 1,
-        "readability": 1,
-    }
-    assert QualityScores(**scores.as_dict()) == scores

@@ -23,7 +23,6 @@ from tracer.errors import (
     UnparseableChoice,
 )
 from tracer.fixtures import (
-    SCENARIO_EXPECTED,
     SCENARIO_MOCK,
     data_path,
     generate_synthetic_corpus,
@@ -48,7 +47,9 @@ from tracer.verdict import (
     load_reports,
 )
 
-from conftest import load_expected_report, make_gateway, served, synthetic_script
+from conftest import (
+    SCENARIO_EXPECTED, load_expected_report, make_gateway, served, synthetic_script,
+)
 
 
 def _saved_line(tmp_path, report) -> str:
