@@ -20,13 +20,14 @@ its predicted label to score, and writes the manifest last: a run that
 dies keeps every finished claim's line and has no manifest.
 
 Exit codes: 0 success; 1 usage, configuration (a report or manifest
-path whose directory does not exist, checked before any claim), or
-unreadable input, or a run that stops at the first claim after which an
-HTTP endpoint's circuit is open, keeping the reports of the claims it
-ran (``ablate`` runs no later configuration); 2 inconsistent data
-(duplicate ids, missing predictions, empty scoring sets). Other
-per-claim pipeline failures never fail the run: they are recorded
-inside the report.
+path whose directory does not exist, or that is the same file as an
+input or another output, checked before any claim), or unreadable input,
+or a run that stops at the first claim after which an HTTP endpoint's
+circuit is open, keeping the reports of the claims it ran (``ablate``
+runs no later configuration); 2 inconsistent data (an id repeated in a
+record file, missing predictions, empty scoring sets). Other per-claim
+pipeline failures never fail the run: they are recorded inside the
+report.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .config import (
 from .corpus import Label, label_counts, load_corpus, save_corpus
 from .errors import ConfigError, EmptyInput, ParseError, TracerError
 from .gateway import Endpoint, Gateway, GatewayCounters, LiveBackend, MockScript, ResponseCache
-from .gateway.cache import remove_cache_files
+from .gateway.cache import remove_cache_files, vector_path
 from .metrics import format_table, prediction, score_reports
 from .verdict import load_base_verdicts, load_reports, run_pipeline, save_reports
 
@@ -194,15 +195,26 @@ def _run(args, ablations: list[AblationConfig] | None) -> int:
         raise ConfigError("no corpus given (use --corpus or a config file)")
     if config.output_path is None:
         raise ConfigError("no output path given (use --output or a config file)")
-    runs = (
+    outputs = (
         [(config.ablation, config.output_path)]
         if ablations is None
         else [(cfg, _config_output(config.output_path, cfg.name)) for cfg in ablations]
     )
+    runs = [(cfg, path, args.manifest or f"{path}.manifest.json") for cfg, path in outputs]
+    written = [path for run in runs for path in run[1:]]  # each report, then its manifest
     # a report or manifest with nowhere to go would lose the claims run before it
-    for path in [output_path for _, output_path in runs] + [args.manifest]:
-        if path is not None and not Path(path).parent.is_dir():
+    for path in written:
+        if not Path(path).parent.is_dir():
             raise ConfigError(f"the directory of {path} does not exist")
+    # an output written over an input, or over another output, would destroy it
+    inputs = [config.corpus_path, config.base_verdicts_path, config.backend.mock_script]
+    if config.cache_path is not None:
+        inputs += [config.cache_path, vector_path(Path(config.cache_path))]
+    named = written + [path for path in inputs if path is not None]
+    resolved = [Path(path).resolve() for path in named]
+    for i, path in enumerate(resolved):
+        if path in resolved[:i]:
+            raise ConfigError(f"{named[i]} is the same file as {named[resolved.index(path)]}")
 
     # the inputs load before the Gateway opens its cache file, which opening
     # creates, so that a bad input leaves no cache file behind
@@ -224,7 +236,7 @@ def _run(args, ablations: list[AblationConfig] | None) -> int:
             nli_classifier=nli_classifier,
         )
 
-        for ablation, output_path in runs:
+        for ablation, output_path, manifest_path in runs:
             if ablations is not None:
                 print(f"== {ablation.name} ==")
             gateway.counters = GatewayCounters()
@@ -256,7 +268,6 @@ def _run(args, ablations: list[AblationConfig] | None) -> int:
             if metrics is not None:
                 print(format_table(metrics))
 
-            manifest_path = args.manifest or f"{output_path}.manifest.json"
             manifest = {
                 "ablation": ablation.name,
                 "backend_mode": config.backend.mode,

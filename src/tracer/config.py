@@ -175,6 +175,8 @@ class RunConfig:
             raise ConfigError(f"backend mode must be 'mock' or 'live', got {backend.mode!r}")
         if backend.mode == "mock" and not backend.mock_script:
             raise ConfigError("mock mode requires a mock script path")
+        if backend.mode == "live" and backend.mock_script is not None:
+            raise ConfigError("live mode reads no mock_script: drop it, or run in mock mode")
         for name in ("base_url", "alignment_endpoint", "nli_endpoint"):
             url = getattr(backend, name)
             if url is not None and not _is_http_url(url):

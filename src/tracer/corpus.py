@@ -18,9 +18,9 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Sequence
 
-from .decoding import DecodeError, decode
+from .decoding import decode
 from .errors import EmptyTestDates, ParseError, UnknownRating, ValidationError
 
 
@@ -162,13 +162,17 @@ def _validate_record(record: ClaimRecord) -> None:
             )
 
 
-def read_json_lines(path: str | Path) -> Iterator[tuple[int, object]]:
-    """``(line number, decoded value)`` for each non-blank line of a JSON-lines file.
+def read_records(path: str | Path, read: Callable) -> dict:
+    """``id -> read(value)`` for the JSON value of each non-blank line of a
+    record file (corpus, base verdicts or reports), in file order.
 
-    A line that is not UTF-8, is not JSON, or whose ``\\u`` escapes give
-    a lone surrogate (which no UTF-8 file, cache key or report can hold),
-    is a ParseError naming the line.
+    A line that is not UTF-8, is not JSON, whose ``\\u`` escapes give a
+    lone surrogate (which no UTF-8 file, cache key or report can hold),
+    that ``read`` refuses with a ``ValueError``, or whose record has an
+    empty ``id``, is a ParseError naming the path and the line. A repeated
+    id is a ValidationError naming it, the path and the line.
     """
+    records = {}
     # bytes that are not UTF-8 read as lone surrogates, refused with their line
     with Path(path).open("r", encoding="utf-8", errors="surrogateescape") as handle:
         for line_number, line in enumerate(handle, start=1):
@@ -178,41 +182,38 @@ def read_json_lines(path: str | Path) -> Iterator[tuple[int, object]]:
                 try:
                     line.encode("utf-8")
                 except UnicodeEncodeError:
-                    raise ParseError(line_number, "text is not UTF-8") from None
+                    raise ParseError(path, line_number, "text is not UTF-8") from None
             try:
                 payload = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ParseError(line_number, f"bad JSON: {exc.msg}") from None
+                raise ParseError(path, line_number, f"bad JSON: {exc.msg}") from None
             if "\\" in line and "\\u" in line:  # a fast one-character scan first
                 try:
                     json.dumps(payload, ensure_ascii=False).encode("utf-8")
                 except UnicodeEncodeError:
-                    raise ParseError(line_number, "text is not valid Unicode") from None
-            yield line_number, payload
+                    raise ParseError(path, line_number, "text is not valid Unicode") from None
+            try:
+                record = read(payload)
+            except ValueError as exc:  # a DecodeError is one
+                raise ParseError(path, line_number, str(exc)) from None
+            if not record.id:
+                raise ParseError(path, line_number, "id must be a non-empty string")
+            if record.id in records:
+                raise ValidationError(record.id, f"duplicate id at {path}: line {line_number}")
+            records[record.id] = record
+    return records
 
 
 def load_corpus(path: str | Path) -> list[ClaimRecord]:
-    """Load and validate a line-delimited corpus file.
+    """Load and validate a line-delimited corpus file, read by ``read_records``.
 
-    Raises ParseError (with the offending line number) for a line that
-    does not decode as a ``ClaimRecord`` or has an empty id, and
-    ValidationError (naming the record id) for duplicate ids or
-    inconsistent labels.
+    Once every line is read, the first record that breaks a corpus
+    invariant (a blank claim, an unknown or blank rating, a gold label
+    its rating contradicts) is a ValidationError naming the record id.
     """
-    records: list[ClaimRecord] = []
-    seen_ids: set[str] = set()
-    for line_number, payload in read_json_lines(path):
-        try:
-            record = decode(ClaimRecord, payload)
-        except DecodeError as exc:
-            raise ParseError(line_number, str(exc)) from None
-        if not record.id:
-            raise ParseError(line_number, "id must be a non-empty string")
-        if record.id in seen_ids:
-            raise ValidationError(record.id, "duplicate record id")
-        seen_ids.add(record.id)
+    records = list(read_records(path, lambda value: decode(ClaimRecord, value)).values())
+    for record in records:
         _validate_record(record)
-        records.append(record)
     return records
 
 

@@ -1,8 +1,9 @@
 """One typed decoder for every JSON input: ``decode(hint, value)`` reads a
-JSON value as an instance of ``hint`` or raises ``DecodeError``. A bool or
-a string is never a number, an int where a float is due becomes a float,
-and a dataclass's key may be missing only where the field's metadata says
-``optional`` (by default, where the field defaults to None).
+JSON value as an instance of ``hint`` or raises ``DecodeError``, led by the
+keys of the dataclass fields it is under (``final_verdict: label: ...``).
+A bool or a string is never a number, an int where a float is due becomes
+a float, and a dataclass's key may be missing only where the field's
+metadata says ``optional`` (by default, where the field defaults to None).
 """
 
 from __future__ import annotations
@@ -69,7 +70,14 @@ def _reader(hint):
                 raise DecodeError(f"expected an object, got {value!r:.80}")
             if not required <= value.keys():
                 raise DecodeError(f"missing required keys {sorted(required - value.keys())}")
-            return hint(**{name: read(value[name]) for name, read in readers if name in value})
+            fields = {}
+            for name, read in readers:
+                if name in value:
+                    try:
+                        fields[name] = read(value[name])
+                    except DecodeError as exc:  # named by its key, nested keys in turn
+                        raise DecodeError(f"{name}: {exc}") from None
+            return hint(**fields)
 
         return build
     parse = hint if issubclass(hint, Enum) else datetime.date.fromisoformat

@@ -25,16 +25,17 @@ class UnknownRating(TracerError):
 
 
 class ParseError(TracerError):
-    """A corpus or report file line that cannot be decoded."""
+    """A line of a record file (corpus, base verdicts, reports) that is refused."""
 
-    def __init__(self, line_number: int, reason: str):
-        super().__init__(f"line {line_number}: {reason}")
+    def __init__(self, path, line_number: int, reason: str):
+        super().__init__(f"{path}: line {line_number}: {reason}")
+        self.path = path
         self.line_number = line_number
         self.reason = reason
 
 
 class ValidationError(TracerError):
-    """A decoded record that violates a corpus invariant."""
+    """A decoded record that violates a corpus invariant or repeats an id of its file."""
 
     def __init__(self, record_id: str, reason: str):
         super().__init__(f"record {record_id!r}: {reason}")
@@ -125,8 +126,9 @@ class UnevaluatedAssumption(TracerError):
     """Critical-assumption selection requires every causal effect to be set."""
 
 
-class EmptyJustification(TracerError):
-    """A base verdict arrived without the justification re-assessment needs."""
+class EmptyJustification(TracerError, ValueError):
+    """A base verdict arrived without the justification re-assessment needs
+    (a bad value, so a record file refuses its line as any other)."""
 
 
 # ---------------------------------------------------------------------------

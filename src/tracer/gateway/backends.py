@@ -31,12 +31,12 @@ import time
 
 import numpy as np
 
+from ..config import BackendSettings
 from ..decoding import decode
 from ..errors import BackendError, ConfigError
 from .cache import frozen_vector
 
 API_KEY_ENV = "TRACER_API_KEY"
-DEFAULT_BASE_URL = "https://api.openai.com/v1"
 RETRYABLE_STATUSES = frozenset({429, 500, 502, 503, 504})
 # the decoding of every completion, recorded in its cache key
 TEMPERATURE = 0.0
@@ -182,7 +182,7 @@ class LiveBackend:
         self,
         model_id: str,
         embedding_model_id: str | None = None,
-        base_url: str = DEFAULT_BASE_URL,
+        base_url: str = BackendSettings.base_url,
         api_key: str | None = None,
         post=None,
     ):

@@ -123,7 +123,7 @@ def frozen_vector(values) -> np.ndarray:
     return array
 
 
-def _vector_path(path: Path) -> Path:
+def vector_path(path: Path) -> Path:
     # its name begins with the cache file's, so tools that copy or remove
     # a cache by name prefix take both files
     return path.with_name(path.name + ".vectors")
@@ -152,7 +152,7 @@ def remove_cache_files(path: str | Path) -> None:
         lock = nullcontext()
     with lock:
         path.unlink(missing_ok=True)
-        _vector_path(path).unlink(missing_ok=True)
+        vector_path(path).unlink(missing_ok=True)
 
 
 class _VectorRef(NamedTuple):
@@ -225,7 +225,7 @@ class ResponseCache:
 
     def __init__(self, path: str | Path | None = None):
         self.path = Path(path) if path is not None else None
-        self._vector_path = _vector_path(self.path) if self.path is not None else None
+        self._vector_path = vector_path(self.path) if self.path is not None else None
         self._entries: dict[str, object] = {}
         self._handle = None
         # the vector file's one descriptor, for reads and appends, and its size

@@ -16,7 +16,8 @@ from ..errors import NoItemsFound, UnparseableChoice, UnparseableDigit
 # A single letter not glued to other letters/digits, e.g. "B", "a.", "(C)".
 _LETTER_TOKEN = re.compile(r"(?<![A-Za-z0-9])([A-Za-z])(?![A-Za-z0-9])")
 
-_BRACKETED = re.compile(r"<([^<>]*)>")
+# an item in angle brackets, which holds no bracket itself
+BRACKETED = re.compile(r"<([^<>]*)>")
 
 _DIGIT_TOKEN = re.compile(r"(?<![0-9.])([0-9])(?![0-9.])")
 
@@ -54,7 +55,7 @@ def parse_bracketed(text: str, separator: str | None = None) -> list[str]:
         region = text[start : end + 1]
         items = [part.strip().strip("<>").strip() for part in region.split(separator)]
     else:
-        items = [match.group(1).strip() for match in _BRACKETED.finditer(text)]
+        items = [match.group(1).strip() for match in BRACKETED.finditer(text)]
     items = [item for item in items if item]
     if not items:
         raise NoItemsFound(text)

@@ -8,12 +8,12 @@ sufficiency, readability) and is accepted only on a clean sweep.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import NoItemsFound, UnparseableDigit
+from .errors import NoItemsFound
 from .gateway import Gateway, parse_binary_digit
+from .gateway.parsing import BRACKETED
 
 # Exemplar slot for the few-shot template. The shipped default is
 # deliberately small and synthetic; operators running live models should
@@ -51,13 +51,10 @@ class QualityScores:
         return all(score == 1 for score in vars(self).values())
 
 
-_BRACKETED = re.compile(r"<([^<>]*)>")
-
-
 def _split_intent(completion: str) -> tuple[str, str]:
     # The last non-blank bracketed item is the intent; the text before it,
     # earlier bracketed reasoning included, is the rationale.
-    filled = [match for match in _BRACKETED.finditer(completion) if match.group(1).strip()]
+    filled = [match for match in BRACKETED.finditer(completion) if match.group(1).strip()]
     if not filled:
         raise NoItemsFound(completion)
     return filled[-1].group(1).strip(), completion[: filled[-1].start()].strip()
@@ -99,15 +96,9 @@ def score_quality(gateway: Gateway, claim: str, intent: str) -> QualityScores:
         "sufficiency": gateway.complete("sufficiency", intent=intent),
         "readability": gateway.complete("readability", intent=intent),
     }
-    scores: dict[str, int] = {}
-    failures: list[UnparseableDigit] = []
+    scores = {}
     for criterion, completion in completions.items():
-        try:
-            scores[criterion] = parse_binary_digit(completion, criterion)
-        except UnparseableDigit as exc:
-            failures.append(exc)
-    if failures:
-        raise failures[0]
+        scores[criterion] = parse_binary_digit(completion, criterion)
     return QualityScores(**scores)
 
 

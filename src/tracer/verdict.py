@@ -38,14 +38,9 @@ from .causality import (
 )
 from .che import CheCandidate, collect_che
 from .config import FULL_PIPELINE, AblationConfig, Thresholds
-from .corpus import ClaimRecord, Label, read_json_lines
-from .decoding import DecodeError, decode
-from .errors import (
-    EmptyJustification,
-    ParseError,
-    TracerError,
-    UnparseableChoice,
-)
+from .corpus import ClaimRecord, Label, read_records
+from .decoding import decode
+from .errors import EmptyJustification, TracerError, UnparseableChoice
 from .gateway import Embedding, Endpoint, Gateway, parse_letter_choice
 from .intent import IntentRecord, generate_intent, score_quality
 
@@ -147,21 +142,14 @@ class _ExternalVerdict:
     label: Label
     justification: str
 
+    def __post_init__(self):
+        self.verdict = BaseVerdict(self.label, self.justification, VerdictSource.EXTERNAL)
+
 
 def load_base_verdicts(path: str | Path) -> dict[str, BaseVerdict]:
-    """External verdicts, one JSON record per line; a bad or repeated one is a ``ParseError``."""
-    verdicts: dict[str, BaseVerdict] = {}
-    for line_number, row in read_json_lines(path):
-        try:
-            line = decode(_ExternalVerdict, row)
-            if not line.id:
-                raise ValueError("id must be a non-empty string")
-            if line.id in verdicts:
-                raise ValueError(f"duplicate id {line.id!r}")
-            verdicts[line.id] = BaseVerdict(line.label, line.justification, VerdictSource.EXTERNAL)
-        except (ValueError, EmptyJustification) as exc:
-            raise ParseError(line_number, f"bad external verdict record: {exc}") from exc
-    return verdicts
+    """External verdicts by claim id, one JSON record per line, read by ``read_records``."""
+    lines = read_records(path, lambda value: decode(_ExternalVerdict, value))
+    return {claim_id: line.verdict for claim_id, line in lines.items()}
 
 
 # -- re-assessment ------------------------------------------------------
@@ -477,10 +465,10 @@ def _v1_failed(stages: list[StageTrace]) -> str | None:
 
 
 def report_from_dict(data: dict) -> VerdictReport:
-    """A report line of this schema version or of version 1."""
-    version = data.get("schema_version")
+    """A report line of this schema version or of version 1; a ``ValueError`` for any other."""
+    version = data.get("schema_version") if type(data) is dict else None
     if type(version) is not int or version not in (1, REPORT_SCHEMA_VERSION):
-        raise ParseError(0, f"unsupported report schema version: {version}")
+        raise ValueError(f"unsupported report schema version: {version}")
     report = decode(VerdictReport, data)
     if version == 1:
         report.failed = _v1_failed(report.stages)
@@ -500,19 +488,8 @@ def save_reports(handle: typing.TextIO, reports: list[VerdictReport]) -> None:
 
 
 def load_reports(path: str | Path) -> list[VerdictReport]:
-    """Reports, one JSON line each; a bad line or a repeated id is a ``ParseError``."""
-    reports: dict[str, VerdictReport] = {}
-    for line_number, line in read_json_lines(path):
-        try:
-            report = report_from_dict(line)
-        except ParseError as exc:
-            raise ParseError(line_number, exc.reason) from exc
-        except (AttributeError, DecodeError, EmptyJustification) as exc:
-            raise ParseError(line_number, f"bad report record: {exc}") from exc
-        if report.id in reports:
-            raise ParseError(line_number, f"duplicate report id {report.id!r}")
-        reports[report.id] = report
-    return list(reports.values())
+    """Reports, one JSON line each, read by ``read_records``."""
+    return list(read_records(path, report_from_dict).values())
 
 
 __all__ = [

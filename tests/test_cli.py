@@ -83,9 +83,9 @@ def test_ingest_malformed_line_exits_one_naming_the_line(capsys, tmp_path):
 @pytest.mark.parametrize(
     "fields,message",
     [
-        ('"claim": 5', "expected str, got 5"),
-        ('"claim": "c", "raw_rating": 3, "gold_label": "True"', "expected str, got 3"),
-        ('"claim": "c", "raw_rating": ["True"]', "expected str, got ['True']"),
+        ('"claim": 5', "claim: expected str, got 5"),
+        ('"claim": "c", "raw_rating": 3, "gold_label": "True"', "raw_rating: expected str, got 3"),
+        ('"claim": "c", "raw_rating": ["True"]', "raw_rating: expected str, got ['True']"),
     ],
 )
 @pytest.mark.parametrize("command", ["ingest", "run"])
@@ -101,7 +101,7 @@ def test_non_string_claim_or_rating_exits_one_naming_the_line(
         argv = ["run", "--corpus", str(path), "--mock", SCENARIO_SCRIPT, "--output", output]
     code, _, err = run_cli(capsys, *argv)
     assert code == 1
-    assert f"error: line 2: {message}" in err
+    assert f"error: {path}: line 2: {message}" in err
 
 
 def test_ingest_a_line_that_is_not_utf8_exits_one_naming_the_line(capsys, tmp_path):
@@ -109,7 +109,7 @@ def test_ingest_a_line_that_is_not_utf8_exits_one_naming_the_line(capsys, tmp_pa
     path.write_bytes(b'{"id": "a", "claim": "fine"}\n{"id": "b", "claim": "caf\xff"}\n')
     code, out, err = run_cli(capsys, "ingest", "--input", str(path))
     assert code == 1
-    assert err == "error: line 2: text is not UTF-8\n"
+    assert err == f"error: {path}: line 2: text is not UTF-8\n"
     assert out == ""
 
 
@@ -433,26 +433,21 @@ def test_run_base_only_ablation_keeps_base_label(capsys, tmp_path):
 @pytest.mark.parametrize(
     "bad_line,reason",
     [
-        pytest.param("[]", "", id="[]"),
-        pytest.param("null", "", id="null"),
-        pytest.param(
-            '{"id": "scenario-001", "label": "False", "justification": "second"}',
-            ": duplicate id 'scenario-001'",
-            id="duplicate-id",
-        ),
+        pytest.param("[]", "expected an object, got []", id="[]"),
+        pytest.param("null", "expected an object, got None", id="null"),
         pytest.param(
             '{"id": 7, "label": "True", "justification": "j"}',
-            ": expected str, got 7",
+            "id: expected str, got 7",
             id="number-id",
         ),
         pytest.param(
             '{"id": "", "label": "True", "justification": "j"}',
-            ": id must be a non-empty string",
+            "id must be a non-empty string",
             id="empty-id",
         ),
         pytest.param(
             '{"id": "other", "label": "True", "justification": "   "}',
-            ": base verdicts must carry a justification; re-assessment depends on it",
+            "base verdicts must carry a justification; re-assessment depends on it",
             id="blank-justification",
         ),
     ],
@@ -467,10 +462,33 @@ def test_run_bad_base_verdict_record_exits_one_naming_the_line(
     )
     code, out, err, out_path = _run_scenario(capsys, tmp_path, "--base-verdicts", str(verdicts))
     assert code == 1
-    assert f"error: line 2: bad external verdict record{reason}" in err
+    assert err == f"error: {verdicts}: line 2: {reason}\n"
     # refused before any claim runs
     assert "scenario-001" not in out
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("kind", ["corpus", "base-verdicts", "reports"])
+def test_a_repeated_id_exits_two_naming_the_file_and_line(capsys, tmp_path, kind):
+    line = {
+        "corpus": Path(SCENARIO_CORPUS).read_text(encoding="utf-8"),
+        "base-verdicts": '{"id": "scenario-001", "label": "True", "justification": "j"}\n',
+        "reports": data_path(SCENARIO_EXPECTED).read_text(encoding="utf-8"),
+    }[kind]
+    path = tmp_path / "records.jsonl"
+    path.write_text(line + "\n" + line, encoding="utf-8")
+    argv = {
+        "corpus": ["ingest", "--input", str(path)],
+        "base-verdicts": ["run", "--corpus", SCENARIO_CORPUS, "--mock", SCENARIO_SCRIPT,
+                          "--base-verdicts", str(path), "--output", str(tmp_path / "r.jsonl")],
+        "reports": ["eval", "--report", str(path), "--gold", SCENARIO_CORPUS],
+    }[kind]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    # the blank line counts
+    assert err == f"error: record 'scenario-001': duplicate id at {path}: line 3\n"
+    assert out == ""
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["records.jsonl"]
 
 
 def test_run_corpus_with_a_lone_surrogate_exits_one_naming_the_line(capsys, tmp_path):
@@ -483,7 +501,7 @@ def test_run_corpus_with_a_lone_surrogate_exits_one_naming_the_line(capsys, tmp_
         "--output", str(tmp_path / "r.jsonl"),
     )
     assert code == 1
-    assert "error: line 1: text is not valid Unicode" in err
+    assert f"error: {corpus}: line 1: text is not valid Unicode" in err
 
 
 def test_run_base_verdicts_not_utf8_exits_one_before_any_claim(capsys, tmp_path):
@@ -494,7 +512,7 @@ def test_run_base_verdicts_not_utf8_exits_one_before_any_claim(capsys, tmp_path)
     )
     code, out, err, out_path = _run_scenario(capsys, tmp_path, "--base-verdicts", str(verdicts))
     assert code == 1
-    assert "error: line 2: text is not UTF-8" in err
+    assert f"error: {verdicts}: line 2: text is not UTF-8" in err
     assert "scenario-001" not in out
     assert not out_path.exists()
 
@@ -508,7 +526,7 @@ def test_run_base_verdicts_with_a_lone_surrogate_exits_one_before_any_claim(caps
     )
     code, out, err, out_path = _run_scenario(capsys, tmp_path, "--base-verdicts", str(verdicts))
     assert code == 1
-    assert "error: line 2: text is not valid Unicode" in err
+    assert f"error: {verdicts}: line 2: text is not valid Unicode" in err
     assert "scenario-001" not in out
     assert not out_path.exists()
 
@@ -595,6 +613,73 @@ def test_run_with_nowhere_to_write_exits_one_before_any_claim(capsys, tmp_path, 
     assert err == f"error: the directory of {paths[option]} does not exist\n"
     # no claim ran: nothing printed, and no report, manifest or cache written
     assert out == "" and list(tmp_path.iterdir()) == []
+
+
+# each run's output flags after its inputs (corpus.jsonl, script.json,
+# verdicts.jsonl, cache.jsonl), as names in the run's directory
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        pytest.param("run", ["--output", "corpus.jsonl"], id="report-over-corpus"),
+        pytest.param("run", ["--output", "link.jsonl"], id="report-over-a-link-to-the-corpus"),
+        pytest.param("run", ["--output", "script.json"], id="report-over-mock-script"),
+        pytest.param("run", ["--output", "verdicts.jsonl"], id="report-over-base-verdicts"),
+        pytest.param("run", ["--output", "cache.jsonl"], id="report-over-cache"),
+        pytest.param("run", ["--output", "cache.jsonl.vectors"], id="report-over-vectors"),
+        pytest.param("run", ["--output", "r.jsonl", "--manifest", "r.jsonl"],
+                     id="manifest-over-report"),
+        pytest.param("run", ["--output", "r.jsonl", "--manifest", "cache.jsonl"],
+                     id="manifest-over-cache"),
+        pytest.param("ablate", ["--output", "ab.jsonl", "--corpus", "ab.cfg2.jsonl"],
+                     id="config-report-over-corpus"),
+        pytest.param("ablate", ["--output", "ab.jsonl", "--corpus", "ab.cfg1.jsonl.manifest.json"],
+                     id="config-manifest-over-corpus"),
+    ],
+)
+def test_an_output_that_is_an_input_or_another_output_exits_one_before_any_claim(
+    capsys, tmp_path, command, flags
+):
+    corpus = Path(SCENARIO_CORPUS).read_bytes()
+    for name in ("corpus.jsonl", "ab.cfg2.jsonl", "ab.cfg1.jsonl.manifest.json"):
+        (tmp_path / name).write_bytes(corpus)
+    (tmp_path / "link.jsonl").symlink_to(tmp_path / "corpus.jsonl")
+    shutil.copy(SCENARIO_SCRIPT, tmp_path / "script.json")
+    (tmp_path / "verdicts.jsonl").write_text(
+        '{"id": "scenario-001", "label": "True", "justification": "j"}\n', encoding="utf-8"
+    )
+    (tmp_path / "cache.jsonl").write_bytes(b"")
+    before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    inputs = ["--corpus", "corpus.jsonl", "--mock", "script.json",
+              "--base-verdicts", "verdicts.jsonl", "--cache", "cache.jsonl"]
+    argv = [part if part.startswith("--") else str(tmp_path / part) for part in inputs + flags]
+    code, out, err = run_cli(capsys, command, *argv)
+    assert code == 1
+    assert err.startswith("error: ") and " is the same file as " in err
+    # no claim ran, and no file was written or created
+    assert out == ""
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("route", ["flags", "config-file"])
+def test_a_live_run_that_names_a_mock_script_exits_one_before_any_claim(
+    capsys, tmp_path, monkeypatch, route
+):
+    # the live backend would not read the script
+    monkeypatch.delenv("TRACER_API_KEY", raising=False)
+    if route == "flags":
+        flags = ["--live", "--mock", SCENARIO_SCRIPT]
+    else:
+        live = {"backend": {"mode": "live", "mock_script": SCENARIO_SCRIPT}}
+        flags = ["--config", _write_config(tmp_path / "live.yaml", **live)]
+    code, out, err = run_cli(
+        capsys, "run", *flags, "--corpus", SCENARIO_CORPUS,
+        "--output", str(tmp_path / "r.jsonl"), "--cache", str(tmp_path / "cache.jsonl"),
+    )
+    assert code == 1
+    assert err == "error: live mode reads no mock_script: drop it, or run in mock mode\n"
+    assert out == "" and sorted(path.name for path in tmp_path.iterdir()) == (
+        ["live.yaml"] if route == "config-file" else []
+    )
 
 
 def test_run_live_without_key_fails_fast(capsys, tmp_path, monkeypatch):
@@ -852,7 +937,8 @@ def test_every_run_option_sets_the_same_config_by_flag_and_by_file(tmp_path):
     def config_of(*argv):
         return tracer.cli._assemble_run_config(parser.parse_args(argv))
 
-    # the mock backend needs a script: both routes start from a file naming one
+    # the mock backend needs a script: both routes start from a file naming
+    # one, but for the live mode, which names none
     base = {"backend": {"mock_script": SCENARIO_SCRIPT}}
     base_file = _write_config(tmp_path / "base.yaml", **base)
     for option in RUN_OPTIONS:
@@ -860,13 +946,15 @@ def test_every_run_option_sets_the_same_config_by_flag_and_by_file(tmp_path):
         bare = not isinstance(option.parse, type)
         flag = [option.flag] if bare else [option.flag, str(value)]
         section, _, name = option.key.rpartition(".")
-        data = json.loads(json.dumps(base))
+        start = {} if option.key == "backend.mode" else base
+        start_file = _write_config(tmp_path / "start.yaml", **start)
+        data = json.loads(json.dumps(start))
         (data.setdefault(section, {}) if section else data)[name] = value
         by_file = config_of("run", "--config", _write_config(tmp_path / "f.yaml", **data))
         assert by_file != config_of("run", "--config", base_file), option.key
         # the flag exists on both commands, and sets what the key sets
         for command in ("run", "ablate"):
-            assert config_of(command, "--config", base_file, *flag) == by_file, (command, option)
+            assert config_of(command, "--config", start_file, *flag) == by_file, (command, option)
 
 
 def test_a_flag_overrides_its_key_in_the_config_file(tmp_path):
@@ -1328,23 +1416,50 @@ def test_eval_unlabeled_gold_exits_two(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "corrupt",
+    "corrupt, reason",
     [
-        lambda record: {**record, "final_verdict": {**record["final_verdict"], "label": "Maybe"}},
-        lambda record: {**record, "stages": None},
-        lambda record: None,
+        (
+            lambda record: {
+                **record, "final_verdict": {**record["final_verdict"], "label": "Maybe"}
+            },
+            "final_verdict: label: expected Label, got 'Maybe'",
+        ),
+        (lambda record: {**record, "stages": None}, "stages: expected a list, got None"),
+        (lambda record: None, "unsupported report schema version: None"),
     ],
     ids=["unknown-label", "null-stages", "null-record"],
 )
-def test_eval_bad_report_record_exits_one_naming_the_line(capsys, tmp_path, corrupt):
+def test_eval_bad_report_record_exits_one_naming_the_line(capsys, tmp_path, corrupt, reason):
     code, _, _, report_path = _run_scenario(capsys, tmp_path)
     assert code == 0
     record = corrupt(json.loads(report_path.read_text(encoding="utf-8")))
     report_path.write_text(json.dumps(record) + "\n", encoding="utf-8")
     code, _, err = run_cli(capsys, "eval", "--report", str(report_path), "--gold", SCENARIO_CORPUS)
     assert code == 1
-    assert "error: line 1: bad report record" in err
+    assert err == f"error: {report_path}: line 1: {reason}\n"
 
+
+def test_eval_empty_report_id_exits_one_naming_the_line(capsys, tmp_path):
+    line = json.loads(data_path(SCENARIO_EXPECTED).read_text(encoding="utf-8"))
+    report_path = tmp_path / "reports.jsonl"
+    report_path.write_text(json.dumps({**line, "id": ""}) + "\n", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "eval", "--report", str(report_path), "--gold", SCENARIO_CORPUS
+    )
+    assert code == 1
+    assert err == f"error: {report_path}: line 1: id must be a non-empty string\n"
+    assert out == ""
+
+
+def test_eval_bad_gold_line_names_the_gold_file_and_the_key(capsys, tmp_path):
+    code, _, _, report_path = _run_scenario(capsys, tmp_path)
+    assert code == 0
+    gold = tmp_path / "gold.jsonl"
+    gold.write_text('{"id": "a", "claim": "fine"}\n{"id": "b", "claim": 5}\n', encoding="utf-8")
+    code, out, err = run_cli(capsys, "eval", "--report", str(report_path), "--gold", str(gold))
+    assert code == 1
+    assert err == f"error: {gold}: line 2: claim: expected str, got 5\n"
+    assert out == ""
 
 
 def test_eval_report_with_a_lone_surrogate_exits_one_naming_the_line(capsys, tmp_path):
@@ -1359,7 +1474,7 @@ def test_eval_report_with_a_lone_surrogate_exits_one_naming_the_line(capsys, tmp
         capsys, "eval", "--report", str(report_path), "--gold", SCENARIO_CORPUS
     )
     assert code == 1
-    assert "error: line 2: text is not valid Unicode" in err
+    assert f"error: {report_path}: line 2: text is not valid Unicode" in err
     assert out == ""
 
 
@@ -1372,7 +1487,7 @@ def test_eval_report_not_utf8_exits_one_naming_the_line(capsys, tmp_path):
         capsys, "eval", "--report", str(report_path), "--gold", SCENARIO_CORPUS
     )
     assert code == 1
-    assert err == "error: line 2: text is not UTF-8\n"
+    assert err == f"error: {report_path}: line 2: text is not UTF-8\n"
     assert out == ""
 
 
@@ -1381,10 +1496,10 @@ def test_eval_unsupported_schema_version_names_the_line(capsys, tmp_path):
     report_path.write_text('\n{"schema_version": 3}\n', encoding="utf-8")
     code, _, err = run_cli(capsys, "eval", "--report", str(report_path), "--gold", SCENARIO_CORPUS)
     assert code == 1
-    assert "error: line 2: unsupported report schema version: 3" in err
+    assert f"error: {report_path}: line 2: unsupported report schema version: 3" in err
 
 
-def test_eval_repeated_report_id_exits_one_naming_the_line(capsys, tmp_path):
+def test_eval_repeated_report_id_exits_two_naming_the_file_and_line(capsys, tmp_path):
     code, _, _, report_path = _run_scenario(capsys, tmp_path)
     assert code == 0
     line = json.loads(report_path.read_text(encoding="utf-8"))
@@ -1396,8 +1511,8 @@ def test_eval_repeated_report_id_exits_one_naming_the_line(capsys, tmp_path):
     code, out, err = run_cli(
         capsys, "eval", "--report", str(report_path), "--gold", SCENARIO_CORPUS
     )
-    assert code == 1
-    assert "error: line 2: duplicate report id 'scenario-001'" in err
+    assert code == 2
+    assert err == f"error: record 'scenario-001': duplicate id at {report_path}: line 2\n"
     assert out == ""
 
 

@@ -189,6 +189,19 @@ def test_load_rejects_duplicate_ids(tmp_path):
     assert excinfo.value.record_id == "a"
 
 
+def test_load_refuses_a_malformed_line_before_a_broken_invariant(tmp_path):
+    # every line is read before any record is validated, so an empty id is
+    # refused as a line (exit 1) even after a record with a blank claim
+    path = tmp_path / "c.jsonl"
+    path.write_text('{"id": "a", "claim": " "}\n{"id": "", "claim": ""}\n', encoding="utf-8")
+    with pytest.raises(ParseError) as excinfo:
+        load_corpus(path)
+    assert (excinfo.value.line_number, excinfo.value.reason) == (2, "id must be a non-empty string")
+    path.write_text('{"id": "a", "claim": " "}\n', encoding="utf-8")
+    with pytest.raises(ValidationError, match="claim text is empty"):
+        load_corpus(path)
+
+
 def test_load_rejects_label_inconsistent_with_rating(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text(

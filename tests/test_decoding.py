@@ -5,6 +5,8 @@ Each refusal row puts one bad value at one path of the boundary's good
 value: a bool or a numeric string where a number is due, null where a
 value is required, a missing required key, or a list element of the
 wrong type. JSON-lines files carry the value on line 2, after a good line.
+Where the value is read as a dataclass, the refusal names the key of each
+field it is under.
 """
 
 import copy
@@ -75,6 +77,10 @@ BOUNDARIES = {
     "nli": (_classifier(lambda c: nli_check(None, "p", "h", c)), BackendError),
     "config": (lambda tmp_path, boundary, value: config_from_dict(value), ConfigError),
 }
+
+
+# the boundaries that decode a dataclass, whose refusals name the keys
+NAMED = {"corpus", "base_verdicts", "reports", "mock"}
 
 
 def _good(boundary):
@@ -210,7 +216,15 @@ def test_each_boundary_refuses_a_bad_value_with_its_own_error(tmp_path, boundary
     with pytest.raises(error) as excinfo:
         read(tmp_path, boundary, value)
     if error is ParseError:
-        assert excinfo.value.line_number == 2
+        assert (excinfo.value.path, excinfo.value.line_number) == (tmp_path / "input.jsonl", 2)
+    if boundary in NAMED:
+        # the keys of the dataclass fields the bad value is under, outermost first
+        keys = [step for step in path if isinstance(step, str)]
+        if bad is MISSING:
+            keys[-1] = f"missing required keys {keys[-1:]}"
+        else:
+            keys.append("expected ")
+        assert f": {': '.join(keys)}" in str(excinfo.value)
     if error is BackendError:
         assert "returned a malformed answer" in str(excinfo.value)
 

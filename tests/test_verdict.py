@@ -1182,12 +1182,12 @@ def test_report_round_trip_with_minimal_fields(tmp_path):
 
 
 def test_report_rejects_unknown_schema_version():
-    with pytest.raises(ParseError):
+    with pytest.raises(ValueError, match="unsupported report schema version: 99"):
         report_from_dict({"schema_version": 99})
     # a version that only compares equal to a known one is not it
     line = json.loads(data_path(SCENARIO_EXPECTED).read_text(encoding="utf-8"))
     for version in (True, 2.0, "2", None):
-        with pytest.raises(ParseError):
+        with pytest.raises(ValueError, match="unsupported report schema version"):
             report_from_dict({**line, "schema_version": version})
 
 
